@@ -1,5 +1,11 @@
 """Ledger records: transactions, blocks, hash linking, stateless validation.
 
+Transactions, block headers and blocks are immutable records, built once
+with all their fields. Each keeps its canonical bytes, signing bytes and
+hash once computed, and a decoded record keeps the exact bytes it was
+parsed from, so no layer re-encodes a record to hash, sign, verify or send
+it. A changed copy (`dataclasses.replace`) starts with no derived values.
+
 Every block header carries the parent hash and a proposer signature over the
 header digest, so recomputing hashes over a chain exposes any historical
 mutation. Validation is stateless and reports every violation it finds
@@ -15,7 +21,7 @@ from enum import Enum
 from typing import Optional, Union
 
 from .channel import KeyPair, sign_digest, verify_digest
-from .codec import DecodeError, Reader, enc_bytes, enc_str, enc_u64, enc_u8
+from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_str, enc_u64, enc_u8, set_cached
 
 ZERO_HASH = bytes(32)
 EMPTY_SIG = bytes(64)
@@ -115,7 +121,7 @@ def decode_payload(r: Reader) -> TxPayload:
 
 # --- transactions ---------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Transaction:
     sender: bytes
     nonce: int
@@ -123,32 +129,48 @@ class Transaction:
     payload: TxPayload
     gas_limit: int
     signature: bytes
+    _signing: Optional[bytes] = cache_field()
+    _raw: Optional[bytes] = cache_field()
+    _hash: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x02
 
-    def signing_bytes(self) -> bytes:
+    @classmethod
+    def unsigned_bytes(cls, sender: bytes, nonce: int, timestamp: int, payload: TxPayload, gas_limit: int) -> bytes:
         return (
-            enc_u8(self.WIRE_TAG)
-            + enc_bytes(self.sender)
-            + enc_u64(self.nonce)
-            + enc_u64(self.timestamp)
-            + encode_payload(self.payload)
-            + enc_u64(self.gas_limit)
+            enc_u8(cls.WIRE_TAG)
+            + enc_bytes(sender)
+            + enc_u64(nonce)
+            + enc_u64(timestamp)
+            + encode_payload(payload)
+            + enc_u64(gas_limit)
         )
 
+    def signing_bytes(self) -> bytes:
+        if self._signing is None:
+            unsigned = self.unsigned_bytes(self.sender, self.nonce, self.timestamp, self.payload, self.gas_limit)
+            set_cached(self, "_signing", unsigned)
+        return self._signing
+
     def encode(self) -> bytes:
-        return self.signing_bytes() + enc_bytes(self.signature)
+        if self._raw is None:
+            set_cached(self, "_raw", self.signing_bytes() + enc_bytes(self.signature))
+        return self._raw
 
     @classmethod
     def read(cls, r: Reader) -> "Transaction":
+        start = r.pos
         r.expect_tag(cls.WIRE_TAG)
         sender = r.bytes_()
         nonce = r.u64()
         timestamp = r.u64()
         payload = decode_payload(r)
         gas_limit = r.u64()
-        signature = r.bytes_()
-        return cls(sender, nonce, timestamp, payload, gas_limit, signature)
+        signing = r.since(start)
+        tx = cls(sender, nonce, timestamp, payload, gas_limit, r.bytes_())
+        set_cached(tx, "_signing", signing)
+        set_cached(tx, "_raw", r.since(start))
+        return tx
 
     @classmethod
     def decode(cls, data: bytes) -> "Transaction":
@@ -165,9 +187,10 @@ def make_transaction(
     payload: TxPayload,
     gas_limit: int = DEFAULT_GAS_LIMIT,
 ) -> Transaction:
-    tx = Transaction(keypair.public_key, nonce, timestamp, payload, gas_limit, EMPTY_SIG)
-    digest = hashlib.sha256(tx.signing_bytes()).digest()
-    tx.signature = sign_digest(keypair.private_key, digest)
+    signing = Transaction.unsigned_bytes(keypair.public_key, nonce, timestamp, payload, gas_limit)
+    signature = sign_digest(keypair.private_key, hashlib.sha256(signing).digest())
+    tx = Transaction(keypair.public_key, nonce, timestamp, payload, gas_limit, signature)
+    set_cached(tx, "_signing", signing)
     return tx
 
 
@@ -177,12 +200,14 @@ def verify_transaction(tx: Transaction) -> bool:
 
 
 def hash_tx(tx: Transaction) -> bytes:
-    return hashlib.sha256(tx.encode()).digest()
+    if tx._hash is None:
+        set_cached(tx, "_hash", hashlib.sha256(tx.encode()).digest())
+    return tx._hash
 
 
 # --- blocks ---------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BlockHeader:
     height: int
     timestamp: int  # unix milliseconds, strictly greater than parent's
@@ -190,57 +215,94 @@ class BlockHeader:
     tx_root: bytes
     proposer: bytes
     proposer_signature: bytes
+    _signing: Optional[bytes] = cache_field()
+    _raw: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x03
 
-    def signing_bytes(self) -> bytes:
+    @classmethod
+    def unsigned_bytes(cls, height: int, timestamp: int, prev_hash: bytes, tx_root: bytes, proposer: bytes) -> bytes:
         return (
-            enc_u8(self.WIRE_TAG)
-            + enc_u64(self.height)
-            + enc_u64(self.timestamp)
-            + enc_bytes(self.prev_hash)
-            + enc_bytes(self.tx_root)
-            + enc_bytes(self.proposer)
+            enc_u8(cls.WIRE_TAG)
+            + enc_u64(height)
+            + enc_u64(timestamp)
+            + enc_bytes(prev_hash)
+            + enc_bytes(tx_root)
+            + enc_bytes(proposer)
         )
 
+    def signing_bytes(self) -> bytes:
+        if self._signing is None:
+            unsigned = self.unsigned_bytes(self.height, self.timestamp, self.prev_hash, self.tx_root, self.proposer)
+            set_cached(self, "_signing", unsigned)
+        return self._signing
+
     def encode(self) -> bytes:
-        return self.signing_bytes() + enc_bytes(self.proposer_signature)
+        if self._raw is None:
+            set_cached(self, "_raw", self.signing_bytes() + enc_bytes(self.proposer_signature))
+        return self._raw
 
     @classmethod
     def read(cls, r: Reader) -> "BlockHeader":
+        start = r.pos
         r.expect_tag(cls.WIRE_TAG)
-        return cls(
-            height=r.u64(),
-            timestamp=r.u64(),
-            prev_hash=r.bytes_(),
-            tx_root=r.bytes_(),
-            proposer=r.bytes_(),
-            proposer_signature=r.bytes_(),
-        )
+        height = r.u64()
+        timestamp = r.u64()
+        prev_hash = r.bytes_()
+        tx_root = r.bytes_()
+        proposer = r.bytes_()
+        signing = r.since(start)
+        header = cls(height, timestamp, prev_hash, tx_root, proposer, r.bytes_())
+        set_cached(header, "_signing", signing)
+        set_cached(header, "_raw", r.since(start))
+        return header
 
 
-@dataclass
+def make_header(proposer: KeyPair, height: int, timestamp: int, prev_hash: bytes, tx_root: bytes) -> BlockHeader:
+    """A header signed by `proposer` over its unsigned bytes."""
+    signing = BlockHeader.unsigned_bytes(height, timestamp, prev_hash, tx_root, proposer.public_key)
+    signature = sign_digest(proposer.private_key, hashlib.sha256(signing).digest())
+    header = BlockHeader(height, timestamp, prev_hash, tx_root, proposer.public_key, signature)
+    set_cached(header, "_signing", signing)
+    return header
+
+
+@dataclass(frozen=True)
 class Block:
     header: BlockHeader
-    transactions: list
+    transactions: tuple
+    _raw: Optional[bytes] = cache_field()
+    _hash: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x04
 
+    def __post_init__(self):
+        if type(self.transactions) is not tuple:
+            object.__setattr__(self, "transactions", tuple(self.transactions))
+
     def encode(self) -> bytes:
-        parts = [enc_u8(self.WIRE_TAG), self.header.encode()]
-        parts.append(enc_u64(len(self.transactions)))
-        parts.extend(tx.encode() for tx in self.transactions)
-        return b"".join(parts)
+        if self._raw is None:
+            parts = [enc_u8(self.WIRE_TAG), self.header.encode(), enc_u64(len(self.transactions))]
+            parts.extend(tx.encode() for tx in self.transactions)
+            set_cached(self, "_raw", b"".join(parts))
+        return self._raw
+
+    @classmethod
+    def read(cls, r: Reader) -> "Block":
+        start = r.pos
+        r.expect_tag(cls.WIRE_TAG)
+        header = BlockHeader.read(r)
+        count = r.u64()
+        block = cls(header, tuple(Transaction.read(r) for _ in range(count)))
+        set_cached(block, "_raw", r.since(start))
+        return block
 
     @classmethod
     def decode(cls, data: bytes) -> "Block":
         r = Reader(data)
-        r.expect_tag(cls.WIRE_TAG)
-        header = BlockHeader.read(r)
-        count = r.u64()
-        txs = [Transaction.read(r) for _ in range(count)]
+        block = cls.read(r)
         r.expect_eof()
-        return cls(header=header, transactions=txs)
+        return block
 
 
 def compute_tx_root(transactions) -> bytes:
@@ -248,7 +310,9 @@ def compute_tx_root(transactions) -> bytes:
 
 
 def hash_block(block: Block) -> bytes:
-    return hashlib.sha256(block.encode()).digest()
+    if block._hash is None:
+        set_cached(block, "_hash", hashlib.sha256(block.encode()).digest())
+    return block._hash
 
 
 def verify_block_signature(header: BlockHeader) -> bool:
@@ -308,7 +372,7 @@ def make_genesis(config: GenesisConfig) -> Block:
         proposer=ZERO_HASH,
         proposer_signature=EMPTY_SIG,
     )
-    return Block(header=header, transactions=[])
+    return Block(header=header, transactions=())
 
 
 # --- chain ----------------------------------------------------------------
@@ -383,17 +447,14 @@ def build_block(
         seen.add(h)
         eligible.append(tx)
     eligible.sort(key=lambda tx: (tx.sender, tx.nonce))
-    chosen = eligible[:max_txs]
-    header = BlockHeader(
+    chosen = tuple(eligible[:max_txs])
+    header = make_header(
+        proposer,
         height=parent.header.height + 1,
         timestamp=max(now_ms, parent.header.timestamp + 1),
         prev_hash=hash_block(parent),
         tx_root=compute_tx_root(chosen),
-        proposer=proposer.public_key,
-        proposer_signature=EMPTY_SIG,
     )
-    digest = hashlib.sha256(header.signing_bytes()).digest()
-    header.proposer_signature = sign_digest(proposer.private_key, digest)
     return Block(header=header, transactions=chosen)
 
 

@@ -10,6 +10,7 @@ bytes, so independent nodes agree bit-for-bit.
 from __future__ import annotations
 
 import struct
+from dataclasses import field
 
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
@@ -65,6 +66,22 @@ def canonical_encode(value) -> bytes:
     raise TypeError(f"no canonical encoding for {type(value).__name__}")
 
 
+def cache_field():
+    """A value a frozen record derives from its fields and keeps once computed.
+
+    It is no constructor argument, so `dataclasses.replace` never copies a
+    stale value into a changed record, and it takes no part in equality or
+    repr.
+    """
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+def set_cached(record, name: str, value):
+    """Store a derived value on a frozen record; returns the value."""
+    object.__setattr__(record, name, value)
+    return value
+
+
 class Reader:
     """Sequential decoder over one canonical byte string."""
 
@@ -113,3 +130,11 @@ class Reader:
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
+
+    @property
+    def pos(self) -> int:
+        return self._pos
+
+    def since(self, start: int) -> bytes:
+        """The bytes consumed from offset `start` up to the current position."""
+        return self._data[start : self._pos]

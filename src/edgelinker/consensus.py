@@ -20,7 +20,7 @@ from typing import Optional
 
 from .chain import Block, Chain, hash_block, validate_block
 from .channel import KeyPair, sign_digest, verify_digest
-from .codec import Reader, enc_bytes, enc_u64, enc_u8
+from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_u64, enc_u8, set_cached
 
 ZERO_HASH = bytes(32)
 
@@ -32,7 +32,7 @@ class Phase(IntEnum):
     ROUND_CHANGE = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsensusMessage:
     phase: Phase
     height: int
@@ -41,27 +41,40 @@ class ConsensusMessage:
     block: Optional[Block]  # full block on pre-prepare only
     sender: bytes
     signature: bytes
+    _signing: Optional[bytes] = cache_field()
+    _raw: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x05
 
-    def signing_bytes(self) -> bytes:
+    @classmethod
+    def unsigned_bytes(
+        cls, phase: Phase, height: int, round_: int, block_hash: bytes, block: Optional[Block], sender: bytes
+    ) -> bytes:
         parts = [
-            enc_u8(self.WIRE_TAG),
-            enc_u8(int(self.phase)),
-            enc_u64(self.height),
-            enc_u64(self.round),
-            enc_bytes(self.block_hash),
+            enc_u8(cls.WIRE_TAG),
+            enc_u8(int(phase)),
+            enc_u64(height),
+            enc_u64(round_),
+            enc_bytes(block_hash),
         ]
-        if self.block is None:
+        if block is None:
             parts.append(enc_u8(0))
         else:
             parts.append(enc_u8(1))
-            parts.append(self.block.encode())
-        parts.append(enc_bytes(self.sender))
+            parts.append(block.encode())
+        parts.append(enc_bytes(sender))
         return b"".join(parts)
 
+    def signing_bytes(self) -> bytes:
+        if self._signing is None:
+            unsigned = self.unsigned_bytes(self.phase, self.height, self.round, self.block_hash, self.block, self.sender)
+            set_cached(self, "_signing", unsigned)
+        return self._signing
+
     def encode(self) -> bytes:
-        return self.signing_bytes() + enc_bytes(self.signature)
+        if self._raw is None:
+            set_cached(self, "_raw", self.signing_bytes() + enc_bytes(self.signature))
+        return self._raw
 
     @classmethod
     def decode(cls, data: bytes) -> "ConsensusMessage":
@@ -71,19 +84,17 @@ class ConsensusMessage:
         height = r.u64()
         rnd = r.u64()
         block_hash = r.bytes_()
-        block = None
-        if r.u8() == 1:
-            from .chain import BlockHeader, Transaction  # local to keep imports light
-
-            r.expect_tag(Block.WIRE_TAG)
-            header = BlockHeader.read(r)
-            count = r.u64()
-            txs = [Transaction.read(r) for _ in range(count)]
-            block = Block(header=header, transactions=txs)
+        has_block = r.u8()
+        if has_block > 1:
+            raise DecodeError(f"bad block flag {has_block}")
+        block = Block.read(r) if has_block else None
         sender = r.bytes_()
-        signature = r.bytes_()
+        signing = r.since(0)
+        msg = cls(phase, height, rnd, block_hash, block, sender, r.bytes_())
         r.expect_eof()
-        return cls(phase, height, rnd, block_hash, block, sender, signature)
+        set_cached(msg, "_signing", signing)
+        set_cached(msg, "_raw", r.since(0))
+        return msg
 
 
 def make_message(
@@ -94,9 +105,10 @@ def make_message(
     block_hash: bytes = ZERO_HASH,
     block: Optional[Block] = None,
 ) -> ConsensusMessage:
-    msg = ConsensusMessage(phase, height, round_, block_hash, block, keypair.public_key, b"")
-    digest = hashlib.sha256(msg.signing_bytes()).digest()
-    msg.signature = sign_digest(keypair.private_key, digest)
+    signing = ConsensusMessage.unsigned_bytes(phase, height, round_, block_hash, block, keypair.public_key)
+    signature = sign_digest(keypair.private_key, hashlib.sha256(signing).digest())
+    msg = ConsensusMessage(phase, height, round_, block_hash, block, keypair.public_key, signature)
+    set_cached(msg, "_signing", signing)
     return msg
 
 

@@ -24,8 +24,8 @@ from typing import Optional
 
 from . import channel as ch
 from .chain import (
+    DEFAULT_GAS_LIMIT,
     Block,
-    BlockHeader,
     Call,
     Deploy,
     GenesisConfig,
@@ -34,6 +34,7 @@ from .chain import (
     compute_tx_root,
     hash_block,
     hash_tx,
+    make_header,
     make_transaction,
 )
 from .channel import ChannelMessage, KeyPair, SecureEnvelope, generate_keypair, open_message, seal_message
@@ -246,7 +247,6 @@ class ScenarioConfig:
     def to_json(self) -> str:
         raw = asdict(self)
         raw["link"] = self.link.to_dict()
-        raw["link"]["partitions"] = [list(p) for p in self.link.partitions]
         return json.dumps(raw, indent=2, sort_keys=True)
 
     @classmethod
@@ -472,19 +472,19 @@ class InsertionAttacker(AttackerBase):
 
     def wake(self, tag, now_us):
         height = int(tag) + 1
-        forged_tx = make_transaction(self.keypair, 1, now_us // 1000, Deploy(HEALTH_RECORD_KIND, b""))
-        forged_tx.signature = bytes(64)  # broken on purpose
-        header = BlockHeader(
+        now_ms = now_us // 1000
+        # An all-zero signature: the transaction is broken on purpose.
+        forged_tx = Transaction(
+            self.keypair.public_key, 1, now_ms, Deploy(HEALTH_RECORD_KIND, b""), DEFAULT_GAS_LIMIT, bytes(64)
+        )
+        header = make_header(
+            self.keypair,
             height=height,
-            timestamp=now_us // 1000,
+            timestamp=now_ms,
             prev_hash=hashlib.sha256(b"forged-parent" + enc_u64(height)).digest(),
             tx_root=compute_tx_root([forged_tx]),
-            proposer=self.keypair.public_key,
-            proposer_signature=bytes(64),
         )
-        block = Block(header=header, transactions=[forged_tx])
-        header_digest = hashlib.sha256(header.signing_bytes()).digest()
-        header.proposer_signature = ch.sign_digest(self.keypair.private_key, header_digest)
+        block = Block(header=header, transactions=(forged_tx,))
         msg = make_message(self.keypair, Phase.PRE_PREPARE, height, 0, hash_block(block), block)
         self.stats["forged"] += 1
         self.sim.trace.add(now_us, self.id, "attack_insertion", {"height": height})

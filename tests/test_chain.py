@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +14,7 @@ from edgelinker.chain import (
     ValidationRequired,
     Violation,
     build_block,
+    compute_tx_root,
     hash_block,
     hash_tx,
     make_genesis,
@@ -20,6 +23,7 @@ from edgelinker.chain import (
     append_block,
     verify_transaction,
 )
+from edgelinker.channel import sign_digest
 from tests.conftest import kp
 
 NOW_MS = 1_700_000_000_000
@@ -27,6 +31,12 @@ NOW_MS = 1_700_000_000_000
 
 def transfer_tx(sender, nonce, amount=10):
     return make_transaction(sender, nonce, NOW_MS + nonce, Transfer(to=kp("sink").public_key, amount=amount))
+
+
+def resign(header, keypair):
+    """A copy of the header signed by `keypair` over its current fields."""
+    digest = hashlib.sha256(header.signing_bytes()).digest()
+    return replace(header, proposer_signature=sign_digest(keypair.private_key, digest))
 
 
 @pytest.fixture
@@ -71,8 +81,6 @@ def test_tx_order_changes_root_and_block_hash(setup):
     t1, t2 = transfer_tx(sender, 1), transfer_tx(sender, 2)
     b1 = build_block([t1, t2], genesis, authority, NOW_MS)
     b2 = Block(header=b1.header, transactions=[t2, t1])
-    from edgelinker.chain import compute_tx_root
-
     assert compute_tx_root(b1.transactions) != compute_tx_root(b2.transactions)
 
 
@@ -80,7 +88,7 @@ class TestBuildBlock:
     def test_empty_heartbeat_block_is_valid(self, setup):
         authority, _, genesis = setup
         block = build_block([], genesis, authority, NOW_MS)
-        assert block.transactions == []
+        assert block.transactions == ()
         assert validate_block(block, genesis, [authority.public_key]).ok
 
     def test_cap_holds_back_overflow(self, setup):
@@ -142,53 +150,34 @@ class TestValidateBlock:
     )
     def test_each_targeted_corruption_yields_exactly_that_violation(self, setup, corrupt, violation):
         authority, genesis, block = self._good(setup)
-        import hashlib as _h
-        from edgelinker.chain import compute_tx_root
-        from edgelinker.channel import sign_digest
-
-        def resign():
-            block.header.proposer_signature = sign_digest(
-                authority.private_key, _h.sha256(block.header.signing_bytes()).digest()
-            )
+        header, txs = block.header, block.transactions
 
         if corrupt == "parent":
-            block.header.prev_hash = bytes(32)
-            resign()
+            header = resign(replace(header, prev_hash=bytes(32)), authority)
         elif corrupt == "height":
-            block.header.height += 1
-            block.header.prev_hash = hash_block(genesis)
-            resign()
+            header = resign(replace(header, height=header.height + 1, prev_hash=hash_block(genesis)), authority)
         elif corrupt == "timestamp":
-            block.header.timestamp = genesis.header.timestamp
-            resign()
+            header = resign(replace(header, timestamp=genesis.header.timestamp), authority)
         elif corrupt == "proposer":
             outsider = kp("imposter")
-            block.header.proposer = outsider.public_key
-            block.header.proposer_signature = sign_digest(
-                outsider.private_key, _h.sha256(block.header.signing_bytes()).digest()
-            )
+            header = resign(replace(header, proposer=outsider.public_key), outsider)
         elif corrupt == "signature":
-            block.header.proposer_signature = bytes(64)
+            header = replace(header, proposer_signature=bytes(64))
         elif corrupt == "tx_root":
-            block.header.tx_root = bytes(32)
-            resign()
+            header = resign(replace(header, tx_root=bytes(32)), authority)
         elif corrupt == "tx_signature":
-            block.transactions[0].signature = bytes(64)  # insertion-style forgery
-            block.header.tx_root = compute_tx_root(block.transactions)
-            resign()
+            txs = (replace(txs[0], signature=bytes(64)),) + txs[1:]  # insertion-style forgery
+            header = resign(replace(header, tx_root=compute_tx_root(txs)), authority)
         elif corrupt == "query":
-            q = make_transaction(kp("v"), 2, NOW_MS, Query(bytes(32), 0, 1))
-            block.transactions.append(q)
-            block.header.tx_root = compute_tx_root(block.transactions)
-            resign()
+            txs = txs + (make_transaction(kp("v"), 2, NOW_MS, Query(bytes(32), 0, 1)),)
+            header = resign(replace(header, tx_root=compute_tx_root(txs)), authority)
 
-        result = validate_block(block, genesis, [authority.public_key])
+        result = validate_block(Block(header=header, transactions=txs), genesis, [authority.public_key])
         assert result.violations == [violation]
 
     def test_multiple_violations_all_reported(self, setup):
         authority, genesis, block = self._good(setup)
-        block.header.prev_hash = bytes(32)
-        block.header.timestamp = 0
+        block = replace(block, header=replace(block.header, prev_hash=bytes(32), timestamp=0))
         result = validate_block(block, genesis, [authority.public_key])
         assert Violation.BAD_PARENT_LINK in result.violations
         assert Violation.BAD_TIMESTAMP in result.violations
@@ -206,8 +195,8 @@ class TestAppend:
     def test_invalid_append_refused_and_chain_unchanged(self, setup):
         authority, _, genesis = setup
         chain = Chain.from_genesis(genesis, [authority.public_key])
-        bad = build_block([], genesis, authority, NOW_MS)
-        bad.header.prev_hash = bytes(32)
+        good = build_block([], genesis, authority, NOW_MS)
+        bad = replace(good, header=replace(good.header, prev_hash=bytes(32)))
         with pytest.raises(ValidationRequired):
             append_block(chain, bad)
         assert chain.height == 0
@@ -247,22 +236,23 @@ def test_any_single_field_mutation_in_history_detected(setup):
         )
 
     assert chain_valid(chain.blocks)
-    import copy
 
     for i in range(1, len(chain.blocks)):
-        mutated = copy.deepcopy(chain.blocks)
-        mutated[i].transactions[0].payload = Transfer(to=bytes(32), amount=999)
+        block = chain.blocks[i]
+        forged = replace(block.transactions[0], payload=Transfer(to=bytes(32), amount=999))
+        mutated = list(chain.blocks)
+        mutated[i] = replace(block, transactions=(forged,) + block.transactions[1:])
         assert not chain_valid(mutated)
-        mutated = copy.deepcopy(chain.blocks)
-        mutated[i].header.timestamp += 1
+        mutated = list(chain.blocks)
+        mutated[i] = replace(block, header=replace(block.header, timestamp=block.header.timestamp + 1))
         assert not chain_valid(mutated)
+    assert chain_valid(chain.blocks)  # the corrupted copies left the originals as they were
 
 
 def test_transaction_signature_verifies_under_sender():
     tx = transfer_tx(kp("sig"), 1)
     assert verify_transaction(tx)
-    tx.signature = bytes(64)
-    assert not verify_transaction(tx)
+    assert not verify_transaction(replace(tx, signature=bytes(64)))
 
 
 def test_genesis_config_json_roundtrip(setup):

@@ -1,8 +1,19 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgelinker.chain import Chain, GenesisConfig, build_block, hash_block, make_genesis
+from edgelinker.chain import (
+    Chain,
+    GenesisConfig,
+    Transfer,
+    build_block,
+    hash_block,
+    make_genesis,
+    make_transaction,
+)
 from edgelinker.consensus import (
     AuthorityConfig,
     ConsensusEngine,
@@ -12,6 +23,7 @@ from edgelinker.consensus import (
     select_proposer,
     verify_message,
 )
+from edgelinker.channel import sign_digest
 from tests.conftest import kp
 
 NOW_MS = 1_700_000_000_000
@@ -66,8 +78,22 @@ def test_message_signing_and_wire_roundtrip():
     assert ConsensusMessage.decode(msg.encode()) == msg
     outsider = make_message(kp("outsider"), Phase.PREPARE, 1, 0, bytes(32))
     assert not verify_message(outsider, cfg.authorities)
-    msg.round = 9  # mutate after signing
-    assert not verify_message(msg, cfg.authorities)
+    assert not verify_message(replace(msg, round=9), cfg.authorities)  # changed after signing
+
+
+def test_pre_prepare_with_transactions_roundtrips():
+    keys, cfg, chains, _ = make_cluster(4)
+    sender = kp("client")
+    txs = [make_transaction(sender, n, NOW_MS + n, Transfer(to=bytes(32), amount=n)) for n in (1, 2, 3)]
+    block = build_block(txs, chains[0].tip, keys[1], NOW_MS)
+    assert len(block.transactions) == 3
+    msg = make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
+    again = ConsensusMessage.decode(msg.encode())
+    assert again == msg
+    assert hash_block(again.block) == hash_block(block) == again.block_hash
+    assert hashlib.sha256(again.signing_bytes()).digest() == hashlib.sha256(msg.signing_bytes()).digest()
+    assert again.encode() == msg.encode()
+    assert verify_message(again, cfg.authorities)
 
 
 def deliver_all(engines, chains, msgs, now_us, skip=()):
@@ -108,13 +134,11 @@ class TestHappyPath:
     def test_invalid_proposal_gets_no_prepare(self):
         keys, cfg, chains, engines = make_cluster(4)
         block = build_block([], chains[1].tip, keys[1], NOW_MS)
-        block.header.tx_root = bytes(32)  # corrupt after signing
-        import hashlib
-        from edgelinker.channel import sign_digest
-
-        block.header.proposer_signature = sign_digest(
-            keys[1].private_key, hashlib.sha256(block.header.signing_bytes()).digest()
+        header = replace(block.header, tx_root=bytes(32))  # corrupt, then sign again
+        header = replace(
+            header, proposer_signature=sign_digest(keys[1].private_key, hashlib.sha256(header.signing_bytes()).digest())
         )
+        block = replace(block, header=header)
         msg = make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
         out, fin = engines[0].on_message(msg, chains[0], 0)
         assert out == [] and fin is None

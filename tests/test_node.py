@@ -122,7 +122,7 @@ class TestProposalLifecycle:
         node, _, _ = single
         node.on_timer(("propose", 1), INTERVAL)
         assert node.chain.height == 1
-        assert node.chain.tip.transactions == []
+        assert node.chain.tip.transactions == ()
 
     def test_state_replay_matches_live_world(self, single):
         node, _, client = single

@@ -1,0 +1,294 @@
+"""Immutable ledger records and the bytes and hashes they keep.
+
+A field-by-field reference encoder of the wire layout is the oracle: every
+record, whether built by a constructor, by a signing helper, by decoding or
+by `dataclasses.replace` of a record whose derived values were already
+computed, must encode, sign and hash exactly as the reference says.
+"""
+
+import hashlib
+import struct
+from dataclasses import FrozenInstanceError, fields, replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgelinker.chain import (
+    Block,
+    BlockHeader,
+    Call,
+    Deploy,
+    Query,
+    Transaction,
+    Transfer,
+    build_block,
+    hash_block,
+    hash_tx,
+    make_transaction,
+)
+from edgelinker.codec import DecodeError
+from edgelinker.consensus import ConsensusMessage, Phase, make_message
+from tests.conftest import kp
+from tests.test_codec import PAYLOADS
+
+U64 = st.integers(0, 2**64 - 1)
+
+
+# --- reference layout --------------------------------------------------------
+
+
+def ref_u64(value):
+    return struct.pack(">Q", value)
+
+
+def ref_bytes(data):
+    return struct.pack(">I", len(data)) + data
+
+
+def ref_str(text):
+    return ref_bytes(text.encode("utf-8"))
+
+
+def ref_payload(p):
+    if isinstance(p, Transfer):
+        return b"\x00" + ref_bytes(p.to) + ref_u64(p.amount)
+    if isinstance(p, Deploy):
+        return b"\x01" + ref_str(p.contract_kind) + ref_bytes(p.init_args)
+    if isinstance(p, Call):
+        return b"\x02" + ref_bytes(p.contract_address) + ref_str(p.method) + ref_bytes(p.args)
+    return b"\x03" + ref_bytes(p.contract_address) + ref_u64(p.from_ts) + ref_u64(p.to_ts)
+
+
+def ref_tx_signing(tx):
+    return (
+        b"\x02"
+        + ref_bytes(tx.sender)
+        + ref_u64(tx.nonce)
+        + ref_u64(tx.timestamp)
+        + ref_payload(tx.payload)
+        + ref_u64(tx.gas_limit)
+    )
+
+
+def ref_tx(tx):
+    return ref_tx_signing(tx) + ref_bytes(tx.signature)
+
+
+def ref_header_signing(h):
+    return (
+        b"\x03"
+        + ref_u64(h.height)
+        + ref_u64(h.timestamp)
+        + ref_bytes(h.prev_hash)
+        + ref_bytes(h.tx_root)
+        + ref_bytes(h.proposer)
+    )
+
+
+def ref_header(h):
+    return ref_header_signing(h) + ref_bytes(h.proposer_signature)
+
+
+def ref_block(b):
+    return b"\x04" + ref_header(b.header) + ref_u64(len(b.transactions)) + b"".join(ref_tx(t) for t in b.transactions)
+
+
+def ref_msg_signing(m):
+    block = b"\x00" if m.block is None else b"\x01" + ref_block(m.block)
+    return (
+        b"\x05"
+        + bytes([int(m.phase)])
+        + ref_u64(m.height)
+        + ref_u64(m.round)
+        + ref_bytes(m.block_hash)
+        + block
+        + ref_bytes(m.sender)
+    )
+
+
+def ref_msg(m):
+    return ref_msg_signing(m) + ref_bytes(m.signature)
+
+
+# --- strategies ----------------------------------------------------------------
+
+TXS = st.builds(
+    Transaction,
+    sender=st.binary(min_size=32, max_size=32),
+    nonce=U64,
+    timestamp=U64,
+    payload=PAYLOADS,
+    gas_limit=U64,
+    signature=st.binary(min_size=64, max_size=64),
+)
+HEADERS = st.builds(
+    BlockHeader,
+    height=U64,
+    timestamp=U64,
+    prev_hash=st.binary(min_size=32, max_size=32),
+    tx_root=st.binary(min_size=32, max_size=32),
+    proposer=st.binary(min_size=32, max_size=32),
+    proposer_signature=st.binary(min_size=64, max_size=64),
+)
+BLOCKS = st.builds(Block, header=HEADERS, transactions=st.lists(TXS, max_size=3))
+MESSAGES = st.builds(
+    ConsensusMessage,
+    phase=st.sampled_from(Phase),
+    height=U64,
+    round=U64,
+    block_hash=st.binary(min_size=32, max_size=32),
+    block=st.none() | BLOCKS,
+    sender=st.binary(min_size=32, max_size=32),
+    signature=st.binary(min_size=64, max_size=64),
+)
+HOW = st.sampled_from(["built", "decoded", "replaced"])
+
+
+def warm(record):
+    """Compute every derived value the record keeps."""
+    record.encode()
+    if isinstance(record, Transaction):
+        hash_tx(record)
+    if isinstance(record, Block):
+        hash_block(record)
+        for tx in record.transactions:
+            hash_tx(tx)
+    return record
+
+
+def flip(value):
+    if isinstance(value, BlockHeader):
+        return replace(value, timestamp=value.timestamp ^ 1)
+    return value ^ 1
+
+
+def obtain(record, how, decode, name):
+    """The record as built, decoded from its bytes, or rebuilt by `replace`.
+
+    The rebuilt one comes from a copy with field `name` changed and every
+    derived value computed, changed back; it must not carry the copy's bytes.
+    """
+    if how == "decoded":
+        return decode(record.encode())
+    if how == "replaced":
+        value = getattr(record, name)
+        return replace(warm(replace(record, **{name: flip(value)})), **{name: value})
+    return record
+
+
+def assert_rejects_truncation_and_trailing(decode, raw):
+    for cut in range(len(raw)):
+        with pytest.raises(DecodeError):
+            decode(raw[:cut])
+    with pytest.raises(DecodeError):
+        decode(raw + b"\x00")
+
+
+# --- cache properties --------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(tx=TXS, how=HOW)
+def test_transaction_bytes_and_hash_match_reference(tx, how):
+    tx = obtain(tx, how, Transaction.decode, "nonce")
+    raw = ref_tx(tx)
+    assert tx.signing_bytes() == ref_tx_signing(tx)
+    assert tx.encode() == raw
+    assert hash_tx(tx) == hashlib.sha256(raw).digest()
+    assert Transaction.decode(raw).encode() == raw
+    assert Transaction.decode(raw) == tx
+    assert_rejects_truncation_and_trailing(Transaction.decode, raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=BLOCKS, how=HOW)
+def test_block_bytes_and_hash_match_reference(block, how):
+    block = obtain(block, how, Block.decode, "header")
+    raw = ref_block(block)
+    assert block.header.signing_bytes() == ref_header_signing(block.header)
+    assert block.header.encode() == ref_header(block.header)
+    assert block.encode() == raw
+    assert hash_block(block) == hashlib.sha256(raw).digest()
+    assert [hash_tx(t) for t in block.transactions] == [hashlib.sha256(ref_tx(t)).digest() for t in block.transactions]
+    assert Block.decode(raw).encode() == raw
+    assert Block.decode(raw) == block
+    assert_rejects_truncation_and_trailing(Block.decode, raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(msg=MESSAGES, how=HOW)
+def test_consensus_message_bytes_match_reference(msg, how):
+    msg = obtain(msg, how, ConsensusMessage.decode, "round")
+    raw = ref_msg(msg)
+    assert msg.signing_bytes() == ref_msg_signing(msg)
+    assert msg.encode() == raw
+    again = ConsensusMessage.decode(raw)
+    assert again.encode() == raw
+    assert again == msg
+    if msg.block is not None:
+        assert hash_block(again.block) == hashlib.sha256(ref_block(msg.block)).digest()
+    assert_rejects_truncation_and_trailing(ConsensusMessage.decode, raw)
+
+
+@settings(max_examples=20, deadline=None)
+@given(payload=PAYLOADS, nonce=st.integers(1, 2**32), ts=st.integers(0, 2**41))
+def test_signed_records_match_reference(payload, nonce, ts):
+    sender, proposer = kp("ref-sender"), kp("ref-proposer")
+    tx = make_transaction(sender, nonce, ts, payload)
+    assert tx.signing_bytes() == ref_tx_signing(tx)
+    assert hash_tx(tx) == hashlib.sha256(ref_tx(tx)).digest()
+    parent = Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ())
+    block = build_block([tx], parent, proposer, ts + 1)
+    assert block.header.signing_bytes() == ref_header_signing(block.header)
+    assert block.header.prev_hash == hashlib.sha256(ref_block(parent)).digest()
+    assert hash_block(block) == hashlib.sha256(ref_block(block)).digest()
+    msg = make_message(proposer, Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
+    assert msg.signing_bytes() == ref_msg_signing(msg)
+    assert msg.encode() == ref_msg(msg)
+
+
+def test_message_with_bad_block_flag_rejected():
+    msg = make_message(kp("flag"), Phase.PREPARE, 1, 0, bytes(32))
+    raw = bytearray(msg.encode())
+    flag_at = 1 + 1 + 8 + 8 + 4 + 32
+    assert raw[flag_at] == 0
+    raw[flag_at] = 2
+    with pytest.raises(DecodeError):
+        ConsensusMessage.decode(bytes(raw))
+
+
+# --- immutability ------------------------------------------------------------------
+
+
+def sample_records():
+    sender, proposer = kp("frozen-sender"), kp("frozen-proposer")
+    tx = make_transaction(sender, 1, 5, Transfer(to=bytes(32), amount=3))
+    parent = Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ())
+    block = build_block([tx], parent, proposer, 10)
+    msg = make_message(proposer, Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
+    return {
+        "transaction": warm(tx),
+        "decoded_transaction": Transaction.decode(tx.encode()),
+        "header": block.header,
+        "block": warm(block),
+        "message": msg,
+    }
+
+
+@pytest.mark.parametrize("name", ["transaction", "decoded_transaction", "header", "block", "message"])
+def test_assigning_any_field_raises(name):
+    record = sample_records()[name]
+    before = record.encode()
+    for f in fields(record):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+    assert record.encode() == before
+
+
+def test_block_transactions_are_a_tuple():
+    block = Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), [])
+    assert block.transactions == ()
+    sender = kp("tuple")
+    txs = [make_transaction(sender, n, n, Transfer(to=bytes(32), amount=n)) for n in (1, 2)]
+    assert type(Block(block.header, txs).transactions) is tuple

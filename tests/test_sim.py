@@ -1,7 +1,11 @@
 import copy
+import os
+import subprocess
+import sys
 
 import pytest
 
+import edgelinker
 from edgelinker.contracts import replay_chain
 from edgelinker.sim import (
     ConfigInvalid,
@@ -182,6 +186,25 @@ class TestConfig:
         cfg = fast_config(nodes=5, attack="dos", attack_params={"balance": 5000})
         again = ScenarioConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    def test_json_independent_of_hash_seed(self):
+        # Partitions are a set of frozensets, whose iteration order follows
+        # string hashing; the serialized config must not.
+        pairs = [("n0", "n1"), ("n2", "n3"), ("n1", "patient0"), ("n3", "doctor0"), ("n0", "n2")]
+        script = (
+            "from edgelinker.sim import LinkModel, ScenarioConfig\n"
+            f"link = LinkModel(partitions={{frozenset(p) for p in {pairs!r}}})\n"
+            "print(ScenarioConfig(nodes=4, link=link).to_json())\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(edgelinker.__file__))
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        again = ScenarioConfig.from_json(outputs.pop().decode())
+        assert again.link.partitions == {frozenset(p) for p in pairs}
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigInvalid):
