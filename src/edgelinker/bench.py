@@ -296,6 +296,7 @@ class AttackReport:
     passed: bool
     lines: list
     stats: dict
+    trace: SimTrace  # the attacked run
 
 
 def default_attack_config() -> ScenarioConfig:
@@ -404,4 +405,4 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
     passed = all(ok for _, ok in checks)
     for label, ok in checks:
         lines.append(f"{kind}: {'PASS' if ok else 'FAIL'} - {label}")
-    return AttackReport(kind=kind, passed=passed, lines=lines, stats=stats)
+    return AttackReport(kind=kind, passed=passed, lines=lines, stats=stats, trace=attacked)

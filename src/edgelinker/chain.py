@@ -35,14 +35,6 @@ class NotAuthority(Exception):
     pass
 
 
-class ValidationRequired(Exception):
-    """Raised when a block is appended without passing validation."""
-
-    def __init__(self, violations):
-        super().__init__(f"block failed validation: {[v.value for v in violations]}")
-        self.violations = violations
-
-
 # --- transaction payloads -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -478,11 +470,3 @@ def validate_block(block: Block, parent: Block, authorities) -> ValidationResult
     if any(isinstance(tx.payload, Query) for tx in block.transactions):
         violations.append(Violation.QUERY_IN_BLOCK)
     return ValidationResult(violations)
-
-
-def append_block(chain: Chain, block: Block) -> Chain:
-    result = validate_block(block, chain.tip, chain.authority_set)
-    if not result.ok:
-        raise ValidationRequired(result.violations)
-    chain.blocks.append(block)
-    return chain

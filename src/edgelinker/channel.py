@@ -272,6 +272,29 @@ def open_plain(raw: bytes) -> ChannelMessage:
     return ChannelMessage.decode(raw)
 
 
+MODES = ("secure", "plain")
+
+
+def seal_wire(message: ChannelMessage, mode: str, sender_private: bytes, receiver_public: bytes, rng=None) -> bytes:
+    """The bytes that carry `message` in channel `mode`: a sealed envelope, or the plain encoding."""
+    if mode == "secure":
+        return seal_message(message, sender_private, receiver_public, rng=rng).to_bytes()
+    return seal_plain(message)
+
+
+def open_wire(raw: bytes, mode: str, receiver_private: bytes, sender_public: Optional[bytes] = None) -> ChannelMessage:
+    """Inverse of seal_wire. With no `sender_public`, a sealed envelope is
+    opened as coming from the sender its cleartext hint names.
+
+    Raises ChannelError or DecodeError when the bytes do not open.
+    """
+    if mode == "secure":
+        envelope = SecureEnvelope.from_bytes(raw)
+        sender = envelope.sender_hint if sender_public is None else sender_public
+        return open_message(envelope, receiver_private, sender)
+    return open_plain(raw)
+
+
 class RejectReason(str, Enum):
     NONCE_REPLAYED = "nonce_replayed"
     NONCE_GAP = "nonce_gap"

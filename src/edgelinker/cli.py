@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from .bench import RunPlan, cmd_attack, cmd_channel_overhead, cmd_run
+from .channel import MODES
 from .sim import ATTACK_KINDS, ScenarioConfig
 
 
@@ -24,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--tasks", type=_int_list, default=[100, 200, 300, 400, 500])
     run_p.add_argument("--reps", type=int, default=5)
     run_p.add_argument("--workload", choices=["read", "write", "mixed"], default="write")
-    run_p.add_argument("--channel", choices=["secure", "plain"], default="secure")
+    run_p.add_argument("--channel", choices=list(MODES), default="secure")
     run_p.add_argument("--seed", type=int, default=42)
     run_p.add_argument("--interval-ms", type=int, default=500)
     run_p.add_argument("--task-period-us", type=int, default=50)
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     at_p.add_argument("--kind", choices=list(ATTACK_KINDS), required=True)
     at_p.add_argument("--config", default=None, help="scenario JSON file")
     at_p.add_argument("--seed", type=int, default=7)
-    at_p.add_argument("--out", default=None, help="optional directory for the attack trace")
+    at_p.add_argument("--out", default=None, help="directory for the attacked trace.jsonl and alerts.csv")
     return parser
 
 
@@ -92,6 +93,12 @@ def main(argv=None) -> int:
         report = cmd_attack(args.kind, config, seed)
         for line in report.lines:
             print(line)
+        if args.out:
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            report.trace.write_jsonl(out_dir / "trace.jsonl")
+            report.trace.write_alerts_csv(out_dir / "alerts.csv")
+            print(f"wrote {out_dir / 'trace.jsonl'} and {out_dir / 'alerts.csv'}")
         print(f"{args.kind}: {'PASS' if report.passed else 'FAIL'} overall {report.stats}")
         return 0 if report.passed else 1
 

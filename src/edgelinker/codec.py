@@ -48,24 +48,6 @@ def enc_list(items, enc_item) -> bytes:
     return b"".join(parts)
 
 
-def canonical_encode(value) -> bytes:
-    """Encode a bare int, byte string, list, or any record exposing encode()."""
-    if isinstance(value, bool):
-        raise TypeError("booleans have no canonical encoding")
-    if isinstance(value, int):
-        return enc_u64(value)
-    if isinstance(value, (bytes, bytearray)):
-        return enc_bytes(bytes(value))
-    if isinstance(value, str):
-        return enc_str(value)
-    if isinstance(value, (list, tuple)):
-        return enc_list(list(value), canonical_encode)
-    enc = getattr(value, "encode", None)
-    if callable(enc):
-        return enc()
-    raise TypeError(f"no canonical encoding for {type(value).__name__}")
-
-
 def cache_field():
     """A value a frozen record derives from its fields and keeps once computed.
 
@@ -113,10 +95,6 @@ class Reader:
             return self.bytes_().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DecodeError("invalid utf-8 in string field") from exc
-
-    def list_(self, decode_item) -> list:
-        count = self.u32()
-        return [decode_item(self) for _ in range(count)]
 
     def expect_tag(self, tag: int) -> None:
         got = self.u8()

@@ -180,7 +180,6 @@ class ConsensusEngine:
         self.state = ConsensusState(height=height)
         self.state.deadline_us = now_us + cfg.round_timeout_us
         self.incidents: list = []
-        self.dropped = 0
         self._future: list = []  # messages for later heights
 
     # -- public surface ----------------------------------------------------
@@ -219,11 +218,8 @@ class ConsensusEngine:
         st = self.state
         out: list = []
         if msg.height != st.height:
-            if msg.height > st.height:
-                if len(self._future) < self.BUFFER_CAP:
-                    self._future.append(msg)
-            else:
-                self.dropped += 1
+            if msg.height > st.height and len(self._future) < self.BUFFER_CAP:
+                self._future.append(msg)
             return out, None
         if st.finalized:
             return out, None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import channel as ch
 from .chain import (
@@ -62,44 +62,16 @@ class Alert:
         return (self.kind, self.offender, self.height, self.detail)
 
 
-# --- wire wrappers routed by the transport ---------------------------------
+# --- message kinds routed by the transport --------------------------------
+# Simulation._pair_rng seeds each link's jitter stream from the kind's value,
+# so changing a value changes every seeded timeline: keep them as they are.
 
-@dataclass
-class ClientWire:
-    """Device-to-node channel bytes (sealed envelope or plain encoding)."""
-
-    raw: bytes
-
-
-@dataclass
-class ReplyWire:
-    raw: bytes
-
-
-@dataclass
-class ConfirmWire:
-    raw: bytes
-
-
-@dataclass
-class GossipWire:
-    tx: Transaction
-
-
-@dataclass
-class ConsensusWire:
-    msg: ConsensusMessage
-
-
-@dataclass
-class AlertWire:
-    alert: Alert
-
-
-@dataclass
-class LegacyWire:
-    legacy_id: str
-    payload: bytes
+CLIENT = "ClientWire"  # device-to-node channel bytes (sealed envelope or plain encoding)
+REPLY = "ReplyWire"  # node-to-device channel bytes carrying a QueryReplyBody
+CONFIRM = "ConfirmWire"  # node-to-device channel bytes carrying a ConfirmBody
+GOSSIP = "GossipWire"  # a Transaction relayed between nodes
+CONSENSUS = "ConsensusWire"  # a ConsensusMessage
+ALERT = "AlertWire"  # an Alert
 
 
 @dataclass
@@ -162,8 +134,9 @@ class ConfirmBody:
 
 @dataclass
 class Send:
-    dst: Optional[str]
-    payload: object
+    dst: str
+    kind: str  # one of the message kinds above
+    body: object
     at_us: Optional[int] = None  # departure time; None means immediately
 
 
@@ -173,24 +146,9 @@ class NodeOutput:
     sends: list = field(default_factory=list)
     timers: list = field(default_factory=list)  # (fire_at_us, key)
 
-    def merge(self, other: "NodeOutput") -> "NodeOutput":
-        self.sends.extend(other.sends)
-        self.timers.extend(other.timers)
-        if other.result is not None:
-            self.result = other.result
-        return self
 
-
-class Recorder:
-    """Minimal trace sink; the simulator swaps in its own."""
-
-    def __init__(self):
-        self.events = []
-        self.now_us = 0
-        self.src = ""
-
-    def __call__(self, kind: str, **info):
-        self.events.append((self.now_us, self.src, kind, info))
+def _no_record(kind: str, **info) -> None:
+    """Default trace sink; the simulator hands nodes its own."""
 
 
 @dataclass
@@ -236,7 +194,7 @@ class FogNode:
         peer_ids: list,
         directory: dict,
         cfg: Optional[NodeConfig] = None,
-        recorder: Optional[Recorder] = None,
+        recorder: Optional[Callable] = None,
         rng=None,
         now_us: int = 0,
     ):
@@ -255,7 +213,7 @@ class FogNode:
         self.engine = ConsensusEngine(auth_cfg, keypair, height=1, now_us=now_us)
         self.peer_ids = [p for p in peer_ids if p != node_id]
         self.directory = directory  # public key -> transport id
-        self.rec = recorder or Recorder()
+        self.rec = recorder or _no_record
         self.rng = rng
 
         self.mempool: dict = {}  # tx hash -> Transaction, insertion ordered
@@ -266,7 +224,6 @@ class FogNode:
         self.proxy_table: dict = {}
         self.outbound_nonces: dict = {}
         self.busy_until_us = 0
-        self.last_finalize_us = now_us
         self._next_propose_us = now_us + self.cfg.block_interval_us
         self.counters = {"dropped_consensus": 0, "rejected": 0}
 
@@ -292,11 +249,7 @@ class FogNode:
     def handle_envelope(self, raw: bytes, now_us: int) -> NodeOutput:
         out = NodeOutput()
         try:
-            if self.cfg.channel_mode == "secure":
-                env = ch.SecureEnvelope.from_bytes(raw)
-                message = ch.open_message(env, self.keypair.private_key, env.sender_hint)
-            else:
-                message = ch.open_plain(raw)
+            message = ch.open_wire(raw, self.cfg.channel_mode, self.keypair.private_key)
         except (ch.ChannelError, DecodeError) as exc:
             return self._reject(out, _channel_reason(exc), detail=str(exc))
 
@@ -348,7 +301,7 @@ class FogNode:
         if client_pk is not None:
             self.pending_conf[txh] = (client_pk, now_us)
             for peer in self.peer_ids:
-                out.sends.append(Send(peer, GossipWire(tx)))
+                out.sends.append(Send(peer, GOSSIP, tx))
         self.rec("tx_admitted", tx=txh.hex()[:16], sender=tx.sender.hex()[:16])
         out.result = "ack"
         return out
@@ -386,7 +339,7 @@ class FogNode:
         dst = self.directory.get(caller)
         if dst is not None:
             raw = self._wrap_to(caller, body.encode(), completion)
-            out.sends.append(Send(dst, ReplyWire(raw), at_us=completion))
+            out.sends.append(Send(dst, REPLY, raw, at_us=completion))
         out.result = "ack"
         return out
 
@@ -394,9 +347,7 @@ class FogNode:
         nonce = self.outbound_nonces.get(recipient_pk, 0) + 1
         self.outbound_nonces[recipient_pk] = nonce
         message = ch.ChannelMessage(now_us // 1000, nonce, self.keypair.public_key, body)
-        if self.cfg.channel_mode == "secure":
-            return ch.seal_message(message, self.keypair.private_key, recipient_pk, rng=self.rng).to_bytes()
-        return ch.seal_plain(message)
+        return ch.seal_wire(message, self.cfg.channel_mode, self.keypair.private_key, recipient_pk, self.rng)
 
     # -- legacy proxy ------------------------------------------------------------
 
@@ -423,12 +374,7 @@ class FogNode:
         entry.next_account_nonce += 1
         entry.channel_nonce += 1
         message = ch.ChannelMessage(now_us // 1000, entry.channel_nonce, entry.keypair.public_key, tx.encode())
-        if self.cfg.channel_mode == "secure":
-            raw = ch.seal_message(
-                message, entry.keypair.private_key, self.keypair.public_key, rng=self.rng
-            ).to_bytes()
-        else:
-            raw = ch.seal_plain(message)
+        raw = ch.seal_wire(message, self.cfg.channel_mode, entry.keypair.private_key, self.keypair.public_key, self.rng)
         return self.handle_envelope(raw, now_us)
 
     # -- consensus ---------------------------------------------------------------
@@ -462,26 +408,14 @@ class FogNode:
                 self._post_engine(out, now_us, msgs, fin)
         return out
 
-    def tick(self, now_us: int) -> NodeOutput:
-        """Timer-free driving surface: fire due timeouts, propose when due.
-
-        Applies any resulting finalized block and purges its transactions
-        from the mempool, same as the timer path.
-        """
-        out = NodeOutput()
-        if now_us >= self.engine.deadline_us and not self.engine.state.finalized:
-            msgs, fin = self.engine.on_timeout(now_us)
-            self.rec("round_timeout", height=self.engine.height, round=self.engine.round)
-            self._post_engine(out, now_us, msgs, fin)
-        self._maybe_propose(out, now_us)
-        out.timers.append((self.engine.deadline_us, ("round", self.engine.height, self.engine.round)))
-        return out
-
     def _maybe_propose(self, out: NodeOutput, now_us: int) -> None:
         if not self.engine.wants_proposal():
             return
         if self.engine.round == 0 and now_us < self._next_propose_us:
             return
+        self._propose(out, now_us)
+
+    def _propose(self, out: NodeOutput, now_us: int) -> None:
         block = build_block(
             list(self.mempool.values()),
             self.chain.tip,
@@ -509,18 +443,15 @@ class FogNode:
                 self._drain_incidents(out, now_us)
                 if f2 is not None and fin is None:
                     fin = f2
-        self._maybe_propose_once(out, now_us)
-        out.timers.append((self.engine.deadline_us, ("round", self.engine.height, self.engine.round)))
-
-    def _maybe_propose_once(self, out: NodeOutput, now_us: int) -> None:
         # Round-change quorum can make this node the proposer mid-stream.
-        if self.engine.wants_proposal() and self.engine.round > 0:
-            self._maybe_propose(out, now_us)
+        if self.engine.round > 0 and self.engine.wants_proposal():
+            self._propose(out, now_us)
+        out.timers.append((self.engine.deadline_us, ("round", self.engine.height, self.engine.round)))
 
     def _broadcast_consensus(self, out: NodeOutput, msgs: list) -> None:
         for msg in msgs:
             for peer in self.peer_ids:
-                out.sends.append(Send(peer, ConsensusWire(msg)))
+                out.sends.append(Send(peer, CONSENSUS, msg))
 
     def _drain_incidents(self, out: NodeOutput, now_us: int) -> None:
         incidents, self.engine.incidents = self.engine.incidents, []
@@ -534,7 +465,6 @@ class FogNode:
     def _apply_finalized(self, block: Block, now_us: int, out: NodeOutput) -> None:
         self.chain.blocks.append(block)
         receipts = apply_block(self.world, block, self.schedule)
-        self.last_finalize_us = now_us
         self._next_propose_us = now_us + self.cfg.block_interval_us
         bh = hash_block(block)
         self.rec(
@@ -566,7 +496,7 @@ class FogNode:
             dst = self.directory.get(client_pk)
             if dst is not None:
                 body = ConfirmBody(txh, "final", block.header.height, delay_us)
-                out.sends.append(Send(dst, ConfirmWire(self._wrap_to(client_pk, body.encode(), now_us))))
+                out.sends.append(Send(dst, CONFIRM, self._wrap_to(client_pk, body.encode(), now_us)))
 
     # -- monitoring -----------------------------------------------------------
 
@@ -592,7 +522,7 @@ class FogNode:
         self.alerts.append(alert)
         self.rec("alert", alert_kind=kind, offender=offender.hex()[:16], height=height, detail=detail)
         for peer in self.peer_ids:
-            out.sends.append(Send(peer, AlertWire(alert)))
+            out.sends.append(Send(peer, ALERT, alert))
 
     def on_alert(self, alert: Alert, now_us: int) -> NodeOutput:
         out = NodeOutput()

@@ -19,7 +19,7 @@ import heapq
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from . import channel as ch
@@ -31,13 +31,14 @@ from .chain import (
     GenesisConfig,
     Query,
     Transaction,
+    build_block,
     compute_tx_root,
     hash_block,
     hash_tx,
     make_header,
     make_transaction,
 )
-from .channel import ChannelMessage, KeyPair, SecureEnvelope, generate_keypair, open_message, seal_message
+from .channel import ChannelMessage, KeyPair, SecureEnvelope, generate_keypair, open_message
 from .codec import DecodeError, enc_u64
 from .consensus import Phase, make_message
 from .contracts import (
@@ -53,13 +54,12 @@ from .contracts import (
     encode_reading_args,
 )
 from .node import (
-    AlertWire,
-    ClientWire,
+    ALERT,
+    CLIENT,
+    CONSENSUS,
+    GOSSIP,
     ConfirmBody,
-    ConsensusWire,
     FogNode,
-    GossipWire,
-    LegacyWire,
     NodeConfig,
     NodeOutput,
     QueryReplyBody,
@@ -180,12 +180,6 @@ class SimTrace:
         with open(path, "w") as fh:
             fh.write(self.jsonl() + "\n")
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t_us,src,kind,info\n")
-            for e in self.events:
-                fh.write(f"{e.t_us},{e.src},{e.kind},\"{json.dumps(e.info, sort_keys=True)}\"\n")
-
     def write_alerts_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("sim_time_us,kind,offender,height\n")
@@ -241,7 +235,6 @@ class ScenarioConfig:
     crashed: int = 0
     stop_at_height: Optional[int] = None
     stop_on_done: bool = True
-    trace_links: bool = False
     seed: Optional[int] = None  # default seed when the caller supplies none
 
     def to_json(self) -> str:
@@ -262,12 +255,19 @@ class ScenarioConfig:
             raise ConfigInvalid("need at least one node")
         if self.workload not in ("scenario", "write", "read", "mixed", "none"):
             raise ConfigInvalid(f"unknown workload {self.workload!r}")
-        if self.channel_mode not in ("secure", "plain"):
+        if self.channel_mode not in ch.MODES:
             raise ConfigInvalid(f"unknown channel mode {self.channel_mode!r}")
         if self.attack is not None and self.attack not in ATTACK_KINDS:
             raise ConfigInvalid(f"unknown attack {self.attack!r}")
         if self.byzantine + self.crashed >= max(self.nodes, 1) and self.nodes > 1:
             raise ConfigInvalid("faulty nodes must be a minority")
+        if self.link.base_latency_us < 0 or self.link.jitter_us < 0:
+            raise ConfigInvalid("link latency and jitter must not be negative")
+        if not 0.0 <= self.link.drop_probability <= 1.0:
+            raise ConfigInvalid(f"drop probability {self.link.drop_probability} is outside [0, 1]")
+        unknown = sorted(set(self.gas or ()) - {f.name for f in fields(GasSchedule)})
+        if unknown:
+            raise ConfigInvalid(f"unknown gas schedule keys {unknown}")
 
 
 # --- actor plans -----------------------------------------------------------------
@@ -311,25 +311,20 @@ class DeviceActor:
             self.pending_queries.setdefault(node_id, deque()).append((now_us, step.label, step.measured))
         raw = self._wrap(tx, node_id, now_us)
         self.sim.trace.add(now_us, self.id, "task_sent", {"label": step.label, "measured": step.measured})
-        return [Send(node_id, ClientWire(raw))]
+        return [Send(node_id, CLIENT, raw)]
 
     def _wrap(self, tx: Transaction, node_id: str, now_us: int) -> bytes:
         nonce = self.channel_nonces.get(node_id, 0) + 1
         self.channel_nonces[node_id] = nonce
         message = ChannelMessage(now_us // 1000, nonce, self.keypair.public_key, tx.encode())
-        if self.sim.config.channel_mode == "secure":
-            node_pk = self.sim.node_keys[node_id].public_key
-            return seal_message(message, self.keypair.private_key, node_pk, rng=self.rng).to_bytes()
-        return ch.seal_plain(message)
+        node_pk = self.sim.node_keys[node_id].public_key
+        return ch.seal_wire(message, self.sim.config.channel_mode, self.keypair.private_key, node_pk, self.rng)
 
-    def on_receive(self, payload, src: str, now_us: int) -> None:
-        raw = payload.raw
+    def on_receive(self, raw: bytes, src: str, now_us: int) -> None:
         try:
-            if self.sim.config.channel_mode == "secure":
-                env = SecureEnvelope.from_bytes(raw)
-                message = open_message(env, self.keypair.private_key, self.sim.node_keys[src].public_key)
-            else:
-                message = ch.open_plain(raw)
+            message = ch.open_wire(
+                raw, self.sim.config.channel_mode, self.keypair.private_key, self.sim.node_keys[src].public_key
+            )
         except ch.ChannelError:
             self.sim.trace.add(now_us, self.id, "client_reject", {"from": src})
             return
@@ -399,9 +394,6 @@ class AttackerBase:
     def wake(self, tag, now_us: int) -> list:
         return []
 
-    def on_receive(self, payload, src, now_us) -> None:
-        pass
-
 
 class ReplayAttacker(AttackerBase):
     """Records channel bytes in transit and re-sends them verbatim."""
@@ -424,7 +416,7 @@ class ReplayAttacker(AttackerBase):
         limit = self.params.get("max_replay", len(self.captured))
         sends = []
         for i, (dst, raw) in enumerate(self.captured[:limit]):
-            sends.append(Send(dst, ClientWire(raw), at_us=now_us + i * gap))
+            sends.append(Send(dst, CLIENT, raw, at_us=now_us + i * gap))
         self.stats["replayed"] = len(sends)
         self.sim.trace.add(now_us, self.id, "attack_replay", {"count": len(sends)})
         return sends
@@ -488,7 +480,7 @@ class InsertionAttacker(AttackerBase):
         msg = make_message(self.keypair, Phase.PRE_PREPARE, height, 0, hash_block(block), block)
         self.stats["forged"] += 1
         self.sim.trace.add(now_us, self.id, "attack_insertion", {"height": height})
-        return [Send(f"n{i}", ConsensusWire(msg)) for i in range(self.sim.config.nodes)]
+        return [Send(f"n{i}", CONSENSUS, msg) for i in range(self.sim.config.nodes)]
 
 
 class DoSAttacker(AttackerBase):
@@ -513,15 +505,11 @@ class DoSAttacker(AttackerBase):
         self.nonce += 1
         self.channel_nonce += 1
         message = ChannelMessage(now_us // 1000, self.channel_nonce, self.keypair.public_key, tx.encode())
-        node_id = "n0"
-        if self.sim.config.channel_mode == "secure":
-            node_pk = self.sim.node_keys[node_id].public_key
-            raw = seal_message(message, self.keypair.private_key, node_pk, rng=self.rng).to_bytes()
-        else:
-            raw = ch.seal_plain(message)
+        node_pk = self.sim.node_keys["n0"].public_key
+        raw = ch.seal_wire(message, self.sim.config.channel_mode, self.keypair.private_key, node_pk, self.rng)
         self.stats["flood_sent"] += 1
         self.sim.trace.add(now_us, self.id, "attack_dos_call", {"nonce": tx.nonce})
-        return [Send(node_id, ClientWire(raw))]
+        return [Send("n0", CLIENT, raw)]
 
 
 class SpoofAttacker(AttackerBase):
@@ -558,7 +546,7 @@ class SpoofAttacker(AttackerBase):
         env = SecureEnvelope(sender_hint=hint, ciphertext=ciphertext)
         self.stats["spoof_sent"] += 1
         self.sim.trace.add(now_us, self.id, "attack_spoof", {"variant": int(tag) % 2})
-        return [Send(node_id, ClientWire(env.to_bytes()))]
+        return [Send(node_id, CLIENT, env.to_bytes())]
 
 
 ATTACKER_CLASSES = {
@@ -573,13 +561,7 @@ ATTACKER_CLASSES = {
 class EquivocatingNode(FogNode):
     """Byzantine authority: proposes two blocks and votes both ways."""
 
-    def _maybe_propose(self, out: NodeOutput, now_us: int) -> None:
-        if not self.engine.wants_proposal():
-            return
-        if self.engine.round == 0 and now_us < self._next_propose_us:
-            return
-        from .chain import build_block
-
+    def _propose(self, out: NodeOutput, now_us: int) -> None:
         tip = self.chain.tip
         now_ms = now_us // 1000
         block_a = build_block([], tip, self.keypair, now_ms, authorities=self.chain.authority_set)
@@ -590,7 +572,7 @@ class EquivocatingNode(FogNode):
         group_a, group_b = self.peer_ids[:half], self.peer_ids[half:]
         for msg in msgs:
             for peer in group_a:
-                out.sends.append(Send(peer, ConsensusWire(msg)))
+                out.sends.append(Send(peer, CONSENSUS, msg))
         bh_b = hash_block(block_b)
         forged = [
             make_message(self.keypair, Phase.PRE_PREPARE, height, round_, bh_b, block_b),
@@ -599,7 +581,7 @@ class EquivocatingNode(FogNode):
         ]
         for msg in forged:
             for peer in group_b:
-                out.sends.append(Send(peer, ConsensusWire(msg)))
+                out.sends.append(Send(peer, CONSENSUS, msg))
         self.rec("equivocating_proposal", height=height, round=round_)
         self._post_engine(out, now_us, [], fin)
 
@@ -732,33 +714,26 @@ class Simulation:
             self._pair_rngs[key] = rng
         return rng
 
-    def send(self, src: str, dst: Optional[str], payload, depart_us: int) -> None:
-        if dst is None or src in self.crashed or dst in self.crashed:
+    def send(self, src: str, item: Send, depart_us: int) -> None:
+        dst = item.dst
+        if src in self.crashed or dst in self.crashed:
             return
         self.sent_count += 1
-        rng = self._pair_rng(src, dst, type(payload).__name__)
-        arrival = deliver(self.config.link, src, dst, depart_us, rng)
-        if self.config.trace_links:
-            self.trace.add(depart_us, src, "send", {"dst": dst, "type": type(payload).__name__})
+        arrival = deliver(self.config.link, src, dst, depart_us, self._pair_rng(src, dst, item.kind))
         if arrival is None:
             self.dropped_count += 1
-            if self.config.trace_links:
-                self.trace.add(depart_us, src, "drop", {"dst": dst})
             return
         self.inflight += 1
-        self._push(arrival, ("deliver", dst, src, payload))
-        if (
-            self.attacker is not None
-            and isinstance(payload, ClientWire)
-            and src in self.actors
-            and dst in self.nodes
-        ):
-            self._push(arrival, ("tap", src, dst, payload.raw))
+        self._push(arrival, ("deliver", src, item))
+        if self.attacker is not None and item.kind == CLIENT and src in self.actors and dst in self.nodes:
+            self._push(arrival, ("tap", src, dst, item.body))
+
+    def _send_all(self, src: str, sends: list) -> None:
+        for item in sends:
+            self.send(src, item, self.now_us if item.at_us is None else max(item.at_us, self.now_us))
 
     def _emit(self, src: str, out: NodeOutput) -> None:
-        for send_item in out.sends:
-            depart = send_item.at_us if send_item.at_us is not None else self.now_us
-            self.send(src, send_item.dst, send_item.payload, max(depart, self.now_us))
+        self._send_all(src, out.sends)
         for at_us, key in out.timers:
             marker = (src, key, at_us)
             if marker in self._armed:
@@ -780,17 +755,13 @@ class Simulation:
     def _dispatch(self, item: tuple) -> None:
         kind = item[0]
         if kind == "deliver":
-            _, dst, src, payload = item
+            _, src, message = item
             self.inflight -= 1
             self.delivered_count += 1
-            if self.config.trace_links:
-                self.trace.add(self.now_us, dst, "deliver", {"src": src, "type": type(payload).__name__})
-            if dst in self.nodes:
-                self._node_event(dst, src, payload)
-            elif dst in self.actors:
-                self.actors[dst].on_receive(payload, src, self.now_us)
-            elif self.attacker is not None and dst == self.attacker.id:
-                self.attacker.on_receive(payload, src, self.now_us)
+            if message.dst in self.nodes:
+                self._node_event(message)
+            elif message.dst in self.actors:
+                self.actors[message.dst].on_receive(message.body, src, self.now_us)
         elif kind == "tap":
             _, src, dst, raw = item
             if self.attacker is not None:
@@ -806,31 +777,27 @@ class Simulation:
         elif kind == "actor_wake":
             _, actor_id, idx = item
             self.remaining_wakes -= 1
-            actor = self.actors[actor_id]
-            for send_item in actor.wake(idx, self.now_us):
-                self.pending_responses += 1
-                depart = send_item.at_us if send_item.at_us is not None else self.now_us
-                self.send(actor_id, send_item.dst, send_item.payload, depart)
+            sends = self.actors[actor_id].wake(idx, self.now_us)
+            self.pending_responses += len(sends)
+            self._send_all(actor_id, sends)
         elif kind == "attacker_wake":
             _, tag = item
             self.remaining_wakes -= 1
-            for send_item in self.attacker.wake(tag, self.now_us):
-                depart = send_item.at_us if send_item.at_us is not None else self.now_us
-                self.send(self.attacker.id, send_item.dst, send_item.payload, max(depart, self.now_us))
+            self._send_all(self.attacker.id, self.attacker.wake(tag, self.now_us))
 
-    def _node_event(self, node_id: str, src: str, payload) -> None:
+    def _node_event(self, message: Send) -> None:
+        node_id = message.dst
         node = self.nodes[node_id]
         self.recorder.now_us, self.recorder.src = self.now_us, node_id
-        if isinstance(payload, ClientWire):
-            out = node.handle_envelope(payload.raw, self.now_us)
-        elif isinstance(payload, GossipWire):
-            out = node.on_gossip(payload.tx, self.now_us)
-        elif isinstance(payload, ConsensusWire):
-            out = node.on_consensus(payload.msg, self.now_us)
-        elif isinstance(payload, AlertWire):
-            out = node.on_alert(payload.alert, self.now_us)
-        elif isinstance(payload, LegacyWire):
-            out = node.proxy_submit(payload.legacy_id, payload.payload, self.now_us)
+        kind, body = message.kind, message.body
+        if kind == CLIENT:
+            out = node.handle_envelope(body, self.now_us)
+        elif kind == GOSSIP:
+            out = node.on_gossip(body, self.now_us)
+        elif kind == CONSENSUS:
+            out = node.on_consensus(body, self.now_us)
+        elif kind == ALERT:
+            out = node.on_alert(body, self.now_us)
         else:
             return
         self._emit(node_id, out)

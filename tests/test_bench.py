@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -134,6 +135,15 @@ class TestCli:
         assert main(["attack", "--kind", "replay"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_attack_out_writes_trace_and_alerts(self, tmp_path):
+        out = tmp_path / "attack"
+        assert main(["attack", "--kind", "replay", "--out", str(out)]) == 0
+        events = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert any(e["kind"] == "attack_replay" for e in events)
+        rows = list(csv.DictReader((out / "alerts.csv").open()))
+        assert rows and {r["kind"] for r in rows} == {"replay_detected"}
+        assert all(len(r) == 4 for r in rows)
 
     def test_attack_with_config_file(self, tmp_path):
         from edgelinker.sim import ScenarioConfig

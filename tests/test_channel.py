@@ -124,6 +124,29 @@ class TestSealOpen:
         assert e1 == e2
 
 
+class TestWireModes:
+    def test_secure_wire_round_trip(self):
+        a, b = kp("a"), kp("b")
+        m = msg_for(a, body=b"wire")
+        raw = ch.seal_wire(m, "secure", a.private_key, b.public_key, random.Random(3))
+        assert raw == seal_message(m, a.private_key, b.public_key, rng=random.Random(3)).to_bytes()
+        assert ch.open_wire(raw, "secure", b.private_key) == m  # sender taken from the hint
+        assert ch.open_wire(raw, "secure", b.private_key, a.public_key) == m
+
+    def test_plain_wire_round_trip(self):
+        a, b = kp("a"), kp("b")
+        m = msg_for(a, body=b"wire")
+        raw = ch.seal_wire(m, "plain", a.private_key, b.public_key)
+        assert raw == m.encode()
+        assert ch.open_wire(raw, "plain", b.private_key) == m
+
+    def test_wrong_expected_sender_fails_to_open(self):
+        a, b, c = kp("a"), kp("b"), kp("c")
+        raw = ch.seal_wire(msg_for(a), "secure", a.private_key, b.public_key)
+        with pytest.raises(ch.DecryptFailed):
+            ch.open_wire(raw, "secure", b.private_key, c.public_key)
+
+
 class TestReplayProtection:
     def test_counter_must_increment_by_one(self):
         a = kp("a")

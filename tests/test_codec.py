@@ -3,16 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgelinker.chain import Call, Deploy, Query, Transaction, Transfer, make_transaction
-from edgelinker.codec import DecodeError, Reader, canonical_encode, enc_bytes, enc_list, enc_u64
+from edgelinker.codec import DecodeError, Reader, enc_bytes, enc_list, enc_u64
 from tests.conftest import kp
 
 
 def test_u64_one_is_eight_big_endian_bytes():
-    assert canonical_encode(1) == bytes.fromhex("0000000000000001")
+    assert enc_u64(1) == bytes.fromhex("0000000000000001")
 
 
 def test_empty_byte_string_is_four_zero_bytes():
-    assert canonical_encode(b"") == bytes.fromhex("00000000")
+    assert enc_bytes(b"") == bytes.fromhex("00000000")
 
 
 def test_u64_range_checked():

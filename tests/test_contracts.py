@@ -382,7 +382,7 @@ def test_replay_chain_rebuilds_world(world):
         authorities=[authority.public_key],
         initial_balances={patient.public_key: 10**9, addr("doctor"): 10**9},
     )
-    from edgelinker.chain import Chain, append_block
+    from edgelinker.chain import Chain, validate_block
 
     chain = Chain.from_genesis(make_genesis(cfg), cfg.authorities)
     live = genesis_world(cfg)
@@ -391,6 +391,7 @@ def test_replay_chain_rebuilds_world(world):
         txs = [make_transaction(patient, nonce, NOW_MS + height, Transfer(addr("doctor"), height))]
         nonce += 1
         block = build_block(txs, chain.tip, authority, NOW_MS + height * 1000)
-        append_block(chain, block)
+        assert validate_block(block, chain.tip, chain.authority_set).ok
+        chain.blocks.append(block)
         apply_block(live, block, SCHEDULE)
     assert replay_chain(chain, cfg).encode() == live.encode()

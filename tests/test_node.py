@@ -18,13 +18,14 @@ from edgelinker.contracts import (
     replay_chain,
 )
 from edgelinker.node import (
+    CONSENSUS,
     AlertKind,
-    ConsensusWire,
     FogNode,
     QueryReplyBody,
     proxy_keypair,
 )
 from edgelinker.channel import open_message, SecureEnvelope
+from edgelinker.consensus import Phase
 from tests.conftest import kp
 
 T0 = 500_000  # first event, microseconds
@@ -162,30 +163,32 @@ class TestTickProposerDuty:
         assert out.sends == []
         assert node0.chain.height == 0
 
-    def test_tick_is_noop_for_non_proposer_before_deadline(self, keys):
-        a0, a1 = keys[0], keys[1]
-        node0 = make_node([a0, a1], {}, node_id="n0", peer_ids=["n0", "n1"])
-        out = node0.tick(INTERVAL)
-        assert out.sends == []
-        assert node0.chain.height == 0
+    def test_early_propose_timer_does_nothing(self, single):
+        node, _, _ = single
+        assert node.engine.is_proposer()
+        out = node.on_timer(("propose", 1), INTERVAL - 1)
+        assert out.sends == [] and out.timers == []
+        assert node.chain.height == 0 and node.engine.round == 0
 
-    def test_tick_drives_proposal_and_purges_mempool(self, single):
+    def test_propose_timer_at_interval_proposes_and_purges_mempool(self, single):
         node, _, client = single
         tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
         node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
-        node.tick(T0 + 1000)  # before the interval elapses: nothing happens
+        node.on_timer(("propose", 1), T0 + 1000)  # before the interval elapses: nothing happens
         assert node.chain.height == 0 and len(node.mempool) == 1
-        node.tick(INTERVAL)
+        node.on_timer(("propose", 1), INTERVAL)
         assert node.chain.height == 1
         assert node.mempool == {}
 
-    def test_tick_fires_round_timeout(self, keys):
+    def test_round_timer_at_deadline_sends_round_change(self, keys):
         authorities = [keys[i] for i in range(4)]
         node0 = make_node(authorities, {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)])
         deadline = node0.engine.deadline_us
-        out = node0.tick(deadline)
+        out = node0.on_timer(("round", 1, 0), deadline)
         assert node0.engine.round == 1
-        assert any(getattr(s.payload, "msg", None) is not None for s in out.sends)
+        changes = [s.body for s in out.sends if s.kind == CONSENSUS]
+        assert {s.dst for s in out.sends} == {"n1", "n2", "n3"}
+        assert changes and all(m.phase == Phase.ROUND_CHANGE and m.round == 1 for m in changes)
 
     def test_proposer_emits_pre_prepare_with_pending_txs(self, keys):
         a0, a1, client = keys[0], keys[1], keys[2]
@@ -200,9 +203,9 @@ class TestTickProposerDuty:
             tx = make_transaction(client, i, T0 // 1000, Deploy("health_record", b""))
             node1.on_gossip(tx, T0)
         out = node1.on_timer(("propose", 1), INTERVAL)
-        pre = [s for s in out.sends if isinstance(s.payload, ConsensusWire) and s.payload.msg.block is not None]
+        pre = [s for s in out.sends if s.kind == CONSENSUS and s.body.block is not None]
         assert pre, "expected a proposal broadcast"
-        assert len(pre[0].payload.msg.block.transactions) == 3
+        assert len(pre[0].body.block.transactions) == 3
         # quorum is 1 for n=2, so the proposer finalized and purged its mempool
         assert node1.mempool == {}
 
@@ -247,7 +250,7 @@ class TestQueries:
         reply_sends = [s for s in out.sends if s.dst == "c1"]
         assert len(reply_sends) == 1
         assert reply_sends[0].at_us == now + node.cfg.query_service_us
-        env = SecureEnvelope.from_bytes(reply_sends[0].payload.raw)
+        env = SecureEnvelope.from_bytes(reply_sends[0].body)
         reply_msg = open_message(env, client.private_key, node.keypair.public_key)
         reply = QueryReplyBody.decode(reply_msg.body)
         assert reply.status == 0

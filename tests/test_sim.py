@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -205,6 +206,23 @@ class TestConfig:
         assert len(outputs) == 1
         again = ScenarioConfig.from_json(outputs.pop().decode())
         assert again.link.partitions == {frozenset(p) for p in pairs}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"link": {"base_latency_us": -10000}},
+            {"link": {"jitter_us": -5}},
+            {"link": {"drop_probability": 1.5}},
+            {"gas": {"bogus": 2}},
+        ],
+        ids=["negative_latency", "negative_jitter", "drop_probability_above_one", "unknown_gas_key"],
+    )
+    def test_bad_scenario_json_rejected(self, bad):
+        cfg = ScenarioConfig.from_json(json.dumps(bad))
+        with pytest.raises(ConfigInvalid):
+            cfg.validate()
+        with pytest.raises(ConfigInvalid):
+            run_scenario(cfg, 1)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigInvalid):
