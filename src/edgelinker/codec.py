@@ -5,15 +5,22 @@ unsigned integers as 8-byte big-endian, byte strings length-prefixed with a
 4-byte big-endian length, lists count-prefixed the same way, and variant
 tags as a single byte. Hashing, signing and encryption all run over these
 bytes, so independent nodes agree bit-for-bit.
+
+A list of `(timestamp, heart_rate)` readings is a u64 count followed by the
+packed array of its pairs, each value an 8-byte big-endian unsigned integer:
+the same bytes as the count and every value written one u64 at a time, but
+packed and unpacked by `struct` in C rather than one field at a time.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import field
+from itertools import starmap
 
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
+_READING = struct.Struct(">QQ")
 
 U64_MAX = 2**64 - 1
 
@@ -40,6 +47,18 @@ def enc_bytes(data: bytes) -> bytes:
 
 def enc_str(text: str) -> bytes:
     return enc_bytes(text.encode("utf-8"))
+
+
+def enc_readings(readings) -> bytes:
+    """A u64 count, then each (timestamp, heart_rate) pair as two u64s.
+
+    Raises `ValueError` for a value outside the u64 range and for a reading
+    that is not exactly a pair.
+    """
+    try:
+        return _U64.pack(len(readings)) + b"".join(starmap(_READING.pack, readings))
+    except struct.error as exc:
+        raise ValueError(f"reading is not a pair of u64 values: {exc}") from exc
 
 
 def enc_list(items, enc_item) -> bytes:
@@ -86,6 +105,13 @@ class Reader:
 
     def u8(self) -> int:
         return self.take(1)[0]
+
+    def readings(self) -> list:
+        """The (timestamp, heart_rate) tuples written by `enc_readings`."""
+        count = self.u64()
+        if count > self.remaining // _READING.size:
+            raise DecodeError(f"{count} readings do not fit in {self.remaining} bytes")
+        return list(_READING.iter_unpack(self.take(count * _READING.size)))
 
     def bytes_(self) -> bytes:
         return self.take(self.u32())

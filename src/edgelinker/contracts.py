@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .chain import Block, Call, Deploy, GenesisConfig, Query, Transaction, Transfer, hash_tx
-from .codec import DecodeError, Reader, enc_bytes, enc_list, enc_str, enc_u64, enc_u8
+from .codec import DecodeError, Reader, enc_bytes, enc_list, enc_readings, enc_str, enc_u64, enc_u8
 
 PERMITTER_PERMISSION = bytes(32)
 WRITE_PERMISSION = bytes(31) + b"\x01"
@@ -139,13 +139,7 @@ class HealthRecordState:
     permission_table: PermissionTable = field(default_factory=PermissionTable)
 
     def encode(self) -> bytes:
-        parts = [enc_u8(0x11), enc_bytes(self.owner)]
-        parts.append(enc_u64(len(self.readings)))
-        for ts, hr in self.readings:
-            parts.append(enc_u64(ts))
-            parts.append(enc_u64(hr))
-        parts.append(self.permission_table.encode())
-        return b"".join(parts)
+        return enc_u8(0x11) + enc_bytes(self.owner) + enc_readings(self.readings) + self.permission_table.encode()
 
 
 @dataclass
@@ -375,7 +369,7 @@ def read_history(world: WorldState, contract: bytes, caller: bytes, from_ts: int
         raise UnknownContract(contract.hex())
     if caller != state.owner and not has_permission(state.permission_table, READ_PERMISSION, caller):
         raise PermissionDenied("caller lacks read permission")
-    return [(ts, hr) for ts, hr in state.readings if from_ts <= ts <= to_ts]
+    return [r for r in state.readings if from_ts <= r[0] <= to_ts]
 
 
 def genesis_world(config: GenesisConfig) -> WorldState:

@@ -30,7 +30,7 @@ from .chain import (
     validate_block,
     verify_transaction,
 )
-from .codec import DecodeError, Reader, enc_bytes, enc_str, enc_u64, enc_u8
+from .codec import DecodeError, Reader, enc_bytes, enc_readings, enc_str, enc_u64, enc_u8
 from .consensus import AuthorityConfig, ConsensusEngine, ConsensusMessage, Phase, verify_message
 from .contracts import (
     METHOD_ADD_READING,
@@ -85,12 +85,7 @@ class QueryReplyBody:
     WIRE_TAG = 0x06
 
     def encode(self) -> bytes:
-        parts = [enc_u8(self.WIRE_TAG), enc_u64(self.status), enc_str(self.reason)]
-        parts.append(enc_u64(len(self.readings)))
-        for ts, hr in self.readings:
-            parts.append(enc_u64(ts))
-            parts.append(enc_u64(hr))
-        return b"".join(parts)
+        return enc_u8(self.WIRE_TAG) + enc_u64(self.status) + enc_str(self.reason) + enc_readings(self.readings)
 
     @classmethod
     def decode(cls, data: bytes) -> "QueryReplyBody":
@@ -98,7 +93,7 @@ class QueryReplyBody:
         r.expect_tag(cls.WIRE_TAG)
         status = r.u64()
         reason = r.str_()
-        readings = [(r.u64(), r.u64()) for _ in range(r.u64())]
+        readings = r.readings()
         r.expect_eof()
         return cls(status, reason, readings)
 
@@ -225,7 +220,6 @@ class FogNode:
         self.outbound_nonces: dict = {}
         self.busy_until_us = 0
         self._next_propose_us = now_us + self.cfg.block_interval_us
-        self.counters = {"dropped_consensus": 0, "rejected": 0}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -307,7 +301,6 @@ class FogNode:
         return out
 
     def _reject(self, out: NodeOutput, reason: str, **info) -> NodeOutput:
-        self.counters["rejected"] += 1
         self.rec("rejected", reason=reason, **info)
         out.result = f"rejected:{reason}"
         return out
@@ -382,7 +375,6 @@ class FogNode:
     def on_consensus(self, msg: ConsensusMessage, now_us: int) -> NodeOutput:
         out = NodeOutput()
         if not verify_message(msg, self.chain.authority_set):
-            self.counters["dropped_consensus"] += 1
             # A fabricated proposal from outside the authority set is still
             # inspected so the monitoring layer can name the offender.
             if msg.phase == Phase.PRE_PREPARE and msg.block is not None:

@@ -3,11 +3,14 @@
 A field-by-field reference encoder of the wire layout is the oracle: every
 record, whether built by a constructor, by a signing helper, by decoding or
 by `dataclasses.replace` of a record whose derived values were already
-computed, must encode, sign and hash exactly as the reference says.
+computed, must encode, sign and hash exactly as the reference says. The
+packed reading arrays of query replies and contract state must give the bytes
+of the same reference, one u64 per value.
 """
 
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -29,6 +32,8 @@ from edgelinker.chain import (
 )
 from edgelinker.codec import DecodeError
 from edgelinker.consensus import ConsensusMessage, Phase, make_message
+from edgelinker.contracts import HealthRecordState
+from edgelinker.node import QueryReplyBody
 from tests.conftest import kp
 from tests.test_codec import PAYLOADS
 
@@ -111,6 +116,19 @@ def ref_msg(m):
     return ref_msg_signing(m) + ref_bytes(m.signature)
 
 
+def ref_readings(readings):
+    return ref_u64(len(readings)) + b"".join(ref_u64(ts) + ref_u64(hr) for ts, hr in readings)
+
+
+def ref_reply(body):
+    return b"\x06" + ref_u64(body.status) + ref_str(body.reason) + ref_readings(body.readings)
+
+
+def ref_record_state(state):
+    assert not state.permission_table.permissions
+    return b"\x11" + ref_bytes(state.owner) + ref_readings(state.readings) + b"\x10" + ref_u64(0)
+
+
 # --- strategies ----------------------------------------------------------------
 
 TXS = st.builds(
@@ -142,6 +160,7 @@ MESSAGES = st.builds(
     sender=st.binary(min_size=32, max_size=32),
     signature=st.binary(min_size=64, max_size=64),
 )
+READINGS = st.lists(st.tuples(U64, U64), max_size=40)
 HOW = st.sampled_from(["built", "decoded", "replaced"])
 
 
@@ -246,6 +265,58 @@ def test_signed_records_match_reference(payload, nonce, ts):
     msg = make_message(proposer, Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
     assert msg.signing_bytes() == ref_msg_signing(msg)
     assert msg.encode() == ref_msg(msg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(status=U64, reason=st.text(max_size=20), readings=READINGS, owner=st.binary(max_size=32))
+def test_reading_arrays_match_reference(status, reason, readings, owner):
+    body = QueryReplyBody(status, reason, readings)
+    raw = ref_reply(body)
+    assert body.encode() == raw
+    assert QueryReplyBody.decode(raw) == body
+    state = HealthRecordState(owner, readings)
+    assert state.encode() == ref_record_state(state)
+    assert_rejects_truncation_and_trailing(QueryReplyBody.decode, raw)
+
+
+BAD_READINGS = {
+    "negative_timestamp": [(1000, 72), (-1, 72)],
+    "timestamp_too_large": [(2**64, 72)],
+    "heart_rate_too_large": [(1000, 2**64)],
+    "not_an_integer": [(1000, 72.5)],
+    "triple": [(1000, 72, 1)],
+    "single": [(1000,)],
+    "triple_then_single": [(1000, 72, 2000), (75,)],
+}
+
+
+@pytest.mark.parametrize("readings", BAD_READINGS.values(), ids=BAD_READINGS.keys())
+@pytest.mark.parametrize(
+    "encode",
+    [lambda rs: QueryReplyBody(0, "", rs).encode(), lambda rs: HealthRecordState(bytes(32), rs).encode()],
+    ids=["reply", "record_state"],
+)
+def test_bad_reading_raises_value_error(encode, readings):
+    with pytest.raises(ValueError):
+        encode(readings)
+
+
+def forge_count(raw, count):
+    at = 1 + 8 + 4  # tag, status, empty reason
+    return raw[:at] + ref_u64(count) + raw[at + 8 :]
+
+
+@pytest.mark.parametrize("count", [2**64 - 1, 2**20, 4], ids=["u64_max", "large", "one_more"])
+def test_forged_reading_count_rejected_without_allocating(count):
+    raw = QueryReplyBody(0, "", [(1000, 72), (2000, 75), (3000, 80)]).encode()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError):
+            QueryReplyBody.decode(forge_count(raw, count))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_message_with_bad_block_flag_rejected():
