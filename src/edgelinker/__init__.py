@@ -14,7 +14,7 @@ from .chain import Block, Chain, GenesisConfig, Transaction, build_block, hash_b
 from .contracts import GasSchedule, WorldState, execute_transaction, read_history
 from .consensus import AuthorityConfig, ConsensusEngine, select_proposer
 from .node import FogNode
-from .sim import LinkModel, ScenarioConfig, inject_attack, run_scenario
+from .sim import LinkModel, ScenarioConfig, run_scenario
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "execute_transaction",
     "generate_keypair",
     "hash_block",
-    "inject_attack",
     "open_message",
     "read_history",
     "run_scenario",

@@ -13,20 +13,12 @@ import json
 import statistics
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import channel as ch
-from .sim import (
-    ATTACK_KINDS,
-    ScenarioConfig,
-    SimTrace,
-    child_rng,
-    child_seed,
-    inject_attack,
-    key_seed,
-    run_scenario,
-)
+from .contracts import GasSchedule
+from .sim import ATTACK_KINDS, ScenarioConfig, SimTrace, child_rng, child_seed, key_seed, run_scenario
 
 CSV_COLUMNS = [
     "run_id",
@@ -257,8 +249,7 @@ def cmd_channel_overhead(message_sizes, samples: int, out_path=None) -> list:
         plain_ns = []
         for message in messages:
             t0 = time.perf_counter_ns()
-            raw = ch.seal_plain(message)
-            ch.open_plain(raw)
+            ch.ChannelMessage.decode(message.encode())
             plain_ns.append(time.perf_counter_ns() - t0)
         secure_ns.sort()
         plain_ns.sort()
@@ -326,17 +317,12 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
     if kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {kind!r}")
     config = config or default_attack_config()
-    import copy
-
-    baseline_cfg = copy.deepcopy(config)
-    baseline_cfg.attack = None
     if kind == "insertion":
-        for cfg in (baseline_cfg, config):
-            cfg.stop_on_done = False
-            if cfg.duration_s is None:
-                cfg.duration_s = 45.0
-    baseline = run_scenario(baseline_cfg, seed)
-    attacked = inject_attack(config, kind, seed)
+        # Chains are compared byte for byte, so both runs cover the same fixed span.
+        duration_s = 45.0 if config.duration_s is None else config.duration_s
+        config = replace(config, stop_on_done=False, duration_s=duration_s)
+    baseline = run_scenario(replace(config, attack=None), seed)
+    attacked = run_scenario(replace(config, attack=kind), seed)
     honest = attacked.meta["honest"]
     stats = dict(attacked.attack_stats)
     lines = []
@@ -367,10 +353,8 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
         ]
         stats["alerts"] = alerts
     elif kind == "dos":
-        from .contracts import GasSchedule
-
-        gas = GasSchedule.from_dict(config.gas).add_data
-        balance = stats.get("balance", config.attack_params.get("balance", 100_000))
+        gas = GasSchedule.from_dict(attacked.genesis.gas).add_data
+        balance = stats["balance"]
         denied = sum(
             1
             for e in attacked.of_kind("receipt")
@@ -387,7 +371,7 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
             ("denied calls charged until exhaustion", denied == expected),
             ("further calls skipped for lack of funds", skipped >= 1),
         ]
-        stats.update({"denied": denied, "skipped": skipped, "expected": expected, "balance": balance})
+        stats.update({"denied": denied, "skipped": skipped, "expected": expected})
     elif kind == "spoof":
         sent = stats.get("spoof_sent", 0)
         rejected = sum(

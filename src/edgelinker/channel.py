@@ -74,13 +74,6 @@ class KeyPair:
     private_key: bytes
 
 
-@dataclass(frozen=True)
-class SymmetricKey:
-    """32-byte pairwise channel key."""
-
-    key: bytes
-
-
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a keypair from 32 bytes of entropy; same seed, same keys."""
     if len(seed) != KEY_LEN:
@@ -128,9 +121,9 @@ def _derive_cached(private_seed: bytes, peer_public: bytes) -> bytes:
     return kdf.derive(raw)
 
 
-def derive_shared_key(private_key: bytes, peer_public: bytes) -> SymmetricKey:
-    """Pairwise key; symmetric in roles and bound to both identities."""
-    return SymmetricKey(key=_derive_cached(bytes(private_key), bytes(peer_public)))
+def derive_shared_key(private_key: bytes, peer_public: bytes) -> bytes:
+    """32-byte pairwise key; symmetric in roles and bound to both identities."""
+    return _derive_cached(bytes(private_key), bytes(peer_public))
 
 
 def sign_digest(private_seed: bytes, digest: bytes) -> bytes:
@@ -229,7 +222,7 @@ def seal_message(
         aead_nonce = rng.randbytes(AEAD_NONCE_LEN) if rng is not None else secrets.token_bytes(AEAD_NONCE_LEN)
     if len(aead_nonce) != AEAD_NONCE_LEN:
         raise ValueError("AEAD nonce must be 12 bytes")
-    ct = ChaCha20Poly1305(key.key).encrypt(aead_nonce, encoded + signature, None)
+    ct = ChaCha20Poly1305(key).encrypt(aead_nonce, encoded + signature, None)
     return SecureEnvelope(sender_hint=sender_public, ciphertext=aead_nonce + ct)
 
 
@@ -246,7 +239,7 @@ def open_message(envelope: SecureEnvelope, receiver_private: bytes, sender_publi
     key = derive_shared_key(receiver_private, sender_public)
     aead_nonce = envelope.ciphertext[:AEAD_NONCE_LEN]
     try:
-        plaintext = ChaCha20Poly1305(key.key).decrypt(aead_nonce, envelope.ciphertext[AEAD_NONCE_LEN:], None)
+        plaintext = ChaCha20Poly1305(key).decrypt(aead_nonce, envelope.ciphertext[AEAD_NONCE_LEN:], None)
     except InvalidTag as exc:
         raise DecryptFailed("authentication tag mismatch") from exc
     if len(plaintext) < SIG_LEN:
@@ -263,15 +256,6 @@ def open_message(envelope: SecureEnvelope, receiver_private: bytes, sender_publi
     return message
 
 
-def seal_plain(message: ChannelMessage) -> bytes:
-    """Benchmark baseline: the unprotected wire form of a message."""
-    return message.encode()
-
-
-def open_plain(raw: bytes) -> ChannelMessage:
-    return ChannelMessage.decode(raw)
-
-
 MODES = ("secure", "plain")
 
 
@@ -279,7 +263,7 @@ def seal_wire(message: ChannelMessage, mode: str, sender_private: bytes, receive
     """The bytes that carry `message` in channel `mode`: a sealed envelope, or the plain encoding."""
     if mode == "secure":
         return seal_message(message, sender_private, receiver_public, rng=rng).to_bytes()
-    return seal_plain(message)
+    return message.encode()
 
 
 def open_wire(raw: bytes, mode: str, receiver_private: bytes, sender_public: Optional[bytes] = None) -> ChannelMessage:
@@ -292,7 +276,7 @@ def open_wire(raw: bytes, mode: str, receiver_private: bytes, sender_public: Opt
         envelope = SecureEnvelope.from_bytes(raw)
         sender = envelope.sender_hint if sender_public is None else sender_public
         return open_message(envelope, receiver_private, sender)
-    return open_plain(raw)
+    return ChannelMessage.decode(raw)
 
 
 class RejectReason(str, Enum):

@@ -83,7 +83,12 @@ def main(argv=None) -> int:
     if args.command == "attack":
         config = None
         if args.config:
-            config = ScenarioConfig.from_json(Path(args.config).read_text())
+            try:
+                config = ScenarioConfig.from_json(Path(args.config).read_text())
+                config.validate()
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         # Priority: environment override, then the config file, then the flag.
         seed = args.seed
         if config is not None and config.seed is not None:

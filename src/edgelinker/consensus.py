@@ -155,7 +155,6 @@ class Incident:
 class ConsensusState:
     height: int
     round: int = 0
-    phase: Phase = Phase.PRE_PREPARE
     locked_block: Optional[Block] = None
     proposals: dict = field(default_factory=dict)  # round -> validated Block
     prepare_votes: dict = field(default_factory=dict)  # (round, hash) -> set of senders
@@ -278,7 +277,6 @@ class ConsensusEngine:
     def _enter_round(self, round_: int, now_us: int) -> None:
         st = self.state
         st.round = round_
-        st.phase = Phase.PRE_PREPARE
         st.deadline_us = now_us + self._timeout_for(round_)
 
     def _send_round_change(self, round_: int, out: list) -> None:
@@ -363,7 +361,6 @@ class ConsensusEngine:
             bh = hash_block(proposal)
             if st.locked_block is None or hash_block(st.locked_block) == bh:
                 st.sent_prepare.add(st.round)
-                st.phase = Phase.PREPARE
                 out.append(make_message(self.keypair, Phase.PREPARE, st.height, st.round, bh))
                 self._add_vote(st.prepare_votes, st.round, bh, me)
 
@@ -375,7 +372,6 @@ class ConsensusEngine:
                 continue
             st.locked_block = block
             st.sent_commit.add(round_)
-            st.phase = Phase.COMMIT
             out.append(make_message(self.keypair, Phase.COMMIT, st.height, round_, bh))
             self._add_vote(st.commit_votes, round_, bh, me)
 

@@ -72,16 +72,6 @@ class GasSchedule:
     read_query: int = 21_000
     transfer: int = 21_000
 
-    def to_dict(self) -> dict:
-        return {
-            "deploy": self.deploy,
-            "add_data": self.add_data,
-            "grant": self.grant,
-            "revoke": self.revoke,
-            "read_query": self.read_query,
-            "transfer": self.transfer,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict | None) -> "GasSchedule":
         if not raw:

@@ -148,20 +148,12 @@ def _no_record(kind: str, **info) -> None:
 
 @dataclass
 class NodeConfig:
-    block_interval_ms: int = 1000
+    """Node-local settings. Chain parameters (block interval, gas table,
+    block size) come only from the GenesisConfig every authority shares."""
+
     mempool_cap: int = 10_000
-    clock_skew_ms: int = 30_000
     query_service_us: int = 1000
     channel_mode: str = "secure"  # or "plain"
-    schedule: GasSchedule = field(default_factory=GasSchedule)
-
-    @property
-    def block_interval_us(self) -> int:
-        return self.block_interval_ms * 1000
-
-    @property
-    def round_timeout_us(self) -> int:
-        return 2 * self.block_interval_us
 
 
 @dataclass
@@ -195,15 +187,16 @@ class FogNode:
     ):
         self.node_id = node_id
         self.keypair = keypair
-        self.cfg = cfg or NodeConfig(block_interval_ms=genesis_config.block_interval_ms)
+        self.cfg = cfg or NodeConfig()
         self.genesis_config = genesis_config
-        self.schedule = GasSchedule.from_dict(genesis_config.gas) if genesis_config.gas else self.cfg.schedule
+        self.block_interval_us = genesis_config.block_interval_ms * 1000
+        self.schedule = GasSchedule.from_dict(genesis_config.gas)
         self.chain = Chain.from_genesis(make_genesis(genesis_config), genesis_config.authorities)
         self.world = genesis_world(genesis_config)
-        self.replay = ch.ReplayState(clock_skew_ms=self.cfg.clock_skew_ms)
+        self.replay = ch.ReplayState()
         auth_cfg = AuthorityConfig(
             authorities=list(genesis_config.authorities),
-            round_timeout_us=self.cfg.round_timeout_us,
+            round_timeout_us=2 * self.block_interval_us,
         )
         self.engine = ConsensusEngine(auth_cfg, keypair, height=1, now_us=now_us)
         self.peer_ids = [p for p in peer_ids if p != node_id]
@@ -219,7 +212,7 @@ class FogNode:
         self.proxy_table: dict = {}
         self.outbound_nonces: dict = {}
         self.busy_until_us = 0
-        self._next_propose_us = now_us + self.cfg.block_interval_us
+        self._next_propose_us = now_us + self.block_interval_us
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -228,9 +221,6 @@ class FogNode:
         out.timers.append((self._next_propose_us, ("propose", self.engine.height)))
         out.timers.append((self.engine.deadline_us, ("round", self.engine.height, self.engine.round)))
         return out
-
-    def world_digest(self) -> bytes:
-        return self.world.digest()
 
     def rebuild_replay_floor(self) -> None:
         """Seed replay counters from ledger history after a restart."""
@@ -457,7 +447,7 @@ class FogNode:
     def _apply_finalized(self, block: Block, now_us: int, out: NodeOutput) -> None:
         self.chain.blocks.append(block)
         receipts = apply_block(self.world, block, self.schedule)
-        self._next_propose_us = now_us + self.cfg.block_interval_us
+        self._next_propose_us = now_us + self.block_interval_us
         bh = hash_block(block)
         self.rec(
             "block_finalized",

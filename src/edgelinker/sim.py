@@ -67,6 +67,8 @@ from .node import (
 )
 
 FULL_RANGE = (0, 2**63)
+ACTORS_PER_KIND = 4  # writer and reader devices in a benchmark workload
+ACTOR_BALANCE = 10**12  # genesis balance of every workload device
 
 ATTACK_KINDS = ("replay", "eavesdrop", "insertion", "dos", "spoof")
 
@@ -115,12 +117,10 @@ class LinkModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LinkModel":
-        return cls(
-            base_latency_us=raw.get("base_latency_us", 1000),
-            jitter_us=raw.get("jitter_us", 200),
-            drop_probability=raw.get("drop_probability", 0.0),
-            partitions={frozenset(p) for p in raw.get("partitions", [])},
-        )
+        raw = dict(raw)
+        _reject_unknown_keys("link", raw, cls)
+        partitions = {frozenset(p) for p in raw.pop("partitions", [])}
+        return cls(**raw, partitions=partitions)
 
 
 def deliver(link: LinkModel, src: str, dst: str, now_us: int, rng: random.Random) -> Optional[int]:
@@ -220,15 +220,9 @@ class ScenarioConfig:
     workload: str = "scenario"  # scenario | write | read | mixed | none
     tasks: int = 0
     task_period_us: int = 50  # global spacing between injected tasks
-    writers: int = 4
-    readers: int = 4
     writes: int = 10
     write_period_ms: int = 60_000
-    actor_balance: int = 10**12
     query_service_us: int = 1000
-    mempool_cap: int = 10_000
-    max_txs: int = 500
-    gas: Optional[dict] = None
     attack: Optional[str] = None
     attack_params: dict = field(default_factory=dict)
     byzantine: int = 0
@@ -245,10 +239,9 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         raw = json.loads(text)
+        _reject_unknown_keys("scenario", raw, cls)
         link = LinkModel.from_dict(raw.pop("link", {}))
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in raw.items() if k in known and k != "link"}
-        return cls(link=link, **kwargs)
+        return cls(**raw, link=link)
 
     def validate(self) -> None:
         if self.nodes < 1:
@@ -261,13 +254,18 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown attack {self.attack!r}")
         if self.byzantine + self.crashed >= max(self.nodes, 1) and self.nodes > 1:
             raise ConfigInvalid("faulty nodes must be a minority")
+        if self.crashed and self.byzantine:
+            raise ConfigInvalid("use either crashed or byzantine faults, not both")
         if self.link.base_latency_us < 0 or self.link.jitter_us < 0:
             raise ConfigInvalid("link latency and jitter must not be negative")
         if not 0.0 <= self.link.drop_probability <= 1.0:
             raise ConfigInvalid(f"drop probability {self.link.drop_probability} is outside [0, 1]")
-        unknown = sorted(set(self.gas or ()) - {f.name for f in fields(GasSchedule)})
-        if unknown:
-            raise ConfigInvalid(f"unknown gas schedule keys {unknown}")
+
+
+def _reject_unknown_keys(what: str, raw: dict, cls) -> None:
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigInvalid(f"unknown {what} keys {unknown}")
 
 
 # --- actor plans -----------------------------------------------------------------
@@ -374,8 +372,6 @@ class DeviceActor:
 # --- attackers -------------------------------------------------------------------
 
 class AttackerBase:
-    expects_responses = False
-
     def __init__(self, sim: "Simulation", keypair: KeyPair, params: dict):
         self.sim = sim
         self.id = "attacker"
@@ -490,7 +486,7 @@ class DoSAttacker(AttackerBase):
         super().__init__(sim, keypair, params)
         self.nonce = 1
         self.channel_nonce = 0
-        self.stats = {"flood_sent": 0}
+        self.stats = {"flood_sent": 0, "balance": params["balance"]}
 
     def schedule(self):
         start = int(self.params.get("start_us", 5_000_000))
@@ -540,7 +536,7 @@ class SpoofAttacker(AttackerBase):
         from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
         aead_nonce = self.rng.randbytes(12)
-        ciphertext = aead_nonce + ChaCha20Poly1305(key.key).encrypt(aead_nonce, encoded + signature, None)
+        ciphertext = aead_nonce + ChaCha20Poly1305(key).encrypt(aead_nonce, encoded + signature, None)
         # Alternate between claiming the victim in the hint and in the body.
         hint = victim_pk if int(tag) % 2 == 0 else self.keypair.public_key
         env = SecureEnvelope(sender_hint=hint, ciphertext=ciphertext)
@@ -613,8 +609,6 @@ class Simulation:
         authorities = [self.node_keys[i_].public_key for i_ in self.node_ids]
         self.crashed = set(self.node_ids[n - config.crashed :]) if config.crashed else set()
         byz_ids = set(self.node_ids[n - config.byzantine :]) if config.byzantine else set()
-        if config.crashed and config.byzantine:
-            raise ConfigInvalid("use either crashed or byzantine faults, not both")
         self.byzantine_ids = byz_ids
         self.honest_ids = [i_ for i_ in self.node_ids if i_ not in byz_ids and i_ not in self.crashed]
 
@@ -623,9 +617,7 @@ class Simulation:
             chain_id=1,
             authorities=authorities,
             initial_balances=balances,
-            gas=config.gas,
             block_interval_ms=config.block_interval_ms,
-            max_txs=config.max_txs,
         )
         self.genesis = genesis
 
@@ -638,13 +630,7 @@ class Simulation:
             directory[keypair.public_key] = actor_id
             self.actors[actor_id] = DeviceActor(actor_id, keypair, primary, steps, self)
 
-        node_cfg = NodeConfig(
-            block_interval_ms=config.block_interval_ms,
-            mempool_cap=config.mempool_cap,
-            query_service_us=config.query_service_us,
-            channel_mode=config.channel_mode,
-            schedule=GasSchedule.from_dict(config.gas),
-        )
+        node_cfg = NodeConfig(query_service_us=config.query_service_us, channel_mode=config.channel_mode)
         self.nodes: dict = {}
         for node_id in self.node_ids:
             cls = EquivocatingNode if node_id in byz_ids else FogNode
@@ -869,7 +855,7 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
 
     admin_kp = generate_keypair(key_seed(seed, "actor", "patient0"))
     contract = contract_address(admin_kp.public_key, 1)
-    balances[admin_kp.public_key] = config.actor_balance
+    balances[admin_kp.public_key] = ACTOR_BALANCE
 
     admin_steps = [
         Step(200_000, "tx", Deploy(HEALTH_RECORD_KIND, b""), "deploy"),
@@ -879,7 +865,7 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
 
     if config.workload == "scenario":
         doctor_kp = generate_keypair(key_seed(seed, "actor", "doctor0"))
-        balances[doctor_kp.public_key] = config.actor_balance
+        balances[doctor_kp.public_key] = ACTOR_BALANCE
         period = config.write_period_ms * 1000
         first_write = max(4 * interval_us, 1_000_000)
         for i in range(config.writes):
@@ -917,8 +903,8 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
         writer_kps, reader_kps = [], []
         write_tasks = tasks if config.workload == "write" else (tasks // 2 if config.workload == "mixed" else 0)
         read_tasks = tasks if config.workload == "read" else (tasks - tasks // 2 if config.workload == "mixed" else 0)
-        n_writers = min(config.writers, write_tasks) if write_tasks else 0
-        n_readers = min(config.readers, read_tasks) if read_tasks else 0
+        n_writers = min(ACTORS_PER_KIND, write_tasks)
+        n_readers = min(ACTORS_PER_KIND, read_tasks)
         # Per (sender, node) spacing must stay above the jitter bound, or
         # reordered arrivals would trip the channel's nonce-gap guard.
         fan_out = min(n for n in (n_writers, n_readers) if n) if (n_writers or n_readers) else 1
@@ -927,7 +913,7 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
         for j in range(n_writers):
             kp = generate_keypair(key_seed(seed, "actor", f"writer{j}"))
             writer_kps.append(kp)
-            balances[kp.public_key] = config.actor_balance
+            balances[kp.public_key] = ACTOR_BALANCE
             admin_steps.append(
                 Step(next_admin_at, "tx", Call(contract, METHOD_GRANT, encode_permission_args(WRITE_PERMISSION, kp.public_key)), "grant_write")
             )
@@ -935,7 +921,7 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
         for j in range(n_readers):
             kp = generate_keypair(key_seed(seed, "actor", f"reader{j}"))
             reader_kps.append(kp)
-            balances[kp.public_key] = config.actor_balance
+            balances[kp.public_key] = ACTOR_BALANCE
             admin_steps.append(
                 Step(next_admin_at, "tx", Call(contract, METHOD_GRANT, encode_permission_args(READ_PERMISSION, kp.public_key)), "grant_read")
             )
@@ -968,10 +954,9 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
 
     if config.attack == "dos":
         attacker_kp = generate_keypair(key_seed(seed, "attacker"))
-        schedule = GasSchedule.from_dict(config.gas)
         balance = int(config.attack_params.get("balance", 100_000))
         balances[attacker_kp.public_key] = balance
-        attacker_needs["count"] = balance // schedule.add_data + 3
+        attacker_needs["count"] = balance // GasSchedule().add_data + 3
         attacker_needs["balance"] = balance
 
     return plans, balances, attacker_needs
@@ -991,17 +976,3 @@ def run_scenario(config: ScenarioConfig, seed: int) -> SimTrace:
     """Execute one configured scenario to completion and return its trace."""
     return Simulation(config, seed).run()
 
-
-def inject_attack(config: ScenarioConfig, attack: str, seed: int) -> SimTrace:
-    """Run the scenario with the named attacker wired in."""
-    if attack not in ATTACK_KINDS:
-        raise ConfigInvalid(f"unknown attack {attack!r}")
-    import copy
-
-    attacked = copy.deepcopy(config)
-    attacked.attack = attack
-    if attack == "insertion":
-        attacked.stop_on_done = False
-        if attacked.duration_s is None:
-            raise ConfigInvalid("insertion runs need a fixed duration for baseline comparison")
-    return run_scenario(attacked, seed)

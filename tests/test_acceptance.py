@@ -7,6 +7,7 @@ its stated runtime budget where one applies.
 import copy
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,7 @@ from edgelinker.contracts import (
     replay_chain,
     revoke_permission,
 )
-from edgelinker.sim import ScenarioConfig, inject_attack, run_scenario
+from edgelinker.sim import ScenarioConfig, run_scenario
 from tests.conftest import kp
 
 NOW_MS = 1_700_000_000_000
@@ -152,7 +153,7 @@ def test_03_replay_defense_end_to_end():
         attack_params={"max_replay": 1000, "gap_us": 500},
     )
     baseline = run_scenario(copy.deepcopy(cfg), 303)
-    attacked = inject_attack(copy.deepcopy(cfg), "replay", 303)
+    attacked = run_scenario(replace(cfg, attack="replay"), 303)
     replayed = attacked.attack_stats["replayed"]
     alerts = [a for a in attacked.final["n0"].alerts if a.kind == "replay_detected"]
     unchanged = all(
@@ -235,7 +236,7 @@ def test_05_insertion_attack_leaves_chains_byte_identical():
         stop_on_done=False,
     )
     baseline = run_scenario(copy.deepcopy(cfg), 505)
-    attacked = inject_attack(copy.deepcopy(cfg), "insertion", 505)
+    attacked = run_scenario(replace(cfg, attack="insertion"), 505)
     identical = all(
         attacked.final[n].chain.encode() == baseline.final[n].chain.encode() for n in attacked.meta["honest"]
     )
@@ -326,14 +327,14 @@ def test_08_read_throughput_strictly_increases_with_nodes(tmp_path):
 def test_09_state_replay_integrity_for_every_scenario():
     checked = 0
     scenarios = [
-        (ScenarioConfig(nodes=3, block_interval_ms=200, writes=6, write_period_ms=400), None),
-        (ScenarioConfig(nodes=3, workload="write", tasks=40, block_interval_ms=200), None),
-        (ScenarioConfig(nodes=3, block_interval_ms=200, writes=5, write_period_ms=400), "replay"),
-        (ScenarioConfig(nodes=3, workload="scenario", writes=4, write_period_ms=400, block_interval_ms=200), "dos"),
+        ScenarioConfig(nodes=3, block_interval_ms=200, writes=6, write_period_ms=400),
+        ScenarioConfig(nodes=3, workload="write", tasks=40, block_interval_ms=200),
+        ScenarioConfig(nodes=3, block_interval_ms=200, writes=5, write_period_ms=400, attack="replay"),
+        ScenarioConfig(nodes=3, workload="scenario", writes=4, write_period_ms=400, block_interval_ms=200, attack="dos"),
     ]
     ok = True
-    for cfg, attack in scenarios:
-        trace = run_scenario(cfg, 909) if attack is None else inject_attack(cfg, attack, 909)
+    for cfg in scenarios:
+        trace = run_scenario(cfg, 909)
         for node_id, final in trace.final.items():
             rebuilt = replay_chain(final.chain, trace.genesis)
             if rebuilt.encode() != final.world.encode():

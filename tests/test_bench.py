@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 
@@ -7,6 +8,7 @@ from edgelinker.bench import (
     CSV_COLUMNS,
     RunPlan,
     cmd_attack,
+    default_attack_config,
     cmd_channel_overhead,
     cmd_run,
     load_csv,
@@ -99,6 +101,12 @@ class TestAttackDrills:
         with pytest.raises(ValueError):
             cmd_attack("voodoo")
 
+    def test_insertion_drill_leaves_caller_config_unchanged(self):
+        cfg = default_attack_config()
+        before = copy.deepcopy(cfg)
+        assert cmd_attack("insertion", cfg).passed
+        assert cfg == before
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -152,3 +160,14 @@ class TestCli:
         path = tmp_path / "scenario.json"
         path.write_text(cfg.to_json())
         assert main(["attack", "--kind", "replay", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"node": 7}, {"nodes": 0}, {"nodes": 7, "crashed": 1, "byzantine": 1}],
+        ids=["unknown_key", "no_nodes", "crashed_and_byzantine"],
+    )
+    def test_attack_with_bad_config_file_exits_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(bad))
+        assert main(["attack", "--kind", "replay", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

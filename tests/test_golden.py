@@ -7,11 +7,12 @@ world digest, the digest of the full event trace and the alert count.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from edgelinker.bench import default_attack_config
-from edgelinker.sim import ScenarioConfig, inject_attack, run_scenario
+from edgelinker.sim import ScenarioConfig, run_scenario
 
 
 def _lifecycle():
@@ -23,10 +24,8 @@ def _write_cell():
 
 
 def _insertion_drill():
-    cfg = default_attack_config()
-    cfg.stop_on_done = False
-    cfg.duration_s = 45.0
-    return inject_attack(cfg, "insertion", 7)
+    cfg = replace(default_attack_config(), attack="insertion", stop_on_done=False, duration_s=45.0)
+    return run_scenario(cfg, 7)
 
 
 GOLDEN = {

@@ -140,6 +140,24 @@ class TestProposalLifecycle:
         rebuilt = replay_chain(node.chain, node.genesis_config)
         assert rebuilt.encode() == node.world.encode()
 
+    def test_genesis_sets_interval_round_timeout_and_gas(self, keys):
+        authority, client = keys[0], keys[1]
+        genesis = GenesisConfig(
+            chain_id=1,
+            authorities=[authority.public_key],
+            initial_balances={client.public_key: 10**12},
+            gas={"deploy": 5},
+            block_interval_ms=200,
+        )
+        node = FogNode("n0", authority, genesis, [], {})
+        assert node.engine.cfg.round_timeout_us == 400_000
+        tx = make_transaction(client, 1, 100, Deploy("health_record", b""))
+        assert node.handle_envelope(envelope(client, node, 1, tx, 100_000), 100_000).result == "ack"
+        node.on_timer(("propose", 1), 200_000)
+        assert node.chain.height == 1 and node.mempool == {}
+        assert node.world.accounts[client.public_key].balance == 10**12 - 5
+        assert replay_chain(node.chain, genesis).digest() == node.world.digest()
+
     def test_no_tx_appears_twice_across_blocks(self, single):
         node, _, client = single
         tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))

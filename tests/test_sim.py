@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,6 @@ from edgelinker.sim import (
     ScenarioConfig,
     child_rng,
     deliver,
-    inject_attack,
     run_scenario,
 )
 
@@ -156,7 +156,7 @@ class TestAttacks:
     def test_eavesdropper_changes_nothing_and_reads_nothing(self):
         cfg = fast_config(nodes=3)
         baseline = run_scenario(copy.deepcopy(cfg), 37)
-        attacked = inject_attack(copy.deepcopy(cfg), "eavesdrop", 37)
+        attacked = run_scenario(replace(cfg, attack="eavesdrop"), 37)
         stats = attacked.attack_stats
         assert stats["captured"] >= 1
         assert stats["failures"] == stats["attempts"] == stats["captured"]
@@ -166,20 +166,16 @@ class TestAttacks:
     def test_replay_attack_rejected_everywhere(self):
         cfg = fast_config(nodes=3)
         baseline = run_scenario(copy.deepcopy(cfg), 39)
-        attacked = inject_attack(copy.deepcopy(cfg), "replay", 39)
+        attacked = run_scenario(replace(cfg, attack="replay"), 39)
         assert attacked.attack_stats["replayed"] == attacked.attack_stats["captured"] >= 1
         alerts = [a for a in attacked.final["n0"].alerts if a.kind == "replay_detected"]
         assert len(alerts) == attacked.attack_stats["replayed"]
         for n in attacked.meta["honest"]:
             assert attacked.final[n].world.encode() == baseline.final[n].world.encode()
 
-    def test_insertion_requires_fixed_duration(self):
-        with pytest.raises(ConfigInvalid):
-            inject_attack(fast_config(duration_s=None), "insertion", 1)
-
     def test_unknown_attack_kind(self):
         with pytest.raises(ConfigInvalid):
-            inject_attack(fast_config(), "quantum", 1)
+            run_scenario(fast_config(attack="quantum"), 1)
 
 
 class TestConfig:
@@ -213,9 +209,8 @@ class TestConfig:
             {"link": {"base_latency_us": -10000}},
             {"link": {"jitter_us": -5}},
             {"link": {"drop_probability": 1.5}},
-            {"gas": {"bogus": 2}},
         ],
-        ids=["negative_latency", "negative_jitter", "drop_probability_above_one", "unknown_gas_key"],
+        ids=["negative_latency", "negative_jitter", "drop_probability_above_one"],
     )
     def test_bad_scenario_json_rejected(self, bad):
         cfg = ScenarioConfig.from_json(json.dumps(bad))
@@ -223,6 +218,25 @@ class TestConfig:
             cfg.validate()
         with pytest.raises(ConfigInvalid):
             run_scenario(cfg, 1)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"node": 7},
+            {"link": {"jiter_us": 5}},
+            {"gas": {"bogus": 2}},
+            {"writers": 2},
+            {"readers": 2},
+            {"actor_balance": 5},
+            {"mempool_cap": 10},
+            {"max_txs": 10},
+        ],
+        ids=["typo", "link_typo", "unknown_gas_key", "writers", "readers", "actor_balance", "mempool_cap", "max_txs"],
+    )
+    def test_unknown_scenario_keys_rejected(self, bad):
+        # A removed knob or a typo would otherwise run the default silently.
+        with pytest.raises(ConfigInvalid, match="unknown"):
+            ScenarioConfig.from_json(json.dumps(bad))
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigInvalid):
