@@ -64,13 +64,34 @@ class Call:
 
 @dataclass(frozen=True)
 class Query:
-    """Read request; valid on the wire, never valid inside a block."""
+    """Read request. It travels as its own unsigned wire record, which the
+    channel that carries it authenticates; a transaction carrying one is
+    never valid, in a mempool or in a block."""
 
     contract_address: bytes
     from_ts: int
     to_ts: int
 
-    TAG = 3
+    TAG = 3  # payload variant tag
+    WIRE_TAG = 0x08  # the standalone record
+
+    def encode_fields(self) -> bytes:
+        return enc_bytes(self.contract_address) + enc_u64(self.from_ts) + enc_u64(self.to_ts)
+
+    @classmethod
+    def read_fields(cls, r: Reader) -> "Query":
+        return cls(contract_address=r.bytes_(), from_ts=r.u64(), to_ts=r.u64())
+
+    def encode(self) -> bytes:
+        return enc_u8(self.WIRE_TAG) + self.encode_fields()
+
+    @classmethod
+    def decode(cls, data: bytes) -> "Query":
+        r = Reader(data)
+        r.expect_tag(cls.WIRE_TAG)
+        query = cls.read_fields(r)
+        r.expect_eof()
+        return query
 
 
 TxPayload = Union[Transfer, Deploy, Call, Query]
@@ -89,12 +110,7 @@ def encode_payload(payload: TxPayload) -> bytes:
             + enc_bytes(payload.args)
         )
     if isinstance(payload, Query):
-        return (
-            enc_u8(Query.TAG)
-            + enc_bytes(payload.contract_address)
-            + enc_u64(payload.from_ts)
-            + enc_u64(payload.to_ts)
-        )
+        return enc_u8(Query.TAG) + payload.encode_fields()
     raise TypeError(f"unknown payload type {type(payload).__name__}")
 
 
@@ -107,7 +123,7 @@ def decode_payload(r: Reader) -> TxPayload:
     if tag == Call.TAG:
         return Call(contract_address=r.bytes_(), method=r.str_(), args=r.bytes_())
     if tag == Query.TAG:
-        return Query(contract_address=r.bytes_(), from_ts=r.u64(), to_ts=r.u64())
+        return Query.read_fields(r)
     raise DecodeError(f"unknown payload tag {tag}")
 
 
@@ -343,7 +359,12 @@ class GenesisConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "GenesisConfig":
+        """Parse a genesis file; raises ValueError for a gas key or value the
+        schedule does not know, so a bad file fails here, not at node start."""
+        from .contracts import GasSchedule  # contracts imports this module
+
         raw = json.loads(text)
+        GasSchedule.from_dict(raw.get("gas_schedule"))
         return cls(
             chain_id=raw["chain_id"],
             authorities=[bytes.fromhex(h) for h in raw["authorities"]],

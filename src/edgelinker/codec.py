@@ -20,7 +20,7 @@ from itertools import starmap
 
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
-_READING = struct.Struct(">QQ")
+READING = struct.Struct(">QQ")  # one (timestamp, heart_rate) pair
 
 U64_MAX = 2**64 - 1
 
@@ -56,7 +56,7 @@ def enc_readings(readings) -> bytes:
     that is not exactly a pair.
     """
     try:
-        return _U64.pack(len(readings)) + b"".join(starmap(_READING.pack, readings))
+        return _U64.pack(len(readings)) + b"".join(starmap(READING.pack, readings))
     except struct.error as exc:
         raise ValueError(f"reading is not a pair of u64 values: {exc}") from exc
 
@@ -106,12 +106,18 @@ class Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
+    def count(self, min_item_size: int) -> int:
+        """A u64 item count, rejected before anything is allocated when that
+        many items of at least `min_item_size` bytes cannot fit in the rest."""
+        count = self.u64()
+        if count > self.remaining // min_item_size:
+            raise DecodeError(f"{count} items do not fit in {self.remaining} bytes")
+        return count
+
     def readings(self) -> list:
         """The (timestamp, heart_rate) tuples written by `enc_readings`."""
-        count = self.u64()
-        if count > self.remaining // _READING.size:
-            raise DecodeError(f"{count} readings do not fit in {self.remaining} bytes")
-        return list(_READING.iter_unpack(self.take(count * _READING.size)))
+        count = self.count(READING.size)
+        return list(READING.iter_unpack(self.take(count * READING.size)))
 
     def bytes_(self) -> bytes:
         return self.take(self.u32())

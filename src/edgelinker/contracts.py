@@ -15,10 +15,10 @@ enclosing block is applied.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .chain import Block, Call, Deploy, GenesisConfig, Query, Transaction, Transfer, hash_tx
-from .codec import DecodeError, Reader, enc_bytes, enc_list, enc_readings, enc_str, enc_u64, enc_u8
+from .codec import READING, DecodeError, Reader, enc_bytes, enc_list, enc_readings, enc_str, enc_u64, enc_u8
 
 PERMITTER_PERMISSION = bytes(32)
 WRITE_PERMISSION = bytes(31) + b"\x01"
@@ -74,9 +74,16 @@ class GasSchedule:
 
     @classmethod
     def from_dict(cls, raw: dict | None) -> "GasSchedule":
+        """Raises ValueError for an unknown key or a value that is no integer."""
         if not raw:
             return cls()
-        return cls(**{k: int(v) for k, v in raw.items()})
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown gas_schedule keys {unknown}")
+        try:
+            return cls(**{k: int(v) for k, v in raw.items()})
+        except TypeError as exc:
+            raise ValueError(f"gas_schedule value is no integer: {exc}") from exc
 
 
 # --- permission table (the access-control core) -----------------------------
@@ -207,11 +214,11 @@ def encode_reading_args(timestamp_ms: int, heart_rate: int) -> bytes:
     return enc_u64(timestamp_ms) + enc_u64(heart_rate)
 
 
-def decode_reading_args(args: bytes):
-    r = Reader(args)
-    ts, hr = r.u64(), r.u64()
-    r.expect_eof()
-    return ts, hr
+def decode_reading_args(args: bytes) -> tuple:
+    """The (timestamp, heart_rate) pair that `encode_reading_args` wrote."""
+    if len(args) != READING.size:
+        raise DecodeError(f"reading args must be {READING.size} bytes, got {len(args)}")
+    return READING.unpack(args)
 
 
 def encode_permission_args(permission: bytes, address: bytes) -> bytes:
@@ -298,15 +305,16 @@ def execute_transaction(world: WorldState, tx: Transaction, schedule: GasSchedul
 
 def _call_add_reading(contract, payload, sender, txh, height):
     try:
-        ts, hr = decode_reading_args(payload.args)
+        reading = decode_reading_args(payload.args)
     except DecodeError:
         return RESULT_FAILED, "bad_args", []
-    if hr > MAX_HEART_RATE:
+    if reading[1] > MAX_HEART_RATE:
         return RESULT_FAILED, "bad_args", []
     if not has_permission(contract.permission_table, WRITE_PERMISSION, sender):
         return RESULT_DENIED, "write_permission", []
-    contract.readings.append((ts, hr))
-    event = Event(payload.contract_address, "ReadingAdded", encode_reading_args(ts, hr), height, txh)
+    contract.readings.append(reading)
+    # The args are exactly the reading's canonical bytes.
+    event = Event(payload.contract_address, "ReadingAdded", payload.args, height, txh)
     return RESULT_OK, "", [event]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import channel as ch
 from .chain import (
@@ -66,7 +66,7 @@ class Alert:
 # Simulation._pair_rng seeds each link's jitter stream from the kind's value,
 # so changing a value changes every seeded timeline: keep them as they are.
 
-CLIENT = "ClientWire"  # device-to-node channel bytes (sealed envelope or plain encoding)
+CLIENT = "ClientWire"  # device-to-node channel bytes carrying a Transaction or a Query
 REPLY = "ReplyWire"  # node-to-device channel bytes carrying a QueryReplyBody
 CONFIRM = "ConfirmWire"  # node-to-device channel bytes carrying a ConfirmBody
 GOSSIP = "GossipWire"  # a Transaction relayed between nodes
@@ -98,33 +98,40 @@ class QueryReplyBody:
         return cls(status, reason, readings)
 
 
-@dataclass
-class ConfirmBody:
-    """Finalization notice sent back to the submitting device."""
+class ConfirmEntry(NamedTuple):
+    """One transaction's ledger receipt, as its submitting device hears it."""
 
     tx_hash: bytes
-    result: str
-    height: int
+    result: str  # the receipt's result: ok, denied, failed or skipped
+    reason: str
     delay_us: int  # node-side receipt-to-finalization time
 
+
+@dataclass
+class ConfirmBody:
+    """The receipts of one device's transactions in one finalized block, in block order."""
+
+    height: int
+    entries: tuple  # of ConfirmEntry
+
     WIRE_TAG = 0x07
+    MIN_ENTRY_LEN = 4 + 4 + 4 + 8  # empty hash, result and reason, then the delay
 
     def encode(self) -> bytes:
-        return (
-            enc_u8(self.WIRE_TAG)
-            + enc_bytes(self.tx_hash)
-            + enc_str(self.result)
-            + enc_u64(self.height)
-            + enc_u64(self.delay_us)
-        )
+        parts = [enc_u8(self.WIRE_TAG), enc_u64(self.height), enc_u64(len(self.entries))]
+        for tx_hash, result, reason, delay_us in self.entries:
+            parts += (enc_bytes(tx_hash), enc_str(result), enc_str(reason), enc_u64(delay_us))
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, data: bytes) -> "ConfirmBody":
         r = Reader(data)
         r.expect_tag(cls.WIRE_TAG)
-        body = cls(tx_hash=r.bytes_(), result=r.str_(), height=r.u64(), delay_us=r.u64())
+        height = r.u64()
+        count = r.count(cls.MIN_ENTRY_LEN)
+        entries = tuple(ConfirmEntry(r.bytes_(), r.str_(), r.str_(), r.u64()) for _ in range(count))
         r.expect_eof()
-        return body
+        return cls(height, entries)
 
 
 @dataclass
@@ -251,19 +258,22 @@ class FogNode:
                 )
             return self._reject(out, reason, sender=message.identification.hex()[:16])
 
+        is_query = message.body[:1] == bytes((Query.WIRE_TAG,))
         try:
-            tx = Transaction.decode(message.body)
+            record = Query.decode(message.body) if is_query else Transaction.decode(message.body)
         except DecodeError as exc:
             return self._reject(out, "bad_body", detail=str(exc))
-
-        if isinstance(tx.payload, Query):
-            return self._serve_query_wire(tx.payload, message, now_us, out)
-        return self._admit(tx, now_us, out, client_pk=message.identification)
+        if is_query:
+            return self._serve_query_wire(record, message.identification, now_us, out)
+        return self._admit(record, now_us, out, client_pk=message.identification)
 
     def on_gossip(self, tx: Transaction, now_us: int) -> NodeOutput:
         return self._admit(tx, now_us, NodeOutput(), client_pk=None)
 
     def _admit(self, tx: Transaction, now_us: int, out: NodeOutput, client_pk) -> NodeOutput:
+        if isinstance(tx.payload, Query):
+            # A read travels as its own record; as a transaction it could never be mined.
+            return self._reject(out, "query_in_tx")
         if not verify_transaction(tx):
             return self._reject(out, "bad_tx_signature")
         txh = hash_tx(tx)
@@ -301,8 +311,7 @@ class FogNode:
         """Direct read against the latest finalized state; raises on denial."""
         return read_history(self.world, contract, caller, from_ts, to_ts)
 
-    def _serve_query_wire(self, query: Query, message: ch.ChannelMessage, now_us: int, out: NodeOutput) -> NodeOutput:
-        caller = message.identification
+    def _serve_query_wire(self, query: Query, caller: bytes, now_us: int, out: NodeOutput) -> NodeOutput:
         completion = max(now_us, self.busy_until_us) + self.cfg.query_service_us
         self.busy_until_us = completion
         try:
@@ -465,8 +474,9 @@ class FogNode:
                 gas=receipt.gas_used,
                 height=receipt.height,
             )
-        for tx in block.transactions:
-            txh = hash_tx(tx)
+        confirms: dict = {}  # client key -> its ConfirmEntry list, in block order
+        for receipt in receipts:
+            txh = receipt.tx_hash
             self._in_chain.add(txh)
             self.mempool.pop(txh, None)
             pending = self.pending_conf.pop(txh, None)
@@ -475,9 +485,12 @@ class FogNode:
             client_pk, received_us = pending
             delay_us = now_us - received_us
             self.rec("tx_finalized_delay", tx=txh.hex()[:16], delay_us=delay_us)
+            entry = ConfirmEntry(txh, receipt.result, receipt.reason, delay_us)
+            confirms.setdefault(client_pk, []).append(entry)
+        for client_pk, entries in confirms.items():
             dst = self.directory.get(client_pk)
             if dst is not None:
-                body = ConfirmBody(txh, "final", block.header.height, delay_us)
+                body = ConfirmBody(block.header.height, tuple(entries))
                 out.sends.append(Send(dst, CONFIRM, self._wrap_to(client_pk, body.encode(), now_us)))
 
     # -- monitoring -----------------------------------------------------------

@@ -20,7 +20,7 @@ import json
 import random
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from . import channel as ch
 from .chain import (
@@ -117,10 +117,13 @@ class LinkModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LinkModel":
+        _require_object("link", raw)
         raw = dict(raw)
         _reject_unknown_keys("link", raw, cls)
-        partitions = {frozenset(p) for p in raw.pop("partitions", [])}
-        return cls(**raw, partitions=partitions)
+        pairs = raw.pop("partitions", [])
+        if not isinstance(pairs, list) or not all(_is_endpoint_pair(p) for p in pairs):
+            raise ConfigInvalid(f"link partitions must be a list of endpoint id pairs, got {pairs!r}")
+        return cls(**raw, partitions={frozenset(p) for p in pairs})
 
 
 def deliver(link: LinkModel, src: str, dst: str, now_us: int, rng: random.Random) -> Optional[int]:
@@ -239,11 +242,14 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         raw = json.loads(text)
+        _require_object("scenario", raw)
         _reject_unknown_keys("scenario", raw, cls)
         link = LinkModel.from_dict(raw.pop("link", {}))
         return cls(**raw, link=link)
 
     def validate(self) -> None:
+        _check_field_types("scenario", self)
+        _check_field_types("link", self.link)
         if self.nodes < 1:
             raise ConfigInvalid("need at least one node")
         if self.workload not in ("scenario", "write", "read", "mixed", "none"):
@@ -262,10 +268,33 @@ class ScenarioConfig:
             raise ConfigInvalid(f"drop probability {self.link.drop_probability} is outside [0, 1]")
 
 
+def _require_object(what: str, raw) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"{what} must be a JSON object, got {raw!r}")
+
+
+def _is_endpoint_pair(pair) -> bool:
+    return isinstance(pair, list) and len(pair) == 2 and all(isinstance(end, str) for end in pair)
+
+
 def _reject_unknown_keys(what: str, raw: dict, cls) -> None:
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigInvalid(f"unknown {what} keys {unknown}")
+
+
+def _check_field_types(what: str, record) -> None:
+    """Every field must hold its annotated type: an int where a float is
+    allowed, but never a bool where an int is expected."""
+    hints = get_type_hints(type(record))
+    for f in fields(record):
+        allowed = get_args(hints[f.name]) or (hints[f.name],)
+        if float in allowed:
+            allowed += (int,)
+        value = getattr(record, f.name)
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            names = " or ".join(t.__name__ for t in allowed)
+            raise ConfigInvalid(f"{what} field {f.name} must be {names}, got {value!r}")
 
 
 # --- actor plans -----------------------------------------------------------------
@@ -303,18 +332,19 @@ class DeviceActor:
             tx = make_transaction(self.keypair, self.account_nonce, now_us // 1000, step.payload)
             self.account_nonce += 1
             self.sent_tx[hash_tx(tx)] = (now_us, step.label, step.measured)
+            body = tx.encode()
         else:
-            nonce_preview = self.channel_nonces.get(node_id, 0) + 1
-            tx = make_transaction(self.keypair, nonce_preview, now_us // 1000, step.payload)
+            # A read is no transaction: the channel signature authenticates it.
             self.pending_queries.setdefault(node_id, deque()).append((now_us, step.label, step.measured))
-        raw = self._wrap(tx, node_id, now_us)
+            body = step.payload.encode()
+        raw = self._wrap(body, node_id, now_us)
         self.sim.trace.add(now_us, self.id, "task_sent", {"label": step.label, "measured": step.measured})
         return [Send(node_id, CLIENT, raw)]
 
-    def _wrap(self, tx: Transaction, node_id: str, now_us: int) -> bytes:
+    def _wrap(self, body: bytes, node_id: str, now_us: int) -> bytes:
         nonce = self.channel_nonces.get(node_id, 0) + 1
         self.channel_nonces[node_id] = nonce
-        message = ChannelMessage(now_us // 1000, nonce, self.keypair.public_key, tx.encode())
+        message = ChannelMessage(now_us // 1000, nonce, self.keypair.public_key, body)
         node_pk = self.sim.node_keys[node_id].public_key
         return ch.seal_wire(message, self.sim.config.channel_mode, self.keypair.private_key, node_pk, self.rng)
 
@@ -329,24 +359,28 @@ class DeviceActor:
         body = message.body
         if body and body[0] == ConfirmBody.WIRE_TAG:
             confirm = ConfirmBody.decode(body)
-            sent = self.sent_tx.pop(confirm.tx_hash, None)
-            if sent is None:
-                return
-            t_send, label, measured = sent
-            self.sim.trace.add(
-                now_us,
-                self.id,
-                "task_confirmed",
-                {
-                    "label": label,
-                    "measured": measured,
-                    "t_send_us": t_send,
-                    "rtt_us": now_us - t_send,
-                    "delay_node_us": confirm.delay_us,
-                    "height": confirm.height,
-                },
-            )
-            self.sim.note_response()
+            for entry in confirm.entries:
+                sent = self.sent_tx.pop(entry.tx_hash, None)
+                if sent is None:
+                    continue
+                t_send, label, measured = sent
+                self.sim.trace.add(
+                    now_us,
+                    self.id,
+                    "task_confirmed",
+                    {
+                        "label": label,
+                        "measured": measured,
+                        "t_send_us": t_send,
+                        "rtt_us": now_us - t_send,
+                        "delay_node_us": entry.delay_us,
+                        "height": confirm.height,
+                        "tx": entry.tx_hash.hex()[:16],
+                        "result": entry.result,
+                        "reason": entry.reason,
+                    },
+                )
+                self.sim.note_response()
         elif body and body[0] == QueryReplyBody.WIRE_TAG:
             reply = QueryReplyBody.decode(body)
             queue = self.pending_queries.get(src)

@@ -163,8 +163,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"node": 7}, {"nodes": 0}, {"nodes": 7, "crashed": 1, "byzantine": 1}],
-        ids=["unknown_key", "no_nodes", "crashed_and_byzantine"],
+        [{"node": 7}, {"nodes": 0}, {"nodes": 7, "crashed": 1, "byzantine": 1}, {"nodes": "x"}, {"link": 5}],
+        ids=["unknown_key", "no_nodes", "crashed_and_byzantine", "nodes_not_an_int", "link_not_an_object"],
     )
     def test_attack_with_bad_config_file_exits_2(self, tmp_path, capsys, bad):
         path = tmp_path / "scenario.json"

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgelinker.chain import Call, Deploy, GenesisConfig, Transfer, build_block, make_genesis, make_transaction
+from edgelinker.codec import DecodeError
 from edgelinker.contracts import (
     FEE_SINK,
     PERMITTER_PERMISSION,
@@ -23,6 +25,7 @@ from edgelinker.contracts import (
     Account,
     apply_block,
     contract_address,
+    decode_reading_args,
     encode_permission_args,
     encode_reading_args,
     execute_transaction,
@@ -175,6 +178,34 @@ class TestExecution:
         assert receipt.result == RESULT_OK
         assert len(receipt.events) == 1 and receipt.events[0].name == "ReadingAdded"
         assert world.contracts[contract].readings == [(NOW_MS, 72)]
+
+    @pytest.mark.parametrize("args", [encode_reading_args(NOW_MS, 72)[:-1], encode_reading_args(NOW_MS, 72) + b"\x00", b""])
+    def test_reading_args_of_the_wrong_length_fail_but_pay(self, world, args):
+        contract, _ = deploy_contract(world)
+        patient = kp("patient")
+        grant = Call(contract, "grant", encode_permission_args(WRITE_PERMISSION, patient.public_key))
+        execute_transaction(world, make_transaction(patient, 2, NOW_MS, grant), SCHEDULE, 1)
+        with pytest.raises(DecodeError):
+            decode_reading_args(args)
+        receipt = execute_transaction(world, make_transaction(patient, 3, NOW_MS, Call(contract, "add_reading", args)), SCHEDULE, 1)
+        assert (receipt.result, receipt.reason, receipt.gas_used) == (RESULT_FAILED, "bad_args", 48_182)
+        assert world.contracts[contract].readings == []
+
+    @settings(max_examples=50, deadline=None)
+    @given(ts=st.integers(0, 2**64 - 1), hr=st.integers(0, 2**64 - 1))
+    def test_reading_args_round_trip(self, ts, hr):
+        args = encode_reading_args(ts, hr)
+        assert len(args) == 16
+        assert decode_reading_args(args) == (ts, hr)
+
+    def test_reading_event_carries_the_args_bytes(self, world):
+        contract, _ = deploy_contract(world)
+        patient = kp("patient")
+        grant = Call(contract, "grant", encode_permission_args(WRITE_PERMISSION, patient.public_key))
+        execute_transaction(world, make_transaction(patient, 2, NOW_MS, grant), SCHEDULE, 1)
+        args = encode_reading_args(NOW_MS, 72)
+        receipt = execute_transaction(world, make_transaction(patient, 3, NOW_MS, Call(contract, "add_reading", args)), SCHEDULE, 1)
+        assert receipt.events[0].data == args
 
     def test_revoke_costs_exactly_the_schedule_price(self, world):
         contract, _ = deploy_contract(world)
@@ -395,3 +426,23 @@ def test_replay_chain_rebuilds_world(world):
         chain.blocks.append(block)
         apply_block(live, block, SCHEDULE)
     assert replay_chain(chain, cfg).encode() == live.encode()
+
+
+class TestGasSchedule:
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            GasSchedule.from_dict({"bogus": 2})
+
+    def test_value_that_is_no_integer_rejected(self):
+        with pytest.raises(ValueError):
+            GasSchedule.from_dict({"deploy": [5]})
+
+    def test_known_keys_override_defaults(self):
+        assert GasSchedule.from_dict({"deploy": "5"}) == GasSchedule(deploy=5)
+
+    def test_genesis_file_with_unknown_gas_key_rejected_at_load(self):
+        raw = json.loads(GenesisConfig(chain_id=1, authorities=[addr("a")], gas={"deploy": 5}).to_json())
+        assert GenesisConfig.from_json(json.dumps(raw)).gas == {"deploy": 5}
+        raw["gas_schedule"] = {"deploy": 5, "bogus": 2}
+        with pytest.raises(ValueError, match="bogus"):
+            GenesisConfig.from_json(json.dumps(raw))

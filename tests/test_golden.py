@@ -1,9 +1,17 @@
 """Pinned outcomes of three seeded runs.
 
-The values were recorded before the ledger records became immutable and
-started caching their bytes and hashes. A change to how records are built,
-encoded or hashed must leave every one of them as it is: the tip hash, the
-world digest, the digest of the full event trace and the alert count.
+The tip hashes, world digests and alert counts were recorded before the
+ledger records became immutable and started caching their bytes and hashes.
+A change to how records are built, encoded or hashed must leave every value
+as it is: the tip hash, the world digest, the digest of the full event trace
+and the alert count.
+
+The trace digests were re-pinned once, when a node started sending one
+confirmation per device and finalized block instead of one per transaction.
+That changed only the `task_confirmed` events: they gained the receipt's
+result and reason, and their arrival times moved within the link jitter,
+because each confirmation link draws fewer jitter samples. Every other event
+stayed identical.
 """
 
 import hashlib
@@ -33,21 +41,21 @@ GOLDEN = {
         _lifecycle,
         "0bc54e46b3ab5439f773761adfdade28c8128e8a1f530f092f1b6dd0438ffce4",
         "ca9d846779cd19008f7ef906b445385eaac4c015779a9410d8f6a7f78c23eb2b",
-        "c4a9492b218c6478564e39c02bed6f0fbe2d507c4f49ca936ce1c6db33ae41bb",
+        "1bff18ee7ab0af93f037f2d29513b3af67f233c111a084affbaa84e25fc13547",
         0,
     ),
     "write_n20_t500_seed42": (
         _write_cell,
         "339814ae3d20d8a5799b6725c63c798455d1f0bfece24a62e9e03c5feb683f7f",
         "e213827b5efbf314dee651a420751ae8da344b6dcd2cb42cff6b13729ed9a024",
-        "e8938f38db16ff931c4ee0faff202a10a6e4329e94fdf955c36d8ffd2e71b112",
+        "038ba535c957b91f3cc1e42b66cdadfb860bed34ab9df90cbd85f324a9200c14",
         0,
     ),
     "insertion_drill_seed7": (
         _insertion_drill,
         "d19fc21dbe5ab7c0c3afc9602cd65ba4cabc1e4876337a1d775144bcc6ca9dc9",
         "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
-        "18ca1b6022db2b2495113145b9f9d279d0305328d5cde894ff62c7c3c9fd9dea",
+        "0f37e7697eca4abd6102388b148c39868db7c578f3efc6430e2e58b9b7499ef3",
         20,
     ),
 }

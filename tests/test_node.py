@@ -6,6 +6,7 @@ from edgelinker.chain import (
     GenesisConfig,
     Query,
     build_block,
+    hash_tx,
     make_transaction,
     validate_block,
 )
@@ -18,8 +19,10 @@ from edgelinker.contracts import (
     replay_chain,
 )
 from edgelinker.node import (
+    CONFIRM,
     CONSENSUS,
     AlertKind,
+    ConfirmBody,
     FogNode,
     QueryReplyBody,
     proxy_keypair,
@@ -119,6 +122,37 @@ class TestProposalLifecycle:
         confirms = [s for s in out.sends if s.dst == "c1"]
         assert len(confirms) == 1
 
+    def test_one_confirmation_per_device_and_block_with_its_receipts(self, keys):
+        authority, client, other = keys[0], keys[1], keys[2]
+        node = make_node(authority, {client.public_key: 10**12, other.public_key: 10**12})
+        node.directory.update({client.public_key: "c1", other.public_key: "c2"})
+        contract = contract_address(client.public_key, 1)
+        grant = Call(contract, "grant", encode_permission_args(WRITE_PERMISSION, client.public_key))
+        payloads = [Deploy("health_record", b""), grant, Call(contract, "add_reading", encode_reading_args(1000, 72))]
+        txs = [make_transaction(client, i, T0 // 1000, p) for i, p in enumerate(payloads, start=1)]
+        early = make_transaction(other, 1, T0 // 1000, Call(contract, "add_reading", encode_reading_args(1000, 80)))
+        for i, tx in enumerate(txs, start=1):
+            assert node.handle_envelope(envelope(client, node, i, tx, T0), T0).result == "ack"
+        assert node.handle_envelope(envelope(other, node, 1, early, T0), T0).result == "ack"
+        out = node.on_timer(("propose", 1), INTERVAL)
+        assert node.chain.height == 1
+        confirms = {s.dst: s for s in out.sends if s.kind == CONFIRM}
+        assert sorted(confirms) == ["c1", "c2"]
+        assert len([s for s in out.sends if s.kind == CONFIRM]) == 2
+
+        def opened(send, device):
+            return ConfirmBody.decode(open_message(SecureEnvelope.from_bytes(send.body), device.private_key, node.keypair.public_key).body)
+
+        mine = opened(confirms["c1"], client)
+        assert mine.height == 1
+        assert [e.tx_hash for e in mine.entries] == [hash_tx(tx) for tx in txs]
+        assert [(e.result, e.reason) for e in mine.entries] == [("ok", "")] * 3
+        assert all(e.delay_us == INTERVAL - T0 for e in mine.entries)
+        # A block orders by sender key, and `other` sorts first: its call runs before the deploy.
+        assert other.public_key < client.public_key
+        theirs = opened(confirms["c2"], other)
+        assert [(e.tx_hash, e.result, e.reason) for e in theirs.entries] == [(hash_tx(early), "failed", "unknown_contract")]
+
     def test_empty_heartbeat_advances_height(self, single):
         node, _, _ = single
         node.on_timer(("propose", 1), INTERVAL)
@@ -170,6 +204,24 @@ class TestProposalLifecycle:
         node.on_timer(("propose", 2), 2 * INTERVAL)
         seen = [h for b in node.chain.blocks for h in [t.encode() for t in b.transactions]]
         assert len(seen) == len(set(seen))
+
+
+class TestQueryInTransaction:
+    def test_rejected_on_the_client_path(self, single):
+        node, _, client = single
+        tx = make_transaction(client, 1, T0 // 1000, Query(bytes(32), 0, 10))
+        out = node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
+        assert out.result == "rejected:query_in_tx"
+        assert out.sends == []
+        assert node.mempool == {}
+
+    def test_rejected_on_the_gossip_path(self, single):
+        node, _, client = single
+        tx = make_transaction(client, 1, T0 // 1000, Query(bytes(32), 0, 10))
+        assert node.on_gossip(tx, T0).result == "rejected:query_in_tx"
+        assert node.mempool == {}
+        node.on_timer(("propose", 1), INTERVAL)
+        assert node.chain.tip.transactions == ()
 
 
 class TestTickProposerDuty:
@@ -260,9 +312,8 @@ class TestQueries:
 
     def test_query_envelope_gets_sealed_reply(self, keys):
         node, client, _, contract = self._prepared(keys)
-        q = make_transaction(client, 5, 2_000, Query(contract, 0, 10_000))
         now = 2 * INTERVAL
-        m = ChannelMessage(now // 1000, 5, client.public_key, q.encode())
+        m = ChannelMessage(now // 1000, 5, client.public_key, Query(contract, 0, 10_000).encode())
         raw = seal_message(m, client.private_key, node.keypair.public_key).to_bytes()
         out = node.handle_envelope(raw, now)
         reply_sends = [s for s in out.sends if s.dst == "c1"]
@@ -287,8 +338,7 @@ class TestQueries:
         now = 2 * INTERVAL
         outs = []
         for i, nonce in enumerate((5, 6)):
-            q = make_transaction(client, nonce, now // 1000, Query(contract, 0, 10_000))
-            m = ChannelMessage(now // 1000, nonce, client.public_key, q.encode())
+            m = ChannelMessage(now // 1000, nonce, client.public_key, Query(contract, 0, 10_000).encode())
             raw = seal_message(m, client.private_key, node.keypair.public_key).to_bytes()
             outs.append(node.handle_envelope(raw, now))
         first, second = (o.sends[0].at_us for o in outs)

@@ -5,7 +5,8 @@ record, whether built by a constructor, by a signing helper, by decoding or
 by `dataclasses.replace` of a record whose derived values were already
 computed, must encode, sign and hash exactly as the reference says. The
 packed reading arrays of query replies and contract state must give the bytes
-of the same reference, one u64 per value.
+of the same reference, one u64 per value, and so must the device channel's
+query record and per-block confirmation.
 """
 
 import hashlib
@@ -33,7 +34,7 @@ from edgelinker.chain import (
 from edgelinker.codec import DecodeError
 from edgelinker.consensus import ConsensusMessage, Phase, make_message
 from edgelinker.contracts import HealthRecordState
-from edgelinker.node import QueryReplyBody
+from edgelinker.node import ConfirmBody, ConfirmEntry, QueryReplyBody
 from tests.conftest import kp
 from tests.test_codec import PAYLOADS
 
@@ -124,6 +125,17 @@ def ref_reply(body):
     return b"\x06" + ref_u64(body.status) + ref_str(body.reason) + ref_readings(body.readings)
 
 
+def ref_query(q):
+    return b"\x08" + ref_bytes(q.contract_address) + ref_u64(q.from_ts) + ref_u64(q.to_ts)
+
+
+def ref_confirm(body):
+    entries = b"".join(
+        ref_bytes(e.tx_hash) + ref_str(e.result) + ref_str(e.reason) + ref_u64(e.delay_us) for e in body.entries
+    )
+    return b"\x07" + ref_u64(body.height) + ref_u64(len(body.entries)) + entries
+
+
 def ref_record_state(state):
     assert not state.permission_table.permissions
     return b"\x11" + ref_bytes(state.owner) + ref_readings(state.readings) + b"\x10" + ref_u64(0)
@@ -161,6 +173,15 @@ MESSAGES = st.builds(
     signature=st.binary(min_size=64, max_size=64),
 )
 READINGS = st.lists(st.tuples(U64, U64), max_size=40)
+QUERIES = st.builds(Query, contract_address=st.binary(max_size=40), from_ts=U64, to_ts=U64)
+CONFIRMS = st.builds(
+    ConfirmBody,
+    height=U64,
+    entries=st.lists(
+        st.builds(ConfirmEntry, tx_hash=st.binary(max_size=32), result=st.text(max_size=8), reason=st.text(max_size=12), delay_us=U64),
+        max_size=5,
+    ).map(tuple),
+)
 HOW = st.sampled_from(["built", "decoded", "replaced"])
 
 
@@ -279,6 +300,34 @@ def test_reading_arrays_match_reference(status, reason, readings, owner):
     assert_rejects_truncation_and_trailing(QueryReplyBody.decode, raw)
 
 
+@settings(max_examples=80, deadline=None)
+@given(query=QUERIES)
+def test_query_record_matches_reference(query):
+    raw = ref_query(query)
+    assert query.encode() == raw
+    assert Query.decode(raw) == query
+    assert_rejects_truncation_and_trailing(Query.decode, raw)
+
+
+def test_query_record_is_not_a_transaction():
+    raw = Query(bytes(32), 0, 10).encode()
+    with pytest.raises(DecodeError):
+        Transaction.decode(raw)
+    with pytest.raises(DecodeError):
+        Query.decode(b"\x03" + raw[1:])  # the payload variant tag is no record tag
+
+
+@settings(max_examples=80, deadline=None)
+@given(body=CONFIRMS)
+def test_confirmation_matches_reference(body):
+    raw = ref_confirm(body)
+    assert body.encode() == raw
+    again = ConfirmBody.decode(raw)
+    assert again == body
+    assert all(type(e) is ConfirmEntry for e in again.entries)
+    assert_rejects_truncation_and_trailing(ConfirmBody.decode, raw)
+
+
 BAD_READINGS = {
     "negative_timestamp": [(1000, 72), (-1, 72)],
     "timestamp_too_large": [(2**64, 72)],
@@ -306,17 +355,29 @@ def forge_count(raw, count):
     return raw[:at] + ref_u64(count) + raw[at + 8 :]
 
 
-@pytest.mark.parametrize("count", [2**64 - 1, 2**20, 4], ids=["u64_max", "large", "one_more"])
-def test_forged_reading_count_rejected_without_allocating(count):
-    raw = QueryReplyBody(0, "", [(1000, 72), (2000, 75), (3000, 80)]).encode()
+def assert_rejected_without_allocating(decode, raw):
     tracemalloc.start()
     try:
         with pytest.raises(DecodeError):
-            QueryReplyBody.decode(forge_count(raw, count))
+            decode(raw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("count", [2**64 - 1, 2**20, 4], ids=["u64_max", "large", "one_more"])
+def test_forged_reading_count_rejected_without_allocating(count):
+    raw = QueryReplyBody(0, "", [(1000, 72), (2000, 75), (3000, 80)]).encode()
+    assert_rejected_without_allocating(QueryReplyBody.decode, forge_count(raw, count))
+
+
+@pytest.mark.parametrize("count", [2**64 - 1, 2**20, 3], ids=["u64_max", "large", "one_more"])
+def test_forged_confirmation_count_rejected_without_allocating(count):
+    entries = tuple(ConfirmEntry(bytes([i]) * 32, "ok", "", 1000 + i) for i in range(2))
+    raw = ConfirmBody(7, entries).encode()
+    at = 1 + 8  # tag, height
+    assert_rejected_without_allocating(ConfirmBody.decode, raw[:at] + ref_u64(count) + raw[at + 8 :])
 
 
 def test_message_with_bad_block_flag_rejected():

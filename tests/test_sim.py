@@ -8,11 +8,14 @@ from dataclasses import replace
 import pytest
 
 import edgelinker
-from edgelinker.contracts import replay_chain
+from edgelinker import chain, channel
+from edgelinker.chain import Query
+from edgelinker.contracts import GasSchedule, apply_block, genesis_world, replay_chain
 from edgelinker.sim import (
     ConfigInvalid,
     LinkModel,
     ScenarioConfig,
+    Simulation,
     child_rng,
     deliver,
     run_scenario,
@@ -132,6 +135,64 @@ class TestWorkloads:
         assert len(confirms) == 10 and len(replies) == 10
 
 
+class TestConfirmations:
+    def test_every_confirmation_reports_the_ledger_receipt_under_loss(self):
+        # At 1% loss a proposer can hold a device's nonce k+1 without k, so
+        # the ledger skips some writes; their devices must hear that.
+        cfg = ScenarioConfig(
+            nodes=4, workload="write", tasks=200, block_interval_ms=500, link=LinkModel(drop_probability=0.01)
+        )
+        trace = run_scenario(cfg, 3)
+        n0 = trace.final["n0"]  # every device's primary, so the node that confirms
+        world, schedule = genesis_world(trace.genesis), GasSchedule.from_dict(trace.genesis.gas)
+        ledger = {}
+        for block in n0.chain.blocks[1:]:
+            for receipt in apply_block(world, block, schedule):
+                ledger[receipt.tx_hash.hex()[:16]] = (receipt.result, receipt.reason)
+        confirms = trace.of_kind("task_confirmed")
+        assert len([e for e in confirms if e.info["measured"]]) == 200
+        assert all((e.info["result"], e.info["reason"]) == ledger[e.info["tx"]] for e in confirms)
+        assert any((e.info["result"], e.info["reason"]) == ("skipped", "BadNonce") for e in confirms)
+
+    def test_one_confirmation_message_per_device_and_block(self):
+        trace = run_scenario(ScenarioConfig(nodes=3, workload="write", tasks=40, block_interval_ms=200), 23)
+        arrivals: dict = {}  # (device, height) -> arrival times of its confirmations
+        for e in trace.of_kind("task_confirmed"):
+            arrivals.setdefault((e.src, e.info["height"]), []).append(e.t_us)
+        assert max(len(times) for times in arrivals.values()) > 1  # a device has several writes in a block
+        assert all(len(set(times)) == 1 for times in arrivals.values())
+
+
+class TestDeviceSignatures:
+    @pytest.fixture
+    def signed(self, monkeypatch):
+        keys = []
+        original = channel.sign_digest
+
+        def counting(private_seed, digest):
+            keys.append(private_seed)
+            return original(private_seed, digest)
+
+        monkeypatch.setattr(channel, "sign_digest", counting)
+        monkeypatch.setattr(chain, "sign_digest", counting)
+        return keys
+
+    def test_a_read_is_signed_once_by_the_channel(self, signed):
+        sim = Simulation(ScenarioConfig(nodes=2, workload="read", tasks=4, block_interval_ms=200), 5)
+        actor = sim.actors["reader0"]
+        idx = next(i for i, step in enumerate(actor.steps) if step.kind == "query")
+        (send,) = actor.wake(idx, actor.steps[idx].at_us)
+        assert signed == [actor.keypair.private_key]
+        message = channel.open_wire(send.body, "secure", sim.node_keys[send.dst].private_key)
+        assert Query.decode(message.body) == actor.steps[idx].payload
+
+    def test_a_write_is_signed_as_a_transaction_and_by_the_channel(self, signed):
+        sim = Simulation(ScenarioConfig(nodes=2, workload="read", tasks=4, block_interval_ms=200), 5)
+        actor = sim.actors["patient0"]
+        actor.wake(0, actor.steps[0].at_us)
+        assert signed == [actor.keypair.private_key] * 2
+
+
 class TestFaults:
     def test_crashed_minority_does_not_stop_progress(self):
         cfg = ScenarioConfig(nodes=4, workload="none", crashed=1, block_interval_ms=200,
@@ -237,6 +298,34 @@ class TestConfig:
         # A removed knob or a typo would otherwise run the default silently.
         with pytest.raises(ConfigInvalid, match="unknown"):
             ScenarioConfig.from_json(json.dumps(bad))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"nodes": "x"},
+            {"nodes": True},
+            {"tasks": 2.5},
+            {"duration_s": "10"},
+            {"attack_params": []},
+            {"stop_on_done": 1},
+            {"link": {"jitter_us": "5"}},
+            {"link": {"drop_probability": None}},
+            {"link": 5},
+            {"link": {"partitions": [1]}},
+            {"link": {"partitions": ["n0n1"]}},
+            {"link": {"partitions": [["n0", "n1", "n2"]]}},
+            {"link": {"partitions": {"n0": "n1"}}},
+        ],
+        ids=["nodes_str", "nodes_bool", "tasks_float", "duration_str", "params_list", "stop_int",
+             "jitter_str", "drop_none", "link_int", "partition_int", "partition_str", "partition_triple",
+             "partitions_object"],
+    )
+    def test_wrong_field_types_rejected(self, bad):
+        with pytest.raises(ConfigInvalid):
+            ScenarioConfig.from_json(json.dumps(bad)).validate()
+
+    def test_int_accepted_where_a_float_is_expected(self):
+        ScenarioConfig.from_json(json.dumps({"duration_s": 5, "link": {"drop_probability": 0}})).validate()
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigInvalid):
