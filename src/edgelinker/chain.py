@@ -446,8 +446,9 @@ def build_block(
 ) -> Block:
     """Collate pending transactions under the proposer's signature.
 
-    Queries never enter blocks; ordering is (sender, nonce) with arrival
-    order as the stable tiebreak, capped at max_txs.
+    Ordering is (sender, nonce) with arrival order as the stable tiebreak,
+    capped at max_txs. A query never reaches a mempool (`FogNode._admit`
+    rejects it), and `validate_block` reports any block that carries one.
     """
     if authorities is not None and proposer.public_key not in authorities:
         raise NotAuthority("proposer is not in the authority set")
@@ -455,7 +456,7 @@ def build_block(
     eligible = []
     for tx in pending:
         h = hash_tx(tx)
-        if isinstance(tx.payload, Query) or h in seen:
+        if h in seen:
             continue
         seen.add(h)
         eligible.append(tx)

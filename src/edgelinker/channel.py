@@ -11,12 +11,25 @@ useless between any other pair of parties.
 Replay protection is an application-level counter: each sender's nonce must
 increase by exactly one per accepted message, and timestamps must fall
 inside a configurable skew window.
+
+While `verifying_ahead` is active, every signature `sign_digest` makes is
+also handed to one forked worker process that verifies it right away, so a
+later `verify_digest` of that exact triple often finds its verdict waiting
+(the precedent is geth's transaction sender cacher).
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import mmap
+import os
 import secrets
+import select
+import signal
+import threading
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -39,6 +52,7 @@ from .codec import DecodeError, Reader, enc_bytes, enc_u64, enc_u8
 
 KEY_LEN = 32
 SIG_LEN = 64
+DIGEST_LEN = 32  # SHA-256, the only digest the program signs
 AEAD_NONCE_LEN = 12
 AEAD_TAG_LEN = 16
 
@@ -78,13 +92,17 @@ def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a keypair from 32 bytes of entropy; same seed, same keys."""
     if len(seed) != KEY_LEN:
         raise ValueError(f"seed must be {KEY_LEN} bytes, got {len(seed)}")
-    public = _ed_private(seed).public_key().public_bytes_raw()
-    return KeyPair(public_key=public, private_key=seed)
+    return KeyPair(public_key=_ed_public(seed), private_key=seed)
 
 
 @lru_cache(maxsize=4096)
 def _ed_private(seed: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(seed)
+
+
+@lru_cache(maxsize=4096)
+def _ed_public(seed: bytes) -> bytes:
+    return _ed_private(seed).public_key().public_bytes_raw()
 
 
 @lru_cache(maxsize=4096)
@@ -110,7 +128,7 @@ def _ed_pk_to_x25519(public_key: bytes) -> bytes:
 
 @lru_cache(maxsize=8192)
 def _derive_cached(private_seed: bytes, peer_public: bytes) -> bytes:
-    own_public = _ed_private(private_seed).public_key().public_bytes_raw()
+    own_public = _ed_public(private_seed)
     peer_u = _ed_pk_to_x25519(peer_public)
     try:
         raw = _x_private(private_seed).exchange(X25519PublicKey.from_public_bytes(peer_u))
@@ -127,11 +145,14 @@ def derive_shared_key(private_key: bytes, peer_public: bytes) -> bytes:
 
 
 def sign_digest(private_seed: bytes, digest: bytes) -> bytes:
-    return _ed_private(bytes(private_seed)).sign(digest)
+    seed = bytes(private_seed)
+    signature = _ed_private(seed).sign(digest)
+    if _worker is not None and len(digest) == DIGEST_LEN:
+        _worker.submit(_ed_public(seed) + signature + bytes(digest))
+    return signature
 
 
-@lru_cache(maxsize=1 << 16)
-def _verify_cached(public_key: bytes, signature: bytes, digest: bytes) -> bool:
+def _verify_inline(public_key: bytes, signature: bytes, digest: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, digest)
         return True
@@ -139,10 +160,206 @@ def _verify_cached(public_key: bytes, signature: bytes, digest: bytes) -> bool:
         return False
 
 
+@lru_cache(maxsize=1 << 16)
+def _verify_cached(public_key: bytes, signature: bytes, digest: bytes) -> bool:
+    if _worker is not None:
+        verdict = _worker.take(public_key + signature + digest)
+        if verdict is not None:
+            return verdict
+    return _verify_inline(public_key, signature, digest)
+
+
 def verify_digest(public_key: bytes, signature: bytes, digest: bytes) -> bool:
     if len(public_key) != KEY_LEN or len(signature) != SIG_LEN:
         return False
     return _verify_cached(bytes(public_key), bytes(signature), bytes(digest))
+
+
+# --- verification ahead of need -----------------------------------------------
+
+TRIPLE_LEN = KEY_LEN + SIG_LEN + DIGEST_LEN  # public key || signature || digest
+
+
+class BackgroundVerifier:
+    """One forked worker that verifies (public key, signature, digest) triples in order.
+
+    `submit` sends a triple; the worker answers one verdict byte per triple.
+    `take` pops the verdict of a triple if it has arrived. A triple still in
+    flight is withdrawn instead, so the worker skips it, and the caller
+    verifies it inline: waiting would cost the verifications queued ahead of
+    it plus a wake-up, more than one verification. `take` also returns None
+    for a triple the worker never saw. At most MAX_IN_FLIGHT triples go
+    unanswered, so neither pipe can fill. If the worker dies, what was in
+    flight is forgotten and `take` returns None from then on.
+    """
+
+    MAX_IN_FLIGHT = 256  # 32 KiB of triples: half a Linux pipe buffer
+    KEEP = 4096  # an unused verdict is dropped after between KEEP and 2 * KEEP newer ones arrive
+
+    def __init__(self):
+        # Shared with the worker: byte `seq % MAX_IN_FLIGHT` is 1 once triple `seq` is withdrawn.
+        self._withdrawn = mmap.mmap(-1, self.MAX_IN_FLIGHT)
+        requests_r, requests_w = os.pipe()
+        answers_r, answers_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (requests_r, requests_w, answers_r, answers_w):
+                os.close(fd)
+            self._withdrawn.close()
+            raise
+        if pid == 0:
+            os.close(requests_w)
+            os.close(answers_r)
+            _worker_main(requests_r, answers_w, self._withdrawn)
+        os.close(requests_r)
+        os.close(answers_w)
+        os.set_blocking(answers_r, False)
+        self._answered = select.poll()
+        self._answered.register(answers_r, select.POLLIN)
+        self.pid = pid
+        self.fds = (requests_w, answers_r)
+        self.alive = True
+        self._sent: deque = deque()  # triples awaiting their answer, in the order sent
+        self._seq = 0  # sequence number of the next triple sent
+        self._waiting: dict = {}  # triple -> sequence number of its latest send, while unanswered
+        self._ready: dict = {}  # triple -> verdict, arrived and not yet taken
+        self._older: dict = {}  # the previous generation of _ready
+
+    def submit(self, triple: bytes) -> None:
+        while self.alive and len(self._sent) >= self.MAX_IN_FLIGHT:
+            self._answered.poll()  # the worker is far behind: wait for one answer
+            self.collect()
+        if not self.alive:
+            return
+        self._withdrawn[self._seq % self.MAX_IN_FLIGHT] = 0
+        try:
+            os.write(self.fds[0], triple)
+        except OSError:
+            self._lost()
+            return
+        self._sent.append(triple)
+        self._waiting[triple] = self._seq
+        self._seq += 1
+
+    def take(self, triple: bytes):
+        """The worker's verdict on `triple`, or None if the caller must verify it."""
+        if triple in self._waiting:
+            self.collect()
+            seq = self._waiting.get(triple)
+            if seq is not None:
+                self._withdrawn[seq % self.MAX_IN_FLIGHT] = 1
+                return None
+        verdict = self._ready.pop(triple, None)
+        return self._older.pop(triple, None) if verdict is None else verdict
+
+    def collect(self) -> None:
+        """File every answer that has arrived, without waiting for more."""
+        if not self._sent:
+            return
+        try:
+            answers = os.read(self.fds[1], len(self._sent))
+        except BlockingIOError:
+            return
+        except OSError:
+            answers = b""
+        if not answers:
+            self._lost()
+            return
+        for answer in answers:
+            seq = self._seq - len(self._sent)
+            triple = self._sent.popleft()
+            if self._waiting.get(triple) == seq:
+                del self._waiting[triple]
+            if not self._withdrawn[seq % self.MAX_IN_FLIGHT]:  # else it was verified inline
+                self._ready[triple] = answer == 1
+        if len(self._ready) >= self.KEEP:
+            self._older, self._ready = self._ready, {}
+
+    def _lost(self) -> None:
+        self.alive = False
+        self._sent.clear()
+        self._waiting.clear()
+
+    def close(self) -> None:
+        """Close both pipes, end the worker and reap it.
+
+        The kill makes the end immediate, also when a process forked since
+        holds a copy of a pipe and the worker would never see end-of-file."""
+        self._lost()
+        for fd in self.fds:
+            os.close(fd)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self._withdrawn.close()
+
+
+def _worker_main(requests: int, answers: int, withdrawn: mmap.mmap) -> None:
+    """The worker's whole life; it leaves only through os._exit, so it never
+    runs the parent's exit handlers."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        gc.disable()  # a collection would touch, and so copy, every page shared with the parent
+        seq = 0
+        pending = b""
+        while True:
+            chunk = os.read(requests, BackgroundVerifier.MAX_IN_FLIGHT * TRIPLE_LEN)
+            if not chunk:
+                break
+            pending += chunk
+            whole = len(pending) - len(pending) % TRIPLE_LEN
+            for start in range(0, whole, TRIPLE_LEN):
+                # A withdrawn triple is skipped; the parent ignores its answer.
+                ok = not withdrawn[seq % BackgroundVerifier.MAX_IN_FLIGHT] and _verify_inline(
+                    pending[start : start + KEY_LEN],
+                    pending[start + KEY_LEN : start + KEY_LEN + SIG_LEN],
+                    pending[start + KEY_LEN + SIG_LEN : start + TRIPLE_LEN],
+                )
+                os.write(answers, b"\x01" if ok else b"\x00")
+                seq += 1
+            pending = pending[whole:]
+    finally:
+        os._exit(0)
+
+
+_worker: Optional[BackgroundVerifier] = None
+
+
+def _can_verify_ahead() -> bool:
+    """A worker helps only on a second CPU, and forking is safe only without other threads."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (
+        hasattr(os, "fork")
+        and affinity is not None
+        and len(affinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+@contextmanager
+def verifying_ahead():
+    """Verify the signatures made inside the block in a background worker.
+
+    Yields the worker, or None where none can run (no fork, one CPU, other
+    threads, or one is already active); then everything is verified inline.
+    On exit, also by an exception, the worker's pipes are closed and it is reaped.
+    """
+    global _worker
+    worker = None
+    if _worker is None and _can_verify_ahead():
+        try:
+            worker = BackgroundVerifier()
+        except OSError:  # no process or pipe to spare
+            pass
+    if worker is None:
+        yield None
+        return
+    _worker = worker
+    try:
+        yield worker
+    finally:
+        _worker = None
+        worker.close()
 
 
 @dataclass
@@ -212,7 +429,7 @@ def seal_message(
     aead_nonce/rng exist so simulations can draw the cipher nonce from a
     seeded stream; by default it is fresh OS randomness per call.
     """
-    sender_public = _ed_private(bytes(sender_private)).public_key().public_bytes_raw()
+    sender_public = _ed_public(bytes(sender_private))
     if message.identification != sender_public:
         raise IdentityMismatch("identification field does not match signing key")
     key = derive_shared_key(sender_private, receiver_public)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .bench import RunPlan, cmd_attack, cmd_channel_overhead, cmd_run
 from .channel import MODES
 from .sim import ATTACK_KINDS, ScenarioConfig
+
+ATTACK_SEED = 7
 
 
 def _int_list(text: str) -> list:
@@ -39,24 +40,22 @@ def build_parser() -> argparse.ArgumentParser:
     at_p = sub.add_parser("attack", help="run one attack drill and report PASS/FAIL")
     at_p.add_argument("--kind", choices=list(ATTACK_KINDS), required=True)
     at_p.add_argument("--config", default=None, help="scenario JSON file")
-    at_p.add_argument("--seed", type=int, default=7)
+    at_p.add_argument("--seed", type=int, default=None, help=f"wins over the config file's seed (default {ATTACK_SEED})")
     at_p.add_argument("--out", default=None, help="directory for the attacked trace.jsonl and alerts.csv")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    env_seed = os.environ.get("EDGELINKER_SEED")
 
     if args.command == "run":
-        seed = int(env_seed) if env_seed else args.seed
         plan = RunPlan(
             node_counts=args.nodes,
             task_counts=args.tasks,
             repetitions=args.reps,
             workload=args.workload,
             channel_mode=args.channel,
-            seed=seed,
+            seed=args.seed,
             block_interval_ms=args.interval_ms,
             task_period_us=args.task_period_us,
         )
@@ -89,12 +88,9 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        # Priority: environment override, then the config file, then the flag.
         seed = args.seed
-        if config is not None and config.seed is not None:
-            seed = config.seed
-        if env_seed:
-            seed = int(env_seed)
+        if seed is None:
+            seed = config.seed if config is not None and config.seed is not None else ATTACK_SEED
         report = cmd_attack(args.kind, config, seed)
         for line in report.lines:
             print(line)

@@ -69,7 +69,6 @@ class GasSchedule:
     add_data: int = 48_182
     grant: int = 23_521
     revoke: int = 21_948
-    read_query: int = 21_000
     transfer: int = 21_000
 
     @classmethod

@@ -762,13 +762,14 @@ class Simulation:
             self._push(at_us, ("node_timer", src, key))
 
     def run(self) -> SimTrace:
-        while self.heap and not self.stop:
-            t_us, _seq, item = heapq.heappop(self.heap)
-            if t_us > self.duration_us:
-                break
-            self.now_us = t_us
-            self._dispatch(item)
-            self._check_stop()
+        with ch.verifying_ahead():
+            while self.heap and not self.stop:
+                t_us, _seq, item = heapq.heappop(self.heap)
+                if t_us > self.duration_us:
+                    break
+                self.now_us = t_us
+                self._dispatch(item)
+                self._check_stop()
         self._finish()
         return self.trace
 

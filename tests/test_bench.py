@@ -1,6 +1,8 @@
 import copy
 import csv
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -127,11 +129,28 @@ class TestCli:
         assert (tmp_path / "results.csv").exists()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
+        # The seed has two sources: --seed wins over the config file's seed,
+        # which wins over the default. The environment changes nothing.
         monkeypatch.setenv("EDGELINKER_SEED", "99")
         main(["run", "--nodes", "2", "--tasks", "10", "--reps", "1",
               "--interval-ms", "200", "--seed", "3", "--out", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["plan"]["seed"] == 99
+        assert manifest["plan"]["seed"] == 3
+
+        from edgelinker import cli
+        from edgelinker.sim import ScenarioConfig
+
+        used = []
+        monkeypatch.setattr(
+            cli, "cmd_attack",
+            lambda kind, config, seed: used.append(seed) or SimpleNamespace(lines=[], passed=True, stats={}),
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(replace(ScenarioConfig(), seed=11).to_json())
+        main(["attack", "--kind", "replay", "--config", str(path), "--seed", "3"])
+        main(["attack", "--kind", "replay", "--config", str(path)])
+        main(["attack", "--kind", "replay"])
+        assert used == [3, 11, cli.ATTACK_SEED]
 
     def test_channel_overhead_subcommand(self, tmp_path, capsys):
         code = main(["channel-overhead", "--sizes", "64", "--samples", "100", "--out", str(tmp_path)])

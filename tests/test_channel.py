@@ -1,5 +1,9 @@
+import contextlib
 import hashlib
+import os
 import random
+import select
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -220,3 +224,122 @@ def test_signature_binds_message_digest():
     encoded, sig = plaintext[:-64], plaintext[-64:]
     assert encoded == m.encode()
     assert ch.verify_digest(a.public_key, sig, hashlib.sha256(encoded).digest())
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than `seconds`."""
+
+    def expire(*_args):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="class")
+def worker():
+    """A live background verifier, also where it would not start by itself."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the background verifier needs os.fork")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ch, "_can_verify_ahead", lambda: True)
+        with ch.verifying_ahead() as live:
+            assert live is not None and ch._worker is live
+            yield live
+    assert ch._worker is None
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def settle(worker):
+    """Wait until the worker has answered every triple sent to it."""
+    with deadline(60):
+        while worker._sent:
+            select.select([worker.fds[1]], [], [])
+            worker.collect()
+
+
+class TestVerifyingAhead:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.binary(min_size=32, max_size=32),
+        digest=st.binary(min_size=32, max_size=32),
+        bit=st.integers(0, 8 * 64 - 1),
+    )
+    def test_worker_verdicts_equal_inline_verdicts(self, worker, seed, digest, bit):
+        pair = generate_keypair(seed)
+        signature = ch.sign_digest(pair.private_key, digest)
+        settle(worker)
+        assert worker.take(pair.public_key + signature + digest) is True  # verified by the worker
+        assert worker.take(pair.public_key + signature + digest) is None  # popped on first use
+        other_key = generate_keypair(hashlib.sha256(seed).digest()).public_key
+        tampered = [
+            (pair.public_key, flip_bit(signature, bit), digest),
+            (pair.public_key, signature, hashlib.sha256(digest).digest()),
+            (other_key, signature, digest),
+        ]
+        for key, sig, dig in tampered:
+            inline = ch._verify_inline(key, sig, dig)
+            assert inline is False
+            # A triple the worker never saw is verified inline ...
+            assert ch._verify_cached.__wrapped__(key, sig, dig) is inline
+            # ... and one it did see gets the same verdict from the worker.
+            worker.submit(key + sig + dig)
+            settle(worker)
+            assert worker.take(key + sig + dig) is inline
+
+    def test_a_thousand_signatures_ahead_of_their_verifies(self, worker):
+        pair = kp("ahead")
+        digests = [hashlib.sha256(b"ahead %d" % i).digest() for i in range(1000)]
+        with deadline(60):
+            signatures = [ch.sign_digest(pair.private_key, d) for d in digests]
+        settle(worker)
+        verdicts = [worker.take(pair.public_key + s + d) for s, d in zip(signatures, digests)]
+        assert verdicts == [True] * len(digests)
+        assert worker.alive
+
+    def test_a_triple_in_flight_is_withdrawn_and_verified_inline(self, worker):
+        pair = kp("withdrawn")
+        digests = [hashlib.sha256(b"withdrawn %d" % i).digest() for i in range(200)]
+        signatures = [ch.sign_digest(pair.private_key, d) for d in digests]
+        last = pair.public_key + signatures[-1] + digests[-1]
+        # The worker is still on the first of 200 verifications.
+        assert worker.take(last) is None
+        assert ch.verify_digest(pair.public_key, signatures[-1], digests[-1])
+        settle(worker)
+        assert worker.take(last) is None  # its verdict is not kept: it was verified inline
+        assert worker.take(pair.public_key + signatures[0] + digests[0]) is True
+
+    def test_a_digest_of_another_length_is_not_sent(self, worker):
+        pair = kp("short")
+        short = ch.sign_digest(pair.private_key, b"twenty bytes, no sha")
+        digest = hashlib.sha256(b"after the short one").digest()
+        signature = ch.sign_digest(pair.private_key, digest)
+        settle(worker)
+        assert worker.take(pair.public_key + signature + digest) is True  # the framing held
+        assert ch.verify_digest(pair.public_key, short, b"twenty bytes, no sha")
+
+    def test_verify_digest_takes_the_worker_verdict(self, worker):
+        pair = kp("take")
+        digest = hashlib.sha256(b"take").digest()
+        signature = ch.sign_digest(pair.private_key, digest)
+        settle(worker)
+        assert ch.verify_digest(pair.public_key, signature, digest)
+        assert worker.take(pair.public_key + signature + digest) is None
+
+
+def test_nothing_forks_outside_verifying_ahead(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked outside verifying_ahead"))
+    a, b = kp("a"), kp("b")
+    assert open_message(seal_message(msg_for(a), a.private_key, b.public_key), b.private_key, a.public_key)
+    assert ch._worker is None

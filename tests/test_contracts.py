@@ -446,3 +446,10 @@ class TestGasSchedule:
         raw["gas_schedule"] = {"deploy": 5, "bogus": 2}
         with pytest.raises(ValueError, match="bogus"):
             GenesisConfig.from_json(json.dumps(raw))
+
+    def test_reads_have_no_gas_key(self):
+        # Reads are served off-chain and charged nothing, so a genesis that
+        # prices them names a key that does not exist.
+        raw = json.loads(GenesisConfig(chain_id=1, authorities=[addr("a")], gas={"read_query": 5}).to_json())
+        with pytest.raises(ValueError, match="read_query"):
+            GenesisConfig.from_json(json.dumps(raw))

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -191,6 +192,86 @@ class TestDeviceSignatures:
         actor = sim.actors["patient0"]
         actor.wake(0, actor.steps[0].at_us)
         assert signed == [actor.keypair.private_key] * 2
+
+
+@pytest.fixture
+def forced_worker(monkeypatch):
+    """Start the background verifier in every run, also where it would not by itself."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the background verifier needs os.fork")
+    monkeypatch.setattr(channel, "_can_verify_ahead", lambda: True)
+
+
+def capture_worker(monkeypatch, after_events=None, action=None):
+    """Returns [the live worker, then whether it was alive at each event];
+    calls `action(worker)` at event number `after_events`."""
+    seen = []
+    original = Simulation._dispatch
+
+    def dispatch(sim, item):
+        if not seen:
+            seen.append(channel._worker)
+        if len(seen) == after_events:
+            action(seen[0])
+        seen.append(channel._worker.alive)
+        original(sim, item)
+
+    monkeypatch.setattr(Simulation, "_dispatch", dispatch)
+    return seen
+
+
+def assert_reaped(worker):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(worker.pid, os.WNOHANG)
+    for fd in worker.fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+class TestBackgroundVerifier:
+    CONFIG = ScenarioConfig(nodes=4, workload="mixed", tasks=60, block_interval_ms=200)
+
+    def test_worker_killed_mid_run_changes_no_result(self, forced_worker, monkeypatch):
+        undisturbed = run_scenario(self.CONFIG, 11)
+        seen = capture_worker(monkeypatch, 150, lambda worker: os.kill(worker.pid, signal.SIGKILL))
+        disturbed = run_scenario(self.CONFIG, 11)
+        worker = seen[0]
+        assert worker is not None and len(seen) > 300  # killed with much of the run still ahead
+        assert seen[-1] is False  # the run noticed, and verified inline from then on
+        assert_reaped(worker)
+        for node_id, final in undisturbed.final.items():
+            assert disturbed.final[node_id].tip_hash == final.tip_hash
+            assert disturbed.final[node_id].world.digest() == final.world.digest()
+        assert disturbed.jsonl() == undisturbed.jsonl()
+
+    def test_worker_reaped_after_run_returns(self, forced_worker, monkeypatch):
+        seen = capture_worker(monkeypatch)
+        run_scenario(self.CONFIG, 12)
+        assert seen[0] is not None and all(seen[1:])
+        assert_reaped(seen[0])
+        assert channel._worker is None
+
+    def test_worker_reaped_after_run_raises(self, forced_worker, monkeypatch):
+        def fail(_worker):
+            raise RuntimeError("event handler failed")
+
+        seen = capture_worker(monkeypatch, 50, fail)
+        with pytest.raises(RuntimeError, match="event handler failed"):
+            run_scenario(self.CONFIG, 13)
+        assert seen[0] is not None
+        assert_reaped(seen[0])
+        assert channel._worker is None
+
+    def test_driving_a_node_outside_run_starts_no_process(self, forced_worker, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked outside Simulation.run"))
+        sim = Simulation(ScenarioConfig(nodes=1, workload="write", tasks=2, block_interval_ms=200), 5)
+        actor = sim.actors["patient0"]
+        (send,) = actor.wake(0, actor.steps[0].at_us)
+        node = sim.nodes[send.dst]
+        assert node.handle_envelope(send.body, actor.steps[0].at_us).result == "ack"
+        node.on_timer(("propose", node.engine.height), sim.config.block_interval_ms * 1000)
+        assert node.chain.height == 1
+        assert channel._worker is None
 
 
 class TestFaults:
