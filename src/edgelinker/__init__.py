@@ -2,8 +2,8 @@
 
 from .channel import (
     ChannelMessage,
+    Endpoint,
     KeyPair,
-    ReplayState,
     SecureEnvelope,
     derive_shared_key,
     generate_keypair,
@@ -24,12 +24,12 @@ __all__ = [
     "Chain",
     "ChannelMessage",
     "ConsensusEngine",
+    "Endpoint",
     "FogNode",
     "GasSchedule",
     "GenesisConfig",
     "KeyPair",
     "LinkModel",
-    "ReplayState",
     "ScenarioConfig",
     "SecureEnvelope",
     "Transaction",

@@ -8,9 +8,10 @@ Diffie-Hellman key. The symmetric key is derived through HKDF over the raw
 X25519 secret plus both identity keys sorted lexicographically, so it is
 useless between any other pair of parties.
 
-Replay protection is an application-level counter: each sender's nonce must
-increase by exactly one per accepted message, and timestamps must fall
-inside a configurable skew window.
+Replay protection is an application-level counter per ordered pair of
+parties, kept by each party's `Endpoint`: a receiver accepts from a sender
+only the counter after the last one it accepted, with a timestamp inside
+CLOCK_SKEW_MS of its own clock.
 
 While `verifying_ahead` is active, every signature `sign_digest` makes is
 also handed to one forked worker process that verifies it right away, so a
@@ -30,8 +31,7 @@ import signal
 import threading
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -61,23 +61,25 @@ _CURVE_P = 2**255 - 19
 
 
 class ChannelError(Exception):
-    """Base class for secure-channel failures."""
+    """Base class for secure-channel failures; `reason` names the failure in traces."""
+
+    reason = "bad_wire"
 
 
 class InvalidPublicKey(ChannelError):
-    pass
+    reason = "invalid_public_key"
 
 
 class IdentityMismatch(ChannelError):
-    pass
+    reason = "identity_mismatch"
 
 
 class DecryptFailed(ChannelError):
-    pass
+    reason = "decrypt_failed"
 
 
 class SignatureInvalid(ChannelError):
-    pass
+    reason = "signature_invalid"
 
 
 @dataclass(frozen=True)
@@ -474,18 +476,13 @@ def open_message(envelope: SecureEnvelope, receiver_private: bytes, sender_publi
 
 
 MODES = ("secure", "plain")
-
-
-def seal_wire(message: ChannelMessage, mode: str, sender_private: bytes, receiver_public: bytes, rng=None) -> bytes:
-    """The bytes that carry `message` in channel `mode`: a sealed envelope, or the plain encoding."""
-    if mode == "secure":
-        return seal_message(message, sender_private, receiver_public, rng=rng).to_bytes()
-    return message.encode()
+CLOCK_SKEW_MS = 30_000  # largest accepted distance between a message's timestamp and the receiver's clock
 
 
 def open_wire(raw: bytes, mode: str, receiver_private: bytes, sender_public: Optional[bytes] = None) -> ChannelMessage:
-    """Inverse of seal_wire. With no `sender_public`, a sealed envelope is
-    opened as coming from the sender its cleartext hint names.
+    """Open the bytes that carry a message in channel `mode`, without any
+    counter check. With no `sender_public`, a sealed envelope is opened as
+    coming from the sender its cleartext hint names.
 
     Raises ChannelError or DecodeError when the bytes do not open.
     """
@@ -496,43 +493,64 @@ def open_wire(raw: bytes, mode: str, receiver_private: bytes, sender_public: Opt
     return ChannelMessage.decode(raw)
 
 
-class RejectReason(str, Enum):
-    NONCE_REPLAYED = "nonce_replayed"
-    NONCE_GAP = "nonce_gap"
-    STALE_TIMESTAMP = "stale_timestamp"
+class CounterRejected(ChannelError):
+    """The bytes opened, but the message is not its sender's next one; `message` is what opened."""
+
+    def __init__(self, message: ChannelMessage, expected: int):
+        super().__init__(f"nonce {message.nonce} at timestamp {message.timestamp}, expected nonce {expected}")
+        self.message = message
 
 
-@dataclass
-class ReplayVerdict:
-    accepted: bool
-    reason: Optional[RejectReason] = None
-    expected_nonce: int = 0
+class NonceReplayed(CounterRejected):
+    reason = "nonce_replayed"
 
 
-@dataclass
-class ReplayState:
-    """Highest accepted counter per sender, plus the timestamp window.
+class NonceGap(CounterRejected):
+    reason = "nonce_gap"
 
-    Single-writer: the owning node must serialize check_and_record calls.
+
+class StaleTimestamp(CounterRejected):
+    reason = "stale_timestamp"
+
+
+class Endpoint:
+    """One party's end of every channel it holds: its keys, the channel mode
+    and one counter per peer in each direction.
+
+    Single-writer: the owning party must serialize its calls.
     """
 
-    last_nonce: dict = field(default_factory=dict)
-    clock_skew_ms: int = 30_000
+    def __init__(self, keypair: KeyPair, mode: str, rng=None):
+        self.keypair = keypair
+        self.mode = mode
+        self.rng = rng  # stream of the cipher nonces; None means fresh OS randomness
+        self.last_sent: dict = {}  # peer public key -> last counter sealed to it
+        self.last_accepted: dict = {}  # sender public key -> last counter accepted from it
 
-    def check_and_record(self, message: ChannelMessage, now_ms: int) -> ReplayVerdict:
-        """Accept only the next counter value inside the skew window."""
-        last = self.last_nonce.get(message.identification, 0)
-        expected = last + 1
-        if message.nonce <= last:
-            return ReplayVerdict(False, RejectReason.NONCE_REPLAYED, expected)
+    def seal(self, peer_public: bytes, body: bytes, now_ms: int) -> bytes:
+        """The bytes that carry `body` to the peer under the next counter:
+        a sealed envelope in secure mode, the plain encoding otherwise."""
+        nonce = self.last_sent.get(peer_public, 0) + 1
+        self.last_sent[peer_public] = nonce
+        message = ChannelMessage(now_ms, nonce, self.keypair.public_key, body)
+        if self.mode == "secure":
+            return seal_message(message, self.keypair.private_key, peer_public, rng=self.rng).to_bytes()
+        return message.encode()
+
+    def open(self, raw: bytes, now_ms: int) -> ChannelMessage:
+        """Open the bytes and accept only the sender's next counter inside the skew window.
+
+        Raises a CounterRejected subclass for a message that opens but is not
+        accepted, which consumes no counter, and another ChannelError or a
+        DecodeError for bytes that do not open.
+        """
+        message = open_wire(raw, self.mode, self.keypair.private_key)
+        expected = self.last_accepted.get(message.identification, 0) + 1
+        if message.nonce < expected:
+            raise NonceReplayed(message, expected)
         if message.nonce > expected:
-            return ReplayVerdict(False, RejectReason.NONCE_GAP, expected)
-        if abs(message.timestamp - now_ms) > self.clock_skew_ms:
-            return ReplayVerdict(False, RejectReason.STALE_TIMESTAMP, expected)
-        self.last_nonce[message.identification] = message.nonce
-        return ReplayVerdict(True, None, expected)
-
-    def observe_floor(self, sender: bytes, nonce: int) -> None:
-        """Raise the stored floor, e.g. when rebuilding from ledger history."""
-        if nonce > self.last_nonce.get(sender, 0):
-            self.last_nonce[sender] = nonce
+            raise NonceGap(message, expected)
+        if abs(message.timestamp - now_ms) > CLOCK_SKEW_MS:
+            raise StaleTimestamp(message, expected)
+        self.last_accepted[message.identification] = message.nonce
+        return message

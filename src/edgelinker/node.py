@@ -165,10 +165,9 @@ class NodeConfig:
 
 @dataclass
 class ProxyEntry:
-    keypair: ch.KeyPair
+    endpoint: ch.Endpoint  # holds the proxy identity's keys and its channel counter
     contract: bytes
     next_account_nonce: int = 1
-    channel_nonce: int = 0
 
 
 def proxy_keypair(node_public: bytes, legacy_id: str) -> ch.KeyPair:
@@ -200,7 +199,7 @@ class FogNode:
         self.schedule = GasSchedule.from_dict(genesis_config.gas)
         self.chain = Chain.from_genesis(make_genesis(genesis_config), genesis_config.authorities)
         self.world = genesis_world(genesis_config)
-        self.replay = ch.ReplayState()
+        self.endpoint = ch.Endpoint(keypair, self.cfg.channel_mode, rng)
         auth_cfg = AuthorityConfig(
             authorities=list(genesis_config.authorities),
             round_timeout_us=2 * self.block_interval_us,
@@ -209,7 +208,6 @@ class FogNode:
         self.peer_ids = [p for p in peer_ids if p != node_id]
         self.directory = directory  # public key -> transport id
         self.rec = recorder or _no_record
-        self.rng = rng
 
         self.mempool: dict = {}  # tx hash -> Transaction, insertion ordered
         self._in_chain: set = set()
@@ -217,7 +215,6 @@ class FogNode:
         self.alerts: list = []
         self._alert_keys: set = set()
         self.proxy_table: dict = {}
-        self.outbound_nonces: dict = {}
         self.busy_until_us = 0
         self._next_propose_us = now_us + self.block_interval_us
 
@@ -229,34 +226,22 @@ class FogNode:
         out.timers.append((self.engine.deadline_us, ("round", self.engine.height, self.engine.round)))
         return out
 
-    def rebuild_replay_floor(self) -> None:
-        """Seed replay counters from ledger history after a restart."""
-        for block in self.chain.blocks[1:]:
-            for tx in block.transactions:
-                self.replay.observe_floor(tx.sender, tx.nonce)
-
     # -- channel ingress -------------------------------------------------------
 
     def handle_envelope(self, raw: bytes, now_us: int) -> NodeOutput:
         out = NodeOutput()
         try:
-            message = ch.open_wire(raw, self.cfg.channel_mode, self.keypair.private_key)
-        except (ch.ChannelError, DecodeError) as exc:
-            return self._reject(out, _channel_reason(exc), detail=str(exc))
-
-        verdict = self.replay.check_and_record(message, now_us // 1000)
-        if not verdict.accepted:
-            reason = verdict.reason.value
-            if verdict.reason == ch.RejectReason.NONCE_REPLAYED:
-                self._raise_alert(
-                    AlertKind.REPLAY_DETECTED,
-                    message.identification,
-                    self.chain.height,
-                    f"nonce={message.nonce}",
-                    now_us,
-                    out,
-                )
-            return self._reject(out, reason, sender=message.identification.hex()[:16])
+            message = self.endpoint.open(raw, now_us // 1000)
+        except ch.CounterRejected as exc:
+            sender = exc.message.identification
+            if isinstance(exc, ch.NonceReplayed):
+                detail = f"nonce={exc.message.nonce}"
+                self._raise_alert(AlertKind.REPLAY_DETECTED, sender, self.chain.height, detail, now_us, out)
+            return self._reject(out, exc.reason, sender=sender.hex()[:16])
+        except ch.ChannelError as exc:
+            return self._reject(out, exc.reason, detail=str(exc))
+        except DecodeError as exc:
+            return self._reject(out, ch.ChannelError.reason, detail=str(exc))
 
         is_query = message.body[:1] == bytes((Query.WIRE_TAG,))
         try:
@@ -330,23 +315,18 @@ class FogNode:
         )
         dst = self.directory.get(caller)
         if dst is not None:
-            raw = self._wrap_to(caller, body.encode(), completion)
+            raw = self.endpoint.seal(caller, body.encode(), completion // 1000)
             out.sends.append(Send(dst, REPLY, raw, at_us=completion))
         out.result = "ack"
         return out
 
-    def _wrap_to(self, recipient_pk: bytes, body: bytes, now_us: int) -> bytes:
-        nonce = self.outbound_nonces.get(recipient_pk, 0) + 1
-        self.outbound_nonces[recipient_pk] = nonce
-        message = ch.ChannelMessage(now_us // 1000, nonce, self.keypair.public_key, body)
-        return ch.seal_wire(message, self.cfg.channel_mode, self.keypair.private_key, recipient_pk, self.rng)
-
     # -- legacy proxy ------------------------------------------------------------
 
     def register_legacy(self, legacy_id: str, contract: bytes) -> ch.KeyPair:
-        entry = ProxyEntry(keypair=proxy_keypair(self.keypair.public_key, legacy_id), contract=contract)
-        self.proxy_table[legacy_id] = entry
-        return entry.keypair
+        keypair = proxy_keypair(self.keypair.public_key, legacy_id)
+        endpoint = ch.Endpoint(keypair, self.cfg.channel_mode, self.endpoint.rng)  # shares the node's nonce stream
+        self.proxy_table[legacy_id] = ProxyEntry(endpoint, contract)
+        return keypair
 
     def proxy_submit(self, legacy_id: str, payload: bytes, now_us: int) -> NodeOutput:
         """Wrap a raw legacy reading in a proxied, channel-secured transaction."""
@@ -358,15 +338,13 @@ class FogNode:
         except DecodeError:
             return self._reject(NodeOutput(), "bad_legacy_payload", legacy_id=legacy_id)
         tx = make_transaction(
-            entry.keypair,
+            entry.endpoint.keypair,
             entry.next_account_nonce,
             now_us // 1000,
             Call(entry.contract, METHOD_ADD_READING, payload),
         )
         entry.next_account_nonce += 1
-        entry.channel_nonce += 1
-        message = ch.ChannelMessage(now_us // 1000, entry.channel_nonce, entry.keypair.public_key, tx.encode())
-        raw = ch.seal_wire(message, self.cfg.channel_mode, entry.keypair.private_key, self.keypair.public_key, self.rng)
+        raw = entry.endpoint.seal(self.keypair.public_key, tx.encode(), now_us // 1000)
         return self.handle_envelope(raw, now_us)
 
     # -- consensus ---------------------------------------------------------------
@@ -491,7 +469,7 @@ class FogNode:
             dst = self.directory.get(client_pk)
             if dst is not None:
                 body = ConfirmBody(block.header.height, tuple(entries))
-                out.sends.append(Send(dst, CONFIRM, self._wrap_to(client_pk, body.encode(), now_us)))
+                out.sends.append(Send(dst, CONFIRM, self.endpoint.seal(client_pk, body.encode(), now_us // 1000)))
 
     # -- monitoring -----------------------------------------------------------
 
@@ -526,15 +504,3 @@ class FogNode:
             self.alerts.append(alert)
             self.rec("alert_received", alert_kind=alert.kind, height=alert.height)
         return out
-
-
-def _channel_reason(exc: Exception) -> str:
-    if isinstance(exc, ch.DecryptFailed):
-        return "decrypt_failed"
-    if isinstance(exc, ch.SignatureInvalid):
-        return "signature_invalid"
-    if isinstance(exc, ch.IdentityMismatch):
-        return "identity_mismatch"
-    if isinstance(exc, ch.InvalidPublicKey):
-        return "invalid_public_key"
-    return "bad_wire"

@@ -318,9 +318,8 @@ class DeviceActor:
         self.primary = primary
         self.steps = sorted(steps, key=lambda s: s.at_us)
         self.sim = sim
-        self.rng = child_rng(sim.seed, "actor", actor_id)
+        self.endpoint = ch.Endpoint(keypair, sim.config.channel_mode, child_rng(sim.seed, "actor", actor_id))
         self.account_nonce = 1
-        self.channel_nonces: dict = {}
         self.sent_tx: dict = {}  # tx hash -> (t_send, label, measured)
         self.pending_queries: dict = {}  # node id -> deque of (t_send, label, measured)
 
@@ -337,29 +336,22 @@ class DeviceActor:
             # A read is no transaction: the channel signature authenticates it.
             self.pending_queries.setdefault(node_id, deque()).append((now_us, step.label, step.measured))
             body = step.payload.encode()
-        raw = self._wrap(body, node_id, now_us)
+        raw = self.endpoint.seal(self.sim.node_keys[node_id].public_key, body, now_us // 1000)
         self.sim.trace.add(now_us, self.id, "task_sent", {"label": step.label, "measured": step.measured})
         return [Send(node_id, CLIENT, raw)]
 
-    def _wrap(self, body: bytes, node_id: str, now_us: int) -> bytes:
-        nonce = self.channel_nonces.get(node_id, 0) + 1
-        self.channel_nonces[node_id] = nonce
-        message = ChannelMessage(now_us // 1000, nonce, self.keypair.public_key, body)
-        node_pk = self.sim.node_keys[node_id].public_key
-        return ch.seal_wire(message, self.sim.config.channel_mode, self.keypair.private_key, node_pk, self.rng)
-
     def on_receive(self, raw: bytes, src: str, now_us: int) -> None:
+        # Node messages are authenticated; their counters are not checked yet.
+        node_pk = self.sim.node_keys[src].public_key
         try:
-            message = ch.open_wire(
-                raw, self.sim.config.channel_mode, self.keypair.private_key, self.sim.node_keys[src].public_key
-            )
-        except ch.ChannelError:
+            body = ch.open_wire(raw, self.endpoint.mode, self.keypair.private_key, node_pk).body
+            is_confirm = body[:1] == bytes((ConfirmBody.WIRE_TAG,))
+            record = ConfirmBody.decode(body) if is_confirm else QueryReplyBody.decode(body)
+        except (ch.ChannelError, DecodeError):
             self.sim.trace.add(now_us, self.id, "client_reject", {"from": src})
             return
-        body = message.body
-        if body and body[0] == ConfirmBody.WIRE_TAG:
-            confirm = ConfirmBody.decode(body)
-            for entry in confirm.entries:
+        if is_confirm:
+            for entry in record.entries:
                 sent = self.sent_tx.pop(entry.tx_hash, None)
                 if sent is None:
                     continue
@@ -374,15 +366,14 @@ class DeviceActor:
                         "t_send_us": t_send,
                         "rtt_us": now_us - t_send,
                         "delay_node_us": entry.delay_us,
-                        "height": confirm.height,
+                        "height": record.height,
                         "tx": entry.tx_hash.hex()[:16],
                         "result": entry.result,
                         "reason": entry.reason,
                     },
                 )
                 self.sim.note_response()
-        elif body and body[0] == QueryReplyBody.WIRE_TAG:
-            reply = QueryReplyBody.decode(body)
+        else:
             queue = self.pending_queries.get(src)
             if not queue:
                 return
@@ -396,8 +387,8 @@ class DeviceActor:
                     "measured": measured,
                     "t_send_us": t_send,
                     "rtt_us": now_us - t_send,
-                    "status": reply.status,
-                    "count": len(reply.readings),
+                    "status": record.status,
+                    "count": len(record.readings),
                 },
             )
             self.sim.note_response()
@@ -519,7 +510,7 @@ class DoSAttacker(AttackerBase):
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
         self.nonce = 1
-        self.channel_nonce = 0
+        self.endpoint = ch.Endpoint(keypair, sim.config.channel_mode, self.rng)
         self.stats = {"flood_sent": 0, "balance": params["balance"]}
 
     def schedule(self):
@@ -533,10 +524,7 @@ class DoSAttacker(AttackerBase):
         args = encode_reading_args(now_us // 1000, 77)
         tx = make_transaction(self.keypair, self.nonce, now_us // 1000, Call(contract, METHOD_ADD_READING, args))
         self.nonce += 1
-        self.channel_nonce += 1
-        message = ChannelMessage(now_us // 1000, self.channel_nonce, self.keypair.public_key, tx.encode())
-        node_pk = self.sim.node_keys["n0"].public_key
-        raw = ch.seal_wire(message, self.sim.config.channel_mode, self.keypair.private_key, node_pk, self.rng)
+        raw = self.endpoint.seal(self.sim.node_keys["n0"].public_key, tx.encode(), now_us // 1000)
         self.stats["flood_sent"] += 1
         self.sim.trace.add(now_us, self.id, "attack_dos_call", {"nonce": tx.nonce})
         return [Send("n0", CLIENT, raw)]
@@ -547,7 +535,6 @@ class SpoofAttacker(AttackerBase):
 
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
-        self.channel_nonce = 100
         self.stats = {"spoof_sent": 0}
 
     def schedule(self):
@@ -560,9 +547,9 @@ class SpoofAttacker(AttackerBase):
         victim_pk = self.params["victim"]
         node_id = "n0"
         node_pk = self.sim.node_keys[node_id].public_key
-        self.channel_nonce += 1
         tx = make_transaction(self.keypair, 1, now_us // 1000, Deploy(HEALTH_RECORD_KIND, b""))
-        message = ChannelMessage(now_us // 1000, self.channel_nonce, victim_pk, tx.encode())
+        # A counter far past the victim's; the forgery fails before any counter is checked.
+        message = ChannelMessage(now_us // 1000, 101 + int(tag), victim_pk, tx.encode())
         encoded = message.encode()
         digest = hashlib.sha256(encoded).digest()
         signature = ch.sign_digest(self.keypair.private_key, digest)

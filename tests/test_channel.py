@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 import edgelinker.channel as ch
 from edgelinker.channel import (
     ChannelMessage,
-    RejectReason,
-    ReplayState,
+    Endpoint,
     SecureEnvelope,
     derive_shared_key,
     generate_keypair,
     open_message,
     seal_message,
 )
+from edgelinker.codec import DecodeError
 from tests.conftest import kp, tseed
 
 NOW_MS = 1_700_000_000_000
@@ -27,6 +27,11 @@ NOW_MS = 1_700_000_000_000
 
 def msg_for(sender, body=b"payload", nonce=1, ts=NOW_MS):
     return ChannelMessage(timestamp=ts, nonce=nonce, identification=sender.public_key, body=body)
+
+
+def sealed(sender, receiver, nonce=1, ts=NOW_MS):
+    """Envelope bytes from `sender` to `receiver` carrying a chosen counter."""
+    return seal_message(msg_for(sender, nonce=nonce, ts=ts), sender.private_key, receiver.public_key).to_bytes()
 
 
 class TestKeypairs:
@@ -132,7 +137,7 @@ class TestWireModes:
     def test_secure_wire_round_trip(self):
         a, b = kp("a"), kp("b")
         m = msg_for(a, body=b"wire")
-        raw = ch.seal_wire(m, "secure", a.private_key, b.public_key, random.Random(3))
+        raw = Endpoint(a, "secure", random.Random(3)).seal(b.public_key, b"wire", NOW_MS)
         assert raw == seal_message(m, a.private_key, b.public_key, rng=random.Random(3)).to_bytes()
         assert ch.open_wire(raw, "secure", b.private_key) == m  # sender taken from the hint
         assert ch.open_wire(raw, "secure", b.private_key, a.public_key) == m
@@ -140,66 +145,121 @@ class TestWireModes:
     def test_plain_wire_round_trip(self):
         a, b = kp("a"), kp("b")
         m = msg_for(a, body=b"wire")
-        raw = ch.seal_wire(m, "plain", a.private_key, b.public_key)
+        raw = Endpoint(a, "plain").seal(b.public_key, b"wire", NOW_MS)
         assert raw == m.encode()
         assert ch.open_wire(raw, "plain", b.private_key) == m
 
     def test_wrong_expected_sender_fails_to_open(self):
         a, b, c = kp("a"), kp("b"), kp("c")
-        raw = ch.seal_wire(msg_for(a), "secure", a.private_key, b.public_key)
+        raw = Endpoint(a, "secure").seal(b.public_key, b"payload", NOW_MS)
         with pytest.raises(ch.DecryptFailed):
             ch.open_wire(raw, "secure", b.private_key, c.public_key)
 
 
 class TestReplayProtection:
+    """`Endpoint.open` accepts from each sender exactly the next counter."""
+
     def test_counter_must_increment_by_one(self):
-        a = kp("a")
-        rs = ReplayState()
-        assert rs.check_and_record(msg_for(a, nonce=1), NOW_MS).accepted
-        verdict = rs.check_and_record(msg_for(a, nonce=1), NOW_MS)
-        assert not verdict.accepted and verdict.reason == RejectReason.NONCE_REPLAYED
-        assert rs.check_and_record(msg_for(a, nonce=2), NOW_MS).accepted
+        a, b = kp("a"), kp("b")
+        receiver = Endpoint(b, "secure")
+        assert receiver.open(sealed(a, b, nonce=1), NOW_MS).nonce == 1
+        with pytest.raises(ch.NonceReplayed) as replayed:
+            receiver.open(sealed(a, b, nonce=1), NOW_MS)
+        assert replayed.value.message == msg_for(a, nonce=1)
+        assert receiver.open(sealed(a, b, nonce=2), NOW_MS).nonce == 2
 
     def test_gap_rejected(self):
-        a = kp("a")
-        rs = ReplayState()
-        rs.check_and_record(msg_for(a, nonce=1), NOW_MS)
-        verdict = rs.check_and_record(msg_for(a, nonce=3), NOW_MS)
-        assert verdict.reason == RejectReason.NONCE_GAP
+        a, b = kp("a"), kp("b")
+        receiver = Endpoint(b, "secure")
+        receiver.open(sealed(a, b, nonce=1), NOW_MS)
+        with pytest.raises(ch.NonceGap):
+            receiver.open(sealed(a, b, nonce=3), NOW_MS)
 
     def test_stale_timestamp_rejected(self):
-        a = kp("a")
-        rs = ReplayState()
-        rs.check_and_record(msg_for(a, nonce=1), NOW_MS)
-        old = msg_for(a, nonce=2, ts=NOW_MS - 5 * 60 * 1000)
-        verdict = rs.check_and_record(old, NOW_MS)
-        assert verdict.reason == RejectReason.STALE_TIMESTAMP
+        a, b = kp("a"), kp("b")
+        receiver = Endpoint(b, "secure")
+        receiver.open(sealed(a, b, nonce=1), NOW_MS)
+        with pytest.raises(ch.StaleTimestamp):
+            receiver.open(sealed(a, b, nonce=2, ts=NOW_MS - 5 * 60 * 1000), NOW_MS)
         # nonce was not consumed by the stale message
-        assert rs.check_and_record(msg_for(a, nonce=2), NOW_MS).accepted
+        assert receiver.open(sealed(a, b, nonce=2), NOW_MS).nonce == 2
 
     def test_future_timestamp_rejected(self):
-        a = kp("a")
-        rs = ReplayState(clock_skew_ms=30_000)
-        verdict = rs.check_and_record(msg_for(a, nonce=1, ts=NOW_MS + 31_000), NOW_MS)
-        assert verdict.reason == RejectReason.STALE_TIMESTAMP
+        a, b = kp("a"), kp("b")
+        receiver = Endpoint(b, "secure")
+        assert ch.CLOCK_SKEW_MS == 30_000
+        with pytest.raises(ch.StaleTimestamp):
+            receiver.open(sealed(a, b, nonce=1, ts=NOW_MS + 31_000), NOW_MS)
+        assert receiver.open(sealed(a, b, nonce=1, ts=NOW_MS + 30_000), NOW_MS).nonce == 1
 
     def test_senders_are_independent(self):
-        a, b = kp("a"), kp("b")
-        rs = ReplayState()
-        assert rs.check_and_record(msg_for(a, nonce=1), NOW_MS).accepted
-        assert rs.check_and_record(msg_for(b, nonce=1), NOW_MS).accepted
+        a, b, c = kp("a"), kp("b"), kp("c")
+        receiver = Endpoint(b, "secure")
+        assert receiver.open(sealed(a, b, nonce=1), NOW_MS).identification == a.public_key
+        assert receiver.open(sealed(c, b, nonce=1), NOW_MS).identification == c.public_key
 
     @settings(max_examples=50, deadline=None)
     @given(attempts=st.lists(st.integers(0, 6), min_size=1, max_size=40))
     def test_accepted_nonces_are_exactly_one_to_k(self, attempts):
         # Whatever interleaving arrives, the accepted subsequence is 1,2,3,...
-        a = kp("a")
-        rs = ReplayState()
+        a, b = kp("a"), kp("b")
+        receiver = Endpoint(b, "secure")
         accepted = []
         for nonce in attempts:
-            if rs.check_and_record(msg_for(a, nonce=nonce), NOW_MS).accepted:
-                accepted.append(nonce)
+            try:
+                accepted.append(receiver.open(sealed(a, b, nonce=nonce), NOW_MS).nonce)
+            except ch.CounterRejected:
+                pass
         assert accepted == list(range(1, len(accepted) + 1))
+
+
+class TestEndpoint:
+    def test_counters_start_at_one_and_are_independent_per_peer(self):
+        a, b, c = kp("a"), kp("b"), kp("c")
+        sender = Endpoint(a, "secure")
+        sent = [(peer, sender.seal(peer.public_key, b"x", NOW_MS)) for peer in (b, c, b, b, c)]
+        nonces = [ch.open_wire(raw, "secure", peer.private_key).nonce for peer, raw in sent]
+        assert nonces == [1, 1, 2, 3, 2]
+
+    def test_plain_round_trip(self):
+        a, b = kp("a"), kp("b")
+        sender, receiver = Endpoint(a, "plain"), Endpoint(b, "plain")
+        assert receiver.open(sender.seal(b.public_key, b"plain", NOW_MS), NOW_MS) == msg_for(a, body=b"plain")
+        replayed = Endpoint(a, "plain").seal(b.public_key, b"plain", NOW_MS)
+        with pytest.raises(ch.NonceReplayed):
+            receiver.open(replayed, NOW_MS)
+
+    def test_equal_rng_seeds_seal_equal_bytes(self):
+        a, b = kp("a"), kp("b")
+        first, second = Endpoint(a, "secure", random.Random(9)), Endpoint(a, "secure", random.Random(9))
+        for body in (b"one", b"two", b"three"):
+            assert first.seal(b.public_key, body, NOW_MS) == second.seal(b.public_key, body, NOW_MS)
+
+    def test_bytes_that_do_not_open(self):
+        a, b, c = kp("a"), kp("b"), kp("c")
+        with pytest.raises(ch.DecryptFailed):
+            Endpoint(c, "secure").open(sealed(a, b), NOW_MS)
+        with pytest.raises(DecodeError):
+            Endpoint(b, "secure").open(b"x" * 10, NOW_MS)
+        with pytest.raises(DecodeError):
+            Endpoint(b, "plain").open(b"\x01garbage", NOW_MS)
+
+    @pytest.mark.parametrize(
+        "exc, reason",
+        [
+            (ch.ChannelError, "bad_wire"),
+            (ch.InvalidPublicKey, "invalid_public_key"),
+            (ch.IdentityMismatch, "identity_mismatch"),
+            (ch.DecryptFailed, "decrypt_failed"),
+            (ch.SignatureInvalid, "signature_invalid"),
+            (ch.NonceReplayed, "nonce_replayed"),
+            (ch.NonceGap, "nonce_gap"),
+            (ch.StaleTimestamp, "stale_timestamp"),
+        ],
+    )
+    def test_each_failure_names_its_trace_reason(self, exc, reason):
+        assert exc.reason == reason
+        assert issubclass(exc, ch.ChannelError)
 
 
 def test_envelope_wire_format_layout():

@@ -21,6 +21,7 @@ from edgelinker.contracts import (
 from edgelinker.node import (
     CONFIRM,
     CONSENSUS,
+    REPLY,
     AlertKind,
     ConfirmBody,
     FogNode,
@@ -325,6 +326,21 @@ class TestQueries:
         assert reply.status == 0
         assert reply.readings == [(1000, 72), (2000, 75)]
 
+    def test_replies_and_confirmations_to_a_device_share_one_counter(self, keys):
+        node, client, _, contract = self._prepared(keys)  # the set-up block's confirmation took counter 1
+        query = Query(contract, 0, 10_000)
+        write = make_transaction(client, 5, T0 // 1000, Call(contract, "add_reading", encode_reading_args(3000, 70)))
+        t1, t2 = INTERVAL + 1000, 2 * INTERVAL
+        sends = node.handle_envelope(envelope(client, node, 5, query, t1), t1).sends
+        sends += node.handle_envelope(envelope(client, node, 6, write, t1), t1).sends
+        sends += node.on_timer(("propose", 2), t2).sends
+        sends += node.handle_envelope(envelope(client, node, 7, query, t2), t2).sends
+        to_client = [s for s in sends if s.dst == "c1"]
+        assert [s.kind for s in to_client] == [REPLY, CONFIRM, REPLY]
+        envelopes = [SecureEnvelope.from_bytes(s.body) for s in to_client]
+        opened = [open_message(e, client.private_key, node.keypair.public_key) for e in envelopes]
+        assert [m.nonce for m in opened] == [2, 3, 4]
+
     def test_two_nodes_same_state_identical_reply_bytes(self, keys):
         # Cross-node read consistency at an identical finalized height.
         node_a, client, _, contract = self._prepared(keys)
@@ -398,14 +414,3 @@ class TestLegacyProxy:
         proxied = [tx for b in node.chain.blocks for tx in b.transactions if tx.sender == proxy_kp.public_key]
         assert len(proxied) == 1
         assert proxied[0].sender != client.public_key
-
-
-def test_replay_floor_rebuilt_from_chain(single):
-    node, _, client = single
-    tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
-    node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
-    node.on_timer(("propose", 1), INTERVAL)
-    fresh = make_node(node.keypair, {})  # same authority, fresh in-memory state
-    fresh.chain = node.chain
-    fresh.rebuild_replay_floor()
-    assert fresh.replay.last_nonce[client.public_key] == 1

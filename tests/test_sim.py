@@ -12,8 +12,11 @@ import edgelinker
 from edgelinker import chain, channel
 from edgelinker.chain import Query
 from edgelinker.contracts import GasSchedule, apply_block, genesis_world, replay_chain
+from edgelinker.codec import enc_str, enc_u64, enc_u8
+from edgelinker.node import ConfirmBody, QueryReplyBody
 from edgelinker.sim import (
     ConfigInvalid,
+    DeviceActor,
     LinkModel,
     ScenarioConfig,
     Simulation,
@@ -162,6 +165,68 @@ class TestConfirmations:
             arrivals.setdefault((e.src, e.info["height"]), []).append(e.t_us)
         assert max(len(times) for times in arrivals.values()) > 1  # a device has several writes in a block
         assert all(len(set(times)) == 1 for times in arrivals.values())
+
+
+class TestNodeCounters:
+    """On a lossless link every device hears each node's counters as 1, 2, 3, ...
+
+    Devices do not check these counters yet; turning that check on relies on this."""
+
+    @pytest.mark.parametrize(
+        "config, seed",
+        [
+            (ScenarioConfig(), 42),
+            (ScenarioConfig(nodes=4, workload="mixed", tasks=400, block_interval_ms=500), 3),
+            (ScenarioConfig(nodes=4, workload="read", tasks=400, block_interval_ms=500), 3),
+        ],
+        ids=["lifecycle", "mixed", "read"],
+    )
+    def test_each_node_counts_up_by_one_per_device(self, config, seed, monkeypatch):
+        heard: dict = {}  # (device, node) -> counters in arrival order
+        original = DeviceActor.on_receive
+
+        def on_receive(actor, raw, src, now_us):
+            message = channel.open_wire(raw, actor.endpoint.mode, actor.keypair.private_key)
+            heard.setdefault((actor.id, src), []).append(message.nonce)
+            original(actor, raw, src, now_us)
+
+        monkeypatch.setattr(DeviceActor, "on_receive", on_receive)
+        trace = run_scenario(config, seed)
+        assert trace.counters["dropped"] == 0 and heard
+        assert not trace.of_kind("client_reject")
+        for counters in heard.values():
+            assert counters == list(range(1, len(counters) + 1))
+
+
+class TestDeviceIngress:
+    """Node bytes that do not open or decode are rejected by the device, never raised out of the run."""
+
+    def _actor(self, mode):
+        sim = Simulation(ScenarioConfig(nodes=2, workload="read", tasks=4, block_interval_ms=200, channel_mode=mode), 5)
+        return sim, sim.actors["reader0"]
+
+    def _assert_rejected(self, sim, actor, raw):
+        actor.on_receive(raw, "n0", 1000)
+        (event,) = sim.trace.of_kind("client_reject")
+        assert (event.src, event.info) == (actor.id, {"from": "n0"})
+
+    @pytest.mark.parametrize("mode, raw", [("secure", b"x" * 10), ("plain", b"\x01garbage")], ids=["short", "plain"])
+    def test_bytes_that_do_not_open(self, mode, raw):
+        sim, actor = self._actor(mode)
+        self._assert_rejected(sim, actor, raw)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            enc_u8(ConfirmBody.WIRE_TAG) + enc_u64(1) + enc_u64(2**40),
+            enc_u8(QueryReplyBody.WIRE_TAG) + enc_u64(0) + enc_str("") + enc_u64(2**40),
+        ],
+        ids=["confirm_entry_count", "reply_reading_count"],
+    )
+    def test_sealed_body_with_a_forged_count(self, body):
+        sim, actor = self._actor("secure")
+        raw = sim.nodes["n0"].endpoint.seal(actor.keypair.public_key, body, 1)
+        self._assert_rejected(sim, actor, raw)
 
 
 class TestDeviceSignatures:
