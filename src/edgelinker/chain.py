@@ -360,12 +360,13 @@ class GenesisConfig:
     @classmethod
     def from_json(cls, text: str) -> "GenesisConfig":
         """Parse a genesis file; raises ValueError for a gas key or value the
-        schedule does not know, so a bad file fails here, not at node start."""
+        schedule does not know, or for a block interval or block size below 1,
+        so a bad file fails here, not at node start."""
         from .contracts import GasSchedule  # contracts imports this module
 
         raw = json.loads(text)
         GasSchedule.from_dict(raw.get("gas_schedule"))
-        return cls(
+        config = cls(
             chain_id=raw["chain_id"],
             authorities=[bytes.fromhex(h) for h in raw["authorities"]],
             initial_balances={bytes.fromhex(a): b for a, b in raw.get("initial_balances", {}).items()},
@@ -374,6 +375,9 @@ class GenesisConfig:
             max_txs=raw.get("max_txs", DEFAULT_MAX_TXS),
             genesis_timestamp_ms=raw.get("genesis_timestamp_ms", 0),
         )
+        if config.block_interval_ms < 1 or config.max_txs < 1:
+            raise ValueError("block_interval_ms and max_txs must each be at least 1")
+        return config
 
 
 def make_genesis(config: GenesisConfig) -> Block:

@@ -423,13 +423,12 @@ def seal_message(
     message: ChannelMessage,
     sender_private: bytes,
     receiver_public: bytes,
-    aead_nonce: Optional[bytes] = None,
     rng=None,
 ) -> SecureEnvelope:
     """Sign the message digest, append the signature, encrypt both.
 
-    aead_nonce/rng exist so simulations can draw the cipher nonce from a
-    seeded stream; by default it is fresh OS randomness per call.
+    rng lets simulations draw the cipher nonce from a seeded stream; by
+    default it is fresh OS randomness per call.
     """
     sender_public = _ed_public(bytes(sender_private))
     if message.identification != sender_public:
@@ -437,10 +436,7 @@ def seal_message(
     key = derive_shared_key(sender_private, receiver_public)
     encoded = message.encode()
     signature = sign_digest(sender_private, hashlib.sha256(encoded).digest())
-    if aead_nonce is None:
-        aead_nonce = rng.randbytes(AEAD_NONCE_LEN) if rng is not None else secrets.token_bytes(AEAD_NONCE_LEN)
-    if len(aead_nonce) != AEAD_NONCE_LEN:
-        raise ValueError("AEAD nonce must be 12 bytes")
+    aead_nonce = rng.randbytes(AEAD_NONCE_LEN) if rng is not None else secrets.token_bytes(AEAD_NONCE_LEN)
     ct = ChaCha20Poly1305(key).encrypt(aead_nonce, encoded + signature, None)
     return SecureEnvelope(sender_hint=sender_public, ciphertext=aead_nonce + ct)
 

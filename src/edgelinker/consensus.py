@@ -195,10 +195,6 @@ class ConsensusEngine:
     def deadline_us(self) -> int:
         return self.state.deadline_us
 
-    @property
-    def locked_block(self) -> Optional[Block]:
-        return self.state.locked_block
-
     def is_proposer(self) -> bool:
         return select_proposer(self.state.height, self.state.round, self.cfg) == self.keypair.public_key
 

@@ -31,7 +31,6 @@ HEALTH_RECORD_KIND = "health_record"
 METHOD_ADD_READING = "add_reading"
 METHOD_GRANT = "grant"
 METHOD_REVOKE = "revoke"
-METHOD_READ_HISTORY = "read_history"
 
 RESULT_OK = "ok"
 RESULT_DENIED = "denied"

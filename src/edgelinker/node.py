@@ -1,10 +1,11 @@
 """Fog-node runtime: channel termination, mempool, consensus, reads, alerts.
 
-Each node is an event-driven state machine fed by one ordered input stream.
-Handlers return a NodeOutput describing messages to send and timers to arm;
-the surrounding simulation (or any other transport) owns delivery. World
-state is only ever advanced by applying finalized blocks, so replaying the
-chain from genesis always reproduces it byte for byte.
+Each node is an event-driven state machine fed by one ordered input stream:
+`initial_output`, `on_timer` and the four message handlers (`handle_envelope`,
+`on_gossip`, `on_consensus`, `on_alert`). Each returns a NodeOutput of messages
+to send and timers to arm; the surrounding simulation (or any other transport)
+owns delivery. World state is only ever advanced by applying finalized blocks,
+so replaying the chain from genesis always reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .chain import (
     GenesisConfig,
     Query,
     Transaction,
-    ValidationResult,
     build_block,
     hash_block,
     hash_tx,
@@ -42,6 +42,9 @@ from .contracts import (
     read_history,
     apply_block,
 )
+
+MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
+QUERY_SERVICE_US = 1000  # time one read occupies the node's query server
 
 
 class AlertKind:
@@ -144,23 +147,12 @@ class Send:
 
 @dataclass
 class NodeOutput:
-    result: Optional[str] = None
     sends: list = field(default_factory=list)
     timers: list = field(default_factory=list)  # (fire_at_us, key)
 
 
 def _no_record(kind: str, **info) -> None:
     """Default trace sink; the simulator hands nodes its own."""
-
-
-@dataclass
-class NodeConfig:
-    """Node-local settings. Chain parameters (block interval, gas table,
-    block size) come only from the GenesisConfig every authority shares."""
-
-    mempool_cap: int = 10_000
-    query_service_us: int = 1000
-    channel_mode: str = "secure"  # or "plain"
 
 
 @dataclass
@@ -177,7 +169,12 @@ def proxy_keypair(node_public: bytes, legacy_id: str) -> ch.KeyPair:
 
 
 class FogNode:
-    """One authority node: miner, channel endpoint, and read server."""
+    """One authority node: miner, channel endpoint, and read server.
+
+    Chain parameters (block interval, gas table, block size) come only from
+    the GenesisConfig every authority shares; the channel mode and the query
+    service time are the scenario's.
+    """
 
     def __init__(
         self,
@@ -186,25 +183,25 @@ class FogNode:
         genesis_config: GenesisConfig,
         peer_ids: list,
         directory: dict,
-        cfg: Optional[NodeConfig] = None,
+        channel_mode: str = "secure",
+        query_service_us: int = QUERY_SERVICE_US,
         recorder: Optional[Callable] = None,
         rng=None,
-        now_us: int = 0,
     ):
         self.node_id = node_id
         self.keypair = keypair
-        self.cfg = cfg or NodeConfig()
+        self.query_service_us = query_service_us
         self.genesis_config = genesis_config
         self.block_interval_us = genesis_config.block_interval_ms * 1000
         self.schedule = GasSchedule.from_dict(genesis_config.gas)
         self.chain = Chain.from_genesis(make_genesis(genesis_config), genesis_config.authorities)
         self.world = genesis_world(genesis_config)
-        self.endpoint = ch.Endpoint(keypair, self.cfg.channel_mode, rng)
+        self.endpoint = ch.Endpoint(keypair, channel_mode, rng)
         auth_cfg = AuthorityConfig(
             authorities=list(genesis_config.authorities),
             round_timeout_us=2 * self.block_interval_us,
         )
-        self.engine = ConsensusEngine(auth_cfg, keypair, height=1, now_us=now_us)
+        self.engine = ConsensusEngine(auth_cfg, keypair, height=1, now_us=0)
         self.peer_ids = [p for p in peer_ids if p != node_id]
         self.directory = directory  # public key -> transport id
         self.rec = recorder or _no_record
@@ -216,11 +213,11 @@ class FogNode:
         self._alert_keys: set = set()
         self.proxy_table: dict = {}
         self.busy_until_us = 0
-        self._next_propose_us = now_us + self.block_interval_us
+        self._next_propose_us = self.block_interval_us
 
     # -- lifecycle -----------------------------------------------------------
 
-    def initial_output(self, now_us: int) -> NodeOutput:
+    def initial_output(self) -> NodeOutput:
         out = NodeOutput()
         out.timers.append((self._next_propose_us, ("propose", self.engine.height)))
         out.timers.append((self.engine.deadline_us, ("round", self.engine.height, self.engine.round)))
@@ -274,7 +271,7 @@ class FogNode:
             return self._reject(out, "stale_tx_nonce")
         if txh in self.mempool:
             return self._reject(out, "duplicate")
-        if len(self.mempool) >= self.cfg.mempool_cap:
+        if len(self.mempool) >= MEMPOOL_CAP:
             return self._reject(out, "mempool_full")
         self.mempool[txh] = tx
         if client_pk is not None:
@@ -282,25 +279,19 @@ class FogNode:
             for peer in self.peer_ids:
                 out.sends.append(Send(peer, GOSSIP, tx))
         self.rec("tx_admitted", tx=txh.hex()[:16], sender=tx.sender.hex()[:16])
-        out.result = "ack"
         return out
 
     def _reject(self, out: NodeOutput, reason: str, **info) -> NodeOutput:
         self.rec("rejected", reason=reason, **info)
-        out.result = f"rejected:{reason}"
         return out
 
     # -- read serving ----------------------------------------------------------
 
-    def serve_query(self, contract: bytes, caller: bytes, from_ts: int, to_ts: int) -> list:
-        """Direct read against the latest finalized state; raises on denial."""
-        return read_history(self.world, contract, caller, from_ts, to_ts)
-
     def _serve_query_wire(self, query: Query, caller: bytes, now_us: int, out: NodeOutput) -> NodeOutput:
-        completion = max(now_us, self.busy_until_us) + self.cfg.query_service_us
+        completion = max(now_us, self.busy_until_us) + self.query_service_us
         self.busy_until_us = completion
         try:
-            readings = self.serve_query(query.contract_address, caller, query.from_ts, query.to_ts)
+            readings = read_history(self.world, query.contract_address, caller, query.from_ts, query.to_ts)
             body = QueryReplyBody(0, "", readings)
         except PermissionDenied:
             body = QueryReplyBody(1, "permission_denied", [])
@@ -317,14 +308,13 @@ class FogNode:
         if dst is not None:
             raw = self.endpoint.seal(caller, body.encode(), completion // 1000)
             out.sends.append(Send(dst, REPLY, raw, at_us=completion))
-        out.result = "ack"
         return out
 
     # -- legacy proxy ------------------------------------------------------------
 
     def register_legacy(self, legacy_id: str, contract: bytes) -> ch.KeyPair:
         keypair = proxy_keypair(self.keypair.public_key, legacy_id)
-        endpoint = ch.Endpoint(keypair, self.cfg.channel_mode, self.endpoint.rng)  # shares the node's nonce stream
+        endpoint = ch.Endpoint(keypair, self.endpoint.mode, self.endpoint.rng)  # shares the node's nonce stream
         self.proxy_table[legacy_id] = ProxyEntry(endpoint, contract)
         return keypair
 
@@ -357,7 +347,9 @@ class FogNode:
             if msg.phase == Phase.PRE_PREPARE and msg.block is not None:
                 verdict = validate_block(msg.block, self.chain.tip, self.chain.authority_set)
                 if not verdict.ok:
-                    self.monitor_block(msg.block, verdict, now_us, out)
+                    header = msg.block.header
+                    detail = ",".join(v.value for v in verdict.violations)
+                    self._raise_alert(AlertKind.INVALID_BLOCK, header.proposer, header.height, detail, now_us, out)
             return out
         msgs, fin = self.engine.on_message(msg, self.chain, now_us)
         self._post_engine(out, now_us, msgs, fin)
@@ -472,20 +464,6 @@ class FogNode:
                 out.sends.append(Send(dst, CONFIRM, self.endpoint.seal(client_pk, body.encode(), now_us // 1000)))
 
     # -- monitoring -----------------------------------------------------------
-
-    def monitor_block(self, block: Block, verdict: ValidationResult, now_us: int, out: Optional[NodeOutput] = None) -> NodeOutput:
-        """Raise a network alert when a block fails validation."""
-        out = out if out is not None else NodeOutput()
-        if not verdict.ok:
-            self._raise_alert(
-                AlertKind.INVALID_BLOCK,
-                block.header.proposer,
-                block.header.height,
-                ",".join(v.value for v in verdict.violations),
-                now_us,
-                out,
-            )
-        return out
 
     def _raise_alert(self, kind: str, offender: bytes, height: int, detail: str, now_us: int, out: NodeOutput) -> None:
         alert = Alert(kind=kind, height=height, offender=offender, detail=detail, sim_time_us=now_us)

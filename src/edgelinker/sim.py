@@ -40,7 +40,7 @@ from .chain import (
 )
 from .channel import ChannelMessage, KeyPair, SecureEnvelope, generate_keypair, open_message
 from .codec import DecodeError, enc_u64
-from .consensus import Phase, make_message
+from .consensus import AuthorityConfig, Phase, make_message
 from .contracts import (
     HEALTH_RECORD_KIND,
     METHOD_ADD_READING,
@@ -58,9 +58,9 @@ from .node import (
     CLIENT,
     CONSENSUS,
     GOSSIP,
+    QUERY_SERVICE_US,
     ConfirmBody,
     FogNode,
-    NodeConfig,
     NodeOutput,
     QueryReplyBody,
     Send,
@@ -225,7 +225,7 @@ class ScenarioConfig:
     task_period_us: int = 50  # global spacing between injected tasks
     writes: int = 10
     write_period_ms: int = 60_000
-    query_service_us: int = 1000
+    query_service_us: int = QUERY_SERVICE_US
     attack: Optional[str] = None
     attack_params: dict = field(default_factory=dict)
     byzantine: int = 0
@@ -258,12 +258,19 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown channel mode {self.channel_mode!r}")
         if self.attack is not None and self.attack not in ATTACK_KINDS:
             raise ConfigInvalid(f"unknown attack {self.attack!r}")
-        if self.byzantine + self.crashed >= max(self.nodes, 1) and self.nodes > 1:
-            raise ConfigInvalid("faulty nodes must be a minority")
+        for what, record in (("scenario", self), ("link", self.link)):
+            for f in fields(record):
+                value = getattr(record, f.name)
+                if f.name != "seed" and isinstance(value, (int, float)) and value < 0:
+                    raise ConfigInvalid(f"{what} field {f.name} must not be negative, got {value!r}")
+        if self.block_interval_ms < 1:
+            # A zero interval makes a zero round timeout: simulated time never advances.
+            raise ConfigInvalid("block_interval_ms must be at least 1")
+        quorum = AuthorityConfig(authorities=list(range(self.nodes))).quorum
+        if self.nodes - self.crashed - self.byzantine < quorum:
+            raise ConfigInvalid(f"the honest live nodes must form a quorum of {quorum} by themselves")
         if self.crashed and self.byzantine:
             raise ConfigInvalid("use either crashed or byzantine faults, not both")
-        if self.link.base_latency_us < 0 or self.link.jitter_us < 0:
-            raise ConfigInvalid("link latency and jitter must not be negative")
         if not 0.0 <= self.link.drop_probability <= 1.0:
             raise ConfigInvalid(f"drop probability {self.link.drop_probability} is outside [0, 1]")
 
@@ -309,8 +316,15 @@ class Step:
     target: Optional[int] = None  # node index; None = actor's primary
 
 
+# A party is any simulated participant other than a fog node. The simulator
+# drives every party the same way: it pushes one wake per entry of
+# `schedule()`, calls `wake(tag, now_us)` for the sends it makes, and hands it
+# every message addressed to it through `on_receive(raw, src, now_us)`.
+
 class DeviceActor:
     """Schedule-driven device: signs, seals, sends, and matches responses."""
+
+    WAKE_TAIL_US = 0  # an automatic run lasts this long past the last wake
 
     def __init__(self, actor_id: str, keypair: KeyPair, primary: int, steps: list, sim: "Simulation"):
         self.id = actor_id
@@ -322,6 +336,9 @@ class DeviceActor:
         self.account_nonce = 1
         self.sent_tx: dict = {}  # tx hash -> (t_send, label, measured)
         self.pending_queries: dict = {}  # node id -> deque of (t_send, label, measured)
+
+    def schedule(self) -> list:
+        return [(step.at_us, idx) for idx, step in enumerate(self.steps)]
 
     def wake(self, idx: int, now_us: int) -> list:
         step = self.steps[idx]
@@ -338,6 +355,7 @@ class DeviceActor:
             body = step.payload.encode()
         raw = self.endpoint.seal(self.sim.node_keys[node_id].public_key, body, now_us // 1000)
         self.sim.trace.add(now_us, self.id, "task_sent", {"label": step.label, "measured": step.measured})
+        self.sim.pending_responses += 1
         return [Send(node_id, CLIENT, raw)]
 
     def on_receive(self, raw: bytes, src: str, now_us: int) -> None:
@@ -372,7 +390,7 @@ class DeviceActor:
                         "reason": entry.reason,
                     },
                 )
-                self.sim.note_response()
+                self.sim.pending_responses -= 1
         else:
             queue = self.pending_queries.get(src)
             if not queue:
@@ -391,12 +409,18 @@ class DeviceActor:
                     "count": len(record.readings),
                 },
             )
-            self.sim.note_response()
+            self.sim.pending_responses -= 1
 
 
 # --- attackers -------------------------------------------------------------------
 
 class AttackerBase:
+    """A party that wakes COUNT times, PERIOD_US apart from START_US; params
+    `start_us`, `period_us` and `count` override the class values."""
+
+    START_US = PERIOD_US = COUNT = 0
+    WAKE_TAIL_US = 10_000_000  # room after each wake for the defences to act
+
     def __init__(self, sim: "Simulation", keypair: KeyPair, params: dict):
         self.sim = sim
         self.id = "attacker"
@@ -406,14 +430,19 @@ class AttackerBase:
         self.stats: dict = {}
 
     def schedule(self) -> list:
-        """(t_us, tag) wake list."""
-        return []
+        start = int(self.params.get("start_us", self.START_US))
+        period = int(self.params.get("period_us", self.PERIOD_US))
+        count = int(self.params.get("count", self.COUNT))
+        return [(start + i * period, i) for i in range(count)]
 
     def on_tap(self, src: str, dst: str, raw: bytes, now_us: int) -> None:
         pass
 
     def wake(self, tag, now_us: int) -> list:
         return []
+
+    def on_receive(self, raw: bytes, src: str, now_us: int) -> None:
+        pass
 
 
 class ReplayAttacker(AttackerBase):
@@ -473,15 +502,11 @@ class EavesdropAttacker(AttackerBase):
 class InsertionAttacker(AttackerBase):
     """Outsider fabricating blocks with forged transactions."""
 
+    START_US, PERIOD_US, COUNT = 2_000_000, 2_000_000, 5
+
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
         self.stats = {"forged": 0}
-
-    def schedule(self):
-        start = int(self.params.get("start_us", 2_000_000))
-        period = int(self.params.get("period_us", 2_000_000))
-        count = int(self.params.get("count", 5))
-        return [(start + i * period, i) for i in range(count)]
 
     def wake(self, tag, now_us):
         height = int(tag) + 1
@@ -507,17 +532,13 @@ class InsertionAttacker(AttackerBase):
 class DoSAttacker(AttackerBase):
     """Floods permission-denied contract calls until fees drain its balance."""
 
+    START_US, PERIOD_US = 5_000_000, 300_000  # the plan sets count from the balance
+
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
         self.nonce = 1
         self.endpoint = ch.Endpoint(keypair, sim.config.channel_mode, self.rng)
         self.stats = {"flood_sent": 0, "balance": params["balance"]}
-
-    def schedule(self):
-        start = int(self.params.get("start_us", 5_000_000))
-        period = int(self.params.get("period_us", 300_000))
-        count = int(self.params["count"])
-        return [(start + i * period, i) for i in range(count)]
 
     def wake(self, tag, now_us):
         contract = self.params["contract"]
@@ -533,15 +554,11 @@ class DoSAttacker(AttackerBase):
 class SpoofAttacker(AttackerBase):
     """Claims another device's identity without holding its private key."""
 
+    START_US, PERIOD_US, COUNT = 2_000_000, 500_000, 10
+
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
         self.stats = {"spoof_sent": 0}
-
-    def schedule(self):
-        start = int(self.params.get("start_us", 2_000_000))
-        period = int(self.params.get("period_us", 500_000))
-        count = int(self.params.get("count", 10))
-        return [(start + i * period, i) for i in range(count)]
 
     def wake(self, tag, now_us):
         victim_pk = self.params["victim"]
@@ -617,8 +634,6 @@ class Simulation:
         self.recorder = SimRecorder(self.trace)
         self.inflight = 0
         self.pending_responses = 0
-        self.remaining_wakes = 0
-        self.total_wakes = 0
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
@@ -651,7 +666,6 @@ class Simulation:
             directory[keypair.public_key] = actor_id
             self.actors[actor_id] = DeviceActor(actor_id, keypair, primary, steps, self)
 
-        node_cfg = NodeConfig(query_service_us=config.query_service_us, channel_mode=config.channel_mode)
         self.nodes: dict = {}
         for node_id in self.node_ids:
             cls = EquivocatingNode if node_id in byz_ids else FogNode
@@ -661,7 +675,8 @@ class Simulation:
                 genesis_config=genesis,
                 peer_ids=self.node_ids,
                 directory=directory,
-                cfg=node_cfg,
+                channel_mode=config.channel_mode,
+                query_service_us=config.query_service_us,
                 recorder=self.recorder,
                 rng=child_rng(seed, "nodecrypto", node_id),
             )
@@ -673,35 +688,27 @@ class Simulation:
             params.update(config.attack_params)
             self.attacker = ATTACKER_CLASSES[config.attack](self, attacker_kp, params)
             directory[attacker_kp.public_key] = self.attacker.id
+        self.parties: dict = dict(self.actors)
+        if self.attacker is not None:
+            self.parties[self.attacker.id] = self.attacker
 
         self._pair_rngs: dict = {}
         self._armed: set = set()
 
-        self.duration_us = int((config.duration_s if config.duration_s else self._auto_duration()) * 1_000_000)
+        wakes = [(at_us, party, tag) for party in self.parties.values() for at_us, tag in party.schedule()]
+        self.duration_us = int((config.duration_s if config.duration_s else self._auto_duration(wakes)) * 1_000_000)
 
         for node_id in self.node_ids:
             if node_id in self.crashed:
                 continue
-            out = self.nodes[node_id].initial_output(0)
+            out = self.nodes[node_id].initial_output()
             self._emit(node_id, out)
-        for actor in self.actors.values():
-            for idx, step in enumerate(actor.steps):
-                self._push(step.at_us, ("actor_wake", actor.id, idx))
-                self.total_wakes += 1
-        if self.attacker is not None:
-            for at_us, tag in self.attacker.schedule():
-                self._push(at_us, ("attacker_wake", tag))
-                self.total_wakes += 1
-        self.remaining_wakes = self.total_wakes
+        for at_us, party, tag in wakes:
+            self._push(at_us, ("wake", party.id, tag))
+        self.total_wakes = self.remaining_wakes = len(wakes)
 
-    def _auto_duration(self) -> float:
-        last = 0
-        for actor in self.actors.values():
-            if actor.steps:
-                last = max(last, actor.steps[-1].at_us)
-        if self.attacker is not None:
-            for at_us, _tag in self.attacker.schedule():
-                last = max(last, at_us + 10_000_000)
+    def _auto_duration(self, wakes: list) -> float:
+        last = max((at_us + party.WAKE_TAIL_US for at_us, party, _tag in wakes), default=0)
         margin = 60 * self.config.block_interval_ms * 1000 + 30_000_000
         return (last + margin) / 1_000_000
 
@@ -768,8 +775,8 @@ class Simulation:
             self.delivered_count += 1
             if message.dst in self.nodes:
                 self._node_event(message)
-            elif message.dst in self.actors:
-                self.actors[message.dst].on_receive(message.body, src, self.now_us)
+            elif message.dst in self.parties:
+                self.parties[message.dst].on_receive(message.body, src, self.now_us)
         elif kind == "tap":
             _, src, dst, raw = item
             if self.attacker is not None:
@@ -782,16 +789,10 @@ class Simulation:
             self.recorder.now_us, self.recorder.src = self.now_us, node_id
             out = self.nodes[node_id].on_timer(key, self.now_us)
             self._emit(node_id, out)
-        elif kind == "actor_wake":
-            _, actor_id, idx = item
+        elif kind == "wake":
+            _, party_id, tag = item
             self.remaining_wakes -= 1
-            sends = self.actors[actor_id].wake(idx, self.now_us)
-            self.pending_responses += len(sends)
-            self._send_all(actor_id, sends)
-        elif kind == "attacker_wake":
-            _, tag = item
-            self.remaining_wakes -= 1
-            self._send_all(self.attacker.id, self.attacker.wake(tag, self.now_us))
+            self._send_all(party_id, self.parties[party_id].wake(tag, self.now_us))
 
     def _node_event(self, message: Send) -> None:
         node_id = message.dst
@@ -809,9 +810,6 @@ class Simulation:
         else:
             return
         self._emit(node_id, out)
-
-    def note_response(self) -> None:
-        self.pending_responses -= 1
 
     def _check_stop(self) -> None:
         if self.stop:

@@ -72,6 +72,8 @@ class TestCmdRun:
             cmd_run(small_plan(repetitions=0), tmp_path)
         with pytest.raises(ValueError):
             cmd_run(small_plan(workload="scenario"), tmp_path)
+        with pytest.raises(ValueError, match="block_interval_ms"):
+            cmd_run(small_plan(block_interval_ms=0), tmp_path)  # would never advance simulated time
 
 
 class TestChannelOverhead:
@@ -182,8 +184,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"node": 7}, {"nodes": 0}, {"nodes": 7, "crashed": 1, "byzantine": 1}, {"nodes": "x"}, {"link": 5}],
-        ids=["unknown_key", "no_nodes", "crashed_and_byzantine", "nodes_not_an_int", "link_not_an_object"],
+        [{"node": 7}, {"nodes": 0}, {"nodes": 7, "crashed": 1, "byzantine": 1}, {"nodes": "x"}, {"link": 5},
+         {"block_interval_ms": 0}, {"write_period_ms": -1000}],
+        ids=["unknown_key", "no_nodes", "crashed_and_byzantine", "nodes_not_an_int", "link_not_an_object",
+             "zero_block_interval", "negative_write_period"],
     )
     def test_attack_with_bad_config_file_exits_2(self, tmp_path, capsys, bad):
         path = tmp_path / "scenario.json"

@@ -257,3 +257,17 @@ def test_genesis_config_json_roundtrip(setup):
     cfg.gas = {"deploy": 1, "add_data": 2, "grant": 3, "revoke": 4, "transfer": 6}
     again = GenesisConfig.from_json(cfg.to_json())
     assert again == cfg
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"block_interval_ms": 0}, {"block_interval_ms": -5}, {"max_txs": 0}],
+    ids=["zero_interval", "negative_interval", "zero_max_txs"],
+)
+def test_genesis_file_with_a_stalling_chain_parameter_rejected(setup, bad):
+    # A zero interval makes a zero round timeout, and zero max_txs empty blocks.
+    _, cfg, _ = setup
+    for key, value in bad.items():
+        setattr(cfg, key, value)
+    with pytest.raises(ValueError, match="at least 1"):
+        GenesisConfig.from_json(cfg.to_json())

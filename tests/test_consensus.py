@@ -215,7 +215,7 @@ class TestRoundChange:
             locked_target.on_message(
                 make_message(keys[voter], Phase.PREPARE, 1, 0, hash_block(block)), chains[0], 0
             )
-        assert locked_target.locked_block is not None
+        assert locked_target.state.locked_block is not None
         # Round changes until node 0 leads; its re-proposal must carry the lock.
         locked_target.on_timeout(2_000_000)
         locked_target.on_timeout(4_000_000)

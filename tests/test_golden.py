@@ -1,4 +1,5 @@
-"""Pinned outcomes of three seeded runs.
+"""Pinned outcomes of seeded runs: the lifecycle, a 20-node write cell and
+the five attack drills.
 
 The tip hashes, world digests and alert counts were recorded before the
 ledger records became immutable and started caching their bytes and hashes.
@@ -12,6 +13,10 @@ That changed only the `task_confirmed` events: they gained the receipt's
 result and reason, and their arrival times moved within the link jitter,
 because each confirmation link draws fewer jitter samples. Every other event
 stayed identical.
+
+The replay, eavesdrop, denial-of-service and spoofing drills were pinned
+later, with the values the code gave at the time, so that a change to how
+devices and attackers are driven shows up in their traces.
 """
 
 import hashlib
@@ -36,6 +41,10 @@ def _insertion_drill():
     return run_scenario(cfg, 7)
 
 
+def _drill(kind):
+    return lambda: run_scenario(replace(default_attack_config(), attack=kind), 7)
+
+
 GOLDEN = {
     "lifecycle_seed42": (
         _lifecycle,
@@ -57,6 +66,34 @@ GOLDEN = {
         "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
         "0f37e7697eca4abd6102388b148c39868db7c578f3efc6430e2e58b9b7499ef3",
         20,
+    ),
+    "replay_drill_seed7": (
+        _drill("replay"),
+        "21bea2c38e120ac404dfe7474341d37e3701b8e059c24e319444a213ed513ac9",
+        "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
+        "87e54777505868eb4f0252a3aadb0eded07e83598134e733d2acd69ccd57bb9d",
+        48,
+    ),
+    "eavesdrop_drill_seed7": (
+        _drill("eavesdrop"),
+        "21bea2c38e120ac404dfe7474341d37e3701b8e059c24e319444a213ed513ac9",
+        "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
+        "fc8cb3a3dd6657b2d8e40b53fef0411af84f15fd79c8965ce438fafdea527748",
+        0,
+    ),
+    "dos_drill_seed7": (
+        _drill("dos"),
+        "026f43cc09f075cbd2d128258b2f81ef42652222f0ac7c2b3a0b234f786868b4",
+        "2244e178ad4dcb6a4baba4ed2001a823aa8d2a34970b09ae084c257b4fe44262",
+        "78a64f538e4f336b1f713100056c1cb6a2b4edfe9bc1c17e54a4090a67b4f6a7",
+        0,
+    ),
+    "spoof_drill_seed7": (
+        _drill("spoof"),
+        "4e17a6c90b698c0c1a18a17d840150fabef3cd5be5acb3d8b45d16e074ea6ed5",
+        "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
+        "ed7728a93f502ebdc1d2bc574d47af24af22da6895305e757d2ee6e5fc211357",
+        0,
     ),
 }
 

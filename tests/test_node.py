@@ -1,11 +1,13 @@
 import pytest
 
+from edgelinker import node as node_module
 from edgelinker.chain import (
     Call,
     Deploy,
     GenesisConfig,
     Query,
     build_block,
+    hash_block,
     hash_tx,
     make_transaction,
     validate_block,
@@ -13,12 +15,15 @@ from edgelinker.chain import (
 from edgelinker.channel import ChannelMessage, seal_message
 from edgelinker.contracts import (
     WRITE_PERMISSION,
+    PermissionDenied,
     contract_address,
     encode_permission_args,
     encode_reading_args,
+    read_history,
     replay_chain,
 )
 from edgelinker.node import (
+    ALERT,
     CONFIRM,
     CONSENSUS,
     REPLY,
@@ -29,14 +34,32 @@ from edgelinker.node import (
     proxy_keypair,
 )
 from edgelinker.channel import open_message, SecureEnvelope
-from edgelinker.consensus import Phase
+from edgelinker.consensus import Phase, make_message
 from tests.conftest import kp
 
 T0 = 500_000  # first event, microseconds
 INTERVAL = 1_000_000
 
 
-def make_node(authority, balances, node_id="n0", peer_ids=(), directory=None, extra_cfg=None):
+class Log:
+    """A node's trace sink that keeps every (kind, info) record."""
+
+    def __init__(self):
+        self.records = []
+
+    def __call__(self, kind, **info):
+        self.records.append((kind, info))
+
+
+def rejections(node):
+    return [info["reason"] for kind, info in node.rec.records if kind == "rejected"]
+
+
+def admitted(node):
+    return [info["tx"] for kind, info in node.rec.records if kind == "tx_admitted"]
+
+
+def make_node(authority, balances, node_id="n0", peer_ids=(), directory=None):
     cfg = GenesisConfig(
         chain_id=1,
         authorities=[authority.public_key] if not isinstance(authority, list) else [a.public_key for a in authority],
@@ -44,7 +67,7 @@ def make_node(authority, balances, node_id="n0", peer_ids=(), directory=None, ex
         block_interval_ms=1000,
     )
     first = authority if not isinstance(authority, list) else authority[0]
-    return FogNode(node_id, first, cfg, list(peer_ids), dict(directory or {}), cfg=extra_cfg)
+    return FogNode(node_id, first, cfg, list(peer_ids), dict(directory or {}), recorder=Log())
 
 
 def envelope(client, node, nonce, tx, now_us):
@@ -63,17 +86,18 @@ class TestEnvelopeIngress:
     def test_valid_transaction_ack_and_mempool_growth(self, single):
         node, _, client = single
         tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
-        out = node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
-        assert out.result == "ack"
+        node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
+        assert admitted(node) == [hash_tx(tx).hex()[:16]] and rejections(node) == []
         assert len(node.mempool) == 1
 
     def test_replayed_envelope_rejected_with_alert(self, single):
         node, _, client = single
         tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
         raw = envelope(client, node, 1, tx, T0)
-        assert node.handle_envelope(raw, T0).result == "ack"
-        out = node.handle_envelope(raw, T0 + 1000)
-        assert out.result == "rejected:nonce_replayed"
+        node.handle_envelope(raw, T0)
+        assert len(admitted(node)) == 1
+        node.handle_envelope(raw, T0 + 1000)
+        assert rejections(node) == ["nonce_replayed"]
         assert [a.kind for a in node.alerts] == [AlertKind.REPLAY_DETECTED]
         assert node.alerts[0].offender == client.public_key
         assert len(node.mempool) == 1
@@ -83,23 +107,23 @@ class TestEnvelopeIngress:
         tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
         raw = bytearray(envelope(client, node, 1, tx, T0))
         raw[60] ^= 0xFF
-        out = node.handle_envelope(bytes(raw), T0)
-        assert out.result == "rejected:decrypt_failed"
+        node.handle_envelope(bytes(raw), T0)
+        assert rejections(node) == ["decrypt_failed"]
         assert node.mempool == {}
 
     def test_nonce_gap_rejected(self, single):
         node, _, client = single
         tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
-        out = node.handle_envelope(envelope(client, node, 7, tx, T0), T0)
-        assert out.result == "rejected:nonce_gap"
+        node.handle_envelope(envelope(client, node, 7, tx, T0), T0)
+        assert rejections(node) == ["nonce_gap"] and node.mempool == {}
 
-    def test_mempool_cap(self, single, keys):
+    def test_mempool_cap(self, single, monkeypatch):
         node, _, client = single
-        node.cfg.mempool_cap = 2
+        monkeypatch.setattr(node_module, "MEMPOOL_CAP", 2)
         for i in range(1, 4):
             tx = make_transaction(client, i, T0 // 1000, Deploy("health_record", b""))
-            out = node.handle_envelope(envelope(client, node, i, tx, T0), T0)
-        assert out.result == "rejected:mempool_full"
+            node.handle_envelope(envelope(client, node, i, tx, T0), T0)
+        assert rejections(node) == ["mempool_full"]
         assert len(node.mempool) == 2
 
 
@@ -133,8 +157,9 @@ class TestProposalLifecycle:
         txs = [make_transaction(client, i, T0 // 1000, p) for i, p in enumerate(payloads, start=1)]
         early = make_transaction(other, 1, T0 // 1000, Call(contract, "add_reading", encode_reading_args(1000, 80)))
         for i, tx in enumerate(txs, start=1):
-            assert node.handle_envelope(envelope(client, node, i, tx, T0), T0).result == "ack"
-        assert node.handle_envelope(envelope(other, node, 1, early, T0), T0).result == "ack"
+            node.handle_envelope(envelope(client, node, i, tx, T0), T0)
+        node.handle_envelope(envelope(other, node, 1, early, T0), T0)
+        assert admitted(node) == [hash_tx(tx).hex()[:16] for tx in txs + [early]]
         out = node.on_timer(("propose", 1), INTERVAL)
         assert node.chain.height == 1
         confirms = {s.dst: s for s in out.sends if s.kind == CONFIRM}
@@ -187,7 +212,8 @@ class TestProposalLifecycle:
         node = FogNode("n0", authority, genesis, [], {})
         assert node.engine.cfg.round_timeout_us == 400_000
         tx = make_transaction(client, 1, 100, Deploy("health_record", b""))
-        assert node.handle_envelope(envelope(client, node, 1, tx, 100_000), 100_000).result == "ack"
+        node.handle_envelope(envelope(client, node, 1, tx, 100_000), 100_000)
+        assert list(node.mempool) == [hash_tx(tx)]
         node.on_timer(("propose", 1), 200_000)
         assert node.chain.height == 1 and node.mempool == {}
         assert node.world.accounts[client.public_key].balance == 10**12 - 5
@@ -200,8 +226,9 @@ class TestProposalLifecycle:
         node.handle_envelope(raw, T0)
         node.on_timer(("propose", 1), INTERVAL)
         # gossip duplicate after finalization is refused
-        out = node.on_gossip(tx, INTERVAL + 1000)
-        assert out.result == "rejected:tx_already_final"
+        node.on_gossip(tx, INTERVAL + 1000)
+        assert rejections(node) == ["tx_already_final"]
+        assert node.alerts == []  # a late gossip duplicate is no replay
         node.on_timer(("propose", 2), 2 * INTERVAL)
         seen = [h for b in node.chain.blocks for h in [t.encode() for t in b.transactions]]
         assert len(seen) == len(set(seen))
@@ -212,14 +239,15 @@ class TestQueryInTransaction:
         node, _, client = single
         tx = make_transaction(client, 1, T0 // 1000, Query(bytes(32), 0, 10))
         out = node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
-        assert out.result == "rejected:query_in_tx"
+        assert rejections(node) == ["query_in_tx"]
         assert out.sends == []
         assert node.mempool == {}
 
     def test_rejected_on_the_gossip_path(self, single):
         node, _, client = single
         tx = make_transaction(client, 1, T0 // 1000, Query(bytes(32), 0, 10))
-        assert node.on_gossip(tx, T0).result == "rejected:query_in_tx"
+        node.on_gossip(tx, T0)
+        assert rejections(node) == ["query_in_tx"]
         assert node.mempool == {}
         node.on_timer(("propose", 1), INTERVAL)
         assert node.chain.tip.transactions == ()
@@ -300,16 +328,29 @@ class TestQueries:
         node.on_timer(("propose", 1), INTERVAL)
         return node, client, doctor, contract
 
+    @staticmethod
+    def _ask(node, device, nonce, query, now):
+        """Send one query envelope; return the reply send and its opened body."""
+        m = ChannelMessage(now // 1000, nonce, device.public_key, query.encode())
+        out = node.handle_envelope(seal_message(m, device.private_key, node.keypair.public_key).to_bytes(), now)
+        (send,) = out.sends
+        opened = open_message(SecureEnvelope.from_bytes(send.body), device.private_key, node.keypair.public_key)
+        return send, opened.body
+
     def test_owner_reads_directly(self, keys):
         node, client, _, contract = self._prepared(keys)
-        assert node.serve_query(contract, client.public_key, 0, 10_000) == [(1000, 72), (2000, 75)]
+        assert read_history(node.world, contract, client.public_key, 0, 10_000) == [(1000, 72), (2000, 75)]
 
     def test_outsider_denied_directly(self, keys):
-        from edgelinker.contracts import PermissionDenied
-
         node, _, doctor, contract = self._prepared(keys)
         with pytest.raises(PermissionDenied):
-            node.serve_query(contract, doctor.public_key, 0, 10_000)
+            read_history(node.world, contract, doctor.public_key, 0, 10_000)
+
+    def test_outsider_denied_over_the_channel(self, keys):
+        node, _, doctor, contract = self._prepared(keys)
+        send, body = self._ask(node, doctor, 1, Query(contract, 0, 10_000), 2 * INTERVAL)
+        assert send.dst == "d1" and send.kind == REPLY
+        assert QueryReplyBody.decode(body) == QueryReplyBody(1, "permission_denied", [])
 
     def test_query_envelope_gets_sealed_reply(self, keys):
         node, client, _, contract = self._prepared(keys)
@@ -319,7 +360,7 @@ class TestQueries:
         out = node.handle_envelope(raw, now)
         reply_sends = [s for s in out.sends if s.dst == "c1"]
         assert len(reply_sends) == 1
-        assert reply_sends[0].at_us == now + node.cfg.query_service_us
+        assert reply_sends[0].at_us == now + node_module.QUERY_SERVICE_US
         env = SecureEnvelope.from_bytes(reply_sends[0].body)
         reply_msg = open_message(env, client.private_key, node.keypair.public_key)
         reply = QueryReplyBody.decode(reply_msg.body)
@@ -345,9 +386,9 @@ class TestQueries:
         # Cross-node read consistency at an identical finalized height.
         node_a, client, _, contract = self._prepared(keys)
         node_b, _, _, _ = self._prepared(keys)
-        a = QueryReplyBody(0, "", node_a.serve_query(contract, client.public_key, 0, 10_000)).encode()
-        b = QueryReplyBody(0, "", node_b.serve_query(contract, client.public_key, 0, 10_000)).encode()
-        assert a == b
+        query, now = Query(contract, 0, 10_000), 2 * INTERVAL
+        (_, a), (_, b) = (self._ask(node, client, 5, query, now) for node in (node_a, node_b))
+        assert a == b and QueryReplyBody.decode(a).readings == [(1000, 72), (2000, 75)]
 
     def test_queue_serializes_service_times(self, keys):
         node, client, _, contract = self._prepared(keys)
@@ -358,35 +399,45 @@ class TestQueries:
             raw = seal_message(m, client.private_key, node.keypair.public_key).to_bytes()
             outs.append(node.handle_envelope(raw, now))
         first, second = (o.sends[0].at_us for o in outs)
-        assert second == first + node.cfg.query_service_us
+        assert second == first + node.query_service_us
+
+
+def proposal(signer, block):
+    return make_message(signer, Phase.PRE_PREPARE, block.header.height, 0, hash_block(block), block)
 
 
 class TestMonitoring:
-    def test_invalid_block_raises_single_alert(self, single):
-        node, authority, _ = single
+    def test_invalid_block_raises_single_alert(self, keys):
+        authority = keys[0]
+        node = make_node([authority, keys[1]], {}, peer_ids=["n0", "n1"])
         outsider = kp("imposter")
         bad = build_block([], node.chain.tip, outsider, 999_999)
         verdict = validate_block(bad, node.chain.tip, node.chain.authority_set)
         assert not verdict.ok
-        node.monitor_block(bad, verdict, T0)
-        node.monitor_block(bad, verdict, T0 + 50)  # duplicate delivery
-        invalid = [a for a in node.alerts if a.kind == AlertKind.INVALID_BLOCK]
-        assert len(invalid) == 1
-        assert invalid[0].offender == outsider.public_key
+        out = node.on_consensus(proposal(outsider, bad), T0)
+        node.on_consensus(proposal(outsider, bad), T0 + 50)  # duplicate delivery
+        (alert,) = node.alerts
+        assert alert.kind == AlertKind.INVALID_BLOCK
+        assert (alert.offender, alert.height) == (outsider.public_key, 1)
+        assert alert.detail == ",".join(v.value for v in verdict.violations)
+        assert [(s.dst, s.kind, s.body) for s in out.sends] == [("n1", ALERT, alert)]
+        assert node.chain.height == 0 and node.engine.round == 0
 
     def test_valid_block_raises_nothing(self, single):
         node, authority, _ = single
         good = build_block([], node.chain.tip, authority, 999_999)
-        verdict = validate_block(good, node.chain.tip, node.chain.authority_set)
-        node.monitor_block(good, verdict, T0)
-        assert node.alerts == []
+        assert validate_block(good, node.chain.tip, node.chain.authority_set).ok
+        # Relayed under an outsider's signature: the message is refused, the block inspected.
+        out = node.on_consensus(proposal(kp("imposter"), good), T0)
+        assert node.alerts == [] and out.sends == []
+        assert node.chain.height == 0
 
 
 class TestLegacyProxy:
     def test_unknown_device_rejected(self, single):
         node, _, _ = single
         out = node.proxy_submit("ghost", encode_reading_args(1, 70), T0)
-        assert out.result == "rejected:unknown_legacy_device"
+        assert rejections(node) == ["unknown_legacy_device"] and out.sends == []
 
     def test_registered_device_reading_lands_under_proxy_identity(self, keys):
         authority, client = keys[0], keys[1]
@@ -407,8 +458,8 @@ class TestLegacyProxy:
 
         registered = node.register_legacy("sensor-1", contract)
         assert registered.public_key == proxy_kp.public_key
-        out = node.proxy_submit("sensor-1", encode_reading_args(5000, 88), 2 * INTERVAL - 1000)
-        assert out.result == "ack"
+        node.proxy_submit("sensor-1", encode_reading_args(5000, 88), 2 * INTERVAL - 1000)
+        assert rejections(node) == [] and len(admitted(node)) == 3
         node.on_timer(("propose", 2), 2 * INTERVAL)
         assert node.world.contracts[contract].readings[-1] == (5000, 88)
         proxied = [tx for b in node.chain.blocks for tx in b.transactions if tx.sender == proxy_kp.public_key]

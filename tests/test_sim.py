@@ -333,7 +333,8 @@ class TestBackgroundVerifier:
         actor = sim.actors["patient0"]
         (send,) = actor.wake(0, actor.steps[0].at_us)
         node = sim.nodes[send.dst]
-        assert node.handle_envelope(send.body, actor.steps[0].at_us).result == "ack"
+        node.handle_envelope(send.body, actor.steps[0].at_us)
+        assert len(node.mempool) == 1
         node.on_timer(("propose", node.engine.height), sim.config.block_interval_ms * 1000)
         assert node.chain.height == 1
         assert channel._worker is None
@@ -416,8 +417,22 @@ class TestConfig:
             {"link": {"base_latency_us": -10000}},
             {"link": {"jitter_us": -5}},
             {"link": {"drop_probability": 1.5}},
+            {"block_interval_ms": 0},
+            {"block_interval_ms": -1},
+            {"write_period_ms": -1000},
+            {"tasks": -1},
+            {"writes": -1},
+            {"task_period_us": -50},
+            {"query_service_us": -1},
+            {"crashed": -1},
+            {"byzantine": -1},
+            {"duration_s": -0.5},
+            {"stop_at_height": -3},
         ],
-        ids=["negative_latency", "negative_jitter", "drop_probability_above_one"],
+        ids=["negative_latency", "negative_jitter", "drop_probability_above_one", "zero_interval",
+             "negative_interval", "negative_write_period", "negative_tasks", "negative_writes",
+             "negative_task_period", "negative_service", "negative_crashed", "negative_byzantine",
+             "negative_duration", "negative_stop_height"],
     )
     def test_bad_scenario_json_rejected(self, bad):
         cfg = ScenarioConfig.from_json(json.dumps(bad))
@@ -480,3 +495,15 @@ class TestConfig:
             run_scenario(ScenarioConfig(workload="nonsense"), 1)
         with pytest.raises(ConfigInvalid):
             run_scenario(ScenarioConfig(nodes=4, byzantine=2, crashed=2), 1)
+        # Fewer faults than nodes, but the live honest nodes fall short of the quorum.
+        with pytest.raises(ConfigInvalid, match="quorum"):
+            ScenarioConfig(nodes=4, crashed=2).validate()
+        with pytest.raises(ConfigInvalid, match="quorum"):
+            ScenarioConfig(nodes=7, crashed=3).validate()
+
+    def test_largest_tolerable_fault_counts_and_any_seed_accepted(self):
+        for nodes, faults in ((1, 0), (2, 1), (3, 2), (4, 1), (7, 2), (20, 6)):
+            ScenarioConfig(nodes=nodes, crashed=faults).validate()
+            ScenarioConfig(nodes=nodes, byzantine=faults).validate()
+        ScenarioConfig(seed=-1).validate()  # the one numeric field that may be negative
+
