@@ -301,6 +301,13 @@ def _worker_main(requests: int, answers: int, withdrawn: mmap.mmap) -> None:
     runs the parent's exit handlers."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        idle = getattr(os, "SCHED_IDLE", None)
+        if idle is not None:
+            # Run only on a CPU nothing else wants: a wake-up must never preempt the event loop.
+            try:
+                os.sched_setscheduler(0, idle, os.sched_param(0))
+            except OSError:
+                pass
         gc.disable()  # a collection would touch, and so copy, every page shared with the parent
         seq = 0
         pending = b""

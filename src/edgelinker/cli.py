@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import RunPlan, cmd_attack, cmd_channel_overhead, cmd_run
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
         if args.config:
             try:
                 config = ScenarioConfig.from_json(Path(args.config).read_text())
-                config.validate()
+                replace(config, attack=args.kind).validate()
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2

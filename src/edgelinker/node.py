@@ -204,7 +204,7 @@ class FogNode:
         self.engine = ConsensusEngine(auth_cfg, keypair, height=1, now_us=0)
         self.peer_ids = [p for p in peer_ids if p != node_id]
         self.directory = directory  # public key -> transport id
-        self.rec = recorder or _no_record
+        self.rec = _no_record if recorder is None else recorder
 
         self.mempool: dict = {}  # tx hash -> Transaction, insertion ordered
         self._in_chain: set = set()
@@ -278,7 +278,8 @@ class FogNode:
             self.pending_conf[txh] = (client_pk, now_us)
             for peer in self.peer_ids:
                 out.sends.append(Send(peer, GOSSIP, tx))
-        self.rec("tx_admitted", tx=txh.hex()[:16], sender=tx.sender.hex()[:16])
+            # Only the entry node traces an admission, so the trace grows with tasks, not tasks x nodes.
+            self.rec("tx_admitted", tx=txh.hex()[:16], sender=tx.sender.hex()[:16])
         return out
 
     def _reject(self, out: NodeOutput, reason: str, **info) -> NodeOutput:
@@ -435,15 +436,6 @@ class FogNode:
             txs=len(block.transactions),
             proposer=block.header.proposer.hex()[:16],
         )
-        for receipt in receipts:
-            self.rec(
-                "receipt",
-                tx=receipt.tx_hash.hex()[:16],
-                result=receipt.result,
-                reason=receipt.reason,
-                gas=receipt.gas_used,
-                height=receipt.height,
-            )
         confirms: dict = {}  # client key -> its ConfirmEntry list, in block order
         for receipt in receipts:
             txh = receipt.tx_hash
@@ -452,9 +444,19 @@ class FogNode:
             pending = self.pending_conf.pop(txh, None)
             if pending is None:
                 continue
+            # Only the entry node traces a receipt; `replay_chain` rebuilds any node's receipts.
             client_pk, received_us = pending
             delay_us = now_us - received_us
-            self.rec("tx_finalized_delay", tx=txh.hex()[:16], delay_us=delay_us)
+            tx_id = txh.hex()[:16]
+            self.rec(
+                "receipt",
+                tx=tx_id,
+                result=receipt.result,
+                reason=receipt.reason,
+                gas=receipt.gas_used,
+                height=receipt.height,
+            )
+            self.rec("tx_finalized_delay", tx=tx_id, delay_us=delay_us)
             entry = ConfirmEntry(txh, receipt.result, receipt.reason, delay_us)
             confirms.setdefault(client_pk, []).append(entry)
         for client_pk, entries in confirms.items():

@@ -258,6 +258,8 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown channel mode {self.channel_mode!r}")
         if self.attack is not None and self.attack not in ATTACK_KINDS:
             raise ConfigInvalid(f"unknown attack {self.attack!r}")
+        if self.workload == "none" and self.attack is not None and ATTACKER_CLASSES[self.attack].PLAN_PARAMS:
+            raise ConfigInvalid(f"attack {self.attack!r} needs a workload, not 'none'")
         for what, record in (("scenario", self), ("link", self.link)):
             for f in fields(record):
                 value = getattr(record, f.name)
@@ -420,6 +422,7 @@ class AttackerBase:
 
     START_US = PERIOD_US = COUNT = 0
     WAKE_TAIL_US = 10_000_000  # room after each wake for the defences to act
+    PLAN_PARAMS: tuple = ()  # params only a workload's plan supplies (see _build_plans)
 
     def __init__(self, sim: "Simulation", keypair: KeyPair, params: dict):
         self.sim = sim
@@ -448,6 +451,8 @@ class AttackerBase:
 class ReplayAttacker(AttackerBase):
     """Records channel bytes in transit and re-sends them verbatim."""
 
+    PLAN_PARAMS = ("replay_at_us",)
+
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
         self.captured: list = []
@@ -474,6 +479,8 @@ class ReplayAttacker(AttackerBase):
 
 class EavesdropAttacker(AttackerBase):
     """Passive capture plus offline decryption attempts with the wrong key."""
+
+    PLAN_PARAMS = ("attempt_at_us",)
 
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
@@ -533,6 +540,7 @@ class DoSAttacker(AttackerBase):
     """Floods permission-denied contract calls until fees drain its balance."""
 
     START_US, PERIOD_US = 5_000_000, 300_000  # the plan sets count from the balance
+    PLAN_PARAMS = ("contract", "balance", "count")
 
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
@@ -555,6 +563,7 @@ class SpoofAttacker(AttackerBase):
     """Claims another device's identity without holding its private key."""
 
     START_US, PERIOD_US, COUNT = 2_000_000, 500_000, 10
+    PLAN_PARAMS = ("victim",)
 
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)

@@ -185,9 +185,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "bad",
         [{"node": 7}, {"nodes": 0}, {"nodes": 7, "crashed": 1, "byzantine": 1}, {"nodes": "x"}, {"link": 5},
-         {"block_interval_ms": 0}, {"write_period_ms": -1000}],
+         {"block_interval_ms": 0}, {"write_period_ms": -1000}, {"workload": "none", "duration_s": 5}],
         ids=["unknown_key", "no_nodes", "crashed_and_byzantine", "nodes_not_an_int", "link_not_an_object",
-             "zero_block_interval", "negative_write_period"],
+             "zero_block_interval", "negative_write_period", "replay_without_a_workload"],
     )
     def test_attack_with_bad_config_file_exits_2(self, tmp_path, capsys, bad):
         path = tmp_path / "scenario.json"

@@ -389,6 +389,13 @@ class TestVerifyingAhead:
         assert worker.take(pair.public_key + signature + digest) is True  # the framing held
         assert ch.verify_digest(pair.public_key, short, b"twenty bytes, no sha")
 
+    @pytest.mark.skipif(not hasattr(os, "SCHED_IDLE"), reason="SCHED_IDLE is Linux-only")
+    def test_worker_runs_only_on_an_idle_cpu(self, worker):
+        pair = kp("idle")
+        ch.sign_digest(pair.private_key, hashlib.sha256(b"idle").digest())
+        settle(worker)  # the worker sets its policy before it reads its first triple
+        assert os.sched_getscheduler(worker.pid) == os.SCHED_IDLE
+
     def test_verify_digest_takes_the_worker_verdict(self, worker):
         pair = kp("take")
         digest = hashlib.sha256(b"take").digest()

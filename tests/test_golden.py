@@ -17,6 +17,15 @@ stayed identical.
 The replay, eavesdrop, denial-of-service and spoofing drills were pinned
 later, with the values the code gave at the time, so that a change to how
 devices and attackers are driven shows up in their traces.
+
+The trace digests were re-pinned a second time, when only a transaction's
+entry node (the node that admitted it from its device's channel) began to
+record its `tx_admitted` and `receipt` events. Before, every node recorded
+one of each per transaction, so the trace grew with transactions times
+nodes. No check read the replicas' copies, and `replay_chain` rebuilds any
+node's receipts from its chain. Every other event, and its order, stayed
+identical, and the entry node's events are the ones kept; `receipt` now sits
+directly before that node's `tx_finalized_delay` for the same transaction.
 """
 
 import hashlib
@@ -50,49 +59,49 @@ GOLDEN = {
         _lifecycle,
         "0bc54e46b3ab5439f773761adfdade28c8128e8a1f530f092f1b6dd0438ffce4",
         "ca9d846779cd19008f7ef906b445385eaac4c015779a9410d8f6a7f78c23eb2b",
-        "1bff18ee7ab0af93f037f2d29513b3af67f233c111a084affbaa84e25fc13547",
+        "c250f8a96de1e5ebd3f3ac1a744b6c7d8219be1938f2a28ef263441e5e63f72d",
         0,
     ),
     "write_n20_t500_seed42": (
         _write_cell,
         "339814ae3d20d8a5799b6725c63c798455d1f0bfece24a62e9e03c5feb683f7f",
         "e213827b5efbf314dee651a420751ae8da344b6dcd2cb42cff6b13729ed9a024",
-        "038ba535c957b91f3cc1e42b66cdadfb860bed34ab9df90cbd85f324a9200c14",
+        "48387b6756c9ca24f1bc65e5ee8d8840e9161521254134f6f8bc14c2d0b0bba1",
         0,
     ),
     "insertion_drill_seed7": (
         _insertion_drill,
         "d19fc21dbe5ab7c0c3afc9602cd65ba4cabc1e4876337a1d775144bcc6ca9dc9",
         "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
-        "0f37e7697eca4abd6102388b148c39868db7c578f3efc6430e2e58b9b7499ef3",
+        "3a63d78e11bb6df6d4086c6376ed8bc0b8858829f0ab2e849fd7f5bb0ea2a1c4",
         20,
     ),
     "replay_drill_seed7": (
         _drill("replay"),
         "21bea2c38e120ac404dfe7474341d37e3701b8e059c24e319444a213ed513ac9",
         "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
-        "87e54777505868eb4f0252a3aadb0eded07e83598134e733d2acd69ccd57bb9d",
+        "13f8edddb39b1f169ffedec65676c36bfc9eb1dec15603b6af5d15cb892cfc8f",
         48,
     ),
     "eavesdrop_drill_seed7": (
         _drill("eavesdrop"),
         "21bea2c38e120ac404dfe7474341d37e3701b8e059c24e319444a213ed513ac9",
         "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
-        "fc8cb3a3dd6657b2d8e40b53fef0411af84f15fd79c8965ce438fafdea527748",
+        "c349f0fb7ac0e29b4c3da36dde2034d131593b58d813c62a80450616e2f992b4",
         0,
     ),
     "dos_drill_seed7": (
         _drill("dos"),
         "026f43cc09f075cbd2d128258b2f81ef42652222f0ac7c2b3a0b234f786868b4",
         "2244e178ad4dcb6a4baba4ed2001a823aa8d2a34970b09ae084c257b4fe44262",
-        "78a64f538e4f336b1f713100056c1cb6a2b4edfe9bc1c17e54a4090a67b4f6a7",
+        "9b831e1770206ba13d999ee62198a7258f4ff94432784b0be7f8e04474a06892",
         0,
     ),
     "spoof_drill_seed7": (
         _drill("spoof"),
         "4e17a6c90b698c0c1a18a17d840150fabef3cd5be5acb3d8b45d16e074ea6ed5",
         "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
-        "ed7728a93f502ebdc1d2bc574d47af24af22da6895305e757d2ee6e5fc211357",
+        "95fedd004e20c3d38dbec37083e89c47aeda0b85b37ad05a9c008c57ca52cfbf",
         0,
     ),
 }

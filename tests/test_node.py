@@ -90,6 +90,24 @@ class TestEnvelopeIngress:
         assert admitted(node) == [hash_tx(tx).hex()[:16]] and rejections(node) == []
         assert len(node.mempool) == 1
 
+    def test_an_empty_falsy_recorder_still_records(self, keys):
+        class ListSink(list):  # falsy while empty
+            def __call__(self, kind, **info):
+                self.append((kind, info))
+
+        authority, client = keys[0], keys[1]
+        cfg = GenesisConfig(
+            chain_id=1,
+            authorities=[authority.public_key],
+            initial_balances={client.public_key: 10**12},
+            block_interval_ms=1000,
+        )
+        sink = ListSink()
+        node = FogNode("n0", authority, cfg, [], {}, recorder=sink)
+        tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
+        node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
+        assert sink == [("tx_admitted", {"tx": hash_tx(tx).hex()[:16], "sender": client.public_key.hex()[:16]})]
+
     def test_replayed_envelope_rejected_with_alert(self, single):
         node, _, client = single
         tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))

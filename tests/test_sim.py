@@ -15,6 +15,8 @@ from edgelinker.contracts import GasSchedule, apply_block, genesis_world, replay
 from edgelinker.codec import enc_str, enc_u64, enc_u8
 from edgelinker.node import ConfirmBody, QueryReplyBody
 from edgelinker.sim import (
+    ATTACK_KINDS,
+    ATTACKER_CLASSES,
     ConfigInvalid,
     DeviceActor,
     LinkModel,
@@ -165,6 +167,31 @@ class TestConfirmations:
             arrivals.setdefault((e.src, e.info["height"]), []).append(e.t_us)
         assert max(len(times) for times in arrivals.values()) > 1  # a device has several writes in a block
         assert all(len(set(times)) == 1 for times in arrivals.values())
+
+
+class TestEntryNodeTrace:
+    """A transaction's admission and receipt are traced once, by its entry node."""
+
+    def test_one_admission_and_one_receipt_per_transaction(self):
+        sim = Simulation(ScenarioConfig(nodes=4, workload="write", tasks=60, block_interval_ms=200), 5)
+        writers = sorted(actor_id for actor_id in sim.actors if actor_id.startswith("writer"))
+        for i, actor_id in enumerate(writers):
+            sim.actors[actor_id].primary = i % 4  # each writer enters through its own node
+        trace = sim.run()
+        submitted = trace.of_kind("task_sent")  # a write workload sends transactions only
+        confirmed = {e.info["tx"]: e for e in trace.of_kind("task_confirmed")}
+        admitted = trace.of_kind("tx_admitted")
+        receipts = trace.of_kind("receipt")
+        assert len(confirmed) == len(submitted) == 60 + 2 + len(writers)  # the writes, deploy and grants
+        assert sorted(e.info["tx"] for e in admitted) == sorted(confirmed)
+        assert sorted(e.info["tx"] for e in receipts) == sorted(confirmed)
+        entry = {e.info["tx"]: e.src for e in admitted}
+        assert {e.src for e in admitted} == {"n0", "n1", "n2", "n3"}
+        for receipt in receipts:
+            device = confirmed[receipt.info["tx"]]
+            assert receipt.src == entry[receipt.info["tx"]]
+            assert (receipt.info["result"], receipt.info["reason"]) == (device.info["result"], device.info["reason"])
+        assert len({final.world.digest() for final in trace.final.values()}) == 1
 
 
 class TestNodeCounters:
@@ -500,6 +527,16 @@ class TestConfig:
             ScenarioConfig(nodes=4, crashed=2).validate()
         with pytest.raises(ConfigInvalid, match="quorum"):
             ScenarioConfig(nodes=7, crashed=3).validate()
+
+    def test_attacks_that_need_a_workload_rejected_without_one(self):
+        for kind in ATTACK_KINDS:
+            cfg = ScenarioConfig(workload="none", duration_s=5.0, attack=kind)
+            if ATTACKER_CLASSES[kind].PLAN_PARAMS:
+                with pytest.raises(ConfigInvalid, match="needs a workload"):
+                    cfg.validate()
+            else:
+                run_scenario(cfg, 1)
+        assert [k for k in ATTACK_KINDS if not ATTACKER_CLASSES[k].PLAN_PARAMS] == ["insertion"]
 
     def test_largest_tolerable_fault_counts_and_any_seed_accepted(self):
         for nodes, faults in ((1, 0), (2, 1), (3, 2), (4, 1), (7, 2), (20, 6)):
