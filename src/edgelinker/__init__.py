@@ -10,8 +10,8 @@ from .channel import (
     open_message,
     seal_message,
 )
-from .chain import Block, Chain, GenesisConfig, Transaction, build_block, hash_block, validate_block
-from .contracts import GasSchedule, WorldState, execute_transaction, read_history
+from .chain import Block, Chain, GasSchedule, GenesisConfig, Transaction, build_block, hash_block, validate_block
+from .contracts import WorldState, execute_transaction, read_history
 from .consensus import AuthorityConfig, ConsensusEngine, select_proposer
 from .node import FogNode
 from .sim import LinkModel, ScenarioConfig, run_scenario

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import channel as ch
-from .contracts import GasSchedule
 from .sim import ATTACK_KINDS, ScenarioConfig, SimTrace, child_rng, child_seed, key_seed, run_scenario
 
 CSV_COLUMNS = [
@@ -78,6 +77,9 @@ class RunPlan:
             raise ValueError(f"unknown workload {self.workload!r}")
         if not self.node_counts or not self.task_counts:
             raise ValueError("node_counts and task_counts must be non-empty")
+        for nodes in self.node_counts:
+            for tasks in self.task_counts:
+                cell_config(self, nodes, tasks).validate()
 
 
 def _extract_metrics(trace: SimTrace, run_id: str, workload: str, nodes: int, tasks: int, seed: int, wall_s: float) -> MetricsRecord:
@@ -116,12 +118,8 @@ def _extract_metrics(trace: SimTrace, run_id: str, workload: str, nodes: int, ta
     )
 
 
-def run_cell_once(plan: RunPlan, nodes: int, tasks: int, rep: int) -> MetricsRecord:
-    # channel_mode is deliberately not part of the derivation: secure and
-    # plain runs of the same cell share seeds, so their simulated timelines
-    # are directly comparable.
-    seed = child_seed(plan.seed, plan.workload, nodes, tasks, rep)
-    config = ScenarioConfig(
+def cell_config(plan: RunPlan, nodes: int, tasks: int) -> ScenarioConfig:
+    return ScenarioConfig(
         nodes=nodes,
         workload=plan.workload,
         tasks=tasks,
@@ -129,6 +127,14 @@ def run_cell_once(plan: RunPlan, nodes: int, tasks: int, rep: int) -> MetricsRec
         block_interval_ms=plan.block_interval_ms,
         task_period_us=plan.task_period_us,
     )
+
+
+def run_cell_once(plan: RunPlan, nodes: int, tasks: int, rep: int) -> MetricsRecord:
+    # channel_mode is deliberately not part of the derivation: secure and
+    # plain runs of the same cell share seeds, so their simulated timelines
+    # are directly comparable.
+    seed = child_seed(plan.seed, plan.workload, nodes, tasks, rep)
+    config = cell_config(plan, nodes, tasks)
     run_id = f"{plan.workload}-{plan.channel_mode}-n{nodes}-t{tasks}"
     start = time.perf_counter()
     trace = run_scenario(config, seed)
@@ -213,24 +219,14 @@ def cmd_run(plan: RunPlan, out_dir) -> Path:
     return csv_path
 
 
-def load_csv(path) -> list:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        return [dict(zip(header, line.strip().split(","))) for line in fh if line.strip()]
-
-
-def non_timing_columns(rows) -> list:
-    """Rows restricted to deterministic columns (measured_ prefix stripped out)."""
-    keep = [c for c in CSV_COLUMNS if not c.startswith("measured_")]
-    return [{c: row[c] for c in keep} for row in rows]
-
-
 # --- channel overhead ---------------------------------------------------------
 
 def cmd_channel_overhead(message_sizes, samples: int, out_path=None) -> list:
     """Wall-clock cost of seal+open versus plain encode/decode per size."""
     if samples < 100:
         raise ValueError("need at least 100 samples per size")
+    if not message_sizes or min(message_sizes) < 0:
+        raise ValueError(f"need at least one message size and none negative, got {list(message_sizes)}")
     rng = child_rng(1234, "overhead")
     kp_sender = ch.generate_keypair(key_seed(1234, "overhead", "sender"))
     kp_receiver = ch.generate_keypair(key_seed(1234, "overhead", "receiver"))
@@ -321,8 +317,10 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
         # Chains are compared byte for byte, so both runs cover the same fixed span.
         duration_s = 45.0 if config.duration_s is None else config.duration_s
         config = replace(config, stop_on_done=False, duration_s=duration_s)
+    attacked_config = replace(config, attack=kind)
+    attacked_config.validate()  # before the baseline, so a bad config costs no run
     baseline = run_scenario(replace(config, attack=None), seed)
-    attacked = run_scenario(replace(config, attack=kind), seed)
+    attacked = run_scenario(attacked_config, seed)
     honest = attacked.meta["honest"]
     stats = dict(attacked.attack_stats)
     lines = []
@@ -353,7 +351,7 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
         ]
         stats["alerts"] = alerts
     elif kind == "dos":
-        gas = GasSchedule.from_dict(attacked.genesis.gas).add_data
+        gas = attacked.genesis.gas.add_data
         balance = stats["balance"]
         denied = sum(
             1

@@ -15,7 +15,6 @@ rather than stopping at the first.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
@@ -331,53 +330,26 @@ def verify_block_signature(header: BlockHeader) -> bool:
 # --- genesis --------------------------------------------------------------
 
 @dataclass
+class GasSchedule:
+    """Unit costs per operation; defaults match the measured fee table."""
+
+    deploy: int = 701_382
+    add_data: int = 48_182
+    grant: int = 23_521
+    revoke: int = 21_948
+    transfer: int = 21_000
+
+
+@dataclass
 class GenesisConfig:
     """Bootstrap description; fully determines the genesis block and state."""
 
-    chain_id: int
     authorities: list
     initial_balances: dict = field(default_factory=dict)
-    gas: Optional[dict] = None
+    gas: GasSchedule = field(default_factory=GasSchedule)
     block_interval_ms: int = DEFAULT_BLOCK_INTERVAL_MS
     max_txs: int = DEFAULT_MAX_TXS
     genesis_timestamp_ms: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "chain_id": self.chain_id,
-                "authorities": [pk.hex() for pk in self.authorities],
-                "initial_balances": {addr.hex(): bal for addr, bal in self.initial_balances.items()},
-                "gas_schedule": self.gas,
-                "block_interval_ms": self.block_interval_ms,
-                "max_txs": self.max_txs,
-                "genesis_timestamp_ms": self.genesis_timestamp_ms,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GenesisConfig":
-        """Parse a genesis file; raises ValueError for a gas key or value the
-        schedule does not know, or for a block interval or block size below 1,
-        so a bad file fails here, not at node start."""
-        from .contracts import GasSchedule  # contracts imports this module
-
-        raw = json.loads(text)
-        GasSchedule.from_dict(raw.get("gas_schedule"))
-        config = cls(
-            chain_id=raw["chain_id"],
-            authorities=[bytes.fromhex(h) for h in raw["authorities"]],
-            initial_balances={bytes.fromhex(a): b for a, b in raw.get("initial_balances", {}).items()},
-            gas=raw.get("gas_schedule"),
-            block_interval_ms=raw.get("block_interval_ms", DEFAULT_BLOCK_INTERVAL_MS),
-            max_txs=raw.get("max_txs", DEFAULT_MAX_TXS),
-            genesis_timestamp_ms=raw.get("genesis_timestamp_ms", 0),
-        )
-        if config.block_interval_ms < 1 or config.max_txs < 1:
-            raise ValueError("block_interval_ms and max_txs must each be at least 1")
-        return config
 
 
 def make_genesis(config: GenesisConfig) -> Block:

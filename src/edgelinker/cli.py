@@ -71,7 +71,11 @@ def main(argv=None) -> int:
     if args.command == "channel-overhead":
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rows = cmd_channel_overhead(args.sizes, args.samples, out_dir / "channel_overhead.csv")
+        try:
+            rows = cmd_channel_overhead(args.sizes, args.samples, out_dir / "channel_overhead.csv")
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for row in rows:
             print(
                 f"size={row['size_bytes']}B secure={row['secure_mean_us']}us "

@@ -15,10 +15,10 @@ enclosing block is applied.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .chain import Block, Call, Deploy, GenesisConfig, Query, Transaction, Transfer, hash_tx
-from .codec import READING, DecodeError, Reader, enc_bytes, enc_list, enc_readings, enc_str, enc_u64, enc_u8
+from .chain import Block, Call, Deploy, GasSchedule, GenesisConfig, Query, Transaction, Transfer, hash_tx
+from .codec import READING, DecodeError, Reader, enc_bytes, enc_list, enc_readings, enc_u64, enc_u8
 
 PERMITTER_PERMISSION = bytes(32)
 WRITE_PERMISSION = bytes(31) + b"\x01"
@@ -58,30 +58,6 @@ class BadNonce(ContractError):
 
 class InsufficientBalance(ContractError):
     pass
-
-
-@dataclass
-class GasSchedule:
-    """Unit costs per operation; defaults match the measured fee table."""
-
-    deploy: int = 701_382
-    add_data: int = 48_182
-    grant: int = 23_521
-    revoke: int = 21_948
-    transfer: int = 21_000
-
-    @classmethod
-    def from_dict(cls, raw: dict | None) -> "GasSchedule":
-        """Raises ValueError for an unknown key or a value that is no integer."""
-        if not raw:
-            return cls()
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown gas_schedule keys {unknown}")
-        try:
-            return cls(**{k: int(v) for k, v in raw.items()})
-        except TypeError as exc:
-            raise ValueError(f"gas_schedule value is no integer: {exc}") from exc
 
 
 # --- permission table (the access-control core) -----------------------------
@@ -144,21 +120,11 @@ class Account:
 
 
 @dataclass
-class Event:
-    contract_address: bytes
-    name: str
-    data: bytes
-    block_height: int
-    tx_hash: bytes
-
-
-@dataclass
 class Receipt:
     tx_hash: bytes
     result: str
     reason: str
     gas_used: int
-    events: list
     height: int
 
 
@@ -184,9 +150,6 @@ class WorldState:
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.encode()).digest()
-
-    def total_supply(self) -> int:
-        return sum(acct.balance for acct in self.accounts.values())
 
     def balance(self, address: bytes) -> int:
         acct = self.accounts.get(address)
@@ -269,8 +232,6 @@ def execute_transaction(world: WorldState, tx: Transaction, schedule: GasSchedul
     world._account(FEE_SINK).balance += gas
     sender_acct.next_nonce += 1
 
-    txh = hash_tx(tx)
-    events: list = []
     result, reason = RESULT_OK, ""
     payload = tx.payload
 
@@ -292,45 +253,41 @@ def execute_transaction(world: WorldState, tx: Transaction, schedule: GasSchedul
         if contract is None:
             result, reason = RESULT_FAILED, "unknown_contract"
         elif payload.method == METHOD_ADD_READING:
-            result, reason, events = _call_add_reading(contract, payload, tx.sender, txh, height)
+            result, reason = _call_add_reading(contract, payload, tx.sender)
         elif payload.method in (METHOD_GRANT, METHOD_REVOKE):
-            result, reason, events = _call_permission(contract, payload, tx.sender, txh, height)
+            result, reason = _call_permission(contract, payload, tx.sender)
         else:
             result, reason = RESULT_FAILED, "unknown_method"
 
-    return Receipt(tx_hash=txh, result=result, reason=reason, gas_used=gas, events=events, height=height)
+    return Receipt(tx_hash=hash_tx(tx), result=result, reason=reason, gas_used=gas, height=height)
 
 
-def _call_add_reading(contract, payload, sender, txh, height):
+def _call_add_reading(contract, payload, sender):
     try:
         reading = decode_reading_args(payload.args)
     except DecodeError:
-        return RESULT_FAILED, "bad_args", []
+        return RESULT_FAILED, "bad_args"
     if reading[1] > MAX_HEART_RATE:
-        return RESULT_FAILED, "bad_args", []
+        return RESULT_FAILED, "bad_args"
     if not has_permission(contract.permission_table, WRITE_PERMISSION, sender):
-        return RESULT_DENIED, "write_permission", []
+        return RESULT_DENIED, "write_permission"
     contract.readings.append(reading)
-    # The args are exactly the reading's canonical bytes.
-    event = Event(payload.contract_address, "ReadingAdded", payload.args, height, txh)
-    return RESULT_OK, "", [event]
+    return RESULT_OK, ""
 
 
-def _call_permission(contract, payload, sender, txh, height):
+def _call_permission(contract, payload, sender):
     try:
         permission, address = decode_permission_args(payload.args)
     except DecodeError:
-        return RESULT_FAILED, "bad_args", []
+        return RESULT_FAILED, "bad_args"
     try:
         if payload.method == METHOD_GRANT:
             grant_permission(contract.permission_table, sender, permission, address)
         else:
             revoke_permission(contract.permission_table, sender, permission, address)
     except PermissionDenied:
-        return RESULT_DENIED, "permitter_permission", []
-    data = enc_str(payload.method) + encode_permission_args(permission, address)
-    event = Event(payload.contract_address, "PermissionChanged", data, height, txh)
-    return RESULT_OK, "", [event]
+        return RESULT_DENIED, "permitter_permission"
+    return RESULT_OK, ""
 
 
 def apply_block(world: WorldState, block: Block, schedule: GasSchedule) -> list:
@@ -348,7 +305,6 @@ def apply_block(world: WorldState, block: Block, schedule: GasSchedule) -> list:
                 result=RESULT_SKIPPED,
                 reason=type(exc).__name__,
                 gas_used=0,
-                events=[],
                 height=height,
             )
         receipts.append(receipt)
@@ -377,8 +333,7 @@ def genesis_world(config: GenesisConfig) -> WorldState:
 
 def replay_chain(chain, config: GenesisConfig) -> WorldState:
     """Rebuild world state from genesis by replaying every finalized block."""
-    schedule = GasSchedule.from_dict(config.gas)
     world = genesis_world(config)
     for block in chain.blocks[1:]:
-        apply_block(world, block, schedule)
+        apply_block(world, block, config.gas)
     return world

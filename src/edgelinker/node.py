@@ -10,14 +10,12 @@ so replaying the chain from genesis always reproduces it byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from . import channel as ch
 from .chain import (
     Block,
-    Call,
     Chain,
     GenesisConfig,
     Query,
@@ -26,22 +24,12 @@ from .chain import (
     hash_block,
     hash_tx,
     make_genesis,
-    make_transaction,
     validate_block,
     verify_transaction,
 )
 from .codec import DecodeError, Reader, enc_bytes, enc_readings, enc_str, enc_u64, enc_u8
 from .consensus import AuthorityConfig, ConsensusEngine, ConsensusMessage, Phase, verify_message
-from .contracts import (
-    METHOD_ADD_READING,
-    GasSchedule,
-    PermissionDenied,
-    UnknownContract,
-    decode_reading_args,
-    genesis_world,
-    read_history,
-    apply_block,
-)
+from .contracts import PermissionDenied, UnknownContract, apply_block, genesis_world, read_history
 
 MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
 QUERY_SERVICE_US = 1000  # time one read occupies the node's query server
@@ -155,19 +143,6 @@ def _no_record(kind: str, **info) -> None:
     """Default trace sink; the simulator hands nodes its own."""
 
 
-@dataclass
-class ProxyEntry:
-    endpoint: ch.Endpoint  # holds the proxy identity's keys and its channel counter
-    contract: bytes
-    next_account_nonce: int = 1
-
-
-def proxy_keypair(node_public: bytes, legacy_id: str) -> ch.KeyPair:
-    """Deterministic per-device keypair held by the fronting node."""
-    seed = hashlib.sha256(b"edgelinker/proxy/" + node_public + legacy_id.encode()).digest()
-    return ch.generate_keypair(seed)
-
-
 class FogNode:
     """One authority node: miner, channel endpoint, and read server.
 
@@ -193,7 +168,6 @@ class FogNode:
         self.query_service_us = query_service_us
         self.genesis_config = genesis_config
         self.block_interval_us = genesis_config.block_interval_ms * 1000
-        self.schedule = GasSchedule.from_dict(genesis_config.gas)
         self.chain = Chain.from_genesis(make_genesis(genesis_config), genesis_config.authorities)
         self.world = genesis_world(genesis_config)
         self.endpoint = ch.Endpoint(keypair, channel_mode, rng)
@@ -211,7 +185,6 @@ class FogNode:
         self.pending_conf: dict = {}  # tx hash -> (client pk, received_us)
         self.alerts: list = []
         self._alert_keys: set = set()
-        self.proxy_table: dict = {}
         self.busy_until_us = 0
         self._next_propose_us = self.block_interval_us
 
@@ -311,33 +284,6 @@ class FogNode:
             out.sends.append(Send(dst, REPLY, raw, at_us=completion))
         return out
 
-    # -- legacy proxy ------------------------------------------------------------
-
-    def register_legacy(self, legacy_id: str, contract: bytes) -> ch.KeyPair:
-        keypair = proxy_keypair(self.keypair.public_key, legacy_id)
-        endpoint = ch.Endpoint(keypair, self.endpoint.mode, self.endpoint.rng)  # shares the node's nonce stream
-        self.proxy_table[legacy_id] = ProxyEntry(endpoint, contract)
-        return keypair
-
-    def proxy_submit(self, legacy_id: str, payload: bytes, now_us: int) -> NodeOutput:
-        """Wrap a raw legacy reading in a proxied, channel-secured transaction."""
-        entry = self.proxy_table.get(legacy_id)
-        if entry is None:
-            return self._reject(NodeOutput(), "unknown_legacy_device", legacy_id=legacy_id)
-        try:
-            decode_reading_args(payload)
-        except DecodeError:
-            return self._reject(NodeOutput(), "bad_legacy_payload", legacy_id=legacy_id)
-        tx = make_transaction(
-            entry.endpoint.keypair,
-            entry.next_account_nonce,
-            now_us // 1000,
-            Call(entry.contract, METHOD_ADD_READING, payload),
-        )
-        entry.next_account_nonce += 1
-        raw = entry.endpoint.seal(self.keypair.public_key, tx.encode(), now_us // 1000)
-        return self.handle_envelope(raw, now_us)
-
     # -- consensus ---------------------------------------------------------------
 
     def on_consensus(self, msg: ConsensusMessage, now_us: int) -> NodeOutput:
@@ -426,7 +372,7 @@ class FogNode:
 
     def _apply_finalized(self, block: Block, now_us: int, out: NodeOutput) -> None:
         self.chain.blocks.append(block)
-        receipts = apply_block(self.world, block, self.schedule)
+        receipts = apply_block(self.world, block, self.genesis_config.gas)
         self._next_propose_us = now_us + self.block_interval_us
         bh = hash_block(block)
         self.rec(

@@ -5,7 +5,7 @@ tie-breaking. Every random draw comes from a stream derived from (seed,
 label), so link jitter, cipher nonces and actor behavior are reproducible
 bit for bit, and adding an attacker never perturbs honest streams.
 
-Scenarios wire devices (patients, doctors, legacy sensors) and fog nodes
+Scenarios wire devices (patients, doctors) and fog nodes
 through a configurable link model, then run either the canonical access
 lifecycle (deploy, periodic writes, grant, read, revoke, denied read) or a
 benchmark workload. Attack injectors cover replay, eavesdropping, block
@@ -48,7 +48,6 @@ from .contracts import (
     METHOD_REVOKE,
     READ_PERMISSION,
     WRITE_PERMISSION,
-    GasSchedule,
     contract_address,
     encode_permission_args,
     encode_reading_args,
@@ -221,7 +220,7 @@ class ScenarioConfig:
     duration_s: Optional[float] = None
     channel_mode: str = "secure"
     workload: str = "scenario"  # scenario | write | read | mixed | none
-    tasks: int = 0
+    tasks: int = 100
     task_period_us: int = 50  # global spacing between injected tasks
     writes: int = 10
     write_period_ms: int = 60_000
@@ -260,6 +259,8 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown attack {self.attack!r}")
         if self.workload == "none" and self.attack is not None and ATTACKER_CLASSES[self.attack].PLAN_PARAMS:
             raise ConfigInvalid(f"attack {self.attack!r} needs a workload, not 'none'")
+        if self.workload in ("write", "read", "mixed") and self.tasks < 1:
+            raise ConfigInvalid(f"workload {self.workload!r} needs at least one task, got {self.tasks!r}")
         for what, record in (("scenario", self), ("link", self.link)):
             for f in fields(record):
                 value = getattr(record, f.name)
@@ -539,11 +540,13 @@ class InsertionAttacker(AttackerBase):
 class DoSAttacker(AttackerBase):
     """Floods permission-denied contract calls until fees drain its balance."""
 
-    START_US, PERIOD_US = 5_000_000, 300_000  # the plan sets count from the balance
-    PLAN_PARAMS = ("contract", "balance", "count")
+    START_US, PERIOD_US = 5_000_000, 300_000
+    PLAN_PARAMS = ("contract", "balance")
 
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
+        # Enough calls to drain the balance in fees, and three more; a `count` param wins.
+        self.COUNT = params["balance"] // sim.genesis.gas.add_data + 3
         self.nonce = 1
         self.endpoint = ch.Endpoint(keypair, sim.config.channel_mode, self.rng)
         self.stats = {"flood_sent": 0, "balance": params["balance"]}
@@ -659,7 +662,6 @@ class Simulation:
 
         plans, balances, attacker_needs = _build_plans(self, config)
         genesis = GenesisConfig(
-            chain_id=1,
             authorities=authorities,
             initial_balances=balances,
             block_interval_ms=config.block_interval_ms,
@@ -927,7 +929,7 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
         }
 
     elif config.workload in ("write", "read", "mixed"):
-        tasks = config.tasks if config.tasks > 0 else 100
+        tasks = config.tasks
         start = 6 * interval_us
         writer_kps, reader_kps = [], []
         write_tasks = tasks if config.workload == "write" else (tasks // 2 if config.workload == "mixed" else 0)
@@ -985,7 +987,6 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
         attacker_kp = generate_keypair(key_seed(seed, "attacker"))
         balance = int(config.attack_params.get("balance", 100_000))
         balances[attacker_kp.public_key] = balance
-        attacker_needs["count"] = balance // GasSchedule().add_data + 3
         attacker_needs["balance"] = balance
 
     return plans, balances, attacker_needs

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from edgelinker.bench import CSV_COLUMNS
 from edgelinker.chain import GenesisConfig, make_genesis
 from edgelinker.channel import generate_keypair
 
@@ -14,6 +15,18 @@ def kp(label):
     return generate_keypair(tseed(label))
 
 
+def load_csv(path) -> list:
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        return [dict(zip(header, line.strip().split(","))) for line in fh if line.strip()]
+
+
+def non_timing_columns(rows) -> list:
+    """Rows restricted to deterministic columns (measured_ prefix stripped out)."""
+    keep = [c for c in CSV_COLUMNS if not c.startswith("measured_")]
+    return [{c: row[c] for c in keep} for row in rows]
+
+
 @pytest.fixture
 def keys():
     return [kp(i) for i in range(8)]
@@ -23,7 +36,6 @@ def keys():
 def genesis_one(keys):
     """Single-authority genesis with a well-funded client account."""
     cfg = GenesisConfig(
-        chain_id=1,
         authorities=[keys[0].public_key],
         initial_balances={keys[1].public_key: 10**12, keys[2].public_key: 10**12},
         block_interval_ms=1000,

@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-from edgelinker.bench import RunPlan, cmd_attack, cmd_channel_overhead, cmd_run, load_csv, non_timing_columns
-from edgelinker.chain import Call, Deploy, make_transaction
+from edgelinker.bench import RunPlan, cmd_attack, cmd_channel_overhead, cmd_run
+from edgelinker.chain import Call, Deploy, GasSchedule, make_transaction
 from edgelinker.channel import ChannelMessage, SecureEnvelope, derive_shared_key, generate_keypair, open_message, seal_message
 import edgelinker.channel as ch
 from edgelinker.contracts import (
@@ -20,7 +20,6 @@ from edgelinker.contracts import (
     READ_PERMISSION,
     WRITE_PERMISSION,
     Account,
-    GasSchedule,
     PermissionDenied,
     WorldState,
     encode_permission_args,
@@ -33,7 +32,7 @@ from edgelinker.contracts import (
     revoke_permission,
 )
 from edgelinker.sim import ScenarioConfig, run_scenario
-from tests.conftest import kp
+from tests.conftest import kp, load_csv, non_timing_columns
 
 NOW_MS = 1_700_000_000_000
 

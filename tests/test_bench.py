@@ -13,10 +13,9 @@ from edgelinker.bench import (
     default_attack_config,
     cmd_channel_overhead,
     cmd_run,
-    load_csv,
-    non_timing_columns,
 )
 from edgelinker.cli import main
+from tests.conftest import load_csv, non_timing_columns
 
 
 def small_plan(**overrides):
@@ -89,6 +88,11 @@ class TestChannelOverhead:
         with pytest.raises(ValueError):
             cmd_channel_overhead([64], 99)
 
+    @pytest.mark.parametrize("sizes", [[], [64, -5]], ids=["none", "negative"])
+    def test_no_sizes_or_a_negative_size_rejected(self, sizes):
+        with pytest.raises(ValueError, match="message size"):
+            cmd_channel_overhead(sizes, 100)
+
 
 class TestAttackDrills:
     @pytest.mark.parametrize("kind", ["replay", "eavesdrop", "insertion", "dos", "spoof"])
@@ -104,6 +108,16 @@ class TestAttackDrills:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             cmd_attack("voodoo")
+
+    def test_config_the_attack_cannot_carry_rejected_before_any_run(self, monkeypatch):
+        from edgelinker import bench
+        from edgelinker.sim import ConfigInvalid, ScenarioConfig
+
+        runs = []
+        monkeypatch.setattr(bench, "run_scenario", lambda config, seed: runs.append(config))
+        with pytest.raises(ConfigInvalid, match="needs a workload"):
+            cmd_attack("dos", ScenarioConfig(workload="none", duration_s=300))
+        assert runs == []
 
     def test_insertion_drill_leaves_caller_config_unchanged(self):
         cfg = default_attack_config()
@@ -153,6 +167,20 @@ class TestCli:
         main(["attack", "--kind", "replay", "--config", str(path)])
         main(["attack", "--kind", "replay"])
         assert used == [3, 11, cli.ATTACK_SEED]
+
+    def test_run_with_zero_tasks_exits_2(self, tmp_path, capsys):
+        code = main(["run", "--nodes", "2", "--tasks", "0", "--reps", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args", [["--samples", "50"], ["--sizes", ""], ["--sizes", "-5"]],
+        ids=["too_few_samples", "no_sizes", "negative_size"],
+    )
+    def test_channel_overhead_bad_input_exits_2(self, tmp_path, capsys, args):
+        assert main(["channel-overhead", *args, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_channel_overhead_subcommand(self, tmp_path, capsys):
         code = main(["channel-overhead", "--sizes", "64", "--samples", "100", "--out", str(tmp_path)])

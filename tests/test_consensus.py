@@ -32,7 +32,7 @@ NOW_MS = 1_700_000_000_000
 def make_cluster(n, now_us=0):
     keys = [kp(f"auth{i}") for i in range(n)]
     cfg = AuthorityConfig(authorities=[k.public_key for k in keys], round_timeout_us=2_000_000)
-    genesis_cfg = GenesisConfig(chain_id=1, authorities=cfg.authorities)
+    genesis_cfg = GenesisConfig(authorities=cfg.authorities)
     genesis = make_genesis(genesis_cfg)
     chains = [Chain.from_genesis(genesis, cfg.authorities) for _ in range(n)]
     engines = [ConsensusEngine(cfg, keys[i], height=1, now_us=now_us) for i in range(n)]

@@ -4,6 +4,7 @@ from edgelinker import node as node_module
 from edgelinker.chain import (
     Call,
     Deploy,
+    GasSchedule,
     GenesisConfig,
     Query,
     build_block,
@@ -31,7 +32,6 @@ from edgelinker.node import (
     ConfirmBody,
     FogNode,
     QueryReplyBody,
-    proxy_keypair,
 )
 from edgelinker.channel import open_message, SecureEnvelope
 from edgelinker.consensus import Phase, make_message
@@ -61,7 +61,6 @@ def admitted(node):
 
 def make_node(authority, balances, node_id="n0", peer_ids=(), directory=None):
     cfg = GenesisConfig(
-        chain_id=1,
         authorities=[authority.public_key] if not isinstance(authority, list) else [a.public_key for a in authority],
         initial_balances=balances,
         block_interval_ms=1000,
@@ -97,8 +96,7 @@ class TestEnvelopeIngress:
 
         authority, client = keys[0], keys[1]
         cfg = GenesisConfig(
-            chain_id=1,
-            authorities=[authority.public_key],
+                authorities=[authority.public_key],
             initial_balances={client.public_key: 10**12},
             block_interval_ms=1000,
         )
@@ -221,10 +219,9 @@ class TestProposalLifecycle:
     def test_genesis_sets_interval_round_timeout_and_gas(self, keys):
         authority, client = keys[0], keys[1]
         genesis = GenesisConfig(
-            chain_id=1,
-            authorities=[authority.public_key],
+                authorities=[authority.public_key],
             initial_balances={client.public_key: 10**12},
-            gas={"deploy": 5},
+            gas=GasSchedule(deploy=5),
             block_interval_ms=200,
         )
         node = FogNode("n0", authority, genesis, [], {})
@@ -310,8 +307,7 @@ class TestTickProposerDuty:
     def test_proposer_emits_pre_prepare_with_pending_txs(self, keys):
         a0, a1, client = keys[0], keys[1], keys[2]
         cfg = GenesisConfig(
-            chain_id=1,
-            authorities=[a0.public_key, a1.public_key],
+                authorities=[a0.public_key, a1.public_key],
             initial_balances={client.public_key: 10**12},
             block_interval_ms=1000,
         )
@@ -449,37 +445,3 @@ class TestMonitoring:
         out = node.on_consensus(proposal(kp("imposter"), good), T0)
         assert node.alerts == [] and out.sends == []
         assert node.chain.height == 0
-
-
-class TestLegacyProxy:
-    def test_unknown_device_rejected(self, single):
-        node, _, _ = single
-        out = node.proxy_submit("ghost", encode_reading_args(1, 70), T0)
-        assert rejections(node) == ["unknown_legacy_device"] and out.sends == []
-
-    def test_registered_device_reading_lands_under_proxy_identity(self, keys):
-        authority, client = keys[0], keys[1]
-        proxy_kp = proxy_keypair(authority.public_key, "sensor-1")
-        node = make_node(
-            authority,
-            {client.public_key: 10**12, proxy_kp.public_key: 10**12},
-        )
-        contract = contract_address(client.public_key, 1)
-        setup = [
-            Deploy("health_record", b""),
-            Call(contract, "grant", encode_permission_args(WRITE_PERMISSION, proxy_kp.public_key)),
-        ]
-        for i, payload in enumerate(setup, start=1):
-            tx = make_transaction(client, i, T0 // 1000, payload)
-            node.handle_envelope(envelope(client, node, i, tx, T0), T0)
-        node.on_timer(("propose", 1), INTERVAL)
-
-        registered = node.register_legacy("sensor-1", contract)
-        assert registered.public_key == proxy_kp.public_key
-        node.proxy_submit("sensor-1", encode_reading_args(5000, 88), 2 * INTERVAL - 1000)
-        assert rejections(node) == [] and len(admitted(node)) == 3
-        node.on_timer(("propose", 2), 2 * INTERVAL)
-        assert node.world.contracts[contract].readings[-1] == (5000, 88)
-        proxied = [tx for b in node.chain.blocks for tx in b.transactions if tx.sender == proxy_kp.public_key]
-        assert len(proxied) == 1
-        assert proxied[0].sender != client.public_key

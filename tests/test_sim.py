@@ -11,7 +11,7 @@ import pytest
 import edgelinker
 from edgelinker import chain, channel
 from edgelinker.chain import Query
-from edgelinker.contracts import GasSchedule, apply_block, genesis_world, replay_chain
+from edgelinker.contracts import apply_block, genesis_world, replay_chain
 from edgelinker.codec import enc_str, enc_u64, enc_u8
 from edgelinker.node import ConfirmBody, QueryReplyBody
 from edgelinker.sim import (
@@ -150,7 +150,7 @@ class TestConfirmations:
         )
         trace = run_scenario(cfg, 3)
         n0 = trace.final["n0"]  # every device's primary, so the node that confirms
-        world, schedule = genesis_world(trace.genesis), GasSchedule.from_dict(trace.genesis.gas)
+        world, schedule = genesis_world(trace.genesis), trace.genesis.gas
         ledger = {}
         for block in n0.chain.blocks[1:]:
             for receipt in apply_block(world, block, schedule):
@@ -537,6 +537,13 @@ class TestConfig:
             else:
                 run_scenario(cfg, 1)
         assert [k for k in ATTACK_KINDS if not ATTACKER_CLASSES[k].PLAN_PARAMS] == ["insertion"]
+
+    def test_task_workloads_need_at_least_one_task(self):
+        assert ScenarioConfig(workload="write").tasks == 100
+        for workload in ("write", "read", "mixed"):
+            with pytest.raises(ConfigInvalid, match="at least one task"):
+                ScenarioConfig(workload=workload, tasks=0).validate()
+        ScenarioConfig(workload="scenario", tasks=0).validate()  # the lifecycle ignores tasks
 
     def test_largest_tolerable_fault_counts_and_any_seed_accepted(self):
         for nodes, faults in ((1, 0), (2, 1), (3, 2), (4, 1), (7, 2), (20, 6)):
