@@ -12,14 +12,13 @@ from .channel import (
 )
 from .chain import Block, Chain, GasSchedule, GenesisConfig, Transaction, build_block, hash_block, validate_block
 from .contracts import WorldState, execute_transaction, read_history
-from .consensus import AuthorityConfig, ConsensusEngine, select_proposer
+from .consensus import ConsensusEngine, select_proposer
 from .node import FogNode
 from .sim import LinkModel, ScenarioConfig, run_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuthorityConfig",
     "Block",
     "Chain",
     "ChannelMessage",

@@ -13,7 +13,7 @@ import json
 import statistics
 import subprocess
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import channel as ch
@@ -38,31 +38,11 @@ CSV_COLUMNS = [
     "measured_wall_mean_s",
 ]
 
-DEFAULT_NODE_COUNTS = [1, 5, 10, 15, 20]
-DEFAULT_TASK_COUNTS = [100, 200, 300, 400, 500]
-
-
-@dataclass
-class MetricsRecord:
-    """Per-run samples for one simulated workload execution."""
-
-    run_id: str
-    workload: str
-    nodes: int
-    tasks: int
-    seed: int
-    processing_delay_us: list
-    processing_time_us: list
-    throughput_tps: float
-    confirmed: int
-    tip_hash: str
-    measured_wall_s: float
-
 
 @dataclass
 class RunPlan:
-    node_counts: list = field(default_factory=lambda: list(DEFAULT_NODE_COUNTS))
-    task_counts: list = field(default_factory=lambda: list(DEFAULT_TASK_COUNTS))
+    node_counts: list = field(default_factory=lambda: [1, 5, 10, 15, 20])
+    task_counts: list = field(default_factory=lambda: [100, 200, 300, 400, 500])
     repetitions: int = 5
     workload: str = "write"
     channel_mode: str = "secure"
@@ -82,42 +62,6 @@ class RunPlan:
                 cell_config(self, nodes, tasks).validate()
 
 
-def _extract_metrics(trace: SimTrace, run_id: str, workload: str, nodes: int, tasks: int, seed: int, wall_s: float) -> MetricsRecord:
-    delays: list = []
-    times: list = []
-    stamps: list = []
-    for event in trace.write_samples():
-        delays.append(event.info["delay_node_us"])
-        times.append(event.info["rtt_us"])
-        stamps.append((event.info["t_send_us"], event.t_us))
-    for event in trace.read_samples():
-        times.append(event.info["rtt_us"])
-        stamps.append((event.info["t_send_us"], event.t_us))
-    for event in trace.of_kind("query_served"):
-        delays.append(event.info["delay_us"])
-    confirmed = len(stamps)
-    if stamps:
-        start = min(s for s, _ in stamps)
-        end = max(e for _, e in stamps)
-        span_s = max(end - start, 1) / 1_000_000
-        tps = confirmed / span_s
-    else:
-        tps = 0.0
-    return MetricsRecord(
-        run_id=run_id,
-        workload=workload,
-        nodes=nodes,
-        tasks=tasks,
-        seed=seed,
-        processing_delay_us=delays,
-        processing_time_us=times,
-        throughput_tps=tps,
-        confirmed=confirmed,
-        tip_hash=trace.final["n0"].tip_hash.hex(),
-        measured_wall_s=wall_s,
-    )
-
-
 def cell_config(plan: RunPlan, nodes: int, tasks: int) -> ScenarioConfig:
     return ScenarioConfig(
         nodes=nodes,
@@ -129,17 +73,52 @@ def cell_config(plan: RunPlan, nodes: int, tasks: int) -> ScenarioConfig:
     )
 
 
-def run_cell_once(plan: RunPlan, nodes: int, tasks: int, rep: int) -> MetricsRecord:
-    # channel_mode is deliberately not part of the derivation: secure and
-    # plain runs of the same cell share seeds, so their simulated timelines
-    # are directly comparable.
-    seed = child_seed(plan.seed, plan.workload, nodes, tasks, rep)
-    config = cell_config(plan, nodes, tasks)
-    run_id = f"{plan.workload}-{plan.channel_mode}-n{nodes}-t{tasks}"
-    start = time.perf_counter()
-    trace = run_scenario(config, seed)
-    wall = time.perf_counter() - start
-    return _extract_metrics(trace, run_id, plan.workload, nodes, tasks, seed, wall)
+def _cell_row(plan: RunPlan, nodes: int, tasks: int) -> dict:
+    """Run every repetition of one cell and summarise their traces as one CSV row."""
+    delays, times, tps_values, walls, tips = [], [], [], [], []
+    confirmed = 0
+    for rep in range(plan.repetitions):
+        # channel_mode is deliberately not part of the derivation: secure and
+        # plain runs of the same cell share seeds, so their simulated timelines
+        # are directly comparable.
+        seed = child_seed(plan.seed, plan.workload, nodes, tasks, rep)
+        start = time.perf_counter()
+        trace = run_scenario(cell_config(plan, nodes, tasks), seed)
+        walls.append(time.perf_counter() - start)
+        writes = [e for e in trace.of_kind("task_confirmed") if e.info["measured"]]
+        answered = writes + [e for e in trace.of_kind("task_reply") if e.info["measured"]]
+        delays += [e.info["delay_node_us"] for e in writes]
+        delays += [e.info["delay_us"] for e in trace.of_kind("query_served")]
+        times += [e.info["rtt_us"] for e in answered]
+        if answered:
+            span_us = max(e.t_us for e in answered) - min(e.info["t_send_us"] for e in answered)
+            tps_values.append(len(answered) / (max(span_us, 1) / 1_000_000))
+        else:
+            tps_values.append(0.0)
+        confirmed += len(answered)
+        tips.append(trace.final["n0"].tip_hash.hex())
+    delay_mean, delay_std = _mean_std(delays)
+    time_mean, time_std = _mean_std(times)
+    tps_mean, tps_std = _mean_std(tps_values)
+    wall_mean, _ = _mean_std(walls)
+    return {
+        "run_id": f"{plan.workload}-{plan.channel_mode}-n{nodes}-t{tasks}",
+        "workload": plan.workload,
+        "channel_mode": plan.channel_mode,
+        "nodes": nodes,
+        "tasks": tasks,
+        "repetitions": plan.repetitions,
+        "seed": plan.seed,
+        "confirmed_tx": confirmed,
+        "delay_mean_us": f"{delay_mean:.3f}",
+        "delay_std_us": f"{delay_std:.3f}",
+        "time_mean_us": f"{time_mean:.3f}",
+        "time_std_us": f"{time_std:.3f}",
+        "tps_mean": f"{tps_mean:.6f}",
+        "tps_std": f"{tps_std:.6f}",
+        "tip_hashes": ";".join(tips),
+        "measured_wall_mean_s": f"{wall_mean:.6f}",
+    }
 
 
 def _mean_std(values) -> tuple:
@@ -165,55 +144,13 @@ def cmd_run(plan: RunPlan, out_dir) -> Path:
     plan.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for nodes in plan.node_counts:
-        for tasks in plan.task_counts:
-            records = [run_cell_once(plan, nodes, tasks, rep) for rep in range(plan.repetitions)]
-            delays = [d for r in records for d in r.processing_delay_us]
-            times = [t for r in records for t in r.processing_time_us]
-            tps_values = [r.throughput_tps for r in records]
-            delay_mean, delay_std = _mean_std(delays)
-            time_mean, time_std = _mean_std(times)
-            tps_mean, tps_std = _mean_std(tps_values)
-            wall_mean, _ = _mean_std([r.measured_wall_s for r in records])
-            rows.append(
-                {
-                    "run_id": records[0].run_id,
-                    "workload": plan.workload,
-                    "channel_mode": plan.channel_mode,
-                    "nodes": nodes,
-                    "tasks": tasks,
-                    "repetitions": plan.repetitions,
-                    "seed": plan.seed,
-                    "confirmed_tx": sum(r.confirmed for r in records),
-                    "delay_mean_us": f"{delay_mean:.3f}",
-                    "delay_std_us": f"{delay_std:.3f}",
-                    "time_mean_us": f"{time_mean:.3f}",
-                    "time_std_us": f"{time_std:.3f}",
-                    "tps_mean": f"{tps_mean:.6f}",
-                    "tps_std": f"{tps_std:.6f}",
-                    "tip_hashes": ";".join(r.tip_hash for r in records),
-                    "measured_wall_mean_s": f"{wall_mean:.6f}",
-                }
-            )
+    rows = [_cell_row(plan, nodes, tasks) for nodes in plan.node_counts for tasks in plan.task_counts]
     csv_path = out / "results.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
-    manifest = {
-        "plan": {
-            "node_counts": plan.node_counts,
-            "task_counts": plan.task_counts,
-            "repetitions": plan.repetitions,
-            "workload": plan.workload,
-            "channel_mode": plan.channel_mode,
-            "seed": plan.seed,
-            "block_interval_ms": plan.block_interval_ms,
-            "task_period_us": plan.task_period_us,
-        },
-        "commit": _commit_hash(),
-    }
+    manifest = {"plan": asdict(plan), "commit": _commit_hash()}
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return csv_path

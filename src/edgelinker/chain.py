@@ -371,11 +371,6 @@ class Chain:
     """Append-only block list owned by a single consensus loop."""
 
     blocks: list
-    authority_set: list
-
-    @classmethod
-    def from_genesis(cls, genesis: Block, authorities) -> "Chain":
-        return cls(blocks=[genesis], authority_set=list(authorities))
 
     @property
     def tip(self) -> Block:
@@ -401,15 +396,6 @@ class Violation(str, Enum):
     BAD_TX_ROOT = "bad_tx_root"
     BAD_TX_SIGNATURE = "bad_tx_signature"
     QUERY_IN_BLOCK = "query_in_block"
-
-
-@dataclass
-class ValidationResult:
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def build_block(
@@ -448,8 +434,8 @@ def build_block(
     return Block(header=header, transactions=chosen)
 
 
-def validate_block(block: Block, parent: Block, authorities) -> ValidationResult:
-    """Stateless checks against the parent; reports every violation found."""
+def validate_block(block: Block, parent: Block, authorities) -> list:
+    """Stateless checks against the parent; returns every Violation found, none for a valid block."""
     violations = []
     if block.header.prev_hash != hash_block(parent):
         violations.append(Violation.BAD_PARENT_LINK)
@@ -467,4 +453,4 @@ def validate_block(block: Block, parent: Block, authorities) -> ValidationResult
         violations.append(Violation.BAD_TX_SIGNATURE)
     if any(isinstance(tx.payload, Query) for tx in block.transactions):
         violations.append(Violation.QUERY_IN_BLOCK)
-    return ValidationResult(violations)
+    return violations

@@ -22,15 +22,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edgelinker", description="Benchmark and attack-drill harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    plan = RunPlan()
     run_p = sub.add_parser("run", help="run a workload grid and write CSV results")
-    run_p.add_argument("--nodes", type=_int_list, default=[1, 5, 10, 15, 20])
-    run_p.add_argument("--tasks", type=_int_list, default=[100, 200, 300, 400, 500])
-    run_p.add_argument("--reps", type=int, default=5)
-    run_p.add_argument("--workload", choices=["read", "write", "mixed"], default="write")
-    run_p.add_argument("--channel", choices=list(MODES), default="secure")
-    run_p.add_argument("--seed", type=int, default=42)
-    run_p.add_argument("--interval-ms", type=int, default=500)
-    run_p.add_argument("--task-period-us", type=int, default=50)
+    run_p.add_argument("--nodes", type=_int_list, default=plan.node_counts)
+    run_p.add_argument("--tasks", type=_int_list, default=plan.task_counts)
+    run_p.add_argument("--reps", type=int, default=plan.repetitions)
+    run_p.add_argument("--workload", choices=["read", "write", "mixed"], default=plan.workload)
+    run_p.add_argument("--channel", choices=list(MODES), default=plan.channel_mode)
+    run_p.add_argument("--seed", type=int, default=plan.seed)
+    run_p.add_argument("--interval-ms", type=int, default=plan.block_interval_ms)
+    run_p.add_argument("--task-period-us", type=int, default=plan.task_period_us)
     run_p.add_argument("--out", default="results")
 
     co_p = sub.add_parser("channel-overhead", help="measure secure vs plain channel cost")

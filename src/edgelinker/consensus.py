@@ -1,10 +1,11 @@
-"""Three-phase finality engine over a fixed authority set.
+"""Three-phase finality engine over the genesis authority set.
 
-Proposers rotate round-robin by (height + round) mod n. A height finalizes
-when 2f+1 authorities commit the same block hash, f = (n-1)//3. A node that
-sees a prepare quorum locks the block and re-proposals must carry it. Round
-changes fire on timeout with per-round deadline doubling; a new round's
-proposer waits for a round-change quorum before proposing.
+Proposers rotate round-robin by (height + round) mod n, in the order of
+`GenesisConfig.authorities`. A height finalizes when 2f+1 authorities commit
+the same block hash, f = (n-1)//3. A node that sees a prepare quorum locks
+the block and re-proposals must carry it. Round changes fire on timeout; the
+round-0 deadline is twice the genesis block interval and doubles each round.
+A new round's proposer waits for a round-change quorum before proposing.
 
 The engine is a deterministic state machine: one ordered input stream per
 node, no internal concurrency. Message signatures and authority membership
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-from .chain import Block, Chain, hash_block, validate_block
+from .chain import Block, Chain, GenesisConfig, hash_block, validate_block
 from .channel import KeyPair, sign_digest, verify_digest
 from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_u64, enc_u8, set_cached
 
@@ -119,27 +120,14 @@ def verify_message(msg: ConsensusMessage, authorities) -> bool:
     return verify_digest(msg.sender, msg.signature, digest)
 
 
-@dataclass
-class AuthorityConfig:
-    authorities: list
-    round_timeout_us: int = 2_000_000  # round-0 deadline; doubles each round
-
-    @property
-    def n(self) -> int:
-        return len(self.authorities)
-
-    @property
-    def f(self) -> int:
-        return (self.n - 1) // 3
-
-    @property
-    def quorum(self) -> int:
-        return 2 * self.f + 1
+def quorum(n: int) -> int:
+    """Votes that finalize among n authorities: 2f+1, f = (n-1)//3."""
+    return 2 * ((n - 1) // 3) + 1
 
 
-def select_proposer(height: int, round_: int, cfg: AuthorityConfig) -> bytes:
+def select_proposer(height: int, round_: int, authorities) -> bytes:
     """Deterministic rotation; a round change shifts to the next authority."""
-    return cfg.authorities[(height + round_) % cfg.n]
+    return authorities[(height + round_) % len(authorities)]
 
 
 @dataclass
@@ -173,11 +161,14 @@ class ConsensusEngine:
 
     BUFFER_CAP = 4096
 
-    def __init__(self, cfg: AuthorityConfig, keypair: KeyPair, height: int, now_us: int):
-        self.cfg = cfg
+    def __init__(self, genesis: GenesisConfig, keypair: KeyPair, height: int, now_us: int):
+        self.authorities = genesis.authorities
+        self.f = (len(self.authorities) - 1) // 3
+        self.quorum = quorum(len(self.authorities))
+        self.round_timeout_us = 2 * genesis.block_interval_ms * 1000  # round 0; doubles each round
         self.keypair = keypair
         self.state = ConsensusState(height=height)
-        self.state.deadline_us = now_us + cfg.round_timeout_us
+        self.state.deadline_us = now_us + self.round_timeout_us
         self.incidents: list = []
         self._future: list = []  # messages for later heights
 
@@ -196,7 +187,7 @@ class ConsensusEngine:
         return self.state.deadline_us
 
     def is_proposer(self) -> bool:
-        return select_proposer(self.state.height, self.state.round, self.cfg) == self.keypair.public_key
+        return select_proposer(self.state.height, self.state.round, self.authorities) == self.keypair.public_key
 
     def wants_proposal(self) -> bool:
         """True when this node should issue the pre-prepare for the current round."""
@@ -206,7 +197,7 @@ class ConsensusEngine:
         if st.round == 0:
             return True
         votes = st.round_change_votes.get(st.round, set())
-        return len(votes) >= self.cfg.quorum
+        return len(votes) >= self.quorum
 
     def on_message(self, msg: ConsensusMessage, chain: Chain, now_us: int):
         """Feed one verified message; returns (outbound messages, finalized block)."""
@@ -259,7 +250,7 @@ class ConsensusEngine:
     def start_height(self, height: int, now_us: int):
         """Reset for the next height and replay any buffered messages for it."""
         self.state = ConsensusState(height=height)
-        self.state.deadline_us = now_us + self.cfg.round_timeout_us
+        self.state.deadline_us = now_us + self.round_timeout_us
         pending, self._future = self._future, []
         ready = [m for m in pending if m.height >= height]
         self._future = [m for m in ready if m.height > height]
@@ -268,7 +259,7 @@ class ConsensusEngine:
     # -- internals -----------------------------------------------------------
 
     def _timeout_for(self, round_: int) -> int:
-        return self.cfg.round_timeout_us << min(round_, 20)
+        return self.round_timeout_us << min(round_, 20)
 
     def _enter_round(self, round_: int, now_us: int) -> None:
         st = self.state
@@ -291,9 +282,9 @@ class ConsensusEngine:
         if round_ <= st.round:
             return
         # f+1 peers already gave up on our round: join the change early.
-        if len(votes) > self.cfg.f and round_ not in st.sent_round_change:
+        if len(votes) > self.f and round_ not in st.sent_round_change:
             self._send_round_change(round_, out)
-        if len(votes) >= self.cfg.quorum:
+        if len(votes) >= self.quorum:
             self._enter_round(round_, now_us)
 
     def _handle_pre_prepare(self, msg: ConsensusMessage, chain: Chain) -> None:
@@ -303,15 +294,15 @@ class ConsensusEngine:
             if hash_block(existing) != msg.block_hash:
                 self._incident("equivocation", msg.sender, f"conflicting proposal round {msg.round}")
             return
-        if msg.sender != select_proposer(st.height, msg.round, self.cfg):
+        if msg.sender != select_proposer(st.height, msg.round, self.authorities):
             self._incident("invalid_proposal", msg.sender, "not the proposer for this round", msg.block)
             return
         if msg.block is None or hash_block(msg.block) != msg.block_hash:
             self._incident("invalid_proposal", msg.sender, "proposal hash mismatch", msg.block)
             return
-        result = validate_block(msg.block, chain.tip, self.cfg.authorities)
-        if not result.ok:
-            detail = ",".join(v.value for v in result.violations)
+        violations = validate_block(msg.block, chain.tip, self.authorities)
+        if violations:
+            detail = ",".join(v.value for v in violations)
             self._incident("invalid_proposal", msg.sender, detail, msg.block)
             return
         st.proposals[msg.round] = msg.block
@@ -349,7 +340,7 @@ class ConsensusEngine:
     def _check_progress(self, out: list, now_us: int) -> Optional[Block]:
         """Drive prepare/commit/finalize off the current vote tables."""
         st = self.state
-        quorum = self.cfg.quorum
+        quorum = self.quorum
         me = self.keypair.public_key
 
         proposal = st.proposals.get(st.round)

@@ -28,7 +28,7 @@ from .chain import (
     verify_transaction,
 )
 from .codec import DecodeError, Reader, enc_bytes, enc_readings, enc_str, enc_u64, enc_u8
-from .consensus import AuthorityConfig, ConsensusEngine, ConsensusMessage, Phase, verify_message
+from .consensus import ConsensusEngine, ConsensusMessage, Phase, verify_message
 from .contracts import PermissionDenied, UnknownContract, apply_block, genesis_world, read_history
 
 MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
@@ -168,14 +168,10 @@ class FogNode:
         self.query_service_us = query_service_us
         self.genesis_config = genesis_config
         self.block_interval_us = genesis_config.block_interval_ms * 1000
-        self.chain = Chain.from_genesis(make_genesis(genesis_config), genesis_config.authorities)
+        self.chain = Chain([make_genesis(genesis_config)])
         self.world = genesis_world(genesis_config)
         self.endpoint = ch.Endpoint(keypair, channel_mode, rng)
-        auth_cfg = AuthorityConfig(
-            authorities=list(genesis_config.authorities),
-            round_timeout_us=2 * self.block_interval_us,
-        )
-        self.engine = ConsensusEngine(auth_cfg, keypair, height=1, now_us=0)
+        self.engine = ConsensusEngine(genesis_config, keypair, height=1, now_us=0)
         self.peer_ids = [p for p in peer_ids if p != node_id]
         self.directory = directory  # public key -> transport id
         self.rec = _no_record if recorder is None else recorder
@@ -288,14 +284,15 @@ class FogNode:
 
     def on_consensus(self, msg: ConsensusMessage, now_us: int) -> NodeOutput:
         out = NodeOutput()
-        if not verify_message(msg, self.chain.authority_set):
+        authorities = self.genesis_config.authorities
+        if not verify_message(msg, authorities):
             # A fabricated proposal from outside the authority set is still
             # inspected so the monitoring layer can name the offender.
             if msg.phase == Phase.PRE_PREPARE and msg.block is not None:
-                verdict = validate_block(msg.block, self.chain.tip, self.chain.authority_set)
-                if not verdict.ok:
+                violations = validate_block(msg.block, self.chain.tip, authorities)
+                if violations:
                     header = msg.block.header
-                    detail = ",".join(v.value for v in verdict.violations)
+                    detail = ",".join(v.value for v in violations)
                     self._raise_alert(AlertKind.INVALID_BLOCK, header.proposer, header.height, detail, now_us, out)
             return out
         msgs, fin = self.engine.on_message(msg, self.chain, now_us)
@@ -330,7 +327,7 @@ class FogNode:
             self.keypair,
             now_us // 1000,
             max_txs=self.genesis_config.max_txs,
-            authorities=self.chain.authority_set,
+            authorities=self.genesis_config.authorities,
         )
         self.rec("proposed", height=block.header.height, round=self.engine.round, txs=len(block.transactions))
         msgs, fin = self.engine.propose(block, now_us)

@@ -40,7 +40,7 @@ from .chain import (
 )
 from .channel import ChannelMessage, KeyPair, SecureEnvelope, generate_keypair, open_message
 from .codec import DecodeError, enc_u64
-from .consensus import AuthorityConfig, Phase, make_message
+from .consensus import Phase, make_message, quorum
 from .contracts import (
     HEALTH_RECORD_KIND,
     METHOD_ADD_READING,
@@ -189,26 +189,6 @@ class SimTrace:
                 for alert in self.final[node_id].alerts:
                     fh.write(f"{alert.sim_time_us},{alert.kind},{alert.offender.hex()},{alert.height}\n")
 
-    # metric sample helpers used by the benchmark harness
-    def write_samples(self):
-        out = [e for e in self.of_kind("task_confirmed") if e.info.get("measured")]
-        return out
-
-    def read_samples(self):
-        return [e for e in self.of_kind("task_reply") if e.info.get("measured")]
-
-
-class SimRecorder:
-    """Recorder handed to nodes; the loop stamps src and time before dispatch."""
-
-    def __init__(self, trace: SimTrace):
-        self.trace = trace
-        self.now_us = 0
-        self.src = ""
-
-    def __call__(self, kind: str, **info):
-        self.trace.add(self.now_us, self.src, kind, info)
-
 
 # --- scenario configuration -----------------------------------------------------
 
@@ -259,6 +239,14 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown attack {self.attack!r}")
         if self.workload == "none" and self.attack is not None and ATTACKER_CLASSES[self.attack].PLAN_PARAMS:
             raise ConfigInvalid(f"attack {self.attack!r} needs a workload, not 'none'")
+        if self.attack is not None:
+            # Unchecked without an attack: `cmd_attack`'s baseline runs the same params with attack=None.
+            takes = ATTACKER_CLASSES[self.attack].PARAMS
+            for key, value in self.attack_params.items():
+                if key not in takes:
+                    raise ConfigInvalid(f"attack {self.attack!r} reads no param {key!r}, only {list(takes)}")
+                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                    raise ConfigInvalid(f"attack param {key} must be a non-negative int, got {value!r}")
         if self.workload in ("write", "read", "mixed") and self.tasks < 1:
             raise ConfigInvalid(f"workload {self.workload!r} needs at least one task, got {self.tasks!r}")
         for what, record in (("scenario", self), ("link", self.link)):
@@ -269,9 +257,9 @@ class ScenarioConfig:
         if self.block_interval_ms < 1:
             # A zero interval makes a zero round timeout: simulated time never advances.
             raise ConfigInvalid("block_interval_ms must be at least 1")
-        quorum = AuthorityConfig(authorities=list(range(self.nodes))).quorum
-        if self.nodes - self.crashed - self.byzantine < quorum:
-            raise ConfigInvalid(f"the honest live nodes must form a quorum of {quorum} by themselves")
+        needed = quorum(self.nodes)
+        if self.nodes - self.crashed - self.byzantine < needed:
+            raise ConfigInvalid(f"the honest live nodes must form a quorum of {needed} by themselves")
         if self.crashed and self.byzantine:
             raise ConfigInvalid("use either crashed or byzantine faults, not both")
         if not 0.0 <= self.link.drop_probability <= 1.0:
@@ -423,6 +411,7 @@ class AttackerBase:
 
     START_US = PERIOD_US = COUNT = 0
     WAKE_TAIL_US = 10_000_000  # room after each wake for the defences to act
+    PARAMS: tuple = ("start_us", "period_us", "count")  # the params a scenario config may set
     PLAN_PARAMS: tuple = ()  # params only a workload's plan supplies (see _build_plans)
 
     def __init__(self, sim: "Simulation", keypair: KeyPair, params: dict):
@@ -434,9 +423,9 @@ class AttackerBase:
         self.stats: dict = {}
 
     def schedule(self) -> list:
-        start = int(self.params.get("start_us", self.START_US))
-        period = int(self.params.get("period_us", self.PERIOD_US))
-        count = int(self.params.get("count", self.COUNT))
+        start = self.params.get("start_us", self.START_US)
+        period = self.params.get("period_us", self.PERIOD_US)
+        count = self.params.get("count", self.COUNT)
         return [(start + i * period, i) for i in range(count)]
 
     def on_tap(self, src: str, dst: str, raw: bytes, now_us: int) -> None:
@@ -452,6 +441,7 @@ class AttackerBase:
 class ReplayAttacker(AttackerBase):
     """Records channel bytes in transit and re-sends them verbatim."""
 
+    PARAMS = ("replay_at_us", "gap_us", "max_capture", "max_replay")
     PLAN_PARAMS = ("replay_at_us",)
 
     def __init__(self, sim, keypair, params):
@@ -460,7 +450,7 @@ class ReplayAttacker(AttackerBase):
         self.stats = {"captured": 0, "replayed": 0}
 
     def schedule(self):
-        return [(int(self.params["replay_at_us"]), "replay")]
+        return [(self.params["replay_at_us"], "replay")]
 
     def on_tap(self, src, dst, raw, now_us):
         if len(self.captured) < self.params.get("max_capture", 100_000):
@@ -481,7 +471,7 @@ class ReplayAttacker(AttackerBase):
 class EavesdropAttacker(AttackerBase):
     """Passive capture plus offline decryption attempts with the wrong key."""
 
-    PLAN_PARAMS = ("attempt_at_us",)
+    PARAMS = PLAN_PARAMS = ("attempt_at_us",)
 
     def __init__(self, sim, keypair, params):
         super().__init__(sim, keypair, params)
@@ -489,7 +479,7 @@ class EavesdropAttacker(AttackerBase):
         self.stats = {"captured": 0, "attempts": 0, "failures": 0}
 
     def schedule(self):
-        return [(int(self.params["attempt_at_us"]), "attempt")]
+        return [(self.params["attempt_at_us"], "attempt")]
 
     def on_tap(self, src, dst, raw, now_us):
         self.captured.append(raw)
@@ -541,6 +531,7 @@ class DoSAttacker(AttackerBase):
     """Floods permission-denied contract calls until fees drain its balance."""
 
     START_US, PERIOD_US = 5_000_000, 300_000
+    PARAMS = AttackerBase.PARAMS + ("balance",)
     PLAN_PARAMS = ("contract", "balance")
 
     def __init__(self, sim, keypair, params):
@@ -610,8 +601,8 @@ class EquivocatingNode(FogNode):
     def _propose(self, out: NodeOutput, now_us: int) -> None:
         tip = self.chain.tip
         now_ms = now_us // 1000
-        block_a = build_block([], tip, self.keypair, now_ms, authorities=self.chain.authority_set)
-        block_b = build_block([], tip, self.keypair, now_ms + 7, authorities=self.chain.authority_set)
+        block_a = build_block([], tip, self.keypair, now_ms, authorities=self.genesis_config.authorities)
+        block_b = build_block([], tip, self.keypair, now_ms + 7, authorities=self.genesis_config.authorities)
         height, round_ = self.engine.height, self.engine.round
         msgs, fin = self.engine.propose(block_a, now_us)
         half = (len(self.peer_ids) + 1) // 2
@@ -643,7 +634,6 @@ class Simulation:
         self._seq = 0
         self.heap: list = []
         self.trace = SimTrace()
-        self.recorder = SimRecorder(self.trace)
         self.inflight = 0
         self.pending_responses = 0
         self.sent_count = 0
@@ -688,7 +678,7 @@ class Simulation:
                 directory=directory,
                 channel_mode=config.channel_mode,
                 query_service_us=config.query_service_us,
-                recorder=self.recorder,
+                recorder=self._recorder(node_id),
                 rng=child_rng(seed, "nodecrypto", node_id),
             )
 
@@ -717,6 +707,14 @@ class Simulation:
         for at_us, party, tag in wakes:
             self._push(at_us, ("wake", party.id, tag))
         self.total_wakes = self.remaining_wakes = len(wakes)
+
+    def _recorder(self, node_id: str):
+        """A node's trace sink: each event is stamped with the loop's clock and the node's id."""
+
+        def record(kind: str, **info) -> None:
+            self.trace.add(self.now_us, node_id, kind, info)
+
+        return record
 
     def _auto_duration(self, wakes: list) -> float:
         last = max((at_us + party.WAKE_TAIL_US for at_us, party, _tag in wakes), default=0)
@@ -797,7 +795,6 @@ class Simulation:
             self._armed.discard((node_id, key, self.now_us))
             if node_id in self.crashed:
                 return
-            self.recorder.now_us, self.recorder.src = self.now_us, node_id
             out = self.nodes[node_id].on_timer(key, self.now_us)
             self._emit(node_id, out)
         elif kind == "wake":
@@ -808,7 +805,6 @@ class Simulation:
     def _node_event(self, message: Send) -> None:
         node_id = message.dst
         node = self.nodes[node_id]
-        self.recorder.now_us, self.recorder.src = self.now_us, node_id
         kind, body = message.kind, message.body
         if kind == CLIENT:
             out = node.handle_envelope(body, self.now_us)
@@ -985,7 +981,7 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
 
     if config.attack == "dos":
         attacker_kp = generate_keypair(key_seed(seed, "attacker"))
-        balance = int(config.attack_params.get("balance", 100_000))
+        balance = config.attack_params.get("balance", 100_000)
         balances[attacker_kp.public_key] = balance
         attacker_needs["balance"] = balance
 

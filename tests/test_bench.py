@@ -144,6 +144,15 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "results.csv").exists()
 
+    def test_run_grid_defaults_are_the_run_plans(self, tmp_path, monkeypatch):
+        from edgelinker import cli
+        from edgelinker.bench import RunPlan
+
+        plans = []
+        monkeypatch.setattr(cli, "cmd_run", lambda plan, out: plans.append(plan) or out)
+        assert main(["run", "--out", str(tmp_path)]) == 0
+        assert plans == [RunPlan()]
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         # The seed has two sources: --seed wins over the config file's seed,
         # which wins over the default. The environment changes nothing.
@@ -211,14 +220,20 @@ class TestCli:
         assert main(["attack", "--kind", "replay", "--config", str(path)]) == 0
 
     @pytest.mark.parametrize(
-        "bad",
-        [{"node": 7}, {"nodes": 0}, {"nodes": 7, "crashed": 1, "byzantine": 1}, {"nodes": "x"}, {"link": 5},
-         {"block_interval_ms": 0}, {"write_period_ms": -1000}, {"workload": "none", "duration_s": 5}],
+        "kind,bad",
+        [("replay", {"node": 7}), ("replay", {"nodes": 0}), ("replay", {"nodes": 7, "crashed": 1, "byzantine": 1}),
+         ("replay", {"nodes": "x"}), ("replay", {"link": 5}), ("replay", {"block_interval_ms": 0}),
+         ("replay", {"write_period_ms": -1000}), ("replay", {"workload": "none", "duration_s": 5}),
+         ("replay", {"attack_params": {"gap_us": "x"}}), ("spoof", {"attack_params": {"start_us": "soon"}}),
+         ("dos", {"attack_params": {"balance": -5}}), ("dos", {"attack_params": {"contract": "00"}}),
+         ("replay", {"attack_params": {"count": 3}})],
         ids=["unknown_key", "no_nodes", "crashed_and_byzantine", "nodes_not_an_int", "link_not_an_object",
-             "zero_block_interval", "negative_write_period", "replay_without_a_workload"],
+             "zero_block_interval", "negative_write_period", "replay_without_a_workload",
+             "replay_gap_not_an_int", "spoof_start_not_an_int", "dos_negative_balance", "dos_contract_from_json",
+             "replay_param_it_never_reads"],
     )
-    def test_attack_with_bad_config_file_exits_2(self, tmp_path, capsys, bad):
+    def test_attack_with_bad_config_file_exits_2(self, tmp_path, capsys, kind, bad):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(bad))
-        assert main(["attack", "--kind", "replay", "--config", str(path)]) == 2
+        assert main(["attack", "--kind", kind, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")

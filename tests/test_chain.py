@@ -31,9 +31,9 @@ def transfer_tx(sender, nonce, amount=10):
     return make_transaction(sender, nonce, NOW_MS + nonce, Transfer(to=kp("sink").public_key, amount=amount))
 
 
-def append(chain, block):
+def append(chain, block, authorities):
     """Validate `block` against the chain's tip, then append it."""
-    assert validate_block(block, chain.tip, chain.authority_set).ok
+    assert validate_block(block, chain.tip, authorities) == []
     chain.blocks.append(block)
 
 
@@ -93,7 +93,7 @@ class TestBuildBlock:
         authority, _, genesis = setup
         block = build_block([], genesis, authority, NOW_MS)
         assert block.transactions == ()
-        assert validate_block(block, genesis, [authority.public_key]).ok
+        assert validate_block(block, genesis, [authority.public_key]) == []
 
     def test_cap_holds_back_overflow(self, setup):
         authority, _, genesis = setup
@@ -126,7 +126,7 @@ class TestBuildBlock:
         sender = kp("q")
         q = make_transaction(sender, 1, NOW_MS, Query(bytes(32), 0, 10))
         block = build_block([q, transfer_tx(sender, 1)], genesis, authority, NOW_MS)
-        assert validate_block(block, genesis, [authority.public_key]).violations == [Violation.QUERY_IN_BLOCK]
+        assert validate_block(block, genesis, [authority.public_key]) == [Violation.QUERY_IN_BLOCK]
 
 
 class TestValidateBlock:
@@ -138,7 +138,7 @@ class TestValidateBlock:
 
     def test_honest_block_valid(self, setup):
         authority, genesis, block = self._good(setup)
-        assert validate_block(block, genesis, [authority.public_key]).ok
+        assert validate_block(block, genesis, [authority.public_key]) == []
 
     @pytest.mark.parametrize(
         "corrupt,violation",
@@ -177,24 +177,24 @@ class TestValidateBlock:
             txs = txs + (make_transaction(kp("v"), 2, NOW_MS, Query(bytes(32), 0, 1)),)
             header = resign(replace(header, tx_root=compute_tx_root(txs)), authority)
 
-        result = validate_block(Block(header=header, transactions=txs), genesis, [authority.public_key])
-        assert result.violations == [violation]
+        violations = validate_block(Block(header=header, transactions=txs), genesis, [authority.public_key])
+        assert violations == [violation]
 
     def test_multiple_violations_all_reported(self, setup):
         authority, genesis, block = self._good(setup)
         block = replace(block, header=replace(block.header, prev_hash=bytes(32), timestamp=0))
-        result = validate_block(block, genesis, [authority.public_key])
-        assert Violation.BAD_PARENT_LINK in result.violations
-        assert Violation.BAD_TIMESTAMP in result.violations
-        assert Violation.BAD_PROPOSER_SIGNATURE in result.violations  # header was re-keyed by the edits
+        violations = validate_block(block, genesis, [authority.public_key])
+        assert Violation.BAD_PARENT_LINK in violations
+        assert Violation.BAD_TIMESTAMP in violations
+        assert Violation.BAD_PROPOSER_SIGNATURE in violations  # header was re-keyed by the edits
 
 
 class TestAppend:
     def test_append_grows_chain(self, setup):
         authority, _, genesis = setup
-        chain = Chain.from_genesis(genesis, [authority.public_key])
+        chain = Chain([genesis])
         block = build_block([], genesis, authority, NOW_MS)
-        append(chain, block)
+        append(chain, block, [authority.public_key])
         assert chain.height == 1 and chain.tip is block
 
     def test_replaying_recorded_blocks_reproduces_tip_hash(self, setup):
@@ -202,7 +202,7 @@ class TestAppend:
         authority, _, genesis = setup
         rng = random.Random(3)
         sender = kp("replay")
-        chain = Chain.from_genesis(genesis, [authority.public_key])
+        chain = Chain([genesis])
         nonce = 1
         for i in range(100):
             txs = []
@@ -210,10 +210,10 @@ class TestAppend:
                 txs.append(transfer_tx(sender, nonce))
                 nonce += 1
             block = build_block(txs, chain.tip, authority, NOW_MS + (i + 1) * 1000)
-            append(chain, block)
-        fresh = Chain.from_genesis(make_genesis(GenesisConfig(authorities=[authority.public_key])), [authority.public_key])
+            append(chain, block, [authority.public_key])
+        fresh = Chain([make_genesis(GenesisConfig(authorities=[authority.public_key]))])
         for block in chain.blocks[1:]:
-            append(fresh, block)
+            append(fresh, block, [authority.public_key])
         assert fresh.tip_hash() == chain.tip_hash()
         assert fresh.height == 100
 
@@ -221,14 +221,15 @@ class TestAppend:
 def test_any_single_field_mutation_in_history_detected(setup):
     # Data-integrity sweep: corrupt one field anywhere, revalidate the chain.
     authority, _, genesis = setup
-    chain = Chain.from_genesis(genesis, [authority.public_key])
+    chain = Chain([genesis])
     sender = kp("hist")
     for i in range(5):
-        append(chain, build_block([transfer_tx(sender, i + 1)], chain.tip, authority, NOW_MS + i * 1000))
+        block = build_block([transfer_tx(sender, i + 1)], chain.tip, authority, NOW_MS + i * 1000)
+        append(chain, block, [authority.public_key])
 
     def chain_valid(blocks):
         return all(
-            validate_block(blocks[i], blocks[i - 1], [authority.public_key]).ok for i in range(1, len(blocks))
+            validate_block(blocks[i], blocks[i - 1], [authority.public_key]) == [] for i in range(1, len(blocks))
         )
 
     assert chain_valid(chain.blocks)

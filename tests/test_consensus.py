@@ -15,11 +15,11 @@ from edgelinker.chain import (
     make_transaction,
 )
 from edgelinker.consensus import (
-    AuthorityConfig,
     ConsensusEngine,
     ConsensusMessage,
     Phase,
     make_message,
+    quorum,
     select_proposer,
     verify_message,
 )
@@ -31,10 +31,9 @@ NOW_MS = 1_700_000_000_000
 
 def make_cluster(n, now_us=0):
     keys = [kp(f"auth{i}") for i in range(n)]
-    cfg = AuthorityConfig(authorities=[k.public_key for k in keys], round_timeout_us=2_000_000)
-    genesis_cfg = GenesisConfig(authorities=cfg.authorities)
-    genesis = make_genesis(genesis_cfg)
-    chains = [Chain.from_genesis(genesis, cfg.authorities) for _ in range(n)]
+    cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)  # 2 s round 0
+    genesis = make_genesis(cfg)
+    chains = [Chain([genesis]) for _ in range(n)]
     engines = [ConsensusEngine(cfg, keys[i], height=1, now_us=now_us) for i in range(n)]
     return keys, cfg, chains, engines
 
@@ -42,9 +41,9 @@ def make_cluster(n, now_us=0):
 class TestProposerSelection:
     def test_rotation_formula(self):
         keys, cfg, _, _ = make_cluster(4)
-        assert select_proposer(0, 0, cfg) == cfg.authorities[0]
-        assert select_proposer(0, 1, cfg) == cfg.authorities[1]
-        assert select_proposer(5, 2, cfg) == cfg.authorities[(5 + 2) % 4]
+        assert select_proposer(0, 0, cfg.authorities) == cfg.authorities[0]
+        assert select_proposer(0, 1, cfg.authorities) == cfg.authorities[1]
+        assert select_proposer(5, 2, cfg.authorities) == cfg.authorities[(5 + 2) % 4]
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_fair_share_over_many_heights(self, n):
@@ -52,7 +51,7 @@ class TestProposerSelection:
         _, cfg, _, _ = make_cluster(n)
         counts = {}
         for height in range(1000):
-            p = select_proposer(height, 0, cfg)
+            p = select_proposer(height, 0, cfg.authorities)
             counts[p] = counts.get(p, 0) + 1
         assert all(abs(c - 1000 / n) <= 1 for c in counts.values())
 
@@ -62,12 +61,45 @@ class TestQuorumArithmetic:
     @given(f=st.integers(0, 10))
     def test_quorum_from_f(self, f):
         n = 3 * f + 1
-        cfg = AuthorityConfig(authorities=[kp(f"q{i}").public_key for i in range(n)])
-        assert cfg.f == f
-        assert cfg.quorum == 2 * f + 1
-        assert cfg.quorum <= cfg.n
+        keys = [kp(f"q{i}") for i in range(n)]
+        engine = ConsensusEngine(GenesisConfig(authorities=[k.public_key for k in keys]), keys[0], height=1, now_us=0)
+        assert engine.f == f
+        assert engine.quorum == quorum(n) == 2 * f + 1
+        assert quorum(n) <= n
         # Two quorums over n = 3f+1 members overlap in at least f+1 of them.
-        assert 2 * cfg.quorum - cfg.n >= f + 1
+        assert 2 * quorum(n) - n >= f + 1
+
+
+def test_engine_takes_proposer_order_round_timeout_and_quorum_from_the_genesis():
+    keys = [kp(f"auth{i}") for i in range(4)]
+    cfg = GenesisConfig(authorities=[k.public_key for k in reversed(keys)], block_interval_ms=200)
+    key_of = {k.public_key: k for k in keys}
+    chain = Chain([make_genesis(cfg)])
+    engines = {pk: ConsensusEngine(cfg, key_of[pk], height=1, now_us=0) for pk in cfg.authorities}
+    # Height 1, round 0 falls to authorities[1] in the genesis order, not in key order.
+    assert [pk for pk, e in engines.items() if e.is_proposer()] == [cfg.authorities[1]] == [keys[2].public_key]
+
+    node = engines[cfg.authorities[0]]
+    assert node.deadline_us == 400_000  # twice the 200 ms block interval
+    assert node.quorum == quorum(4) == 3
+
+    proposer = key_of[cfg.authorities[1]]
+    block = build_block([], chain.tip, proposer, NOW_MS)
+    pre, _ = engines[proposer.public_key].propose(block, 0)
+    out, _ = node.on_message(pre[0], chain, 0)
+    assert [m.phase for m in out] == [Phase.PREPARE]  # two prepares: the proposer's and its own
+    bh = hash_block(block)
+    out, _ = node.on_message(make_message(key_of[cfg.authorities[2]], Phase.PREPARE, 1, 0, bh), chain, 0)
+    assert [m.phase for m in out] == [Phase.COMMIT]  # the third prepare locks and commits
+    _, fin = node.on_message(make_message(proposer, Phase.COMMIT, 1, 0, bh), chain, 0)
+    assert fin is None  # two commits fall one short of the quorum
+    _, fin = node.on_message(make_message(key_of[cfg.authorities[2]], Phase.COMMIT, 1, 0, bh), chain, 0)
+    assert hash_block(fin) == bh
+
+    late = engines[cfg.authorities[3]]
+    late.on_timeout(400_000)
+    assert late.round == 1 and late.deadline_us == 400_000 + 800_000
+    assert select_proposer(1, 1, cfg.authorities) == cfg.authorities[2]
 
 
 def test_message_signing_and_wire_roundtrip():
@@ -117,7 +149,7 @@ class TestHappyPath:
     def test_four_node_exchange_finalizes(self):
         keys, cfg, chains, engines = make_cluster(4)
         proposer_idx = 1  # select_proposer(1, 0) = authorities[1]
-        assert select_proposer(1, 0, cfg) == keys[proposer_idx].public_key
+        assert select_proposer(1, 0, cfg.authorities) == keys[proposer_idx].public_key
         block = build_block([], chains[proposer_idx].tip, keys[proposer_idx], NOW_MS)
         out, fin = engines[proposer_idx].propose(block, 0)
         assert fin is None and len(out) == 1 and out[0].phase == Phase.PRE_PREPARE
@@ -190,7 +222,7 @@ class TestRoundChange:
         first = engine.deadline_us - 2_000_000
         engine.on_timeout(engine.deadline_us)
         second = engine.deadline_us - (2_000_000 + first)
-        assert second == 2 * first == 2 * (2 * cfg.round_timeout_us)
+        assert second == 2 * first == 2 * (2 * engine.round_timeout_us)
 
     def test_round_change_quorum_gates_new_proposal(self):
         keys, cfg, chains, engines = make_cluster(4)
@@ -221,7 +253,7 @@ class TestRoundChange:
         locked_target.on_timeout(4_000_000)
         locked_target.on_timeout(8_000_000)
         assert locked_target.round == 3
-        assert select_proposer(1, 3, cfg) == keys[0].public_key
+        assert select_proposer(1, 3, cfg.authorities) == keys[0].public_key
         fresh = build_block([], chains[0].tip, keys[0], NOW_MS + 9999)
         out, _ = locked_target.propose(fresh, 9_000_000)
         pre = [m for m in out if m.phase == Phase.PRE_PREPARE][0]
@@ -255,7 +287,7 @@ class TestCrashRecovery:
         finals = deliver_all(engines, chains, msgs, t, skip=(crashed,))
         # Round-change quorum reached; round-1 leader is authorities[2].
         leader = 2
-        assert select_proposer(1, 1, cfg) == keys[leader].public_key
+        assert select_proposer(1, 1, cfg.authorities) == keys[leader].public_key
         assert engines[leader].wants_proposal()
         block = build_block([], chains[leader].tip, keys[leader], NOW_MS)
         out, fin = engines[leader].propose(block, t + 1000)

@@ -416,14 +416,14 @@ def test_replay_chain_rebuilds_world(world):
     )
     from edgelinker.chain import Chain, validate_block
 
-    chain = Chain.from_genesis(make_genesis(cfg), cfg.authorities)
+    chain = Chain([make_genesis(cfg)])
     live = genesis_world(cfg)
     nonce = 1
     for height in range(1, 4):
         txs = [make_transaction(patient, nonce, NOW_MS + height, Transfer(addr("doctor"), height))]
         nonce += 1
         block = build_block(txs, chain.tip, authority, NOW_MS + height * 1000)
-        assert validate_block(block, chain.tip, chain.authority_set).ok
+        assert validate_block(block, chain.tip, cfg.authorities) == []
         chain.blocks.append(block)
         apply_block(live, block, SCHEDULE)
     assert replay_chain(chain, cfg).encode() == live.encode()

@@ -219,13 +219,13 @@ class TestProposalLifecycle:
     def test_genesis_sets_interval_round_timeout_and_gas(self, keys):
         authority, client = keys[0], keys[1]
         genesis = GenesisConfig(
-                authorities=[authority.public_key],
+            authorities=[authority.public_key],
             initial_balances={client.public_key: 10**12},
             gas=GasSchedule(deploy=5),
             block_interval_ms=200,
         )
         node = FogNode("n0", authority, genesis, [], {})
-        assert node.engine.cfg.round_timeout_us == 400_000
+        assert node.engine.round_timeout_us == 400_000
         tx = make_transaction(client, 1, 100, Deploy("health_record", b""))
         node.handle_envelope(envelope(client, node, 1, tx, 100_000), 100_000)
         assert list(node.mempool) == [hash_tx(tx)]
@@ -426,21 +426,21 @@ class TestMonitoring:
         node = make_node([authority, keys[1]], {}, peer_ids=["n0", "n1"])
         outsider = kp("imposter")
         bad = build_block([], node.chain.tip, outsider, 999_999)
-        verdict = validate_block(bad, node.chain.tip, node.chain.authority_set)
-        assert not verdict.ok
+        violations = validate_block(bad, node.chain.tip, node.genesis_config.authorities)
+        assert violations
         out = node.on_consensus(proposal(outsider, bad), T0)
         node.on_consensus(proposal(outsider, bad), T0 + 50)  # duplicate delivery
         (alert,) = node.alerts
         assert alert.kind == AlertKind.INVALID_BLOCK
         assert (alert.offender, alert.height) == (outsider.public_key, 1)
-        assert alert.detail == ",".join(v.value for v in verdict.violations)
+        assert alert.detail == ",".join(v.value for v in violations)
         assert [(s.dst, s.kind, s.body) for s in out.sends] == [("n1", ALERT, alert)]
         assert node.chain.height == 0 and node.engine.round == 0
 
     def test_valid_block_raises_nothing(self, single):
         node, authority, _ = single
         good = build_block([], node.chain.tip, authority, 999_999)
-        assert validate_block(good, node.chain.tip, node.chain.authority_set).ok
+        assert validate_block(good, node.chain.tip, node.genesis_config.authorities) == []
         # Relayed under an outsider's signature: the message is refused, the block inspected.
         out = node.on_consensus(proposal(kp("imposter"), good), T0)
         assert node.alerts == [] and out.sends == []

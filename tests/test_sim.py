@@ -527,6 +527,23 @@ class TestConfig:
             ScenarioConfig(nodes=4, crashed=2).validate()
         with pytest.raises(ConfigInvalid, match="quorum"):
             ScenarioConfig(nodes=7, crashed=3).validate()
+        # Attack params: only keys the selected attacker reads, each a non-negative int.
+        for kind, params in [
+            ("replay", {"gap_us": "x"}),
+            ("replay", {"max_replay": True}),
+            ("replay", {"start_us": 5}),  # the replay attacker has its own schedule
+            ("spoof", {"start_us": "soon"}),
+            ("spoof", {"victim": b"\x01" * 32}),  # only the workload's plan supplies it
+            ("dos", {"balance": -5}),
+            ("dos", {"contract": b"\x02" * 32}),
+            ("eavesdrop", {"attempt_at_us": 1.5}),
+            ("insertion", {"count": None}),
+        ]:
+            with pytest.raises(ConfigInvalid, match="param"):
+                ScenarioConfig(attack=kind, attack_params=params).validate()
+        ScenarioConfig(attack="dos", attack_params={"balance": 0, "count": 2, "period_us": 1}).validate()
+        # With no attack selected the params are not read, so they are not checked.
+        ScenarioConfig(attack_params={"gap_us": "x", "victim": "v"}).validate()
 
     def test_attacks_that_need_a_workload_rejected_without_one(self):
         for kind in ATTACK_KINDS:
