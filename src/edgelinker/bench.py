@@ -53,7 +53,7 @@ class RunPlan:
     def validate(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.workload not in ("read", "write", "mixed"):
+        if self.workload not in ("read", "write"):
             raise ValueError(f"unknown workload {self.workload!r}")
         if not self.node_counts or not self.task_counts:
             raise ValueError("node_counts and task_counts must be non-empty")
@@ -253,7 +253,7 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
     if kind == "insertion":
         # Chains are compared byte for byte, so both runs cover the same fixed span.
         duration_s = 45.0 if config.duration_s is None else config.duration_s
-        config = replace(config, stop_on_done=False, duration_s=duration_s)
+        config = replace(config, duration_s=duration_s)
     attacked_config = replace(config, attack=kind)
     attacked_config.validate()  # before the baseline, so a bad config costs no run
     baseline = run_scenario(replace(config, attack=None), seed)

@@ -64,36 +64,27 @@ class Call:
 @dataclass(frozen=True)
 class Query:
     """Read request. It travels as its own unsigned wire record, which the
-    channel that carries it authenticates; a transaction carrying one is
-    never valid, in a mempool or in a block."""
+    channel that carries it authenticates; it is never a transaction payload."""
 
     contract_address: bytes
     from_ts: int
     to_ts: int
 
-    TAG = 3  # payload variant tag
-    WIRE_TAG = 0x08  # the standalone record
-
-    def encode_fields(self) -> bytes:
-        return enc_bytes(self.contract_address) + enc_u64(self.from_ts) + enc_u64(self.to_ts)
-
-    @classmethod
-    def read_fields(cls, r: Reader) -> "Query":
-        return cls(contract_address=r.bytes_(), from_ts=r.u64(), to_ts=r.u64())
+    WIRE_TAG = 0x08
 
     def encode(self) -> bytes:
-        return enc_u8(self.WIRE_TAG) + self.encode_fields()
+        return enc_u8(self.WIRE_TAG) + enc_bytes(self.contract_address) + enc_u64(self.from_ts) + enc_u64(self.to_ts)
 
     @classmethod
     def decode(cls, data: bytes) -> "Query":
         r = Reader(data)
         r.expect_tag(cls.WIRE_TAG)
-        query = cls.read_fields(r)
+        query = cls(contract_address=r.bytes_(), from_ts=r.u64(), to_ts=r.u64())
         r.expect_eof()
         return query
 
 
-TxPayload = Union[Transfer, Deploy, Call, Query]
+TxPayload = Union[Transfer, Deploy, Call]
 
 
 def encode_payload(payload: TxPayload) -> bytes:
@@ -109,7 +100,7 @@ def encode_payload(payload: TxPayload) -> bytes:
             + enc_bytes(payload.args)
         )
     if isinstance(payload, Query):
-        return enc_u8(Query.TAG) + payload.encode_fields()
+        return payload.encode()  # its own record's bytes, so a device's whole plan can be fingerprinted
     raise TypeError(f"unknown payload type {type(payload).__name__}")
 
 
@@ -121,8 +112,6 @@ def decode_payload(r: Reader) -> TxPayload:
         return Deploy(contract_kind=r.str_(), init_args=r.bytes_())
     if tag == Call.TAG:
         return Call(contract_address=r.bytes_(), method=r.str_(), args=r.bytes_())
-    if tag == Query.TAG:
-        return Query.read_fields(r)
     raise DecodeError(f"unknown payload tag {tag}")
 
 
@@ -144,6 +133,8 @@ class Transaction:
 
     @classmethod
     def unsigned_bytes(cls, sender: bytes, nonce: int, timestamp: int, payload: TxPayload, gas_limit: int) -> bytes:
+        if isinstance(payload, Query):
+            raise TypeError("a query travels as its own record, never as a transaction payload")
         return (
             enc_u8(cls.WIRE_TAG)
             + enc_bytes(sender)
@@ -395,7 +386,6 @@ class Violation(str, Enum):
     BAD_PROPOSER_SIGNATURE = "bad_proposer_signature"
     BAD_TX_ROOT = "bad_tx_root"
     BAD_TX_SIGNATURE = "bad_tx_signature"
-    QUERY_IN_BLOCK = "query_in_block"
 
 
 def build_block(
@@ -409,8 +399,7 @@ def build_block(
     """Collate pending transactions under the proposer's signature.
 
     Ordering is (sender, nonce) with arrival order as the stable tiebreak,
-    capped at max_txs. A query never reaches a mempool (`FogNode._admit`
-    rejects it), and `validate_block` reports any block that carries one.
+    capped at max_txs.
     """
     if authorities is not None and proposer.public_key not in authorities:
         raise NotAuthority("proposer is not in the authority set")
@@ -451,6 +440,4 @@ def validate_block(block: Block, parent: Block, authorities) -> list:
         violations.append(Violation.BAD_TX_ROOT)
     if any(not verify_transaction(tx) for tx in block.transactions):
         violations.append(Violation.BAD_TX_SIGNATURE)
-    if any(isinstance(tx.payload, Query) for tx in block.transactions):
-        violations.append(Violation.QUERY_IN_BLOCK)
     return violations

@@ -13,20 +13,21 @@ parties, kept by each party's `Endpoint`: a receiver accepts from a sender
 only the counter after the last one it accepted, with a timestamp inside
 CLOCK_SKEW_MS of its own clock.
 
-While `verifying_ahead` is active, every signature `sign_digest` makes is
-also handed to one forked worker process that verifies it right away, so a
-later `verify_digest` of that exact triple often finds its verdict waiting
-(the precedent is geth's transaction sender cacher).
+`verify_digest` keeps every verdict in one process-wide cache, so the nodes
+of a simulation verify each (public key, signature, digest) triple once.
+While `verifying_ahead` is active, each signature `sign_digest` makes is
+also handed to one forked worker process that verifies it right away, unless
+WINDOW triples already await their answer; the answer lands in the same
+cache, so a later `verify_digest` of that exact triple often finds its
+verdict waiting (the precedent is geth's transaction sender cacher).
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import mmap
 import os
 import secrets
-import select
 import signal
 import threading
 from collections import deque
@@ -162,45 +163,59 @@ def _verify_inline(public_key: bytes, signature: bytes, digest: bytes) -> bool:
         return False
 
 
-@lru_cache(maxsize=1 << 16)
-def _verify_cached(public_key: bytes, signature: bytes, digest: bytes) -> bool:
-    if _worker is not None:
-        verdict = _worker.take(public_key + signature + digest)
-        if verdict is not None:
-            return verdict
-    return _verify_inline(public_key, signature, digest)
+VERDICTS_KEPT = 1 << 15  # a verdict is dropped after between VERDICTS_KEPT and twice as many newer ones are filed
+
+# Process-wide verdicts, keyed by public key || signature || digest: unambiguous,
+# since only a key and a signature of the right lengths are ever looked up.
+_verdicts: dict = {}
+_older_verdicts: dict = {}  # the generation before _verdicts
+
+
+def _file_verdict(triple: bytes, verdict: bool) -> None:
+    global _verdicts, _older_verdicts
+    _verdicts[triple] = verdict
+    if len(_verdicts) >= VERDICTS_KEPT:
+        _older_verdicts, _verdicts = _verdicts, {}
+
+
+def _known_verdict(triple: bytes) -> Optional[bool]:
+    verdict = _verdicts.get(triple)
+    return _older_verdicts.get(triple) if verdict is None else verdict
 
 
 def verify_digest(public_key: bytes, signature: bytes, digest: bytes) -> bool:
     if len(public_key) != KEY_LEN or len(signature) != SIG_LEN:
         return False
-    return _verify_cached(bytes(public_key), bytes(signature), bytes(digest))
+    public_key, signature, digest = bytes(public_key), bytes(signature), bytes(digest)
+    triple = public_key + signature + digest
+    verdict = _known_verdict(triple)
+    if verdict is None and _worker is not None:
+        _worker.collect()
+        verdict = _known_verdict(triple)
+    if verdict is None:
+        verdict = _verify_inline(public_key, signature, digest)
+        _file_verdict(triple, verdict)
+    return verdict
 
 
 # --- verification ahead of need -----------------------------------------------
 
 TRIPLE_LEN = KEY_LEN + SIG_LEN + DIGEST_LEN  # public key || signature || digest
+WINDOW = 64  # most triples sent and unanswered: 8 KiB, far below a pipe's buffer
 
 
 class BackgroundVerifier:
     """One forked worker that verifies (public key, signature, digest) triples in order.
 
-    `submit` sends a triple; the worker answers one verdict byte per triple.
-    `take` pops the verdict of a triple if it has arrived. A triple still in
-    flight is withdrawn instead, so the worker skips it, and the caller
-    verifies it inline: waiting would cost the verifications queued ahead of
-    it plus a wake-up, more than one verification. `take` also returns None
-    for a triple the worker never saw. At most MAX_IN_FLIGHT triples go
-    unanswered, so neither pipe can fill. If the worker dies, what was in
-    flight is forgotten and `take` returns None from then on.
+    `submit` sends a triple while fewer than WINDOW sent ones are unanswered,
+    and otherwise drops it rather than wait: its verify then runs inline. The
+    worker answers one verdict byte per triple, and `collect` files every
+    answer that has arrived among the process-wide verdicts. So neither pipe
+    can fill. If the worker dies, what was in flight is forgotten and nothing
+    more is sent.
     """
 
-    MAX_IN_FLIGHT = 256  # 32 KiB of triples: half a Linux pipe buffer
-    KEEP = 4096  # an unused verdict is dropped after between KEEP and 2 * KEEP newer ones arrive
-
     def __init__(self):
-        # Shared with the worker: byte `seq % MAX_IN_FLIGHT` is 1 once triple `seq` is withdrawn.
-        self._withdrawn = mmap.mmap(-1, self.MAX_IN_FLIGHT)
         requests_r, requests_w = os.pipe()
         answers_r, answers_w = os.pipe()
         try:
@@ -208,52 +223,30 @@ class BackgroundVerifier:
         except OSError:
             for fd in (requests_r, requests_w, answers_r, answers_w):
                 os.close(fd)
-            self._withdrawn.close()
             raise
         if pid == 0:
             os.close(requests_w)
             os.close(answers_r)
-            _worker_main(requests_r, answers_w, self._withdrawn)
+            _worker_main(requests_r, answers_w)
         os.close(requests_r)
         os.close(answers_w)
         os.set_blocking(answers_r, False)
-        self._answered = select.poll()
-        self._answered.register(answers_r, select.POLLIN)
         self.pid = pid
         self.fds = (requests_w, answers_r)
         self.alive = True
         self._sent: deque = deque()  # triples awaiting their answer, in the order sent
-        self._seq = 0  # sequence number of the next triple sent
-        self._waiting: dict = {}  # triple -> sequence number of its latest send, while unanswered
-        self._ready: dict = {}  # triple -> verdict, arrived and not yet taken
-        self._older: dict = {}  # the previous generation of _ready
 
     def submit(self, triple: bytes) -> None:
-        while self.alive and len(self._sent) >= self.MAX_IN_FLIGHT:
-            self._answered.poll()  # the worker is far behind: wait for one answer
+        if len(self._sent) >= WINDOW:
             self.collect()
-        if not self.alive:
+        if not self.alive or len(self._sent) >= WINDOW:
             return
-        self._withdrawn[self._seq % self.MAX_IN_FLIGHT] = 0
         try:
             os.write(self.fds[0], triple)
         except OSError:
             self._lost()
             return
         self._sent.append(triple)
-        self._waiting[triple] = self._seq
-        self._seq += 1
-
-    def take(self, triple: bytes):
-        """The worker's verdict on `triple`, or None if the caller must verify it."""
-        if triple in self._waiting:
-            self.collect()
-            seq = self._waiting.get(triple)
-            if seq is not None:
-                self._withdrawn[seq % self.MAX_IN_FLIGHT] = 1
-                return None
-        verdict = self._ready.pop(triple, None)
-        return self._older.pop(triple, None) if verdict is None else verdict
 
     def collect(self) -> None:
         """File every answer that has arrived, without waiting for more."""
@@ -269,19 +262,11 @@ class BackgroundVerifier:
             self._lost()
             return
         for answer in answers:
-            seq = self._seq - len(self._sent)
-            triple = self._sent.popleft()
-            if self._waiting.get(triple) == seq:
-                del self._waiting[triple]
-            if not self._withdrawn[seq % self.MAX_IN_FLIGHT]:  # else it was verified inline
-                self._ready[triple] = answer == 1
-        if len(self._ready) >= self.KEEP:
-            self._older, self._ready = self._ready, {}
+            _file_verdict(self._sent.popleft(), answer == 1)
 
     def _lost(self) -> None:
         self.alive = False
         self._sent.clear()
-        self._waiting.clear()
 
     def close(self) -> None:
         """Close both pipes, end the worker and reap it.
@@ -293,10 +278,9 @@ class BackgroundVerifier:
             os.close(fd)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
-        self._withdrawn.close()
 
 
-def _worker_main(requests: int, answers: int, withdrawn: mmap.mmap) -> None:
+def _worker_main(requests: int, answers: int) -> None:
     """The worker's whole life; it leaves only through os._exit, so it never
     runs the parent's exit handlers."""
     try:
@@ -309,23 +293,20 @@ def _worker_main(requests: int, answers: int, withdrawn: mmap.mmap) -> None:
             except OSError:
                 pass
         gc.disable()  # a collection would touch, and so copy, every page shared with the parent
-        seq = 0
         pending = b""
         while True:
-            chunk = os.read(requests, BackgroundVerifier.MAX_IN_FLIGHT * TRIPLE_LEN)
+            chunk = os.read(requests, WINDOW * TRIPLE_LEN)
             if not chunk:
                 break
             pending += chunk
             whole = len(pending) - len(pending) % TRIPLE_LEN
             for start in range(0, whole, TRIPLE_LEN):
-                # A withdrawn triple is skipped; the parent ignores its answer.
-                ok = not withdrawn[seq % BackgroundVerifier.MAX_IN_FLIGHT] and _verify_inline(
+                ok = _verify_inline(
                     pending[start : start + KEY_LEN],
                     pending[start + KEY_LEN : start + KEY_LEN + SIG_LEN],
                     pending[start + KEY_LEN + SIG_LEN : start + TRIPLE_LEN],
                 )
                 os.write(answers, b"\x01" if ok else b"\x00")
-                seq += 1
             pending = pending[whole:]
     finally:
         os._exit(0)

@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--nodes", type=_int_list, default=plan.node_counts)
     run_p.add_argument("--tasks", type=_int_list, default=plan.task_counts)
     run_p.add_argument("--reps", type=int, default=plan.repetitions)
-    run_p.add_argument("--workload", choices=["read", "write", "mixed"], default=plan.workload)
+    run_p.add_argument("--workload", choices=["read", "write"], default=plan.workload)
     run_p.add_argument("--channel", choices=list(MODES), default=plan.channel_mode)
     run_p.add_argument("--seed", type=int, default=plan.seed)
     run_p.add_argument("--interval-ms", type=int, default=plan.block_interval_ms)

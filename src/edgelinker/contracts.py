@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .chain import Block, Call, Deploy, GasSchedule, GenesisConfig, Query, Transaction, Transfer, hash_tx
+from .chain import Block, Call, Deploy, GasSchedule, GenesisConfig, Transaction, Transfer, hash_tx
 from .codec import READING, DecodeError, Reader, enc_bytes, enc_list, enc_readings, enc_u64, enc_u8
 
 PERMITTER_PERMISSION = bytes(32)
@@ -216,8 +216,6 @@ def execute_transaction(world: WorldState, tx: Transaction, schedule: GasSchedul
     Raises InsufficientBalance or BadNonce without touching state; those
     transactions are skipped and the sender nonce is not consumed.
     """
-    if isinstance(tx.payload, Query):
-        raise ContractError("queries are served locally, never executed")
     sender_acct = world.accounts.get(tx.sender)
     balance = sender_acct.balance if sender_acct else 0
     next_nonce = sender_acct.next_nonce if sender_acct else 1

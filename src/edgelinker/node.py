@@ -222,9 +222,6 @@ class FogNode:
         return self._admit(tx, now_us, NodeOutput(), client_pk=None)
 
     def _admit(self, tx: Transaction, now_us: int, out: NodeOutput, client_pk) -> NodeOutput:
-        if isinstance(tx.payload, Query):
-            # A read travels as its own record; as a transaction it could never be mined.
-            return self._reject(out, "query_in_tx")
         if not verify_transaction(tx):
             return self._reject(out, "bad_tx_signature")
         txh = hash_tx(tx)

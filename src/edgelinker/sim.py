@@ -197,7 +197,7 @@ class ScenarioConfig:
     nodes: int = 4
     block_interval_ms: int = 1000
     link: LinkModel = field(default_factory=LinkModel)
-    duration_s: Optional[float] = None
+    duration_s: Optional[float] = None  # simulated span; None: until every wake fired and every response is in
     channel_mode: str = "secure"
     workload: str = "scenario"  # scenario | write | read | mixed | none
     tasks: int = 100
@@ -210,7 +210,6 @@ class ScenarioConfig:
     byzantine: int = 0
     crashed: int = 0
     stop_at_height: Optional[int] = None
-    stop_on_done: bool = True
     seed: Optional[int] = None  # default seed when the caller supplies none
 
     def to_json(self) -> str:
@@ -697,7 +696,8 @@ class Simulation:
         self._armed: set = set()
 
         wakes = [(at_us, party, tag) for party in self.parties.values() for at_us, tag in party.schedule()]
-        self.duration_us = int((config.duration_s if config.duration_s else self._auto_duration(wakes)) * 1_000_000)
+        duration_s = self._auto_duration(wakes) if config.duration_s is None else config.duration_s
+        self.duration_us = int(duration_s * 1_000_000)
 
         for node_id in self.node_ids:
             if node_id in self.crashed:
@@ -828,7 +828,7 @@ class Simulation:
                     self.stop = True
                     return
         if (
-            cfg.stop_on_done
+            cfg.duration_s is None
             and self.total_wakes > 0
             and self.remaining_wakes == 0
             and self.pending_responses <= 0

@@ -181,7 +181,6 @@ def test_04_consensus_safety_and_liveness():
             block_interval_ms=200,
             stop_at_height=6,
             duration_s=45,
-            stop_on_done=False,
         )
         trace = run_scenario(cfg, 40_000 + i)
         runs += 1
@@ -205,7 +204,6 @@ def test_04_consensus_safety_and_liveness():
             block_interval_ms=1000,
             stop_at_height=51,
             duration_s=600,
-            stop_on_done=False,
         )
         trace = run_scenario(cfg, 50_000 + n)
         height = max(trace.final[x].height for x in trace.meta["honest"])
@@ -232,7 +230,6 @@ def test_05_insertion_attack_leaves_chains_byte_identical():
         write_period_ms=400,
         block_interval_ms=200,
         duration_s=15,
-        stop_on_done=False,
     )
     baseline = run_scenario(copy.deepcopy(cfg), 505)
     attacked = run_scenario(replace(cfg, attack="insertion"), 505)

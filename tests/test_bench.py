@@ -71,6 +71,8 @@ class TestCmdRun:
             cmd_run(small_plan(repetitions=0), tmp_path)
         with pytest.raises(ValueError):
             cmd_run(small_plan(workload="scenario"), tmp_path)
+        with pytest.raises(ValueError):
+            cmd_run(small_plan(workload="mixed"), tmp_path)
         with pytest.raises(ValueError, match="block_interval_ms"):
             cmd_run(small_plan(block_interval_ms=0), tmp_path)  # would never advance simulated time
 
@@ -183,6 +185,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "results.csv").exists()
 
+    def test_run_with_the_mixed_workload_exits_2(self, tmp_path):
+        # One grid row would average writes' finalization delays with reads' service delays.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--nodes", "2", "--tasks", "10", "--reps", "1", "--workload", "mixed",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "results.csv").exists()
+
     @pytest.mark.parametrize(
         "args", [["--samples", "50"], ["--sizes", ""], ["--sizes", "-5"]],
         ids=["too_few_samples", "no_sizes", "negative_size"],
@@ -226,11 +236,11 @@ class TestCli:
          ("replay", {"write_period_ms": -1000}), ("replay", {"workload": "none", "duration_s": 5}),
          ("replay", {"attack_params": {"gap_us": "x"}}), ("spoof", {"attack_params": {"start_us": "soon"}}),
          ("dos", {"attack_params": {"balance": -5}}), ("dos", {"attack_params": {"contract": "00"}}),
-         ("replay", {"attack_params": {"count": 3}})],
+         ("replay", {"attack_params": {"count": 3}}), ("replay", {"stop_on_done": False})],
         ids=["unknown_key", "no_nodes", "crashed_and_byzantine", "nodes_not_an_int", "link_not_an_object",
              "zero_block_interval", "negative_write_period", "replay_without_a_workload",
              "replay_gap_not_an_int", "spoof_start_not_an_int", "dos_negative_balance", "dos_contract_from_json",
-             "replay_param_it_never_reads"],
+             "replay_param_it_never_reads", "stop_on_done_removed"],
     )
     def test_attack_with_bad_config_file_exits_2(self, tmp_path, capsys, kind, bad):
         path = tmp_path / "scenario.json"

@@ -9,7 +9,6 @@ from edgelinker.chain import (
     Chain,
     GenesisConfig,
     NotAuthority,
-    Query,
     Transfer,
     Violation,
     build_block,
@@ -119,15 +118,6 @@ class TestBuildBlock:
         with pytest.raises(NotAuthority):
             build_block([], genesis, outsider, NOW_MS, authorities=[kp("real").public_key])
 
-    def test_queries_never_included(self, setup):
-        # build_block collates what it is given; the node keeps queries out of
-        # its mempool, and validation rejects any block that carries one.
-        authority, _, genesis = setup
-        sender = kp("q")
-        q = make_transaction(sender, 1, NOW_MS, Query(bytes(32), 0, 10))
-        block = build_block([q, transfer_tx(sender, 1)], genesis, authority, NOW_MS)
-        assert validate_block(block, genesis, [authority.public_key]) == [Violation.QUERY_IN_BLOCK]
-
 
 class TestValidateBlock:
     def _good(self, setup, txs=None):
@@ -150,7 +140,6 @@ class TestValidateBlock:
             ("signature", Violation.BAD_PROPOSER_SIGNATURE),
             ("tx_root", Violation.BAD_TX_ROOT),
             ("tx_signature", Violation.BAD_TX_SIGNATURE),
-            ("query", Violation.QUERY_IN_BLOCK),
         ],
     )
     def test_each_targeted_corruption_yields_exactly_that_violation(self, setup, corrupt, violation):
@@ -172,9 +161,6 @@ class TestValidateBlock:
             header = resign(replace(header, tx_root=bytes(32)), authority)
         elif corrupt == "tx_signature":
             txs = (replace(txs[0], signature=bytes(64)),) + txs[1:]  # insertion-style forgery
-            header = resign(replace(header, tx_root=compute_tx_root(txs)), authority)
-        elif corrupt == "query":
-            txs = txs + (make_transaction(kp("v"), 2, NOW_MS, Query(bytes(32), 0, 1)),)
             header = resign(replace(header, tx_root=compute_tx_root(txs)), authority)
 
         violations = validate_block(Block(header=header, transactions=txs), genesis, [authority.public_key])

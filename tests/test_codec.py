@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgelinker.chain import Call, Deploy, Query, Transaction, Transfer, make_transaction
+from edgelinker.chain import Call, Deploy, Transaction, Transfer, make_transaction
 from edgelinker.codec import DecodeError, Reader, enc_bytes, enc_list, enc_u64
 from tests.conftest import kp
 
@@ -55,12 +55,6 @@ PAYLOADS = st.one_of(
         contract_address=st.binary(min_size=32, max_size=32),
         method=st.sampled_from(["add_reading", "grant", "revoke"]),
         args=st.binary(max_size=64),
-    ),
-    st.builds(
-        Query,
-        contract_address=st.binary(min_size=32, max_size=32),
-        from_ts=st.integers(0, 2**40),
-        to_ts=st.integers(0, 2**40),
     ),
 )
 

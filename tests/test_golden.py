@@ -46,7 +46,7 @@ def _write_cell():
 
 
 def _insertion_drill():
-    cfg = replace(default_attack_config(), attack="insertion", stop_on_done=False, duration_s=45.0)
+    cfg = replace(default_attack_config(), attack="insertion", duration_s=45.0)
     return run_scenario(cfg, 7)
 
 

@@ -1,19 +1,24 @@
+import hashlib
+
 import pytest
 
 from edgelinker import node as node_module
 from edgelinker.chain import (
+    DEFAULT_GAS_LIMIT,
     Call,
     Deploy,
     GasSchedule,
     GenesisConfig,
     Query,
+    Transaction,
     build_block,
     hash_block,
     hash_tx,
     make_transaction,
     validate_block,
 )
-from edgelinker.channel import ChannelMessage, seal_message
+from edgelinker.channel import ChannelMessage, seal_message, sign_digest
+from edgelinker.codec import DecodeError, enc_bytes, enc_u8, enc_u64
 from edgelinker.contracts import (
     WRITE_PERMISSION,
     PermissionDenied,
@@ -252,20 +257,21 @@ class TestProposalLifecycle:
 class TestQueryInTransaction:
     def test_rejected_on_the_client_path(self, single):
         node, _, client = single
-        tx = make_transaction(client, 1, T0 // 1000, Query(bytes(32), 0, 10))
-        out = node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
-        assert rejections(node) == ["query_in_tx"]
+        with pytest.raises(TypeError):
+            make_transaction(client, 1, T0 // 1000, Query(bytes(32), 0, 10))
+        # What a transaction carrying a query was: payload tag 3, then the query's fields.
+        unsigned = (
+            enc_u8(Transaction.WIRE_TAG) + enc_bytes(client.public_key) + enc_u64(1) + enc_u64(T0 // 1000)
+            + enc_u8(3) + enc_bytes(bytes(32)) + enc_u64(0) + enc_u64(10) + enc_u64(DEFAULT_GAS_LIMIT)
+        )
+        raw = unsigned + enc_bytes(sign_digest(client.private_key, hashlib.sha256(unsigned).digest()))
+        with pytest.raises(DecodeError, match="payload tag 3"):
+            Transaction.decode(raw)
+        m = ChannelMessage(T0 // 1000, 1, client.public_key, raw)
+        out = node.handle_envelope(seal_message(m, client.private_key, node.keypair.public_key).to_bytes(), T0)
+        assert rejections(node) == ["bad_body"]
         assert out.sends == []
         assert node.mempool == {}
-
-    def test_rejected_on_the_gossip_path(self, single):
-        node, _, client = single
-        tx = make_transaction(client, 1, T0 // 1000, Query(bytes(32), 0, 10))
-        node.on_gossip(tx, T0)
-        assert rejections(node) == ["query_in_tx"]
-        assert node.mempool == {}
-        node.on_timer(("propose", 1), INTERVAL)
-        assert node.chain.tip.transactions == ()
 
 
 class TestTickProposerDuty:

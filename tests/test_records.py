@@ -314,7 +314,7 @@ def test_query_record_is_not_a_transaction():
     with pytest.raises(DecodeError):
         Transaction.decode(raw)
     with pytest.raises(DecodeError):
-        Query.decode(b"\x03" + raw[1:])  # the payload variant tag is no record tag
+        Query.decode(b"\x03" + raw[1:])  # a block header's tag
 
 
 @settings(max_examples=80, deadline=None)

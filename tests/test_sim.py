@@ -324,8 +324,13 @@ class TestBackgroundVerifier:
     CONFIG = ScenarioConfig(nodes=4, workload="mixed", tasks=60, block_interval_ms=200)
 
     def test_worker_killed_mid_run_changes_no_result(self, forced_worker, monkeypatch):
+        def kill(worker):
+            os.kill(worker.pid, signal.SIGKILL)
+            # An idle-priority process may take a while to die; wait for it, but leave it unreaped.
+            os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
+
         undisturbed = run_scenario(self.CONFIG, 11)
-        seen = capture_worker(monkeypatch, 150, lambda worker: os.kill(worker.pid, signal.SIGKILL))
+        seen = capture_worker(monkeypatch, 150, kill)
         disturbed = run_scenario(self.CONFIG, 11)
         worker = seen[0]
         assert worker is not None and len(seen) > 300  # killed with much of the run still ahead
@@ -370,13 +375,13 @@ class TestBackgroundVerifier:
 class TestFaults:
     def test_crashed_minority_does_not_stop_progress(self):
         cfg = ScenarioConfig(nodes=4, workload="none", crashed=1, block_interval_ms=200,
-                             stop_at_height=12, duration_s=120, stop_on_done=False)
+                             stop_at_height=12, duration_s=120)
         trace = run_scenario(cfg, 31)
         assert max(trace.final[n].height for n in trace.meta["honest"]) >= 12
 
     def test_byzantine_equivocator_never_splits_finality(self):
         cfg = ScenarioConfig(nodes=4, workload="none", byzantine=1, block_interval_ms=200,
-                             stop_at_height=8, duration_s=60, stop_on_done=False)
+                             stop_at_height=8, duration_s=60)
         trace = run_scenario(cfg, 33)
         by_height = {}
         for e in trace.of_kind("block_finalized"):
@@ -479,8 +484,10 @@ class TestConfig:
             {"actor_balance": 5},
             {"mempool_cap": 10},
             {"max_txs": 10},
+            {"stop_on_done": False},
         ],
-        ids=["typo", "link_typo", "unknown_gas_key", "writers", "readers", "actor_balance", "mempool_cap", "max_txs"],
+        ids=["typo", "link_typo", "unknown_gas_key", "writers", "readers", "actor_balance", "mempool_cap", "max_txs",
+             "stop_on_done"],
     )
     def test_unknown_scenario_keys_rejected(self, bad):
         # A removed knob or a typo would otherwise run the default silently.
@@ -495,7 +502,6 @@ class TestConfig:
             {"tasks": 2.5},
             {"duration_s": "10"},
             {"attack_params": []},
-            {"stop_on_done": 1},
             {"link": {"jitter_us": "5"}},
             {"link": {"drop_probability": None}},
             {"link": 5},
@@ -504,13 +510,19 @@ class TestConfig:
             {"link": {"partitions": [["n0", "n1", "n2"]]}},
             {"link": {"partitions": {"n0": "n1"}}},
         ],
-        ids=["nodes_str", "nodes_bool", "tasks_float", "duration_str", "params_list", "stop_int",
+        ids=["nodes_str", "nodes_bool", "tasks_float", "duration_str", "params_list",
              "jitter_str", "drop_none", "link_int", "partition_int", "partition_str", "partition_triple",
              "partitions_object"],
     )
     def test_wrong_field_types_rejected(self, bad):
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_json(json.dumps(bad)).validate()
+
+    def test_a_set_duration_runs_its_whole_span(self):
+        cfg = ScenarioConfig(nodes=1, workload="write", tasks=2, block_interval_ms=200)
+        done = run_scenario(cfg, 5)  # stops once both writes are confirmed
+        spanned = run_scenario(replace(cfg, duration_s=20.0), 5)
+        assert done.counters["end_us"] < 19_800_000 <= spanned.counters["end_us"] <= 20_000_000
 
     def test_int_accepted_where_a_float_is_expected(self):
         ScenarioConfig.from_json(json.dumps({"duration_s": 5, "link": {"drop_probability": 0}})).validate()
