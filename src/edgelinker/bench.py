@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import channel as ch
-from .sim import ATTACK_KINDS, ScenarioConfig, SimTrace, child_rng, child_seed, key_seed, run_scenario
+from .sim import ATTACK_KINDS, ScenarioConfig, Simulation, SimTrace, child_rng, child_seed, key_seed, run_scenario
 
 CSV_COLUMNS = [
     "run_id",
@@ -254,10 +254,9 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
         # Chains are compared byte for byte, so both runs cover the same fixed span.
         duration_s = 45.0 if config.duration_s is None else config.duration_s
         config = replace(config, duration_s=duration_s)
-    attacked_config = replace(config, attack=kind)
-    attacked_config.validate()  # before the baseline, so a bad config costs no run
+    attacked_sim = Simulation(replace(config, attack=kind), seed)  # before the baseline, so a bad config costs no run
     baseline = run_scenario(replace(config, attack=None), seed)
-    attacked = run_scenario(attacked_config, seed)
+    attacked = attacked_sim.run()
     honest = attacked.meta["honest"]
     stats = dict(attacked.attack_stats)
     lines = []

@@ -14,23 +14,17 @@ only the counter after the last one it accepted, with a timestamp inside
 CLOCK_SKEW_MS of its own clock.
 
 `verify_digest` keeps every verdict in one process-wide cache, so the nodes
-of a simulation verify each (public key, signature, digest) triple once.
-While `verifying_ahead` is active, each signature `sign_digest` makes is
-also handed to one forked worker process that verifies it right away, unless
-WINDOW triples already await their answer; the answer lands in the same
-cache, so a later `verify_digest` of that exact triple often finds its
-verdict waiting (the precedent is geth's transaction sender cacher).
+of a simulation verify each (public key, signature, digest) triple once. A
+forked process that signs on this one's behalf lists its signatures with
+`recording_signatures`, verifies them with `verify_triple`, and its verdicts
+land in the same cache through `file_verdict` (the precedent is geth's
+transaction sender cacher). Every verdict is a real Ed25519 verification.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
-import os
 import secrets
-import signal
-import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,7 +47,6 @@ from .codec import DecodeError, Reader, enc_bytes, enc_u64, enc_u8
 
 KEY_LEN = 32
 SIG_LEN = 64
-DIGEST_LEN = 32  # SHA-256, the only digest the program signs
 AEAD_NONCE_LEN = 12
 AEAD_TAG_LEN = 16
 
@@ -150,8 +143,8 @@ def derive_shared_key(private_key: bytes, peer_public: bytes) -> bytes:
 def sign_digest(private_seed: bytes, digest: bytes) -> bytes:
     seed = bytes(private_seed)
     signature = _ed_private(seed).sign(digest)
-    if _worker is not None and len(digest) == DIGEST_LEN:
-        _worker.submit(_ed_public(seed) + signature + bytes(digest))
+    if _signed is not None:
+        _signed.append(_ed_public(seed) + signature + bytes(digest))
     return signature
 
 
@@ -171,7 +164,8 @@ _verdicts: dict = {}
 _older_verdicts: dict = {}  # the generation before _verdicts
 
 
-def _file_verdict(triple: bytes, verdict: bool) -> None:
+def file_verdict(triple: bytes, verdict: bool) -> None:
+    """Keep the verdict of a (public key || signature || digest) triple for `verify_digest`."""
     global _verdicts, _older_verdicts
     _verdicts[triple] = verdict
     if len(_verdicts) >= VERDICTS_KEPT:
@@ -189,167 +183,30 @@ def verify_digest(public_key: bytes, signature: bytes, digest: bytes) -> bool:
     public_key, signature, digest = bytes(public_key), bytes(signature), bytes(digest)
     triple = public_key + signature + digest
     verdict = _known_verdict(triple)
-    if verdict is None and _worker is not None:
-        _worker.collect()
-        verdict = _known_verdict(triple)
     if verdict is None:
         verdict = _verify_inline(public_key, signature, digest)
-        _file_verdict(triple, verdict)
+        file_verdict(triple, verdict)
     return verdict
 
 
-# --- verification ahead of need -----------------------------------------------
-
-TRIPLE_LEN = KEY_LEN + SIG_LEN + DIGEST_LEN  # public key || signature || digest
-WINDOW = 64  # most triples sent and unanswered: 8 KiB, far below a pipe's buffer
-
-
-class BackgroundVerifier:
-    """One forked worker that verifies (public key, signature, digest) triples in order.
-
-    `submit` sends a triple while fewer than WINDOW sent ones are unanswered,
-    and otherwise drops it rather than wait: its verify then runs inline. The
-    worker answers one verdict byte per triple, and `collect` files every
-    answer that has arrived among the process-wide verdicts. So neither pipe
-    can fill. If the worker dies, what was in flight is forgotten and nothing
-    more is sent.
-    """
-
-    def __init__(self):
-        requests_r, requests_w = os.pipe()
-        answers_r, answers_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (requests_r, requests_w, answers_r, answers_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            os.close(requests_w)
-            os.close(answers_r)
-            _worker_main(requests_r, answers_w)
-        os.close(requests_r)
-        os.close(answers_w)
-        os.set_blocking(answers_r, False)
-        self.pid = pid
-        self.fds = (requests_w, answers_r)
-        self.alive = True
-        self._sent: deque = deque()  # triples awaiting their answer, in the order sent
-
-    def submit(self, triple: bytes) -> None:
-        if len(self._sent) >= WINDOW:
-            self.collect()
-        if not self.alive or len(self._sent) >= WINDOW:
-            return
-        try:
-            os.write(self.fds[0], triple)
-        except OSError:
-            self._lost()
-            return
-        self._sent.append(triple)
-
-    def collect(self) -> None:
-        """File every answer that has arrived, without waiting for more."""
-        if not self._sent:
-            return
-        try:
-            answers = os.read(self.fds[1], len(self._sent))
-        except BlockingIOError:
-            return
-        except OSError:
-            answers = b""
-        if not answers:
-            self._lost()
-            return
-        for answer in answers:
-            _file_verdict(self._sent.popleft(), answer == 1)
-
-    def _lost(self) -> None:
-        self.alive = False
-        self._sent.clear()
-
-    def close(self) -> None:
-        """Close both pipes, end the worker and reap it.
-
-        The kill makes the end immediate, also when a process forked since
-        holds a copy of a pipe and the worker would never see end-of-file."""
-        self._lost()
-        for fd in self.fds:
-            os.close(fd)
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-
-
-def _worker_main(requests: int, answers: int) -> None:
-    """The worker's whole life; it leaves only through os._exit, so it never
-    runs the parent's exit handlers."""
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        idle = getattr(os, "SCHED_IDLE", None)
-        if idle is not None:
-            # Run only on a CPU nothing else wants: a wake-up must never preempt the event loop.
-            try:
-                os.sched_setscheduler(0, idle, os.sched_param(0))
-            except OSError:
-                pass
-        gc.disable()  # a collection would touch, and so copy, every page shared with the parent
-        pending = b""
-        while True:
-            chunk = os.read(requests, WINDOW * TRIPLE_LEN)
-            if not chunk:
-                break
-            pending += chunk
-            whole = len(pending) - len(pending) % TRIPLE_LEN
-            for start in range(0, whole, TRIPLE_LEN):
-                ok = _verify_inline(
-                    pending[start : start + KEY_LEN],
-                    pending[start + KEY_LEN : start + KEY_LEN + SIG_LEN],
-                    pending[start + KEY_LEN + SIG_LEN : start + TRIPLE_LEN],
-                )
-                os.write(answers, b"\x01" if ok else b"\x00")
-            pending = pending[whole:]
-    finally:
-        os._exit(0)
-
-
-_worker: Optional[BackgroundVerifier] = None
-
-
-def _can_verify_ahead() -> bool:
-    """A worker helps only on a second CPU, and forking is safe only without other threads."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (
-        hasattr(os, "fork")
-        and affinity is not None
-        and len(affinity(0)) >= 2
-        and threading.active_count() == 1
-    )
+_signed: Optional[list] = None  # while a list, sign_digest appends each triple it makes
 
 
 @contextmanager
-def verifying_ahead():
-    """Verify the signatures made inside the block in a background worker.
-
-    Yields the worker, or None where none can run (no fork, one CPU, other
-    threads, or one is already active); then everything is verified inline.
-    On exit, also by an exception, the worker's pipes are closed and it is reaped.
-    """
-    global _worker
-    worker = None
-    if _worker is None and _can_verify_ahead():
-        try:
-            worker = BackgroundVerifier()
-        except OSError:  # no process or pipe to spare
-            pass
-    if worker is None:
-        yield None
-        return
-    _worker = worker
+def recording_signatures():
+    """Inside the block, `sign_digest` appends each (public key || signature
+    || digest) triple it makes to the yielded list."""
+    global _signed
+    _signed = []
     try:
-        yield worker
+        yield _signed
     finally:
-        _worker = None
-        worker.close()
+        _signed = None
+
+
+def verify_triple(triple: bytes) -> bool:
+    """A real Ed25519 verification of a triple `recording_signatures` listed."""
+    return _verify_inline(triple[:KEY_LEN], triple[KEY_LEN : KEY_LEN + SIG_LEN], triple[KEY_LEN + SIG_LEN :])
 
 
 @dataclass

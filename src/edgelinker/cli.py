@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bench import RunPlan, cmd_attack, cmd_channel_overhead, cmd_run
 from .channel import MODES
-from .sim import ATTACK_KINDS, ScenarioConfig
+from .sim import ATTACK_KINDS, ConfigInvalid, ScenarioConfig
 
 ATTACK_SEED = 7
 
@@ -90,14 +89,17 @@ def main(argv=None) -> int:
         if args.config:
             try:
                 config = ScenarioConfig.from_json(Path(args.config).read_text())
-                replace(config, attack=args.kind).validate()
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
         seed = args.seed
         if seed is None:
             seed = config.seed if config is not None and config.seed is not None else ATTACK_SEED
-        report = cmd_attack(args.kind, config, seed)
+        try:
+            report = cmd_attack(args.kind, config, seed)
+        except ConfigInvalid as exc:  # raised before anything runs
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for line in report.lines:
             print(line)
         if args.out:

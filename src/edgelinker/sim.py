@@ -17,10 +17,16 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import os
 import random
+import select
+import signal
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
+
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import channel as ch
 from .chain import (
@@ -39,7 +45,7 @@ from .chain import (
     make_transaction,
 )
 from .channel import ChannelMessage, KeyPair, SecureEnvelope, generate_keypair, open_message
-from .codec import DecodeError, enc_u64
+from .codec import DecodeError, Reader, enc_bytes, enc_list, enc_str, enc_u8, enc_u64
 from .consensus import Phase, make_message, quorum
 from .contracts import (
     HEALTH_RECORD_KIND,
@@ -70,6 +76,7 @@ ACTORS_PER_KIND = 4  # writer and reader devices in a benchmark workload
 ACTOR_BALANCE = 10**12  # genesis balance of every workload device
 
 ATTACK_KINDS = ("replay", "eavesdrop", "insertion", "dos", "spoof")
+ATTACKER_ID = "attacker"  # the endpoint id of a scenario's attacker
 
 
 class ConfigInvalid(ValueError):
@@ -103,9 +110,6 @@ class LinkModel:
     drop_probability: float = 0.0
     partitions: set = field(default_factory=set)  # frozenset pairs of endpoint ids
 
-    def partitioned(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.partitions
-
     def to_dict(self) -> dict:
         return {
             "base_latency_us": self.base_latency_us,
@@ -127,7 +131,7 @@ class LinkModel:
 
 def deliver(link: LinkModel, src: str, dst: str, now_us: int, rng: random.Random) -> Optional[int]:
     """Arrival time for one message, or None when dropped or partitioned."""
-    if link.partitioned(src, dst):
+    if frozenset((src, dst)) in link.partitions:
         return None
     if link.drop_probability > 0 and rng.random() < link.drop_probability:
         return None
@@ -330,20 +334,33 @@ class DeviceActor:
     def schedule(self) -> list:
         return [(step.at_us, idx) for idx, step in enumerate(self.steps)]
 
+    def prepare(self, idx: int) -> tuple:
+        """Step `idx` as it goes out: (node id, sealed bytes, tx hash or None for a read).
+
+        Only this advances the device's account nonce, channel counters and
+        cipher-nonce stream, and nothing the device receives changes it: the
+        infinite-lookahead case of conservative parallel discrete-event
+        simulation (Chandy & Misra 1979), so `RunAhead` may prepare every step
+        before the loop wakes the device.
+        """
+        step = self.steps[idx]
+        node_id = f"n{step.target if step.target is not None else self.primary}"
+        now_ms = step.at_us // 1000
+        if step.kind == "tx":
+            tx = make_transaction(self.keypair, self.account_nonce, now_ms, step.payload)
+            self.account_nonce += 1
+            tx_hash, body = hash_tx(tx), tx.encode()
+        else:  # a read is no transaction: the channel signature authenticates it
+            tx_hash, body = None, step.payload.encode()
+        return node_id, self.endpoint.seal(self.sim.node_keys[node_id].public_key, body, now_ms), tx_hash
+
     def wake(self, idx: int, now_us: int) -> list:
         step = self.steps[idx]
-        node_idx = step.target if step.target is not None else self.primary
-        node_id = f"n{node_idx}"
-        if step.kind == "tx":
-            tx = make_transaction(self.keypair, self.account_nonce, now_us // 1000, step.payload)
-            self.account_nonce += 1
-            self.sent_tx[hash_tx(tx)] = (now_us, step.label, step.measured)
-            body = tx.encode()
-        else:
-            # A read is no transaction: the channel signature authenticates it.
+        node_id, raw, tx_hash = self.sim.prepared(self, idx)
+        if tx_hash is None:
             self.pending_queries.setdefault(node_id, deque()).append((now_us, step.label, step.measured))
-            body = step.payload.encode()
-        raw = self.endpoint.seal(self.sim.node_keys[node_id].public_key, body, now_us // 1000)
+        else:
+            self.sent_tx[tx_hash] = (now_us, step.label, step.measured)
         self.sim.trace.add(now_us, self.id, "task_sent", {"label": step.label, "measured": step.measured})
         self.sim.pending_responses += 1
         return [Send(node_id, CLIENT, raw)]
@@ -415,7 +432,7 @@ class AttackerBase:
 
     def __init__(self, sim: "Simulation", keypair: KeyPair, params: dict):
         self.sim = sim
-        self.id = "attacker"
+        self.id = ATTACKER_ID
         self.keypair = keypair
         self.params = params
         self.rng = child_rng(sim.seed, "actor", "attacker")
@@ -573,8 +590,6 @@ class SpoofAttacker(AttackerBase):
         digest = hashlib.sha256(encoded).digest()
         signature = ch.sign_digest(self.keypair.private_key, digest)
         key = ch.derive_shared_key(self.keypair.private_key, node_pk)
-        from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-
         aead_nonce = self.rng.randbytes(12)
         ciphertext = aead_nonce + ChaCha20Poly1305(key).encrypt(aead_nonce, encoded + signature, None)
         # Alternate between claiming the victim in the hint and in the body.
@@ -620,6 +635,94 @@ class EquivocatingNode(FogNode):
                 out.sends.append(Send(peer, CONSENSUS, msg))
         self.rec("equivocating_proposal", height=height, round=round_)
         self._post_engine(out, now_us, [], fin)
+
+
+# --- devices run ahead of the loop ---------------------------------------------------
+
+RUN_AHEAD_TIMEOUT_S = 1.0  # longest wait for the next record before the loop prepares inline
+
+
+def _can_run_ahead() -> bool:
+    """A second process helps only on a second CPU, and forking is safe only without other threads."""
+    cpus = getattr(os, "sched_getaffinity", lambda _pid: ())(0)
+    return hasattr(os, "fork") and len(cpus) >= 2 and threading.active_count() == 1
+
+
+class RunAhead:
+    """One forked process that prepares each device wake of a run before the loop needs it.
+
+    For each device wake, in the heap's dispatch order, the child calls
+    `DeviceActor.prepare`, verifies every signature that made, and writes one
+    length-prefixed record: device and step, node id, sealed bytes, tx hash
+    and each (triple, verdict). The pipe is the only flow control.
+    """
+
+    def __init__(self, order: list):
+        self.order = order  # (device, step index) of each record, in dispatch order
+        self.taken = 0  # records taken so far
+        self._buf = b""  # bytes read but not yet taken
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _run_ahead_main(order, write_fd)
+        os.close(write_fd)
+        self.fd = read_fd
+
+    def take(self, actor_id: str, idx: int) -> Optional[tuple]:
+        """The next record as `prepare` returns it, with its verdicts filed for
+        `channel.verify_digest`; None when the child has ended, broke off a
+        record or sent nothing for RUN_AHEAD_TIMEOUT_S."""
+        # With fewer than 4 bytes buffered the prefix reads short, and the condition still asks for more.
+        while len(self._buf) < 4 + int.from_bytes(self._buf[:4], "big"):
+            if not select.select([self.fd], [], [], RUN_AHEAD_TIMEOUT_S)[0]:
+                return None
+            chunk = os.read(self.fd, 1 << 16)
+            if not chunk:
+                return None
+            self._buf += chunk
+        framed = Reader(self._buf)
+        r = Reader(framed.bytes_())
+        self._buf = self._buf[framed.pos :]
+        named = (r.str_(), r.u64())
+        if named != (actor_id, idx):
+            raise RuntimeError(f"run-ahead record for {named}, but the loop wakes {(actor_id, idx)}")
+        node_id, raw, tx_hash = r.str_(), r.bytes_(), r.bytes_()
+        for _ in range(r.u32()):
+            ch.file_verdict(r.bytes_(), r.u8() == 1)
+        r.expect_eof()
+        self.taken += 1
+        return node_id, raw, tx_hash or None
+
+    def close(self) -> None:
+        """Close the pipe, end the child and reap it."""
+        os.close(self.fd)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _run_ahead_main(order: list, fd: int) -> None:
+    """The child's whole life; it leaves only through os._exit, so it never
+    runs the parent's exit handlers."""
+    try:
+        with ch.recording_signatures() as signed:
+            for actor, idx in order:
+                node_id, raw, tx_hash = actor.prepare(idx)
+                verdicts = enc_list(signed, lambda triple: enc_bytes(triple) + enc_u8(int(ch.verify_triple(triple))))
+                signed.clear()
+                record = enc_bytes(
+                    enc_str(actor.id) + enc_u64(idx) + enc_str(node_id) + enc_bytes(raw) + enc_bytes(tx_hash or b"") + verdicts
+                )
+                view = memoryview(record)
+                while view:
+                    view = view[os.write(fd, view) :]
+    finally:
+        os._exit(0)
 
 
 # --- simulation -------------------------------------------------------------------
@@ -691,9 +794,15 @@ class Simulation:
         self.parties: dict = dict(self.actors)
         if self.attacker is not None:
             self.parties[self.attacker.id] = self.attacker
+        # The attacker counts even without an attack: `cmd_attack`'s baseline runs the same link.
+        endpoints = set(self.nodes) | set(self.parties) | {ATTACKER_ID}
+        for pair in config.link.partitions:
+            if len(pair) != 2 or not pair <= endpoints:
+                raise ConfigInvalid(f"link partition {sorted(pair)} must join two of the endpoints {sorted(endpoints)}")
 
         self._pair_rngs: dict = {}
         self._armed: set = set()
+        self._ahead: Optional[RunAhead] = None  # the run-ahead process, only inside run()
 
         wakes = [(at_us, party, tag) for party in self.parties.values() for at_us, tag in party.schedule()]
         duration_s = self._auto_duration(wakes) if config.duration_s is None else config.duration_s
@@ -765,7 +874,13 @@ class Simulation:
             self._push(at_us, ("node_timer", src, key))
 
     def run(self) -> SimTrace:
-        with ch.verifying_ahead():
+        order = self._queued_device_wakes()
+        if order and _can_run_ahead():
+            try:
+                self._ahead = RunAhead(order)
+            except OSError:  # no process or pipe to spare
+                pass
+        try:
             while self.heap and not self.stop:
                 t_us, _seq, item = heapq.heappop(self.heap)
                 if t_us > self.duration_us:
@@ -773,8 +888,34 @@ class Simulation:
                 self.now_us = t_us
                 self._dispatch(item)
                 self._check_stop()
+        finally:
+            if self._ahead is not None:
+                self._ahead.close()
+                self._ahead = None
         self._finish()
         return self.trace
+
+    def _queued_device_wakes(self) -> list:
+        """(device, step index) of each queued device wake, in the order the heap pops them."""
+        queued = sorted(entry for entry in self.heap if entry[2][0] == "wake" and entry[2][1] in self.actors)
+        return [(self.actors[party_id], idx) for _t, _seq, (_wake, party_id, idx) in queued]
+
+    def prepared(self, actor: DeviceActor, idx: int) -> tuple:
+        """`actor.prepare(idx)`, from the run-ahead process while one serves the run.
+
+        When it fails, it is ended, the steps it prepared are prepared again
+        here to bring each device's counters and cipher stream up to date, and
+        the run goes on inline."""
+        ahead = self._ahead
+        if ahead is not None:
+            record = ahead.take(actor.id, idx)
+            if record is not None:
+                return record
+            self._ahead = None
+            ahead.close()
+            for taken_actor, taken_idx in ahead.order[: ahead.taken]:
+                taken_actor.prepare(taken_idx)
+        return actor.prepare(idx)
 
     def _dispatch(self, item: tuple) -> None:
         kind = item[0]

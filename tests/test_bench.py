@@ -236,11 +236,14 @@ class TestCli:
          ("replay", {"write_period_ms": -1000}), ("replay", {"workload": "none", "duration_s": 5}),
          ("replay", {"attack_params": {"gap_us": "x"}}), ("spoof", {"attack_params": {"start_us": "soon"}}),
          ("dos", {"attack_params": {"balance": -5}}), ("dos", {"attack_params": {"contract": "00"}}),
-         ("replay", {"attack_params": {"count": 3}}), ("replay", {"stop_on_done": False})],
+         ("replay", {"attack_params": {"count": 3}}), ("replay", {"stop_on_done": False}),
+         ("replay", {"link": {"partitions": [["n0", "n9"]]}}), ("replay", {"link": {"partitions": [["n0", "patient9"]]}}),
+         ("replay", {"link": {"partitions": [["n1", "n1"]]}})],
         ids=["unknown_key", "no_nodes", "crashed_and_byzantine", "nodes_not_an_int", "link_not_an_object",
              "zero_block_interval", "negative_write_period", "replay_without_a_workload",
              "replay_gap_not_an_int", "spoof_start_not_an_int", "dos_negative_balance", "dos_contract_from_json",
-             "replay_param_it_never_reads", "stop_on_done_removed"],
+             "replay_param_it_never_reads", "stop_on_done_removed", "partition_with_a_node_it_lacks",
+             "partition_with_a_device_it_lacks", "partition_of_an_endpoint_with_itself"],
     )
     def test_attack_with_bad_config_file_exits_2(self, tmp_path, capsys, kind, bad):
         path = tmp_path / "scenario.json"

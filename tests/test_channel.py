@@ -2,8 +2,8 @@ import contextlib
 import hashlib
 import os
 import random
-import select
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,9 @@ from edgelinker.channel import (
     open_message,
     seal_message,
 )
+from edgelinker import sim as sim_module
 from edgelinker.codec import DecodeError
+from edgelinker.sim import RunAhead, ScenarioConfig, Simulation, run_scenario
 from tests.conftest import kp, tseed
 
 NOW_MS = 1_700_000_000_000
@@ -302,133 +304,194 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture(scope="class")
-def worker():
-    """A live background verifier, also where it would not start by itself."""
-    if not hasattr(os, "fork"):
-        pytest.skip("the background verifier needs os.fork")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ch, "_can_verify_ahead", lambda: True)
-        with ch.verifying_ahead() as live:
-            assert live is not None and ch._worker is live
-            yield live
-    assert ch._worker is None
-
-
 def flip_bit(data: bytes, bit: int) -> bytes:
     out = bytearray(data)
     out[bit // 8] ^= 1 << (bit % 8)
     return bytes(out)
 
 
-def settle(worker):
-    """Wait until the worker has answered every triple sent to it."""
-    with deadline(60):
-        while worker._sent:
-            select.select([worker.fds[1]], [], [])
-            worker.collect()
+READS = ScenarioConfig(nodes=4, workload="read", tasks=1000, block_interval_ms=200)
+MIXED = ScenarioConfig(nodes=4, workload="mixed", tasks=600, block_interval_ms=200)
 
 
-def forget(triple: bytes) -> None:
-    """Drop the cached verdict of `triple`, so the next one filed is fresh."""
-    ch._verdicts.pop(triple, None)
-    ch._older_verdicts.pop(triple, None)
+@pytest.fixture
+def worker(monkeypatch):
+    """Every run forks its run-ahead worker, also where it would not by itself,
+    and starts with no verdict cached by an earlier test."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the run-ahead worker needs os.fork")
+    monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: True)
+    monkeypatch.setattr(ch, "_verdicts", {})
+    monkeypatch.setattr(ch, "_older_verdicts", {})
+
+
+def at_event(monkeypatch, number, action):
+    """Call `action(sim)` in the loop, just before it dispatches event `number`
+    (1-based), so after the worker has forked."""
+    count = [0]
+    original = Simulation._dispatch
+
+    def dispatch(sim, item):
+        count[0] += 1
+        if count[0] == number:
+            action(sim)
+        original(sim, item)
+
+    monkeypatch.setattr(Simulation, "_dispatch", dispatch)
+
+
+def worker_verdicts(monkeypatch) -> list:
+    """Every (triple, verdict) the loop files from the worker's records."""
+    taking, verdicts = [], []
+    file_verdict, take = ch.file_verdict, RunAhead.take
+
+    def filing(triple, verdict):
+        if taking:
+            verdicts.append((triple, verdict))
+        file_verdict(triple, verdict)
+
+    def taking_record(ahead, actor_id, idx):
+        taking.append(idx)
+        try:
+            return take(ahead, actor_id, idx)
+        finally:
+            taking.pop()
+
+    monkeypatch.setattr(ch, "file_verdict", filing)
+    monkeypatch.setattr(RunAhead, "take", taking_record)
+    return verdicts
+
+
+def count_inline_verifies(monkeypatch, keys: list) -> None:
+    """Append to `keys` the public key of every verification made in this process from now on."""
+    original = ch._verify_inline
+
+    def verify(public_key, signature, digest):
+        keys.append(public_key)
+        return original(public_key, signature, digest)
+
+    monkeypatch.setattr(ch, "_verify_inline", verify)
+
+
+def device_keys(sim) -> set:
+    return {actor.keypair.public_key for actor in sim.actors.values()}
+
+
+def same_results(a, b) -> bool:
+    return a.jsonl() == b.jsonl() and all(
+        a.final[n].tip_hash == b.final[n].tip_hash and a.final[n].world.digest() == b.final[n].world.digest()
+        for n in a.final
+    )
 
 
 class TestVerifyingAhead:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.binary(min_size=32, max_size=32),
-        digest=st.binary(min_size=32, max_size=32),
-        bit=st.integers(0, 8 * 64 - 1),
-    )
-    def test_worker_verdicts_equal_inline_verdicts(self, worker, seed, digest, bit):
-        pair = generate_keypair(seed)
-        signature = ch.sign_digest(pair.private_key, digest)
-        forget(pair.public_key + signature + digest)  # nothing has collected the worker's answer yet
-        settle(worker)
-        assert ch._known_verdict(pair.public_key + signature + digest) is True  # filed by the worker
-        other_key = generate_keypair(hashlib.sha256(seed).digest()).public_key
-        tampered = [
-            (pair.public_key, flip_bit(signature, bit), digest),
-            (pair.public_key, signature, hashlib.sha256(digest).digest()),
-            (other_key, signature, digest),
-        ]
-        for key, sig, dig in tampered:
-            assert ch._verify_inline(key, sig, dig) is False
-            forget(key + sig + dig)
-            worker.submit(key + sig + dig)
-            settle(worker)
-            assert ch._known_verdict(key + sig + dig) is False
+    """The run-ahead worker signs for the devices and verifies each signature
+    it makes before the loop needs the verdict."""
 
-    def test_a_thousand_signatures_ahead_of_their_verifies(self, worker):
-        pair = kp("ahead")
-        digests = [hashlib.sha256(b"ahead %d" % i).digest() for i in range(1000)]
+    def test_worker_verdicts_equal_inline_verdicts(self, worker, monkeypatch):
+        verdicts = worker_verdicts(monkeypatch)
+        run_scenario(MIXED, 21)
+        assert len(verdicts) > 600  # a tx signature and a channel signature per write, one per read
+        for triple, verdict in verdicts:
+            key, signature, digest = triple[:32], triple[32:96], triple[96:]
+            assert verdict is ch._verify_inline(key, signature, digest) is True
+
+    def test_a_thousand_signatures_ahead_of_their_verifies(self, worker, monkeypatch):
+        verdicts = worker_verdicts(monkeypatch)
+        trace = run_scenario(READS, 22)
+        assert len(trace.of_kind("task_reply")) == READS.tasks
+        assert len(verdicts) >= 1000 and all(verdict for _triple, verdict in verdicts)
+        assert all(ch._known_verdict(triple) for triple, _verdict in verdicts)
+
+    def test_a_stopped_worker_never_blocks_signing(self, worker, monkeypatch):
+        """A worker that sends nothing ends the loop's wait within RUN_AHEAD_TIMEOUT_S;
+        the loop then signs for the devices itself, with the same results."""
+        undisturbed = run_scenario(MIXED, 23)
+        stopped, longest = [], [0.0]
+
+        def stop(sim):
+            stopped.append(sim._ahead)
+            os.kill(sim._ahead.pid, signal.SIGSTOP)
+
+        at_event(monkeypatch, 150, stop)
+        timed = Simulation._dispatch
+
+        def dispatch(sim, item):
+            start = time.monotonic()
+            timed(sim, item)
+            longest[0] = max(longest[0], time.monotonic() - start)
+
+        monkeypatch.setattr(Simulation, "_dispatch", dispatch)
         with deadline(60):
-            signatures = [ch.sign_digest(pair.private_key, d) for d in digests]
-        settle(worker)
-        triples = [pair.public_key + s + d for s, d in zip(signatures, digests)]
-        # At least the first window was sent and answered; the rest may have been skipped.
-        assert sum(ch._known_verdict(t) is True for t in triples) >= ch.WINDOW
-        assert all(ch.verify_digest(pair.public_key, s, d) for s, d in zip(signatures, digests))
-        assert worker.alive
+            disturbed = run_scenario(MIXED, 23)
+        assert sim_module.RUN_AHEAD_TIMEOUT_S * 0.9 <= longest[0] < sim_module.RUN_AHEAD_TIMEOUT_S + 5
+        with pytest.raises(ChildProcessError):  # ended and reaped
+            os.waitpid(stopped[0].pid, os.WNOHANG)
+        assert same_results(disturbed, undisturbed)
 
-    def test_a_stopped_worker_never_blocks_signing(self, worker):
-        pair = kp("stopped")
-        digests = [hashlib.sha256(b"stopped %d" % i).digest() for i in range(1000)]
-        os.kill(worker.pid, signal.SIGSTOP)
-        try:
-            with deadline(10):
-                signatures = [ch.sign_digest(pair.private_key, d) for d in digests]
-            assert len(worker._sent) <= ch.WINDOW
-        finally:
-            os.kill(worker.pid, signal.SIGCONT)
-        assert all(ch._verify_inline(pair.public_key, s, d) for s, d in zip(signatures, digests))
-        settle(worker)
-        assert worker.alive
+    def test_a_triple_in_flight_is_verified_inline(self, worker, monkeypatch):
+        """Records the worker had not handed over when it died are prepared
+        again in the loop, so their signatures are verified there."""
+        undisturbed = run_scenario(MIXED, 24)
+        verified, devices, split = [], set(), []
 
-    def test_a_triple_in_flight_is_verified_inline(self, worker):
-        pair = kp("in flight")
-        digests = [hashlib.sha256(b"in flight %d" % i).digest() for i in range(200)]
-        signatures = [ch.sign_digest(pair.private_key, d) for d in digests]
-        # Its answer, if it was sent at all, has not been collected yet.
-        assert ch._known_verdict(pair.public_key + signatures[-1] + digests[-1]) is None
-        assert ch.verify_digest(pair.public_key, signatures[-1], digests[-1])
-        settle(worker)
-        assert ch._known_verdict(pair.public_key + signatures[0] + digests[0]) is True
+        def kill(sim):
+            devices.update(device_keys(sim))
+            split.append(len(verified))
+            os.kill(sim._ahead.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, sim._ahead.pid, os.WEXITED | os.WNOWAIT)
 
-    def test_a_digest_of_another_length_is_not_sent(self, worker):
-        pair = kp("short")
-        short = ch.sign_digest(pair.private_key, b"twenty bytes, no sha")
-        digest = hashlib.sha256(b"after the short one").digest()
-        signature = ch.sign_digest(pair.private_key, digest)
-        settle(worker)
-        assert ch._known_verdict(pair.public_key + signature + digest) is True  # the framing held
-        assert ch.verify_digest(pair.public_key, short, b"twenty bytes, no sha")
+        at_event(monkeypatch, 1, lambda _sim: count_inline_verifies(monkeypatch, verified))
+        at_event(monkeypatch, 150, kill)
+        monkeypatch.setattr(ch, "_verdicts", {})
+        monkeypatch.setattr(ch, "_older_verdicts", {})
+        disturbed = run_scenario(MIXED, 24)
+        before, after = set(verified[: split[0]]), set(verified[split[0] :])
+        assert before and not devices & before
+        assert devices & after
+        assert same_results(disturbed, undisturbed)
 
-    @pytest.mark.skipif(not hasattr(os, "SCHED_IDLE"), reason="SCHED_IDLE is Linux-only")
-    def test_worker_runs_only_on_an_idle_cpu(self, worker):
-        pair = kp("idle")
-        ch.sign_digest(pair.private_key, hashlib.sha256(b"idle").digest())
-        settle(worker)  # the worker sets its policy before it reads its first triple
-        assert os.sched_getscheduler(worker.pid) == os.SCHED_IDLE
+    def test_a_digest_of_any_length_is_recorded(self):
+        pair = kp("recorded")
+        digest = hashlib.sha256(b"recorded").digest()
+        with ch.recording_signatures() as signed:
+            short = ch.sign_digest(pair.private_key, b"twenty bytes, no sha")
+            signature = ch.sign_digest(pair.private_key, digest)
+        ch.sign_digest(pair.private_key, b"after the block")
+        assert signed == [pair.public_key + short + b"twenty bytes, no sha", pair.public_key + signature + digest]
+        assert all(ch.verify_triple(triple) for triple in signed)
+        assert not ch.verify_triple(pair.public_key + short + b"twenty bytes, no sha!")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getscheduler"), reason="scheduling policies are Linux-only")
+    def test_worker_runs_at_normal_priority(self, worker, monkeypatch):
+        """The loop waits on the worker, so it must not wait for an idle CPU."""
+        policies = []
+        at_event(monkeypatch, 10, lambda sim: policies.append(os.sched_getscheduler(sim._ahead.pid)))
+        run_scenario(MIXED, 25)
+        assert policies == [os.SCHED_OTHER]
 
     def test_verify_digest_takes_the_worker_verdict(self, worker, monkeypatch):
-        pair = kp("take")
-        digest = hashlib.sha256(b"take").digest()
-        signature = ch.sign_digest(pair.private_key, digest)
-        settle(worker)
-        monkeypatch.setattr(ch, "_verify_inline", lambda *_triple: pytest.fail("verified inline"))
-        assert ch.verify_digest(pair.public_key, signature, digest)
+        def no_device_verifies(sim):
+            devices = device_keys(sim)
+            original = ch._verify_inline
+
+            def verify(public_key, signature, digest):
+                if public_key in devices:
+                    pytest.fail("a device signature was verified in the loop")
+                return original(public_key, signature, digest)
+
+            monkeypatch.setattr(ch, "_verify_inline", verify)
+
+        at_event(monkeypatch, 1, no_device_verifies)
+        trace = run_scenario(MIXED, 26)
+        assert len(trace.of_kind("task_confirmed")) + len(trace.of_kind("task_reply")) >= MIXED.tasks
 
 
 @pytest.fixture(scope="class", params=["inline", "worker"])
 def verifier(request):
-    """No background verifier, then a live one."""
-    if request.param == "inline":
-        assert ch._worker is None
-        return None
-    return request.getfixturevalue("worker")
+    """How a signature's verdict is reached: inline by `verify_digest`, or
+    filed ahead of it the way the loop files the run-ahead worker's verdicts."""
+    return request.param
 
 
 class TestVerdictCache:
@@ -440,7 +503,12 @@ class TestVerdictCache:
     )
     def test_verify_digest_equals_inline_verification(self, verifier, seed, digest, bit):
         pair = generate_keypair(seed)
-        signature = ch.sign_digest(pair.private_key, digest)
+        with ch.recording_signatures() as signed:
+            signature = ch.sign_digest(pair.private_key, digest)
+        if verifier == "worker":
+            for triple in signed:
+                ch.file_verdict(triple, ch.verify_triple(triple))
+            assert ch._known_verdict(pair.public_key + signature + digest) is True
         other_key = generate_keypair(hashlib.sha256(seed).digest()).public_key
         triples = [
             (pair.public_key, signature, digest),
@@ -448,12 +516,9 @@ class TestVerdictCache:
             (pair.public_key, signature, hashlib.sha256(digest).digest()),
             (other_key, signature, digest),
         ]
-        for key, sig, dig in triples:
-            assert ch.verify_digest(key, sig, dig) is ch._verify_inline(key, sig, dig)
-        if verifier is not None:
-            settle(verifier)
-        for key, sig, dig in triples:
-            assert ch.verify_digest(key, sig, dig) is ch._verify_inline(key, sig, dig)
+        for _ in range(2):  # the second time from the cache
+            for key, sig, dig in triples:
+                assert ch.verify_digest(key, sig, dig) is ch._verify_inline(key, sig, dig)
 
     def test_at_most_twice_verdicts_kept(self, monkeypatch):
         monkeypatch.setattr(ch, "VERDICTS_KEPT", 8)
@@ -471,8 +536,9 @@ class TestVerdictCache:
         assert ch._known_verdict(triples[0]) is None  # forgotten, so verified again when asked
 
 
-def test_nothing_forks_outside_verifying_ahead(monkeypatch):
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked outside verifying_ahead"))
+def test_nothing_forks_outside_a_simulation_run(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked outside Simulation.run"))
     a, b = kp("a"), kp("b")
     assert open_message(seal_message(msg_for(a), a.private_key, b.public_key), b.private_key, a.public_key)
-    assert ch._worker is None
+    digest = hashlib.sha256(b"no fork").digest()
+    assert ch.verify_digest(a.public_key, ch.sign_digest(a.private_key, digest), digest)

@@ -10,6 +10,7 @@ import pytest
 
 import edgelinker
 from edgelinker import chain, channel
+from edgelinker import sim as sim_module
 from edgelinker.chain import Query
 from edgelinker.contracts import apply_block, genesis_world, replay_chain
 from edgelinker.codec import enc_str, enc_u64, enc_u8
@@ -288,24 +289,24 @@ class TestDeviceSignatures:
 
 @pytest.fixture
 def forced_worker(monkeypatch):
-    """Start the background verifier in every run, also where it would not by itself."""
+    """Fork the run-ahead worker in every run, also where it would not by itself."""
     if not hasattr(os, "fork"):
-        pytest.skip("the background verifier needs os.fork")
-    monkeypatch.setattr(channel, "_can_verify_ahead", lambda: True)
+        pytest.skip("the run-ahead worker needs os.fork")
+    monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: True)
 
 
 def capture_worker(monkeypatch, after_events=None, action=None):
-    """Returns [the live worker, then whether it was alive at each event];
-    calls `action(worker)` at event number `after_events`."""
+    """Returns [the run-ahead worker, then whether the loop still takes its
+    records at each event]; calls `action(worker)` at event number `after_events`."""
     seen = []
     original = Simulation._dispatch
 
     def dispatch(sim, item):
         if not seen:
-            seen.append(channel._worker)
+            seen.append(sim._ahead)
         if len(seen) == after_events:
             action(seen[0])
-        seen.append(channel._worker.alive)
+        seen.append(sim._ahead is not None)
         original(sim, item)
 
     monkeypatch.setattr(Simulation, "_dispatch", dispatch)
@@ -315,38 +316,45 @@ def capture_worker(monkeypatch, after_events=None, action=None):
 def assert_reaped(worker):
     with pytest.raises(ChildProcessError):
         os.waitpid(worker.pid, os.WNOHANG)
-    for fd in worker.fds:
-        with pytest.raises(OSError):
-            os.fstat(fd)
+    with pytest.raises(OSError):
+        os.fstat(worker.fd)
+
+
+def assert_same_results(a, b):
+    for node_id, final in a.final.items():
+        assert b.final[node_id].tip_hash == final.tip_hash
+        assert b.final[node_id].world.digest() == final.world.digest()
+    assert b.jsonl() == a.jsonl()
+    assert b.counters == a.counters and b.attack_stats == a.attack_stats
 
 
 class TestBackgroundVerifier:
-    CONFIG = ScenarioConfig(nodes=4, workload="mixed", tasks=60, block_interval_ms=200)
+    """The run-ahead worker: a forked process that signs for the devices and
+    verifies those signatures in the background."""
+
+    CONFIG = ScenarioConfig(nodes=4, workload="mixed", tasks=600, block_interval_ms=200)
 
     def test_worker_killed_mid_run_changes_no_result(self, forced_worker, monkeypatch):
         def kill(worker):
             os.kill(worker.pid, signal.SIGKILL)
-            # An idle-priority process may take a while to die; wait for it, but leave it unreaped.
-            os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
+            os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # dead, but left unreaped
 
         undisturbed = run_scenario(self.CONFIG, 11)
         seen = capture_worker(monkeypatch, 150, kill)
         disturbed = run_scenario(self.CONFIG, 11)
         worker = seen[0]
-        assert worker is not None and len(seen) > 300  # killed with much of the run still ahead
-        assert seen[-1] is False  # the run noticed, and verified inline from then on
+        assert worker is not None and len(seen) > 1000  # killed with much of the run still ahead
+        assert worker.taken < len(worker.order)  # it had not handed over every record
+        assert seen[-1] is False  # the run noticed, and prepared inline from then on
         assert_reaped(worker)
-        for node_id, final in undisturbed.final.items():
-            assert disturbed.final[node_id].tip_hash == final.tip_hash
-            assert disturbed.final[node_id].world.digest() == final.world.digest()
-        assert disturbed.jsonl() == undisturbed.jsonl()
+        assert_same_results(undisturbed, disturbed)
 
     def test_worker_reaped_after_run_returns(self, forced_worker, monkeypatch):
         seen = capture_worker(monkeypatch)
         run_scenario(self.CONFIG, 12)
         assert seen[0] is not None and all(seen[1:])
+        assert seen[0].taken == len(seen[0].order)
         assert_reaped(seen[0])
-        assert channel._worker is None
 
     def test_worker_reaped_after_run_raises(self, forced_worker, monkeypatch):
         def fail(_worker):
@@ -357,7 +365,6 @@ class TestBackgroundVerifier:
             run_scenario(self.CONFIG, 13)
         assert seen[0] is not None
         assert_reaped(seen[0])
-        assert channel._worker is None
 
     def test_driving_a_node_outside_run_starts_no_process(self, forced_worker, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked outside Simulation.run"))
@@ -369,7 +376,57 @@ class TestBackgroundVerifier:
         assert len(node.mempool) == 1
         node.on_timer(("propose", node.engine.height), sim.config.block_interval_ms * 1000)
         assert node.chain.height == 1
-        assert channel._worker is None
+        assert sim._ahead is None
+
+
+class TestRunAhead:
+    @pytest.mark.parametrize(
+        "config, seed",
+        [
+            (ScenarioConfig(nodes=4, workload="write", tasks=300, block_interval_ms=200), 31),
+            (ScenarioConfig(nodes=4, workload="read", tasks=300, block_interval_ms=200), 32),
+            (ScenarioConfig(nodes=4, workload="mixed", tasks=300, block_interval_ms=200), 33),
+            (fast_config(attack="replay"), 34),
+        ],
+        ids=["write", "read", "mixed", "replay"],
+    )
+    def test_same_results_with_and_without_run_ahead(self, config, seed, monkeypatch):
+        if not hasattr(os, "fork"):
+            pytest.skip("the run-ahead worker needs os.fork")
+        fork = os.fork
+        results, forks = {}, []
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for ahead in (False, True):
+            monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: ahead)
+            results[ahead] = run_scenario(config, seed)
+            assert len(forks) == int(ahead)
+        assert_same_results(results[False], results[True])
+        assert results[True].of_kind("task_sent")
+
+    def test_a_record_for_another_wake_stops_the_run(self, forced_worker, monkeypatch):
+        queued = Simulation._queued_device_wakes
+
+        def swapped(sim):
+            order = queued(sim)
+            order[3], order[4] = order[4], order[3]
+            return order
+
+        monkeypatch.setattr(Simulation, "_queued_device_wakes", swapped)
+        seen = capture_worker(monkeypatch)
+        with pytest.raises(RuntimeError, match="run-ahead record"):
+            run_scenario(ScenarioConfig(nodes=4, workload="mixed", tasks=40, block_interval_ms=200), 35)
+        assert_reaped(seen[0])
+
+    def test_no_process_without_a_second_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        trace = run_scenario(ScenarioConfig(nodes=2, workload="mixed", tasks=20, block_interval_ms=200), 36)
+        assert sum(e.info["measured"] for e in trace.of_kind("task_sent")) == 20
 
 
 class TestFaults:
@@ -556,6 +613,13 @@ class TestConfig:
         ScenarioConfig(attack="dos", attack_params={"balance": 0, "count": 2, "period_us": 1}).validate()
         # With no attack selected the params are not read, so they are not checked.
         ScenarioConfig(attack_params={"gap_us": "x", "victim": "v"}).validate()
+        # A partition must cut a link between two distinct endpoints of the scenario.
+        for pair in (("n0", "n9"), ("n1", "patient9"), ("n2", "n2"), ("n0", "writer0")):
+            with pytest.raises(ConfigInvalid, match="partition"):
+                Simulation(ScenarioConfig(nodes=4, link=LinkModel(partitions={frozenset(pair)})), 1)
+        for pair in (("n3", "doctor0"), ("n0", "attacker"), ("n0", "n3")):
+            Simulation(ScenarioConfig(nodes=4, link=LinkModel(partitions={frozenset(pair)})), 1)
+        Simulation(ScenarioConfig(nodes=4, workload="mixed", tasks=3, link=LinkModel(partitions={frozenset(("n0", "writer0"))})), 1)
 
     def test_attacks_that_need_a_workload_rejected_without_one(self):
         for kind in ATTACK_KINDS:
