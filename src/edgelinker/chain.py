@@ -126,6 +126,7 @@ class Transaction:
     gas_limit: int
     signature: bytes
     _signing: Optional[bytes] = cache_field()
+    _digest: Optional[bytes] = cache_field()  # sha256 of the signing bytes
     _raw: Optional[bytes] = cache_field()
     _hash: Optional[bytes] = cache_field()
 
@@ -192,9 +193,15 @@ def make_transaction(
     return tx
 
 
+def signing_digest(record) -> bytes:
+    """The sha256 of a signed record's signing bytes, computed once per record."""
+    if record._digest is None:
+        set_cached(record, "_digest", hashlib.sha256(record.signing_bytes()).digest())
+    return record._digest
+
+
 def verify_transaction(tx: Transaction) -> bool:
-    digest = hashlib.sha256(tx.signing_bytes()).digest()
-    return verify_digest(tx.sender, tx.signature, digest)
+    return verify_digest(tx.sender, tx.signature, signing_digest(tx))
 
 
 def hash_tx(tx: Transaction) -> bytes:
@@ -214,6 +221,7 @@ class BlockHeader:
     proposer: bytes
     proposer_signature: bytes
     _signing: Optional[bytes] = cache_field()
+    _digest: Optional[bytes] = cache_field()  # sha256 of the signing bytes
     _raw: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x03
@@ -314,8 +322,7 @@ def hash_block(block: Block) -> bytes:
 
 
 def verify_block_signature(header: BlockHeader) -> bool:
-    digest = hashlib.sha256(header.signing_bytes()).digest()
-    return verify_digest(header.proposer, header.proposer_signature, digest)
+    return verify_digest(header.proposer, header.proposer_signature, signing_digest(header))
 
 
 # --- genesis --------------------------------------------------------------

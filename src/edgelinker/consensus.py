@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-from .chain import Block, Chain, GenesisConfig, hash_block, validate_block
+from .chain import Block, Chain, GenesisConfig, hash_block, signing_digest, validate_block
 from .channel import KeyPair, sign_digest, verify_digest
 from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_u64, enc_u8, set_cached
 
@@ -43,6 +43,7 @@ class ConsensusMessage:
     sender: bytes
     signature: bytes
     _signing: Optional[bytes] = cache_field()
+    _digest: Optional[bytes] = cache_field()  # sha256 of the signing bytes
     _raw: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x05
@@ -116,8 +117,7 @@ def make_message(
 def verify_message(msg: ConsensusMessage, authorities) -> bool:
     if msg.sender not in authorities:
         return False
-    digest = hashlib.sha256(msg.signing_bytes()).digest()
-    return verify_digest(msg.sender, msg.signature, digest)
+    return verify_digest(msg.sender, msg.signature, signing_digest(msg))
 
 
 def quorum(n: int) -> int:

@@ -4,7 +4,10 @@ The permission table is a mapping from 32-byte permission ids to address
 sets. Holders of the root permitter permission (id 0x00...00) may grant or
 revoke any permission; the deployer receives it at initialization. The
 health-record contract keeps an append-only list of (timestamp, heart_rate)
-readings gated by write/read permissions.
+readings gated by write/read permissions. Because the list only grows, its
+length names its contents, so each record keeps the last range it served,
+with that range's packed bytes, under the key (from, to, length): a repeated
+read between two writes neither scans the log nor packs it again.
 
 Gas is charged up front at one coin per unit, including for calls that end
 in a permission denial, which is what drains a flooding attacker's balance.
@@ -16,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .chain import Block, Call, Deploy, GasSchedule, GenesisConfig, Transaction, Transfer, hash_tx
-from .codec import READING, DecodeError, Reader, enc_bytes, enc_list, enc_readings, enc_u64, enc_u8
+from .codec import READING, DecodeError, Reader, cache_field, enc_bytes, enc_list, enc_readings, enc_u64, enc_u8
 
 PERMITTER_PERMISSION = bytes(32)
 WRITE_PERMISSION = bytes(31) + b"\x01"
@@ -103,11 +107,22 @@ def revoke_permission(table: PermissionTable, caller: bytes, permission: bytes, 
 
 # --- contract and world state ----------------------------------------------
 
+class Readings(list):
+    """(timestamp, heart_rate) readings that carry their `enc_readings` bytes."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, readings, packed: bytes):
+        super().__init__(readings)
+        self.packed = packed
+
+
 @dataclass
 class HealthRecordState:
     owner: bytes
     readings: list = field(default_factory=list)  # append-only (timestamp_ms, heart_rate)
     permission_table: PermissionTable = field(default_factory=PermissionTable)
+    _last_read: Optional[tuple] = cache_field()  # ((from_ts, to_ts, len(readings)), readings, their bytes)
 
     def encode(self) -> bytes:
         return enc_u8(0x11) + enc_bytes(self.owner) + enc_readings(self.readings) + self.permission_table.encode()
@@ -312,14 +327,20 @@ def apply_block(world: WorldState, block: Block, schedule: GasSchedule) -> list:
     return receipts
 
 
-def read_history(world: WorldState, contract: bytes, caller: bytes, from_ts: int, to_ts: int) -> list:
-    """Pure read of the reading log, gated on ownership or read permission."""
+def read_history(world: WorldState, contract: bytes, caller: bytes, from_ts: int, to_ts: int) -> Readings:
+    """The readings with `from_ts <= timestamp <= to_ts`, in log order, gated on
+    ownership or read permission; each call returns a list of its own."""
     state = world.contracts.get(contract)
     if state is None:
         raise UnknownContract(contract.hex())
     if caller != state.owner and not has_permission(state.permission_table, READ_PERMISSION, caller):
         raise PermissionDenied("caller lacks read permission")
-    return [r for r in state.readings if from_ts <= r[0] <= to_ts]
+    key = (from_ts, to_ts, len(state.readings))
+    if state._last_read is None or state._last_read[0] != key:
+        found = [r for r in state.readings if from_ts <= r[0] <= to_ts]
+        state._last_read = (key, found, enc_readings(found))
+    _, found, packed = state._last_read
+    return Readings(found, packed)
 
 
 def genesis_world(config: GenesisConfig) -> WorldState:

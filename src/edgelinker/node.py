@@ -27,9 +27,9 @@ from .chain import (
     validate_block,
     verify_transaction,
 )
-from .codec import DecodeError, Reader, enc_bytes, enc_readings, enc_str, enc_u64, enc_u8
+from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_readings, enc_str, enc_u64, enc_u8, set_cached
 from .consensus import ConsensusEngine, ConsensusMessage, Phase, verify_message
-from .contracts import PermissionDenied, UnknownContract, apply_block, genesis_world, read_history
+from .contracts import PermissionDenied, Readings, UnknownContract, apply_block, genesis_world, read_history
 
 MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
 QUERY_SERVICE_US = 1000  # time one read occupies the node's query server
@@ -65,18 +65,25 @@ CONSENSUS = "ConsensusWire"  # a ConsensusMessage
 ALERT = "AlertWire"  # an Alert
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryReplyBody:
     """Node response to a read query."""
 
     status: int  # 0 ok, 1 permission denied, 2 unknown contract
     reason: str
     readings: list
+    _packed: Optional[bytes] = cache_field()  # enc_readings(readings)
 
     WIRE_TAG = 0x06
 
+    def __post_init__(self):
+        if isinstance(self.readings, Readings):
+            set_cached(self, "_packed", self.readings.packed)
+
     def encode(self) -> bytes:
-        return enc_u8(self.WIRE_TAG) + enc_u64(self.status) + enc_str(self.reason) + enc_readings(self.readings)
+        if self._packed is None:
+            set_cached(self, "_packed", enc_readings(self.readings))
+        return enc_u8(self.WIRE_TAG) + enc_u64(self.status) + enc_str(self.reason) + self._packed
 
     @classmethod
     def decode(cls, data: bytes) -> "QueryReplyBody":

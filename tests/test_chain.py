@@ -236,3 +236,12 @@ def test_transaction_signature_verifies_under_sender():
     tx = transfer_tx(kp("sig"), 1)
     assert verify_transaction(tx)
     assert not verify_transaction(replace(tx, signature=bytes(64)))
+
+
+def test_a_changed_copy_does_not_keep_the_signing_digest():
+    tx = transfer_tx(kp("sig"), 1)
+    assert verify_transaction(tx) and tx._digest is not None
+    forged = replace(tx, nonce=tx.nonce + 1)
+    assert forged._digest is None
+    assert not verify_transaction(forged)
+    assert verify_transaction(tx)

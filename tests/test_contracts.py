@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgelinker.chain import Call, Deploy, GasSchedule, GenesisConfig, Transfer, build_block, make_genesis, make_transaction
-from edgelinker.codec import READING, DecodeError
+from edgelinker.codec import READING, DecodeError, enc_readings
 from edgelinker.contracts import (
     FEE_SINK,
     PERMITTER_PERMISSION,
@@ -383,6 +383,8 @@ class TestReadHistory:
         assert read_history(world, contract, addr("patient"), 0, 2**62) == readings
 
     def test_granted_then_revoked_reader(self, world):
+        """A revoke adds no reading, so the revoked reader's next read of the
+        same range finds it cached: the permission check must still deny it."""
         contract, readings = self._with_readings(world)
         patient = kp("patient")
         args = encode_permission_args(READ_PERMISSION, addr("doctor"))
@@ -391,6 +393,9 @@ class TestReadHistory:
         execute_transaction(world, make_transaction(patient, 14, NOW_MS, Call(contract, "revoke", args)), SCHEDULE, 1)
         with pytest.raises(PermissionDenied):
             read_history(world, contract, addr("doctor"), 0, 2**62)
+        with pytest.raises(PermissionDenied):
+            read_history(world, contract, addr("stranger"), 0, 2**62)
+        assert read_history(world, contract, addr("patient"), 0, 2**62) == readings
 
     def test_unknown_contract(self, world):
         with pytest.raises(UnknownContract):
@@ -405,6 +410,41 @@ class TestReadHistory:
         from_ts, to_ts = NOW_MS + lo * 500, NOW_MS + hi * 500
         oracle = [r for r in readings if from_ts <= r[0] <= to_ts]
         assert read_history(w, contract, addr("patient"), from_ts, to_ts) == oracle
+
+    RANGES = ((0, 20), (4, 12), (7, 7), (15, 3))  # in half seconds after NOW_MS; the last is empty
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), st.integers(0, 20), st.integers(40, 200)),
+                st.tuples(st.just("read"), st.sampled_from(RANGES)),
+            ),
+            max_size=16,
+        )
+    )
+    def test_writes_between_reads_match_linear_scan_oracle(self, steps):
+        """Reads of a few ranges repeat between writes and after them; every
+        result is the scan of the log as it stands, and a caller that changes
+        its result changes no later one."""
+        w = WorldState()
+        w.accounts[addr("patient")] = Account(balance=10**10, next_nonce=1)
+        contract, log = TestReadHistory()._with_readings(w)
+        patient, nonce = kp("patient"), 13
+        for step in steps:
+            if step[0] == "add":
+                reading = (NOW_MS + step[1] * 500, step[2])
+                call = Call(contract, "add_reading", encode_reading_args(*reading))
+                receipt = execute_transaction(w, make_transaction(patient, nonce, NOW_MS, call), SCHEDULE, 1)
+                assert receipt.result == RESULT_OK
+                log.append(reading)
+                nonce += 1
+            else:
+                from_ts, to_ts = (NOW_MS + half_s * 500 for half_s in step[1])
+                got = read_history(w, contract, addr("patient"), from_ts, to_ts)
+                assert got == [r for r in log if from_ts <= r[0] <= to_ts]
+                assert got.packed == enc_readings(got)
+                got.append((0, 0))
 
 
 def test_replay_chain_rebuilds_world(world):

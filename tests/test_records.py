@@ -30,10 +30,11 @@ from edgelinker.chain import (
     hash_block,
     hash_tx,
     make_transaction,
+    signing_digest,
 )
 from edgelinker.codec import DecodeError
 from edgelinker.consensus import ConsensusMessage, Phase, make_message
-from edgelinker.contracts import HealthRecordState
+from edgelinker.contracts import HealthRecordState, WorldState, read_history
 from edgelinker.node import ConfirmBody, ConfirmEntry, QueryReplyBody
 from tests.conftest import kp
 from tests.test_codec import PAYLOADS
@@ -190,10 +191,15 @@ def warm(record):
     record.encode()
     if isinstance(record, Transaction):
         hash_tx(record)
+        signing_digest(record)
+    if isinstance(record, ConsensusMessage):
+        signing_digest(record)
     if isinstance(record, Block):
         hash_block(record)
+        signing_digest(record.header)
         for tx in record.transactions:
             hash_tx(tx)
+            signing_digest(tx)
     return record
 
 
@@ -234,6 +240,7 @@ def test_transaction_bytes_and_hash_match_reference(tx, how):
     tx = obtain(tx, how, Transaction.decode, "nonce")
     raw = ref_tx(tx)
     assert tx.signing_bytes() == ref_tx_signing(tx)
+    assert signing_digest(tx) == hashlib.sha256(ref_tx_signing(tx)).digest()
     assert tx.encode() == raw
     assert hash_tx(tx) == hashlib.sha256(raw).digest()
     assert Transaction.decode(raw).encode() == raw
@@ -247,6 +254,7 @@ def test_block_bytes_and_hash_match_reference(block, how):
     block = obtain(block, how, Block.decode, "header")
     raw = ref_block(block)
     assert block.header.signing_bytes() == ref_header_signing(block.header)
+    assert signing_digest(block.header) == hashlib.sha256(ref_header_signing(block.header)).digest()
     assert block.header.encode() == ref_header(block.header)
     assert block.encode() == raw
     assert hash_block(block) == hashlib.sha256(raw).digest()
@@ -262,6 +270,7 @@ def test_consensus_message_bytes_match_reference(msg, how):
     msg = obtain(msg, how, ConsensusMessage.decode, "round")
     raw = ref_msg(msg)
     assert msg.signing_bytes() == ref_msg_signing(msg)
+    assert signing_digest(msg) == hashlib.sha256(ref_msg_signing(msg)).digest()
     assert msg.encode() == raw
     again = ConsensusMessage.decode(raw)
     assert again.encode() == raw
@@ -298,6 +307,22 @@ def test_reading_arrays_match_reference(status, reason, readings, owner):
     state = HealthRecordState(owner, readings)
     assert state.encode() == ref_record_state(state)
     assert_rejects_truncation_and_trailing(QueryReplyBody.decode, raw)
+
+
+@settings(max_examples=80, deadline=None)
+@given(readings=READINGS, bounds=st.tuples(U64, U64))
+def test_reply_from_a_records_cached_range_matches_reference(readings, bounds):
+    """A node's reply carries the bytes `read_history` packed for its range,
+    on the read that fills the record's cached range and on the one it serves."""
+    owner, contract = bytes(32), b"\x01" * 32
+    world = WorldState(contracts={contract: HealthRecordState(owner, readings)})
+    from_ts, to_ts = min(bounds), max(bounds)
+    for _ in range(2):
+        found = read_history(world, contract, owner, from_ts, to_ts)
+        body = QueryReplyBody(0, "", found)
+        assert found == [r for r in readings if from_ts <= r[0] <= to_ts]
+        assert body._packed is found.packed
+        assert body.encode() == ref_reply(body)
 
 
 @settings(max_examples=80, deadline=None)
