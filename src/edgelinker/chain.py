@@ -2,9 +2,10 @@
 
 Transactions, block headers and blocks are immutable records, built once
 with all their fields. Each keeps its canonical bytes, signing bytes and
-hash once computed, and a decoded record keeps the exact bytes it was
-parsed from, so no layer re-encodes a record to hash, sign, verify or send
-it. A changed copy (`dataclasses.replace`) starts with no derived values.
+hash once computed, and a signed record its signature verdict. A decoded
+record keeps the exact bytes it was parsed from, so no layer re-encodes a
+record to hash, sign, verify or send it. A changed copy
+(`dataclasses.replace`) starts with no derived values.
 
 Every block header carries the parent hash and a proposer signature over the
 header digest, so recomputing hashes over a chain exposes any historical
@@ -126,7 +127,7 @@ class Transaction:
     gas_limit: int
     signature: bytes
     _signing: Optional[bytes] = cache_field()
-    _digest: Optional[bytes] = cache_field()  # sha256 of the signing bytes
+    _valid: Optional[bool] = cache_field()  # signature verdict, see signature_valid
     _raw: Optional[bytes] = cache_field()
     _hash: Optional[bytes] = cache_field()
 
@@ -193,15 +194,17 @@ def make_transaction(
     return tx
 
 
-def signing_digest(record) -> bytes:
-    """The sha256 of a signed record's signing bytes, computed once per record."""
-    if record._digest is None:
-        set_cached(record, "_digest", hashlib.sha256(record.signing_bytes()).digest())
-    return record._digest
+def signature_valid(record, public_key: bytes, signature: bytes) -> bool:
+    """Whether the record's own signer key and signature sign its signing
+    bytes; kept on the record, so all nodes handed one record check it once."""
+    if record._valid is None:
+        digest = hashlib.sha256(record.signing_bytes()).digest()
+        set_cached(record, "_valid", verify_digest(public_key, signature, digest))
+    return record._valid
 
 
 def verify_transaction(tx: Transaction) -> bool:
-    return verify_digest(tx.sender, tx.signature, signing_digest(tx))
+    return signature_valid(tx, tx.sender, tx.signature)
 
 
 def hash_tx(tx: Transaction) -> bytes:
@@ -221,7 +224,7 @@ class BlockHeader:
     proposer: bytes
     proposer_signature: bytes
     _signing: Optional[bytes] = cache_field()
-    _digest: Optional[bytes] = cache_field()  # sha256 of the signing bytes
+    _valid: Optional[bool] = cache_field()  # signature verdict, see signature_valid
     _raw: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x03
@@ -322,7 +325,7 @@ def hash_block(block: Block) -> bytes:
 
 
 def verify_block_signature(header: BlockHeader) -> bool:
-    return verify_digest(header.proposer, header.proposer_signature, signing_digest(header))
+    return signature_valid(header, header.proposer, header.proposer_signature)
 
 
 # --- genesis --------------------------------------------------------------

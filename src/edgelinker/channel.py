@@ -15,7 +15,10 @@ CLOCK_SKEW_MS of its own clock.
 
 `verify_digest` keeps every verdict in one process-wide cache, so the nodes
 of a simulation verify each (public key, signature, digest) triple once. A
-forked process that signs on this one's behalf lists its signatures with
+signed ledger record keeps its own verdict (`chain.signature_valid`), so
+this cache serves what no shared record carries: channel envelopes, the
+first check of each record, and the verdicts of a forked process that signs
+on this one's behalf. That process lists its signatures with
 `recording_signatures`, verifies them with `verify_triple`, and its verdicts
 land in the same cache through `file_verdict` (the precedent is geth's
 transaction sender cacher). Every verdict is a real Ed25519 verification.

@@ -119,6 +119,12 @@ class Reader:
         count = self.count(READING.size)
         return list(READING.iter_unpack(self.take(count * READING.size)))
 
+    def reading_count(self) -> int:
+        """The count of the readings `enc_readings` wrote, passing over their bytes unread."""
+        count = self.count(READING.size)
+        self._pos += count * READING.size
+        return count
+
     def bytes_(self) -> bytes:
         return self.take(self.u32())
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-from .chain import Block, Chain, GenesisConfig, hash_block, signing_digest, validate_block
-from .channel import KeyPair, sign_digest, verify_digest
+from .chain import Block, Chain, GenesisConfig, hash_block, signature_valid, validate_block
+from .channel import KeyPair, sign_digest
 from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_u64, enc_u8, set_cached
 
 ZERO_HASH = bytes(32)
@@ -43,7 +43,7 @@ class ConsensusMessage:
     sender: bytes
     signature: bytes
     _signing: Optional[bytes] = cache_field()
-    _digest: Optional[bytes] = cache_field()  # sha256 of the signing bytes
+    _valid: Optional[bool] = cache_field()  # signature verdict, see chain.signature_valid
     _raw: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x05
@@ -117,7 +117,7 @@ def make_message(
 def verify_message(msg: ConsensusMessage, authorities) -> bool:
     if msg.sender not in authorities:
         return False
-    return verify_digest(msg.sender, msg.signature, signing_digest(msg))
+    return signature_valid(msg, msg.sender, msg.signature)
 
 
 def quorum(n: int) -> int:

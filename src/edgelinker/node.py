@@ -87,13 +87,22 @@ class QueryReplyBody:
 
     @classmethod
     def decode(cls, data: bytes) -> "QueryReplyBody":
+        return cls(*cls._fields(data, Reader.readings))
+
+    @classmethod
+    def status_and_count(cls, data: bytes) -> tuple:
+        """The status and reading count of the reply `decode(data)` returns,
+        rejecting the same bytes, without building the readings."""
+        status, _, count = cls._fields(data, Reader.reading_count)
+        return status, count
+
+    @classmethod
+    def _fields(cls, data: bytes, read_readings) -> tuple:
         r = Reader(data)
         r.expect_tag(cls.WIRE_TAG)
-        status = r.u64()
-        reason = r.str_()
-        readings = r.readings()
+        fields = (r.u64(), r.str_(), read_readings(r))
         r.expect_eof()
-        return cls(status, reason, readings)
+        return fields
 
 
 class ConfirmEntry(NamedTuple):

@@ -131,7 +131,7 @@ class LinkModel:
 
 def deliver(link: LinkModel, src: str, dst: str, now_us: int, rng: random.Random) -> Optional[int]:
     """Arrival time for one message, or None when dropped or partitioned."""
-    if frozenset((src, dst)) in link.partitions:
+    if link.partitions and frozenset((src, dst)) in link.partitions:
         return None
     if link.drop_probability > 0 and rng.random() < link.drop_probability:
         return None
@@ -371,7 +371,7 @@ class DeviceActor:
         try:
             body = ch.open_wire(raw, self.endpoint.mode, self.keypair.private_key, node_pk).body
             is_confirm = body[:1] == bytes((ConfirmBody.WIRE_TAG,))
-            record = ConfirmBody.decode(body) if is_confirm else QueryReplyBody.decode(body)
+            record = ConfirmBody.decode(body) if is_confirm else QueryReplyBody.status_and_count(body)
         except (ch.ChannelError, DecodeError):
             self.sim.trace.add(now_us, self.id, "client_reject", {"from": src})
             return
@@ -403,6 +403,7 @@ class DeviceActor:
             if not queue:
                 return
             t_send, label, measured = queue.popleft()
+            status, count = record
             self.sim.trace.add(
                 now_us,
                 self.id,
@@ -412,8 +413,8 @@ class DeviceActor:
                     "measured": measured,
                     "t_send_us": t_send,
                     "rtt_us": now_us - t_send,
-                    "status": record.status,
-                    "count": len(record.readings),
+                    "status": status,
+                    "count": count,
                 },
             )
             self.sim.pending_responses -= 1

@@ -238,10 +238,10 @@ def test_transaction_signature_verifies_under_sender():
     assert not verify_transaction(replace(tx, signature=bytes(64)))
 
 
-def test_a_changed_copy_does_not_keep_the_signing_digest():
+def test_a_changed_copy_does_not_keep_the_verdict():
     tx = transfer_tx(kp("sig"), 1)
-    assert verify_transaction(tx) and tx._digest is not None
+    assert verify_transaction(tx) and tx._valid is True
     forged = replace(tx, nonce=tx.nonce + 1)
-    assert forged._digest is None
-    assert not verify_transaction(forged)
+    assert forged._valid is None
+    assert not verify_transaction(forged) and forged._valid is False
     assert verify_transaction(tx)

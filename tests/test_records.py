@@ -3,7 +3,8 @@
 A field-by-field reference encoder of the wire layout is the oracle: every
 record, whether built by a constructor, by a signing helper, by decoding or
 by `dataclasses.replace` of a record whose derived values were already
-computed, must encode, sign and hash exactly as the reference says. The
+computed, must encode, sign and hash exactly as the reference says, and
+give the verdict of a reference Ed25519 verification of its signature. The
 packed reading arrays of query replies and contract state must give the bytes
 of the same reference, one u64 per value, and so must the device channel's
 query record and per-block confirmation.
@@ -15,6 +16,8 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,11 +32,13 @@ from edgelinker.chain import (
     build_block,
     hash_block,
     hash_tx,
+    make_header,
     make_transaction,
-    signing_digest,
+    verify_block_signature,
+    verify_transaction,
 )
 from edgelinker.codec import DecodeError
-from edgelinker.consensus import ConsensusMessage, Phase, make_message
+from edgelinker.consensus import ConsensusMessage, Phase, make_message, verify_message
 from edgelinker.contracts import HealthRecordState, WorldState, read_history
 from edgelinker.node import ConfirmBody, ConfirmEntry, QueryReplyBody
 from tests.conftest import kp
@@ -118,6 +123,15 @@ def ref_msg(m):
     return ref_msg_signing(m) + ref_bytes(m.signature)
 
 
+def ref_verdict(public_key, signature, signing):
+    """Whether `signature` is `public_key`'s Ed25519 signature of sha256(`signing`)."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, hashlib.sha256(signing).digest())
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
 def ref_readings(readings):
     return ref_u64(len(readings)) + b"".join(ref_u64(ts) + ref_u64(hr) for ts, hr in readings)
 
@@ -144,34 +158,48 @@ def ref_record_state(state):
 
 # --- strategies ----------------------------------------------------------------
 
+# Signed records come from the signing helpers; the others carry random keys
+# and signatures, which do not verify.
+SIGNERS = st.sampled_from(["rec-a", "rec-b"]).map(kp)
+HASHES = st.binary(min_size=32, max_size=32)
+KEYS = st.binary(min_size=32, max_size=32)
+SIGNATURES = st.binary(min_size=64, max_size=64)
 TXS = st.builds(
     Transaction,
-    sender=st.binary(min_size=32, max_size=32),
+    sender=KEYS,
     nonce=U64,
     timestamp=U64,
     payload=PAYLOADS,
     gas_limit=U64,
-    signature=st.binary(min_size=64, max_size=64),
-)
+    signature=SIGNATURES,
+) | st.builds(make_transaction, keypair=SIGNERS, nonce=U64, timestamp=U64, payload=PAYLOADS, gas_limit=U64)
 HEADERS = st.builds(
     BlockHeader,
     height=U64,
     timestamp=U64,
-    prev_hash=st.binary(min_size=32, max_size=32),
-    tx_root=st.binary(min_size=32, max_size=32),
-    proposer=st.binary(min_size=32, max_size=32),
-    proposer_signature=st.binary(min_size=64, max_size=64),
-)
+    prev_hash=HASHES,
+    tx_root=HASHES,
+    proposer=KEYS,
+    proposer_signature=SIGNATURES,
+) | st.builds(make_header, proposer=SIGNERS, height=U64, timestamp=U64, prev_hash=HASHES, tx_root=HASHES)
 BLOCKS = st.builds(Block, header=HEADERS, transactions=st.lists(TXS, max_size=3))
 MESSAGES = st.builds(
     ConsensusMessage,
     phase=st.sampled_from(Phase),
     height=U64,
     round=U64,
-    block_hash=st.binary(min_size=32, max_size=32),
+    block_hash=HASHES,
     block=st.none() | BLOCKS,
-    sender=st.binary(min_size=32, max_size=32),
-    signature=st.binary(min_size=64, max_size=64),
+    sender=KEYS,
+    signature=SIGNATURES,
+) | st.builds(
+    make_message,
+    keypair=SIGNERS,
+    phase=st.sampled_from(Phase),
+    height=U64,
+    round_=U64,
+    block_hash=HASHES,
+    block=st.none() | BLOCKS,
 )
 READINGS = st.lists(st.tuples(U64, U64), max_size=40)
 QUERIES = st.builds(Query, contract_address=st.binary(max_size=40), from_ts=U64, to_ts=U64)
@@ -191,15 +219,15 @@ def warm(record):
     record.encode()
     if isinstance(record, Transaction):
         hash_tx(record)
-        signing_digest(record)
+        verify_transaction(record)
     if isinstance(record, ConsensusMessage):
-        signing_digest(record)
+        verify_message(record, (record.sender,))
     if isinstance(record, Block):
         hash_block(record)
-        signing_digest(record.header)
+        verify_block_signature(record.header)
         for tx in record.transactions:
             hash_tx(tx)
-            signing_digest(tx)
+            verify_transaction(tx)
     return record
 
 
@@ -240,7 +268,7 @@ def test_transaction_bytes_and_hash_match_reference(tx, how):
     tx = obtain(tx, how, Transaction.decode, "nonce")
     raw = ref_tx(tx)
     assert tx.signing_bytes() == ref_tx_signing(tx)
-    assert signing_digest(tx) == hashlib.sha256(ref_tx_signing(tx)).digest()
+    assert verify_transaction(tx) == ref_verdict(tx.sender, tx.signature, ref_tx_signing(tx))
     assert tx.encode() == raw
     assert hash_tx(tx) == hashlib.sha256(raw).digest()
     assert Transaction.decode(raw).encode() == raw
@@ -254,7 +282,12 @@ def test_block_bytes_and_hash_match_reference(block, how):
     block = obtain(block, how, Block.decode, "header")
     raw = ref_block(block)
     assert block.header.signing_bytes() == ref_header_signing(block.header)
-    assert signing_digest(block.header) == hashlib.sha256(ref_header_signing(block.header)).digest()
+    header = block.header
+    expected = ref_verdict(header.proposer, header.proposer_signature, ref_header_signing(header))
+    assert verify_block_signature(header) == expected
+    assert [verify_transaction(t) for t in block.transactions] == [
+        ref_verdict(t.sender, t.signature, ref_tx_signing(t)) for t in block.transactions
+    ]
     assert block.header.encode() == ref_header(block.header)
     assert block.encode() == raw
     assert hash_block(block) == hashlib.sha256(raw).digest()
@@ -270,7 +303,8 @@ def test_consensus_message_bytes_match_reference(msg, how):
     msg = obtain(msg, how, ConsensusMessage.decode, "round")
     raw = ref_msg(msg)
     assert msg.signing_bytes() == ref_msg_signing(msg)
-    assert signing_digest(msg) == hashlib.sha256(ref_msg_signing(msg)).digest()
+    assert verify_message(msg, (msg.sender,)) == ref_verdict(msg.sender, msg.signature, ref_msg_signing(msg))
+    assert not verify_message(msg, ())  # membership is tested on every call, after a verdict too
     assert msg.encode() == raw
     again = ConsensusMessage.decode(raw)
     assert again.encode() == raw
@@ -304,9 +338,37 @@ def test_reading_arrays_match_reference(status, reason, readings, owner):
     raw = ref_reply(body)
     assert body.encode() == raw
     assert QueryReplyBody.decode(raw) == body
+    assert QueryReplyBody.status_and_count(raw) == (status, len(readings))
     state = HealthRecordState(owner, readings)
     assert state.encode() == ref_record_state(state)
     assert_rejects_truncation_and_trailing(QueryReplyBody.decode, raw)
+    assert_rejects_truncation_and_trailing(QueryReplyBody.status_and_count, raw)
+
+
+def reply_outcome(read, raw):
+    """What `read` makes of the reply bytes: the status and reading count, or a reject."""
+    try:
+        got = read(raw)
+    except DecodeError:
+        return "reject"
+    return (got.status, len(got.readings)) if isinstance(got, QueryReplyBody) else got
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    body=st.builds(QueryReplyBody, status=U64, reason=st.text(max_size=6), readings=READINGS),
+    edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=3),
+    cut=st.integers(0, 24),
+    tail=st.binary(max_size=24),
+)
+def test_reply_status_and_count_rejects_what_decode_rejects(body, edits, cut, tail):
+    """Byte edits in the count or the reason, cuts and trailing bytes: the
+    status and count are decode's, and the rejects are decode's."""
+    raw = bytearray(ref_reply(body))
+    for pos, value in edits:
+        raw[pos % len(raw)] = value
+    raw = bytes(raw[: len(raw) - cut]) + tail
+    assert reply_outcome(QueryReplyBody.status_and_count, raw) == reply_outcome(QueryReplyBody.decode, raw)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,6 @@
+import collections
 import copy
+import hashlib
 import json
 import os
 import signal
@@ -9,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 import edgelinker
-from edgelinker import chain, channel
+from edgelinker import chain, channel, consensus
 from edgelinker import sim as sim_module
 from edgelinker.chain import Query
 from edgelinker.contracts import apply_block, genesis_world, replay_chain
@@ -248,8 +250,11 @@ class TestDeviceIngress:
         [
             enc_u8(ConfirmBody.WIRE_TAG) + enc_u64(1) + enc_u64(2**40),
             enc_u8(QueryReplyBody.WIRE_TAG) + enc_u64(0) + enc_str("") + enc_u64(2**40),
+            enc_u8(QueryReplyBody.WIRE_TAG) + enc_u64(0) + enc_str("") + enc_u64(1) + enc_u64(5),
+            enc_u8(QueryReplyBody.WIRE_TAG) + enc_u64(0) + b"\x00\x00\x00\x01\xff" + enc_u64(0),
+            enc_u8(QueryReplyBody.WIRE_TAG) + enc_u64(0) + enc_str("") + enc_u64(0) + b"\x00",
         ],
-        ids=["confirm_entry_count", "reply_reading_count"],
+        ids=["confirm_entry_count", "reply_reading_count", "reply_short_readings", "reply_bad_utf8", "reply_trailing"],
     )
     def test_sealed_body_with_a_forged_count(self, body):
         sim, actor = self._actor("secure")
@@ -427,6 +432,55 @@ class TestRunAhead:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
         trace = run_scenario(ScenarioConfig(nodes=2, workload="mixed", tasks=20, block_interval_ms=200), 36)
         assert sum(e.info["measured"] for e in trace.of_kind("task_sent")) == 20
+
+
+SIGNED_RECORDS = (chain.Transaction, chain.BlockHeader, consensus.ConsensusMessage)
+
+
+class TestVerdictPerRecord:
+    """Every node handed one signed record object shares that record's signature check."""
+
+    @pytest.fixture(params=[0, 2], ids=["honest", "byzantine"])
+    def config(self, request, monkeypatch):
+        monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: False)  # every device signature checked here too
+        return ScenarioConfig(nodes=7, byzantine=request.param, workload="write", tasks=120, block_interval_ms=200)
+
+    def test_each_record_is_checked_once(self, config, monkeypatch):
+        per_record, records = collections.Counter(), []
+        verify = channel.verify_digest
+
+        def counting(public_key, signature, digest):
+            # The record being checked is the signed record among the caller's locals.
+            record = next(v for v in sys._getframe(1).f_locals.values() if isinstance(v, SIGNED_RECORDS))
+            per_record[id(record)] += 1
+            records.append(record)  # alive to the end, so no other record takes its id
+            return verify(public_key, signature, digest)
+
+        inline = collections.Counter()
+        verify_inline = channel._verify_inline
+
+        def counting_inline(public_key, signature, digest):
+            inline[public_key + signature + digest] += 1
+            return verify_inline(public_key, signature, digest)
+
+        for module in (chain, consensus):
+            monkeypatch.setattr(module, "verify_digest", counting, raising=False)
+        monkeypatch.setattr(channel, "_verify_inline", counting_inline)
+        trace = run_scenario(config, 41)
+        assert sum(e.info["measured"] for e in trace.of_kind("task_confirmed")) == config.tasks
+        assert {type(r) for r in records} == set(SIGNED_RECORDS)
+        assert max(per_record.values()) == 1
+        assert max(inline.values()) == 1
+
+    def test_same_results_without_the_verdict_field(self, config, monkeypatch):
+        with_field = run_scenario(config, 41)
+
+        def uncached(record, public_key, signature):
+            return channel.verify_digest(public_key, signature, hashlib.sha256(record.signing_bytes()).digest())
+
+        for module in (chain, consensus):
+            monkeypatch.setattr(module, "signature_valid", uncached)
+        assert_same_results(with_field, run_scenario(config, 41))
 
 
 class TestFaults:
