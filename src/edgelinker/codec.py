@@ -90,21 +90,28 @@ class Reader:
         self._data = data
         self._pos = 0
 
-    def take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise DecodeError(f"short read: need {n} bytes at offset {self._pos}")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+    # Each field is read in place after a bounds check, with no slice between.
 
     def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
+        pos = self._pos
+        if pos + 8 > len(self._data):
+            raise DecodeError(f"short read: need 8 bytes at offset {pos}")
+        self._pos = pos + 8
+        return _U64.unpack_from(self._data, pos)[0]
 
     def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
+        pos = self._pos
+        if pos + 4 > len(self._data):
+            raise DecodeError(f"short read: need 4 bytes at offset {pos}")
+        self._pos = pos + 4
+        return _U32.unpack_from(self._data, pos)[0]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        pos = self._pos
+        if pos >= len(self._data):
+            raise DecodeError(f"short read: need 1 bytes at offset {pos}")
+        self._pos = pos + 1
+        return self._data[pos]
 
     def count(self, min_item_size: int) -> int:
         """A u64 item count, rejected before anything is allocated when that
@@ -117,7 +124,9 @@ class Reader:
     def readings(self) -> list:
         """The (timestamp, heart_rate) tuples written by `enc_readings`."""
         count = self.count(READING.size)
-        return list(READING.iter_unpack(self.take(count * READING.size)))
+        start = self._pos
+        self._pos += count * READING.size
+        return list(READING.iter_unpack(self._data[start : self._pos]))
 
     def reading_count(self) -> int:
         """The count of the readings `enc_readings` wrote, passing over their bytes unread."""
@@ -126,7 +135,12 @@ class Reader:
         return count
 
     def bytes_(self) -> bytes:
-        return self.take(self.u32())
+        n = self.u32()
+        pos = self._pos
+        if pos + n > len(self._data):
+            raise DecodeError(f"short read: need {n} bytes at offset {pos}")
+        self._pos = pos + n
+        return self._data[pos : pos + n]
 
     def str_(self) -> str:
         try:

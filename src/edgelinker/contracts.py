@@ -9,6 +9,11 @@ length names its contents, so each record keeps the last range it served,
 with that range's packed bytes, under the key (from, to, length): a repeated
 read between two writes neither scans the log nor packs it again.
 
+Nodes holding one ledger state share its successor: `next_state` applies a
+finalized block once, to a copy, and the state before it never changes, so a
+node that lags a block still reads its own height. `apply_block` and
+`replay_chain` change a state in place and stay the independent oracle.
+
 Gas is charged up front at one coin per unit, including for calls that end
 in a permission denial, which is what drains a flooding attacker's balance.
 Fees accumulate in a sink account and move to the block proposer when the
@@ -18,10 +23,11 @@ enclosing block is applied.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chain import Block, Call, Deploy, GasSchedule, GenesisConfig, Transaction, Transfer, hash_tx
+from .chain import Block, Call, Deploy, GasSchedule, GenesisConfig, Transaction, Transfer, hash_block, hash_tx
 from .codec import READING, DecodeError, Reader, cache_field, enc_bytes, enc_list, enc_readings, enc_u64, enc_u8
 
 PERMITTER_PERMISSION = bytes(32)
@@ -147,6 +153,11 @@ class Receipt:
 class WorldState:
     accounts: dict = field(default_factory=dict)  # address -> Account
     contracts: dict = field(default_factory=dict)  # contract address -> HealthRecordState
+    # Kept by `next_state` only: what the block that made this state did, and
+    # the hashes of every transaction finalized up to it, skipped ones included.
+    receipts: tuple = field(default=(), init=False, repr=False, compare=False)
+    finalized: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+    _next: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # block hash -> (schedule, weakref)
 
     def encode(self) -> bytes:
         parts = [enc_u8(0x12)]
@@ -173,6 +184,20 @@ class WorldState:
     def next_nonce(self, address: bytes) -> int:
         acct = self.accounts.get(address)
         return acct.next_nonce if acct else 1
+
+    def _copy(self) -> "WorldState":
+        """An equal state that shares no mutable part with this one; the
+        reading tuples, being immutable, are shared."""
+        accounts = {addr: Account(a.balance, a.next_nonce) for addr, a in self.accounts.items()}
+        contracts = {
+            addr: HealthRecordState(
+                s.owner,
+                list(s.readings),
+                PermissionTable({pid: set(addrs) for pid, addrs in s.permission_table.permissions.items()}),
+            )
+            for addr, s in self.contracts.items()
+        }
+        return WorldState(accounts, contracts)
 
     def _account(self, address: bytes) -> Account:
         acct = self.accounts.get(address)
@@ -325,6 +350,25 @@ def apply_block(world: WorldState, block: Block, schedule: GasSchedule) -> list:
         world._account(FEE_SINK).balance -= fees
         world._account(block.header.proposer).balance += fees
     return receipts
+
+
+def next_state(world: WorldState, block: Block, schedule: GasSchedule) -> WorldState:
+    """The state after `block`, one object for every holder of `world`.
+
+    The first call applies the block to a copy of `world`; later calls with
+    the same block and schedule return that copy for as long as some holder
+    keeps it alive, since `world` links to it only weakly. `world` itself
+    never changes.
+    """
+    bh = hash_block(block)
+    link = world._next.get(bh)
+    after = link[1]() if link is not None and link[0] == schedule else None
+    if after is None:
+        after = world._copy()
+        after.receipts = tuple(apply_block(after, block, schedule))
+        after.finalized = world.finalized.union(r.tx_hash for r in after.receipts)
+        world._next[bh] = (schedule, weakref.ref(after))
+    return after
 
 
 def read_history(world: WorldState, contract: bytes, caller: bytes, from_ts: int, to_ts: int) -> Readings:

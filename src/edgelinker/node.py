@@ -5,7 +5,10 @@ Each node is an event-driven state machine fed by one ordered input stream:
 `on_gossip`, `on_consensus`, `on_alert`). Each returns a NodeOutput of messages
 to send and timers to arm; the surrounding simulation (or any other transport)
 owns delivery. World state is only ever advanced by applying finalized blocks,
-so replaying the chain from genesis always reproduces it byte for byte.
+so replaying the chain from genesis always reproduces it byte for byte. Nodes
+handed one genesis state share every state they reach from it: each finalized
+block is applied once, while each node admits, serves reads and confirms
+against the state at its own height.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .chain import (
 )
 from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_readings, enc_str, enc_u64, enc_u8, set_cached
 from .consensus import ConsensusEngine, ConsensusMessage, Phase, verify_message
-from .contracts import PermissionDenied, Readings, UnknownContract, apply_block, genesis_world, read_history
+from .contracts import PermissionDenied, Readings, UnknownContract, WorldState, genesis_world, next_state, read_history
 
 MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
 QUERY_SERVICE_US = 1000  # time one read occupies the node's query server
@@ -164,7 +167,8 @@ class FogNode:
 
     Chain parameters (block interval, gas table, block size) come only from
     the GenesisConfig every authority shares; the channel mode and the query
-    service time are the scenario's.
+    service time are the scenario's. `world` is the genesis state, built from
+    the config when not given; nodes handed one object share its successors.
     """
 
     def __init__(
@@ -178,6 +182,7 @@ class FogNode:
         query_service_us: int = QUERY_SERVICE_US,
         recorder: Optional[Callable] = None,
         rng=None,
+        world: Optional[WorldState] = None,
     ):
         self.node_id = node_id
         self.keypair = keypair
@@ -185,7 +190,7 @@ class FogNode:
         self.genesis_config = genesis_config
         self.block_interval_us = genesis_config.block_interval_ms * 1000
         self.chain = Chain([make_genesis(genesis_config)])
-        self.world = genesis_world(genesis_config)
+        self.world = genesis_world(genesis_config) if world is None else world
         self.endpoint = ch.Endpoint(keypair, channel_mode, rng)
         self.engine = ConsensusEngine(genesis_config, keypair, height=1, now_us=0)
         self.peer_ids = [p for p in peer_ids if p != node_id]
@@ -193,7 +198,6 @@ class FogNode:
         self.rec = _no_record if recorder is None else recorder
 
         self.mempool: dict = {}  # tx hash -> Transaction, insertion ordered
-        self._in_chain: set = set()
         self.pending_conf: dict = {}  # tx hash -> (client pk, received_us)
         self.alerts: list = []
         self._alert_keys: set = set()
@@ -241,7 +245,7 @@ class FogNode:
         if not verify_transaction(tx):
             return self._reject(out, "bad_tx_signature")
         txh = hash_tx(tx)
-        if txh in self._in_chain:
+        if txh in self.world.finalized:
             # A fresh channel message carrying an already-final transaction is
             # a cross-node replay; late gossip duplicates are a benign race.
             if client_pk is not None:
@@ -382,7 +386,7 @@ class FogNode:
 
     def _apply_finalized(self, block: Block, now_us: int, out: NodeOutput) -> None:
         self.chain.blocks.append(block)
-        receipts = apply_block(self.world, block, self.genesis_config.gas)
+        self.world = next_state(self.world, block, self.genesis_config.gas)
         self._next_propose_us = now_us + self.block_interval_us
         bh = hash_block(block)
         self.rec(
@@ -393,9 +397,8 @@ class FogNode:
             proposer=block.header.proposer.hex()[:16],
         )
         confirms: dict = {}  # client key -> its ConfirmEntry list, in block order
-        for receipt in receipts:
+        for receipt in self.world.receipts:
             txh = receipt.tx_hash
-            self._in_chain.add(txh)
             self.mempool.pop(txh, None)
             pending = self.pending_conf.pop(txh, None)
             if pending is None:

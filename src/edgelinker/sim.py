@@ -57,6 +57,7 @@ from .contracts import (
     contract_address,
     encode_permission_args,
     encode_reading_args,
+    genesis_world,
 )
 from .node import (
     ALERT,
@@ -771,6 +772,7 @@ class Simulation:
             self.actors[actor_id] = DeviceActor(actor_id, keypair, primary, steps, self)
 
         self.nodes: dict = {}
+        world = genesis_world(genesis)  # one genesis state, so every node shares each state it reaches
         for node_id in self.node_ids:
             cls = EquivocatingNode if node_id in byz_ids else FogNode
             self.nodes[node_id] = cls(
@@ -783,6 +785,7 @@ class Simulation:
                 query_service_us=config.query_service_us,
                 recorder=self._recorder(node_id),
                 rng=child_rng(seed, "nodecrypto", node_id),
+                world=world,
             )
 
         self.attacker = None

@@ -1,12 +1,25 @@
 import copy
+import gc
 import random
+import weakref
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgelinker.chain import Call, Deploy, GasSchedule, GenesisConfig, Transfer, build_block, make_genesis, make_transaction
+from edgelinker.chain import (
+    Call,
+    Chain,
+    Deploy,
+    GasSchedule,
+    GenesisConfig,
+    Transfer,
+    build_block,
+    hash_tx,
+    make_genesis,
+    make_transaction,
+)
 from edgelinker.codec import READING, DecodeError, enc_readings
 from edgelinker.contracts import (
     FEE_SINK,
@@ -32,6 +45,7 @@ from edgelinker.contracts import (
     grant_permission,
     has_permission,
     initialize,
+    next_state,
     read_history,
     replay_chain,
     revoke_permission,
@@ -454,7 +468,7 @@ def test_replay_chain_rebuilds_world(world):
         authorities=[authority.public_key],
         initial_balances={patient.public_key: 10**9, addr("doctor"): 10**9},
     )
-    from edgelinker.chain import Chain, validate_block
+    from edgelinker.chain import validate_block
 
     chain = Chain([make_genesis(cfg)])
     live = genesis_world(cfg)
@@ -473,3 +487,122 @@ class TestGasSchedule:
     def test_reads_have_no_gas_key(self):
         # Reads are served off-chain and charged nothing, so the schedule has no price for them.
         assert "read_query" not in {f.name for f in fields(GasSchedule)}
+
+
+# One step of a random history: (kind, sender label, argument).
+TX_KINDS = ("deploy", "grant", "revoke", "add_reading", "transfer", "denied", "skipped_nonce", "skipped_balance")
+tx_specs = st.tuples(st.sampled_from(TX_KINDS), st.sampled_from(("patient", "doctor")), st.integers(0, 3))
+
+
+class TestNextState:
+    """The shared successor state against `apply_block` on an independent state."""
+
+    AUTHORITY = kp("authority")
+    PEOPLE = {label: kp(label) for label in ("patient", "doctor", "pauper")}
+
+    @classmethod
+    def config(cls):
+        balances = {cls.PEOPLE["patient"].public_key: 10**9, cls.PEOPLE["doctor"].public_key: 10**9}
+        return GenesisConfig(authorities=[cls.AUTHORITY.public_key], initial_balances=balances)
+
+    @classmethod
+    def transactions(cls, specs, nonces: dict, now_ms: int) -> list:
+        """Signed transactions for `specs`; `nonces` holds each sender's next nonce and is advanced."""
+        contract = contract_address(cls.PEOPLE["patient"].public_key, 1)
+        permissions = (WRITE_PERMISSION, READ_PERMISSION, WRITE_PERMISSION, PERMITTER_PERMISSION)
+        txs = []
+        for kind, label, arg in specs:
+            if kind == "skipped_balance":
+                label = "pauper"  # no balance for any fee
+            sender = cls.PEOPLE[label]
+            target = cls.PEOPLE["doctor" if arg % 2 else "patient"].public_key
+            perm_args = encode_permission_args(permissions[arg], target)
+            payload = {
+                "deploy": Deploy("health_record", b""),
+                "grant": Call(contract, "grant", perm_args),
+                "revoke": Call(contract, "revoke", perm_args),
+                "add_reading": Call(contract, "add_reading", encode_reading_args(NOW_MS + arg, 60 + arg)),
+                "transfer": Transfer(cls.PEOPLE["pauper"].public_key, 10**10 if arg == 3 else arg + 1),
+                "denied": Call(contract, "grant", encode_permission_args(WRITE_PERMISSION, kp("stranger").public_key)),
+            }.get(kind, Transfer(target, 1))
+            if kind == "denied":
+                sender = cls.PEOPLE["doctor"]  # never a permitter: the call pays and is denied
+            nonce = nonces.get(sender.public_key, 1)
+            if kind == "skipped_nonce":
+                txs.append(make_transaction(sender, nonce + 5, now_ms, payload))
+                continue
+            txs.append(make_transaction(sender, nonce, now_ms, payload))
+            if kind != "skipped_balance":
+                nonces[sender.public_key] = nonce + 1
+        return txs
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        blocks=st.lists(st.lists(tx_specs, max_size=6), min_size=1, max_size=5),
+        fork=st.tuples(st.integers(0, 4), st.lists(tx_specs, min_size=1, max_size=4)),
+    )
+    def test_matches_apply_block_and_leaves_the_state_before_unchanged(self, blocks, fork):
+        cfg = self.config()
+        chain = Chain([make_genesis(cfg)])
+        shared, oracle = genesis_world(cfg), genesis_world(cfg)
+        nonces: dict = {}
+        first = [("deploy", "patient", 0)]  # the contract every call names
+        for height, specs in enumerate(blocks, start=1):
+            before, before_bytes = shared, shared.encode()
+            fork_nonces = dict(nonces)
+            block = build_block(self.transactions(first + specs, nonces, NOW_MS + height), chain.tip, self.AUTHORITY, NOW_MS + height)
+            first = []
+            after = next_state(shared, block, SCHEDULE)
+            receipts = apply_block(oracle, block, SCHEDULE)
+            assert after.encode() == oracle.encode()
+            assert after.receipts == tuple(receipts)
+            assert after.finalized == before.finalized | {hash_tx(tx) for tx in block.transactions}
+            assert next_state(before, block, SCHEDULE) is after
+            assert before.encode() == before_bytes
+
+            if fork[0] == height - 1:
+                # Another block on the same state: its own successor, and neither state moves.
+                other_txs = self.transactions(fork[1], fork_nonces, NOW_MS + height + 7)
+                other = build_block(other_txs, chain.tip, self.AUTHORITY, NOW_MS + height + 7)
+                after_bytes = after.encode()
+                alt = next_state(before, other, SCHEDULE)
+                alt_oracle = replay_chain(chain, cfg)
+                alt_receipts = apply_block(alt_oracle, other, SCHEDULE)
+                assert alt is not after
+                assert alt.encode() == alt_oracle.encode() and alt.receipts == tuple(alt_receipts)
+                assert next_state(before, block, SCHEDULE) is after
+                assert after.encode() == after_bytes and before.encode() == before_bytes
+
+            chain.blocks.append(block)
+            shared = after
+        assert replay_chain(chain, cfg).encode() == shared.encode()
+
+    def test_every_result_kind_occurs(self):
+        """The kinds above produce every receipt result, so the property covers them."""
+        cfg = self.config()
+        specs = [(kind, "patient", 0) for kind in TX_KINDS] + [("add_reading", "doctor", 1), ("transfer", "patient", 3)]
+        txs = self.transactions([("deploy", "patient", 0)] + specs, {}, NOW_MS)
+        world = next_state(genesis_world(cfg), build_block(txs, make_genesis(cfg), self.AUTHORITY, NOW_MS), SCHEDULE)
+        assert {r.result for r in world.receipts} == {RESULT_OK, RESULT_DENIED, RESULT_FAILED, "skipped"}
+        assert {r.reason for r in world.receipts if r.result == "skipped"} == {"BadNonce", "InsufficientBalance"}
+
+    def test_the_state_before_keeps_no_successor_alive(self):
+        cfg = self.config()
+        world = genesis_world(cfg)
+        block = build_block(self.transactions([("transfer", "patient", 0)], {}, NOW_MS), make_genesis(cfg), self.AUTHORITY, NOW_MS)
+        after = next_state(world, block, SCHEDULE)
+        expected, link = after.encode(), weakref.ref(after)
+        del after
+        gc.collect()
+        assert link() is None
+        assert next_state(world, block, SCHEDULE).encode() == expected
+
+    def test_a_block_under_another_schedule_is_applied_again(self):
+        cfg = self.config()
+        world = genesis_world(cfg)
+        block = build_block(self.transactions([("deploy", "patient", 0)], {}, NOW_MS), make_genesis(cfg), self.AUTHORITY, NOW_MS)
+        cheap = GasSchedule(deploy=5)
+        after, after_cheap = next_state(world, block, SCHEDULE), next_state(world, block, cheap)
+        oracle = genesis_world(cfg)
+        apply_block(oracle, block, cheap)
+        assert after_cheap.encode() == oracle.encode() != after.encode()

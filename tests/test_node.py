@@ -21,6 +21,7 @@ from edgelinker.channel import ChannelMessage, seal_message, sign_digest
 from edgelinker.codec import DecodeError, enc_bytes, enc_u8, enc_u64
 from edgelinker.contracts import (
     WRITE_PERMISSION,
+    genesis_world,
     PermissionDenied,
     contract_address,
     encode_permission_args,
@@ -32,6 +33,7 @@ from edgelinker.node import (
     ALERT,
     CONFIRM,
     CONSENSUS,
+    GOSSIP,
     REPLY,
     AlertKind,
     ConfirmBody,
@@ -451,3 +453,104 @@ class TestMonitoring:
         out = node.on_consensus(proposal(kp("imposter"), good), T0)
         assert node.alerts == [] and out.sends == []
         assert node.chain.height == 0
+
+
+def pump(nodes, sends, now, hold=()):
+    """Deliver node-to-node sends, and what they cause, until none is left;
+    returns the sends addressed to a node in `hold`, undelivered."""
+    queue, held = list(sends), []
+    while queue:
+        send = queue.pop(0)
+        if send.dst not in nodes:
+            continue  # a device's confirmation
+        if send.dst in hold:
+            held.append(send)
+            continue
+        node = nodes[send.dst]
+        handler = {CONSENSUS: node.on_consensus, GOSSIP: node.on_gossip, ALERT: node.on_alert}[send.kind]
+        queue += handler(send.body, now).sends
+    return held
+
+
+class TestLaggingNodeOnSharedState:
+    """Four nodes handed one genesis state; n3 misses block 2's messages."""
+
+    def _run(self, keys, shared: bool) -> dict:
+        authorities, client = keys[:4], keys[4]
+        cfg = GenesisConfig(
+            authorities=[a.public_key for a in authorities],
+            initial_balances={client.public_key: 10**12},
+            block_interval_ms=1000,
+        )
+        world = genesis_world(cfg) if shared else None
+        ids = [f"n{i}" for i in range(4)]
+        directory = {client.public_key: "c1"}
+        nodes = {
+            i: FogNode(i, a, cfg, ids, dict(directory), recorder=Log(), world=world) for i, a in zip(ids, authorities)
+        }
+        contract = contract_address(client.public_key, 1)
+        payloads = [
+            Deploy("health_record", b""),
+            Call(contract, "grant", encode_permission_args(WRITE_PERMISSION, client.public_key)),
+            Call(contract, "add_reading", encode_reading_args(1000, 72)),
+            Call(contract, "add_reading", encode_reading_args(2000, 75)),
+        ]
+        txs = self.txs = [make_transaction(client, i, T0 // 1000, p) for i, p in enumerate(payloads, start=1)]
+
+        def propose(height, now, gossip_to, hold=()):
+            for tx in txs[:3] if height == 1 else txs[3:]:
+                for i in gossip_to:
+                    nodes[i].on_gossip(tx, now)
+            (proposer,) = [n for n in nodes.values() if n.engine.is_proposer()]
+            return pump(nodes, proposer.on_timer(("propose", height), now).sends, now, hold)
+
+        assert propose(1, INTERVAL, ids) == []
+        held = propose(2, 3 * INTERVAL, ids[:3], hold={"n3"})
+        assert held and [n.chain.height for n in nodes.values()] == [2, 2, 2, 1]
+        n0, n3 = nodes["n0"], nodes["n3"]
+        assert (n0.world is nodes["n1"].world is nodes["n2"].world) == shared and n3.world is not n0.world
+
+        now = 4 * INTERVAL
+        channel_nonce = {"n0": 0, "n3": 0}
+
+        def submit(node, record):
+            channel_nonce[node.node_id] += 1
+            return node.handle_envelope(envelope(client, node, channel_nonce[node.node_id], record, now), now)
+
+        def read(node):
+            (send,) = submit(node, Query(contract, 0, 10_000)).sends
+            return open_message(SecureEnvelope.from_bytes(send.body), client.private_key, node.keypair.public_key).body
+
+        replies = {"n0": read(n0), "n3": read(n3)}
+        stale = make_transaction(client, 3, T0 // 1000 + 1, Call(contract, "add_reading", encode_reading_args(3000, 70)))
+        for node in (n0, n3):
+            node.on_gossip(stale, now)
+            node.on_gossip(txs[2], now)  # final at both heights
+            node.on_gossip(txs[3], now)  # final at n0's height only: n3 admits it
+        submit(n0, txs[3])  # a fresh envelope carrying a final transaction is a replay
+        submit(n3, txs[2])
+        observed = {
+            "replies": replies,
+            "rejected": {i: rejections(n) for i, n in nodes.items()},
+            "alerts": {i: n.alerts for i, n in nodes.items()},
+            "mempools": {i: list(n.mempool) for i, n in nodes.items()},
+            "worlds": {i: n.world.encode() for i, n in nodes.items()},
+        }
+        pump(nodes, held, now)  # n3 catches up
+        assert n3.chain.height == 2 and n3.mempool == {}
+        assert (n3.world is n0.world) == shared and n3.world.encode() == n0.world.encode()
+        return observed
+
+    def test_serves_rejects_and_alerts_at_its_own_height(self, keys):
+        observed = self._run(keys, shared=True)
+        client = keys[4].public_key
+        assert QueryReplyBody.decode(observed["replies"]["n3"]).readings == [(1000, 72)]
+        assert QueryReplyBody.decode(observed["replies"]["n0"]).readings == [(1000, 72), (2000, 75)]
+        assert observed["rejected"]["n0"] == ["stale_tx_nonce", "tx_already_final", "tx_already_final", "tx_already_final"]
+        assert observed["rejected"]["n3"] == ["stale_tx_nonce", "tx_already_final", "tx_already_final"]
+        assert observed["mempools"] == {"n0": [], "n1": [], "n2": [], "n3": [hash_tx(self.txs[3])]}
+        assert [(a.kind, a.height, a.offender) for a in observed["alerts"]["n0"]] == [(AlertKind.REPLAY_DETECTED, 2, client)]
+        assert [(a.kind, a.height, a.offender) for a in observed["alerts"]["n3"]] == [(AlertKind.REPLAY_DETECTED, 1, client)]
+
+    def test_same_as_nodes_with_states_of_their_own(self, keys):
+        assert self._run(keys, shared=True) == self._run(keys, shared=False)

@@ -1,5 +1,6 @@
 import collections
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 import edgelinker
-from edgelinker import chain, channel, consensus
+from edgelinker import chain, channel, consensus, contracts
 from edgelinker import sim as sim_module
 from edgelinker.chain import Query
 from edgelinker.contracts import apply_block, genesis_world, replay_chain
@@ -489,6 +490,30 @@ class TestFaults:
                              stop_at_height=12, duration_s=120)
         trace = run_scenario(cfg, 31)
         assert max(trace.final[n].height for n in trace.meta["honest"]) >= 12
+
+    def test_nodes_share_one_state_per_height(self, monkeypatch):
+        """Each finalized block is applied once, and no state outlives the nodes holding it."""
+        calls = collections.Counter()
+        execute = contracts.execute_transaction
+
+        def counting(world, tx, schedule, height):
+            calls[chain.hash_tx(tx)] += 1
+            return execute(world, tx, schedule, height)
+
+        monkeypatch.setattr(contracts, "execute_transaction", counting)
+        before = {id(o) for o in gc.get_objects() if isinstance(o, contracts.WorldState)}
+        cfg = ScenarioConfig(nodes=7, crashed=1, workload="write", tasks=60, block_interval_ms=200)
+        simulation = Simulation(cfg, 43)
+        trace = simulation.run()
+        gc.collect()
+        live = [o for o in gc.get_objects() if isinstance(o, contracts.WorldState) and id(o) not in before]
+        heights = {node.chain.height for node in simulation.nodes.values()}
+        assert len(heights) >= 2 and len(live) <= len(heights)
+        tallest = max(simulation.nodes.values(), key=lambda node: node.chain.height)
+        finalized = [chain.hash_tx(tx) for block in tallest.chain.blocks[1:] for tx in block.transactions]
+        assert len(finalized) >= cfg.tasks and calls == collections.Counter(finalized)
+        for node_id in trace.meta["honest"]:
+            assert replay_chain(trace.final[node_id].chain, trace.genesis).encode() == trace.final[node_id].world.encode()
 
     def test_byzantine_equivocator_never_splits_finality(self):
         cfg = ScenarioConfig(nodes=4, workload="none", byzantine=1, block_interval_ms=200,
