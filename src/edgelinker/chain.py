@@ -1,11 +1,16 @@
 """Ledger records: transactions, blocks, hash linking, stateless validation.
 
-Transactions, block headers and blocks are immutable records, built once
-with all their fields. Each keeps its canonical bytes, signing bytes and
-hash once computed, and a signed record its signature verdict. A decoded
-record keeps the exact bytes it was parsed from, so no layer re-encodes a
-record to hash, sign, verify or send it. A changed copy
-(`dataclasses.replace`) starts with no derived values.
+Transactions, block headers and blocks are immutable records (`codec.Record`),
+built once with all their fields. Transactions, block headers and consensus
+messages are `Signed` records: the last field of the layout is a signature,
+by the key in the record's `SIGNER` field, over the SHA-256 of its signing
+bytes, which are its tag and every field before the signature. `Signed` is
+the one implementation of what they share: it signs a record as it makes it
+(`signed_by`), keeps its signing bytes, its bytes and its signature verdict
+(`verified`) once computed, and a decoded signed record keeps the exact bytes
+it was parsed from. A block keeps its bytes and hash, and a transaction its
+hash, so no layer re-encodes a record to hash, sign, verify or send it. A
+changed copy (`dataclasses.replace`) starts with no derived values.
 
 Every block header carries the parent hash and a proposer signature over the
 header digest, so recomputing hashes over a chain exposes any historical
@@ -21,7 +26,7 @@ from enum import Enum
 from typing import Optional, Union
 
 from .channel import KeyPair, sign_digest, verify_digest
-from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_str, enc_u64, enc_u8, set_cached
+from .codec import BYTES, STR, U64, Reader, Record, cache_field, items, one_of, pack, record, set_cached, unpack
 
 ZERO_HASH = bytes(32)
 EMPTY_SIG = bytes(64)
@@ -35,35 +40,97 @@ class NotAuthority(Exception):
     pass
 
 
+# --- signed records -------------------------------------------------------
+
+@dataclass(frozen=True)
+class Signed(Record):
+    """A record whose last field is a signature, by the key in its `SIGNER`
+    field, over the SHA-256 of its signing bytes: its tag and every field
+    before the signature.
+
+    It keeps its signing bytes, its bytes and its signature verdict once
+    computed; a decoded record keeps the bytes it was parsed from.
+    """
+
+    _signing: Optional[bytes] = cache_field()
+    _valid: Optional[bool] = cache_field()  # signature verdict, see verified
+    _raw: Optional[bytes] = cache_field()
+
+    SIGNER = ""  # name of the field that holds the signer's public key
+
+    @classmethod
+    def signed_by(cls, keypair: KeyPair, **values):
+        """A record of `values`, with `keypair`'s public key as its signer and its signature."""
+        values[cls.SIGNER] = keypair.public_key
+        signing = pack(cls.WIRE_TAG, cls.LAYOUT[:-1], values.__getitem__)
+        values[cls.LAYOUT[-1][0]] = sign_digest(keypair.private_key, hashlib.sha256(signing).digest())
+        signed = cls(**values)
+        set_cached(signed, "_signing", signing)
+        return signed
+
+    def signing_bytes(self) -> bytes:
+        if self._signing is None:
+            set_cached(self, "_signing", pack(self.WIRE_TAG, self.LAYOUT[:-1], self.__getattribute__))
+        return self._signing
+
+    def encode(self) -> bytes:
+        if self._raw is None:
+            name, (write, _) = self.LAYOUT[-1]
+            set_cached(self, "_raw", self.signing_bytes() + write(getattr(self, name)))
+        return self._raw
+
+    @classmethod
+    def read(cls, r: Reader):
+        start = r.pos
+        values = unpack(r, cls.WIRE_TAG, cls.LAYOUT[:-1])
+        signing = r.since(start)
+        signed = cls(*values, cls.LAYOUT[-1][1].read(r))
+        set_cached(signed, "_signing", signing)
+        set_cached(signed, "_raw", r.since(start))
+        return signed
+
+    def verified(self) -> bool:
+        """Whether the signature is the signer's over the signing bytes; kept
+        on the record, so all nodes handed one record check it once."""
+        if self._valid is None:
+            digest = hashlib.sha256(self.signing_bytes()).digest()
+            signature = getattr(self, self.LAYOUT[-1][0])
+            set_cached(self, "_valid", verify_digest(getattr(self, self.SIGNER), signature, digest))
+        return self._valid
+
+
 # --- transaction payloads -------------------------------------------------
 
 @dataclass(frozen=True)
-class Transfer:
+class Transfer(Record):
     to: bytes
     amount: int
 
-    TAG = 0
+    WIRE_TAG = 0
+    LAYOUT = (("to", BYTES), ("amount", U64))
 
 
 @dataclass(frozen=True)
-class Deploy:
+class Deploy(Record):
     contract_kind: str
     init_args: bytes
 
-    TAG = 1
+    WIRE_TAG = 1
+    LAYOUT = (("contract_kind", STR), ("init_args", BYTES))
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(Record):
     contract_address: bytes
     method: str
     args: bytes
 
-    TAG = 2
+    WIRE_TAG = 2
+    LAYOUT = (("contract_address", BYTES), ("method", STR), ("args", BYTES))
 
 
 @dataclass(frozen=True)
-class Query:
+class Query(Record):
     """Read request. It travels as its own unsigned wire record, which the
     channel that carries it authenticates; it is never a transaction payload."""
 
@@ -72,112 +139,43 @@ class Query:
     to_ts: int
 
     WIRE_TAG = 0x08
-
-    def encode(self) -> bytes:
-        return enc_u8(self.WIRE_TAG) + enc_bytes(self.contract_address) + enc_u64(self.from_ts) + enc_u64(self.to_ts)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Query":
-        r = Reader(data)
-        r.expect_tag(cls.WIRE_TAG)
-        query = cls(contract_address=r.bytes_(), from_ts=r.u64(), to_ts=r.u64())
-        r.expect_eof()
-        return query
+    LAYOUT = (("contract_address", BYTES), ("from_ts", U64), ("to_ts", U64))
 
 
 TxPayload = Union[Transfer, Deploy, Call]
 
 
-def encode_payload(payload: TxPayload) -> bytes:
-    if isinstance(payload, Transfer):
-        return enc_u8(Transfer.TAG) + enc_bytes(payload.to) + enc_u64(payload.amount)
-    if isinstance(payload, Deploy):
-        return enc_u8(Deploy.TAG) + enc_str(payload.contract_kind) + enc_bytes(payload.init_args)
-    if isinstance(payload, Call):
-        return (
-            enc_u8(Call.TAG)
-            + enc_bytes(payload.contract_address)
-            + enc_str(payload.method)
-            + enc_bytes(payload.args)
-        )
-    if isinstance(payload, Query):
-        return payload.encode()  # its own record's bytes, so a device's whole plan can be fingerprinted
-    raise TypeError(f"unknown payload type {type(payload).__name__}")
-
-
-def decode_payload(r: Reader) -> TxPayload:
-    tag = r.u8()
-    if tag == Transfer.TAG:
-        return Transfer(to=r.bytes_(), amount=r.u64())
-    if tag == Deploy.TAG:
-        return Deploy(contract_kind=r.str_(), init_args=r.bytes_())
-    if tag == Call.TAG:
-        return Call(contract_address=r.bytes_(), method=r.str_(), args=r.bytes_())
-    raise DecodeError(f"unknown payload tag {tag}")
+def encode_payload(payload: Union[TxPayload, Query]) -> bytes:
+    """A payload's bytes, or a query's, so a device's whole plan can be fingerprinted."""
+    return payload.encode()
 
 
 # --- transactions ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class Transaction:
+class Transaction(Signed):
     sender: bytes
     nonce: int
     timestamp: int  # unix milliseconds
-    payload: TxPayload
+    payload: TxPayload  # never a Query: a read travels as its own record
     gas_limit: int
     signature: bytes
-    _signing: Optional[bytes] = cache_field()
-    _valid: Optional[bool] = cache_field()  # signature verdict, see signature_valid
-    _raw: Optional[bytes] = cache_field()
     _hash: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x02
-
-    @classmethod
-    def unsigned_bytes(cls, sender: bytes, nonce: int, timestamp: int, payload: TxPayload, gas_limit: int) -> bytes:
-        if isinstance(payload, Query):
-            raise TypeError("a query travels as its own record, never as a transaction payload")
-        return (
-            enc_u8(cls.WIRE_TAG)
-            + enc_bytes(sender)
-            + enc_u64(nonce)
-            + enc_u64(timestamp)
-            + encode_payload(payload)
-            + enc_u64(gas_limit)
-        )
-
-    def signing_bytes(self) -> bytes:
-        if self._signing is None:
-            unsigned = self.unsigned_bytes(self.sender, self.nonce, self.timestamp, self.payload, self.gas_limit)
-            set_cached(self, "_signing", unsigned)
-        return self._signing
-
-    def encode(self) -> bytes:
-        if self._raw is None:
-            set_cached(self, "_raw", self.signing_bytes() + enc_bytes(self.signature))
-        return self._raw
-
-    @classmethod
-    def read(cls, r: Reader) -> "Transaction":
-        start = r.pos
-        r.expect_tag(cls.WIRE_TAG)
-        sender = r.bytes_()
-        nonce = r.u64()
-        timestamp = r.u64()
-        payload = decode_payload(r)
-        gas_limit = r.u64()
-        signing = r.since(start)
-        tx = cls(sender, nonce, timestamp, payload, gas_limit, r.bytes_())
-        set_cached(tx, "_signing", signing)
-        set_cached(tx, "_raw", r.since(start))
-        return tx
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Transaction":
-        r = Reader(data)
-        tx = cls.read(r)
-        r.expect_eof()
-        return tx
+    SIGNER = "sender"
+    LAYOUT = (
+        ("sender", BYTES),
+        ("nonce", U64),
+        ("timestamp", U64),
+        ("payload", one_of("payload", Transfer, Deploy, Call)),
+        ("gas_limit", U64),
+        ("signature", BYTES),
+    )
+    # This class's own attributes, so per-layer tracing can wrap them for transactions alone.
+    signing_bytes = Signed.signing_bytes
+    encode = Signed.encode
+    decode = classmethod(Record.decode.__func__)
 
 
 def make_transaction(
@@ -187,24 +185,11 @@ def make_transaction(
     payload: TxPayload,
     gas_limit: int = DEFAULT_GAS_LIMIT,
 ) -> Transaction:
-    signing = Transaction.unsigned_bytes(keypair.public_key, nonce, timestamp, payload, gas_limit)
-    signature = sign_digest(keypair.private_key, hashlib.sha256(signing).digest())
-    tx = Transaction(keypair.public_key, nonce, timestamp, payload, gas_limit, signature)
-    set_cached(tx, "_signing", signing)
-    return tx
-
-
-def signature_valid(record, public_key: bytes, signature: bytes) -> bool:
-    """Whether the record's own signer key and signature sign its signing
-    bytes; kept on the record, so all nodes handed one record check it once."""
-    if record._valid is None:
-        digest = hashlib.sha256(record.signing_bytes()).digest()
-        set_cached(record, "_valid", verify_digest(public_key, signature, digest))
-    return record._valid
+    return Transaction.signed_by(keypair, nonce=nonce, timestamp=timestamp, payload=payload, gas_limit=gas_limit)
 
 
 def verify_transaction(tx: Transaction) -> bool:
-    return signature_valid(tx, tx.sender, tx.signature)
+    return tx.verified()
 
 
 def hash_tx(tx: Transaction) -> bytes:
@@ -216,74 +201,40 @@ def hash_tx(tx: Transaction) -> bytes:
 # --- blocks ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(Signed):
     height: int
     timestamp: int  # unix milliseconds, strictly greater than parent's
     prev_hash: bytes
     tx_root: bytes
     proposer: bytes
     proposer_signature: bytes
-    _signing: Optional[bytes] = cache_field()
-    _valid: Optional[bool] = cache_field()  # signature verdict, see signature_valid
-    _raw: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x03
-
-    @classmethod
-    def unsigned_bytes(cls, height: int, timestamp: int, prev_hash: bytes, tx_root: bytes, proposer: bytes) -> bytes:
-        return (
-            enc_u8(cls.WIRE_TAG)
-            + enc_u64(height)
-            + enc_u64(timestamp)
-            + enc_bytes(prev_hash)
-            + enc_bytes(tx_root)
-            + enc_bytes(proposer)
-        )
-
-    def signing_bytes(self) -> bytes:
-        if self._signing is None:
-            unsigned = self.unsigned_bytes(self.height, self.timestamp, self.prev_hash, self.tx_root, self.proposer)
-            set_cached(self, "_signing", unsigned)
-        return self._signing
-
-    def encode(self) -> bytes:
-        if self._raw is None:
-            set_cached(self, "_raw", self.signing_bytes() + enc_bytes(self.proposer_signature))
-        return self._raw
-
-    @classmethod
-    def read(cls, r: Reader) -> "BlockHeader":
-        start = r.pos
-        r.expect_tag(cls.WIRE_TAG)
-        height = r.u64()
-        timestamp = r.u64()
-        prev_hash = r.bytes_()
-        tx_root = r.bytes_()
-        proposer = r.bytes_()
-        signing = r.since(start)
-        header = cls(height, timestamp, prev_hash, tx_root, proposer, r.bytes_())
-        set_cached(header, "_signing", signing)
-        set_cached(header, "_raw", r.since(start))
-        return header
+    SIGNER = "proposer"
+    LAYOUT = (
+        ("height", U64),
+        ("timestamp", U64),
+        ("prev_hash", BYTES),
+        ("tx_root", BYTES),
+        ("proposer", BYTES),
+        ("proposer_signature", BYTES),
+    )
 
 
 def make_header(proposer: KeyPair, height: int, timestamp: int, prev_hash: bytes, tx_root: bytes) -> BlockHeader:
-    """A header signed by `proposer` over its unsigned bytes."""
-    signing = BlockHeader.unsigned_bytes(height, timestamp, prev_hash, tx_root, proposer.public_key)
-    signature = sign_digest(proposer.private_key, hashlib.sha256(signing).digest())
-    header = BlockHeader(height, timestamp, prev_hash, tx_root, proposer.public_key, signature)
-    set_cached(header, "_signing", signing)
-    return header
+    """A header signed by `proposer` over its signing bytes."""
+    return BlockHeader.signed_by(proposer, height=height, timestamp=timestamp, prev_hash=prev_hash, tx_root=tx_root)
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(Record):
     header: BlockHeader
     transactions: tuple
     _raw: Optional[bytes] = cache_field()
     _hash: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x04
+    LAYOUT = (("header", record(BlockHeader)), ("transactions", items(record(Transaction), 1)))
 
     def __post_init__(self):
         if type(self.transactions) is not tuple:
@@ -291,27 +242,8 @@ class Block:
 
     def encode(self) -> bytes:
         if self._raw is None:
-            parts = [enc_u8(self.WIRE_TAG), self.header.encode(), enc_u64(len(self.transactions))]
-            parts.extend(tx.encode() for tx in self.transactions)
-            set_cached(self, "_raw", b"".join(parts))
+            set_cached(self, "_raw", Record.encode(self))
         return self._raw
-
-    @classmethod
-    def read(cls, r: Reader) -> "Block":
-        start = r.pos
-        r.expect_tag(cls.WIRE_TAG)
-        header = BlockHeader.read(r)
-        count = r.u64()
-        block = cls(header, tuple(Transaction.read(r) for _ in range(count)))
-        set_cached(block, "_raw", r.since(start))
-        return block
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Block":
-        r = Reader(data)
-        block = cls.read(r)
-        r.expect_eof()
-        return block
 
 
 def compute_tx_root(transactions) -> bytes:
@@ -325,7 +257,7 @@ def hash_block(block: Block) -> bytes:
 
 
 def verify_block_signature(header: BlockHeader) -> bool:
-    return signature_valid(header, header.proposer, header.proposer_signature)
+    return header.verified()
 
 
 # --- genesis --------------------------------------------------------------

@@ -15,7 +15,7 @@ CLOCK_SKEW_MS of its own clock.
 
 `verify_digest` keeps every verdict in one process-wide cache, so the nodes
 of a simulation verify each (public key, signature, digest) triple once. A
-signed ledger record keeps its own verdict (`chain.signature_valid`), so
+signed ledger record keeps its own verdict (`chain.Signed.verified`), so
 this cache serves what no shared record carries: channel envelopes, the
 first check of each record, and the verdicts of a forked process that signs
 on this one's behalf. That process lists its signatures with
@@ -46,7 +46,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .codec import DecodeError, Reader, enc_bytes, enc_u64, enc_u8
+from .codec import BYTES, U64, Codec, DecodeError, Reader, Record, enc_bytes
 
 KEY_LEN = 32
 SIG_LEN = 64
@@ -212,8 +212,15 @@ def verify_triple(triple: bytes) -> bool:
     return _verify_inline(triple[:KEY_LEN], triple[KEY_LEN : KEY_LEN + SIG_LEN], triple[KEY_LEN + SIG_LEN :])
 
 
+def _read_identification(r: Reader) -> bytes:
+    key = r.bytes_()
+    if len(key) != KEY_LEN:
+        raise DecodeError("identification must be a 32-byte public key")
+    return key
+
+
 @dataclass
-class ChannelMessage:
+class ChannelMessage(Record):
     """Inner authenticated unit: counter nonce, timestamp, sender identity, body."""
 
     timestamp: int  # unix milliseconds
@@ -222,28 +229,12 @@ class ChannelMessage:
     body: bytes  # serialized transaction or query
 
     WIRE_TAG = 0x01
-
-    def encode(self) -> bytes:
-        return (
-            enc_u8(self.WIRE_TAG)
-            + enc_u64(self.timestamp)
-            + enc_u64(self.nonce)
-            + enc_bytes(self.identification)
-            + enc_bytes(self.body)
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ChannelMessage":
-        r = Reader(data)
-        r.expect_tag(cls.WIRE_TAG)
-        timestamp = r.u64()
-        nonce = r.u64()
-        identification = r.bytes_()
-        body = r.bytes_()
-        r.expect_eof()
-        if len(identification) != KEY_LEN:
-            raise DecodeError("identification must be a 32-byte public key")
-        return cls(timestamp=timestamp, nonce=nonce, identification=identification, body=body)
+    LAYOUT = (
+        ("timestamp", U64),
+        ("nonce", U64),
+        ("identification", Codec(enc_bytes, _read_identification)),
+        ("body", BYTES),
+    )
 
 
 @dataclass

@@ -2,9 +2,15 @@
 
 One deterministic, injective byte layout: fields in declaration order,
 unsigned integers as 8-byte big-endian, byte strings length-prefixed with a
-4-byte big-endian length, lists count-prefixed the same way, and variant
-tags as a single byte. Hashing, signing and encryption all run over these
-bytes, so independent nodes agree bit-for-bit.
+4-byte big-endian length, a record's lists of items prefixed with a u64
+count, and variant tags as a single byte. Hashing, signing and encryption
+all run over these bytes, so independent nodes agree bit-for-bit.
+
+A wire record states its layout once: a `Record` is its one-byte `WIRE_TAG`,
+then the fields of its `LAYOUT`, (field name, `Codec`) pairs in wire order,
+and the one `Record` implementation writes and reads them all. A nested
+record is written and read through its class's methods as they are at call
+time, so a method replaced on the class is the one used.
 
 A list of `(timestamp, heart_rate)` readings is a u64 count followed by the
 packed array of its pairs, each value an 8-byte big-endian unsigned integer:
@@ -17,6 +23,8 @@ from __future__ import annotations
 import struct
 from dataclasses import field
 from itertools import starmap
+from operator import methodcaller
+from typing import Callable, NamedTuple
 
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
@@ -148,6 +156,12 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise DecodeError("invalid utf-8 in string field") from exc
 
+    def peek_u8(self) -> int:
+        """The next byte, left unread."""
+        if self._pos >= len(self._data):
+            raise DecodeError(f"short read: need 1 bytes at offset {self._pos}")
+        return self._data[self._pos]
+
     def expect_tag(self, tag: int) -> None:
         got = self.u8()
         if got != tag:
@@ -168,3 +182,107 @@ class Reader:
     def since(self, start: int) -> bytes:
         """The bytes consumed from offset `start` up to the current position."""
         return self._data[start : self._pos]
+
+
+# --- records -------------------------------------------------------------------
+
+
+class Codec(NamedTuple):
+    """How one field goes to bytes (`write`) and back (`read`, raising DecodeError)."""
+
+    write: Callable
+    read: Callable
+
+
+U64 = Codec(enc_u64, Reader.u64)
+BYTES = Codec(enc_bytes, Reader.bytes_)
+STR = Codec(enc_str, Reader.str_)
+READINGS = Codec(enc_readings, Reader.readings)
+
+
+def record(cls) -> Codec:
+    """A nested record of class `cls`, tag included."""
+    return Codec(methodcaller("encode"), lambda r: cls.read(r))
+
+
+def one_of(kind: str, *classes) -> Codec:
+    """A nested record of any of `classes`, told apart by its tag; `kind` names them in errors."""
+    by_tag = {cls.WIRE_TAG: cls for cls in classes}
+
+    def write(value) -> bytes:
+        if type(value) not in classes:
+            raise TypeError(f"a {type(value).__name__} is no {kind}")
+        return value.encode()
+
+    def read(r: Reader):
+        tag = r.peek_u8()
+        if tag not in by_tag:
+            raise DecodeError(f"unknown {kind} tag {tag}")
+        return by_tag[tag].read(r)
+
+    return Codec(write, read)
+
+
+def optional(codec: Codec) -> Codec:
+    """A u8 flag, then the value when the flag is 1; 0 stands for None."""
+
+    def read(r: Reader):
+        flag = r.u8()
+        if flag > 1:
+            raise DecodeError(f"bad presence flag {flag}")
+        return codec.read(r) if flag else None
+
+    return Codec(lambda value: b"\x00" if value is None else b"\x01" + codec.write(value), read)
+
+
+def untagged(make, *codecs: Codec) -> Codec:
+    """Values written one after another with no tag, read back as `make(*values)`."""
+    return Codec(
+        lambda values: b"".join([write(value) for (write, _), value in zip(codecs, values)]),
+        lambda r: make(*[read(r) for _, read in codecs]),
+    )
+
+
+def items(codec: Codec, min_size: int) -> Codec:
+    """A u64 count, then each item; read as a tuple, after rejecting a count
+    that cannot fit items of at least `min_size` bytes in what is left."""
+    return Codec(
+        lambda values: _U64.pack(len(values)) + b"".join(map(codec.write, values)),
+        lambda r: tuple([codec.read(r) for _ in range(r.count(min_size))]),
+    )
+
+
+def pack(tag: int, layout, value_of) -> bytes:
+    """The tag, then each field of `layout` written by its codec; `value_of(name)` is the field's value."""
+    parts = [bytes((tag,))]
+    for name, (write, _) in layout:
+        parts.append(write(value_of(name)))
+    return b"".join(parts)
+
+
+def unpack(r: Reader, tag: int, layout) -> list:
+    """The field values `pack` wrote for `layout` under `tag`."""
+    r.expect_tag(tag)
+    return [read(r) for _, (_, read) in layout]
+
+
+class Record:
+    """A wire record: `WIRE_TAG`, then the fields of `LAYOUT`, whose (field
+    name, Codec) pairs name the dataclass's leading constructor arguments in order."""
+
+    WIRE_TAG: int
+    LAYOUT: tuple
+
+    def encode(self) -> bytes:
+        return pack(self.WIRE_TAG, self.LAYOUT, self.__getattribute__)
+
+    @classmethod
+    def read(cls, r: Reader):
+        return cls(*unpack(r, cls.WIRE_TAG, cls.LAYOUT))
+
+    @classmethod
+    def decode(cls, data: bytes):
+        r = Reader(data)
+        decoded = cls.read(r)
+        r.expect_eof()
+        return decoded

@@ -14,14 +14,13 @@ are verified by the caller before on_message.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-from .chain import Block, Chain, GenesisConfig, hash_block, signature_valid, validate_block
-from .channel import KeyPair, sign_digest
-from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_u64, enc_u8, set_cached
+from .chain import Block, Chain, GenesisConfig, Signed, hash_block, validate_block
+from .channel import KeyPair
+from .codec import BYTES, U64, Codec, DecodeError, Reader, enc_u8, optional, record
 
 ZERO_HASH = bytes(32)
 
@@ -33,8 +32,16 @@ class Phase(IntEnum):
     ROUND_CHANGE = 3
 
 
+def _read_phase(r: Reader) -> Phase:
+    value = r.u8()
+    try:
+        return Phase(value)
+    except ValueError:
+        raise DecodeError(f"{value} is not a valid phase") from None
+
+
 @dataclass(frozen=True)
-class ConsensusMessage:
+class ConsensusMessage(Signed):
     phase: Phase
     height: int
     round: int
@@ -42,61 +49,18 @@ class ConsensusMessage:
     block: Optional[Block]  # full block on pre-prepare only
     sender: bytes
     signature: bytes
-    _signing: Optional[bytes] = cache_field()
-    _valid: Optional[bool] = cache_field()  # signature verdict, see chain.signature_valid
-    _raw: Optional[bytes] = cache_field()
 
     WIRE_TAG = 0x05
-
-    @classmethod
-    def unsigned_bytes(
-        cls, phase: Phase, height: int, round_: int, block_hash: bytes, block: Optional[Block], sender: bytes
-    ) -> bytes:
-        parts = [
-            enc_u8(cls.WIRE_TAG),
-            enc_u8(int(phase)),
-            enc_u64(height),
-            enc_u64(round_),
-            enc_bytes(block_hash),
-        ]
-        if block is None:
-            parts.append(enc_u8(0))
-        else:
-            parts.append(enc_u8(1))
-            parts.append(block.encode())
-        parts.append(enc_bytes(sender))
-        return b"".join(parts)
-
-    def signing_bytes(self) -> bytes:
-        if self._signing is None:
-            unsigned = self.unsigned_bytes(self.phase, self.height, self.round, self.block_hash, self.block, self.sender)
-            set_cached(self, "_signing", unsigned)
-        return self._signing
-
-    def encode(self) -> bytes:
-        if self._raw is None:
-            set_cached(self, "_raw", self.signing_bytes() + enc_bytes(self.signature))
-        return self._raw
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ConsensusMessage":
-        r = Reader(data)
-        r.expect_tag(cls.WIRE_TAG)
-        phase = Phase(r.u8())
-        height = r.u64()
-        rnd = r.u64()
-        block_hash = r.bytes_()
-        has_block = r.u8()
-        if has_block > 1:
-            raise DecodeError(f"bad block flag {has_block}")
-        block = Block.read(r) if has_block else None
-        sender = r.bytes_()
-        signing = r.since(0)
-        msg = cls(phase, height, rnd, block_hash, block, sender, r.bytes_())
-        r.expect_eof()
-        set_cached(msg, "_signing", signing)
-        set_cached(msg, "_raw", r.since(0))
-        return msg
+    SIGNER = "sender"
+    LAYOUT = (
+        ("phase", Codec(enc_u8, _read_phase)),
+        ("height", U64),
+        ("round", U64),
+        ("block_hash", BYTES),
+        ("block", optional(record(Block))),
+        ("sender", BYTES),
+        ("signature", BYTES),
+    )
 
 
 def make_message(
@@ -107,17 +71,15 @@ def make_message(
     block_hash: bytes = ZERO_HASH,
     block: Optional[Block] = None,
 ) -> ConsensusMessage:
-    signing = ConsensusMessage.unsigned_bytes(phase, height, round_, block_hash, block, keypair.public_key)
-    signature = sign_digest(keypair.private_key, hashlib.sha256(signing).digest())
-    msg = ConsensusMessage(phase, height, round_, block_hash, block, keypair.public_key, signature)
-    set_cached(msg, "_signing", signing)
-    return msg
+    return ConsensusMessage.signed_by(
+        keypair, phase=phase, height=height, round=round_, block_hash=block_hash, block=block
+    )
 
 
 def verify_message(msg: ConsensusMessage, authorities) -> bool:
     if msg.sender not in authorities:
         return False
-    return signature_valid(msg, msg.sender, msg.signature)
+    return msg.verified()
 
 
 def quorum(n: int) -> int:

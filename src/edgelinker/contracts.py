@@ -4,10 +4,12 @@ The permission table is a mapping from 32-byte permission ids to address
 sets. Holders of the root permitter permission (id 0x00...00) may grant or
 revoke any permission; the deployer receives it at initialization. The
 health-record contract keeps an append-only list of (timestamp, heart_rate)
-readings gated by write/read permissions. Because the list only grows, its
-length names its contents, so each record keeps the last range it served,
-with that range's packed bytes, under the key (from, to, length): a repeated
-read between two writes neither scans the log nor packs it again.
+readings gated by write/read permissions; it is the only contract kind, and
+a deploy of any other kind fails (`unknown_contract_kind`) after paying its
+fee. Because the list only grows, its length names its contents, so each
+record keeps the last range it served, with that range's packed bytes, under
+the key (from, to, length): a repeated read between two writes neither scans
+the log nor packs it again.
 
 Nodes holding one ledger state share its successor: `next_state` applies a
 finalized block once, to a copy, and the state before it never changes, so a
@@ -273,7 +275,9 @@ def execute_transaction(world: WorldState, tx: Transaction, schedule: GasSchedul
     result, reason = RESULT_OK, ""
     payload = tx.payload
 
-    if isinstance(payload, Deploy):
+    if isinstance(payload, Deploy) and payload.contract_kind != HEALTH_RECORD_KIND:
+        result, reason = RESULT_FAILED, "unknown_contract_kind"
+    elif isinstance(payload, Deploy):
         addr = contract_address(tx.sender, tx.nonce)
         world.contracts[addr] = HealthRecordState(
             owner=tx.sender,

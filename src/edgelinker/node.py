@@ -30,7 +30,8 @@ from .chain import (
     validate_block,
     verify_transaction,
 )
-from .codec import DecodeError, Reader, cache_field, enc_bytes, enc_readings, enc_str, enc_u64, enc_u8, set_cached
+from .codec import BYTES, READINGS, STR, U64, DecodeError, Reader, Record, cache_field, enc_readings, enc_str, enc_u64
+from .codec import enc_u8, items, set_cached, untagged
 from .consensus import ConsensusEngine, ConsensusMessage, Phase, verify_message
 from .contracts import PermissionDenied, Readings, UnknownContract, WorldState, genesis_world, next_state, read_history
 
@@ -69,7 +70,7 @@ ALERT = "AlertWire"  # an Alert
 
 
 @dataclass(frozen=True)
-class QueryReplyBody:
+class QueryReplyBody(Record):
     """Node response to a read query."""
 
     status: int  # 0 ok, 1 permission denied, 2 unknown contract
@@ -78,34 +79,28 @@ class QueryReplyBody:
     _packed: Optional[bytes] = cache_field()  # enc_readings(readings)
 
     WIRE_TAG = 0x06
+    LAYOUT = (("status", U64), ("reason", STR), ("readings", READINGS))
+    decode = classmethod(Record.decode.__func__)  # its own attribute, so per-layer tracing can wrap it
 
     def __post_init__(self):
         if isinstance(self.readings, Readings):
             set_cached(self, "_packed", self.readings.packed)
 
     def encode(self) -> bytes:
+        """The layout's bytes, with the readings packed once per reply or by the read that found them."""
         if self._packed is None:
             set_cached(self, "_packed", enc_readings(self.readings))
         return enc_u8(self.WIRE_TAG) + enc_u64(self.status) + enc_str(self.reason) + self._packed
 
     @classmethod
-    def decode(cls, data: bytes) -> "QueryReplyBody":
-        return cls(*cls._fields(data, Reader.readings))
-
-    @classmethod
     def status_and_count(cls, data: bytes) -> tuple:
         """The status and reading count of the reply `decode(data)` returns,
         rejecting the same bytes, without building the readings."""
-        status, _, count = cls._fields(data, Reader.reading_count)
-        return status, count
-
-    @classmethod
-    def _fields(cls, data: bytes, read_readings) -> tuple:
         r = Reader(data)
         r.expect_tag(cls.WIRE_TAG)
-        fields = (r.u64(), r.str_(), read_readings(r))
+        status, _, count = r.u64(), r.str_(), r.reading_count()
         r.expect_eof()
-        return fields
+        return status, count
 
 
 class ConfirmEntry(NamedTuple):
@@ -118,7 +113,7 @@ class ConfirmEntry(NamedTuple):
 
 
 @dataclass
-class ConfirmBody:
+class ConfirmBody(Record):
     """The receipts of one device's transactions in one finalized block, in block order."""
 
     height: int
@@ -126,22 +121,7 @@ class ConfirmBody:
 
     WIRE_TAG = 0x07
     MIN_ENTRY_LEN = 4 + 4 + 4 + 8  # empty hash, result and reason, then the delay
-
-    def encode(self) -> bytes:
-        parts = [enc_u8(self.WIRE_TAG), enc_u64(self.height), enc_u64(len(self.entries))]
-        for tx_hash, result, reason, delay_us in self.entries:
-            parts += (enc_bytes(tx_hash), enc_str(result), enc_str(reason), enc_u64(delay_us))
-        return b"".join(parts)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ConfirmBody":
-        r = Reader(data)
-        r.expect_tag(cls.WIRE_TAG)
-        height = r.u64()
-        count = r.count(cls.MIN_ENTRY_LEN)
-        entries = tuple(ConfirmEntry(r.bytes_(), r.str_(), r.str_(), r.u64()) for _ in range(count))
-        r.expect_eof()
-        return cls(height, entries)
+    LAYOUT = (("height", U64), ("entries", items(untagged(ConfirmEntry, BYTES, STR, STR, U64), MIN_ENTRY_LEN)))
 
 
 @dataclass

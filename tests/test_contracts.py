@@ -310,6 +310,17 @@ class TestExecution:
         r2 = execute_transaction(world, make_transaction(patient, 3, NOW_MS, Call(contract, "selfdestruct", b"")), SCHEDULE, 1)
         assert r2.result == RESULT_FAILED and r2.reason == "unknown_method"
 
+    def test_deploy_of_unknown_kind_fails_and_pays(self, world):
+        patient = kp("patient")
+        before = world.balance(patient.public_key)
+        tx = make_transaction(patient, 1, NOW_MS, Deploy("no_such_contract_kind", b"init"))
+        receipt = execute_transaction(world, tx, SCHEDULE, 1)
+        assert (receipt.result, receipt.reason) == (RESULT_FAILED, "unknown_contract_kind")
+        assert receipt.gas_used == SCHEDULE.deploy
+        assert world.balance(patient.public_key) == before - SCHEDULE.deploy
+        assert world.next_nonce(patient.public_key) == 2
+        assert world.contracts == {}
+
     def test_execution_is_deterministic(self, world):
         w2 = copy.deepcopy(world)
         patient = kp("patient")
@@ -490,7 +501,9 @@ class TestGasSchedule:
 
 
 # One step of a random history: (kind, sender label, argument).
-TX_KINDS = ("deploy", "grant", "revoke", "add_reading", "transfer", "denied", "skipped_nonce", "skipped_balance")
+TX_KINDS = (
+    "deploy", "deploy_unknown", "grant", "revoke", "add_reading", "transfer", "denied", "skipped_nonce", "skipped_balance"
+)
 tx_specs = st.tuples(st.sampled_from(TX_KINDS), st.sampled_from(("patient", "doctor")), st.integers(0, 3))
 
 
@@ -519,6 +532,7 @@ class TestNextState:
             perm_args = encode_permission_args(permissions[arg], target)
             payload = {
                 "deploy": Deploy("health_record", b""),
+                "deploy_unknown": Deploy("no_such_contract_kind", b""),
                 "grant": Call(contract, "grant", perm_args),
                 "revoke": Call(contract, "revoke", perm_args),
                 "add_reading": Call(contract, "add_reading", encode_reading_args(NOW_MS + arg, 60 + arg)),

@@ -7,9 +7,10 @@ computed, must encode, sign and hash exactly as the reference says, and
 give the verdict of a reference Ed25519 verification of its signature. The
 packed reading arrays of query replies and contract state must give the bytes
 of the same reference, one u64 per value, and so must the device channel's
-query record and per-block confirmation.
+query record and per-block confirmation, and the channel's inner message.
 """
 
+import collections
 import hashlib
 import struct
 import tracemalloc
@@ -37,6 +38,7 @@ from edgelinker.chain import (
     verify_block_signature,
     verify_transaction,
 )
+from edgelinker.channel import ChannelMessage
 from edgelinker.codec import DecodeError
 from edgelinker.consensus import ConsensusMessage, Phase, make_message, verify_message
 from edgelinker.contracts import HealthRecordState, WorldState, read_history
@@ -151,6 +153,10 @@ def ref_confirm(body):
     return b"\x07" + ref_u64(body.height) + ref_u64(len(body.entries)) + entries
 
 
+def ref_channel_message(m):
+    return b"\x01" + ref_u64(m.timestamp) + ref_u64(m.nonce) + ref_bytes(m.identification) + ref_bytes(m.body)
+
+
 def ref_record_state(state):
     assert not state.permission_table.permissions
     return b"\x11" + ref_bytes(state.owner) + ref_readings(state.readings) + b"\x10" + ref_u64(0)
@@ -211,6 +217,7 @@ CONFIRMS = st.builds(
         max_size=5,
     ).map(tuple),
 )
+CHANNEL_MESSAGES = st.builds(ChannelMessage, timestamp=U64, nonce=U64, identification=KEYS, body=st.binary(max_size=80))
 HOW = st.sampled_from(["built", "decoded", "replaced"])
 
 
@@ -415,6 +422,57 @@ def test_confirmation_matches_reference(body):
     assert_rejects_truncation_and_trailing(ConfirmBody.decode, raw)
 
 
+@settings(max_examples=80, deadline=None)
+@given(message=CHANNEL_MESSAGES)
+def test_channel_message_matches_reference(message):
+    raw = ref_channel_message(message)
+    assert message.encode() == raw
+    assert ChannelMessage.decode(raw) == message
+    assert_rejects_truncation_and_trailing(ChannelMessage.decode, raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(message=CHANNEL_MESSAGES, size=st.integers(0, 80).filter(lambda n: n != 32))
+def test_channel_message_identification_other_than_a_key_rejected(message, size):
+    raw = ref_channel_message(replace(message, identification=bytes(size)))
+    with pytest.raises(DecodeError):
+        ChannelMessage.decode(raw)
+
+
+def test_nested_records_use_their_class_methods_as_they_are_at_call_time(monkeypatch):
+    """A per-layer tracer replaces methods on a record's class; every nested
+    use of the record must reach the replacement."""
+    sender, proposer = kp("nested-sender"), kp("nested-proposer")
+    txs = [make_transaction(sender, n, n, Transfer(to=bytes(32), amount=n)) for n in (1, 2, 3)]
+    block = build_block(txs, Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ()), proposer, 10)
+    seen = collections.Counter()
+
+    def count(cls, name, wrap=lambda f: f):
+        original = getattr(cls, name)
+
+        def counted(*args):
+            seen[cls.__name__, name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, wrap(counted))
+
+    count(Transaction, "encode")
+    count(Block, "encode")
+    count(Transaction, "read", lambda f: classmethod(lambda _cls, r: f(r)))
+    count(BlockHeader, "read", lambda f: classmethod(lambda _cls, r: f(r)))
+    raw = make_message(proposer, Phase.PRE_PREPARE, 1, 0, bytes(32), block).encode()
+    ConsensusMessage.decode(raw)
+    assert seen == {("Block", "encode"): 1, ("Transaction", "encode"): 3, ("Transaction", "read"): 3, ("BlockHeader", "read"): 1}
+
+
+RECORDS = (Transfer, Deploy, Call, Query, Transaction, BlockHeader, Block, ConsensusMessage, ChannelMessage, QueryReplyBody, ConfirmBody)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
+def test_layout_names_the_constructor_arguments_in_order(cls):
+    assert [name for name, _ in cls.LAYOUT] == [f.name for f in fields(cls) if f.init]
+
+
 BAD_READINGS = {
     "negative_timestamp": [(1000, 72), (-1, 72)],
     "timestamp_too_large": [(2**64, 72)],
@@ -473,6 +531,15 @@ def test_message_with_bad_block_flag_rejected():
     flag_at = 1 + 1 + 8 + 8 + 4 + 32
     assert raw[flag_at] == 0
     raw[flag_at] = 2
+    with pytest.raises(DecodeError):
+        ConsensusMessage.decode(bytes(raw))
+
+
+@pytest.mark.parametrize("phase", [4, 9, 255])
+def test_message_with_bad_phase_rejected(phase):
+    raw = bytearray(make_message(kp("phase"), Phase.PREPARE, 1, 0, bytes(32)).encode())
+    assert raw[1] == Phase.PREPARE
+    raw[1] = phase
     with pytest.raises(DecodeError):
         ConsensusMessage.decode(bytes(raw))
 

@@ -476,11 +476,12 @@ class TestVerdictPerRecord:
     def test_same_results_without_the_verdict_field(self, config, monkeypatch):
         with_field = run_scenario(config, 41)
 
-        def uncached(record, public_key, signature):
-            return channel.verify_digest(public_key, signature, hashlib.sha256(record.signing_bytes()).digest())
+        def uncached(record):
+            signature = getattr(record, record.LAYOUT[-1][0])
+            digest = hashlib.sha256(record.signing_bytes()).digest()
+            return channel.verify_digest(getattr(record, record.SIGNER), signature, digest)
 
-        for module in (chain, consensus):
-            monkeypatch.setattr(module, "signature_valid", uncached)
+        monkeypatch.setattr(chain.Signed, "verified", uncached)
         assert_same_results(with_field, run_scenario(config, 41))
 
 
