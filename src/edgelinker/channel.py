@@ -22,10 +22,21 @@ on this one's behalf. That process lists its signatures with
 `recording_signatures`, verifies them with `verify_triple`, and its verdicts
 land in the same cache through `file_verdict` (the precedent is geth's
 transaction sender cacher). Every verdict is a real Ed25519 verification.
+
+libsodium signs and verifies Ed25519 where it loads (through `ctypes`, with
+`crypto_sign_detached` and `crypto_sign_verify_detached`); `cryptography`'s
+OpenSSL backend does so where it does not. Both make the same RFC 8032
+signature, byte for byte. Their verifiers differ on small-order and
+non-canonical points, where libsodium refuses what OpenSSL may accept, and
+never the other way round. So the verdict rule is: libsodium's acceptance is
+final, and its refusal is settled by OpenSSL. Every verdict is therefore
+the one OpenSSL alone gives.
 """
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import hashlib
 import secrets
 from contextlib import contextmanager
@@ -55,6 +66,27 @@ AEAD_TAG_LEN = 16
 
 _KDF_INFO = b"edgelinker/channel/v1"
 _CURVE_P = 2**255 - 19
+
+
+def _load_sodium():
+    """libsodium, initialised, with the C signatures of the calls made here
+    declared; None where it cannot be loaded or initialised."""
+    name = ctypes.util.find_library("sodium")
+    if name is None:
+        return None
+    try:
+        lib = ctypes.CDLL(name)
+        init, sign, verify = lib.sodium_init, lib.crypto_sign_detached, lib.crypto_sign_verify_detached
+    except (OSError, AttributeError):
+        return None
+    buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+    init.argtypes, init.restype = (), ctypes.c_int
+    sign.argtypes, sign.restype = (buf, ctypes.c_void_p, buf, size, buf), ctypes.c_int
+    verify.argtypes, verify.restype = (buf, buf, size, buf), ctypes.c_int
+    return lib if init() >= 0 else None
+
+
+_sodium = _load_sodium()  # loaded once, so a forked process inherits it
 
 
 class ChannelError(Exception):
@@ -105,6 +137,12 @@ def _ed_public(seed: bytes) -> bytes:
 
 
 @lru_cache(maxsize=4096)
+def _sodium_secret(seed: bytes) -> bytes:
+    """libsodium's 64-byte secret key, seed || public key."""
+    return seed + _ed_public(seed)
+
+
+@lru_cache(maxsize=4096)
 def _x_private(seed: bytes) -> X25519PrivateKey:
     # Same scalar derivation an Ed25519-to-X25519 secret conversion uses.
     scalar = hashlib.sha512(seed).digest()[:KEY_LEN]
@@ -121,7 +159,7 @@ def _ed_pk_to_x25519(public_key: bytes) -> bytes:
     denom = (1 - y) % _CURVE_P
     if denom == 0:
         raise InvalidPublicKey("degenerate point")
-    u = (1 + y) * pow(denom, _CURVE_P - 2, _CURVE_P) % _CURVE_P
+    u = (1 + y) * pow(denom, -1, _CURVE_P) % _CURVE_P
     return u.to_bytes(KEY_LEN, "little")
 
 
@@ -144,14 +182,28 @@ def derive_shared_key(private_key: bytes, peer_public: bytes) -> bytes:
 
 
 def sign_digest(private_seed: bytes, digest: bytes) -> bytes:
-    seed = bytes(private_seed)
-    signature = _ed_private(seed).sign(digest)
+    seed, digest = bytes(private_seed), bytes(digest)
+    if _sodium is None:
+        signature = _ed_private(seed).sign(digest)
+    else:
+        out = ctypes.create_string_buffer(SIG_LEN)
+        # _ed_public refuses a seed of any length but 32, so the secret is 64 bytes.
+        _sodium.crypto_sign_detached(out, None, digest, len(digest), _sodium_secret(seed))
+        signature = out.raw
     if _signed is not None:
-        _signed.append(_ed_public(seed) + signature + bytes(digest))
+        _signed.append(_ed_public(seed) + signature + digest)
     return signature
 
 
 def _verify_inline(public_key: bytes, signature: bytes, digest: bytes) -> bool:
+    # libsodium reads 32 key and 64 signature bytes unchecked, so only lengths that fit reach it.
+    if (
+        _sodium is not None
+        and len(public_key) == KEY_LEN
+        and len(signature) == SIG_LEN
+        and _sodium.crypto_sign_verify_detached(signature, digest, len(digest), public_key) == 0
+    ):
+        return True
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, digest)
         return True

@@ -24,7 +24,7 @@ import struct
 from dataclasses import field
 from itertools import starmap
 from operator import methodcaller
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
@@ -92,31 +92,33 @@ def set_cached(record, name: str, value):
 
 
 class Reader:
-    """Sequential decoder over one canonical byte string."""
+    """Sequential decoder over one canonical byte string, or over
+    `data[pos:end]` in place."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0, end: Optional[int] = None):
         self._data = data
-        self._pos = 0
+        self._pos = pos
+        self._end = len(data) if end is None else end
 
     # Each field is read in place after a bounds check, with no slice between.
 
     def u64(self) -> int:
         pos = self._pos
-        if pos + 8 > len(self._data):
+        if pos + 8 > self._end:
             raise DecodeError(f"short read: need 8 bytes at offset {pos}")
         self._pos = pos + 8
         return _U64.unpack_from(self._data, pos)[0]
 
     def u32(self) -> int:
         pos = self._pos
-        if pos + 4 > len(self._data):
+        if pos + 4 > self._end:
             raise DecodeError(f"short read: need 4 bytes at offset {pos}")
         self._pos = pos + 4
         return _U32.unpack_from(self._data, pos)[0]
 
     def u8(self) -> int:
         pos = self._pos
-        if pos >= len(self._data):
+        if pos >= self._end:
             raise DecodeError(f"short read: need 1 bytes at offset {pos}")
         self._pos = pos + 1
         return self._data[pos]
@@ -145,7 +147,7 @@ class Reader:
     def bytes_(self) -> bytes:
         n = self.u32()
         pos = self._pos
-        if pos + n > len(self._data):
+        if pos + n > self._end:
             raise DecodeError(f"short read: need {n} bytes at offset {pos}")
         self._pos = pos + n
         return self._data[pos : pos + n]
@@ -158,7 +160,7 @@ class Reader:
 
     def peek_u8(self) -> int:
         """The next byte, left unread."""
-        if self._pos >= len(self._data):
+        if self._pos >= self._end:
             raise DecodeError(f"short read: need 1 bytes at offset {self._pos}")
         return self._data[self._pos]
 
@@ -168,12 +170,12 @@ class Reader:
             raise DecodeError(f"expected record tag {tag}, got {got}")
 
     def expect_eof(self) -> None:
-        if self._pos != len(self._data):
-            raise DecodeError(f"{len(self._data) - self._pos} trailing bytes")
+        if self._pos != self._end:
+            raise DecodeError(f"{self._end - self._pos} trailing bytes")
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._end - self._pos
 
     @property
     def pos(self) -> int:

@@ -662,7 +662,8 @@ class RunAhead:
     def __init__(self, order: list):
         self.order = order  # (device, step index) of each record, in dispatch order
         self.taken = 0  # records taken so far
-        self._buf = b""  # bytes read but not yet taken
+        self._buf = b""  # bytes read from the pipe, compacted only when a chunk is appended
+        self._pos = 0  # offset in _buf of the first record not yet taken
         read_fd, write_fd = os.pipe()
         try:
             self.pid = os.fork()
@@ -680,17 +681,18 @@ class RunAhead:
         """The next record as `prepare` returns it, with its verdicts filed for
         `channel.verify_digest`; None when the child has ended, broke off a
         record or sent nothing for RUN_AHEAD_TIMEOUT_S."""
-        # With fewer than 4 bytes buffered the prefix reads short, and the condition still asks for more.
-        while len(self._buf) < 4 + int.from_bytes(self._buf[:4], "big"):
+        buf, start = self._buf, self._pos
+        # With fewer than 4 bytes buffered the prefix reads short, and the end still lies past the buffer.
+        while len(buf) < (end := start + 4 + int.from_bytes(buf[start : start + 4], "big")):
             if not select.select([self.fd], [], [], RUN_AHEAD_TIMEOUT_S)[0]:
                 return None
             chunk = os.read(self.fd, 1 << 16)
             if not chunk:
                 return None
-            self._buf += chunk
-        framed = Reader(self._buf)
-        r = Reader(framed.bytes_())
-        self._buf = self._buf[framed.pos :]
+            buf, start = buf[start:] + chunk, 0
+            self._buf, self._pos = buf, start
+        r = Reader(buf, start + 4, end)
+        self._pos = end
         named = (r.str_(), r.u64())
         if named != (actor_id, idx):
             raise RuntimeError(f"run-ahead record for {named}, but the loop wakes {(actor_id, idx)}")

@@ -6,6 +6,8 @@ import signal
 import time
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -542,3 +544,110 @@ def test_nothing_forks_outside_a_simulation_run(monkeypatch):
     assert open_message(seal_message(msg_for(a), a.private_key, b.public_key), b.private_key, a.public_key)
     digest = hashlib.sha256(b"no fork").digest()
     assert ch.verify_digest(a.public_key, ch.sign_digest(a.private_key, digest), digest)
+
+
+# --- the two Ed25519 libraries ---------------------------------------------------
+
+needs_sodium = pytest.mark.skipif(ch._sodium is None, reason="libsodium cannot be loaded on this platform")
+
+GROUP_ORDER = 2**252 + 27742317777372353535851937790883648493  # L, the order of the base point
+
+# The canonical encodings of the eight points of small order: the identity,
+# the point of order 2, the two of order 4 and the four of order 8.
+SMALL_ORDER = [
+    bytes.fromhex(h)
+    for h in (
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000080",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+    )
+]
+
+
+def openssl_verdict(public_key: bytes, signature: bytes, digest: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, digest)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
+
+
+@st.composite
+def verify_inputs(draw):
+    """A (public key, signature, digest) triple: honest, or bent in one of the
+    ways the two verifiers might judge differently."""
+    seed = draw(st.binary(min_size=32, max_size=32))
+    digest = draw(st.binary(min_size=1, max_size=64))
+    key = generate_keypair(seed).public_key
+    signature = Ed25519PrivateKey.from_private_bytes(seed).sign(digest)
+    case = draw(st.sampled_from(["honest", "key_bit", "signature_bit", "digest_bit", "s_past_l", "random", "small_order"]))
+    if case == "key_bit":
+        key = flip_bit(key, draw(st.integers(0, 8 * 32 - 1)))
+    elif case == "signature_bit":
+        signature = flip_bit(signature, draw(st.integers(0, 8 * 64 - 1)))
+    elif case == "digest_bit":
+        digest = flip_bit(digest, draw(st.integers(0, 8 * len(digest) - 1)))
+    elif case == "s_past_l":
+        s = int.from_bytes(signature[32:], "little") + GROUP_ORDER * draw(st.integers(1, 15))
+        signature = signature[:32] + s.to_bytes(32, "little")
+    elif case == "random":
+        key, signature = draw(st.binary(min_size=32, max_size=32)), draw(st.binary(min_size=64, max_size=64))
+    else:
+        key = draw(st.sampled_from(SMALL_ORDER + [key]))
+        r = draw(st.sampled_from(SMALL_ORDER + [signature[:32]]))
+        signature = r + draw(st.sampled_from([bytes(32), signature[32:]]))
+    return key, signature, digest
+
+
+class TestEd25519Libraries:
+    """libsodium signs and verifies where it loads; every verdict stays OpenSSL's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(inputs=verify_inputs())
+    def test_every_verdict_is_openssls(self, inputs):
+        assert ch._verify_inline(*inputs) is openssl_verdict(*inputs)
+
+    def test_a_libsodium_refusal_is_settled_by_openssl(self):
+        # R and A the identity and S = 0: [S]B = R + [k]A holds for every digest,
+        # which OpenSSL accepts and libsodium refuses as a small-order key.
+        identity = SMALL_ORDER[0]
+        signature, digest = identity + bytes(32), hashlib.sha256(b"small order").digest()
+        assert openssl_verdict(identity, signature, digest)
+        if ch._sodium is not None:
+            assert ch._sodium.crypto_sign_verify_detached(signature, digest, len(digest), identity) != 0
+        assert ch._verify_inline(identity, signature, digest) is True
+
+    @needs_sodium
+    def test_libsodium_alone_accepts_an_honest_signature(self, monkeypatch):
+        pair = kp("sodium only")
+        digest = hashlib.sha256(b"sodium only").digest()
+        signature = ch.sign_digest(pair.private_key, digest)
+        monkeypatch.setattr(ch, "Ed25519PublicKey", None)  # any OpenSSL verification would raise
+        assert ch._verify_inline(pair.public_key, signature, digest) is True
+
+    @needs_sodium
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.binary(min_size=32, max_size=32), digest=st.binary(max_size=128))
+    def test_libsodium_signs_what_openssl_signs(self, seed, digest):
+        assert ch.sign_digest(seed, digest) == Ed25519PrivateKey.from_private_bytes(seed).sign(digest)
+
+    @needs_sodium
+    def test_a_run_without_libsodium_gives_the_same_results(self, monkeypatch):
+        crash = ScenarioConfig(nodes=4, crashed=1, workload="write", tasks=300, block_interval_ms=200)
+        runs = []
+        for handle in (ch._sodium, None):
+            monkeypatch.setattr(ch, "_sodium", handle)
+            monkeypatch.setattr(ch, "_verdicts", {})
+            monkeypatch.setattr(ch, "_older_verdicts", {})
+            runs.append(run_scenario(crash, 27))
+        on, off = runs
+        assert hashlib.sha256(on.jsonl().encode()).digest() == hashlib.sha256(off.jsonl().encode()).digest()
+        assert {n: (f.tip_hash, f.world.digest()) for n, f in on.final.items()} == {
+            n: (f.tip_hash, f.world.digest()) for n, f in off.final.items()
+        }
+        assert len(on.of_kind("task_confirmed")) > 0

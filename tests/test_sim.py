@@ -16,7 +16,7 @@ from edgelinker import chain, channel, consensus, contracts
 from edgelinker import sim as sim_module
 from edgelinker.chain import Query
 from edgelinker.contracts import apply_block, genesis_world, replay_chain
-from edgelinker.codec import enc_str, enc_u64, enc_u8
+from edgelinker.codec import DecodeError, enc_bytes, enc_list, enc_str, enc_u64, enc_u8
 from edgelinker.node import ConfirmBody, QueryReplyBody
 from edgelinker.sim import (
     ATTACK_KINDS,
@@ -427,6 +427,54 @@ class TestRunAhead:
         with pytest.raises(RuntimeError, match="run-ahead record"):
             run_scenario(ScenarioConfig(nodes=4, workload="mixed", tasks=40, block_interval_ms=200), 35)
         assert_reaped(seen[0])
+
+    @staticmethod
+    def worker_writing(monkeypatch, data: bytes) -> "sim_module.RunAhead":
+        """A run-ahead worker whose process writes `data` and ends."""
+        if not hasattr(os, "fork"):
+            pytest.skip("the run-ahead worker needs os.fork")
+
+        def write_all(_order, fd):
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view[:7777]) :]  # pieces that split records and length prefixes
+            finally:
+                os._exit(0)
+
+        monkeypatch.setattr(sim_module, "_run_ahead_main", write_all)
+        return sim_module.RunAhead([])
+
+    @staticmethod
+    def framed(actor_id, idx, raw, verdicts=(), tail=b""):
+        body = enc_str(actor_id) + enc_u64(idx) + enc_str("n1") + enc_bytes(raw) + enc_bytes(b"h" * 32)
+        return enc_bytes(body + enc_list(verdicts, lambda v: enc_bytes(v[0]) + enc_u8(v[1])) + tail)
+
+    def test_records_are_taken_across_reads_up_to_one_broken_off(self, monkeypatch):
+        monkeypatch.setattr(channel, "_verdicts", {})
+        monkeypatch.setattr(channel, "_older_verdicts", {})
+        sizes = [10, 200_000, 3, 70_000, 0, 5]  # two records larger than one read of the pipe
+        triples = [bytes([i]) * 128 for i in range(len(sizes))]
+        records = [self.framed(f"d{i}", i, bytes([i]) * n, [(triples[i], i % 2)]) for i, n in enumerate(sizes)]
+        broken = self.framed("d9", 9, b"cut")[:-1]
+        ahead = self.worker_writing(monkeypatch, b"".join(records) + broken)
+        try:
+            for i, n in enumerate(sizes):
+                assert ahead.take(f"d{i}", i) == ("n1", bytes([i]) * n, b"h" * 32)
+                assert channel._known_verdict(triples[i]) is bool(i % 2)
+            assert ahead.take("d9", 9) is None
+            assert ahead.taken == len(sizes)
+        finally:
+            ahead.close()
+
+    def test_a_record_with_trailing_bytes_is_refused(self, monkeypatch):
+        ahead = self.worker_writing(monkeypatch, self.framed("d0", 0, b"ok") + self.framed("d1", 1, b"ok", tail=b"!"))
+        try:
+            assert ahead.take("d0", 0) == ("n1", b"ok", b"h" * 32)
+            with pytest.raises(DecodeError, match="trailing"):
+                ahead.take("d1", 1)
+        finally:
+            ahead.close()
 
     def test_no_process_without_a_second_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
