@@ -18,6 +18,12 @@ The replay, eavesdrop, denial-of-service and spoofing drills were pinned
 later, with the values the code gave at the time, so that a change to how
 devices and attackers are driven shows up in their traces.
 
+The three fault runs (`FAULTS`) were pinned last, before the event loop
+began to fan broadcasts out itself and to draw each link's delay in place.
+They cover the link paths a quiet LAN never takes: drops, a partition and
+crashed peers. Each also pins the loop's `sent`, `delivered` and `dropped`
+counters.
+
 The trace digests were re-pinned a second time, when only a transaction's
 entry node (the node that admitted it from its device's channel) began to
 record its `tx_admitted` and `receipt` events. Before, every node recorded
@@ -29,12 +35,13 @@ directly before that node's `tx_finalized_delay` for the same transaction.
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from edgelinker.bench import default_attack_config
-from edgelinker.sim import ScenarioConfig, run_scenario
+from edgelinker.sim import LinkModel, ScenarioConfig, run_scenario
 
 
 def _lifecycle():
@@ -116,3 +123,77 @@ def test_seeded_run_matches_golden(name):
     assert {trace.final[n].world.digest().hex() for n in honest} == {world}
     assert hashlib.sha256(trace.jsonl().encode()).hexdigest() == trace_digest
     assert sum(len(f.alerts) for f in trace.final.values()) == alerts
+
+
+def _lossy():
+    """Mixed traffic at 1% drop. It keeps item 1's known defects visible: 24
+    `nonce_gap` rejects (one lost envelope blocks its device-to-node channel)
+    and 29 `skipped` receipts (a nonce that arrived ahead of its
+    predecessor), and n3 stays at height 8 while its peers reach 31-32."""
+    link = LinkModel(drop_probability=0.01)
+    return run_scenario(ScenarioConfig(nodes=4, workload="mixed", tasks=400, block_interval_ms=200, link=link), 3)
+
+
+def _partitioned():
+    """n1 and n2 never hear each other. n2 misses every proposal n1 makes and,
+    with nothing to catch it up, stays at height 0."""
+    link = LinkModel(partitions={frozenset(("n1", "n2"))})
+    return run_scenario(ScenarioConfig(nodes=4, workload="mixed", tasks=200, block_interval_ms=200, link=link), 5)
+
+
+def _crashed():
+    """Seven authorities, n5 and n6 crashed from the start."""
+    return run_scenario(ScenarioConfig(nodes=7, crashed=2, workload="write", tasks=200, block_interval_ms=200), 9)
+
+
+# name: (run, honest tips, honest world digests, trace digest, counters, rejects and receipt results)
+FAULTS = {
+    "lossy_mixed_n4_seed3": (
+        _lossy,
+        {
+            "28fdcebfbe42dd09e05095a537379afe79fd0b051c05a9ecc8670372e7781f2c",
+            "a50ccc71397b5d482468cda32c5103e6a82e300a5d1c1ad840b80e5e5375d1cc",
+            "ff590bca2d4c4e638b7b587f8f9a44f7e563da89a34c6d5b424656157be7f971",
+        },
+        {"70615eb2c560b354cca3ba053933e4715afe18d68168b03ad91ddf9887690e9d"},
+        "cc69a617a2299f6d9420fc51b4ddb00c12db08804dade55d5139dec2e81cf372",
+        {"sent": 2085, "delivered": 2064, "dropped": 21},
+        {"nonce_gap": 24, "skipped": 29, "ok": 186},
+    ),
+    "partition_mixed_n4_seed5": (
+        _partitioned,
+        {
+            "c992928db4ae8237c6d7e9cf0a0d96ebabf44c2ea765f10870a344c6f487e3b1",
+            "cc15312ade310d9f451132e885f93af7fbced56492d2ed397fe831be5cc9974b",
+        },
+        {
+            "22c5a911ac3f5444f207dc2fc41342612151a8b04d7c71b28fc03e31b8b91cf7",
+            "dcc830528a9c68de447cd6853dc703c6742d7550313945f86db3e6d9d4c5e4d8",
+        },
+        "f1a33d698784d37ce45769005a41acec6e9ee7bc545d77daa2a967c6fee3126c",
+        {"sent": 772, "delivered": 759, "dropped": 13},
+        {"ok": 115},
+    ),
+    "crashed_write_n7_seed9": (
+        _crashed,
+        {"76b8a3c69ad527ffc6ff56fa22929c3c9a66afada274522a9d80af6fd12e8874"},
+        {"855fe37dc50847b28bbbf3c9906c61bf070772f9d9e299899f7d95212119b5ff"},
+        "2a07ca02b47308fa66c4229a58556f6e3bb46a676c11773a807bbc47b05b80e3",
+        {"sent": 1276, "delivered": 1276, "dropped": 0},
+        {"ok": 206},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_fault_run_matches_golden(name):
+    run, tips, worlds, trace_digest, counters, outcomes = FAULTS[name]
+    trace = run()
+    honest = trace.meta["honest"]
+    assert {trace.final[n].tip_hash.hex() for n in honest} == tips
+    assert {trace.final[n].world.digest().hex() for n in honest} == worlds
+    assert hashlib.sha256(trace.jsonl().encode()).hexdigest() == trace_digest
+    assert {key: trace.counters[key] for key in counters} == counters
+    seen = Counter(e.info["reason"] for e in trace.of_kind("rejected"))
+    seen.update(e.info["result"] for e in trace.of_kind("task_confirmed"))
+    assert dict(seen) == outcomes
