@@ -36,10 +36,9 @@ the one OpenSSL alone gives.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import hashlib
 import secrets
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -68,16 +67,28 @@ _KDF_INFO = b"edgelinker/channel/v1"
 _CURVE_P = 2**255 - 19
 
 
+SODIUM_SONAMES = ("libsodium.so.23", "libsodium.so.26")  # libsodium 1.0.18, and 1.0.19 on
+
+
+def _open_sodium():
+    """libsodium under a known soname, else where `ctypes.util.find_library`
+    finds it: that import brings in `subprocess`, and the call runs `ldconfig -p`."""
+    for name in SODIUM_SONAMES:
+        with suppress(OSError):
+            return ctypes.CDLL(name)
+    from ctypes.util import find_library
+
+    name = find_library("sodium")
+    return None if name is None else ctypes.CDLL(name)
+
+
 def _load_sodium():
     """libsodium, initialised, with the C signatures of the calls made here
     declared; None where it cannot be loaded or initialised."""
-    name = ctypes.util.find_library("sodium")
-    if name is None:
-        return None
     try:
-        lib = ctypes.CDLL(name)
+        lib = _open_sodium()
         init, sign, verify = lib.sodium_init, lib.crypto_sign_detached, lib.crypto_sign_verify_detached
-    except (OSError, AttributeError):
+    except (OSError, AttributeError):  # found but not loadable, not found (None), or not libsodium
         return None
     buf, size = ctypes.c_char_p, ctypes.c_ulonglong
     init.argtypes, init.restype = (), ctypes.c_int

@@ -3,9 +3,11 @@
 Each node is an event-driven state machine fed by one ordered input stream:
 `initial_output`, `on_timer` and the four message handlers (`handle_envelope`,
 `on_gossip`, `on_consensus`, `on_alert`). Each returns a NodeOutput of messages
-to send and timers to arm; the surrounding simulation (or any other transport)
-owns delivery. World state is only ever advanced by applying finalized blocks,
-so replaying the chain from genesis always reproduces it byte for byte. Nodes
+to send and timers to arm, or None where it never sends (`on_gossip`,
+`on_alert`); the surrounding simulation (or any other transport) owns
+delivery, including the fan-out of a send to PEERS, the node's peers. World
+state is only ever advanced by applying finalized blocks, so replaying the
+chain from genesis always reproduces it byte for byte. Nodes
 handed one genesis state share every state they reach from it: each finalized
 block is applied once, while each node admits, serves reads and confirms
 against the state at its own height.
@@ -58,7 +60,7 @@ class Alert:
 
 
 # --- message kinds routed by the transport --------------------------------
-# Simulation._pair_rng seeds each link's jitter stream from the kind's value,
+# Simulation.send seeds each link's jitter stream from the kind's value,
 # so changing a value changes every seeded timeline: keep them as they are.
 
 CLIENT = "ClientWire"  # device-to-node channel bytes carrying a Transaction or a Query
@@ -67,6 +69,8 @@ CONFIRM = "ConfirmWire"  # node-to-device channel bytes carrying a ConfirmBody
 GOSSIP = "GossipWire"  # a Transaction relayed between nodes
 CONSENSUS = "ConsensusWire"  # a ConsensusMessage
 ALERT = "AlertWire"  # an Alert
+
+PEERS = "*"  # the destination of a send to every other authority
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ class ConfirmBody(Record):
 
 @dataclass
 class Send:
-    dst: str
+    dst: str  # an endpoint id, or PEERS
     kind: str  # one of the message kinds above
     body: object
     at_us: Optional[int] = None  # departure time; None means immediately
@@ -218,10 +222,13 @@ class FogNode:
             return self._serve_query_wire(record, message.identification, now_us, out)
         return self._admit(record, now_us, out, client_pk=message.identification)
 
-    def on_gossip(self, tx: Transaction, now_us: int) -> NodeOutput:
-        return self._admit(tx, now_us, NodeOutput(), client_pk=None)
+    def on_gossip(self, tx: Transaction, now_us: int) -> None:
+        self._admit(tx, now_us, None, client_pk=None)
 
-    def _admit(self, tx: Transaction, now_us: int, out: NodeOutput, client_pk) -> NodeOutput:
+    def _admit(self, tx: Transaction, now_us: int, out: Optional[NodeOutput], client_pk) -> Optional[NodeOutput]:
+        """Admits `tx` to the mempool; only a transaction from a device's
+        channel (`client_pk` set) is gossiped or raises an alert, so `out` may
+        be None for one from a peer."""
         if not verify_transaction(tx):
             return self._reject(out, "bad_tx_signature")
         txh = hash_tx(tx)
@@ -242,13 +249,12 @@ class FogNode:
         self.mempool[txh] = tx
         if client_pk is not None:
             self.pending_conf[txh] = (client_pk, now_us)
-            for peer in self.peer_ids:
-                out.sends.append(Send(peer, GOSSIP, tx))
+            out.sends.append(Send(PEERS, GOSSIP, tx))
             # Only the entry node traces an admission, so the trace grows with tasks, not tasks x nodes.
             self.rec("tx_admitted", tx=txh.hex()[:16], sender=tx.sender.hex()[:16])
         return out
 
-    def _reject(self, out: NodeOutput, reason: str, **info) -> NodeOutput:
+    def _reject(self, out: Optional[NodeOutput], reason: str, **info) -> Optional[NodeOutput]:
         self.rec("rejected", reason=reason, **info)
         return out
 
@@ -351,9 +357,7 @@ class FogNode:
         out.timers.append((self.engine.deadline_us, ("round", self.engine.height, self.engine.round)))
 
     def _broadcast_consensus(self, out: NodeOutput, msgs: list) -> None:
-        for msg in msgs:
-            for peer in self.peer_ids:
-                out.sends.append(Send(peer, CONSENSUS, msg))
+        out.sends.extend(Send(PEERS, CONSENSUS, msg) for msg in msgs)
 
     def _drain_incidents(self, out: NodeOutput, now_us: int) -> None:
         incidents, self.engine.incidents = self.engine.incidents, []
@@ -413,13 +417,10 @@ class FogNode:
         self._alert_keys.add(alert.key())
         self.alerts.append(alert)
         self.rec("alert", alert_kind=kind, offender=offender.hex()[:16], height=height, detail=detail)
-        for peer in self.peer_ids:
-            out.sends.append(Send(peer, ALERT, alert))
+        out.sends.append(Send(PEERS, ALERT, alert))
 
-    def on_alert(self, alert: Alert, now_us: int) -> NodeOutput:
-        out = NodeOutput()
+    def on_alert(self, alert: Alert, now_us: int) -> None:
         if alert.key() not in self._alert_keys:
             self._alert_keys.add(alert.key())
             self.alerts.append(alert)
             self.rec("alert_received", alert_kind=alert.kind, height=alert.height)
-        return out

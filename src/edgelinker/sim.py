@@ -64,6 +64,7 @@ from .node import (
     CLIENT,
     CONSENSUS,
     GOSSIP,
+    PEERS,
     QUERY_SERVICE_US,
     ConfirmBody,
     FogNode,
@@ -77,6 +78,8 @@ ACTORS_PER_KIND = 4  # writer and reader devices in a benchmark workload
 ACTOR_BALANCE = 10**12  # genesis balance of every workload device
 
 ATTACK_KINDS = ("replay", "eavesdrop", "insertion", "dos", "spoof")
+TIMER, WAKE, TAP = "Timer", "Wake", "Tap"  # the loop's events other than a message
+NODE_HANDLERS = {CLIENT: "handle_envelope", GOSSIP: "on_gossip", CONSENSUS: "on_consensus", ALERT: "on_alert"}
 ATTACKER_ID = "attacker"  # the endpoint id of a scenario's attacker
 
 
@@ -128,16 +131,6 @@ class LinkModel:
         if not isinstance(pairs, list) or not all(_is_endpoint_pair(p) for p in pairs):
             raise ConfigInvalid(f"link partitions must be a list of endpoint id pairs, got {pairs!r}")
         return cls(**raw, partitions={frozenset(p) for p in pairs})
-
-
-def deliver(link: LinkModel, src: str, dst: str, now_us: int, rng: random.Random) -> Optional[int]:
-    """Arrival time for one message, or None when dropped or partitioned."""
-    if link.partitions and frozenset((src, dst)) in link.partitions:
-        return None
-    if link.drop_probability > 0 and rng.random() < link.drop_probability:
-        return None
-    jitter = rng.randrange(link.jitter_us + 1) if link.jitter_us > 0 else 0
-    return now_us + link.base_latency_us + jitter
 
 
 # --- trace ---------------------------------------------------------------------
@@ -740,10 +733,9 @@ class Simulation:
         self._seq = 0
         self.heap: list = []
         self.trace = SimTrace()
-        self.inflight = 0
+        self.inflight = 0  # messages on the heap; the others sent were delivered or dropped
         self.pending_responses = 0
         self.sent_count = 0
-        self.delivered_count = 0
         self.dropped_count = 0
         self.stop = False
 
@@ -806,7 +798,10 @@ class Simulation:
             if len(pair) != 2 or not pair <= endpoints:
                 raise ConfigInvalid(f"link partition {sorted(pair)} must join two of the endpoints {sorted(endpoints)}")
 
-        self._pair_rngs: dict = {}
+        self._link_rngs: dict = {}  # (src, dst, kind) -> that link's delay stream
+        # Each node's broadcast recipients: its peers in id order, without the crashed ones.
+        self._live_peers = {i_: [p for p in node.peer_ids if p not in self.crashed] for i_, node in self.nodes.items()}
+        self._handlers: dict = {}  # (node id, message kind) -> handler, bound by run()
         self._armed: set = set()
         self._ahead: Optional[RunAhead] = None  # the run-ahead process, only inside run()
 
@@ -820,7 +815,7 @@ class Simulation:
             out = self.nodes[node_id].initial_output()
             self._emit(node_id, out)
         for at_us, party, tag in wakes:
-            self._push(at_us, ("wake", party.id, tag))
+            self._push(at_us, (None, party.id, WAKE, tag))
         self.total_wakes = self.remaining_wakes = len(wakes)
 
     def _recorder(self, node_id: str):
@@ -837,38 +832,66 @@ class Simulation:
         return (last + margin) / 1_000_000
 
     # -- event machinery ------------------------------------------------------
+    # A heap entry is (time, push number, (src, dst, kind, body)): a message
+    # of one of node.py's kinds, or, with kind TIMER, WAKE or TAP, a node's
+    # timer key, a party's wake tag or a device's bytes seen by the attacker.
 
     def _push(self, t_us: int, item: tuple) -> None:
         self._seq += 1
         heapq.heappush(self.heap, (t_us, self._seq, item))
 
-    def _pair_rng(self, src: str, dst: str, klass: str) -> random.Random:
-        # One stream per (endpoints, traffic class): extra alert or attack
-        # traffic can never perturb the jitter seen by honest flows.
-        key = (src, dst, klass)
-        rng = self._pair_rngs.get(key)
-        if rng is None:
-            rng = child_rng(self.seed, "link", src, dst, klass)
-            self._pair_rngs[key] = rng
-        return rng
-
-    def send(self, src: str, item: Send, depart_us: int) -> None:
-        dst = item.dst
-        if src in self.crashed or dst in self.crashed:
+    def send(self, src: str, dsts, kind: str, body, depart_us: int) -> None:
+        """Puts one message from `src` on the link to each of `dsts`, in order;
+        sends from or to a crashed node are not counted. Each (src, dst, kind)
+        link draws from a stream of its own, so extra alert or attack traffic
+        never perturbs honest flows: nothing on a partitioned pair, else
+        `random()` for the drop if its probability is above 0, then
+        `randrange(jitter_us + 1)` if there is jitter."""
+        crashed = self.crashed
+        if src in crashed:
             return
-        self.sent_count += 1
-        arrival = deliver(self.config.link, src, dst, depart_us, self._pair_rng(src, dst, item.kind))
-        if arrival is None:
-            self.dropped_count += 1
-            return
-        self.inflight += 1
-        self._push(arrival, ("deliver", src, item))
-        if self.attacker is not None and item.kind == CLIENT and src in self.actors and dst in self.nodes:
-            self._push(arrival, ("tap", src, dst, item.body))
+        link = self.config.link
+        cuts, drop_p, span = link.partitions, link.drop_probability, link.jitter_us + 1
+        bits = span.bit_length()
+        base_us = depart_us + link.base_latency_us
+        rngs, heap, seq = self._link_rngs, self.heap, self._seq
+        tap = self.attacker is not None and kind == CLIENT and src in self.actors
+        sent = dropped = 0
+        for dst in dsts:
+            if dst in crashed:
+                continue
+            sent += 1
+            if cuts and frozenset((src, dst)) in cuts:
+                dropped += 1
+                continue
+            rng = rngs.get((src, dst, kind))
+            if rng is None:
+                rng = rngs[src, dst, kind] = child_rng(self.seed, "link", src, dst, kind)
+            if drop_p > 0 and rng.random() < drop_p:
+                dropped += 1
+                continue
+            arrival = base_us
+            if span > 1:
+                # rng.randrange(span), drawn the way CPython's Random draws it, without its two calls
+                jitter = rng.getrandbits(bits)
+                while jitter >= span:
+                    jitter = rng.getrandbits(bits)
+                arrival += jitter
+            seq += 1
+            heapq.heappush(heap, (arrival, seq, (src, dst, kind, body)))
+            if tap and dst in self.nodes:
+                seq += 1
+                heapq.heappush(heap, (arrival, seq, (src, dst, TAP, body)))
+        self._seq = seq
+        self.sent_count += sent
+        self.dropped_count += dropped
+        self.inflight += sent - dropped
 
     def _send_all(self, src: str, sends: list) -> None:
+        now = self.now_us
         for item in sends:
-            self.send(src, item, self.now_us if item.at_us is None else max(item.at_us, self.now_us))
+            dsts = self._live_peers[src] if item.dst == PEERS else (item.dst,)
+            self.send(src, dsts, item.kind, item.body, now if item.at_us is None else max(item.at_us, now))
 
     def _emit(self, src: str, out: NodeOutput) -> None:
         self._send_all(src, out.sends)
@@ -877,23 +900,31 @@ class Simulation:
             if marker in self._armed:
                 continue
             self._armed.add(marker)
-            self._push(at_us, ("node_timer", src, key))
+            self._push(at_us, (None, src, TIMER, key))
 
     def run(self) -> SimTrace:
+        # Bound now, not at construction: a handler replaced on the class in between is the one called.
+        self._handlers = {
+            (i_, kind): getattr(node, name) for i_, node in self.nodes.items() for kind, name in NODE_HANDLERS.items()
+        }
         order = self._queued_device_wakes()
         if order and _can_run_ahead():
             try:
                 self._ahead = RunAhead(order)
             except OSError:  # no process or pipe to spare
                 pass
+        heap, duration_us, dispatch = self.heap, self.duration_us, self._dispatch
+        # Only a stop height can stop the run while wakes remain.
+        watch_height = self.config.stop_at_height is not None
         try:
-            while self.heap and not self.stop:
-                t_us, _seq, item = heapq.heappop(self.heap)
-                if t_us > self.duration_us:
+            while heap and not self.stop:
+                t_us, _seq, item = heapq.heappop(heap)
+                if t_us > duration_us:
                     break
                 self.now_us = t_us
-                self._dispatch(item)
-                self._check_stop()
+                dispatch(item)
+                if watch_height or not self.remaining_wakes:
+                    self._check_stop()
         finally:
             if self._ahead is not None:
                 self._ahead.close()
@@ -903,8 +934,8 @@ class Simulation:
 
     def _queued_device_wakes(self) -> list:
         """(device, step index) of each queued device wake, in the order the heap pops them."""
-        queued = sorted(entry for entry in self.heap if entry[2][0] == "wake" and entry[2][1] in self.actors)
-        return [(self.actors[party_id], idx) for _t, _seq, (_wake, party_id, idx) in queued]
+        queued = sorted(entry for entry in self.heap if entry[2][2] == WAKE and entry[2][1] in self.actors)
+        return [(self.actors[party_id], idx) for _t, _seq, (_src, party_id, _wake, idx) in queued]
 
     def prepared(self, actor: DeviceActor, idx: int) -> tuple:
         """`actor.prepare(idx)`, from the run-ahead process while one serves the run.
@@ -924,46 +955,28 @@ class Simulation:
         return actor.prepare(idx)
 
     def _dispatch(self, item: tuple) -> None:
-        kind = item[0]
-        if kind == "deliver":
-            _, src, message = item
+        src, dst, kind, body = item
+        handler = self._handlers.get((dst, kind))
+        if handler is not None:  # a message for a node
             self.inflight -= 1
-            self.delivered_count += 1
-            if message.dst in self.nodes:
-                self._node_event(message)
-            elif message.dst in self.parties:
-                self.parties[message.dst].on_receive(message.body, src, self.now_us)
-        elif kind == "tap":
-            _, src, dst, raw = item
-            if self.attacker is not None:
-                self.attacker.on_tap(src, dst, raw, self.now_us)
-        elif kind == "node_timer":
-            _, node_id, key = item
-            self._armed.discard((node_id, key, self.now_us))
-            if node_id in self.crashed:
+            out = handler(body, self.now_us)
+            if out is not None:
+                self._emit(dst, out)
+        elif kind == TIMER:
+            self._armed.discard((dst, body, self.now_us))
+            if dst in self.crashed:
                 return
-            out = self.nodes[node_id].on_timer(key, self.now_us)
-            self._emit(node_id, out)
-        elif kind == "wake":
-            _, party_id, tag = item
+            self._emit(dst, self.nodes[dst].on_timer(body, self.now_us))
+        elif kind == WAKE:
             self.remaining_wakes -= 1
-            self._send_all(party_id, self.parties[party_id].wake(tag, self.now_us))
-
-    def _node_event(self, message: Send) -> None:
-        node_id = message.dst
-        node = self.nodes[node_id]
-        kind, body = message.kind, message.body
-        if kind == CLIENT:
-            out = node.handle_envelope(body, self.now_us)
-        elif kind == GOSSIP:
-            out = node.on_gossip(body, self.now_us)
-        elif kind == CONSENSUS:
-            out = node.on_consensus(body, self.now_us)
-        elif kind == ALERT:
-            out = node.on_alert(body, self.now_us)
-        else:
-            return
-        self._emit(node_id, out)
+            self._send_all(dst, self.parties[dst].wake(body, self.now_us))
+        elif kind == TAP:
+            if self.attacker is not None:
+                self.attacker.on_tap(src, dst, body, self.now_us)
+        else:  # a message for a party, or of a kind no node handles
+            self.inflight -= 1
+            if dst in self.parties:
+                self.parties[dst].on_receive(body, src, self.now_us)
 
     def _check_stop(self) -> None:
         if self.stop:
@@ -995,7 +1008,7 @@ class Simulation:
             )
         self.trace.counters = {
             "sent": self.sent_count,
-            "delivered": self.delivered_count,
+            "delivered": self.sent_count - self.dropped_count - self.inflight,
             "dropped": self.dropped_count,
             "in_flight_at_stop": self.inflight,
             "pending_responses": self.pending_responses,

@@ -3,6 +3,8 @@ import hashlib
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -635,6 +637,17 @@ class TestEd25519Libraries:
     @given(seed=st.binary(min_size=32, max_size=32), digest=st.binary(max_size=128))
     def test_libsodium_signs_what_openssl_signs(self, seed, digest):
         assert ch.sign_digest(seed, digest) == Ed25519PrivateKey.from_private_bytes(seed).sign(digest)
+
+    @needs_sodium
+    def test_loading_libsodium_starts_no_process(self):
+        """Where a known soname opens, importing the channel neither runs
+        `ldconfig` through `ctypes.util.find_library` nor imports `subprocess`."""
+        if ch._sodium._name not in ch.SODIUM_SONAMES:
+            pytest.skip("libsodium loads here only under a name that find_library found")
+        probe = "import sys, edgelinker.channel as ch; print(ch._sodium is not None, 'subprocess' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["True", "False"]
 
     @needs_sodium
     def test_a_run_without_libsodium_gives_the_same_results(self, monkeypatch):

@@ -34,11 +34,13 @@ from edgelinker.node import (
     CONFIRM,
     CONSENSUS,
     GOSSIP,
+    PEERS,
     REPLY,
     AlertKind,
     ConfirmBody,
     FogNode,
     QueryReplyBody,
+    Send,
 )
 from edgelinker.channel import open_message, SecureEnvelope
 from edgelinker.consensus import Phase, make_message
@@ -309,7 +311,7 @@ class TestTickProposerDuty:
         out = node0.on_timer(("round", 1, 0), deadline)
         assert node0.engine.round == 1
         changes = [s.body for s in out.sends if s.kind == CONSENSUS]
-        assert {s.dst for s in out.sends} == {"n1", "n2", "n3"}
+        assert {s.dst for s in out.sends} == {PEERS}  # the loop fans each out to n1, n2 and n3
         assert changes and all(m.phase == Phase.ROUND_CHANGE and m.round == 1 for m in changes)
 
     def test_proposer_emits_pre_prepare_with_pending_txs(self, keys):
@@ -442,7 +444,7 @@ class TestMonitoring:
         assert alert.kind == AlertKind.INVALID_BLOCK
         assert (alert.offender, alert.height) == (outsider.public_key, 1)
         assert alert.detail == ",".join(v.value for v in violations)
-        assert [(s.dst, s.kind, s.body) for s in out.sends] == [("n1", ALERT, alert)]
+        assert [(s.dst, s.kind, s.body) for s in out.sends] == [(PEERS, ALERT, alert)]
         assert node.chain.height == 0 and node.engine.round == 0
 
     def test_valid_block_raises_nothing(self, single):
@@ -457,18 +459,21 @@ class TestMonitoring:
 
 def pump(nodes, sends, now, hold=()):
     """Deliver node-to-node sends, and what they cause, until none is left;
-    returns the sends addressed to a node in `hold`, undelivered."""
+    returns the sends addressed to a node in `hold`, undelivered. `sends`
+    are (sender id, Send) pairs; a send to PEERS goes to every other node."""
     queue, held = list(sends), []
     while queue:
-        send = queue.pop(0)
-        if send.dst not in nodes:
-            continue  # a device's confirmation
-        if send.dst in hold:
-            held.append(send)
-            continue
-        node = nodes[send.dst]
-        handler = {CONSENSUS: node.on_consensus, GOSSIP: node.on_gossip, ALERT: node.on_alert}[send.kind]
-        queue += handler(send.body, now).sends
+        src, send = queue.pop(0)
+        for dst in [n for n in nodes if n != src] if send.dst == PEERS else [send.dst]:
+            if dst not in nodes:
+                continue  # a device's confirmation
+            if dst in hold:
+                held.append((src, Send(dst, send.kind, send.body)))
+                continue
+            node = nodes[dst]
+            handler = {CONSENSUS: node.on_consensus, GOSSIP: node.on_gossip, ALERT: node.on_alert}[send.kind]
+            out = handler(send.body, now)
+            queue += [(dst, more) for more in out.sends] if out is not None else []
     return held
 
 
@@ -502,7 +507,8 @@ class TestLaggingNodeOnSharedState:
                 for i in gossip_to:
                     nodes[i].on_gossip(tx, now)
             (proposer,) = [n for n in nodes.values() if n.engine.is_proposer()]
-            return pump(nodes, proposer.on_timer(("propose", height), now).sends, now, hold)
+            sends = proposer.on_timer(("propose", height), now).sends
+            return pump(nodes, [(proposer.node_id, send) for send in sends], now, hold)
 
         assert propose(1, INTERVAL, ids) == []
         held = propose(2, 3 * INTERVAL, ids[:3], hold={"n3"})

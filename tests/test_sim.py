@@ -4,12 +4,15 @@ import gc
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgelinker
 from edgelinker import chain, channel, consensus, contracts
@@ -17,7 +20,7 @@ from edgelinker import sim as sim_module
 from edgelinker.chain import Query
 from edgelinker.contracts import apply_block, genesis_world, replay_chain
 from edgelinker.codec import DecodeError, enc_bytes, enc_list, enc_str, enc_u64, enc_u8
-from edgelinker.node import ConfirmBody, QueryReplyBody
+from edgelinker.node import CLIENT, CONSENSUS, GOSSIP, ConfirmBody, FogNode, QueryReplyBody
 from edgelinker.sim import (
     ATTACK_KINDS,
     ATTACKER_CLASSES,
@@ -26,8 +29,7 @@ from edgelinker.sim import (
     LinkModel,
     ScenarioConfig,
     Simulation,
-    child_rng,
-    deliver,
+    child_seed,
     run_scenario,
 )
 
@@ -40,40 +42,104 @@ def fast_config(**overrides):
     return ScenarioConfig(**params)
 
 
+def link_sends(link, count, depart_us=0, kind=GOSSIP, seed=1):
+    """Arrival time, or None when dropped, of each of `count` messages sent
+    one after another on the link n0 -> n1 of a three-node simulation."""
+    sim = Simulation(ScenarioConfig(nodes=3, workload="none", link=link), seed)
+    outcomes = []
+    for _ in range(count):
+        sim.heap.clear()
+        sim.send("n0", ("n1",), kind, b"", depart_us)
+        outcomes.append(sim.heap[0][0] if sim.heap else None)
+    assert sim.sent_count == count and sim.dropped_count == outcomes.count(None)
+    return outcomes
+
+
 class TestDeliver:
     def test_exact_latency_without_jitter_or_drops(self):
         link = LinkModel(base_latency_us=1500, jitter_us=0, drop_probability=0.0)
-        rng = child_rng(1, "t")
-        assert deliver(link, "a", "b", 10_000, rng) == 11_500
+        assert link_sends(link, 3, depart_us=10_000) == [11_500] * 3
 
     def test_jitter_bounded(self):
         link = LinkModel(base_latency_us=1000, jitter_us=300)
-        rng = child_rng(2, "t")
-        for _ in range(500):
-            arrival = deliver(link, "a", "b", 0, rng)
-            assert 1000 <= arrival <= 1300
+        assert all(1000 <= arrival <= 1300 for arrival in link_sends(link, 500, seed=2))
 
     def test_partitioned_pair_always_dropped(self):
-        link = LinkModel(partitions={frozenset(("a", "b"))})
-        rng = child_rng(3, "t")
-        assert deliver(link, "a", "b", 0, rng) is None
-        assert deliver(link, "b", "a", 0, rng) is None
-        assert deliver(link, "a", "c", 0, rng) is not None
+        link = LinkModel(partitions={frozenset(("n0", "n1"))})
+        sim = Simulation(ScenarioConfig(nodes=3, workload="none", link=link), 3)
+        sim.heap.clear()
+        for src, dst in (("n0", "n1"), ("n1", "n0"), ("n0", "n2")):
+            sim.send(src, (dst,), GOSSIP, b"", 0)
+        assert [entry[2][:2] for entry in sim.heap] == [("n0", "n2")]
+        assert (sim.sent_count, sim.dropped_count) == (3, 2)
 
     def test_drop_frequency_matches_probability(self):
         # Seeded frequency check: 10^4 sends at p=0.3 must land in 0.3 +/- 0.02.
-        link = LinkModel(drop_probability=0.3)
-        rng = child_rng(4, "t")
-        drops = sum(1 for _ in range(10_000) if deliver(link, "a", "b", 0, rng) is None)
+        drops = link_sends(LinkModel(drop_probability=0.3), 10_000, seed=4).count(None)
         assert abs(drops / 10_000 - 0.3) <= 0.02
 
     def test_every_send_delivered_or_dropped(self):
-        link = LinkModel(drop_probability=0.5)
-        rng = child_rng(5, "t")
-        outcomes = [deliver(link, "a", "b", 0, rng) for _ in range(1000)]
-        delivered = sum(1 for o in outcomes if o is not None)
-        dropped = sum(1 for o in outcomes if o is None)
-        assert delivered + dropped == 1000
+        sim = Simulation(ScenarioConfig(nodes=3, workload="none", link=LinkModel(drop_probability=0.5)), 5)
+        sim.heap.clear()
+        for _ in range(1000):
+            sim.send("n0", ("n1", "n2"), GOSSIP, b"", 0)
+        assert sim.sent_count == 2000 == len(sim.heap) + sim.dropped_count == sim.inflight + sim.dropped_count
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        base=st.integers(0, 10**6),
+        jitter=st.integers(0, 3000) | st.sampled_from([1, 2**20, 2**31 - 1]),
+        drop=st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.01, 1.0]),
+        cut=st.sampled_from([None, ("n0", "n1"), ("n1", "n2")]),
+        kind=st.sampled_from([GOSSIP, CONSENSUS, CLIENT]),
+        depart_us=st.integers(0, 2**40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_link_draws_match_a_reference_random(self, base, jitter, drop, cut, kind, depart_us, seed):
+        """Each link draws from random.Random(child_seed(seed, "link", src, dst, kind)):
+        random() for the drop when the drop probability is above 0, then
+        randrange(jitter + 1) when there is jitter, and nothing on a partitioned pair."""
+        partitions = set() if cut is None else {frozenset(cut)}
+        link = LinkModel(base_latency_us=base, jitter_us=jitter, drop_probability=drop, partitions=partitions)
+        rng = random.Random(child_seed(seed, "link", "n0", "n1", kind))
+        expected = []
+        for _ in range(40):
+            if cut == ("n0", "n1") or (drop > 0 and rng.random() < drop):
+                expected.append(None)
+            else:
+                expected.append(depart_us + base + (rng.randrange(jitter + 1) if jitter > 0 else 0))
+        assert link_sends(link, 40, depart_us, kind, seed) == expected
+
+
+class TestPerLayerCounts:
+    def test_handlers_replaced_after_construction_see_every_delivery(self, monkeypatch):
+        """perfbench's per-layer tracer replaces node handlers on the class
+        after it builds the Simulation; the run must call the replacements."""
+        config = ScenarioConfig(nodes=5, crashed=1, workload="write", tasks=60, block_interval_ms=200)
+        sim = Simulation(config, 17)
+        calls = collections.Counter()
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        for name in ("handle_envelope", "on_gossip", "on_consensus"):
+            counting(FogNode, name)
+        counting(DeviceActor, "on_receive")
+        counting(Simulation, "_dispatch")
+        trace = sim.run()
+        live_peers = config.nodes - config.crashed - 1
+        assert calls["handle_envelope"] == len(trace.of_kind("task_sent")) > 0
+        assert calls["on_gossip"] == len(trace.of_kind("tx_admitted")) * live_peers > 0
+        assert calls["on_consensus"] > 0 and not trace.of_kind("alert")
+        delivered = sum(calls[name] for name in ("handle_envelope", "on_gossip", "on_consensus", "on_receive"))
+        assert delivered == trace.counters["delivered"] == trace.counters["sent"]
+        assert sim._seq - len(sim.heap) == calls["_dispatch"]
 
 
 class TestCanonicalScenario:
