@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .bench import RunPlan, cmd_attack, cmd_channel_overhead, cmd_run
 from .channel import MODES
-from .sim import ATTACK_KINDS, ConfigInvalid, ScenarioConfig
+from .sim import ATTACK_KINDS, ScenarioConfig
 
 ATTACK_SEED = 7
 
@@ -48,70 +48,60 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:  # a bad path, flag or config
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    if args.command == "run":
-        plan = RunPlan(
-            node_counts=args.nodes,
-            task_counts=args.tasks,
-            repetitions=args.reps,
-            workload=args.workload,
-            channel_mode=args.channel,
-            seed=args.seed,
-            block_interval_ms=args.interval_ms,
-            task_period_us=args.task_period_us,
+
+def _run(args) -> int:
+    plan = RunPlan(
+        node_counts=args.nodes,
+        task_counts=args.tasks,
+        repetitions=args.reps,
+        workload=args.workload,
+        channel_mode=args.channel,
+        seed=args.seed,
+        block_interval_ms=args.interval_ms,
+        task_period_us=args.task_period_us,
+    )
+    print(f"wrote {cmd_run(plan, args.out)}")
+    return 0
+
+
+def _channel_overhead(args) -> int:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for row in cmd_channel_overhead(args.sizes, args.samples, out_dir / "channel_overhead.csv"):
+        print(
+            f"size={row['size_bytes']}B secure={row['secure_mean_us']}us "
+            f"plain={row['plain_mean_us']}us overhead={row['overhead_mean_us']}us"
         )
-        try:
-            csv_path = cmd_run(plan, args.out)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {csv_path}")
-        return 0
+    print(f"wrote {out_dir / 'channel_overhead.csv'}")
+    return 0
 
-    if args.command == "channel-overhead":
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            rows = cmd_channel_overhead(args.sizes, args.samples, out_dir / "channel_overhead.csv")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for row in rows:
-            print(
-                f"size={row['size_bytes']}B secure={row['secure_mean_us']}us "
-                f"plain={row['plain_mean_us']}us overhead={row['overhead_mean_us']}us"
-            )
-        print(f"wrote {out_dir / 'channel_overhead.csv'}")
-        return 0
 
-    if args.command == "attack":
-        config = None
-        if args.config:
-            try:
-                config = ScenarioConfig.from_json(Path(args.config).read_text())
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        seed = args.seed
-        if seed is None:
-            seed = config.seed if config is not None and config.seed is not None else ATTACK_SEED
-        try:
-            report = cmd_attack(args.kind, config, seed)
-        except ConfigInvalid as exc:  # raised before anything runs
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for line in report.lines:
-            print(line)
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            report.trace.write_jsonl(out_dir / "trace.jsonl")
-            report.trace.write_alerts_csv(out_dir / "alerts.csv")
-            print(f"wrote {out_dir / 'trace.jsonl'} and {out_dir / 'alerts.csv'}")
-        print(f"{args.kind}: {'PASS' if report.passed else 'FAIL'} overall {report.stats}")
-        return 0 if report.passed else 1
+def _attack(args) -> int:
+    config = ScenarioConfig.from_json(Path(args.config).read_text()) if args.config else None
+    seed = args.seed
+    if seed is None:
+        seed = config.seed if config is not None and config.seed is not None else ATTACK_SEED
+    out_dir = Path(args.out) if args.out else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)  # before the drill, so a bad path costs no run
+    report = cmd_attack(args.kind, config, seed)
+    for line in report.lines:
+        print(line)
+    if out_dir is not None:
+        report.trace.write_jsonl(out_dir / "trace.jsonl")
+        report.trace.write_alerts_csv(out_dir / "alerts.csv")
+        print(f"wrote {out_dir / 'trace.jsonl'} and {out_dir / 'alerts.csv'}")
+    print(f"{args.kind}: {'PASS' if report.passed else 'FAIL'} overall {report.stats}")
+    return 0 if report.passed else 1
 
-    return 2
+
+COMMANDS = {"run": _run, "channel-overhead": _channel_overhead, "attack": _attack}
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ time, so a method replaced on the class is the one used.
 A list of `(timestamp, heart_rate)` readings is a u64 count followed by the
 packed array of its pairs, each value an 8-byte big-endian unsigned integer:
 the same bytes as the count and every value written one u64 at a time, but
-packed and unpacked by `struct` in C rather than one field at a time.
+packed and unpacked by `struct` in C rather than one field at a time. A
+`Readings` list keeps those bytes, and `READINGS` writes them as they are.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ def enc_readings(readings) -> bytes:
         return _U64.pack(len(readings)) + b"".join(starmap(READING.pack, readings))
     except struct.error as exc:
         raise ValueError(f"reading is not a pair of u64 values: {exc}") from exc
+
+
+class Readings(list):
+    """(timestamp, heart_rate) readings that carry their `enc_readings` bytes."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, readings, packed: bytes):
+        super().__init__(readings)
+        self.packed = packed
 
 
 def enc_list(items, enc_item) -> bytes:
@@ -199,7 +210,7 @@ class Codec(NamedTuple):
 U64 = Codec(enc_u64, Reader.u64)
 BYTES = Codec(enc_bytes, Reader.bytes_)
 STR = Codec(enc_str, Reader.str_)
-READINGS = Codec(enc_readings, Reader.readings)
+READINGS = Codec(lambda rs: rs.packed if type(rs) is Readings else enc_readings(rs), Reader.readings)
 
 
 def record(cls) -> Codec:

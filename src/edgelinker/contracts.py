@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chain import Block, Call, Deploy, GasSchedule, GenesisConfig, Transaction, Transfer, hash_block, hash_tx
-from .codec import READING, DecodeError, Reader, cache_field, enc_bytes, enc_list, enc_readings, enc_u64, enc_u8
+from .codec import READING, DecodeError, Reader, Readings, cache_field, enc_bytes, enc_list, enc_readings, enc_u64
+from .codec import enc_u8
 
 PERMITTER_PERMISSION = bytes(32)
 WRITE_PERMISSION = bytes(31) + b"\x01"
@@ -114,16 +115,6 @@ def revoke_permission(table: PermissionTable, caller: bytes, permission: bytes, 
 
 
 # --- contract and world state ----------------------------------------------
-
-class Readings(list):
-    """(timestamp, heart_rate) readings that carry their `enc_readings` bytes."""
-
-    __slots__ = ("packed",)
-
-    def __init__(self, readings, packed: bytes):
-        super().__init__(readings)
-        self.packed = packed
-
 
 @dataclass
 class HealthRecordState:

@@ -4,10 +4,11 @@ Each node is an event-driven state machine fed by one ordered input stream:
 `initial_output`, `on_timer` and the four message handlers (`handle_envelope`,
 `on_gossip`, `on_consensus`, `on_alert`). Each returns a NodeOutput of messages
 to send and timers to arm, or None where it never sends (`on_gossip`,
-`on_alert`); the surrounding simulation (or any other transport) owns
-delivery, including the fan-out of a send to PEERS, the node's peers. World
-state is only ever advanced by applying finalized blocks, so replaying the
-chain from genesis always reproduces it byte for byte. Nodes
+`on_alert`); a node arms each round's timeout once, when the round begins.
+The surrounding simulation (or any other transport) arms every timer it is
+handed and owns delivery, including the fan-out of a send to PEERS, the node's
+peers. World state is only ever advanced by applying finalized blocks, so
+replaying the chain from genesis always reproduces it byte for byte. Nodes
 handed one genesis state share every state they reach from it: each finalized
 block is applied once, while each node admits, serves reads and confirms
 against the state at its own height.
@@ -32,10 +33,9 @@ from .chain import (
     validate_block,
     verify_transaction,
 )
-from .codec import BYTES, READINGS, STR, U64, DecodeError, Reader, Record, cache_field, enc_readings, enc_str, enc_u64
-from .codec import enc_u8, items, set_cached, untagged
+from .codec import BYTES, READINGS, STR, U64, DecodeError, Reader, Record, items, untagged
 from .consensus import ConsensusEngine, ConsensusMessage, Phase, verify_message
-from .contracts import PermissionDenied, Readings, UnknownContract, WorldState, genesis_world, next_state, read_history
+from .contracts import PermissionDenied, UnknownContract, WorldState, genesis_world, next_state, read_history
 
 MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
 QUERY_SERVICE_US = 1000  # time one read occupies the node's query server
@@ -79,22 +79,13 @@ class QueryReplyBody(Record):
 
     status: int  # 0 ok, 1 permission denied, 2 unknown contract
     reason: str
-    readings: list
-    _packed: Optional[bytes] = cache_field()  # enc_readings(readings)
+    readings: list  # a `Readings` from `read_history` is written with the bytes it keeps
 
     WIRE_TAG = 0x06
     LAYOUT = (("status", U64), ("reason", STR), ("readings", READINGS))
-    decode = classmethod(Record.decode.__func__)  # its own attribute, so per-layer tracing can wrap it
-
-    def __post_init__(self):
-        if isinstance(self.readings, Readings):
-            set_cached(self, "_packed", self.readings.packed)
-
-    def encode(self) -> bytes:
-        """The layout's bytes, with the readings packed once per reply or by the read that found them."""
-        if self._packed is None:
-            set_cached(self, "_packed", enc_readings(self.readings))
-        return enc_u8(self.WIRE_TAG) + enc_u64(self.status) + enc_str(self.reason) + self._packed
+    # Its own attributes, so per-layer tracing can wrap them.
+    encode = Record.encode
+    decode = classmethod(Record.decode.__func__)
 
     @classmethod
     def status_and_count(cls, data: bytes) -> tuple:
@@ -187,13 +178,14 @@ class FogNode:
         self._alert_keys: set = set()
         self.busy_until_us = 0
         self._next_propose_us = self.block_interval_us
+        self._round_armed: Optional[tuple] = None  # the (height, round) whose timeout was last armed
 
     # -- lifecycle -----------------------------------------------------------
 
     def initial_output(self) -> NodeOutput:
         out = NodeOutput()
         out.timers.append((self._next_propose_us, ("propose", self.engine.height)))
-        out.timers.append((self.engine.deadline_us, ("round", self.engine.height, self.engine.round)))
+        self._arm_round_timer(out)
         return out
 
     # -- channel ingress -------------------------------------------------------
@@ -343,7 +335,7 @@ class FogNode:
             self._apply_finalized(fin, now_us, out)
             replayed = self.engine.start_height(fin.header.height + 1, now_us)
             out.timers.append((self._next_propose_us, ("propose", self.engine.height)))
-            out.timers.append((self.engine.deadline_us, ("round", self.engine.height, 0)))
+            self._arm_round_timer(out)
             fin = None
             for msg in replayed:
                 more, f2 = self.engine.on_message(msg, self.chain, now_us)
@@ -354,7 +346,14 @@ class FogNode:
         # Round-change quorum can make this node the proposer mid-stream.
         if self.engine.round > 0 and self.engine.wants_proposal():
             self._propose(out, now_us)
-        out.timers.append((self.engine.deadline_us, ("round", self.engine.height, self.engine.round)))
+        self._arm_round_timer(out)
+
+    def _arm_round_timer(self, out: NodeOutput) -> None:
+        """Arms the current round's timeout once: its deadline is set when the round begins."""
+        current = (self.engine.height, self.engine.round)
+        if current != self._round_armed:
+            self._round_armed = current
+            out.timers.append((self.engine.deadline_us, ("round", *current)))
 
     def _broadcast_consensus(self, out: NodeOutput, msgs: list) -> None:
         out.sends.extend(Send(PEERS, CONSENSUS, msg) for msg in msgs)

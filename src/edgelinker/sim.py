@@ -78,8 +78,10 @@ ACTORS_PER_KIND = 4  # writer and reader devices in a benchmark workload
 ACTOR_BALANCE = 10**12  # genesis balance of every workload device
 
 ATTACK_KINDS = ("replay", "eavesdrop", "insertion", "dos", "spoof")
-TIMER, WAKE, TAP = "Timer", "Wake", "Tap"  # the loop's events other than a message
-NODE_HANDLERS = {CLIENT: "handle_envelope", GOSSIP: "on_gossip", CONSENSUS: "on_consensus", ALERT: "on_alert"}
+TIMER, WAKE = "Timer", "Wake"  # the loop's events other than a message
+NODE_HANDLERS = {  # the FogNode method the loop calls for each kind of a node's event
+    CLIENT: "handle_envelope", GOSSIP: "on_gossip", CONSENSUS: "on_consensus", ALERT: "on_alert", TIMER: "on_timer"
+}
 ATTACKER_ID = "attacker"  # the endpoint id of a scenario's attacker
 
 
@@ -801,8 +803,7 @@ class Simulation:
         self._link_rngs: dict = {}  # (src, dst, kind) -> that link's delay stream
         # Each node's broadcast recipients: its peers in id order, without the crashed ones.
         self._live_peers = {i_: [p for p in node.peer_ids if p not in self.crashed] for i_, node in self.nodes.items()}
-        self._handlers: dict = {}  # (node id, message kind) -> handler, bound by run()
-        self._armed: set = set()
+        self._handlers: dict = {}  # (node id, message or TIMER kind) -> handler, bound by run()
         self._ahead: Optional[RunAhead] = None  # the run-ahead process, only inside run()
 
         wakes = [(at_us, party, tag) for party in self.parties.values() for at_us, tag in party.schedule()]
@@ -833,8 +834,8 @@ class Simulation:
 
     # -- event machinery ------------------------------------------------------
     # A heap entry is (time, push number, (src, dst, kind, body)): a message
-    # of one of node.py's kinds, or, with kind TIMER, WAKE or TAP, a node's
-    # timer key, a party's wake tag or a device's bytes seen by the attacker.
+    # of one of node.py's kinds from `src`, or, with no `src` and kind TIMER
+    # or WAKE, a node's timer key or a party's wake tag.
 
     def _push(self, t_us: int, item: tuple) -> None:
         self._seq += 1
@@ -842,20 +843,19 @@ class Simulation:
 
     def send(self, src: str, dsts, kind: str, body, depart_us: int) -> None:
         """Puts one message from `src` on the link to each of `dsts`, in order;
-        sends from or to a crashed node are not counted. Each (src, dst, kind)
-        link draws from a stream of its own, so extra alert or attack traffic
-        never perturbs honest flows: nothing on a partitioned pair, else
-        `random()` for the drop if its probability is above 0, then
-        `randrange(jitter_us + 1)` if there is jitter."""
+        sends to a crashed node are not counted, and a crashed node never
+        sends. Each (src, dst, kind) link draws from a stream of its own, so
+        extra alert or attack traffic never perturbs honest flows: nothing on
+        a partitioned pair, else `random()` for the drop if its probability is
+        above 0, then `randrange(jitter_us + 1)` if there is jitter. The
+        attacker sees each device message a link accepts as it departs."""
         crashed = self.crashed
-        if src in crashed:
-            return
         link = self.config.link
         cuts, drop_p, span = link.partitions, link.drop_probability, link.jitter_us + 1
         bits = span.bit_length()
         base_us = depart_us + link.base_latency_us
         rngs, heap, seq = self._link_rngs, self.heap, self._seq
-        tap = self.attacker is not None and kind == CLIENT and src in self.actors
+        tap = self.attacker if kind == CLIENT and src in self.actors else None
         sent = dropped = 0
         for dst in dsts:
             if dst in crashed:
@@ -879,9 +879,8 @@ class Simulation:
                 arrival += jitter
             seq += 1
             heapq.heappush(heap, (arrival, seq, (src, dst, kind, body)))
-            if tap and dst in self.nodes:
-                seq += 1
-                heapq.heappush(heap, (arrival, seq, (src, dst, TAP, body)))
+            if tap is not None:
+                tap.on_tap(src, dst, body, depart_us)
         self._seq = seq
         self.sent_count += sent
         self.dropped_count += dropped
@@ -896,10 +895,6 @@ class Simulation:
     def _emit(self, src: str, out: NodeOutput) -> None:
         self._send_all(src, out.sends)
         for at_us, key in out.timers:
-            marker = (src, key, at_us)
-            if marker in self._armed:
-                continue
-            self._armed.add(marker)
             self._push(at_us, (None, src, TIMER, key))
 
     def run(self) -> SimTrace:
@@ -956,31 +951,20 @@ class Simulation:
 
     def _dispatch(self, item: tuple) -> None:
         src, dst, kind, body = item
-        handler = self._handlers.get((dst, kind))
-        if handler is not None:  # a message for a node
+        if src is not None:  # a heap entry is a message exactly when it has a sender
             self.inflight -= 1
+        handler = self._handlers.get((dst, kind))
+        if handler is not None:  # a node's message or timer
             out = handler(body, self.now_us)
             if out is not None:
                 self._emit(dst, out)
-        elif kind == TIMER:
-            self._armed.discard((dst, body, self.now_us))
-            if dst in self.crashed:
-                return
-            self._emit(dst, self.nodes[dst].on_timer(body, self.now_us))
         elif kind == WAKE:
             self.remaining_wakes -= 1
             self._send_all(dst, self.parties[dst].wake(body, self.now_us))
-        elif kind == TAP:
-            if self.attacker is not None:
-                self.attacker.on_tap(src, dst, body, self.now_us)
-        else:  # a message for a party, or of a kind no node handles
-            self.inflight -= 1
-            if dst in self.parties:
-                self.parties[dst].on_receive(body, src, self.now_us)
+        elif dst in self.parties:  # a message for a party; one of a kind no node handles goes nowhere
+            self.parties[dst].on_receive(body, src, self.now_us)
 
     def _check_stop(self) -> None:
-        if self.stop:
-            return
         cfg = self.config
         if cfg.stop_at_height is not None:
             for node_id in self.honest_ids:

@@ -207,6 +207,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "overhead=" in out
 
+    @pytest.mark.parametrize(
+        "args",
+        [["attack", "--kind", "spoof", "--config", "{missing}"], ["attack", "--kind", "spoof", "--config", "{dir}"],
+         ["attack", "--kind", "spoof", "--out", "{file}"], ["run", "--nodes", "2", "--tasks", "10", "--out", "{file}"],
+         ["channel-overhead", "--sizes", "64", "--samples", "100", "--out", "{file}"]],
+        ids=["attack_config_missing", "attack_config_a_directory", "attack_out_a_file", "run_out_a_file",
+             "channel_overhead_out_a_file"],
+    )
+    def test_bad_path_exits_2_before_any_drill(self, tmp_path, capsys, monkeypatch, args):
+        from edgelinker import cli
+
+        drills = []
+        report = SimpleNamespace(lines=[], passed=True, stats={}, trace=None)
+        monkeypatch.setattr(cli, "cmd_attack", lambda *drill: drills.append(drill) or report)
+        (tmp_path / "file").write_text("")
+        paths = {"missing": tmp_path / "no_such.json", "dir": tmp_path, "file": tmp_path / "file"}
+        assert main([arg.format(**paths) for arg in args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert drills == []
+
     def test_attack_subcommand_exit_codes(self, capsys):
         assert main(["attack", "--kind", "replay"]) == 0
         out = capsys.readouterr().out

@@ -333,6 +333,35 @@ class TestTickProposerDuty:
         assert node1.mempool == {}
 
 
+def round_timers(*outs):
+    return [timer for out in outs for timer in out.timers if timer[1][0] == "round"]
+
+
+class TestRoundTimer:
+    """A node arms a round's timeout once, when it enters the round: a round's deadline never moves."""
+
+    def test_messages_in_one_round_arm_it_once_and_a_round_change_again(self, keys):
+        node0 = make_node(keys[:4], {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)])
+        votes = [make_message(keys[i], Phase.PREPARE, 1, 0, bytes(32)) for i in (2, 3)]
+        outs = [node0.on_consensus(vote, T0) for vote in votes]
+        deadline = node0.engine.deadline_us
+        assert round_timers(*outs) == [(deadline, ("round", 1, 0))]
+
+        changed = node0.on_timer(("round", 1, 0), deadline)
+        assert node0.engine.round == 1
+        vote = node0.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 1, bytes(32)), deadline + 1)
+        assert round_timers(changed, vote) == [(node0.engine.deadline_us, ("round", 1, 1))]
+        assert node0.engine.deadline_us > deadline
+
+    def test_a_new_height_arms_it_again(self, single):
+        node, _, _ = single
+        first = node.initial_output()
+        deadline = node.engine.deadline_us
+        out = node.on_timer(("propose", 1), INTERVAL)  # a lone authority finalizes its own proposal
+        assert node.chain.height == 1
+        assert round_timers(first, out) == [(deadline, ("round", 1, 0)), (node.engine.deadline_us, ("round", 2, 0))]
+
+
 class TestQueries:
     def _prepared(self, keys):
         authority, client, doctor = keys[0], keys[1], keys[2]

@@ -390,7 +390,8 @@ def test_reply_from_a_records_cached_range_matches_reference(readings, bounds):
         found = read_history(world, contract, owner, from_ts, to_ts)
         body = QueryReplyBody(0, "", found)
         assert found == [r for r in readings if from_ts <= r[0] <= to_ts]
-        assert body._packed is found.packed
+        # The reply's layout writes the kept bytes themselves, not a second packing of them.
+        assert dict(QueryReplyBody.LAYOUT)["readings"].write(found) is found.packed
         assert body.encode() == ref_reply(body)
 
 
