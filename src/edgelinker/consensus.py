@@ -7,6 +7,11 @@ the block and re-proposals must carry it. Round changes fire on timeout; the
 round-0 deadline is twice the genesis block interval and doubles each round.
 A new round's proposer waits for a round-change quorum before proposing.
 
+The engine owns consensus timing: as it begins a round it appends the round's
+`("round", height, round)` deadline to its `timers` outbox for the caller to
+arm, after a `("propose", height)` wake one block interval on when it begins
+a height it is the round-0 proposer of.
+
 The engine is a deterministic state machine: one ordered input stream per
 node, no internal concurrency. Message signatures and authority membership
 are verified by the caller before on_message.
@@ -127,12 +132,13 @@ class ConsensusEngine:
         self.authorities = genesis.authorities
         self.f = (len(self.authorities) - 1) // 3
         self.quorum = quorum(len(self.authorities))
-        self.round_timeout_us = 2 * genesis.block_interval_ms * 1000  # round 0; doubles each round
+        self.block_interval_us = genesis.block_interval_ms * 1000
+        self.round_timeout_us = 2 * self.block_interval_us  # round 0; doubles each round
         self.keypair = keypair
-        self.state = ConsensusState(height=height)
-        self.state.deadline_us = now_us + self.round_timeout_us
         self.incidents: list = []
+        self.timers: list = []  # (fire_at_us, key) for the caller to arm
         self._future: list = []  # messages for later heights
+        self._begin_height(height, now_us)
 
     # -- public surface ----------------------------------------------------
 
@@ -211,8 +217,7 @@ class ConsensusEngine:
 
     def start_height(self, height: int, now_us: int):
         """Reset for the next height and replay any buffered messages for it."""
-        self.state = ConsensusState(height=height)
-        self.state.deadline_us = now_us + self.round_timeout_us
+        self._begin_height(height, now_us)
         pending, self._future = self._future, []
         ready = [m for m in pending if m.height >= height]
         self._future = [m for m in ready if m.height > height]
@@ -223,10 +228,17 @@ class ConsensusEngine:
     def _timeout_for(self, round_: int) -> int:
         return self.round_timeout_us << min(round_, 20)
 
+    def _begin_height(self, height: int, now_us: int) -> None:
+        self.state = ConsensusState(height=height)
+        if self.is_proposer():
+            self.timers.append((now_us + self.block_interval_us, ("propose", height)))
+        self._enter_round(0, now_us)
+
     def _enter_round(self, round_: int, now_us: int) -> None:
         st = self.state
         st.round = round_
         st.deadline_us = now_us + self._timeout_for(round_)
+        self.timers.append((st.deadline_us, ("round", st.height, round_)))
 
     def _send_round_change(self, round_: int, out: list) -> None:
         st = self.state

@@ -4,14 +4,15 @@ Each node is an event-driven state machine fed by one ordered input stream:
 `initial_output`, `on_timer` and the four message handlers (`handle_envelope`,
 `on_gossip`, `on_consensus`, `on_alert`). Each returns a NodeOutput of messages
 to send and timers to arm, or None where it never sends (`on_gossip`,
-`on_alert`); a node arms each round's timeout once, when the round begins.
-The surrounding simulation (or any other transport) arms every timer it is
-handed and owns delivery, including the fan-out of a send to PEERS, the node's
-peers. World state is only ever advanced by applying finalized blocks, so
-replaying the chain from genesis always reproduces it byte for byte. Nodes
-handed one genesis state share every state they reach from it: each finalized
-block is applied once, while each node admits, serves reads and confirms
-against the state at its own height.
+`on_alert`). The timers are those the consensus engine asked for: each
+round's deadline, and a propose wake at each height the node is the round-0
+proposer of. The surrounding simulation (or any other transport) arms every
+timer it is handed and owns delivery, including the fan-out of a send to
+PEERS, the node's peers. World state is only ever advanced by applying
+finalized blocks, so replaying the chain from genesis always reproduces it
+byte for byte. Nodes handed one genesis state share every state they reach
+from it: each finalized block is applied once, while each node admits, serves
+reads and confirms against the state at its own height.
 """
 
 from __future__ import annotations
@@ -163,7 +164,6 @@ class FogNode:
         self.keypair = keypair
         self.query_service_us = query_service_us
         self.genesis_config = genesis_config
-        self.block_interval_us = genesis_config.block_interval_ms * 1000
         self.chain = Chain([make_genesis(genesis_config)])
         self.world = genesis_world(genesis_config) if world is None else world
         self.endpoint = ch.Endpoint(keypair, channel_mode, rng)
@@ -177,15 +177,12 @@ class FogNode:
         self.alerts: list = []
         self._alert_keys: set = set()
         self.busy_until_us = 0
-        self._next_propose_us = self.block_interval_us
-        self._round_armed: Optional[tuple] = None  # the (height, round) whose timeout was last armed
 
     # -- lifecycle -----------------------------------------------------------
 
     def initial_output(self) -> NodeOutput:
         out = NodeOutput()
-        out.timers.append((self._next_propose_us, ("propose", self.engine.height)))
-        self._arm_round_timer(out)
+        self._drain_timers(out)
         return out
 
     # -- channel ingress -------------------------------------------------------
@@ -298,22 +295,15 @@ class FogNode:
         out = NodeOutput()
         kind = key[0]
         if kind == "propose":
-            if self.engine.height == key[1] and self.engine.round == 0:
-                self._maybe_propose(out, now_us)
+            if self.engine.height == key[1] and self.engine.round == 0 and self.engine.wants_proposal():
+                self._propose(out, now_us)
         elif kind == "round":
             _, height, round_ = key
-            if self.engine.height == height and self.engine.round == round_ and not self.engine.state.finalized:
+            if self.engine.height == height and self.engine.round == round_:
                 msgs, fin = self.engine.on_timeout(now_us)
                 self.rec("round_timeout", height=height, round=round_)
                 self._post_engine(out, now_us, msgs, fin)
         return out
-
-    def _maybe_propose(self, out: NodeOutput, now_us: int) -> None:
-        if not self.engine.wants_proposal():
-            return
-        if self.engine.round == 0 and now_us < self._next_propose_us:
-            return
-        self._propose(out, now_us)
 
     def _propose(self, out: NodeOutput, now_us: int) -> None:
         block = build_block(
@@ -334,8 +324,6 @@ class FogNode:
         while fin is not None:
             self._apply_finalized(fin, now_us, out)
             replayed = self.engine.start_height(fin.header.height + 1, now_us)
-            out.timers.append((self._next_propose_us, ("propose", self.engine.height)))
-            self._arm_round_timer(out)
             fin = None
             for msg in replayed:
                 more, f2 = self.engine.on_message(msg, self.chain, now_us)
@@ -346,14 +334,11 @@ class FogNode:
         # Round-change quorum can make this node the proposer mid-stream.
         if self.engine.round > 0 and self.engine.wants_proposal():
             self._propose(out, now_us)
-        self._arm_round_timer(out)
+        self._drain_timers(out)
 
-    def _arm_round_timer(self, out: NodeOutput) -> None:
-        """Arms the current round's timeout once: its deadline is set when the round begins."""
-        current = (self.engine.height, self.engine.round)
-        if current != self._round_armed:
-            self._round_armed = current
-            out.timers.append((self.engine.deadline_us, ("round", *current)))
+    def _drain_timers(self, out: NodeOutput) -> None:
+        out.timers.extend(self.engine.timers)
+        self.engine.timers.clear()
 
     def _broadcast_consensus(self, out: NodeOutput, msgs: list) -> None:
         out.sends.extend(Send(PEERS, CONSENSUS, msg) for msg in msgs)
@@ -370,7 +355,6 @@ class FogNode:
     def _apply_finalized(self, block: Block, now_us: int, out: NodeOutput) -> None:
         self.chain.blocks.append(block)
         self.world = next_state(self.world, block, self.genesis_config.gas)
-        self._next_propose_us = now_us + self.block_interval_us
         bh = hash_block(block)
         self.rec(
             "block_finalized",

@@ -77,7 +77,6 @@ FULL_RANGE = (0, 2**63)
 ACTORS_PER_KIND = 4  # writer and reader devices in a benchmark workload
 ACTOR_BALANCE = 10**12  # genesis balance of every workload device
 
-ATTACK_KINDS = ("replay", "eavesdrop", "insertion", "dos", "spoof")
 TIMER, WAKE = "Timer", "Wake"  # the loop's events other than a message
 NODE_HANDLERS = {  # the FogNode method the loop calls for each kind of a node's event
     CLIENT: "handle_envelope", GOSSIP: "on_gossip", CONSENSUS: "on_consensus", ALERT: "on_alert", TIMER: "on_timer"
@@ -604,6 +603,7 @@ ATTACKER_CLASSES = {
     "dos": DoSAttacker,
     "spoof": SpoofAttacker,
 }
+ATTACK_KINDS = tuple(ATTACKER_CLASSES)
 
 
 class EquivocatingNode(FogNode):
@@ -1110,10 +1110,11 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
             args = encode_reading_args(at // 1000, 60 + (g % 40))
             step = Step(at, "tx", Call(contract, METHOD_ADD_READING, args), "write", measured=True)
             _append_step(plans, f"writer{j}", writer_kps[j], 0, step)
+        live_nodes = config.nodes - config.crashed  # crashed nodes are the last ids, and never answer
         for g in range(read_tasks):
             j = g % n_readers
             at = start + g * period
-            step = Step(at, "query", Query(contract, *FULL_RANGE), "read", measured=True, target=g % config.nodes)
+            step = Step(at, "query", Query(contract, *FULL_RANGE), "read", measured=True, target=g % live_nodes)
             _append_step(plans, f"reader{j}", reader_kps[j], 0, step)
         quiesce_at = start + max(write_tasks + read_tasks, 1) * period + 20 * interval_us
         attacker_needs = {

@@ -287,18 +287,17 @@ class TestTickProposerDuty:
         assert out.sends == []
         assert node0.chain.height == 0
 
-    def test_early_propose_timer_does_nothing(self, single):
-        node, _, _ = single
-        assert node.engine.is_proposer()
-        out = node.on_timer(("propose", 1), INTERVAL - 1)
-        assert out.sends == [] and out.timers == []
-        assert node.chain.height == 0 and node.engine.round == 0
+    def test_only_the_proposer_is_handed_a_propose_wake(self, keys):
+        genesis = make_node(keys[:2], {}).genesis_config
+        nodes = [FogNode(f"n{i}", keys[i], genesis, ["n0", "n1"], {}) for i in range(2)]
+        wakes = [[t for t in node.initial_output().timers if t[1][0] == "propose"] for node in nodes]
+        # height-1 proposer is authorities[1]
+        assert wakes == [[], [(INTERVAL, ("propose", 1))]]
 
     def test_propose_timer_at_interval_proposes_and_purges_mempool(self, single):
         node, _, client = single
         tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
         node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
-        node.on_timer(("propose", 1), T0 + 1000)  # before the interval elapses: nothing happens
         assert node.chain.height == 0 and len(node.mempool) == 1
         node.on_timer(("propose", 1), INTERVAL)
         assert node.chain.height == 1

@@ -210,6 +210,15 @@ class TestWorkloads:
         replies = [e for e in trace.of_kind("task_reply") if e.info["measured"]]
         assert len(confirms) == 10 and len(replies) == 10
 
+    @pytest.mark.parametrize("workload, reads", [("read", 40), ("mixed", 20)])
+    def test_reads_go_only_to_live_nodes(self, workload, reads):
+        cfg = ScenarioConfig(nodes=4, crashed=1, workload=workload, tasks=40, block_interval_ms=200)
+        trace = run_scenario(cfg, 5)
+        replies = [e for e in trace.of_kind("task_reply") if e.info["measured"]]
+        assert len(replies) == reads and all(r.info["status"] == 0 for r in replies)
+        # Ends once every reply is in, well before the cap a missing reply would run it to.
+        assert trace.counters["pending_responses"] == 0 and trace.counters["end_us"] < 5_000_000
+
 
 class TestConfirmations:
     def test_every_confirmation_reports_the_ledger_receipt_under_loss(self):
@@ -641,6 +650,29 @@ class TestFaults:
             prev = by_height.setdefault(e.info["height"], e.info["hash"])
             assert prev == e.info["hash"], f"conflicting finalization at {e.info['height']}"
         assert len(trace.of_kind("equivocating_proposal")) >= 1
+
+
+class TestTimers:
+    def test_only_wakes_that_can_act_reach_a_node(self, monkeypatch):
+        """Each propose wake goes to its height's round-0 proposer, and each round deadline is armed once."""
+        monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: False)
+        fired = []
+        on_timer = FogNode.on_timer
+
+        def recording(node, key, now_us):
+            fired.append((node.node_id, key))
+            return on_timer(node, key, now_us)
+
+        monkeypatch.setattr(FogNode, "on_timer", recording)
+        simulation = Simulation(ScenarioConfig(nodes=4, crashed=1, workload="write", tasks=30, block_interval_ms=200), 11)
+        trace = simulation.run()
+        authorities = trace.genesis.authorities
+        node_of = {node.keypair.public_key: node_id for node_id, node in simulation.nodes.items()}
+        proposes = [(node_id, key) for node_id, key in fired if key[0] == "propose"]
+        rounds = [(node_id, key) for node_id, key in fired if key[0] == "round"]
+        assert proposes and trace.of_kind("round_timeout")  # the crashed proposer's turn changes the round
+        assert all(node_id == node_of[consensus.select_proposer(key[1], 0, authorities)] for node_id, key in proposes)
+        assert len(rounds) == len(set(rounds))
 
 
 class TestAttacks:
