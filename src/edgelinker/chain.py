@@ -256,10 +256,6 @@ def hash_block(block: Block) -> bytes:
     return block._hash
 
 
-def verify_block_signature(header: BlockHeader) -> bool:
-    return header.verified()
-
-
 # --- genesis --------------------------------------------------------------
 
 @dataclass
@@ -328,6 +324,7 @@ class Violation(str, Enum):
     BAD_PROPOSER_SIGNATURE = "bad_proposer_signature"
     BAD_TX_ROOT = "bad_tx_root"
     BAD_TX_SIGNATURE = "bad_tx_signature"
+    TOO_MANY_TXS = "too_many_txs"
 
 
 def build_block(
@@ -365,7 +362,7 @@ def build_block(
     return Block(header=header, transactions=chosen)
 
 
-def validate_block(block: Block, parent: Block, authorities) -> list:
+def validate_block(block: Block, parent: Block, authorities, max_txs: int = DEFAULT_MAX_TXS) -> list:
     """Stateless checks against the parent; returns every Violation found, none for a valid block."""
     violations = []
     if block.header.prev_hash != hash_block(parent):
@@ -376,10 +373,12 @@ def validate_block(block: Block, parent: Block, authorities) -> list:
         violations.append(Violation.BAD_TIMESTAMP)
     if block.header.proposer not in authorities:
         violations.append(Violation.NOT_AUTHORITY)
-    if not verify_block_signature(block.header):
+    if not block.header.verified():
         violations.append(Violation.BAD_PROPOSER_SIGNATURE)
     if block.header.tx_root != compute_tx_root(block.transactions):
         violations.append(Violation.BAD_TX_ROOT)
     if any(not verify_transaction(tx) for tx in block.transactions):
         violations.append(Violation.BAD_TX_SIGNATURE)
+    if len(block.transactions) > max_txs:
+        violations.append(Violation.TOO_MANY_TXS)
     return violations

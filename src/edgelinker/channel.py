@@ -13,15 +13,13 @@ parties, kept by each party's `Endpoint`: a receiver accepts from a sender
 only the counter after the last one it accepted, with a timestamp inside
 CLOCK_SKEW_MS of its own clock.
 
-`verify_digest` keeps every verdict in one process-wide cache, so the nodes
-of a simulation verify each (public key, signature, digest) triple once. A
-signed ledger record keeps its own verdict (`chain.Signed.verified`), so
-this cache serves what no shared record carries: channel envelopes, the
-first check of each record, and the verdicts of a forked process that signs
-on this one's behalf. That process lists its signatures with
-`recording_signatures`, verifies them with `verify_triple`, and its verdicts
-land in the same cache through `file_verdict` (the precedent is geth's
-transaction sender cacher). Every verdict is a real Ed25519 verification.
+A forked process may sign on this one's behalf: it lists its signatures with
+`recording_signatures`, verifies them with `verify_triple`, and hands each
+verdict over through `file_verdict` (the precedent is geth's transaction
+sender cacher). `verify_digest` takes a handed verdict once, and verifies
+inline, storing nothing, whatever was not handed over. A signed ledger record
+keeps its own verdict (`chain.Signed.verified`), so the nodes handed one
+record share its check. Every verdict is a real Ed25519 verification.
 
 libsodium signs and verifies Ed25519 where it loads (through `ctypes`, with
 `crypto_sign_detached` and `crypto_sign_verify_detached`); `cryptography`'s
@@ -222,37 +220,32 @@ def _verify_inline(public_key: bytes, signature: bytes, digest: bytes) -> bool:
         return False
 
 
-VERDICTS_KEPT = 1 << 15  # a verdict is dropped after between VERDICTS_KEPT and twice as many newer ones are filed
+VERDICTS_KEPT = 1 << 15  # handed verdicts not yet taken; past this the oldest is dropped
 
-# Process-wide verdicts, keyed by public key || signature || digest: unambiguous,
-# since only a key and a signature of the right lengths are ever looked up.
-_verdicts: dict = {}
-_older_verdicts: dict = {}  # the generation before _verdicts
+# Verdicts handed over and not yet taken, oldest first, keyed by public key ||
+# signature || digest: unambiguous, since only a key and a signature of the
+# right lengths are ever looked up.
+_handed: dict = {}
 
 
 def file_verdict(triple: bytes, verdict: bool) -> None:
-    """Keep the verdict of a (public key || signature || digest) triple for `verify_digest`."""
-    global _verdicts, _older_verdicts
-    _verdicts[triple] = verdict
-    if len(_verdicts) >= VERDICTS_KEPT:
-        _older_verdicts, _verdicts = _verdicts, {}
+    """Hand `verify_digest` the verdict of a (public key || signature || digest) triple, to take once."""
+    _handed[triple] = verdict
+    if len(_handed) > VERDICTS_KEPT:
+        del _handed[next(iter(_handed))]
 
 
-def _known_verdict(triple: bytes) -> Optional[bool]:
-    verdict = _verdicts.get(triple)
-    return _older_verdicts.get(triple) if verdict is None else verdict
+def drop_verdicts() -> None:
+    """Forget every handed verdict not yet taken."""
+    _handed.clear()
 
 
 def verify_digest(public_key: bytes, signature: bytes, digest: bytes) -> bool:
     if len(public_key) != KEY_LEN or len(signature) != SIG_LEN:
         return False
     public_key, signature, digest = bytes(public_key), bytes(signature), bytes(digest)
-    triple = public_key + signature + digest
-    verdict = _known_verdict(triple)
-    if verdict is None:
-        verdict = _verify_inline(public_key, signature, digest)
-        file_verdict(triple, verdict)
-    return verdict
+    verdict = _handed.pop(public_key + signature + digest, None)
+    return _verify_inline(public_key, signature, digest) if verdict is None else verdict
 
 
 _signed: Optional[list] = None  # while a list, sign_digest appends each triple it makes

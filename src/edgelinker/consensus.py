@@ -119,7 +119,6 @@ class ConsensusState:
     sent_prepare: set = field(default_factory=set)  # rounds
     sent_commit: set = field(default_factory=set)
     sent_round_change: set = field(default_factory=set)
-    deadline_us: int = 0
     finalized: bool = False
 
 
@@ -130,6 +129,7 @@ class ConsensusEngine:
 
     def __init__(self, genesis: GenesisConfig, keypair: KeyPair, height: int, now_us: int):
         self.authorities = genesis.authorities
+        self.max_txs = genesis.max_txs
         self.f = (len(self.authorities) - 1) // 3
         self.quorum = quorum(len(self.authorities))
         self.block_interval_us = genesis.block_interval_ms * 1000
@@ -149,10 +149,6 @@ class ConsensusEngine:
     @property
     def round(self) -> int:
         return self.state.round
-
-    @property
-    def deadline_us(self) -> int:
-        return self.state.deadline_us
 
     def is_proposer(self) -> bool:
         return select_proposer(self.state.height, self.state.round, self.authorities) == self.keypair.public_key
@@ -237,8 +233,7 @@ class ConsensusEngine:
     def _enter_round(self, round_: int, now_us: int) -> None:
         st = self.state
         st.round = round_
-        st.deadline_us = now_us + self._timeout_for(round_)
-        self.timers.append((st.deadline_us, ("round", st.height, round_)))
+        self.timers.append((now_us + self._timeout_for(round_), ("round", st.height, round_)))
 
     def _send_round_change(self, round_: int, out: list) -> None:
         st = self.state
@@ -274,7 +269,7 @@ class ConsensusEngine:
         if msg.block is None or hash_block(msg.block) != msg.block_hash:
             self._incident("invalid_proposal", msg.sender, "proposal hash mismatch", msg.block)
             return
-        violations = validate_block(msg.block, chain.tip, self.authorities)
+        violations = validate_block(msg.block, chain.tip, self.authorities, self.max_txs)
         if violations:
             detail = ",".join(v.value for v in violations)
             self._incident("invalid_proposal", msg.sender, detail, msg.block)

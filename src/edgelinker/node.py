@@ -281,7 +281,7 @@ class FogNode:
             # A fabricated proposal from outside the authority set is still
             # inspected so the monitoring layer can name the offender.
             if msg.phase == Phase.PRE_PREPARE and msg.block is not None:
-                violations = validate_block(msg.block, self.chain.tip, authorities)
+                violations = validate_block(msg.block, self.chain.tip, authorities, self.genesis_config.max_txs)
                 if violations:
                     header = msg.block.header
                     detail = ",".join(v.value for v in violations)

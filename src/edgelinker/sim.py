@@ -673,7 +673,7 @@ class RunAhead:
         self.fd = read_fd
 
     def take(self, actor_id: str, idx: int) -> Optional[tuple]:
-        """The next record as `prepare` returns it, with its verdicts filed for
+        """The next record as `prepare` returns it, with its verdicts handed to
         `channel.verify_digest`; None when the child has ended, broke off a
         record or sent nothing for RUN_AHEAD_TIMEOUT_S."""
         buf, start = self._buf, self._pos
@@ -699,7 +699,8 @@ class RunAhead:
         return node_id, raw, tx_hash or None
 
     def close(self) -> None:
-        """Close the pipe, end the child and reap it."""
+        """Close the pipe, end and reap the child, and drop the verdicts it handed over untaken."""
+        ch.drop_verdicts()
         os.close(self.fd)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)

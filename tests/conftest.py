@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from edgelinker import channel
 from edgelinker.bench import CSV_COLUMNS
 from edgelinker.chain import GenesisConfig, make_genesis
 from edgelinker.channel import generate_keypair
@@ -25,6 +26,15 @@ def non_timing_columns(rows) -> list:
     """Rows restricted to deterministic columns (measured_ prefix stripped out)."""
     keep = [c for c in CSV_COLUMNS if not c.startswith("measured_")]
     return [{c: row[c] for c in keep} for row in rows]
+
+
+@pytest.fixture(autouse=True)
+def no_verdict_left_behind():
+    """Every test takes or drops each verdict it hands to `verify_digest`, so none reaches the next test."""
+    yield
+    left = len(channel._handed)
+    channel.drop_verdicts()
+    assert not left, f"{left} handed verdicts outlived the test"
 
 
 @pytest.fixture

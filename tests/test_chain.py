@@ -140,11 +140,13 @@ class TestValidateBlock:
             ("signature", Violation.BAD_PROPOSER_SIGNATURE),
             ("tx_root", Violation.BAD_TX_ROOT),
             ("tx_signature", Violation.BAD_TX_SIGNATURE),
+            ("max_txs", Violation.TOO_MANY_TXS),
         ],
     )
     def test_each_targeted_corruption_yields_exactly_that_violation(self, setup, corrupt, violation):
         authority, genesis, block = self._good(setup)
         header, txs = block.header, block.transactions
+        max_txs = len(txs)
 
         if corrupt == "parent":
             header = resign(replace(header, prev_hash=bytes(32)), authority)
@@ -162,8 +164,10 @@ class TestValidateBlock:
         elif corrupt == "tx_signature":
             txs = (replace(txs[0], signature=bytes(64)),) + txs[1:]  # insertion-style forgery
             header = resign(replace(header, tx_root=compute_tx_root(txs)), authority)
+        elif corrupt == "max_txs":
+            max_txs -= 1  # a block one over the genesis cap
 
-        violations = validate_block(Block(header=header, transactions=txs), genesis, [authority.public_key])
+        violations = validate_block(Block(header=header, transactions=txs), genesis, [authority.public_key], max_txs)
         assert violations == [violation]
 
     def test_multiple_violations_all_reported(self, setup):

@@ -25,7 +25,7 @@ from edgelinker.channel import (
 )
 from edgelinker import sim as sim_module
 from edgelinker.codec import DecodeError
-from edgelinker.sim import RunAhead, ScenarioConfig, Simulation, run_scenario
+from edgelinker.sim import LinkModel, RunAhead, ScenarioConfig, Simulation, run_scenario
 from tests.conftest import kp, tseed
 
 NOW_MS = 1_700_000_000_000
@@ -316,17 +316,17 @@ def flip_bit(data: bytes, bit: int) -> bytes:
 
 READS = ScenarioConfig(nodes=4, workload="read", tasks=1000, block_interval_ms=200)
 MIXED = ScenarioConfig(nodes=4, workload="mixed", tasks=600, block_interval_ms=200)
+LOSSY_WRITES = ScenarioConfig(
+    nodes=4, workload="write", tasks=200, block_interval_ms=200, link=LinkModel(drop_probability=0.05)
+)
 
 
 @pytest.fixture
 def worker(monkeypatch):
-    """Every run forks its run-ahead worker, also where it would not by itself,
-    and starts with no verdict cached by an earlier test."""
+    """Every run forks its run-ahead worker, also where it would not by itself."""
     if not hasattr(os, "fork"):
         pytest.skip("the run-ahead worker needs os.fork")
     monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: True)
-    monkeypatch.setattr(ch, "_verdicts", {})
-    monkeypatch.setattr(ch, "_older_verdicts", {})
 
 
 def at_event(monkeypatch, number, action):
@@ -366,6 +366,18 @@ def worker_verdicts(monkeypatch) -> list:
     return verdicts
 
 
+def handed_at_close(monkeypatch) -> list:
+    """The verdicts handed over and not yet taken when each run-ahead worker is closed."""
+    left, close = [], RunAhead.close
+
+    def closing(ahead):
+        left.append(dict(ch._handed))
+        close(ahead)
+
+    monkeypatch.setattr(RunAhead, "close", closing)
+    return left
+
+
 def count_inline_verifies(monkeypatch, keys: list) -> None:
     """Append to `keys` the public key of every verification made in this process from now on."""
     original = ch._verify_inline
@@ -402,10 +414,22 @@ class TestVerifyingAhead:
 
     def test_a_thousand_signatures_ahead_of_their_verifies(self, worker, monkeypatch):
         verdicts = worker_verdicts(monkeypatch)
+        left = handed_at_close(monkeypatch)
         trace = run_scenario(READS, 22)
         assert len(trace.of_kind("task_reply")) == READS.tasks
         assert len(verdicts) >= 1000 and all(verdict for _triple, verdict in verdicts)
-        assert all(ch._known_verdict(triple) for triple, _verdict in verdicts)
+        assert left == [{}]  # on a lossless link the loop took every one
+
+    def test_no_verdict_outlives_a_run(self, worker, monkeypatch):
+        """Verdicts for envelopes lost on the way are never taken; they end with the run."""
+        left = handed_at_close(monkeypatch)
+        run_scenario(LOSSY_WRITES, 3)
+        assert left[0]
+        assert not ch._handed
+        inline = []
+        count_inline_verifies(monkeypatch, inline)
+        assert all(ch.verify_digest(t[:32], t[32:96], t[96:]) for t in left[0])
+        assert len(inline) == len(left[0])
 
     def test_a_stopped_worker_never_blocks_signing(self, worker, monkeypatch):
         """A worker that sends nothing ends the loop's wait within RUN_AHEAD_TIMEOUT_S;
@@ -447,8 +471,6 @@ class TestVerifyingAhead:
 
         at_event(monkeypatch, 1, lambda _sim: count_inline_verifies(monkeypatch, verified))
         at_event(monkeypatch, 150, kill)
-        monkeypatch.setattr(ch, "_verdicts", {})
-        monkeypatch.setattr(ch, "_older_verdicts", {})
         disturbed = run_scenario(MIXED, 24)
         before, after = set(verified[: split[0]]), set(verified[split[0] :])
         assert before and not devices & before
@@ -512,7 +534,7 @@ class TestVerdictCache:
         if verifier == "worker":
             for triple in signed:
                 ch.file_verdict(triple, ch.verify_triple(triple))
-            assert ch._known_verdict(pair.public_key + signature + digest) is True
+            assert ch._handed == {pair.public_key + signature + digest: True}
         other_key = generate_keypair(hashlib.sha256(seed).digest()).public_key
         triples = [
             (pair.public_key, signature, digest),
@@ -520,24 +542,41 @@ class TestVerdictCache:
             (pair.public_key, signature, hashlib.sha256(digest).digest()),
             (other_key, signature, digest),
         ]
-        for _ in range(2):  # the second time from the cache
+        for _ in range(2):  # a handed verdict is taken the first time only
             for key, sig, dig in triples:
                 assert ch.verify_digest(key, sig, dig) is ch._verify_inline(key, sig, dig)
 
-    def test_at_most_twice_verdicts_kept(self, monkeypatch):
+    def test_a_handed_verdict_is_taken_once(self, monkeypatch):
+        pair = kp("taken")
+        digest = hashlib.sha256(b"taken").digest()
+        with ch.recording_signatures() as signed:
+            signature = ch.sign_digest(pair.private_key, digest)
+        ch.file_verdict(signed[0], ch.verify_triple(signed[0]))
+        inline = []
+        count_inline_verifies(monkeypatch, inline)
+        assert ch.verify_digest(pair.public_key, signature, digest) and inline == []
+        assert ch.verify_digest(pair.public_key, signature, digest) and inline == [pair.public_key]
+
+    def test_the_loop_hands_over_nothing(self, monkeypatch):
+        monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: False)
+        run_scenario(ScenarioConfig(nodes=4, workload="mixed", tasks=60, block_interval_ms=200), 29)
+        assert not ch._handed
+
+    def test_the_bound_drops_the_oldest_verdict_first(self, monkeypatch):
         monkeypatch.setattr(ch, "VERDICTS_KEPT", 8)
-        monkeypatch.setattr(ch, "_verdicts", {})
-        monkeypatch.setattr(ch, "_older_verdicts", {})
         pair = kp("kept")
         triples = []
         for i in range(50):
             digest = hashlib.sha256(b"kept %d" % i).digest()
-            signature = ch.sign_digest(pair.private_key, digest)
-            assert ch.verify_digest(pair.public_key, signature, digest)
-            assert len(ch._verdicts) + len(ch._older_verdicts) <= 2 * ch.VERDICTS_KEPT
-            triples.append(pair.public_key + signature + digest)
-        assert ch._known_verdict(triples[-1]) is True
-        assert ch._known_verdict(triples[0]) is None  # forgotten, so verified again when asked
+            triples.append(pair.public_key + ch.sign_digest(pair.private_key, digest) + digest)
+            ch.file_verdict(triples[-1], True)
+            assert list(ch._handed) == triples[-8:]
+        inline = []
+        count_inline_verifies(monkeypatch, inline)
+        for triple in (triples[-1], triples[0]):
+            assert ch.verify_digest(triple[:32], triple[32:96], triple[96:])
+        assert inline == [pair.public_key]  # the oldest was dropped, so verified when asked
+        ch.drop_verdicts()
 
 
 def test_nothing_forks_outside_a_simulation_run(monkeypatch):
@@ -655,8 +694,6 @@ class TestEd25519Libraries:
         runs = []
         for handle in (ch._sodium, None):
             monkeypatch.setattr(ch, "_sodium", handle)
-            monkeypatch.setattr(ch, "_verdicts", {})
-            monkeypatch.setattr(ch, "_older_verdicts", {})
             runs.append(run_scenario(crash, 27))
         on, off = runs
         assert hashlib.sha256(on.jsonl().encode()).digest() == hashlib.sha256(off.jsonl().encode()).digest()

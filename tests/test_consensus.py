@@ -80,7 +80,7 @@ def test_engine_takes_proposer_order_round_timeout_and_quorum_from_the_genesis()
     assert [pk for pk, e in engines.items() if e.is_proposer()] == [cfg.authorities[1]] == [keys[2].public_key]
 
     node = engines[cfg.authorities[0]]
-    assert node.deadline_us == 400_000  # twice the 200 ms block interval
+    assert node.timers == [(400_000, ("round", 1, 0))]  # twice the 200 ms block interval
     assert node.quorum == quorum(4) == 3
 
     proposer = key_of[cfg.authorities[1]]
@@ -98,7 +98,7 @@ def test_engine_takes_proposer_order_round_timeout_and_quorum_from_the_genesis()
 
     late = engines[cfg.authorities[3]]
     late.on_timeout(400_000)
-    assert late.round == 1 and late.deadline_us == 400_000 + 800_000
+    assert late.round == 1 and late.timers[-1] == (400_000 + 800_000, ("round", 1, 1))
     assert select_proposer(1, 1, cfg.authorities) == cfg.authorities[2]
 
 
@@ -177,6 +177,19 @@ class TestHappyPath:
         assert len(engines[0].incidents) == 1
         assert engines[0].incidents[0].kind == "invalid_proposal"
 
+    def test_a_block_over_the_genesis_cap_gets_no_prepare(self):
+        keys, client = [kp(f"auth{i}") for i in range(4)], kp("capped client")
+        cfg = GenesisConfig(
+            authorities=[k.public_key for k in keys], initial_balances={client.public_key: 10**12}, max_txs=10
+        )
+        chain = Chain([make_genesis(cfg)])
+        engine = ConsensusEngine(cfg, keys[0], height=1, now_us=0)
+        txs = [make_transaction(client, i, NOW_MS, Transfer(to=keys[0].public_key, amount=1)) for i in range(1, 12)]
+        block = build_block(txs, chain.tip, keys[1], NOW_MS, max_txs=11)  # a proposer that ignores the cap
+        out, fin = engine.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block), chain, 0)
+        assert out == [] and fin is None
+        assert [(i.kind, i.detail) for i in engine.incidents] == [("invalid_proposal", "too_many_txs")]
+
     def test_wrong_proposer_rejected(self):
         keys, cfg, chains, engines = make_cluster(4)
         block = build_block([], chains[2].tip, keys[2], NOW_MS)
@@ -219,9 +232,9 @@ class TestRoundChange:
         keys, cfg, chains, engines = make_cluster(4)
         engine = engines[0]
         engine.on_timeout(2_000_000)
-        first = engine.deadline_us - 2_000_000
-        engine.on_timeout(engine.deadline_us)
-        second = engine.deadline_us - (2_000_000 + first)
+        first = engine.timers[-1][0] - 2_000_000
+        engine.on_timeout(engine.timers[-1][0])
+        second = engine.timers[-1][0] - (2_000_000 + first)
         assert second == 2 * first == 2 * (2 * engine.round_timeout_us)
 
     def test_round_change_quorum_gates_new_proposal(self):

@@ -306,7 +306,7 @@ class TestTickProposerDuty:
     def test_round_timer_at_deadline_sends_round_change(self, keys):
         authorities = [keys[i] for i in range(4)]
         node0 = make_node(authorities, {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)])
-        deadline = node0.engine.deadline_us
+        [(deadline, _key)] = round_timers(node0.initial_output())
         out = node0.on_timer(("round", 1, 0), deadline)
         assert node0.engine.round == 1
         changes = [s.body for s in out.sends if s.kind == CONSENSUS]
@@ -332,6 +332,9 @@ class TestTickProposerDuty:
         assert node1.mempool == {}
 
 
+ROUND_0_US = 2 * INTERVAL  # round 0 lasts two block intervals
+
+
 def round_timers(*outs):
     return [timer for out in outs for timer in out.timers if timer[1][0] == "round"]
 
@@ -343,22 +346,20 @@ class TestRoundTimer:
         node0 = make_node(keys[:4], {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)])
         votes = [make_message(keys[i], Phase.PREPARE, 1, 0, bytes(32)) for i in (2, 3)]
         outs = [node0.on_consensus(vote, T0) for vote in votes]
-        deadline = node0.engine.deadline_us
+        deadline = ROUND_0_US  # from the node's start at 0
         assert round_timers(*outs) == [(deadline, ("round", 1, 0))]
 
         changed = node0.on_timer(("round", 1, 0), deadline)
         assert node0.engine.round == 1
         vote = node0.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 1, bytes(32)), deadline + 1)
-        assert round_timers(changed, vote) == [(node0.engine.deadline_us, ("round", 1, 1))]
-        assert node0.engine.deadline_us > deadline
+        assert round_timers(changed, vote) == [(deadline + 2 * ROUND_0_US, ("round", 1, 1))]
 
     def test_a_new_height_arms_it_again(self, single):
         node, _, _ = single
         first = node.initial_output()
-        deadline = node.engine.deadline_us
         out = node.on_timer(("propose", 1), INTERVAL)  # a lone authority finalizes its own proposal
         assert node.chain.height == 1
-        assert round_timers(first, out) == [(deadline, ("round", 1, 0)), (node.engine.deadline_us, ("round", 2, 0))]
+        assert round_timers(first, out) == [(ROUND_0_US, ("round", 1, 0)), (INTERVAL + ROUND_0_US, ("round", 2, 0))]
 
 
 class TestQueries:

@@ -35,7 +35,6 @@ from edgelinker.chain import (
     hash_tx,
     make_header,
     make_transaction,
-    verify_block_signature,
     verify_transaction,
 )
 from edgelinker.channel import ChannelMessage
@@ -231,7 +230,7 @@ def warm(record):
         verify_message(record, (record.sender,))
     if isinstance(record, Block):
         hash_block(record)
-        verify_block_signature(record.header)
+        record.header.verified()
         for tx in record.transactions:
             hash_tx(tx)
             verify_transaction(tx)
@@ -291,7 +290,7 @@ def test_block_bytes_and_hash_match_reference(block, how):
     assert block.header.signing_bytes() == ref_header_signing(block.header)
     header = block.header
     expected = ref_verdict(header.proposer, header.proposer_signature, ref_header_signing(header))
-    assert verify_block_signature(header) == expected
+    assert header.verified() == expected
     assert [verify_transaction(t) for t in block.transactions] == [
         ref_verdict(t.sender, t.signature, ref_tx_signing(t)) for t in block.transactions
     ]

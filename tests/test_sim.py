@@ -526,8 +526,6 @@ class TestRunAhead:
         return enc_bytes(body + enc_list(verdicts, lambda v: enc_bytes(v[0]) + enc_u8(v[1])) + tail)
 
     def test_records_are_taken_across_reads_up_to_one_broken_off(self, monkeypatch):
-        monkeypatch.setattr(channel, "_verdicts", {})
-        monkeypatch.setattr(channel, "_older_verdicts", {})
         sizes = [10, 200_000, 3, 70_000, 0, 5]  # two records larger than one read of the pipe
         triples = [bytes([i]) * 128 for i in range(len(sizes))]
         records = [self.framed(f"d{i}", i, bytes([i]) * n, [(triples[i], i % 2)]) for i, n in enumerate(sizes)]
@@ -536,7 +534,7 @@ class TestRunAhead:
         try:
             for i, n in enumerate(sizes):
                 assert ahead.take(f"d{i}", i) == ("n1", bytes([i]) * n, b"h" * 32)
-                assert channel._known_verdict(triples[i]) is bool(i % 2)
+                assert channel._handed[triples[i]] is bool(i % 2)
             assert ahead.take("d9", 9) is None
             assert ahead.taken == len(sizes)
         finally:
