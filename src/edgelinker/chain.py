@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Optional, Union
 
 from .channel import KeyPair, sign_digest, verify_digest
-from .codec import BYTES, STR, U64, Reader, Record, cache_field, items, one_of, pack, record, set_cached, unpack
+from .codec import BYTES, STR, U64, Record, cache_field, items, one_of, record, set_cached
 
 ZERO_HASH = bytes(32)
 EMPTY_SIG = bytes(64)
@@ -49,7 +49,8 @@ class Signed(Record):
     before the signature.
 
     It keeps its signing bytes, its bytes and its signature verdict once
-    computed; a decoded record keeps the bytes it was parsed from.
+    computed; a decoded record keeps the bytes it was parsed from. Each
+    signed record class compiles its own codec methods from its layout.
     """
 
     _signing: Optional[bytes] = cache_field()
@@ -59,34 +60,33 @@ class Signed(Record):
     SIGNER = ""  # name of the field that holds the signer's public key
 
     @classmethod
+    def compile_codec(cls, compiler) -> None:
+        """`signing_bytes` and `encode` keep the bytes they write; `read` and
+        `decode` keep the signing bytes and the bytes they read; and
+        `_signing_of` writes the signing bytes of a dict of field values."""
+        head, last = cls.LAYOUT[:-1], cls.LAYOUT[-1:]
+        compiler.encoder("_signing_of", cls.WIRE_TAG, head, value_of="values[{!r}]", arg="values", wrap=staticmethod)
+        compiler.encoder("signing_bytes", cls.WIRE_TAG, head, keep="_signing")
+        compiler.encoder("encode", None, last, keep="_raw", first="self.signing_bytes()")
+
+        def fill(src) -> str:
+            values = src.read_fields(cls.WIRE_TAG, head, 1)
+            src.emit(1, "signing = data[start:pos]")
+            values += src.read_fields(None, last, 1)
+            src.emit(1, f"signed = cls({', '.join(values)})", "_set(signed, '_signing', signing)")
+            src.emit(1, "_set(signed, '_raw', data[start:pos])")
+            return "signed"
+
+        compiler.reader(fill)
+
+    @classmethod
     def signed_by(cls, keypair: KeyPair, **values):
         """A record of `values`, with `keypair`'s public key as its signer and its signature."""
         values[cls.SIGNER] = keypair.public_key
-        signing = pack(cls.WIRE_TAG, cls.LAYOUT[:-1], values.__getitem__)
+        signing = cls._signing_of(values)
         values[cls.LAYOUT[-1][0]] = sign_digest(keypair.private_key, hashlib.sha256(signing).digest())
         signed = cls(**values)
         set_cached(signed, "_signing", signing)
-        return signed
-
-    def signing_bytes(self) -> bytes:
-        if self._signing is None:
-            set_cached(self, "_signing", pack(self.WIRE_TAG, self.LAYOUT[:-1], self.__getattribute__))
-        return self._signing
-
-    def encode(self) -> bytes:
-        if self._raw is None:
-            name, (write, _) = self.LAYOUT[-1]
-            set_cached(self, "_raw", self.signing_bytes() + write(getattr(self, name)))
-        return self._raw
-
-    @classmethod
-    def read(cls, r: Reader):
-        start = r.pos
-        values = unpack(r, cls.WIRE_TAG, cls.LAYOUT[:-1])
-        signing = r.since(start)
-        signed = cls(*values, cls.LAYOUT[-1][1].read(r))
-        set_cached(signed, "_signing", signing)
-        set_cached(signed, "_raw", r.since(start))
         return signed
 
     def verified(self) -> bool:
@@ -172,10 +172,6 @@ class Transaction(Signed):
         ("gas_limit", U64),
         ("signature", BYTES),
     )
-    # This class's own attributes, so per-layer tracing can wrap them for transactions alone.
-    signing_bytes = Signed.signing_bytes
-    encode = Signed.encode
-    decode = classmethod(Record.decode.__func__)
 
 
 def make_transaction(
@@ -239,11 +235,6 @@ class Block(Record):
     def __post_init__(self):
         if type(self.transactions) is not tuple:
             object.__setattr__(self, "transactions", tuple(self.transactions))
-
-    def encode(self) -> bytes:
-        if self._raw is None:
-            set_cached(self, "_raw", Record.encode(self))
-        return self._raw
 
 
 def compute_tx_root(transactions) -> bytes:

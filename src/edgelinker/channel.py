@@ -54,7 +54,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .codec import BYTES, U64, Codec, DecodeError, Reader, Record, enc_bytes
+from .codec import BYTES, U64, DecodeError, Record, sized_bytes
 
 KEY_LEN = 32
 SIG_LEN = 64
@@ -190,6 +190,12 @@ def derive_shared_key(private_key: bytes, peer_public: bytes) -> bytes:
     return _derive_cached(bytes(private_key), bytes(peer_public))
 
 
+@lru_cache(maxsize=8192)
+def _cipher(key: bytes) -> ChaCha20Poly1305:
+    """The one AEAD object of a pairwise key, so each pair of parties builds it once."""
+    return ChaCha20Poly1305(key)
+
+
 def sign_digest(private_seed: bytes, digest: bytes) -> bytes:
     seed, digest = bytes(private_seed), bytes(digest)
     if _sodium is None:
@@ -268,13 +274,6 @@ def verify_triple(triple: bytes) -> bool:
     return _verify_inline(triple[:KEY_LEN], triple[KEY_LEN : KEY_LEN + SIG_LEN], triple[KEY_LEN + SIG_LEN :])
 
 
-def _read_identification(r: Reader) -> bytes:
-    key = r.bytes_()
-    if len(key) != KEY_LEN:
-        raise DecodeError("identification must be a 32-byte public key")
-    return key
-
-
 @dataclass
 class ChannelMessage(Record):
     """Inner authenticated unit: counter nonce, timestamp, sender identity, body."""
@@ -288,7 +287,7 @@ class ChannelMessage(Record):
     LAYOUT = (
         ("timestamp", U64),
         ("nonce", U64),
-        ("identification", Codec(enc_bytes, _read_identification)),
+        ("identification", sized_bytes(KEY_LEN)),
         ("body", BYTES),
     )
 
@@ -332,7 +331,7 @@ def seal_message(
     encoded = message.encode()
     signature = sign_digest(sender_private, hashlib.sha256(encoded).digest())
     aead_nonce = rng.randbytes(AEAD_NONCE_LEN) if rng is not None else secrets.token_bytes(AEAD_NONCE_LEN)
-    ct = ChaCha20Poly1305(key).encrypt(aead_nonce, encoded + signature, None)
+    ct = _cipher(key).encrypt(aead_nonce, encoded + signature, None)
     return SecureEnvelope(sender_hint=sender_public, ciphertext=aead_nonce + ct)
 
 
@@ -349,7 +348,7 @@ def open_message(envelope: SecureEnvelope, receiver_private: bytes, sender_publi
     key = derive_shared_key(receiver_private, sender_public)
     aead_nonce = envelope.ciphertext[:AEAD_NONCE_LEN]
     try:
-        plaintext = ChaCha20Poly1305(key).decrypt(aead_nonce, envelope.ciphertext[AEAD_NONCE_LEN:], None)
+        plaintext = _cipher(key).decrypt(aead_nonce, envelope.ciphertext[AEAD_NONCE_LEN:], None)
     except InvalidTag as exc:
         raise DecryptFailed("authentication tag mismatch") from exc
     if len(plaintext) < SIG_LEN:

@@ -4,13 +4,23 @@ One deterministic, injective byte layout: fields in declaration order,
 unsigned integers as 8-byte big-endian, byte strings length-prefixed with a
 4-byte big-endian length, a record's lists of items prefixed with a u64
 count, and variant tags as a single byte. Hashing, signing and encryption
-all run over these bytes, so independent nodes agree bit-for-bit.
+all run over these bytes, so independent nodes agree bit-for-bit. The
+contract state digests list their items after a u32 count (`enc_list`), as
+does the run-ahead child's record of a device wake.
 
 A wire record states its layout once: a `Record` is its one-byte `WIRE_TAG`,
-then the fields of its `LAYOUT`, (field name, `Codec`) pairs in wire order,
-and the one `Record` implementation writes and reads them all. A nested
-record is written and read through its class's methods as they are at call
-time, so a method replaced on the class is the one used.
+then the fields of its `LAYOUT`, (field name, `Codec`) pairs in wire order.
+Each `Codec` says how one field is written and read; its `form` names the
+field's kind. When a record class is defined, `Record.__init_subclass__`
+compiles its `encode`, `read` and `decode` from its layout into Python
+source, run with `exec` as `dataclasses` builds `__init__`: the tag and each
+run of adjacent fixed-width fields are packed and unpacked by one
+`struct.Struct`, and byte strings, lists and variants are written inline,
+bounds checks included. A nested record is still written and read through
+its class's methods as they are at call time, so a method replaced on the
+class is the one used. The tests keep a field-by-field interpreter of the
+same layouts (`pack` and `unpack`) as the reference the compiled codecs are
+checked against.
 
 A list of `(timestamp, heart_rate)` readings is a u64 count followed by the
 packed array of its pairs, each value an 8-byte big-endian unsigned integer:
@@ -24,7 +34,6 @@ from __future__ import annotations
 import struct
 from dataclasses import field
 from itertools import starmap
-from operator import methodcaller
 from typing import Callable, NamedTuple, Optional
 
 _U64 = struct.Struct(">Q")
@@ -116,50 +125,43 @@ class Reader:
     def u64(self) -> int:
         pos = self._pos
         if pos + 8 > self._end:
-            raise DecodeError(f"short read: need 8 bytes at offset {pos}")
+            raise _short(8, pos)
         self._pos = pos + 8
         return _U64.unpack_from(self._data, pos)[0]
 
     def u32(self) -> int:
         pos = self._pos
         if pos + 4 > self._end:
-            raise DecodeError(f"short read: need 4 bytes at offset {pos}")
+            raise _short(4, pos)
         self._pos = pos + 4
         return _U32.unpack_from(self._data, pos)[0]
 
     def u8(self) -> int:
         pos = self._pos
         if pos >= self._end:
-            raise DecodeError(f"short read: need 1 bytes at offset {pos}")
+            raise _short(1, pos)
         self._pos = pos + 1
         return self._data[pos]
 
-    def count(self, min_item_size: int) -> int:
-        """A u64 item count, rejected before anything is allocated when that
-        many items of at least `min_item_size` bytes cannot fit in the rest."""
-        count = self.u64()
+    def fits(self, count: int, min_item_size: int) -> int:
+        """`count`, rejected before anything is allocated when that many items
+        of at least `min_item_size` bytes cannot fit in the rest."""
         if count > self.remaining // min_item_size:
-            raise DecodeError(f"{count} items do not fit in {self.remaining} bytes")
+            raise _unfit(count, self.remaining)
         return count
 
     def readings(self) -> list:
         """The (timestamp, heart_rate) tuples written by `enc_readings`."""
-        count = self.count(READING.size)
+        count = self.fits(self.u64(), READING.size)
         start = self._pos
         self._pos += count * READING.size
         return list(READING.iter_unpack(self._data[start : self._pos]))
-
-    def reading_count(self) -> int:
-        """The count of the readings `enc_readings` wrote, passing over their bytes unread."""
-        count = self.count(READING.size)
-        self._pos += count * READING.size
-        return count
 
     def bytes_(self) -> bytes:
         n = self.u32()
         pos = self._pos
         if pos + n > self._end:
-            raise DecodeError(f"short read: need {n} bytes at offset {pos}")
+            raise _short(n, pos)
         self._pos = pos + n
         return self._data[pos : pos + n]
 
@@ -172,13 +174,8 @@ class Reader:
     def peek_u8(self) -> int:
         """The next byte, left unread."""
         if self._pos >= self._end:
-            raise DecodeError(f"short read: need 1 bytes at offset {self._pos}")
+            raise _short(1, self._pos)
         return self._data[self._pos]
-
-    def expect_tag(self, tag: int) -> None:
-        got = self.u8()
-        if got != tag:
-            raise DecodeError(f"expected record tag {tag}, got {got}")
 
     def expect_eof(self) -> None:
         if self._pos != self._end:
@@ -188,34 +185,64 @@ class Reader:
     def remaining(self) -> int:
         return self._end - self._pos
 
-    @property
-    def pos(self) -> int:
-        return self._pos
 
-    def since(self, start: int) -> bytes:
-        """The bytes consumed from offset `start` up to the current position."""
-        return self._data[start : self._pos]
+def _short(need: int, pos: int) -> DecodeError:
+    return DecodeError(f"short read: need {need} bytes at offset {pos}")
 
 
-# --- records -------------------------------------------------------------------
+def _unfit(count: int, left: int) -> DecodeError:
+    return DecodeError(f"{count} items do not fit in {left} bytes")
+
+
+# --- field codecs ----------------------------------------------------------------
 
 
 class Codec(NamedTuple):
-    """How one field goes to bytes (`write`) and back (`read`, raising DecodeError)."""
+    """How one field goes to bytes (`write`) and back (`read`, raising
+    DecodeError), and its `form`: its kind and parameters, from which the
+    record compiler writes the same steps inline."""
 
     write: Callable
     read: Callable
+    form: tuple
 
 
-U64 = Codec(enc_u64, Reader.u64)
-BYTES = Codec(enc_bytes, Reader.bytes_)
-STR = Codec(enc_str, Reader.str_)
-READINGS = Codec(lambda rs: rs.packed if type(rs) is Readings else enc_readings(rs), Reader.readings)
+U64 = Codec(enc_u64, Reader.u64, ("Q",))
+U32 = Codec(_U32.pack, Reader.u32, ("I",))
+U8 = Codec(enc_u8, Reader.u8, ("B",))
+BYTES = Codec(enc_bytes, Reader.bytes_, ("bytes",))
+STR = Codec(enc_str, Reader.str_, ("str",))
+READINGS = Codec(lambda rs: rs.packed if type(rs) is Readings else enc_readings(rs), Reader.readings, ("readings",))
+
+
+def sized_bytes(size: int) -> Codec:
+    """A byte string written as `BYTES`, rejected on read unless it is `size` bytes long."""
+
+    def read(r: Reader) -> bytes:
+        data = r.bytes_()
+        if len(data) != size:
+            raise DecodeError(f"need a {size}-byte string, got {len(data)} bytes")
+        return data
+
+    return Codec(enc_bytes, read, ("bytes", size))
+
+
+def enum_u8(enum) -> Codec:
+    """A member of the integer enum `enum`, as one byte."""
+
+    def read(r: Reader):
+        value = r.u8()
+        try:
+            return enum(value)
+        except ValueError:
+            raise DecodeError(f"{value} is not a valid {enum.__name__}") from None
+
+    return Codec(enc_u8, read, ("enum", enum))
 
 
 def record(cls) -> Codec:
     """A nested record of class `cls`, tag included."""
-    return Codec(methodcaller("encode"), lambda r: cls.read(r))
+    return Codec(lambda value: value.encode(), lambda r: cls.read(r), ("record", cls))
 
 
 def one_of(kind: str, *classes) -> Codec:
@@ -233,7 +260,7 @@ def one_of(kind: str, *classes) -> Codec:
             raise DecodeError(f"unknown {kind} tag {tag}")
         return by_tag[tag].read(r)
 
-    return Codec(write, read)
+    return Codec(write, read, ("one_of", kind, classes, by_tag))
 
 
 def optional(codec: Codec) -> Codec:
@@ -245,57 +272,327 @@ def optional(codec: Codec) -> Codec:
             raise DecodeError(f"bad presence flag {flag}")
         return codec.read(r) if flag else None
 
-    return Codec(lambda value: b"\x00" if value is None else b"\x01" + codec.write(value), read)
+    return Codec(lambda value: b"\x00" if value is None else b"\x01" + codec.write(value), read, ("optional", codec))
 
 
 def untagged(make, *codecs: Codec) -> Codec:
     """Values written one after another with no tag, read back as `make(*values)`."""
     return Codec(
-        lambda values: b"".join([write(value) for (write, _), value in zip(codecs, values)]),
-        lambda r: make(*[read(r) for _, read in codecs]),
+        lambda values: b"".join([write(value) for (write, _, _), value in zip(codecs, values)]),
+        lambda r: make(*[codec.read(r) for codec in codecs]),
+        ("untagged", make, codecs),
     )
 
 
-def items(codec: Codec, min_size: int) -> Codec:
-    """A u64 count, then each item; read as a tuple, after rejecting a count
-    that cannot fit items of at least `min_size` bytes in what is left."""
+def items(codec: Codec, min_size: int, count: Codec = U64) -> Codec:
+    """A `count` (u64 unless given), then each item; read as a tuple, after
+    rejecting a count that cannot fit items of at least `min_size` bytes in what is left."""
     return Codec(
-        lambda values: _U64.pack(len(values)) + b"".join(map(codec.write, values)),
-        lambda r: tuple([codec.read(r) for _ in range(r.count(min_size))]),
+        lambda values: count.write(len(values)) + b"".join(map(codec.write, values)),
+        lambda r: tuple([codec.read(r) for _ in range(r.fits(count.read(r), min_size))]),
+        ("items", codec, min_size, count),
     )
 
 
-def pack(tag: int, layout, value_of) -> bytes:
-    """The tag, then each field of `layout` written by its codec; `value_of(name)` is the field's value."""
-    parts = [bytes((tag,))]
-    for name, (write, _) in layout:
-        parts.append(write(value_of(name)))
-    return b"".join(parts)
+# --- compiled record codecs --------------------------------------------------------
+
+class Source:
+    """The body of one compiled function, and the namespace it runs in.
+
+    Read code reads `data[pos:end]`, advancing `pos`; a nested record is
+    read through a `Reader`, `r`, set to `pos` before the call and read back
+    after it. Fixed-width fields read one after another are collected and
+    emitted as one `struct.Struct` unpack when the next variable-width one
+    needs `pos`.
+    """
+
+    def __init__(self, names: dict):
+        self.names = names
+        self.lines: list = []
+        self.uses_reader = False
+        self._pending: list = []  # (struct code, local, lines run after the unpack)
+        self._locals = 0
+
+    def emit(self, depth: int, *lines: str) -> None:
+        self.lines.extend("    " * depth + line for line in lines)
+
+    def name(self, value) -> str:
+        """A global of the compiled code bound to `value`."""
+        key = f"_g{len(self.names)}"
+        self.names[key] = value
+        return key
+
+    def local(self, hint: str) -> str:
+        self._locals += 1
+        return f"{hint}_{self._locals}"
+
+    # reading
+
+    def read_fields(self, tag: Optional[int], layout, depth: int, count_readings: bool = False) -> list:
+        """Emit code that reads `tag` (unless None) and the fields of
+        `layout`; returns the locals that hold the field values. With
+        `count_readings`, a `READINGS` field holds its count, its pairs left unread."""
+        if tag is not None:
+            got = self.local("tag")
+            self._pending.append(("B", got, (f"if {got} != {tag}:", f"    raise DecodeError(f'expected record tag {tag}, got {{{got}}}')")))
+        targets = []
+        for name, codec in layout:
+            targets.append(f"f_{name}")
+            self._read(codec, targets[-1], depth, count_readings)
+        self._flush(depth)
+        return targets
+
+    def _read(self, codec: Codec, target: str, depth: int, count_readings: bool = False) -> None:
+        kind, *opts = codec.form
+        if kind in ("Q", "I", "B"):
+            self._pending.append((kind, target, ()))
+        elif kind == "enum":
+            raw, members = self.local("raw"), self.name({member.value: member for member in opts[0]})
+            self._pending.append(("B", raw, (
+                f"{target} = {members}.get({raw})",
+                f"if {target} is None:",
+                f"    raise DecodeError(f'{{{raw}}} is not a valid {opts[0].__name__}')",
+            )))
+        elif kind in ("bytes", "str"):
+            n = self.local("n")
+            checks = ()
+            if opts:  # sized_bytes
+                checks = (f"if {n} != {opts[0]}:", f"    raise DecodeError(f'need a {opts[0]}-byte string, got {{{n}}} bytes')")
+            self._pending.append(("I", n, checks))
+            self._flush(depth)
+            self.emit(depth, f"if pos + {n} > end:", f"    raise _short({n}, pos)", f"{target} = data[pos:pos + {n}]", f"pos += {n}")
+            if kind == "str":
+                self.emit(depth, "try:", f"    {target} = {target}.decode('utf-8')", "except UnicodeDecodeError as exc:")
+                self.emit(depth, "    raise DecodeError('invalid utf-8 in string field') from exc")
+        elif kind == "readings":
+            count = self.local("count")
+            self._pending.append(("Q", count, self._fits(count, READING.size)))
+            self._flush(depth)
+            if count_readings:
+                self.emit(depth, f"{target} = {count}")
+            else:
+                self.emit(depth, f"{target} = list({self.name(READING)}.iter_unpack(data[pos:pos + {count} * {READING.size}]))")
+            self.emit(depth, f"pos += {count} * {READING.size}")
+        elif kind == "record":
+            self._nested(depth, target, f"{self.name(opts[0])}.read(r)")
+        elif kind == "one_of":
+            what, _classes, by_tag = opts
+            cls = self.local("cls")
+            self._flush(depth)
+            self.emit(depth, "if pos >= end:", "    raise _short(1, pos)", f"{cls} = {self.name(by_tag)}.get(data[pos])")
+            self.emit(depth, f"if {cls} is None:", f"    raise DecodeError(f'unknown {what} tag {{data[pos]}}')")
+            self._nested(depth, target, f"{cls}.read(r)")
+        elif kind == "optional":
+            flag = self.local("flag")
+            self._pending.append(("B", flag, (f"if {flag} > 1:", f"    raise DecodeError(f'bad presence flag {{{flag}}}')")))
+            self._flush(depth)
+            self.emit(depth, f"if {flag}:")
+            self._read(opts[0], target, depth + 1)
+            self._flush(depth + 1)
+            self.emit(depth, "else:", f"    {target} = None")
+        elif kind == "untagged":
+            make, codecs = opts
+            values = [self.local("v") for _ in codecs]
+            for item, value in zip(codecs, values):
+                self._read(item, value, depth)
+            self._flush(depth)
+            self.emit(depth, f"{target} = {self.name(make)}({', '.join(values)})")
+        elif kind == "items":
+            item, min_size, count_codec = opts
+            count = self.local("count")
+            self._pending.append((count_codec.form[0], count, self._fits(count, min_size)))
+            self._flush(depth)
+            if item.form[:1] == ("record",):
+                self._nested(depth, target, f"tuple([{self.name(item.form[1])}.read(r) for _ in range({count})])")
+            else:
+                acc, value = self.local("acc"), self.local("item")
+                self.emit(depth, f"{acc} = []", f"for _ in range({count}):")
+                self._read(item, value, depth + 1)
+                self._flush(depth + 1)
+                self.emit(depth + 1, f"{acc}.append({value})")
+                self.emit(depth, f"{target} = tuple({acc})")
+
+    def _fits(self, count: str, min_size: int) -> tuple:
+        return (f"if {count} > (end - pos) // {min_size}:", f"    raise _unfit({count}, end - pos)")
+
+    def _nested(self, depth: int, target: str, call: str) -> None:
+        self._flush(depth)
+        self.uses_reader = True
+        self.emit(depth, "r._pos = pos", f"{target} = {call}", "pos = r._pos")
+
+    def _flush(self, depth: int) -> None:
+        """Emit the pending fixed-width reads as one unpack, then their checks."""
+        if not self._pending:
+            return
+        packer = struct.Struct(">" + "".join(code for code, _, _ in self._pending))
+        targets = "".join(f"{target}, " for _, target, _ in self._pending)
+        self.emit(depth, f"if pos + {packer.size} > end:", f"    raise _short({packer.size}, pos)")
+        self.emit(depth, f"{targets}= {self.name(packer)}.unpack_from(data, pos)", f"pos += {packer.size}")
+        for _, _, after in self._pending:
+            self.emit(depth, *after)
+        self._pending = []
+
+    # writing
+
+    def write_fields(self, tag: Optional[int], layout, value_of: str, depth: int) -> list:
+        """Emit what writing `tag` (unless None) and the fields of `layout`
+        needs first; returns the parts to `join`. `value_of` formats a field
+        name into the source of its value."""
+        parts = [] if tag is None else [("B", str(tag))]
+        for name, codec in layout:
+            parts += self._write(codec, value_of.format(name), depth)
+        return parts
+
+    def _write(self, codec: Codec, value: str, depth: int) -> list:
+        """The parts of `value`'s bytes: (struct code, int source) for a
+        fixed-width value, (None, bytes source) for the others."""
+        kind, *opts = codec.form
+        if kind in ("Q", "I", "B", "enum"):
+            return [("B" if kind == "enum" else kind, value)]
+        if kind == "record":
+            return [(None, f"{value}.encode()")]
+        v = value
+        if not value.isidentifier():  # a local, so the value is evaluated once
+            v = self.local("v")
+            self.emit(depth, f"{v} = {value}")
+        if kind in ("bytes", "str"):
+            if kind == "str":
+                self.emit(depth, f"{v} = {v}.encode('utf-8')")
+            return [("I", f"len({v})"), (None, v)]
+        if kind == "readings":
+            return [(None, f"({v}.packed if type({v}) is {self.name(Readings)} else {self.name(enc_readings)}({v}))")]
+        if kind == "one_of":
+            what, classes, _by_tag = opts
+            self.emit(depth, f"if type({v}) not in {self.name(classes)}:", f"    raise TypeError(f'a {{type({v}).__name__}} is no {what}')")
+            return [(None, f"{v}.encode()")]
+        if kind == "optional":
+            out = self.local("out")
+            self.emit(depth, f"if {v} is None:", f"    {out} = b'\\x00'", "else:")
+            inner = self._write(opts[0], v, depth + 1)
+            self.emit(depth + 1, f"{out} = {self.join([('B', '1')] + inner)}")
+            return [(None, out)]
+        if kind == "untagged":
+            _make, codecs = opts
+            values = [self.local("v") for _ in codecs]
+            self.emit(depth, f"{''.join(value + ', ' for value in values)}= {v}")
+            return [part for item, value in zip(codecs, values) for part in self._write(item, value, depth)]
+        # items
+        item, _min_size, count = opts
+        parts = [(count.form[0], f"len({v})")]
+        if item.form[:1] == ("record",):
+            return parts + [(None, f"b''.join([item.encode() for item in {v}])")]
+        acc, value = self.local("acc"), self.local("item")
+        self.emit(depth, f"{acc} = []", f"for {value} in {v}:")
+        inner = self._write(item, value, depth + 1)
+        self.emit(depth + 1, f"{acc}.append({self.join(inner)})")
+        return parts + [(None, f"b''.join({acc})")]
+
+    def join(self, parts: list) -> str:
+        """The source of the parts' bytes one after another, each run of
+        fixed-width parts packed by one `struct.Struct`."""
+        exprs, run = [], []
+        for code, expr in parts + [(None, None)]:
+            if code is not None:
+                run.append((code, expr))
+                continue
+            if run:
+                packer = struct.Struct(">" + "".join(c for c, _ in run))
+                if all(e.isdigit() for _, e in run):
+                    exprs.append(repr(packer.pack(*[int(e) for _, e in run])))
+                else:
+                    exprs.append(f"{self.name(packer)}.pack({', '.join(e for _, e in run)})")
+                run = []
+            if expr is not None:
+                exprs.append(expr)
+        if len(exprs) <= 2:
+            return " + ".join(exprs)
+        return f"b''.join(({', '.join(exprs)}))"
 
 
-def unpack(r: Reader, tag: int, layout) -> list:
-    """The field values `pack` wrote for `layout` under `tag`."""
-    r.expect_tag(tag)
-    return [read(r) for _, (_, read) in layout]
+class Compiler:
+    """Compiles the codec methods of one record class and installs them in its own `__dict__`."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.names = {
+            "DecodeError": DecodeError,
+            "Reader": Reader,
+            "_short": _short,
+            "_unfit": _unfit,
+            "_set": object.__setattr__,
+            "_struct_error": struct.error,
+        }
+        self.lines: list = []  # the source of every function
+        self.methods: list = []  # (name, wrapper or None) of each function installed on the class
+
+    def encoder(self, name, tag, layout, value_of="self.{}", arg="self", keep=None, first=None, wrap=None) -> None:
+        """`name(arg)` returns the bytes of `tag` and `layout`'s fields, after
+        the bytes of the source `first`, if given. With `keep`, a method keeps
+        them in the record's `keep` field. A value out of its field's range
+        raises ValueError."""
+        src = Source(self.names)
+        parts = ([(None, first)] if first else []) + src.write_fields(tag, layout, value_of, 2)
+        lines = [f"def {name}({arg}):"]
+        if keep:
+            lines += [f"    out = self.{keep}", "    if out is not None:", "        return out"]
+        lines += ["    try:", *src.lines, f"        out = {src.join(parts)}", "    except _struct_error as exc:"]
+        lines += ["        raise ValueError(f'a value does not fit its field: {exc}') from exc"]
+        if keep:
+            lines.append(f"    _set(self, {keep!r}, out)")
+        self.lines += lines + ["    return out"]
+        self.methods.append((name, wrap))
+
+    def reader(self, fill, read="read", decode="decode") -> None:
+        """The classmethods `read(cls, r)`, which reads at the reader's
+        position, and `decode(cls, data)`, which reads all of `data`, around
+        one compiled body; a name given as None is left out. `fill(src)` emits
+        the body at depth 1 and returns the source of the result; `start` is
+        where the record began."""
+        src = Source(self.names)
+        result = fill(src)
+        body = f"_{decode or read}_from"
+        self.lines += [f"def {body}(cls, data, pos, end, r):", "    start = pos", *src.lines, f"    return {result}, pos"]
+        if read:
+            self.lines += [f"def {read}(cls, r):", f"    result, r._pos = {body}(cls, r._data, r._pos, r._end, r)", "    return result"]
+            self.methods.append((read, classmethod))
+        if decode:
+            r = "Reader(data)" if src.uses_reader else "None"
+            self.lines += [f"def {decode}(cls, data):", f"    result, pos = {body}(cls, data, 0, len(data), {r})"]
+            self.lines += ["    if pos != len(data):", "        raise DecodeError(f'{len(data) - pos} trailing bytes')", "    return result"]
+            self.methods.append((decode, classmethod))
+
+    def install(self) -> None:
+        cls = self.cls
+        exec(compile("\n".join(self.lines), f"<compiled codec of {cls.__module__}.{cls.__qualname__}>", "exec"), self.names)
+        for name, wrap in self.methods:
+            function = self.names.pop(name)
+            function.__qualname__ = f"{cls.__qualname__}.{name}"
+            function.__module__ = cls.__module__
+            setattr(cls, name, function if wrap is None else wrap(function))
 
 
 class Record:
     """A wire record: `WIRE_TAG`, then the fields of `LAYOUT`, whose (field
-    name, Codec) pairs name the dataclass's leading constructor arguments in order."""
+    name, Codec) pairs name the dataclass's leading constructor arguments in
+    order. A `WIRE_TAG` of None writes no tag, for bytes that carry one kind
+    of record only.
 
-    WIRE_TAG: int
+    Each class that states a `LAYOUT` gets its own `encode`, `read` and
+    `decode`, compiled from it by `compile_codec`. One with a `_raw` field
+    keeps its bytes there once written.
+    """
+
+    WIRE_TAG: Optional[int]
     LAYOUT: tuple
 
-    def encode(self) -> bytes:
-        return pack(self.WIRE_TAG, self.LAYOUT, self.__getattribute__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "LAYOUT" in cls.__dict__:
+            compiler = Compiler(cls)
+            cls.compile_codec(compiler)
+            compiler.install()
 
     @classmethod
-    def read(cls, r: Reader):
-        return cls(*unpack(r, cls.WIRE_TAG, cls.LAYOUT))
-
-    @classmethod
-    def decode(cls, data: bytes):
-        r = Reader(data)
-        decoded = cls.read(r)
-        r.expect_eof()
-        return decoded
+    def compile_codec(cls, compiler: Compiler) -> None:
+        compiler.encoder("encode", cls.WIRE_TAG, cls.LAYOUT, keep="_raw" if hasattr(cls, "_raw") else None)
+        compiler.reader(lambda src: f"cls({', '.join(src.read_fields(cls.WIRE_TAG, cls.LAYOUT, 1))})")

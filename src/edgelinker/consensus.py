@@ -25,7 +25,7 @@ from typing import Optional
 
 from .chain import Block, Chain, GenesisConfig, Signed, hash_block, validate_block
 from .channel import KeyPair
-from .codec import BYTES, U64, Codec, DecodeError, Reader, enc_u8, optional, record
+from .codec import BYTES, U64, enum_u8, optional, record
 
 ZERO_HASH = bytes(32)
 
@@ -35,14 +35,6 @@ class Phase(IntEnum):
     PREPARE = 1
     COMMIT = 2
     ROUND_CHANGE = 3
-
-
-def _read_phase(r: Reader) -> Phase:
-    value = r.u8()
-    try:
-        return Phase(value)
-    except ValueError:
-        raise DecodeError(f"{value} is not a valid phase") from None
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,7 @@ class ConsensusMessage(Signed):
     WIRE_TAG = 0x05
     SIGNER = "sender"
     LAYOUT = (
-        ("phase", Codec(enc_u8, _read_phase)),
+        ("phase", enum_u8(Phase)),
         ("height", U64),
         ("round", U64),
         ("block_hash", BYTES),

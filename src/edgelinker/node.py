@@ -34,7 +34,7 @@ from .chain import (
     validate_block,
     verify_transaction,
 )
-from .codec import BYTES, READINGS, STR, U64, DecodeError, Reader, Record, items, untagged
+from .codec import BYTES, READINGS, STR, U64, DecodeError, Record, items, untagged
 from .consensus import ConsensusEngine, ConsensusMessage, Phase, verify_message
 from .contracts import PermissionDenied, UnknownContract, WorldState, genesis_world, next_state, read_history
 
@@ -84,19 +84,18 @@ class QueryReplyBody(Record):
 
     WIRE_TAG = 0x06
     LAYOUT = (("status", U64), ("reason", STR), ("readings", READINGS))
-    # Its own attributes, so per-layer tracing can wrap them.
-    encode = Record.encode
-    decode = classmethod(Record.decode.__func__)
 
     @classmethod
-    def status_and_count(cls, data: bytes) -> tuple:
-        """The status and reading count of the reply `decode(data)` returns,
-        rejecting the same bytes, without building the readings."""
-        r = Reader(data)
-        r.expect_tag(cls.WIRE_TAG)
-        status, _, count = r.u64(), r.str_(), r.reading_count()
-        r.expect_eof()
-        return status, count
+    def compile_codec(cls, compiler) -> None:
+        super().compile_codec(compiler)
+
+        # status_and_count(data): the status and reading count of the reply
+        # `decode(data)` returns, rejecting the same bytes, without building the readings.
+        def fill(src) -> str:
+            status, _reason, count = src.read_fields(cls.WIRE_TAG, cls.LAYOUT, 1, count_readings=True)
+            return f"({status}, {count})"
+
+        compiler.reader(fill, read=None, decode="status_and_count")
 
 
 class ConfirmEntry(NamedTuple):

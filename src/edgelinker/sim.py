@@ -24,7 +24,7 @@ import signal
 import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, get_args, get_type_hints
+from typing import NamedTuple, Optional, get_args, get_type_hints
 
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
@@ -45,7 +45,7 @@ from .chain import (
     make_transaction,
 )
 from .channel import ChannelMessage, KeyPair, SecureEnvelope, generate_keypair, open_message
-from .codec import DecodeError, Reader, enc_bytes, enc_list, enc_str, enc_u8, enc_u64
+from .codec import BYTES, STR, U8, U32, U64, DecodeError, Reader, Record, enc_bytes, enc_u64, items, untagged
 from .consensus import Phase, make_message, quorum
 from .contracts import (
     HEALTH_RECORD_KIND,
@@ -645,13 +645,42 @@ def _can_run_ahead() -> bool:
     return hasattr(os, "fork") and len(cpus) >= 2 and threading.active_count() == 1
 
 
+class Verdict(NamedTuple):
+    """The verdict on one signature the run-ahead child made."""
+
+    triple: bytes  # public key || signature || digest
+    good: int  # 1 when the signature verifies, else 0
+
+
+@dataclass
+class PreparedWake(Record):
+    """One device wake as the run-ahead child prepared it: what `DeviceActor.prepare`
+    returned, and the verdict on every signature that made."""
+
+    device: str
+    step: int
+    node: str
+    sealed: bytes
+    tx_hash: bytes  # empty for a read
+    verdicts: tuple  # of Verdict
+
+    WIRE_TAG = None  # the pipe carries nothing else
+    LAYOUT = (
+        ("device", STR),
+        ("step", U64),
+        ("node", STR),
+        ("sealed", BYTES),
+        ("tx_hash", BYTES),
+        ("verdicts", items(untagged(Verdict, BYTES, U8), 5, count=U32)),  # an empty triple and its verdict at least
+    )
+
+
 class RunAhead:
     """One forked process that prepares each device wake of a run before the loop needs it.
 
     For each device wake, in the heap's dispatch order, the child calls
     `DeviceActor.prepare`, verifies every signature that made, and writes one
-    length-prefixed record: device and step, node id, sealed bytes, tx hash
-    and each (triple, verdict). The pipe is the only flow control.
+    length-prefixed `PreparedWake`. The pipe is the only flow control.
     """
 
     def __init__(self, order: list):
@@ -688,15 +717,14 @@ class RunAhead:
             self._buf, self._pos = buf, start
         r = Reader(buf, start + 4, end)
         self._pos = end
-        named = (r.str_(), r.u64())
-        if named != (actor_id, idx):
-            raise RuntimeError(f"run-ahead record for {named}, but the loop wakes {(actor_id, idx)}")
-        node_id, raw, tx_hash = r.str_(), r.bytes_(), r.bytes_()
-        for _ in range(r.u32()):
-            ch.file_verdict(r.bytes_(), r.u8() == 1)
+        wake = PreparedWake.read(r)
         r.expect_eof()
+        if (wake.device, wake.step) != (actor_id, idx):
+            raise RuntimeError(f"run-ahead record for {(wake.device, wake.step)}, but the loop wakes {(actor_id, idx)}")
+        for triple, good in wake.verdicts:
+            ch.file_verdict(triple, good == 1)
         self.taken += 1
-        return node_id, raw, tx_hash or None
+        return wake.node, wake.sealed, wake.tx_hash or None
 
     def close(self) -> None:
         """Close the pipe, end and reap the child, and drop the verdicts it handed over untaken."""
@@ -713,11 +741,9 @@ def _run_ahead_main(order: list, fd: int) -> None:
         with ch.recording_signatures() as signed:
             for actor, idx in order:
                 node_id, raw, tx_hash = actor.prepare(idx)
-                verdicts = enc_list(signed, lambda triple: enc_bytes(triple) + enc_u8(int(ch.verify_triple(triple))))
+                verdicts = tuple([Verdict(triple, int(ch.verify_triple(triple))) for triple in signed])
                 signed.clear()
-                record = enc_bytes(
-                    enc_str(actor.id) + enc_u64(idx) + enc_str(node_id) + enc_bytes(raw) + enc_bytes(tx_hash or b"") + verdicts
-                )
+                record = enc_bytes(PreparedWake(actor.id, idx, node_id, raw, tx_hash or b"", verdicts).encode())
                 view = memoryview(record)
                 while view:
                     view = view[os.write(fd, view) :]

@@ -109,6 +109,20 @@ class TestSealOpen:
         with pytest.raises(ch.ChannelError):
             open_message(env, c.private_key, a.public_key)
 
+    def test_kept_ciphers_open_nothing_of_another_pair_nor_tampered(self):
+        """Each pair's cipher is built once and kept, for both directions."""
+        a, b, c = kp("a"), kp("b"), kp("c")
+        to_b = seal_message(msg_for(a), a.private_key, b.public_key)
+        to_c = seal_message(msg_for(a), a.private_key, c.public_key)
+        assert open_message(to_b, b.private_key, a.public_key) == msg_for(a)
+        key = ch.derive_shared_key(a.private_key, b.public_key)
+        assert ch._cipher(key) is ch._cipher(ch.derive_shared_key(b.private_key, a.public_key))
+        with pytest.raises(ch.DecryptFailed):
+            open_message(to_c, b.private_key, a.public_key)
+        tampered = SecureEnvelope(to_b.sender_hint, to_b.ciphertext[:-1] + bytes([to_b.ciphertext[-1] ^ 1]))
+        with pytest.raises(ch.DecryptFailed):
+            open_message(tampered, b.private_key, a.public_key)
+
     def test_every_byte_mutation_rejected(self):
         a, b = kp("a"), kp("b")
         env = seal_message(msg_for(a, body=b"tamper-me"), a.private_key, b.public_key)

@@ -8,18 +8,26 @@ give the verdict of a reference Ed25519 verification of its signature. The
 packed reading arrays of query replies and contract state must give the bytes
 of the same reference, one u64 per value, and so must the device channel's
 query record and per-block confirmation, and the channel's inner message.
+
+The codecs compiled from each record's `LAYOUT` are also checked against an
+interpreter of the same layouts (`pack` and `unpack`), which writes and reads
+field by field through each field codec's own `write` and `read`: over
+edited, cut and extended bytes of every record, both must return the same
+record or both reject the bytes.
 """
 
 import collections
 import hashlib
 import struct
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings
+from hypothesis import Phase as Stage
 from hypothesis import strategies as st
 
 from edgelinker.chain import (
@@ -28,6 +36,7 @@ from edgelinker.chain import (
     Call,
     Deploy,
     Query,
+    Signed,
     Transaction,
     Transfer,
     build_block,
@@ -38,10 +47,11 @@ from edgelinker.chain import (
     verify_transaction,
 )
 from edgelinker.channel import ChannelMessage
-from edgelinker.codec import DecodeError
+from edgelinker.codec import DecodeError, Reader, Record, set_cached
 from edgelinker.consensus import ConsensusMessage, Phase, make_message, verify_message
 from edgelinker.contracts import HealthRecordState, WorldState, read_history
 from edgelinker.node import ConfirmBody, ConfirmEntry, QueryReplyBody
+from edgelinker.sim import PreparedWake, Verdict
 from tests.conftest import kp
 from tests.test_codec import PAYLOADS
 
@@ -159,6 +169,76 @@ def ref_channel_message(m):
 def ref_record_state(state):
     assert not state.permission_table.permissions
     return b"\x11" + ref_bytes(state.owner) + ref_readings(state.readings) + b"\x10" + ref_u64(0)
+
+
+# --- reference interpreter --------------------------------------------------------
+
+
+def pack(tag, layout, value_of):
+    """The tag, unless None, then each field of `layout` written by its codec; `value_of(name)` is the field's value."""
+    parts = [] if tag is None else [bytes((tag,))]
+    for name, codec in layout:
+        parts.append(codec.write(value_of(name)))
+    return b"".join(parts)
+
+
+def unpack(r, tag, layout):
+    """The field values `pack` wrote for `layout` under `tag`."""
+    if tag is not None and (got := r.u8()) != tag:
+        raise DecodeError(f"expected record tag {tag}, got {got}")
+    return [codec.read(r) for _, codec in layout]
+
+
+def interpreted_encode(record):
+    return pack(record.WIRE_TAG, record.LAYOUT, record.__getattribute__)
+
+
+def interpreted_read(cls, r):
+    if not issubclass(cls, Signed):
+        return cls(*unpack(r, cls.WIRE_TAG, cls.LAYOUT))
+    start = r._pos
+    values = unpack(r, cls.WIRE_TAG, cls.LAYOUT[:-1])
+    signing = r._data[start : r._pos]
+    signed = cls(*values, cls.LAYOUT[-1][1].read(r))
+    set_cached(signed, "_signing", signing)
+    set_cached(signed, "_raw", r._data[start : r._pos])
+    return signed
+
+
+def record_classes(base=Record):
+    """Every class that states a wire layout."""
+    found = []
+    for cls in base.__subclasses__():
+        found += ([cls] if "LAYOUT" in cls.__dict__ else []) + record_classes(cls)
+    return found
+
+
+@contextmanager
+def interpreted():
+    """Inside the block every record class writes and reads through the
+    interpreter, nested records included."""
+    kept = [(cls, cls.__dict__["encode"], cls.__dict__["read"]) for cls in record_classes()]
+    for cls, _, _ in kept:
+        cls.encode = interpreted_encode
+        cls.read = classmethod(interpreted_read)
+    try:
+        yield
+    finally:
+        for cls, encode, read in kept:
+            cls.encode, cls.read = encode, read
+
+
+def interpreted_decode(cls, data):
+    """What `cls.decode(data)` returns inside `interpreted()`."""
+    r = Reader(data)
+    decoded = cls.read(r)
+    r.expect_eof()
+    return decoded
+
+
+def interpreted_bytes(record):
+    with interpreted():
+        return record.encode()
 
 
 # --- strategies ----------------------------------------------------------------
@@ -487,8 +567,12 @@ BAD_READINGS = {
 @pytest.mark.parametrize("readings", BAD_READINGS.values(), ids=BAD_READINGS.keys())
 @pytest.mark.parametrize(
     "encode",
-    [lambda rs: QueryReplyBody(0, "", rs).encode(), lambda rs: HealthRecordState(bytes(32), rs).encode()],
-    ids=["reply", "record_state"],
+    [
+        lambda rs: QueryReplyBody(0, "", rs).encode(),
+        lambda rs: interpreted_bytes(QueryReplyBody(0, "", rs)),
+        lambda rs: HealthRecordState(bytes(32), rs).encode(),
+    ],
+    ids=["reply", "interpreted_reply", "record_state"],
 )
 def test_bad_reading_raises_value_error(encode, readings):
     with pytest.raises(ValueError):
@@ -542,6 +626,148 @@ def test_message_with_bad_phase_rejected(phase):
     raw[1] = phase
     with pytest.raises(DecodeError):
         ConsensusMessage.decode(bytes(raw))
+
+
+# --- compiled against interpreted ---------------------------------------------------
+
+RECORD_VALUES = {
+    Transfer: st.builds(Transfer, to=st.binary(max_size=40), amount=U64),
+    Deploy: st.builds(Deploy, contract_kind=st.text(max_size=12), init_args=st.binary(max_size=40)),
+    Call: st.builds(Call, contract_address=st.binary(max_size=40), method=st.text(max_size=12), args=st.binary(max_size=40)),
+    Query: QUERIES,
+    Transaction: TXS,
+    BlockHeader: HEADERS,
+    Block: BLOCKS,
+    ConsensusMessage: MESSAGES,
+    ChannelMessage: CHANNEL_MESSAGES,
+    QueryReplyBody: st.builds(QueryReplyBody, status=U64, reason=st.text(max_size=12), readings=READINGS),
+    ConfirmBody: CONFIRMS,
+    PreparedWake: st.builds(
+        PreparedWake,
+        device=st.text(max_size=8),
+        step=U64,
+        node=st.text(max_size=4),
+        sealed=st.binary(max_size=60),
+        tx_hash=st.binary(max_size=32),
+        verdicts=st.lists(st.builds(Verdict, triple=st.binary(max_size=128), good=st.integers(0, 255)), max_size=3).map(tuple),
+    ),
+}
+
+
+def test_every_record_class_is_checked_against_the_interpreter():
+    assert set(RECORD_VALUES) == set(record_classes())
+
+
+def outcome(decode, data):
+    """What `decode` makes of the bytes: the record and the bytes it keeps, or a reject."""
+    try:
+        decoded = decode(data)
+    except DecodeError:
+        return "reject"
+    return repr(decoded), getattr(decoded, "_signing", None), getattr(decoded, "_raw", None)
+
+
+def both_outcomes(cls, variants):
+    """What the compiled and the interpreted codec make of each byte string."""
+    compiled = [outcome(cls.decode, data) for data in variants]
+    with interpreted():
+        return compiled, [outcome(lambda data: interpreted_decode(cls, data), data) for data in variants]
+
+
+ANY_RECORD = st.sampled_from(list(RECORD_VALUES)).flatmap(RECORD_VALUES.__getitem__)
+
+
+# No shrinking: each example decodes a few thousand byte strings, so a failure is reported as drawn.
+@pytest.mark.parametrize("cls", RECORD_VALUES, ids=[cls.__name__ for cls in RECORD_VALUES])
+@settings(max_examples=10, deadline=None, phases=[Stage.explicit, Stage.reuse, Stage.generate])
+@given(data=st.data())
+def test_each_byte_edit_and_cut_gets_one_answer_from_both_codecs(cls, data):
+    """Each byte of the first 256 and the last 64 set to values near the
+    bounds of tags, flags and lengths, and a cut at each of them."""
+    record = data.draw(RECORD_VALUES[cls])
+    raw = record.encode()
+    assert raw == interpreted_bytes(record)
+    positions = sorted(set(range(min(len(raw), 256))) | set(range(max(len(raw) - 64, 0), len(raw))))
+    variants = [raw]
+    for i in positions:
+        for value in {0, 1, 2, 3, 4, 255, raw[i] ^ 1, (raw[i] + 1) % 256, (raw[i] - 1) % 256} - {raw[i]}:
+            variants.append(raw[:i] + bytes([value]) + raw[i + 1 :])
+        variants.append(raw[:i])
+    compiled, reference = both_outcomes(cls, variants)
+    assert compiled[0] != "reject"
+    assert compiled == reference
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    record=ANY_RECORD,
+    edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=3),
+    cut=st.integers(0, 2**16),
+    tail=st.binary(max_size=24),
+)
+def test_compiled_codecs_agree_with_the_interpreter(record, edits, cut, tail):
+    """Byte edits anywhere, a cut anywhere and appended bytes: the compiled
+    and the interpreted codec return the same record, or both reject the bytes."""
+    changed = bytearray(record.encode())
+    for pos, value in edits:
+        changed[pos % len(changed)] = value
+    changed = bytes(changed[: len(changed) - cut % (len(changed) + 1)]) + tail
+    compiled, reference = both_outcomes(type(record), [changed])
+    assert compiled == reference
+
+
+def with_u64(value):
+    """Records, by name, whose one u64 field, at any depth, holds `value`."""
+    tx = make_transaction(kp("range"), 1, 5, Transfer(to=bytes(32), amount=3))
+    header = BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64))
+    return {
+        "transfer": Transfer(bytes(32), value),
+        "query": Query(bytes(32), 0, value),
+        "transaction": replace(tx, gas_limit=value),
+        "transaction_payload": replace(tx, payload=Transfer(bytes(32), value)),
+        "header": replace(header, height=value),
+        "block_transaction": Block(header, (replace(tx, nonce=value),)),
+        "message": ConsensusMessage(Phase.PREPARE, 1, value, bytes(32), None, bytes(32), bytes(64)),
+        "channel_message": ChannelMessage(value, 1, bytes(32), b""),
+        "reply": QueryReplyBody(value, "", []),
+        "confirmation_entry": ConfirmBody(1, (ConfirmEntry(b"", "ok", "", value),)),
+        "prepared_wake": PreparedWake("d0", value, "n0", b"", b"", ()),
+    }
+
+
+ENCODERS = {"compiled": lambda record: record.encode(), "interpreted": interpreted_bytes}
+
+
+@pytest.mark.parametrize("encode", ENCODERS.values(), ids=ENCODERS.keys())
+@pytest.mark.parametrize("value", [-1, 2**64], ids=["negative", "too_large"])
+@pytest.mark.parametrize("name", list(with_u64(0)))
+def test_a_u64_out_of_range_raises_value_error(encode, value, name):
+    """A ValueError, never a bare `struct.error`, which is no ValueError."""
+    with pytest.raises(ValueError):
+        encode(with_u64(value)[name])
+
+
+@pytest.mark.parametrize("value", [-1, 2**64], ids=["negative", "too_large"])
+def test_signing_a_u64_out_of_range_raises_value_error(value):
+    with pytest.raises(ValueError):
+        make_transaction(kp("range"), value, 5, Transfer(to=bytes(32), amount=3))
+
+
+TRACED = [
+    (Transaction, "signing_bytes"),
+    (Transaction, "encode"),
+    (Transaction, "decode"),
+    (Block, "encode"),
+    (QueryReplyBody, "encode"),
+    (QueryReplyBody, "decode"),
+]
+
+
+@pytest.mark.parametrize("cls, name", TRACED, ids=[f"{cls.__name__}.{name}" for cls, name in TRACED])
+def test_traced_codec_methods_are_the_class_own(cls, name):
+    """Per-layer tracing wraps each of these in its class's own `__dict__`;
+    an inherited one would escape the wrapper and count no call."""
+    assert name in cls.__dict__
 
 
 # --- immutability ------------------------------------------------------------------
