@@ -16,10 +16,13 @@ CLOCK_SKEW_MS of its own clock.
 A forked process may sign on this one's behalf: it lists its signatures with
 `recording_signatures`, verifies them with `verify_triple`, and hands each
 verdict over through `file_verdict` (the precedent is geth's transaction
-sender cacher). `verify_digest` takes a handed verdict once, and verifies
-inline, storing nothing, whatever was not handed over. A signed ledger record
-keeps its own verdict (`chain.Signed.verified`), so the nodes handed one
-record share its check. Every verdict is a real Ed25519 verification.
+sender cacher). It may also verify signatures made here: `hook_signatures`
+passes each triple `sign_digest` makes to that process, and has
+`verify_digest` file the verdicts that came back before it looks for one.
+`verify_digest` takes a handed verdict once, and verifies inline, storing
+nothing, whatever was not handed over in time. A signed ledger record keeps
+its own verdict (`chain.Signed.verified`), so the nodes handed one record
+share its check. Every verdict is a real Ed25519 verification.
 
 libsodium signs and verifies Ed25519 where it loads (through `ctypes`, with
 `crypto_sign_detached` and `crypto_sign_verify_detached`); `cryptography`'s
@@ -39,7 +42,7 @@ import secrets
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -205,8 +208,8 @@ def sign_digest(private_seed: bytes, digest: bytes) -> bytes:
         # _ed_public refuses a seed of any length but 32, so the secret is 64 bytes.
         _sodium.crypto_sign_detached(out, None, digest, len(digest), _sodium_secret(seed))
         signature = out.raw
-    if _signed is not None:
-        _signed.append(_ed_public(seed) + signature + digest)
+    if _on_sign is not None:
+        _on_sign(_ed_public(seed) + signature + digest)
     return signature
 
 
@@ -250,23 +253,36 @@ def verify_digest(public_key: bytes, signature: bytes, digest: bytes) -> bool:
     if len(public_key) != KEY_LEN or len(signature) != SIG_LEN:
         return False
     public_key, signature, digest = bytes(public_key), bytes(signature), bytes(digest)
-    verdict = _handed.pop(public_key + signature + digest, None)
+    triple = public_key + signature + digest
+    verdict = _handed.pop(triple, None)
+    if verdict is None and _on_miss is not None:
+        _on_miss()
+        verdict = _handed.pop(triple, None)
     return _verify_inline(public_key, signature, digest) if verdict is None else verdict
 
 
-_signed: Optional[list] = None  # while a list, sign_digest appends each triple it makes
+_on_sign: Optional[Callable[[bytes], None]] = None  # given each triple sign_digest makes
+_on_miss: Optional[Callable[[], None]] = None  # called when verify_digest finds no handed verdict
+
+
+def hook_signatures(on_sign=None, on_miss=None) -> None:
+    """From now on `sign_digest` passes each (public key || signature ||
+    digest) triple it makes to `on_sign`, and `verify_digest` calls `on_miss`
+    before it verifies a triple whose verdict was not handed over, so that
+    verdicts still on their way can be filed; None removes a hook."""
+    global _on_sign, _on_miss
+    _on_sign, _on_miss = on_sign, on_miss
 
 
 @contextmanager
 def recording_signatures():
-    """Inside the block, `sign_digest` appends each (public key || signature
-    || digest) triple it makes to the yielded list."""
-    global _signed
-    _signed = []
+    """Inside the block, `sign_digest` appends each triple it makes to the yielded list."""
+    signed: list = []
+    hook_signatures(signed.append)
     try:
-        yield _signed
+        yield signed
     finally:
-        _signed = None
+        hook_signatures()
 
 
 def verify_triple(triple: bytes) -> bool:

@@ -637,6 +637,13 @@ class EquivocatingNode(FogNode):
 # --- devices run ahead of the loop ---------------------------------------------------
 
 RUN_AHEAD_TIMEOUT_S = 1.0  # longest wait for the next record before the loop prepares inline
+AHEAD = 48  # records the child must have written past the loop's before it verifies the loop's signatures
+BACKLOG = 64  # the loop's newest signatures the child keeps to verify; older ones are dropped unverified
+TRIPLE_LEN = 2 * ch.KEY_LEN + ch.SIG_LEN  # a triple over a SHA-256 digest, the only kind the loop sends
+REQUEST_LEN = TRIPLE_LEN + 8  # a triple, then the records the loop had taken, big-endian
+VERDICT_LEN = TRIPLE_LEN + 1  # a triple, then 1 when its signature verifies, else 0
+# Each request and verdict is one write below PIPE_BUF, so it arrives whole, and
+# reads of whole ones never split one.
 
 
 def _can_run_ahead() -> bool:
@@ -676,11 +683,19 @@ class PreparedWake(Record):
 
 
 class RunAhead:
-    """One forked process that prepares each device wake of a run before the loop needs it.
+    """One forked process that prepares each device wake of a run before the
+    loop needs it, and verifies the loop's own signatures while it is ahead.
 
     For each device wake, in the heap's dispatch order, the child calls
     `DeviceActor.prepare`, verifies every signature that made, and writes one
-    length-prefixed `PreparedWake`. The pipe is the only flow control.
+    length-prefixed `PreparedWake` to the record pipe. Each signature the loop
+    makes meanwhile goes to the child on the request pipe, with the count of
+    records the loop has taken. The child verifies the newest of them while it
+    has written more than AHEAD records the loop has not taken, or once every
+    record is written, and sends each verdict back on the verdict pipe, which
+    `verify_digest` reads when it finds no verdict. Nothing waits on a request
+    or a verdict: one that finds its pipe full is dropped, and the loop then
+    verifies inline.
     """
 
     def __init__(self, order: list):
@@ -688,18 +703,46 @@ class RunAhead:
         self.taken = 0  # records taken so far
         self._buf = b""  # bytes read from the pipe, compacted only when a chunk is appended
         self._pos = 0  # offset in _buf of the first record not yet taken
-        read_fd, write_fd = os.pipe()
+        fds: list = []  # (read end, write end) of the record, request and verdict pipes
         try:
+            for _pipe in range(3):
+                fds += os.pipe()
             self.pid = os.fork()
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in fds:
+                os.close(fd)
             raise
+        records, to_records, from_requests, requests, verdicts, to_verdicts = fds
         if self.pid == 0:
-            os.close(read_fd)
-            _run_ahead_main(order, write_fd)
-        os.close(write_fd)
-        self.fd = read_fd
+            for fd in (records, requests, verdicts):
+                os.close(fd)
+            _run_ahead_main(order, to_records, from_requests, to_verdicts)
+        for fd in (to_records, from_requests, to_verdicts):
+            os.close(fd)
+        self.fd, self._requests, self._verdicts = records, requests, verdicts
+        os.set_blocking(requests, False)
+        os.set_blocking(verdicts, False)
+        ch.hook_signatures(self._request, self._file_verdicts)
+
+    def _request(self, triple: bytes) -> None:
+        """Ask the child to verify a signature the loop made."""
+        if len(triple) == TRIPLE_LEN:
+            try:
+                os.write(self._requests, triple + self.taken.to_bytes(8, "big"))
+            except OSError:  # the pipe is full (the child is stopped or busy) or the child is gone
+                pass
+
+    def _file_verdicts(self) -> None:
+        """Hand `channel.verify_digest` every verdict the child has sent back so far."""
+        while True:
+            try:
+                data = os.read(self._verdicts, VERDICT_LEN * BACKLOG)
+            except BlockingIOError:
+                return
+            for at in range(0, len(data), VERDICT_LEN):
+                ch.file_verdict(data[at : at + TRIPLE_LEN], data[at + TRIPLE_LEN] == 1)
+            if len(data) < VERDICT_LEN * BACKLOG:  # the pipe is empty, or the child has ended
+                return
 
     def take(self, actor_id: str, idx: int) -> Optional[tuple]:
         """The next record as `prepare` returns it, with its verdicts handed to
@@ -727,26 +770,66 @@ class RunAhead:
         return wake.node, wake.sealed, wake.tx_hash or None
 
     def close(self) -> None:
-        """Close the pipe, end and reap the child, and drop the verdicts it handed over untaken."""
+        """Remove the signature hooks, close the pipes, end and reap the child,
+        and drop the verdicts it handed over untaken."""
+        ch.hook_signatures()
         ch.drop_verdicts()
-        os.close(self.fd)
+        for fd in (self.fd, self._requests, self._verdicts):
+            os.close(fd)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
 
 
-def _run_ahead_main(order: list, fd: int) -> None:
+def _run_ahead_main(order: list, records: int, requests: int, verdicts: int) -> None:
     """The child's whole life; it leaves only through os._exit, so it never
-    runs the parent's exit handlers."""
+    runs the parent's exit handlers. Its writes never block: it waits only in
+    `select`, so while it is ahead a request is read as soon as it comes. It
+    ends when the loop closes the request pipe."""
     try:
+        os.set_blocking(records, False)
+        os.set_blocking(verdicts, False)
+        plan = iter(order)
+        backlog: deque = deque(maxlen=BACKLOG)  # the newest requests' triples, newest last
+        unsent = memoryview(b"")  # the part of the current record the record pipe has not taken
+        written = taken = 0  # records written whole; records the loop had taken at its last request
+        planned = False  # every record is prepared
         with ch.recording_signatures() as signed:
-            for actor, idx in order:
-                node_id, raw, tx_hash = actor.prepare(idx)
-                verdicts = tuple([Verdict(triple, int(ch.verify_triple(triple))) for triple in signed])
-                signed.clear()
-                record = enc_bytes(PreparedWake(actor.id, idx, node_id, raw, tx_hash or b"", verdicts).encode())
-                view = memoryview(record)
-                while view:
-                    view = view[os.write(fd, view) :]
+            while True:
+                if not unsent and not planned:
+                    step = next(plan, None)
+                    if step is None:
+                        planned = True
+                    else:
+                        actor, idx = step
+                        node_id, raw, tx_hash = actor.prepare(idx)
+                        checked = tuple([Verdict(triple, int(ch.verify_triple(triple))) for triple in signed])
+                        signed.clear()
+                        wake = PreparedWake(actor.id, idx, node_id, raw, tx_hash or b"", checked)
+                        unsent = memoryview(enc_bytes(wake.encode()))
+                if unsent:
+                    try:
+                        unsent = unsent[os.write(records, unsent) :]
+                    except BlockingIOError:  # the record pipe is full
+                        pass
+                    if not unsent:
+                        written += 1
+                # Behind the loop, the child only prepares, as if it had no requests.
+                ahead = planned or written - taken > AHEAD
+                if ahead and backlog:
+                    triple = backlog.pop()
+                    try:
+                        os.write(verdicts, triple + bytes((ch.verify_triple(triple),)))
+                    except BlockingIOError:  # the loop has not read the verdicts sent; drop this one
+                        pass
+                if ahead or unsent:
+                    busy = (ahead and backlog) or not (unsent or planned)
+                    if select.select([requests] if ahead else [], [records] if unsent else [], [], 0 if busy else None)[0]:
+                        data = os.read(requests, REQUEST_LEN * BACKLOG)
+                        if not data:  # the loop is done with this run
+                            return
+                        for at in range(0, len(data), REQUEST_LEN):
+                            backlog.append(data[at : at + TRIPLE_LEN])
+                        taken = int.from_bytes(data[-8:], "big")
     finally:
         os._exit(0)
 

@@ -306,12 +306,16 @@ def test_signature_binds_message_digest():
     assert ch.verify_digest(a.public_key, sig, hashlib.sha256(encoded).digest())
 
 
+class Overran(Exception):
+    """Not an OSError, so no handler of a failed system call in the program swallows it."""
+
+
 @contextlib.contextmanager
 def deadline(seconds):
-    """Raise TimeoutError in the block if it runs longer than `seconds`."""
+    """Raise Overran in the block if it runs longer than `seconds`."""
 
     def expire(*_args):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise Overran(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -392,6 +396,41 @@ def handed_at_close(monkeypatch) -> list:
     return left
 
 
+def returned_verdicts(monkeypatch, filed_after=()) -> list:
+    """Every (triple, verdict, late) the worker sends back on the loop's own
+    signatures, as the loop files it; `late` says whether the triple was in
+    the collection `filed_after` by then."""
+    polling, verdicts = [], []
+    file_verdict, file_verdicts = ch.file_verdict, RunAhead._file_verdicts
+
+    def filing(triple, verdict):
+        if polling:
+            verdicts.append((triple, verdict, triple in filed_after))
+        file_verdict(triple, verdict)
+
+    def reading_pipe(ahead):
+        polling.append(True)
+        try:
+            file_verdicts(ahead)
+        finally:
+            polling.pop()
+
+    monkeypatch.setattr(ch, "file_verdict", filing)
+    monkeypatch.setattr(RunAhead, "_file_verdicts", reading_pipe)
+    return verdicts
+
+
+def verified_inline(monkeypatch, triples: set) -> None:
+    """Add to `triples` every triple verified in this process from now on."""
+    original = ch._verify_inline
+
+    def verify(public_key, signature, digest):
+        triples.add(public_key + signature + digest)
+        return original(public_key, signature, digest)
+
+    monkeypatch.setattr(ch, "_verify_inline", verify)
+
+
 def count_inline_verifies(monkeypatch, keys: list) -> None:
     """Append to `keys` the public key of every verification made in this process from now on."""
     original = ch._verify_inline
@@ -414,6 +453,33 @@ def same_results(a, b) -> bool:
     )
 
 
+def assert_stopped_worker_changes_nothing(monkeypatch, config, seed) -> None:
+    """Stop the worker with SIGSTOP at event 150 of a run: it gives the
+    undisturbed results, and no dispatch takes RUN_AHEAD_TIMEOUT_S + 5 s."""
+    undisturbed = run_scenario(config, seed)
+    stopped, longest = [], [0.0]
+
+    def stop(sim):
+        stopped.append(sim._ahead)
+        os.kill(sim._ahead.pid, signal.SIGSTOP)
+
+    at_event(monkeypatch, 150, stop)
+    timed = Simulation._dispatch
+
+    def dispatch(sim, item):
+        start = time.monotonic()
+        timed(sim, item)
+        longest[0] = max(longest[0], time.monotonic() - start)
+
+    monkeypatch.setattr(Simulation, "_dispatch", dispatch)
+    with deadline(60):
+        disturbed = run_scenario(config, seed)
+    assert sim_module.RUN_AHEAD_TIMEOUT_S * 0.9 <= longest[0] < sim_module.RUN_AHEAD_TIMEOUT_S + 5
+    with pytest.raises(ChildProcessError):  # ended and reaped
+        os.waitpid(stopped[0].pid, os.WNOHANG)
+    assert same_results(disturbed, undisturbed)
+
+
 class TestVerifyingAhead:
     """The run-ahead worker signs for the devices and verifies each signature
     it makes before the loop needs the verdict."""
@@ -432,7 +498,10 @@ class TestVerifyingAhead:
         trace = run_scenario(READS, 22)
         assert len(trace.of_kind("task_reply")) == READS.tasks
         assert len(verdicts) >= 1000 and all(verdict for _triple, verdict in verdicts)
-        assert left == [{}]  # on a lossless link the loop took every one
+        # On a lossless link the loop took every one; what is left are verdicts
+        # on the loop's own signatures that came back after it had verified them.
+        (handed,) = left
+        assert not {triple for triple, _verdict in verdicts} & set(handed)
 
     def test_no_verdict_outlives_a_run(self, worker, monkeypatch):
         """Verdicts for envelopes lost on the way are never taken; they end with the run."""
@@ -448,28 +517,100 @@ class TestVerifyingAhead:
     def test_a_stopped_worker_never_blocks_signing(self, worker, monkeypatch):
         """A worker that sends nothing ends the loop's wait within RUN_AHEAD_TIMEOUT_S;
         the loop then signs for the devices itself, with the same results."""
-        undisturbed = run_scenario(MIXED, 23)
-        stopped, longest = [], [0.0]
+        assert_stopped_worker_changes_nothing(monkeypatch, MIXED, 23)
 
-        def stop(sim):
-            stopped.append(sim._ahead)
-            os.kill(sim._ahead.pid, signal.SIGSTOP)
+    def test_a_stopped_worker_never_blocks_the_signing_of_replies(self, worker, monkeypatch):
+        """On reads the loop asks the worker to verify each reply it signs; once
+        the worker is stopped those requests go nowhere, and none is sent after
+        the loop ended the worker and prepares its wakes again."""
+        closed, close, request = [], RunAhead.close, RunAhead._request
 
-        at_event(monkeypatch, 150, stop)
-        timed = Simulation._dispatch
+        def closing(ahead):
+            close(ahead)
+            closed.append(ahead)
 
-        def dispatch(sim, item):
-            start = time.monotonic()
-            timed(sim, item)
-            longest[0] = max(longest[0], time.monotonic() - start)
+        def requesting(ahead, triple):
+            assert ahead not in closed, "a signature was sent to an ended worker"
+            request(ahead, triple)
 
-        monkeypatch.setattr(Simulation, "_dispatch", dispatch)
-        with deadline(60):
-            disturbed = run_scenario(MIXED, 23)
-        assert sim_module.RUN_AHEAD_TIMEOUT_S * 0.9 <= longest[0] < sim_module.RUN_AHEAD_TIMEOUT_S + 5
-        with pytest.raises(ChildProcessError):  # ended and reaped
-            os.waitpid(stopped[0].pid, os.WNOHANG)
-        assert same_results(disturbed, undisturbed)
+        monkeypatch.setattr(RunAhead, "close", closing)
+        monkeypatch.setattr(RunAhead, "_request", requesting)
+        assert_stopped_worker_changes_nothing(monkeypatch, READS, 27)
+        assert len(closed) == 2  # the undisturbed run's worker, and the stopped one
+
+    def test_signing_never_waits_on_the_worker(self, monkeypatch):
+        """Signatures made while the worker is stopped overfill the request pipe,
+        and once it is dead they meet a broken pipe: each is dropped, and the
+        loop signs on and verifies inline."""
+        if not hasattr(os, "fork"):
+            pytest.skip("the run-ahead worker needs os.fork")
+
+        def pause(*_pipes):
+            try:
+                signal.pause()
+            finally:
+                os._exit(0)
+
+        monkeypatch.setattr(sim_module, "_run_ahead_main", pause)
+        pair, ahead = kp("ahead"), RunAhead([])
+        digests = [hashlib.sha256(str(i).encode()).digest() for i in range(1000)]  # past the pipe's 64 KiB
+        try:
+            os.kill(ahead.pid, signal.SIGSTOP)
+            with deadline(30):
+                for digest in digests[:800]:
+                    ch.sign_digest(pair.private_key, digest)
+                os.kill(ahead.pid, signal.SIGKILL)
+                os.waitid(os.P_PID, ahead.pid, os.WEXITED | os.WNOWAIT)  # dead, but left unreaped
+                signatures = [ch.sign_digest(pair.private_key, digest) for digest in digests[800:]]
+            assert all(ch.verify_digest(pair.public_key, sig, dig) for sig, dig in zip(signatures, digests[800:]))
+        finally:
+            ahead.close()
+        assert not ch._handed
+
+    def test_node_reply_verdicts_come_from_the_worker(self, worker, monkeypatch):
+        """The worker also verifies signatures the loop makes; a device opening
+        a node's reply takes such a verdict where it came back in time."""
+        returned = returned_verdicts(monkeypatch)
+        left = handed_at_close(monkeypatch)
+        node_keys, replies = set(), set()
+        at_event(monkeypatch, 1, lambda sim: node_keys.update(pair.public_key for pair in sim.node_keys.values()))
+        verify = ch.verify_digest
+
+        def opening(public_key, signature, digest):
+            if public_key in node_keys:  # nodes seal only to devices
+                replies.add(public_key + signature + digest)
+            return verify(public_key, signature, digest)
+
+        monkeypatch.setattr(ch, "verify_digest", opening)
+        trace = run_scenario(READS, 28)
+        assert len(trace.of_kind("task_reply")) == READS.tasks
+        taken = {triple: verdict for triple, verdict, _late in returned if triple not in left[0]}
+        assert set(taken) & replies
+        for triple, verdict in taken.items():
+            assert verdict is ch._verify_inline(triple[:32], triple[32:96], triple[96:]) is True
+
+    def test_a_verdict_back_after_its_check_is_never_taken(self, worker, monkeypatch):
+        """Verdicts the loop reads only after it verified their triples inline
+        stay untaken until the run drops them."""
+        verified = set()
+        returned = returned_verdicts(monkeypatch, filed_after=verified)
+        left = handed_at_close(monkeypatch)
+        held, file_verdicts = [0], RunAhead._file_verdicts
+
+        def held_back(ahead):
+            """Leave the worker's first verdicts in the pipe while the loop verifies their triples."""
+            held[0] += 1
+            if held[0] > 300:
+                file_verdicts(ahead)
+            else:
+                time.sleep(0.001)  # time for the worker to answer, also on one CPU
+
+        monkeypatch.setattr(RunAhead, "_file_verdicts", held_back)
+        at_event(monkeypatch, 1, lambda _sim: verified_inline(monkeypatch, verified))
+        run_scenario(READS, 29)
+        late = {triple for triple, _verdict, late in returned if late}
+        assert late and late <= set(left[0])
+        assert not ch._handed
 
     def test_a_triple_in_flight_is_verified_inline(self, worker, monkeypatch):
         """Records the worker had not handed over when it died are prepared

@@ -1,5 +1,6 @@
 import collections
 import copy
+import errno
 import gc
 import hashlib
 import json
@@ -509,7 +510,7 @@ class TestRunAhead:
         if not hasattr(os, "fork"):
             pytest.skip("the run-ahead worker needs os.fork")
 
-        def write_all(_order, fd):
+        def write_all(_order, fd, _requests, _verdicts):
             try:
                 view = memoryview(data)
                 while view:
@@ -548,6 +549,20 @@ class TestRunAhead:
                 ahead.take("d1", 1)
         finally:
             ahead.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the descriptors in /proc/self/fd")
+    def test_a_failed_fork_leaves_no_pipe_open(self, forced_worker, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError):
+            sim_module.RunAhead([])
+        trace = run_scenario(ScenarioConfig(nodes=2, workload="mixed", tasks=20, block_interval_ms=200), 37)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert sum(e.info["measured"] for e in trace.of_kind("task_sent")) == 20
+        assert channel._on_sign is channel._on_miss is None  # no hook was left behind
 
     def test_no_process_without_a_second_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
