@@ -14,7 +14,9 @@ a height it is the round-0 proposer of.
 
 The engine is a deterministic state machine: one ordered input stream per
 node, no internal concurrency. Message signatures and authority membership
-are verified by the caller before on_message.
+are verified by the caller before on_message. A prepare or commit that leaves
+its (round, hash) entry below quorum returns at once, unless the last pass
+of `_check_progress` moved the lock and left the round's prepare to send.
 """
 
 from __future__ import annotations
@@ -171,7 +173,12 @@ class ConsensusEngine:
         elif msg.phase == Phase.PRE_PREPARE:
             self._handle_pre_prepare(msg, chain)
         elif msg.phase in (Phase.PREPARE, Phase.COMMIT):
-            self._record_vote(msg)
+            table = self._record_vote(msg)
+            # A vote that leaves its entry below quorum changes no input of
+            # _check_progress, whose last pass left nothing to do but, after
+            # a lock moved, a prepare of the round's proposal.
+            if len(table.get((msg.round, msg.block_hash), ())) < self.quorum and self._due_prepare() is None:
+                return out, None
         return out, self._check_progress(out, now_us)
 
     def on_timeout(self, now_us: int):
@@ -270,17 +277,20 @@ class ConsensusEngine:
         # The proposer's pre-prepare counts as its prepare vote.
         self._add_vote(st.prepare_votes, msg.round, msg.block_hash, msg.sender)
 
-    def _record_vote(self, msg: ConsensusMessage) -> None:
+    def _record_vote(self, msg: ConsensusMessage) -> dict:
+        """Counts the vote unless its sender already voted in that round and
+        phase; returns the phase's vote table."""
         st = self.state
+        table = st.prepare_votes if msg.phase == Phase.PREPARE else st.commit_votes
         key = (msg.round, int(msg.phase), msg.sender)
         previous = st.voted_hash.get(key)
         if previous is not None:
             if previous != msg.block_hash:
                 self._incident("equivocation", msg.sender, f"double {msg.phase.name} in round {msg.round}")
-            return
+            return table
         st.voted_hash[key] = msg.block_hash
-        table = st.prepare_votes if msg.phase == Phase.PREPARE else st.commit_votes
         self._add_vote(table, msg.round, msg.block_hash, msg.sender)
+        return table
 
     @staticmethod
     def _add_vote(table: dict, round_: int, block_hash: bytes, sender: bytes) -> None:
@@ -298,19 +308,27 @@ class ConsensusEngine:
                 return block
         return None
 
+    def _due_prepare(self) -> Optional[bytes]:
+        """The hash of the current round's proposal when this node is yet to prepare it, else None."""
+        st = self.state
+        proposal = st.proposals.get(st.round)
+        if proposal is None or st.round in st.sent_prepare:
+            return None
+        bh = hash_block(proposal)
+        return bh if st.locked_block is None or hash_block(st.locked_block) == bh else None
+
     def _check_progress(self, out: list, now_us: int) -> Optional[Block]:
-        """Drive prepare/commit/finalize off the current vote tables."""
+        """Drive prepare/commit/finalize off the current vote tables, in one
+        pass: a lock it moves enables a prepare only on the next pass."""
         st = self.state
         quorum = self.quorum
         me = self.keypair.public_key
 
-        proposal = st.proposals.get(st.round)
-        if proposal is not None and st.round not in st.sent_prepare:
-            bh = hash_block(proposal)
-            if st.locked_block is None or hash_block(st.locked_block) == bh:
-                st.sent_prepare.add(st.round)
-                out.append(make_message(self.keypair, Phase.PREPARE, st.height, st.round, bh))
-                self._add_vote(st.prepare_votes, st.round, bh, me)
+        bh = self._due_prepare()
+        if bh is not None:
+            st.sent_prepare.add(st.round)
+            out.append(make_message(self.keypair, Phase.PREPARE, st.height, st.round, bh))
+            self._add_vote(st.prepare_votes, st.round, bh, me)
 
         for (round_, bh), votes in list(st.prepare_votes.items()):
             if round_ != st.round or len(votes) < quorum or round_ in st.sent_commit:

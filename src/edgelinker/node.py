@@ -3,16 +3,20 @@
 Each node is an event-driven state machine fed by one ordered input stream:
 `initial_output`, `on_timer` and the four message handlers (`handle_envelope`,
 `on_gossip`, `on_consensus`, `on_alert`). Each returns a NodeOutput of messages
-to send and timers to arm, or None where it never sends (`on_gossip`,
-`on_alert`). The timers are those the consensus engine asked for: each
-round's deadline, and a propose wake at each height the node is the round-0
-proposer of. The surrounding simulation (or any other transport) arms every
-timer it is handed and owns delivery, including the fan-out of a send to
-PEERS, the node's peers. World state is only ever advanced by applying
-finalized blocks, so replaying the chain from genesis always reproduces it
-byte for byte. Nodes handed one genesis state share every state they reach
-from it: each finalized block is applied once, while each node admits, serves
-reads and confirms against the state at its own height.
+to send and timers to arm, or None for nothing: `on_gossip` and `on_alert`
+always, `on_consensus` for a verified vote or a message for another height
+that its engine answers with no message, block, incident or timer, and
+`on_timer` for a wake of a height or round the engine has left or a propose
+wake the node does not act on. The timers are those the consensus engine
+asked for: each round's deadline, and a propose wake at each height the node
+is the round-0 proposer of. The surrounding simulation (or any other
+transport) arms every timer it is handed and owns delivery, including the
+fan-out of a send to PEERS, the node's peers. World state is only ever
+advanced by applying finalized blocks, so replaying the chain from genesis
+always reproduces it byte for byte. Nodes handed one genesis state share
+every state they reach from it: each finalized block is applied once, while
+each node admits, serves reads and confirms against the state at its own
+height.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .contracts import PermissionDenied, UnknownContract, WorldState, genesis_wo
 
 MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
 QUERY_SERVICE_US = 1000  # time one read occupies the node's query server
+_VOTES = (Phase.PREPARE, Phase.COMMIT)
 
 
 class AlertKind:
@@ -273,10 +278,10 @@ class FogNode:
 
     # -- consensus ---------------------------------------------------------------
 
-    def on_consensus(self, msg: ConsensusMessage, now_us: int) -> NodeOutput:
-        out = NodeOutput()
+    def on_consensus(self, msg: ConsensusMessage, now_us: int) -> Optional[NodeOutput]:
         authorities = self.genesis_config.authorities
         if not verify_message(msg, authorities):
+            out = NodeOutput()
             # A fabricated proposal from outside the authority set is still
             # inspected so the monitoring layer can name the offender.
             if msg.phase == Phase.PRE_PREPARE and msg.block is not None:
@@ -286,22 +291,34 @@ class FogNode:
                     detail = ",".join(v.value for v in violations)
                     self._raise_alert(AlertKind.INVALID_BLOCK, header.proposer, header.height, detail, now_us, out)
             return out
-        msgs, fin = self.engine.on_message(msg, self.chain, now_us)
+        engine = self.engine
+        # A vote, or a message for another height, cannot make this node propose;
+        # when the engine hands back nothing either, there is nothing to do.
+        quiet = msg.phase in _VOTES or msg.height != engine.height
+        msgs, fin = engine.on_message(msg, self.chain, now_us)
+        if quiet and not msgs and fin is None and not engine.incidents and not engine.timers:
+            return None
+        out = NodeOutput()
         self._post_engine(out, now_us, msgs, fin)
         return out
 
-    def on_timer(self, key: tuple, now_us: int) -> NodeOutput:
+    def on_timer(self, key: tuple, now_us: int) -> Optional[NodeOutput]:
+        """None for a wake of a height or round the engine has left, and for a
+        propose wake the node does not act on."""
+        engine = self.engine
+        if key[0] == "propose":
+            if engine.height != key[1] or engine.round != 0 or not engine.wants_proposal():
+                return None
+            out = NodeOutput()
+            self._propose(out, now_us)
+            return out
+        _, height, round_ = key
+        if engine.height != height or engine.round != round_:
+            return None
         out = NodeOutput()
-        kind = key[0]
-        if kind == "propose":
-            if self.engine.height == key[1] and self.engine.round == 0 and self.engine.wants_proposal():
-                self._propose(out, now_us)
-        elif kind == "round":
-            _, height, round_ = key
-            if self.engine.height == height and self.engine.round == round_:
-                msgs, fin = self.engine.on_timeout(now_us)
-                self.rec("round_timeout", height=height, round=round_)
-                self._post_engine(out, now_us, msgs, fin)
+        msgs, fin = engine.on_timeout(now_us)
+        self.rec("round_timeout", height=height, round=round_)
+        self._post_engine(out, now_us, msgs, fin)
         return out
 
     def _propose(self, out: NodeOutput, now_us: int) -> None:

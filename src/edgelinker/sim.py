@@ -26,6 +26,11 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Optional, get_args, get_type_hints
 
+try:
+    import fcntl
+except ImportError:  # Windows, where no run-ahead process forks either
+    fcntl = None
+
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import channel as ch
@@ -639,6 +644,7 @@ class EquivocatingNode(FogNode):
 RUN_AHEAD_TIMEOUT_S = 1.0  # longest wait for the next record before the loop prepares inline
 AHEAD = 48  # records the child must have written past the loop's before it verifies the loop's signatures
 BACKLOG = 64  # the loop's newest signatures the child keeps to verify; older ones are dropped unverified
+RECORD_PIPE_BYTES = 1 << 20  # the record pipe's size where the kernel grants it; 64 KiB holds ~92 write records
 TRIPLE_LEN = 2 * ch.KEY_LEN + ch.SIG_LEN  # a triple over a SHA-256 digest, the only kind the loop sends
 REQUEST_LEN = TRIPLE_LEN + 8  # a triple, then the records the loop had taken, big-endian
 VERDICT_LEN = TRIPLE_LEN + 1  # a triple, then 1 when its signature verifies, else 0
@@ -695,7 +701,9 @@ class RunAhead:
     record is written, and sends each verdict back on the verdict pipe, which
     `verify_digest` reads when it finds no verdict. Nothing waits on a request
     or a verdict: one that finds its pipe full is dropped, and the loop then
-    verifies inline.
+    verifies inline. The record pipe holds RECORD_PIPE_BYTES where the kernel
+    grants it, so the child can bank lead through a stretch the loop spends
+    on consensus.
     """
 
     def __init__(self, order: list):
@@ -707,6 +715,10 @@ class RunAhead:
         try:
             for _pipe in range(3):
                 fds += os.pipe()
+            try:
+                fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, RECORD_PIPE_BYTES)
+            except (AttributeError, OSError):  # no pipe sizes here, or more than this user may have: keep the default
+                pass
             self.pid = os.fork()
         except OSError:
             for fd in fds:

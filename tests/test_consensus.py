@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from dataclasses import replace
 
@@ -24,17 +25,18 @@ from edgelinker.consensus import (
     verify_message,
 )
 from edgelinker.channel import sign_digest
+from edgelinker.node import ALERT, CONSENSUS, PEERS, AlertKind, FogNode
 from tests.conftest import kp
 
 NOW_MS = 1_700_000_000_000
 
 
-def make_cluster(n, now_us=0):
+def make_cluster(n, now_us=0, engine_class=ConsensusEngine):
     keys = [kp(f"auth{i}") for i in range(n)]
     cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)  # 2 s round 0
     genesis = make_genesis(cfg)
     chains = [Chain([genesis]) for _ in range(n)]
-    engines = [ConsensusEngine(cfg, keys[i], height=1, now_us=now_us) for i in range(n)]
+    engines = [engine_class(cfg, keys[i], height=1, now_us=now_us) for i in range(n)]
     return keys, cfg, chains, engines
 
 
@@ -321,3 +323,172 @@ def test_future_height_messages_buffer_and_replay():
     assert out == [] and fin is None
     replayed = node.start_height(2, 10)
     assert replayed == [early]
+
+
+class WatchedEngine(ConsensusEngine):
+    """An engine that notes whether its last input reached _check_progress."""
+
+    checked = False
+
+    def _check_progress(self, out, now_us):
+        self.checked = True
+        return super()._check_progress(out, now_us)
+
+
+VOTES = (Phase.PREPARE, Phase.COMMIT)
+
+
+def drive_lossy(n, choose):
+    """Runs n watched engines over the schedule `choose(label, lo, hi)` picks
+    (each pick an int in [lo, hi]): one engine times out, or a pending message
+    is lost, delivered, or delivered after a conflicting vote by its sender.
+    After every message for an engine's own height that skipped
+    _check_progress, checks that running it on a copy would have sent,
+    finalized and changed nothing. Returns the count of such messages, and
+    the height every engine finalized."""
+    keys, cfg, chains, engines = make_cluster(n, engine_class=WatchedEngine)
+    by_key = {k.public_key: k for k in keys}
+    pending = []  # (receiving engine, message), in sending order
+    skipped = 0
+
+    def broadcast(i, msgs):
+        pending.extend((j, msg) for msg in msgs for j in range(n) if j != i)
+
+    def deliver(i, msg, now):
+        nonlocal skipped
+        engine = engines[i]
+        engine.checked, height = False, engine.height
+        out, fin = engine.on_message(msg, chains[i], now)
+        if not engine.checked and msg.height == height:
+            skipped += 1
+            assert out == [] and fin is None
+            twin, more = copy.deepcopy(engine), []
+            assert twin._check_progress(more, now) is None and more == []
+            assert (twin.state, twin.incidents, twin.timers) == (engine.state, engine.incidents, engine.timers)
+        return out, fin
+
+    def settle(i, out, fin, now):
+        """What a node does with the engine's output: send it, finalize, replay, propose when due."""
+        broadcast(i, out)
+        while fin is not None:
+            chains[i].blocks.append(fin)
+            replayed, fin = engines[i].start_height(fin.header.height + 1, now), None
+            for msg in replayed:
+                more, reached = deliver(i, msg, now)
+                broadcast(i, more)
+                fin = fin or reached
+        engine = engines[i]
+        if engine.wants_proposal():
+            block = build_block([], chains[i].tip, keys[i], NOW_MS + now // 1000)
+            settle(i, *engine.propose(block, now), now)
+
+    now = 0
+    for i in range(n):
+        settle(i, [], None, now)
+    for _step in range(choose("steps", 30, 150)):
+        now += 1000
+        action = choose("action", 0, 15)
+        if action == 0 or not pending:  # a round deadline passes at one engine
+            i = choose("timeout at", 0, n - 1)
+            settle(i, *engines[i].on_timeout(now), now)
+            continue
+        dst, msg = pending.pop(choose("delivered", 0, len(pending) - 1))
+        if action == 1:  # lost
+            continue
+        if action == 2 and msg.phase in VOTES:  # its sender votes both ways
+            forged = make_message(by_key[msg.sender], msg.phase, msg.height, msg.round, bytes(32))
+            settle(dst, *deliver(dst, forged, now), now)
+        settle(dst, *deliver(dst, msg, now), now)
+    # No two engines finalized different blocks at one height.
+    finalized = min(chain.height for chain in chains)
+    for height in range(1, finalized + 1):
+        assert len({hash_block(chain.blocks[height]) for chain in chains}) == 1
+    return skipped, finalized
+
+
+class TestEarlyExit:
+    """`on_message` skips `_check_progress` only where the engine is already at its fixpoint."""
+
+    @pytest.mark.parametrize("n", [4, 7])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_skipped_check_would_have_done_nothing(self, n, data):
+        drive_lossy(n, lambda label, lo, hi: data.draw(st.integers(lo, hi), label=label))
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_in_order_delivery_skips_the_check_at_every_engine_and_height(self, n):
+        # 150 messages delivered in sending order, none lost and no deadline passing:
+        # at each height, the first commit an engine hears leaves it below quorum.
+        picks = {"steps": 150, "action": 3, "timeout at": 0, "delivered": 0}
+        skipped, finalized = drive_lossy(n, lambda label, lo, hi: picks[label])
+        assert finalized > 0 and skipped >= n * finalized
+
+    def test_a_vote_after_a_moved_lock_still_sends_the_prepare_it_enabled(self):
+        keys, cfg, chains, engines = make_cluster(4)
+        engine, chain = engines[0], chains[0]
+        block_a = build_block([], chain.tip, keys[1], NOW_MS)  # the round-0 proposer is authorities[1]
+        a = hash_block(block_a)
+        engine.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, a, block_a), chain, 0)
+        out, _ = engine.on_message(make_message(keys[2], Phase.PREPARE, 1, 0, a), chain, 0)
+        assert [m.phase for m in out] == [Phase.COMMIT] and engine.state.locked_block == block_a
+        engine.on_timeout(2_000_000)
+        block_b = build_block([], chain.tip, keys[2], NOW_MS + 1)  # the round-1 proposer is authorities[2]
+        b = hash_block(block_b)
+        out, _ = engine.on_message(make_message(keys[2], Phase.PRE_PREPARE, 1, 1, b, block_b), chain, 2_000_000)
+        assert out == []  # locked on A, so no prepare of B
+        for voter in (1, 3):  # with the proposer's, a quorum of prepares for B
+            out, _ = engine.on_message(make_message(keys[voter], Phase.PREPARE, 1, 1, b), chain, 2_000_000)
+        assert [(m.phase, m.round) for m in out] == [(Phase.COMMIT, 1)] and engine.state.locked_block == block_b
+        # That pass moved the lock to B after its prepare step; the next input sends the prepare,
+        # even a commit that leaves its entry below quorum.
+        out, fin = engine.on_message(make_message(keys[1], Phase.COMMIT, 1, 1, b), chain, 2_000_000)
+        assert [(m.phase, m.round, m.block_hash) for m in out] == [(Phase.PREPARE, 1, b)] and fin is None
+
+
+class TestNodeEarlyExit:
+    """`FogNode.on_consensus` returns None where a vote changes nothing the loop sees."""
+
+    @pytest.fixture
+    def cluster(self):
+        keys = [kp(f"auth{i}") for i in range(4)]
+        cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)
+        node = FogNode("n0", keys[0], cfg, [f"n{i}" for i in range(4)], {})
+        node.initial_output()
+        block = build_block([], node.chain.tip, keys[1], NOW_MS)  # height-1 proposer is authorities[1]
+        return node, keys, block
+
+    def test_a_vote_below_quorum_returns_none(self, cluster):
+        node, keys, block = cluster
+        assert node.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 0, hash_block(block)), 0) is None
+        assert node.on_consensus(make_message(keys[2], Phase.COMMIT, 1, 0, hash_block(block)), 0) is None
+        assert node.chain.height == 0
+
+    def test_the_prepare_and_commit_that_complete_a_quorum_commit_and_finalize(self, cluster):
+        node, keys, block = cluster
+        bh = hash_block(block)
+        out = node.on_consensus(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, bh, block), 0)
+        assert [(s.dst, s.kind, s.body.phase) for s in out.sends] == [(PEERS, CONSENSUS, Phase.PREPARE)]
+        # The proposer's pre-prepare and n0's own prepare make two of the three votes.
+        out = node.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 0, bh), 0)
+        assert [(s.dst, s.kind, s.body.phase, s.body.block_hash) for s in out.sends] == [
+            (PEERS, CONSENSUS, Phase.COMMIT, bh)
+        ]
+        assert node.on_consensus(make_message(keys[3], Phase.PREPARE, 1, 0, bh), 0) is None  # past quorum
+        assert node.on_consensus(make_message(keys[2], Phase.COMMIT, 1, 0, bh), 0) is None  # two of three
+        out = node.on_consensus(make_message(keys[3], Phase.COMMIT, 1, 0, bh), 0)
+        assert out is not None
+        assert node.chain.height == 1 and hash_block(node.chain.tip) == bh
+        assert node.engine.height == 2
+        # A vote for the finalized height changes nothing.
+        assert node.on_consensus(make_message(keys[1], Phase.COMMIT, 1, 0, bh), 0) is None
+        assert node.chain.height == 1 and node.engine.height == 2
+
+    def test_a_double_vote_raises_one_equivocation_alert(self, cluster):
+        node, keys, block = cluster
+        assert node.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 0, hash_block(block)), 0) is None
+        out = node.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 0, bytes(32)), 0)
+        alerts = [s.body for s in out.sends if s.kind == ALERT]
+        assert [(a.kind, a.offender) for a in alerts] == [(AlertKind.EQUIVOCATION, keys[2].public_key)]
+        again = node.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 0, b"\x07" * 32), 0)
+        assert again is None or not again.sends
+        assert [a.kind for a in node.alerts] == [AlertKind.EQUIVOCATION]
