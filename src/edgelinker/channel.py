@@ -13,16 +13,14 @@ parties, kept by each party's `Endpoint`: a receiver accepts from a sender
 only the counter after the last one it accepted, with a timestamp inside
 CLOCK_SKEW_MS of its own clock.
 
-A forked process may sign on this one's behalf: it lists its signatures with
-`recording_signatures`, verifies them with `verify_triple`, and hands each
-verdict over through `file_verdict` (the precedent is geth's transaction
-sender cacher). It may also verify signatures made here: `hook_signatures`
-passes each triple `sign_digest` makes to that process, and has
-`verify_digest` file the verdicts that came back before it looks for one.
-`verify_digest` takes a handed verdict once, and verifies inline, storing
-nothing, whatever was not handed over in time. A signed ledger record keeps
-its own verdict (`chain.Signed.verified`), so the nodes handed one record
-share its check. Every verdict is a real Ed25519 verification.
+A second process may sign and verify on this one's behalf (the precedent
+is geth's transaction sender cacher). `helper` is the one seam to it, None
+when there is none: `sign_digest` tells it each (public key || signature ||
+digest) triple it makes, and `verify_digest` asks it for a verdict handed
+over on a triple, which it gives once, and verifies inline, storing nothing,
+when it gets none. A signed ledger record keeps its own verdict
+(`chain.Signed.verified`), so the nodes handed one record share its check.
+Every verdict is a real Ed25519 verification.
 
 libsodium signs and verifies Ed25519 where it loads (through `ctypes`, with
 `crypto_sign_detached` and `crypto_sign_verify_detached`); `cryptography`'s
@@ -39,10 +37,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import secrets
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -199,6 +197,13 @@ def _cipher(key: bytes) -> ChaCha20Poly1305:
     return ChaCha20Poly1305(key)
 
 
+# The seam to a process that signs and verifies on this one's behalf, else None.
+# Its `signed(triple)` is told each triple sign_digest makes; its `verdict(triple)`
+# returns a verdict handed over on the triple, once, or None. A triple is
+# unambiguous, since only a key and a signature of the right lengths are looked up.
+helper = None
+
+
 def sign_digest(private_seed: bytes, digest: bytes) -> bytes:
     seed, digest = bytes(private_seed), bytes(digest)
     if _sodium is None:
@@ -208,8 +213,8 @@ def sign_digest(private_seed: bytes, digest: bytes) -> bytes:
         # _ed_public refuses a seed of any length but 32, so the secret is 64 bytes.
         _sodium.crypto_sign_detached(out, None, digest, len(digest), _sodium_secret(seed))
         signature = out.raw
-    if _on_sign is not None:
-        _on_sign(_ed_public(seed) + signature + digest)
+    if helper is not None:
+        helper.signed(_ed_public(seed) + signature + digest)
     return signature
 
 
@@ -229,64 +234,16 @@ def _verify_inline(public_key: bytes, signature: bytes, digest: bytes) -> bool:
         return False
 
 
-VERDICTS_KEPT = 1 << 15  # handed verdicts not yet taken; past this the oldest is dropped
-
-# Verdicts handed over and not yet taken, oldest first, keyed by public key ||
-# signature || digest: unambiguous, since only a key and a signature of the
-# right lengths are ever looked up.
-_handed: dict = {}
-
-
-def file_verdict(triple: bytes, verdict: bool) -> None:
-    """Hand `verify_digest` the verdict of a (public key || signature || digest) triple, to take once."""
-    _handed[triple] = verdict
-    if len(_handed) > VERDICTS_KEPT:
-        del _handed[next(iter(_handed))]
-
-
-def drop_verdicts() -> None:
-    """Forget every handed verdict not yet taken."""
-    _handed.clear()
-
-
 def verify_digest(public_key: bytes, signature: bytes, digest: bytes) -> bool:
     if len(public_key) != KEY_LEN or len(signature) != SIG_LEN:
         return False
     public_key, signature, digest = bytes(public_key), bytes(signature), bytes(digest)
-    triple = public_key + signature + digest
-    verdict = _handed.pop(triple, None)
-    if verdict is None and _on_miss is not None:
-        _on_miss()
-        verdict = _handed.pop(triple, None)
+    verdict = None if helper is None else helper.verdict(public_key + signature + digest)
     return _verify_inline(public_key, signature, digest) if verdict is None else verdict
 
 
-_on_sign: Optional[Callable[[bytes], None]] = None  # given each triple sign_digest makes
-_on_miss: Optional[Callable[[], None]] = None  # called when verify_digest finds no handed verdict
-
-
-def hook_signatures(on_sign=None, on_miss=None) -> None:
-    """From now on `sign_digest` passes each (public key || signature ||
-    digest) triple it makes to `on_sign`, and `verify_digest` calls `on_miss`
-    before it verifies a triple whose verdict was not handed over, so that
-    verdicts still on their way can be filed; None removes a hook."""
-    global _on_sign, _on_miss
-    _on_sign, _on_miss = on_sign, on_miss
-
-
-@contextmanager
-def recording_signatures():
-    """Inside the block, `sign_digest` appends each triple it makes to the yielded list."""
-    signed: list = []
-    hook_signatures(signed.append)
-    try:
-        yield signed
-    finally:
-        hook_signatures()
-
-
 def verify_triple(triple: bytes) -> bool:
-    """A real Ed25519 verification of a triple `recording_signatures` listed."""
+    """A real Ed25519 verification of a (public key || signature || digest) triple."""
     return _verify_inline(triple[:KEY_LEN], triple[KEY_LEN : KEY_LEN + SIG_LEN], triple[KEY_LEN + SIG_LEN :])
 
 

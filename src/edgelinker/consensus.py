@@ -14,9 +14,9 @@ a height it is the round-0 proposer of.
 
 The engine is a deterministic state machine: one ordered input stream per
 node, no internal concurrency. Message signatures and authority membership
-are verified by the caller before on_message. A prepare or commit that leaves
-its (round, hash) entry below quorum returns at once, unless the last pass
-of `_check_progress` moved the lock and left the round's prepare to send.
+are verified by the caller before on_message. Every entry point ends at the
+fixpoint of `_check_progress`, so a prepare or commit that leaves its
+(round, hash) entry below quorum returns at once.
 """
 
 from __future__ import annotations
@@ -175,9 +175,8 @@ class ConsensusEngine:
         elif msg.phase in (Phase.PREPARE, Phase.COMMIT):
             table = self._record_vote(msg)
             # A vote that leaves its entry below quorum changes no input of
-            # _check_progress, whose last pass left nothing to do but, after
-            # a lock moved, a prepare of the round's proposal.
-            if len(table.get((msg.round, msg.block_hash), ())) < self.quorum and self._due_prepare() is None:
+            # _check_progress, whose last run reached its fixpoint.
+            if len(table.get((msg.round, msg.block_hash), ())) < self.quorum:
                 return out, None
         return out, self._check_progress(out, now_us)
 
@@ -308,27 +307,26 @@ class ConsensusEngine:
                 return block
         return None
 
-    def _due_prepare(self) -> Optional[bytes]:
-        """The hash of the current round's proposal when this node is yet to prepare it, else None."""
+    def _prepare(self, out: list) -> None:
+        """Prepare the current round's proposal, unless this node already did
+        or is locked on another block."""
         st = self.state
         proposal = st.proposals.get(st.round)
         if proposal is None or st.round in st.sent_prepare:
-            return None
+            return
         bh = hash_block(proposal)
-        return bh if st.locked_block is None or hash_block(st.locked_block) == bh else None
+        if st.locked_block is None or hash_block(st.locked_block) == bh:
+            st.sent_prepare.add(st.round)
+            out.append(make_message(self.keypair, Phase.PREPARE, st.height, st.round, bh))
+            self._add_vote(st.prepare_votes, st.round, bh, self.keypair.public_key)
 
     def _check_progress(self, out: list, now_us: int) -> Optional[Block]:
-        """Drive prepare/commit/finalize off the current vote tables, in one
-        pass: a lock it moves enables a prepare only on the next pass."""
+        """Drive prepare/commit/finalize off the current vote tables to their fixpoint."""
         st = self.state
         quorum = self.quorum
         me = self.keypair.public_key
-
-        bh = self._due_prepare()
-        if bh is not None:
-            st.sent_prepare.add(st.round)
-            out.append(make_message(self.keypair, Phase.PREPARE, st.height, st.round, bh))
-            self._add_vote(st.prepare_votes, st.round, bh, me)
+        locked = st.locked_block
+        self._prepare(out)
 
         for (round_, bh), votes in list(st.prepare_votes.items()):
             if round_ != st.round or len(votes) < quorum or round_ in st.sent_commit:
@@ -349,4 +347,8 @@ class ConsensusEngine:
                 continue
             st.finalized = True
             return block
+        # A lock moved to the round's proposal enables its prepare; the round's
+        # commit is sent, so that vote completes nothing more.
+        if st.locked_block is not locked:
+            self._prepare(out)
         return None

@@ -644,6 +644,7 @@ class EquivocatingNode(FogNode):
 RUN_AHEAD_TIMEOUT_S = 1.0  # longest wait for the next record before the loop prepares inline
 AHEAD = 48  # records the child must have written past the loop's before it verifies the loop's signatures
 BACKLOG = 64  # the loop's newest signatures the child keeps to verify; older ones are dropped unverified
+VERDICTS_KEPT = 1 << 15  # handed verdicts not yet taken; past this the oldest is dropped
 RECORD_PIPE_BYTES = 1 << 20  # the record pipe's size where the kernel grants it; 64 KiB holds ~92 write records
 TRIPLE_LEN = 2 * ch.KEY_LEN + ch.SIG_LEN  # a triple over a SHA-256 digest, the only kind the loop sends
 REQUEST_LEN = TRIPLE_LEN + 8  # a triple, then the records the loop had taken, big-endian
@@ -699,16 +700,19 @@ class RunAhead:
     records the loop has taken. The child verifies the newest of them while it
     has written more than AHEAD records the loop has not taken, or once every
     record is written, and sends each verdict back on the verdict pipe, which
-    `verify_digest` reads when it finds no verdict. Nothing waits on a request
-    or a verdict: one that finds its pipe full is dropped, and the loop then
-    verifies inline. The record pipe holds RECORD_PIPE_BYTES where the kernel
-    grants it, so the child can bank lead through a stretch the loop spends
-    on consensus.
+    `verdict` reads when it holds no verdict on a triple. Nothing waits on a
+    request or a verdict: one that finds its pipe full is dropped, and the
+    loop then verifies inline. The record pipe holds RECORD_PIPE_BYTES where
+    the kernel grants it, so the child can bank lead through a stretch the
+    loop spends on consensus.
+
+    It is `channel.helper` until `close`, which drops the verdicts not taken.
     """
 
     def __init__(self, order: list):
         self.order = order  # (device, step index) of each record, in dispatch order
         self.taken = 0  # records taken so far
+        self.handed: dict = {}  # triple -> verdict handed over and not yet taken, oldest first
         self._buf = b""  # bytes read from the pipe, compacted only when a chunk is appended
         self._pos = 0  # offset in _buf of the first record not yet taken
         fds: list = []  # (read end, write end) of the record, request and verdict pipes
@@ -734,9 +738,9 @@ class RunAhead:
         self.fd, self._requests, self._verdicts = records, requests, verdicts
         os.set_blocking(requests, False)
         os.set_blocking(verdicts, False)
-        ch.hook_signatures(self._request, self._file_verdicts)
+        ch.helper = self
 
-    def _request(self, triple: bytes) -> None:
+    def signed(self, triple: bytes) -> None:
         """Ask the child to verify a signature the loop made."""
         if len(triple) == TRIPLE_LEN:
             try:
@@ -744,22 +748,38 @@ class RunAhead:
             except OSError:  # the pipe is full (the child is stopped or busy) or the child is gone
                 pass
 
+    def verdict(self, triple: bytes) -> Optional[bool]:
+        """The verdict handed over on `triple`, taken once; None when the child
+        has sent none back so far."""
+        verdict = self.handed.pop(triple, None)
+        if verdict is None:
+            self._file_verdicts()
+            verdict = self.handed.pop(triple, None)
+        return verdict
+
+    def _file(self, triple: bytes, verdict: bool) -> None:
+        """Hand over the verdict on `triple`, to be taken once."""
+        handed = self.handed
+        handed[triple] = verdict
+        if len(handed) > VERDICTS_KEPT:
+            del handed[next(iter(handed))]
+
     def _file_verdicts(self) -> None:
-        """Hand `channel.verify_digest` every verdict the child has sent back so far."""
+        """File every verdict the child has sent back so far."""
         while True:
             try:
                 data = os.read(self._verdicts, VERDICT_LEN * BACKLOG)
             except BlockingIOError:
                 return
             for at in range(0, len(data), VERDICT_LEN):
-                ch.file_verdict(data[at : at + TRIPLE_LEN], data[at + TRIPLE_LEN] == 1)
+                self._file(data[at : at + TRIPLE_LEN], data[at + TRIPLE_LEN] == 1)
             if len(data) < VERDICT_LEN * BACKLOG:  # the pipe is empty, or the child has ended
                 return
 
     def take(self, actor_id: str, idx: int) -> Optional[tuple]:
-        """The next record as `prepare` returns it, with its verdicts handed to
-        `channel.verify_digest`; None when the child has ended, broke off a
-        record or sent nothing for RUN_AHEAD_TIMEOUT_S."""
+        """The next record as `prepare` returns it, with its verdicts filed;
+        None when the child has ended, broke off a record or sent nothing for
+        RUN_AHEAD_TIMEOUT_S."""
         buf, start = self._buf, self._pos
         # With fewer than 4 bytes buffered the prefix reads short, and the end still lies past the buffer.
         while len(buf) < (end := start + 4 + int.from_bytes(buf[start : start + 4], "big")):
@@ -777,19 +797,28 @@ class RunAhead:
         if (wake.device, wake.step) != (actor_id, idx):
             raise RuntimeError(f"run-ahead record for {(wake.device, wake.step)}, but the loop wakes {(actor_id, idx)}")
         for triple, good in wake.verdicts:
-            ch.file_verdict(triple, good == 1)
+            self._file(triple, good == 1)
         self.taken += 1
         return wake.node, wake.sealed, wake.tx_hash or None
 
     def close(self) -> None:
-        """Remove the signature hooks, close the pipes, end and reap the child,
-        and drop the verdicts it handed over untaken."""
-        ch.hook_signatures()
-        ch.drop_verdicts()
+        """Stop serving as `channel.helper`, drop the verdicts not taken, close
+        the pipes, and end and reap the child."""
+        ch.helper = None
+        self.handed.clear()
         for fd in (self.fd, self._requests, self._verdicts):
             os.close(fd)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
+
+
+class _Recorder(list):
+    """The child's `channel.helper`: it lists each triple signed, and hands over no verdict."""
+
+    signed = list.append
+
+    def verdict(self, _triple: bytes) -> None:
+        return None
 
 
 def _run_ahead_main(order: list, records: int, requests: int, verdicts: int) -> None:
@@ -805,43 +834,43 @@ def _run_ahead_main(order: list, records: int, requests: int, verdicts: int) -> 
         unsent = memoryview(b"")  # the part of the current record the record pipe has not taken
         written = taken = 0  # records written whole; records the loop had taken at its last request
         planned = False  # every record is prepared
-        with ch.recording_signatures() as signed:
-            while True:
-                if not unsent and not planned:
-                    step = next(plan, None)
-                    if step is None:
-                        planned = True
-                    else:
-                        actor, idx = step
-                        node_id, raw, tx_hash = actor.prepare(idx)
-                        checked = tuple([Verdict(triple, int(ch.verify_triple(triple))) for triple in signed])
-                        signed.clear()
-                        wake = PreparedWake(actor.id, idx, node_id, raw, tx_hash or b"", checked)
-                        unsent = memoryview(enc_bytes(wake.encode()))
-                if unsent:
-                    try:
-                        unsent = unsent[os.write(records, unsent) :]
-                    except BlockingIOError:  # the record pipe is full
-                        pass
-                    if not unsent:
-                        written += 1
-                # Behind the loop, the child only prepares, as if it had no requests.
-                ahead = planned or written - taken > AHEAD
-                if ahead and backlog:
-                    triple = backlog.pop()
-                    try:
-                        os.write(verdicts, triple + bytes((ch.verify_triple(triple),)))
-                    except BlockingIOError:  # the loop has not read the verdicts sent; drop this one
-                        pass
-                if ahead or unsent:
-                    busy = (ahead and backlog) or not (unsent or planned)
-                    if select.select([requests] if ahead else [], [records] if unsent else [], [], 0 if busy else None)[0]:
-                        data = os.read(requests, REQUEST_LEN * BACKLOG)
-                        if not data:  # the loop is done with this run
-                            return
-                        for at in range(0, len(data), REQUEST_LEN):
-                            backlog.append(data[at : at + TRIPLE_LEN])
-                        taken = int.from_bytes(data[-8:], "big")
+        ch.helper = signed = _Recorder()
+        while True:
+            if not unsent and not planned:
+                step = next(plan, None)
+                if step is None:
+                    planned = True
+                else:
+                    actor, idx = step
+                    node_id, raw, tx_hash = actor.prepare(idx)
+                    checked = tuple([Verdict(triple, int(ch.verify_triple(triple))) for triple in signed])
+                    signed.clear()
+                    wake = PreparedWake(actor.id, idx, node_id, raw, tx_hash or b"", checked)
+                    unsent = memoryview(enc_bytes(wake.encode()))
+            if unsent:
+                try:
+                    unsent = unsent[os.write(records, unsent) :]
+                except BlockingIOError:  # the record pipe is full
+                    pass
+                if not unsent:
+                    written += 1
+            # Behind the loop, the child only prepares, as if it had no requests.
+            ahead = planned or written - taken > AHEAD
+            if ahead and backlog:
+                triple = backlog.pop()
+                try:
+                    os.write(verdicts, triple + bytes((ch.verify_triple(triple),)))
+                except BlockingIOError:  # the loop has not read the verdicts sent; drop this one
+                    pass
+            if ahead or unsent:
+                busy = (ahead and backlog) or not (unsent or planned)
+                if select.select([requests] if ahead else [], [records] if unsent else [], [], 0 if busy else None)[0]:
+                    data = os.read(requests, REQUEST_LEN * BACKLOG)
+                    if not data:  # the loop is done with this run
+                        return
+                    for at in range(0, len(data), REQUEST_LEN):
+                        backlog.append(data[at : at + TRIPLE_LEN])
+                    taken = int.from_bytes(data[-8:], "big")
     finally:
         os._exit(0)
 

@@ -29,12 +29,11 @@ def non_timing_columns(rows) -> list:
 
 
 @pytest.fixture(autouse=True)
-def no_verdict_left_behind():
-    """Every test takes or drops each verdict it hands to `verify_digest`, so none reaches the next test."""
+def no_helper_left_behind():
+    """Every run-ahead helper a test installs is gone when it ends, so no handed verdict reaches the next test."""
     yield
-    left = len(channel._handed)
-    channel.drop_verdicts()
-    assert not left, f"{left} handed verdicts outlived the test"
+    left, channel.helper = channel.helper, None
+    assert left is None, f"{left!r} is still channel.helper after the test"
 
 
 @pytest.fixture

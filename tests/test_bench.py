@@ -237,7 +237,8 @@ class TestCli:
         assert main(["attack", "--kind", "replay", "--out", str(out)]) == 0
         events = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
         assert any(e["kind"] == "attack_replay" for e in events)
-        rows = list(csv.DictReader((out / "alerts.csv").open()))
+        with (out / "alerts.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         assert rows and {r["kind"] for r in rows} == {"replay_detected"}
         assert all(len(r) == 4 for r in rows)
 

@@ -365,12 +365,12 @@ def at_event(monkeypatch, number, action):
 def worker_verdicts(monkeypatch) -> list:
     """Every (triple, verdict) the loop files from the worker's records."""
     taking, verdicts = [], []
-    file_verdict, take = ch.file_verdict, RunAhead.take
+    file, take = RunAhead._file, RunAhead.take
 
-    def filing(triple, verdict):
+    def filing(ahead, triple, verdict):
         if taking:
             verdicts.append((triple, verdict))
-        file_verdict(triple, verdict)
+        file(ahead, triple, verdict)
 
     def taking_record(ahead, actor_id, idx):
         taking.append(idx)
@@ -379,18 +379,21 @@ def worker_verdicts(monkeypatch) -> list:
         finally:
             taking.pop()
 
-    monkeypatch.setattr(ch, "file_verdict", filing)
+    monkeypatch.setattr(RunAhead, "_file", filing)
     monkeypatch.setattr(RunAhead, "take", taking_record)
     return verdicts
 
 
 def handed_at_close(monkeypatch) -> list:
-    """The verdicts handed over and not yet taken when each run-ahead worker is closed."""
+    """The verdicts handed over and not yet taken when each run-ahead worker is
+    closed; checks that closing drops them and uninstalls the worker."""
     left, close = [], RunAhead.close
 
     def closing(ahead):
-        left.append(dict(ch._handed))
+        assert ch.helper is ahead
+        left.append(dict(ahead.handed))
         close(ahead)
+        assert not ahead.handed and ch.helper is None
 
     monkeypatch.setattr(RunAhead, "close", closing)
     return left
@@ -401,12 +404,12 @@ def returned_verdicts(monkeypatch, filed_after=()) -> list:
     signatures, as the loop files it; `late` says whether the triple was in
     the collection `filed_after` by then."""
     polling, verdicts = [], []
-    file_verdict, file_verdicts = ch.file_verdict, RunAhead._file_verdicts
+    file, file_verdicts = RunAhead._file, RunAhead._file_verdicts
 
-    def filing(triple, verdict):
+    def filing(ahead, triple, verdict):
         if polling:
             verdicts.append((triple, verdict, triple in filed_after))
-        file_verdict(triple, verdict)
+        file(ahead, triple, verdict)
 
     def reading_pipe(ahead):
         polling.append(True)
@@ -415,7 +418,7 @@ def returned_verdicts(monkeypatch, filed_after=()) -> list:
         finally:
             polling.pop()
 
-    monkeypatch.setattr(ch, "file_verdict", filing)
+    monkeypatch.setattr(RunAhead, "_file", filing)
     monkeypatch.setattr(RunAhead, "_file_verdicts", reading_pipe)
     return verdicts
 
@@ -507,8 +510,7 @@ class TestVerifyingAhead:
         """Verdicts for envelopes lost on the way are never taken; they end with the run."""
         left = handed_at_close(monkeypatch)
         run_scenario(LOSSY_WRITES, 3)
-        assert left[0]
-        assert not ch._handed
+        assert left[0]  # and closing the worker dropped them
         inline = []
         count_inline_verifies(monkeypatch, inline)
         assert all(ch.verify_digest(t[:32], t[32:96], t[96:]) for t in left[0])
@@ -523,7 +525,7 @@ class TestVerifyingAhead:
         """On reads the loop asks the worker to verify each reply it signs; once
         the worker is stopped those requests go nowhere, and none is sent after
         the loop ended the worker and prepares its wakes again."""
-        closed, close, request = [], RunAhead.close, RunAhead._request
+        closed, close, request = [], RunAhead.close, RunAhead.signed
 
         def closing(ahead):
             close(ahead)
@@ -534,7 +536,7 @@ class TestVerifyingAhead:
             request(ahead, triple)
 
         monkeypatch.setattr(RunAhead, "close", closing)
-        monkeypatch.setattr(RunAhead, "_request", requesting)
+        monkeypatch.setattr(RunAhead, "signed", requesting)
         assert_stopped_worker_changes_nothing(monkeypatch, READS, 27)
         assert len(closed) == 2  # the undisturbed run's worker, and the stopped one
 
@@ -565,7 +567,7 @@ class TestVerifyingAhead:
             assert all(ch.verify_digest(pair.public_key, sig, dig) for sig, dig in zip(signatures, digests[800:]))
         finally:
             ahead.close()
-        assert not ch._handed
+        assert not ahead.handed and ch.helper is None
 
     def test_node_reply_verdicts_come_from_the_worker(self, worker, monkeypatch):
         """The worker also verifies signatures the loop makes; a device opening
@@ -609,8 +611,7 @@ class TestVerifyingAhead:
         at_event(monkeypatch, 1, lambda _sim: verified_inline(monkeypatch, verified))
         run_scenario(READS, 29)
         late = {triple for triple, _verdict, late in returned if late}
-        assert late and late <= set(left[0])
-        assert not ch._handed
+        assert late and late <= set(left[0])  # and closing the worker dropped them
 
     def test_a_triple_in_flight_is_verified_inline(self, worker, monkeypatch):
         """Records the worker had not handed over when it died are prepared
@@ -632,13 +633,20 @@ class TestVerifyingAhead:
         assert devices & after
         assert same_results(disturbed, undisturbed)
 
-    def test_a_digest_of_any_length_is_recorded(self):
+    def test_a_digest_of_any_length_is_recorded(self, monkeypatch):
+        """The worker's own `channel.helper` lists every signature it makes, and hands over no verdict."""
         pair = kp("recorded")
         digest = hashlib.sha256(b"recorded").digest()
-        with ch.recording_signatures() as signed:
+        ch.helper = signed = sim_module._Recorder()
+        try:
             short = ch.sign_digest(pair.private_key, b"twenty bytes, no sha")
             signature = ch.sign_digest(pair.private_key, digest)
-        ch.sign_digest(pair.private_key, b"after the block")
+            inline = []
+            count_inline_verifies(monkeypatch, inline)
+            assert ch.verify_digest(pair.public_key, signature, digest) and inline == [pair.public_key]
+        finally:
+            ch.helper = None
+        ch.sign_digest(pair.private_key, b"after the recorder")
         assert signed == [pair.public_key + short + b"twenty bytes, no sha", pair.public_key + signature + digest]
         assert all(ch.verify_triple(triple) for triple in signed)
         assert not ch.verify_triple(pair.public_key + short + b"twenty bytes, no sha!")
@@ -668,10 +676,29 @@ class TestVerifyingAhead:
         assert len(trace.of_kind("task_confirmed")) + len(trace.of_kind("task_reply")) >= MIXED.tasks
 
 
+def idle_worker(monkeypatch) -> RunAhead:
+    """A run-ahead worker, serving as `channel.helper`, whose process ends at once."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the run-ahead worker needs os.fork")
+    monkeypatch.setattr(sim_module, "_run_ahead_main", lambda *_fds: os._exit(0))
+    return RunAhead([])
+
+
+class Handing(dict):
+    """A stand-in `channel.helper` that files the verdict on each triple
+    signed, and hands each over once."""
+
+    def signed(self, triple: bytes) -> None:
+        self[triple] = ch.verify_triple(triple)
+
+    def verdict(self, triple: bytes):
+        return self.pop(triple, None)
+
+
 @pytest.fixture(scope="class", params=["inline", "worker"])
 def verifier(request):
     """How a signature's verdict is reached: inline by `verify_digest`, or
-    filed ahead of it the way the loop files the run-ahead worker's verdicts."""
+    handed over by a `channel.helper` that filed it ahead of the check."""
     return request.param
 
 
@@ -684,54 +711,68 @@ class TestVerdictCache:
     )
     def test_verify_digest_equals_inline_verification(self, verifier, seed, digest, bit):
         pair = generate_keypair(seed)
-        with ch.recording_signatures() as signed:
+        handing = Handing()
+        ch.helper = handing if verifier == "worker" else None
+        try:
             signature = ch.sign_digest(pair.private_key, digest)
-        if verifier == "worker":
-            for triple in signed:
-                ch.file_verdict(triple, ch.verify_triple(triple))
-            assert ch._handed == {pair.public_key + signature + digest: True}
-        other_key = generate_keypair(hashlib.sha256(seed).digest()).public_key
-        triples = [
-            (pair.public_key, signature, digest),
-            (pair.public_key, flip_bit(signature, bit), digest),
-            (pair.public_key, signature, hashlib.sha256(digest).digest()),
-            (other_key, signature, digest),
-        ]
-        for _ in range(2):  # a handed verdict is taken the first time only
-            for key, sig, dig in triples:
-                assert ch.verify_digest(key, sig, dig) is ch._verify_inline(key, sig, dig)
+            if verifier == "worker":
+                assert handing == {pair.public_key + signature + digest: True}
+            other_key = generate_keypair(hashlib.sha256(seed).digest()).public_key
+            triples = [
+                (pair.public_key, signature, digest),
+                (pair.public_key, flip_bit(signature, bit), digest),
+                (pair.public_key, signature, hashlib.sha256(digest).digest()),
+                (other_key, signature, digest),
+            ]
+            for _ in range(2):  # a handed verdict is taken the first time only
+                for key, sig, dig in triples:
+                    assert ch.verify_digest(key, sig, dig) is ch._verify_inline(key, sig, dig)
+            assert not handing
+        finally:
+            ch.helper = None
 
     def test_a_handed_verdict_is_taken_once(self, monkeypatch):
         pair = kp("taken")
         digest = hashlib.sha256(b"taken").digest()
-        with ch.recording_signatures() as signed:
+        ahead = idle_worker(monkeypatch)
+        try:
             signature = ch.sign_digest(pair.private_key, digest)
-        ch.file_verdict(signed[0], ch.verify_triple(signed[0]))
-        inline = []
-        count_inline_verifies(monkeypatch, inline)
-        assert ch.verify_digest(pair.public_key, signature, digest) and inline == []
-        assert ch.verify_digest(pair.public_key, signature, digest) and inline == [pair.public_key]
+            triple = pair.public_key + signature + digest
+            ahead._file(triple, ch.verify_triple(triple))
+            inline = []
+            count_inline_verifies(monkeypatch, inline)
+            assert ch.verify_digest(pair.public_key, signature, digest) and inline == []
+            assert ch.verify_digest(pair.public_key, signature, digest) and inline == [pair.public_key]
+        finally:
+            ahead.close()
 
     def test_the_loop_hands_over_nothing(self, monkeypatch):
         monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: False)
+        monkeypatch.setattr(RunAhead, "_file", lambda *_args: pytest.fail("a verdict was handed over"))
+        helpers = []
+        at_event(monkeypatch, 100, lambda _sim: helpers.append(ch.helper))
         run_scenario(ScenarioConfig(nodes=4, workload="mixed", tasks=60, block_interval_ms=200), 29)
-        assert not ch._handed
+        assert helpers == [None]
 
     def test_the_bound_drops_the_oldest_verdict_first(self, monkeypatch):
-        monkeypatch.setattr(ch, "VERDICTS_KEPT", 8)
+        monkeypatch.setattr(sim_module, "VERDICTS_KEPT", 8)
         pair = kp("kept")
-        triples = []
-        for i in range(50):
-            digest = hashlib.sha256(b"kept %d" % i).digest()
-            triples.append(pair.public_key + ch.sign_digest(pair.private_key, digest) + digest)
-            ch.file_verdict(triples[-1], True)
-            assert list(ch._handed) == triples[-8:]
-        inline = []
-        count_inline_verifies(monkeypatch, inline)
-        for triple in (triples[-1], triples[0]):
-            assert ch.verify_digest(triple[:32], triple[32:96], triple[96:])
-        assert inline == [pair.public_key]  # the oldest was dropped, so verified when asked
-        ch.drop_verdicts()
+        ahead = idle_worker(monkeypatch)
+        try:
+            triples = []
+            for i in range(50):
+                digest = hashlib.sha256(b"kept %d" % i).digest()
+                triples.append(pair.public_key + ch.sign_digest(pair.private_key, digest) + digest)
+                ahead._file(triples[-1], True)
+                assert list(ahead.handed) == triples[-8:]
+            inline = []
+            count_inline_verifies(monkeypatch, inline)
+            for triple in (triples[-1], triples[0]):
+                assert ch.verify_digest(triple[:32], triple[32:96], triple[96:])
+            assert inline == [pair.public_key]  # the oldest was dropped, so verified when asked
+        finally:
+            ahead.close()
+        assert not ahead.handed and ch.helper is None
 
 
 def test_nothing_forks_outside_a_simulation_run(monkeypatch):

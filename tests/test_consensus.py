@@ -423,7 +423,7 @@ class TestEarlyExit:
         skipped, finalized = drive_lossy(n, lambda label, lo, hi: picks[label])
         assert finalized > 0 and skipped >= n * finalized
 
-    def test_a_vote_after_a_moved_lock_still_sends_the_prepare_it_enabled(self):
+    def test_the_input_that_moves_the_lock_sends_the_prepare_it_enables(self):
         keys, cfg, chains, engines = make_cluster(4)
         engine, chain = engines[0], chains[0]
         block_a = build_block([], chain.tip, keys[1], NOW_MS)  # the round-0 proposer is authorities[1]
@@ -436,13 +436,15 @@ class TestEarlyExit:
         b = hash_block(block_b)
         out, _ = engine.on_message(make_message(keys[2], Phase.PRE_PREPARE, 1, 1, b, block_b), chain, 2_000_000)
         assert out == []  # locked on A, so no prepare of B
-        for voter in (1, 3):  # with the proposer's, a quorum of prepares for B
-            out, _ = engine.on_message(make_message(keys[voter], Phase.PREPARE, 1, 1, b), chain, 2_000_000)
-        assert [(m.phase, m.round) for m in out] == [(Phase.COMMIT, 1)] and engine.state.locked_block == block_b
-        # That pass moved the lock to B after its prepare step; the next input sends the prepare,
-        # even a commit that leaves its entry below quorum.
+        out, _ = engine.on_message(make_message(keys[1], Phase.PREPARE, 1, 1, b), chain, 2_000_000)
+        assert out == []
+        # With the proposer's, this completes a quorum of prepares for B: the node
+        # commits B, which moves its lock to B, and so prepares B as well.
+        out, fin = engine.on_message(make_message(keys[3], Phase.PREPARE, 1, 1, b), chain, 2_000_000)
+        assert [(m.phase, m.round, m.block_hash) for m in out] == [(Phase.COMMIT, 1, b), (Phase.PREPARE, 1, b)]
+        assert engine.state.locked_block == block_b and fin is None
         out, fin = engine.on_message(make_message(keys[1], Phase.COMMIT, 1, 1, b), chain, 2_000_000)
-        assert [(m.phase, m.round, m.block_hash) for m in out] == [(Phase.PREPARE, 1, b)] and fin is None
+        assert out == [] and fin is None
 
 
 class TestNodeEarlyExit:

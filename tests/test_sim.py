@@ -401,6 +401,7 @@ def capture_worker(monkeypatch, after_events=None, action=None):
 
 
 def assert_reaped(worker):
+    assert channel.helper is None and not worker.handed
     with pytest.raises(ChildProcessError):
         os.waitpid(worker.pid, os.WNOHANG)
     with pytest.raises(OSError):
@@ -543,7 +544,7 @@ class TestRunAhead:
         try:
             for i, n in enumerate(sizes):
                 assert ahead.take(f"d{i}", i) == ("n1", bytes([i]) * n, b"h" * 32)
-                assert channel._handed[triples[i]] is bool(i % 2)
+                assert ahead.handed[triples[i]] is bool(i % 2)
             assert ahead.take("d9", 9) is None
             assert ahead.taken == len(sizes)
         finally:
@@ -570,7 +571,7 @@ class TestRunAhead:
         trace = run_scenario(ScenarioConfig(nodes=2, workload="mixed", tasks=20, block_interval_ms=200), 37)
         assert len(os.listdir("/proc/self/fd")) == before
         assert sum(e.info["measured"] for e in trace.of_kind("task_sent")) == 20
-        assert channel._on_sign is channel._on_miss is None  # no hook was left behind
+        assert channel.helper is None  # no helper was left behind
 
     @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="reads the pipe size with F_GETPIPE_SZ")
     def test_the_record_pipe_holds_a_mebibyte(self, monkeypatch):
