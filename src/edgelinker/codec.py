@@ -5,8 +5,7 @@ unsigned integers as 8-byte big-endian, byte strings length-prefixed with a
 4-byte big-endian length, a record's lists of items prefixed with a u64
 count, and variant tags as a single byte. Hashing, signing and encryption
 all run over these bytes, so independent nodes agree bit-for-bit. The
-contract state digests list their items after a u32 count (`enc_list`), as
-does the run-ahead child's record of a device wake.
+contract state digests list their items after a u32 count (`enc_list`).
 
 A wire record states its layout once: a `Record` is its one-byte `WIRE_TAG`,
 then the fields of its `LAYOUT`, (field name, `Codec`) pairs in wire order.
@@ -15,12 +14,15 @@ field's kind. When a record class is defined, `Record.__init_subclass__`
 compiles its `encode`, `read` and `decode` from its layout into Python
 source, run with `exec` as `dataclasses` builds `__init__`: the tag and each
 run of adjacent fixed-width fields are packed and unpacked by one
-`struct.Struct`, and byte strings, lists and variants are written inline,
-bounds checks included. A nested record is still written and read through
-its class's methods as they are at call time, so a method replaced on the
-class is the one used. The tests keep a field-by-field interpreter of the
-same layouts (`pack` and `unpack`) as the reference the compiled codecs are
-checked against.
+`struct.Struct`, and byte strings, strings, reading arrays and variants are
+written inline, bounds checks included. These are the kinds the records on
+every message carry. A field of any other kind (a nested record, an
+optional value, a list of items, an untagged group, an enum read) is
+written and read by its `Codec`'s own `write` and `read`, which reach a
+nested record through its class's methods as they are at call time, so a
+method replaced on the class is the one used. The tests keep a
+field-by-field interpreter of the same layouts (`pack` and `unpack`) as the
+reference the compiled codecs are checked against.
 
 A list of `(timestamp, heart_rate)` readings is a u64 count followed by the
 packed array of its pairs, each value an 8-byte big-endian unsigned integer:
@@ -200,7 +202,7 @@ def _unfit(count: int, left: int) -> DecodeError:
 class Codec(NamedTuple):
     """How one field goes to bytes (`write`) and back (`read`, raising
     DecodeError), and its `form`: its kind and parameters, from which the
-    record compiler writes the same steps inline."""
+    record compiler writes the same steps inline where it compiles the kind."""
 
     write: Callable
     read: Callable
@@ -208,8 +210,6 @@ class Codec(NamedTuple):
 
 
 U64 = Codec(enc_u64, Reader.u64, ("Q",))
-U32 = Codec(_U32.pack, Reader.u32, ("I",))
-U8 = Codec(enc_u8, Reader.u8, ("B",))
 BYTES = Codec(enc_bytes, Reader.bytes_, ("bytes",))
 STR = Codec(enc_str, Reader.str_, ("str",))
 READINGS = Codec(lambda rs: rs.packed if type(rs) is Readings else enc_readings(rs), Reader.readings, ("readings",))
@@ -284,13 +284,13 @@ def untagged(make, *codecs: Codec) -> Codec:
     )
 
 
-def items(codec: Codec, min_size: int, count: Codec = U64) -> Codec:
-    """A `count` (u64 unless given), then each item; read as a tuple, after
-    rejecting a count that cannot fit items of at least `min_size` bytes in what is left."""
+def items(codec: Codec, min_size: int) -> Codec:
+    """A u64 count, then each item; read as a tuple, after rejecting a count
+    that cannot fit items of at least `min_size` bytes in what is left."""
     return Codec(
-        lambda values: count.write(len(values)) + b"".join(map(codec.write, values)),
-        lambda r: tuple([codec.read(r) for _ in range(r.fits(count.read(r), min_size))]),
-        ("items", codec, min_size, count),
+        lambda values: enc_u64(len(values)) + b"".join(map(codec.write, values)),
+        lambda r: tuple([codec.read(r) for _ in range(r.fits(r.u64(), min_size))]),
+        ("items", codec, min_size),
     )
 
 
@@ -299,11 +299,14 @@ def items(codec: Codec, min_size: int, count: Codec = U64) -> Codec:
 class Source:
     """The body of one compiled function, and the namespace it runs in.
 
-    Read code reads `data[pos:end]`, advancing `pos`; a nested record is
-    read through a `Reader`, `r`, set to `pos` before the call and read back
-    after it. Fixed-width fields read one after another are collected and
-    emitted as one `struct.Struct` unpack when the next variable-width one
-    needs `pos`.
+    Read code reads `data[pos:end]`, advancing `pos`. Integers, byte
+    strings, strings and reading arrays are read and written inline; a
+    variant's class is chosen inline and reads itself. Any other field is
+    read and written by its codec's own `read` and `write`. A call that
+    reads goes through a `Reader`, `r`, set to `pos` before the call and
+    read back after it. Fixed-width fields read one after another are
+    collected and emitted as one `struct.Struct` unpack when the next
+    variable-width one needs `pos`.
     """
 
     def __init__(self, names: dict):
@@ -344,15 +347,8 @@ class Source:
 
     def _read(self, codec: Codec, target: str, depth: int, count_readings: bool = False) -> None:
         kind, *opts = codec.form
-        if kind in ("Q", "I", "B"):
-            self._pending.append((kind, target, ()))
-        elif kind == "enum":
-            raw, members = self.local("raw"), self.name({member.value: member for member in opts[0]})
-            self._pending.append(("B", raw, (
-                f"{target} = {members}.get({raw})",
-                f"if {target} is None:",
-                f"    raise DecodeError(f'{{{raw}}} is not a valid {opts[0].__name__}')",
-            )))
+        if kind == "Q":
+            self._pending.append(("Q", target, ()))
         elif kind in ("bytes", "str"):
             n = self.local("n")
             checks = ()
@@ -373,8 +369,6 @@ class Source:
             else:
                 self.emit(depth, f"{target} = list({self.name(READING)}.iter_unpack(data[pos:pos + {count} * {READING.size}]))")
             self.emit(depth, f"pos += {count} * {READING.size}")
-        elif kind == "record":
-            self._nested(depth, target, f"{self.name(opts[0])}.read(r)")
         elif kind == "one_of":
             what, _classes, by_tag = opts
             cls = self.local("cls")
@@ -382,35 +376,8 @@ class Source:
             self.emit(depth, "if pos >= end:", "    raise _short(1, pos)", f"{cls} = {self.name(by_tag)}.get(data[pos])")
             self.emit(depth, f"if {cls} is None:", f"    raise DecodeError(f'unknown {what} tag {{data[pos]}}')")
             self._nested(depth, target, f"{cls}.read(r)")
-        elif kind == "optional":
-            flag = self.local("flag")
-            self._pending.append(("B", flag, (f"if {flag} > 1:", f"    raise DecodeError(f'bad presence flag {{{flag}}}')")))
-            self._flush(depth)
-            self.emit(depth, f"if {flag}:")
-            self._read(opts[0], target, depth + 1)
-            self._flush(depth + 1)
-            self.emit(depth, "else:", f"    {target} = None")
-        elif kind == "untagged":
-            make, codecs = opts
-            values = [self.local("v") for _ in codecs]
-            for item, value in zip(codecs, values):
-                self._read(item, value, depth)
-            self._flush(depth)
-            self.emit(depth, f"{target} = {self.name(make)}({', '.join(values)})")
-        elif kind == "items":
-            item, min_size, count_codec = opts
-            count = self.local("count")
-            self._pending.append((count_codec.form[0], count, self._fits(count, min_size)))
-            self._flush(depth)
-            if item.form[:1] == ("record",):
-                self._nested(depth, target, f"tuple([{self.name(item.form[1])}.read(r) for _ in range({count})])")
-            else:
-                acc, value = self.local("acc"), self.local("item")
-                self.emit(depth, f"{acc} = []", f"for _ in range({count}):")
-                self._read(item, value, depth + 1)
-                self._flush(depth + 1)
-                self.emit(depth + 1, f"{acc}.append({value})")
-                self.emit(depth, f"{target} = tuple({acc})")
+        else:  # read by the codec's own function
+            self._nested(depth, target, f"{self.name(codec.read)}(r)")
 
     def _fits(self, count: str, min_size: int) -> tuple:
         return (f"if {count} > (end - pos) // {min_size}:", f"    raise _unfit({count}, end - pos)")
@@ -447,10 +414,12 @@ class Source:
         """The parts of `value`'s bytes: (struct code, int source) for a
         fixed-width value, (None, bytes source) for the others."""
         kind, *opts = codec.form
-        if kind in ("Q", "I", "B", "enum"):
-            return [("B" if kind == "enum" else kind, value)]
-        if kind == "record":
-            return [(None, f"{value}.encode()")]
+        if kind == "Q":
+            return [("Q", value)]
+        if kind == "enum":
+            return [("B", value)]
+        if kind not in ("bytes", "str", "readings", "one_of"):  # written by the codec's own function
+            return [(None, f"{self.name(codec.write)}({value})")]
         v = value
         if not value.isidentifier():  # a local, so the value is evaluated once
             v = self.local("v")
@@ -461,31 +430,9 @@ class Source:
             return [("I", f"len({v})"), (None, v)]
         if kind == "readings":
             return [(None, f"({v}.packed if type({v}) is {self.name(Readings)} else {self.name(enc_readings)}({v}))")]
-        if kind == "one_of":
-            what, classes, _by_tag = opts
-            self.emit(depth, f"if type({v}) not in {self.name(classes)}:", f"    raise TypeError(f'a {{type({v}).__name__}} is no {what}')")
-            return [(None, f"{v}.encode()")]
-        if kind == "optional":
-            out = self.local("out")
-            self.emit(depth, f"if {v} is None:", f"    {out} = b'\\x00'", "else:")
-            inner = self._write(opts[0], v, depth + 1)
-            self.emit(depth + 1, f"{out} = {self.join([('B', '1')] + inner)}")
-            return [(None, out)]
-        if kind == "untagged":
-            _make, codecs = opts
-            values = [self.local("v") for _ in codecs]
-            self.emit(depth, f"{''.join(value + ', ' for value in values)}= {v}")
-            return [part for item, value in zip(codecs, values) for part in self._write(item, value, depth)]
-        # items
-        item, _min_size, count = opts
-        parts = [(count.form[0], f"len({v})")]
-        if item.form[:1] == ("record",):
-            return parts + [(None, f"b''.join([item.encode() for item in {v}])")]
-        acc, value = self.local("acc"), self.local("item")
-        self.emit(depth, f"{acc} = []", f"for {value} in {v}:")
-        inner = self._write(item, value, depth + 1)
-        self.emit(depth + 1, f"{acc}.append({self.join(inner)})")
-        return parts + [(None, f"b''.join({acc})")]
+        what, classes, _by_tag = opts  # one_of
+        self.emit(depth, f"if type({v}) not in {self.name(classes)}:", f"    raise TypeError(f'a {{type({v}).__name__}} is no {what}')")
+        return [(None, f"{v}.encode()")]
 
     def join(self, parts: list) -> str:
         """The source of the parts' bytes one after another, each run of

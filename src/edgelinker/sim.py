@@ -24,7 +24,7 @@ import signal
 import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple, Optional, get_args, get_type_hints
+from typing import Optional, get_args, get_type_hints
 
 try:
     import fcntl
@@ -50,7 +50,7 @@ from .chain import (
     make_transaction,
 )
 from .channel import ChannelMessage, KeyPair, SecureEnvelope, generate_keypair, open_message
-from .codec import BYTES, STR, U8, U32, U64, DecodeError, Reader, Record, enc_bytes, enc_u64, items, untagged
+from .codec import BYTES, STR, U64, DecodeError, Reader, Record, enc_bytes, enc_u64
 from .consensus import Phase, make_message, quorum
 from .contracts import (
     HEALTH_RECORD_KIND,
@@ -646,7 +646,7 @@ AHEAD = 48  # records the child must have written past the loop's before it veri
 BACKLOG = 64  # the loop's newest signatures the child keeps to verify; older ones are dropped unverified
 VERDICTS_KEPT = 1 << 15  # handed verdicts not yet taken; past this the oldest is dropped
 RECORD_PIPE_BYTES = 1 << 20  # the record pipe's size where the kernel grants it; 64 KiB holds ~92 write records
-TRIPLE_LEN = 2 * ch.KEY_LEN + ch.SIG_LEN  # a triple over a SHA-256 digest, the only kind the loop sends
+TRIPLE_LEN = 2 * ch.KEY_LEN + ch.SIG_LEN  # a triple over a SHA-256 digest, the only kind either process hands over
 REQUEST_LEN = TRIPLE_LEN + 8  # a triple, then the records the loop had taken, big-endian
 VERDICT_LEN = TRIPLE_LEN + 1  # a triple, then 1 when its signature verifies, else 0
 # Each request and verdict is one write below PIPE_BUF, so it arrives whole, and
@@ -659,24 +659,17 @@ def _can_run_ahead() -> bool:
     return hasattr(os, "fork") and len(cpus) >= 2 and threading.active_count() == 1
 
 
-class Verdict(NamedTuple):
-    """The verdict on one signature the run-ahead child made."""
-
-    triple: bytes  # public key || signature || digest
-    good: int  # 1 when the signature verifies, else 0
-
-
 @dataclass
 class PreparedWake(Record):
     """One device wake as the run-ahead child prepared it: what `DeviceActor.prepare`
-    returned, and the verdict on every signature that made."""
+    returned, and the verdict on every signature over a SHA-256 digest that made."""
 
     device: str
     step: int
     node: str
     sealed: bytes
     tx_hash: bytes  # empty for a read
-    verdicts: tuple  # of Verdict
+    verdicts: bytes  # in the verdict pipe's format: each TRIPLE_LEN triple, then its verdict byte
 
     WIRE_TAG = None  # the pipe carries nothing else
     LAYOUT = (
@@ -685,7 +678,7 @@ class PreparedWake(Record):
         ("node", STR),
         ("sealed", BYTES),
         ("tx_hash", BYTES),
-        ("verdicts", items(untagged(Verdict, BYTES, U8), 5, count=U32)),  # an empty triple and its verdict at least
+        ("verdicts", BYTES),
     )
 
 
@@ -694,13 +687,15 @@ class RunAhead:
     loop needs it, and verifies the loop's own signatures while it is ahead.
 
     For each device wake, in the heap's dispatch order, the child calls
-    `DeviceActor.prepare`, verifies every signature that made, and writes one
-    length-prefixed `PreparedWake` to the record pipe. Each signature the loop
-    makes meanwhile goes to the child on the request pipe, with the count of
-    records the loop has taken. The child verifies the newest of them while it
-    has written more than AHEAD records the loop has not taken, or once every
-    record is written, and sends each verdict back on the verdict pipe, which
-    `verdict` reads when it holds no verdict on a triple. Nothing waits on a
+    `DeviceActor.prepare`, verifies every signature over a SHA-256 digest that
+    made (the loop verifies any other itself), and writes one length-prefixed
+    `PreparedWake` to the record pipe. Each signature the loop makes meanwhile
+    goes to the child on the request pipe, with the count of records the loop
+    has taken. The child verifies the newest of them while it has written more
+    than AHEAD records the loop has not taken, or once every record is
+    written, and sends each verdict back on the verdict pipe, which `verdict`
+    reads when it holds no verdict on a triple. Records and the verdict pipe
+    carry verdicts in one format, filed by `_file_all`. Nothing waits on a
     request or a verdict: one that finds its pipe full is dropped, and the
     loop then verifies inline. The record pipe holds RECORD_PIPE_BYTES where
     the kernel grants it, so the child can bank lead through a stretch the
@@ -764,6 +759,15 @@ class RunAhead:
         if len(handed) > VERDICTS_KEPT:
             del handed[next(iter(handed))]
 
+    def _file_all(self, data: bytes) -> None:
+        """Hand over each verdict in `data`, a TRIPLE_LEN triple, then 1 when
+        its signature verifies, else 0; DecodeError, filing none, when `data`
+        is not a whole number of them."""
+        if len(data) % VERDICT_LEN:
+            raise DecodeError(f"{len(data)} bytes are not a whole number of {VERDICT_LEN}-byte verdicts")
+        for at in range(0, len(data), VERDICT_LEN):
+            self._file(data[at : at + TRIPLE_LEN], data[at + TRIPLE_LEN] == 1)
+
     def _file_verdicts(self) -> None:
         """File every verdict the child has sent back so far."""
         while True:
@@ -771,8 +775,7 @@ class RunAhead:
                 data = os.read(self._verdicts, VERDICT_LEN * BACKLOG)
             except BlockingIOError:
                 return
-            for at in range(0, len(data), VERDICT_LEN):
-                self._file(data[at : at + TRIPLE_LEN], data[at + TRIPLE_LEN] == 1)
+            self._file_all(data)
             if len(data) < VERDICT_LEN * BACKLOG:  # the pipe is empty, or the child has ended
                 return
 
@@ -796,8 +799,7 @@ class RunAhead:
         r.expect_eof()
         if (wake.device, wake.step) != (actor_id, idx):
             raise RuntimeError(f"run-ahead record for {(wake.device, wake.step)}, but the loop wakes {(actor_id, idx)}")
-        for triple, good in wake.verdicts:
-            self._file(triple, good == 1)
+        self._file_all(wake.verdicts)
         self.taken += 1
         return wake.node, wake.sealed, wake.tx_hash or None
 
@@ -819,6 +821,11 @@ class _Recorder(list):
 
     def verdict(self, _triple: bytes) -> None:
         return None
+
+
+def _verdict(triple: bytes) -> bytes:
+    """`triple`, then its verdict byte, as the verdict pipe and `PreparedWake` carry it."""
+    return triple + bytes((ch.verify_triple(triple),))
 
 
 def _run_ahead_main(order: list, records: int, requests: int, verdicts: int) -> None:
@@ -843,7 +850,7 @@ def _run_ahead_main(order: list, records: int, requests: int, verdicts: int) -> 
                 else:
                     actor, idx = step
                     node_id, raw, tx_hash = actor.prepare(idx)
-                    checked = tuple([Verdict(triple, int(ch.verify_triple(triple))) for triple in signed])
+                    checked = b"".join([_verdict(triple) for triple in signed if len(triple) == TRIPLE_LEN])
                     signed.clear()
                     wake = PreparedWake(actor.id, idx, node_id, raw, tx_hash or b"", checked)
                     unsent = memoryview(enc_bytes(wake.encode()))
@@ -857,9 +864,8 @@ def _run_ahead_main(order: list, records: int, requests: int, verdicts: int) -> 
             # Behind the loop, the child only prepares, as if it had no requests.
             ahead = planned or written - taken > AHEAD
             if ahead and backlog:
-                triple = backlog.pop()
                 try:
-                    os.write(verdicts, triple + bytes((ch.verify_triple(triple),)))
+                    os.write(verdicts, _verdict(backlog.pop()))
                 except BlockingIOError:  # the loop has not read the verdicts sent; drop this one
                     pass
             if ahead or unsent:

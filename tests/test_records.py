@@ -47,11 +47,11 @@ from edgelinker.chain import (
     verify_transaction,
 )
 from edgelinker.channel import ChannelMessage
-from edgelinker.codec import DecodeError, Reader, Record, set_cached
+from edgelinker.codec import Codec, DecodeError, Reader, Record, set_cached
 from edgelinker.consensus import ConsensusMessage, Phase, make_message, verify_message
 from edgelinker.contracts import HealthRecordState, WorldState, read_history
 from edgelinker.node import ConfirmBody, ConfirmEntry, QueryReplyBody
-from edgelinker.sim import PreparedWake, Verdict
+from edgelinker.sim import VERDICT_LEN, PreparedWake
 from tests.conftest import kp
 from tests.test_codec import PAYLOADS
 
@@ -609,6 +609,17 @@ def test_forged_confirmation_count_rejected_without_allocating(count):
     assert_rejected_without_allocating(ConfirmBody.decode, raw[:at] + ref_u64(count) + raw[at + 8 :])
 
 
+@pytest.mark.parametrize("count", [2**64 - 1, 2**20, 3], ids=["u64_max", "large", "one_more"])
+def test_forged_transaction_count_rejected_without_allocating(count):
+    sender = kp("count")
+    txs = [make_transaction(sender, n, 5, Transfer(to=bytes(32), amount=n)) for n in (1, 2)]
+    block = build_block(txs, Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ()), kp("count-proposer"), 10)
+    raw = block.encode()
+    at = 1 + len(block.header.encode())  # tag, header
+    assert raw[at : at + 8] == ref_u64(2)
+    assert_rejected_without_allocating(Block.decode, raw[:at] + ref_u64(count) + raw[at + 8 :])
+
+
 def test_message_with_bad_block_flag_rejected():
     msg = make_message(kp("flag"), Phase.PREPARE, 1, 0, bytes(32))
     raw = bytearray(msg.encode())
@@ -649,7 +660,7 @@ RECORD_VALUES = {
         node=st.text(max_size=4),
         sealed=st.binary(max_size=60),
         tx_hash=st.binary(max_size=32),
-        verdicts=st.lists(st.builds(Verdict, triple=st.binary(max_size=128), good=st.integers(0, 255)), max_size=3).map(tuple),
+        verdicts=st.lists(st.binary(min_size=VERDICT_LEN, max_size=VERDICT_LEN), max_size=3).map(b"".join),
     ),
 }
 
@@ -731,7 +742,7 @@ def with_u64(value):
         "channel_message": ChannelMessage(value, 1, bytes(32), b""),
         "reply": QueryReplyBody(value, "", []),
         "confirmation_entry": ConfirmBody(1, (ConfirmEntry(b"", "ok", "", value),)),
-        "prepared_wake": PreparedWake("d0", value, "n0", b"", b"", ()),
+        "prepared_wake": PreparedWake("d0", value, "n0", b"", b"", b""),
     }
 
 
@@ -768,6 +779,56 @@ def test_traced_codec_methods_are_the_class_own(cls, name):
     """Per-layer tracing wraps each of these in its class's own `__dict__`;
     an inherited one would escape the wrapper and count no call."""
     assert name in cls.__dict__
+
+
+HOT = [
+    (ChannelMessage, "decode"),
+    (Transaction, "decode"),
+    (QueryReplyBody, "encode"),
+    (QueryReplyBody, "status_and_count"),
+    (PreparedWake, "read"),
+    (PreparedWake, "encode"),
+]
+
+
+def field_codec_functions() -> set:
+    """The ids of the `write` and `read` of every field codec in any record's layout, nested ones included."""
+    found, codecs = set(), [codec for cls in record_classes() for _, codec in cls.LAYOUT]
+    while codecs:
+        codec = codecs.pop()
+        found |= {id(codec.write), id(codec.read)}
+        for option in codec.form[1:]:
+            if isinstance(option, Codec):
+                codecs.append(option)
+            elif isinstance(option, tuple):
+                codecs += [item for item in option if isinstance(item, Codec)]
+    return found
+
+
+def globals_reached(function) -> list:
+    """The values of the globals `function` names, and of those named by each
+    compiled function it names, and so on."""
+    namespace, seen, code = function.__globals__, set(), [function.__code__]
+    while code:
+        body = code.pop()
+        code += [const for const in body.co_consts if hasattr(const, "co_names")]
+        for name in set(body.co_names) & set(namespace) - seen:
+            seen.add(name)
+            value = namespace[name]
+            if getattr(value, "__globals__", None) is namespace:
+                code.append(value.__code__)
+    return [namespace[name] for name in seen]
+
+
+@pytest.mark.parametrize("cls, name", HOT, ids=[f"{cls.__name__}.{name}" for cls, name in HOT])
+def test_hot_records_are_compiled_whole(cls, name):
+    """The records on every message are read and written by generated code
+    alone: it calls no field codec's own `write` or `read`."""
+    function = getattr(cls.__dict__[name], "__func__", cls.__dict__[name])
+    reached = globals_reached(function)
+    assert any(isinstance(value, struct.Struct) for value in reached)  # the compiled body was found
+    codec_functions = field_codec_functions()
+    assert not [value for value in reached if id(value) in codec_functions]
 
 
 # --- immutability ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from edgelinker import chain, channel, consensus, contracts
 from edgelinker import sim as sim_module
 from edgelinker.chain import Query
 from edgelinker.contracts import apply_block, genesis_world, replay_chain
-from edgelinker.codec import DecodeError, enc_bytes, enc_list, enc_str, enc_u64, enc_u8
+from edgelinker.codec import DecodeError, enc_bytes, enc_str, enc_u64, enc_u8
 from edgelinker.node import CLIENT, CONSENSUS, GOSSIP, ConfirmBody, FogNode, QueryReplyBody
 from edgelinker.sim import (
     ATTACK_KINDS,
@@ -38,6 +38,7 @@ from edgelinker.sim import (
     child_seed,
     run_scenario,
 )
+from tests.conftest import kp
 
 FAST = dict(block_interval_ms=200, writes=6, write_period_ms=400)
 
@@ -310,6 +311,9 @@ class TestNodeCounters:
             assert counters == list(range(1, len(counters) + 1))
 
 
+CONFIRM_ONE = enc_u8(ConfirmBody.WIRE_TAG) + enc_u64(1) + enc_u64(1)  # a confirmation at height 1 of one entry
+
+
 class TestDeviceIngress:
     """Node bytes that do not open or decode are rejected by the device, never raised out of the run."""
 
@@ -335,8 +339,20 @@ class TestDeviceIngress:
             enc_u8(QueryReplyBody.WIRE_TAG) + enc_u64(0) + enc_str("") + enc_u64(1) + enc_u64(5),
             enc_u8(QueryReplyBody.WIRE_TAG) + enc_u64(0) + b"\x00\x00\x00\x01\xff" + enc_u64(0),
             enc_u8(QueryReplyBody.WIRE_TAG) + enc_u64(0) + enc_str("") + enc_u64(0) + b"\x00",
+            CONFIRM_ONE + enc_bytes(bytes(32)) + b"\x00\x00\x00\x01\xff" + enc_str("") + enc_u64(0),
+            CONFIRM_ONE + enc_bytes(bytes(32)) + enc_str("ok") + b"\x00\x00\x00\x02\xc3\x28" + enc_u64(0),
+            CONFIRM_ONE + enc_bytes(bytes(32)) + enc_str("ok") + enc_str("") + enc_u64(0)[:5],
         ],
-        ids=["confirm_entry_count", "reply_reading_count", "reply_short_readings", "reply_bad_utf8", "reply_trailing"],
+        ids=[
+            "confirm_entry_count",
+            "reply_reading_count",
+            "reply_short_readings",
+            "reply_bad_utf8",
+            "reply_trailing",
+            "confirm_bad_utf8_result",
+            "confirm_bad_utf8_reason",
+            "confirm_cut_inside_an_entry",
+        ],
     )
     def test_sealed_body_with_a_forged_count(self, body):
         sim, actor = self._actor("secure")
@@ -531,14 +547,15 @@ class TestRunAhead:
         return sim_module.RunAhead([])
 
     @staticmethod
-    def framed(actor_id, idx, raw, verdicts=(), tail=b""):
+    def framed(actor_id, idx, raw, verdicts=b"", tail=b""):
+        """A length-prefixed record; `verdicts` is its verdict field, as the verdict pipe writes them."""
         body = enc_str(actor_id) + enc_u64(idx) + enc_str("n1") + enc_bytes(raw) + enc_bytes(b"h" * 32)
-        return enc_bytes(body + enc_list(verdicts, lambda v: enc_bytes(v[0]) + enc_u8(v[1])) + tail)
+        return enc_bytes(body + enc_bytes(verdicts) + tail)
 
     def test_records_are_taken_across_reads_up_to_one_broken_off(self, monkeypatch):
         sizes = [10, 200_000, 3, 70_000, 0, 5]  # two records larger than one read of the pipe
-        triples = [bytes([i]) * 128 for i in range(len(sizes))]
-        records = [self.framed(f"d{i}", i, bytes([i]) * n, [(triples[i], i % 2)]) for i, n in enumerate(sizes)]
+        triples = [bytes([i]) * sim_module.TRIPLE_LEN for i in range(len(sizes))]
+        records = [self.framed(f"d{i}", i, bytes([i]) * n, triples[i] + bytes([i % 2])) for i, n in enumerate(sizes)]
         broken = self.framed("d9", 9, b"cut")[:-1]
         ahead = self.worker_writing(monkeypatch, b"".join(records) + broken)
         try:
@@ -556,6 +573,47 @@ class TestRunAhead:
             assert ahead.take("d0", 0) == ("n1", b"ok", b"h" * 32)
             with pytest.raises(DecodeError, match="trailing"):
                 ahead.take("d1", 1)
+        finally:
+            ahead.close()
+
+    @pytest.mark.parametrize("extra", [1, sim_module.VERDICT_LEN - 1], ids=["one_byte_over", "one_byte_short"])
+    def test_a_ragged_verdict_field_is_refused(self, monkeypatch, extra):
+        """A verdict field must hold whole verdicts; a ragged one files none of them."""
+        whole = bytes(sim_module.TRIPLE_LEN) + b"\x01"
+        ahead = self.worker_writing(monkeypatch, self.framed("d0", 0, b"ok", whole * 2 + whole[:extra]))
+        try:
+            with pytest.raises(DecodeError, match="whole number"):
+                ahead.take("d0", 0)
+            assert not ahead.handed
+        finally:
+            ahead.close()
+
+    def test_a_non_sha256_device_digest_is_verified_inline(self, monkeypatch):
+        """The child hands over verdicts on SHA-256 digests only; a signature
+        over a digest of another length is never filed, and the loop verifies it."""
+        if not hasattr(os, "fork"):
+            pytest.skip("the run-ahead worker needs os.fork")
+        pair = kp("any-digest")
+        digests = [b"twenty bytes, no sha", hashlib.sha256(b"sha").digest(), b"\x07" * 48]
+        signatures = [channel.sign_digest(pair.private_key, digest) for digest in digests]
+
+        class Device:
+            id = "d0"
+
+            def prepare(self, _idx):
+                for digest in digests:
+                    channel.sign_digest(pair.private_key, digest)
+                return "n0", b"sealed", None
+
+        ahead = sim_module.RunAhead([(Device(), 0)])
+        try:
+            assert ahead.take("d0", 0) == ("n0", b"sealed", None)
+            assert ahead.handed == {pair.public_key + signatures[1] + digests[1]: True}
+            inline = []
+            verify = channel._verify_inline
+            monkeypatch.setattr(channel, "_verify_inline", lambda *triple: inline.append(triple[2]) or verify(*triple))
+            assert all(channel.verify_digest(pair.public_key, sig, digest) for sig, digest in zip(signatures, digests))
+            assert inline == [digests[0], digests[2]]
         finally:
             ahead.close()
 
