@@ -14,10 +14,11 @@ field's kind. When a record class is defined, `Record.__init_subclass__`
 compiles its `encode`, `read` and `decode` from its layout into Python
 source, run with `exec` as `dataclasses` builds `__init__`: the tag and each
 run of adjacent fixed-width fields are packed and unpacked by one
-`struct.Struct`, and byte strings, strings, reading arrays and variants are
-written inline, bounds checks included. These are the kinds the records on
-every message carry. A field of any other kind (a nested record, an
-optional value, a list of items, an untagged group, an enum read) is
+`struct.Struct`, byte strings, strings and reading arrays are written and
+read inline, bounds checks included, and a variant's class is chosen inline
+when it is read. These are the kinds the records on every message carry. A
+field of any other kind (a nested record, an optional value, a list of
+items, an untagged group, an enum), and a variant when it is written, is
 written and read by its `Codec`'s own `write` and `read`, which reach a
 nested record through its class's methods as they are at call time, so a
 method replaced on the class is the one used. The tests keep a
@@ -299,10 +300,11 @@ def items(codec: Codec, min_size: int) -> Codec:
 class Source:
     """The body of one compiled function, and the namespace it runs in.
 
-    Read code reads `data[pos:end]`, advancing `pos`. Integers, byte
+    Read code reads `data[pos:end]`, advancing `pos`. u64 integers, byte
     strings, strings and reading arrays are read and written inline; a
-    variant's class is chosen inline and reads itself. Any other field is
-    read and written by its codec's own `read` and `write`. A call that
+    variant's class is chosen inline and reads itself. Any other field, and
+    a variant being written, is read and written by its codec's own `read`
+    and `write`. A call that
     reads goes through a `Reader`, `r`, set to `pos` before the call and
     read back after it. Fixed-width fields read one after another are
     collected and emitted as one `struct.Struct` unpack when the next
@@ -416,9 +418,7 @@ class Source:
         kind, *opts = codec.form
         if kind == "Q":
             return [("Q", value)]
-        if kind == "enum":
-            return [("B", value)]
-        if kind not in ("bytes", "str", "readings", "one_of"):  # written by the codec's own function
+        if kind not in ("bytes", "str", "readings"):  # written by the codec's own function
             return [(None, f"{self.name(codec.write)}({value})")]
         v = value
         if not value.isidentifier():  # a local, so the value is evaluated once
@@ -428,11 +428,7 @@ class Source:
             if kind == "str":
                 self.emit(depth, f"{v} = {v}.encode('utf-8')")
             return [("I", f"len({v})"), (None, v)]
-        if kind == "readings":
-            return [(None, f"({v}.packed if type({v}) is {self.name(Readings)} else {self.name(enc_readings)}({v}))")]
-        what, classes, _by_tag = opts  # one_of
-        self.emit(depth, f"if type({v}) not in {self.name(classes)}:", f"    raise TypeError(f'a {{type({v}).__name__}} is no {what}')")
-        return [(None, f"{v}.encode()")]
+        return [(None, f"({v}.packed if type({v}) is {self.name(Readings)} else {self.name(enc_readings)}({v}))")]
 
     def join(self, parts: list) -> str:
         """The source of the parts' bytes one after another, each run of
