@@ -304,11 +304,10 @@ class Source:
     strings, strings and reading arrays are read and written inline; a
     variant's class is chosen inline and reads itself. Any other field, and
     a variant being written, is read and written by its codec's own `read`
-    and `write`. A call that
-    reads goes through a `Reader`, `r`, set to `pos` before the call and
-    read back after it. Fixed-width fields read one after another are
-    collected and emitted as one `struct.Struct` unpack when the next
-    variable-width one needs `pos`.
+    and `write`. A call that reads goes through a `Reader`, `r`, set to
+    `pos` before the call and read back after it. Fixed-width fields read
+    one after another are collected and emitted as one `struct.Struct`
+    unpack when the next variable-width one needs `pos`.
     """
 
     def __init__(self, names: dict):
@@ -415,7 +414,7 @@ class Source:
     def _write(self, codec: Codec, value: str, depth: int) -> list:
         """The parts of `value`'s bytes: (struct code, int source) for a
         fixed-width value, (None, bytes source) for the others."""
-        kind, *opts = codec.form
+        kind = codec.form[0]
         if kind == "Q":
             return [("Q", value)]
         if kind not in ("bytes", "str", "readings"):  # written by the codec's own function

@@ -764,6 +764,20 @@ def test_signing_a_u64_out_of_range_raises_value_error(value):
         make_transaction(kp("range"), value, 5, Transfer(to=bytes(32), amount=3))
 
 
+@pytest.mark.parametrize("encode", ENCODERS.values(), ids=ENCODERS.keys())
+@pytest.mark.parametrize("phase", [-1, 256], ids=["negative", "too_large"])
+def test_a_phase_out_of_u8_range_raises_value_error(encode, phase):
+    with pytest.raises(ValueError):
+        encode(ConsensusMessage(phase, 1, 0, bytes(32), None, bytes(32), bytes(64)))
+
+
+@pytest.mark.parametrize("payload", [Query(bytes(32), 0, 1), b"transfer"], ids=["query", "bytes"])
+def test_a_payload_of_no_payload_class_is_refused(payload):
+    tx = make_transaction(kp("payload"), 1, 5, Transfer(to=bytes(32), amount=3))
+    with pytest.raises(TypeError, match="is no payload"):
+        replace(tx, payload=payload).encode()
+
+
 TRACED = [
     (Transaction, "signing_bytes"),
     (Transaction, "encode"),
