@@ -14,9 +14,12 @@ a height it is the round-0 proposer of.
 
 The engine is a deterministic state machine: one ordered input stream per
 node, no internal concurrency. Message signatures and authority membership
-are verified by the caller before on_message. Every entry point ends at the
-fixpoint of `_check_progress`, so a prepare or commit that leaves its
-(round, hash) entry below quorum returns at once.
+are verified by the caller before on_message. Every entry point returns
+(outbound messages, finalized block) at the fixpoint of `_check_progress`, so
+a prepare or commit that leaves its (round, hash) entry below quorum returns at
+once; `start_height` feeds the messages buffered for its height through
+`on_message`. Each `Incident` names its alert: an `AlertKind` and the offender,
+the block's proposer for an invalid proposal and the sender otherwise.
 """
 
 from __future__ import annotations
@@ -91,13 +94,18 @@ def select_proposer(height: int, round_: int, authorities) -> bytes:
     return authorities[(height + round_) % len(authorities)]
 
 
+class AlertKind:
+    INVALID_BLOCK = "invalid_block"
+    EQUIVOCATION = "equivocation"
+    REPLAY_DETECTED = "replay_detected"
+
+
 @dataclass
 class Incident:
-    kind: str  # "invalid_proposal" | "equivocation"
+    kind: str  # AlertKind.INVALID_BLOCK or AlertKind.EQUIVOCATION
     offender: bytes
     height: int
     detail: str
-    block: Optional[Block] = None
 
 
 @dataclass
@@ -209,13 +217,21 @@ class ConsensusEngine:
         st.sent_prepare.add(st.round)
         return out, self._check_progress(out, now_us)
 
-    def start_height(self, height: int, now_us: int):
-        """Reset for the next height and replay any buffered messages for it."""
+    def start_height(self, height: int, chain: Chain, now_us: int):
+        """Reset for `height` and feed it the messages buffered for it; returns
+        (outbound messages, the first block they finalize)."""
         self._begin_height(height, now_us)
-        pending, self._future = self._future, []
-        ready = [m for m in pending if m.height >= height]
-        self._future = [m for m in ready if m.height > height]
-        return [m for m in ready if m.height == height]
+        pending = self._future
+        self._future = [m for m in pending if m.height > height]
+        out: list = []
+        finalized = None
+        for msg in pending:
+            if msg.height == height:
+                more, fin = self.on_message(msg, chain, now_us)
+                out += more
+                if finalized is None:
+                    finalized = fin
+        return out, finalized
 
     # -- internals -----------------------------------------------------------
 
@@ -259,18 +275,17 @@ class ConsensusEngine:
         existing = st.proposals.get(msg.round)
         if existing is not None:
             if hash_block(existing) != msg.block_hash:
-                self._incident("equivocation", msg.sender, f"conflicting proposal round {msg.round}")
+                self._incident(AlertKind.EQUIVOCATION, msg.sender, f"conflicting proposal round {msg.round}")
             return
         if msg.sender != select_proposer(st.height, msg.round, self.authorities):
-            self._incident("invalid_proposal", msg.sender, "not the proposer for this round", msg.block)
+            self._invalid_proposal(msg, "not the proposer for this round")
             return
         if msg.block is None or hash_block(msg.block) != msg.block_hash:
-            self._incident("invalid_proposal", msg.sender, "proposal hash mismatch", msg.block)
+            self._invalid_proposal(msg, "proposal hash mismatch")
             return
         violations = validate_block(msg.block, chain.tip, self.authorities, self.max_txs)
         if violations:
-            detail = ",".join(v.value for v in violations)
-            self._incident("invalid_proposal", msg.sender, detail, msg.block)
+            self._invalid_proposal(msg, ",".join(v.value for v in violations))
             return
         st.proposals[msg.round] = msg.block
         # The proposer's pre-prepare counts as its prepare vote.
@@ -285,7 +300,7 @@ class ConsensusEngine:
         previous = st.voted_hash.get(key)
         if previous is not None:
             if previous != msg.block_hash:
-                self._incident("equivocation", msg.sender, f"double {msg.phase.name} in round {msg.round}")
+                self._incident(AlertKind.EQUIVOCATION, msg.sender, f"double {msg.phase.name} in round {msg.round}")
             return table
         st.voted_hash[key] = msg.block_hash
         self._add_vote(table, msg.round, msg.block_hash, msg.sender)
@@ -295,8 +310,12 @@ class ConsensusEngine:
     def _add_vote(table: dict, round_: int, block_hash: bytes, sender: bytes) -> None:
         table.setdefault((round_, block_hash), set()).add(sender)
 
-    def _incident(self, kind: str, offender: bytes, detail: str, block: Optional[Block] = None) -> None:
-        self.incidents.append(Incident(kind, offender, self.state.height, detail, block))
+    def _incident(self, kind: str, offender: bytes, detail: str) -> None:
+        self.incidents.append(Incident(kind, offender, self.state.height, detail))
+
+    def _invalid_proposal(self, msg: ConsensusMessage, detail: str) -> None:
+        offender = msg.sender if msg.block is None else msg.block.header.proposer
+        self._incident(AlertKind.INVALID_BLOCK, offender, detail)
 
     def _block_for(self, block_hash: bytes) -> Optional[Block]:
         st = self.state

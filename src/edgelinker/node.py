@@ -4,19 +4,20 @@ Each node is an event-driven state machine fed by one ordered input stream:
 `initial_output`, `on_timer` and the four message handlers (`handle_envelope`,
 `on_gossip`, `on_consensus`, `on_alert`). Each returns a NodeOutput of messages
 to send and timers to arm, or None for nothing: `on_gossip` and `on_alert`
-always, `on_consensus` for a verified vote or a message for another height
-that its engine answers with no message, block, incident or timer, and
-`on_timer` for a wake of a height or round the engine has left or a propose
-wake the node does not act on. The timers are those the consensus engine
-asked for: each round's deadline, and a propose wake at each height the node
-is the round-0 proposer of. The surrounding simulation (or any other
-transport) arms every timer it is handed and owns delivery, including the
-fan-out of a send to PEERS, the node's peers. World state is only ever
-advanced by applying finalized blocks, so replaying the chain from genesis
-always reproduces it byte for byte. Nodes handed one genesis state share
-every state they reach from it: each finalized block is applied once, while
-each node admits, serves reads and confirms against the state at its own
-height.
+always, `on_consensus` for a verified message its engine answers with no
+message, block, incident or timer while it does not want this node to
+propose, and `on_timer` for a wake of a height or round the engine has left or
+a propose wake the node does not act on. Its alerts on consensus come from
+the engine's incidents, which name their kind and offender. The timers are
+those the consensus engine asked for: each round's deadline, and a propose
+wake at each height the node is the round-0 proposer of. The surrounding
+simulation (or any other transport) arms every timer it is handed and owns
+delivery, including the fan-out of a send to PEERS, the node's peers. World
+state is only ever advanced by applying finalized blocks, so replaying the
+chain from genesis always reproduces it byte for byte. Nodes handed one
+genesis state share every state they reach from it: each finalized block is
+applied once, while each node admits, serves reads and confirms against the
+state at its own height.
 """
 
 from __future__ import annotations
@@ -39,18 +40,11 @@ from .chain import (
     verify_transaction,
 )
 from .codec import BYTES, READINGS, STR, U64, DecodeError, Record, items, untagged
-from .consensus import ConsensusEngine, ConsensusMessage, Phase, verify_message
+from .consensus import AlertKind, ConsensusEngine, ConsensusMessage, Phase, verify_message
 from .contracts import PermissionDenied, UnknownContract, WorldState, genesis_world, next_state, read_history
 
 MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
 QUERY_SERVICE_US = 1000  # time one read occupies the node's query server
-_VOTES = (Phase.PREPARE, Phase.COMMIT)
-
-
-class AlertKind:
-    INVALID_BLOCK = "invalid_block"
-    EQUIVOCATION = "equivocation"
-    REPLAY_DETECTED = "replay_detected"
 
 
 @dataclass(frozen=True)
@@ -282,21 +276,18 @@ class FogNode:
         authorities = self.genesis_config.authorities
         if not verify_message(msg, authorities):
             out = NodeOutput()
-            # A fabricated proposal from outside the authority set is still
-            # inspected so the monitoring layer can name the offender.
-            if msg.phase == Phase.PRE_PREPARE and msg.block is not None:
+            # A proposal an outsider signed as its proposer is still inspected so
+            # the monitoring layer can name it. An authority's header inside a
+            # message that fails its check proves nothing about that authority.
+            header = msg.block.header if msg.phase == Phase.PRE_PREPARE and msg.block is not None else None
+            if header is not None and header.proposer not in authorities and header.verified():
                 violations = validate_block(msg.block, self.chain.tip, authorities, self.genesis_config.max_txs)
-                if violations:
-                    header = msg.block.header
-                    detail = ",".join(v.value for v in violations)
-                    self._raise_alert(AlertKind.INVALID_BLOCK, header.proposer, header.height, detail, now_us, out)
+                detail = ",".join(v.value for v in violations)
+                self._raise_alert(AlertKind.INVALID_BLOCK, header.proposer, header.height, detail, now_us, out)
             return out
         engine = self.engine
-        # A vote, or a message for another height, cannot make this node propose;
-        # when the engine hands back nothing either, there is nothing to do.
-        quiet = msg.phase in _VOTES or msg.height != engine.height
         msgs, fin = engine.on_message(msg, self.chain, now_us)
-        if quiet and not msgs and fin is None and not engine.incidents and not engine.timers:
+        if not msgs and fin is None and not engine.incidents and not engine.timers and not engine.wants_proposal():
             return None
         out = NodeOutput()
         self._post_engine(out, now_us, msgs, fin)
@@ -335,38 +326,24 @@ class FogNode:
         self._post_engine(out, now_us, msgs, fin)
 
     def _post_engine(self, out: NodeOutput, now_us: int, msgs: list, fin) -> None:
-        self._broadcast_consensus(out, msgs)
-        self._drain_incidents(out, now_us)
-        while fin is not None:
+        engine = self.engine
+        while True:
+            out.sends.extend(Send(PEERS, CONSENSUS, msg) for msg in msgs)
+            incidents, engine.incidents = engine.incidents, []
+            for inc in incidents:
+                self._raise_alert(inc.kind, inc.offender, inc.height, inc.detail, now_us, out)
+            if fin is None:
+                break
             self._apply_finalized(fin, now_us, out)
-            replayed = self.engine.start_height(fin.header.height + 1, now_us)
-            fin = None
-            for msg in replayed:
-                more, f2 = self.engine.on_message(msg, self.chain, now_us)
-                self._broadcast_consensus(out, more)
-                self._drain_incidents(out, now_us)
-                if f2 is not None and fin is None:
-                    fin = f2
+            msgs, fin = engine.start_height(fin.header.height + 1, self.chain, now_us)
         # Round-change quorum can make this node the proposer mid-stream.
-        if self.engine.round > 0 and self.engine.wants_proposal():
+        if engine.round > 0 and engine.wants_proposal():
             self._propose(out, now_us)
         self._drain_timers(out)
 
     def _drain_timers(self, out: NodeOutput) -> None:
         out.timers.extend(self.engine.timers)
         self.engine.timers.clear()
-
-    def _broadcast_consensus(self, out: NodeOutput, msgs: list) -> None:
-        out.sends.extend(Send(PEERS, CONSENSUS, msg) for msg in msgs)
-
-    def _drain_incidents(self, out: NodeOutput, now_us: int) -> None:
-        incidents, self.engine.incidents = self.engine.incidents, []
-        for inc in incidents:
-            if inc.kind == "invalid_proposal":
-                offender = inc.block.header.proposer if inc.block is not None else inc.offender
-                self._raise_alert(AlertKind.INVALID_BLOCK, offender, inc.height, inc.detail, now_us, out)
-            elif inc.kind == "equivocation":
-                self._raise_alert(AlertKind.EQUIVOCATION, inc.offender, inc.height, inc.detail, now_us, out)
 
     def _apply_finalized(self, block: Block, now_us: int, out: NodeOutput) -> None:
         self.chain.blocks.append(block)

@@ -26,11 +26,6 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
 
-try:
-    import fcntl
-except ImportError:  # Windows, where no run-ahead process forks either
-    fcntl = None
-
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import channel as ch
@@ -645,7 +640,6 @@ RUN_AHEAD_TIMEOUT_S = 1.0  # longest wait for the next record before the loop pr
 AHEAD = 48  # records the child must have written past the loop's before it verifies the loop's signatures
 BACKLOG = 64  # the loop's newest signatures the child keeps to verify; older ones are dropped unverified
 VERDICTS_KEPT = 1 << 15  # handed verdicts not yet taken; past this the oldest is dropped
-RECORD_PIPE_BYTES = 1 << 20  # the record pipe's size where the kernel grants it; 64 KiB holds ~92 write records
 TRIPLE_LEN = 2 * ch.KEY_LEN + ch.SIG_LEN  # a triple over a SHA-256 digest, the only kind either process hands over
 REQUEST_LEN = TRIPLE_LEN + 8  # a triple, then the records the loop had taken, big-endian
 VERDICT_LEN = TRIPLE_LEN + 1  # a triple, then 1 when its signature verifies, else 0
@@ -697,9 +691,7 @@ class RunAhead:
     reads when it holds no verdict on a triple. Records and the verdict pipe
     carry verdicts in one format, filed by `_file_all`. Nothing waits on a
     request or a verdict: one that finds its pipe full is dropped, and the
-    loop then verifies inline. The record pipe holds RECORD_PIPE_BYTES where
-    the kernel grants it, so the child can bank lead through a stretch the
-    loop spends on consensus.
+    loop then verifies inline.
 
     It is `channel.helper` until `close`, which drops the verdicts not taken.
     """
@@ -714,10 +706,6 @@ class RunAhead:
         try:
             for _pipe in range(3):
                 fds += os.pipe()
-            try:
-                fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, RECORD_PIPE_BYTES)
-            except (AttributeError, OSError):  # no pipe sizes here, or more than this user may have: keep the default
-                pass
             self.pid = os.fork()
         except OSError:
             for fd in fds:

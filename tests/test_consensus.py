@@ -1,5 +1,6 @@
 import copy
 import hashlib
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from edgelinker.chain import (
     make_transaction,
 )
 from edgelinker.consensus import (
+    AlertKind,
     ConsensusEngine,
     ConsensusMessage,
     Phase,
@@ -25,7 +27,7 @@ from edgelinker.consensus import (
     verify_message,
 )
 from edgelinker.channel import sign_digest
-from edgelinker.node import ALERT, CONSENSUS, PEERS, AlertKind, FogNode
+from edgelinker.node import ALERT, CONSENSUS, PEERS, FogNode
 from tests.conftest import kp
 
 NOW_MS = 1_700_000_000_000
@@ -177,7 +179,10 @@ class TestHappyPath:
         out, fin = engines[0].on_message(msg, chains[0], 0)
         assert out == [] and fin is None
         assert len(engines[0].incidents) == 1
-        assert engines[0].incidents[0].kind == "invalid_proposal"
+        assert (engines[0].incidents[0].kind, engines[0].incidents[0].offender) == (
+            AlertKind.INVALID_BLOCK,
+            keys[1].public_key,
+        )
 
     def test_a_block_over_the_genesis_cap_gets_no_prepare(self):
         keys, client = [kp(f"auth{i}") for i in range(4)], kp("capped client")
@@ -190,7 +195,9 @@ class TestHappyPath:
         block = build_block(txs, chain.tip, keys[1], NOW_MS, max_txs=11)  # a proposer that ignores the cap
         out, fin = engine.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block), chain, 0)
         assert out == [] and fin is None
-        assert [(i.kind, i.detail) for i in engine.incidents] == [("invalid_proposal", "too_many_txs")]
+        assert [(i.kind, i.offender, i.detail) for i in engine.incidents] == [
+            (AlertKind.INVALID_BLOCK, keys[1].public_key, "too_many_txs")
+        ]
 
     def test_wrong_proposer_rejected(self):
         keys, cfg, chains, engines = make_cluster(4)
@@ -198,7 +205,22 @@ class TestHappyPath:
         msg = make_message(keys[2], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
         out, _ = engines[0].on_message(msg, chains[0], 0)
         assert out == []
-        assert engines[0].incidents[0].kind == "invalid_proposal"
+        assert (engines[0].incidents[0].kind, engines[0].incidents[0].offender) == (
+            AlertKind.INVALID_BLOCK,
+            keys[2].public_key,
+        )
+
+    def test_an_invalid_proposal_names_the_blocks_proposer(self):
+        # The round-0 proposer relays another authority's block: the block's proposer is named.
+        keys, cfg, chains, engines = make_cluster(4)
+        block = build_block([], chains[2].tip, keys[2], NOW_MS)
+        engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, bytes(32), block), chains[0], 0)
+        assert [(i.kind, i.offender, i.detail) for i in engines[0].incidents] == [
+            (AlertKind.INVALID_BLOCK, keys[2].public_key, "proposal hash mismatch")
+        ]
+        # A proposal with no block names its sender.
+        engines[3].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0), chains[3], 0)
+        assert [(i.kind, i.offender) for i in engines[3].incidents] == [(AlertKind.INVALID_BLOCK, keys[1].public_key)]
 
 
 class TestEquivocation:
@@ -209,7 +231,10 @@ class TestEquivocation:
         engines[0].on_message(make_message(keys[2], Phase.PREPARE, 1, 0, h2), chains[0], 0)
         assert engines[0].state.prepare_votes[(0, h1)] == {keys[2].public_key}
         assert (0, h2) not in engines[0].state.prepare_votes
-        assert engines[0].incidents[0].kind == "equivocation"
+        assert (engines[0].incidents[0].kind, engines[0].incidents[0].offender) == (
+            AlertKind.EQUIVOCATION,
+            keys[2].public_key,
+        )
 
     def test_duplicate_identical_vote_is_noop(self):
         keys, cfg, chains, engines = make_cluster(4)
@@ -321,18 +346,56 @@ def test_future_height_messages_buffer_and_replay():
     early = make_message(keys[2], Phase.PREPARE, 2, 0, b"\x09" * 32)
     out, fin = node.on_message(early, chains[0], 0)
     assert out == [] and fin is None
-    replayed = node.start_height(2, 10)
-    assert replayed == [early]
+    assert node.start_height(2, chains[0], 10) == ([], None)
+    assert node.state.prepare_votes == {(0, b"\x09" * 32): {keys[2].public_key}}
+
+
+def test_start_height_returns_the_block_its_buffered_messages_finalize():
+    keys, cfg, chains, engines = make_cluster(4)
+    node, chain = engines[0], chains[0]
+    first = build_block([], chain.tip, keys[1], NOW_MS)  # height 1's proposer is authorities[1]
+    second = build_block([], first, keys[2], NOW_MS + 1)  # and height 2's is authorities[2]
+    a, b = hash_block(first), hash_block(second)
+    for msg in (
+        make_message(keys[2], Phase.PRE_PREPARE, 2, 0, b, second),
+        make_message(keys[3], Phase.PREPARE, 2, 0, b),
+        make_message(keys[2], Phase.COMMIT, 2, 0, b),
+        make_message(keys[3], Phase.COMMIT, 2, 0, b),
+    ):
+        assert node.on_message(msg, chain, 0) == ([], None)  # buffered while at height 1
+    node.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, a, first), chain, 0)
+    node.on_message(make_message(keys[2], Phase.PREPARE, 1, 0, a), chain, 0)
+    node.on_message(make_message(keys[2], Phase.COMMIT, 1, 0, a), chain, 0)
+    _, fin = node.on_message(make_message(keys[3], Phase.COMMIT, 1, 0, a), chain, 0)
+    assert fin == first
+    chain.blocks.append(fin)
+    out, fin = node.start_height(2, chain, 10)
+    assert [(m.phase, m.height, m.block_hash) for m in out] == [(Phase.PREPARE, 2, b), (Phase.COMMIT, 2, b)]
+    assert fin == second and node.state.finalized
 
 
 class WatchedEngine(ConsensusEngine):
-    """An engine that notes whether its last input reached _check_progress."""
+    """An engine that counts the messages for its own height that skip
+    _check_progress, replayed ones included, and checks after each that
+    running it on a copy would have sent, finalized and changed nothing."""
 
     checked = False
+    skipped = 0
 
     def _check_progress(self, out, now_us):
         self.checked = True
         return super()._check_progress(out, now_us)
+
+    def on_message(self, msg, chain, now_us):
+        self.checked, height = False, self.height
+        out, fin = super().on_message(msg, chain, now_us)
+        if not self.checked and msg.height == height:
+            self.skipped += 1
+            assert out == [] and fin is None
+            twin, more = copy.deepcopy(self), []
+            assert twin._check_progress(more, now_us) is None and more == []
+            assert (twin.state, twin.incidents, twin.timers) == (self.state, self.incidents, self.timers)
+        return out, fin
 
 
 VOTES = (Phase.PREPARE, Phase.COMMIT)
@@ -342,42 +405,27 @@ def drive_lossy(n, choose):
     """Runs n watched engines over the schedule `choose(label, lo, hi)` picks
     (each pick an int in [lo, hi]): one engine times out, or a pending message
     is lost, delivered, or delivered after a conflicting vote by its sender.
-    After every message for an engine's own height that skipped
-    _check_progress, checks that running it on a copy would have sent,
-    finalized and changed nothing. Returns the count of such messages, and
-    the height every engine finalized."""
+    Each engine is a WatchedEngine. Returns the count of messages for an
+    engine's own height that skipped _check_progress, and the height every
+    engine finalized."""
     keys, cfg, chains, engines = make_cluster(n, engine_class=WatchedEngine)
     by_key = {k.public_key: k for k in keys}
     pending = []  # (receiving engine, message), in sending order
-    skipped = 0
 
     def broadcast(i, msgs):
         pending.extend((j, msg) for msg in msgs for j in range(n) if j != i)
 
     def deliver(i, msg, now):
-        nonlocal skipped
-        engine = engines[i]
-        engine.checked, height = False, engine.height
-        out, fin = engine.on_message(msg, chains[i], now)
-        if not engine.checked and msg.height == height:
-            skipped += 1
-            assert out == [] and fin is None
-            twin, more = copy.deepcopy(engine), []
-            assert twin._check_progress(more, now) is None and more == []
-            assert (twin.state, twin.incidents, twin.timers) == (engine.state, engine.incidents, engine.timers)
-        return out, fin
+        return engines[i].on_message(msg, chains[i], now)
 
     def settle(i, out, fin, now):
-        """What a node does with the engine's output: send it, finalize, replay, propose when due."""
+        """What a node does with the engine's output: send it, finalize, start the next height, propose when due."""
+        engine = engines[i]
         broadcast(i, out)
         while fin is not None:
             chains[i].blocks.append(fin)
-            replayed, fin = engines[i].start_height(fin.header.height + 1, now), None
-            for msg in replayed:
-                more, reached = deliver(i, msg, now)
-                broadcast(i, more)
-                fin = fin or reached
-        engine = engines[i]
+            out, fin = engine.start_height(fin.header.height + 1, chains[i], now)
+            broadcast(i, out)
         if engine.wants_proposal():
             block = build_block([], chains[i].tip, keys[i], NOW_MS + now // 1000)
             settle(i, *engine.propose(block, now), now)
@@ -403,7 +451,7 @@ def drive_lossy(n, choose):
     finalized = min(chain.height for chain in chains)
     for height in range(1, finalized + 1):
         assert len({hash_block(chain.blocks[height]) for chain in chains}) == 1
-    return skipped, finalized
+    return sum(engine.skipped for engine in engines), finalized
 
 
 class TestEarlyExit:
@@ -485,6 +533,20 @@ class TestNodeEarlyExit:
         assert node.on_consensus(make_message(keys[1], Phase.COMMIT, 1, 0, bh), 0) is None
         assert node.chain.height == 1 and node.engine.height == 2
 
+    def test_a_round_change_below_f_plus_one_returns_none(self, cluster):
+        node, keys, _ = cluster
+        assert node.on_consensus(make_message(keys[2], Phase.ROUND_CHANGE, 1, 1), 0) is None
+        assert node.engine.state.round_change_votes == {1: {keys[2].public_key}} and node.engine.round == 0
+        # The second one is f+1: n0 joins round 1's change.
+        out = node.on_consensus(make_message(keys[3], Phase.ROUND_CHANGE, 1, 1), 0)
+        assert [(s.body.phase, s.body.round) for s in out.sends] == [(Phase.ROUND_CHANGE, 1)]
+
+    def test_a_pre_prepare_the_engine_answers_with_nothing_returns_none(self, cluster):
+        node, keys, block = cluster
+        pre = make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
+        assert [s.body.phase for s in node.on_consensus(pre, 0).sends] == [Phase.PREPARE]
+        assert node.on_consensus(pre, 0) is None  # a duplicate delivery
+
     def test_a_double_vote_raises_one_equivocation_alert(self, cluster):
         node, keys, block = cluster
         assert node.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 0, hash_block(block)), 0) is None
@@ -494,3 +556,73 @@ class TestNodeEarlyExit:
         again = node.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 0, b"\x07" * 32), 0)
         assert again is None or not again.sends
         assert [a.kind for a in node.alerts] == [AlertKind.EQUIVOCATION]
+
+
+def test_split_locks_after_a_crash_stall_height_one():
+    """Item 22's known split-lock defect: locks never release within a height.
+
+    a0 alone locks block A in round 0; a1, a2 and a3 lock block B in round 1,
+    and a3 alone finalizes it; then a3 crashes. Twelve lossless rounds among
+    a0, a1 and a2 finalize nothing, since a0 prepares only A and the others
+    only B. Item 22 turns the stall into "finalizes within a few lossless
+    rounds"; agreement must hold either way."""
+    keys, cfg, chains, engines = make_cluster(4)
+    finals = {}
+
+    def run(sends, delivered, live, now):
+        """Delivers each (sender, message) to every other live engine where
+        `delivered(sender, receiver, message)`, and what that causes; an
+        engine that wants to propose proposes."""
+        queue = deque(sends)
+        while queue:
+            src, msg = queue.popleft()
+            for dst in live:
+                if dst == src or not delivered(src, dst, msg):
+                    continue
+                engine = engines[dst]
+                results = [engine.on_message(msg, chains[dst], now)]
+                if engine.wants_proposal():
+                    block = build_block([], chains[dst].tip, keys[dst], NOW_MS + now // 1000)
+                    results.append(engine.propose(block, now))
+                for out, fin in results:
+                    queue.extend((dst, m) for m in out)
+                    if fin is not None:
+                        finals.setdefault(dst, fin)
+
+    # Round 0: a1 proposes A to a0 and a2, who prepare it; only a2's prepare reaches a0.
+    block_a = build_block([], chains[1].tip, keys[1], NOW_MS)
+    pre_a, _ = engines[1].propose(block_a, 0)
+    run(
+        [(1, m) for m in pre_a],
+        lambda src, dst, msg: (src, msg.phase) == (1, Phase.PRE_PREPARE) and dst in (0, 2)
+        or (src, dst, msg.phase) == (2, 0, Phase.PREPARE),
+        range(4),
+        0,
+    )
+    a = hash_block(block_a)
+    assert [e.state.locked_block for e in engines] == [block_a, None, None, None]
+
+    # Round 1: a2 proposes B. a0 hears only round changes, and a3's commits are lost.
+    now = 2_000_000
+    changes = [(i, m) for i in range(4) for m in engines[i].on_timeout(now)[0]]
+    run(
+        changes,
+        lambda src, dst, msg: msg.phase == Phase.ROUND_CHANGE or dst != 0 and (src, msg.phase) != (3, Phase.COMMIT),
+        range(4),
+        now,
+    )
+    b = hash_block(engines[2].state.proposals[1])
+    assert [hash_block(e.state.locked_block) for e in engines] == [a, b, b, b]
+    assert {i: hash_block(block) for i, block in finals.items()} == {3: b}
+
+    # a3 crashes; twelve lossless rounds follow among the rest.
+    live = (0, 1, 2)
+    for _round in range(12):
+        now *= 2
+        run([(i, m) for i in live for m in engines[i].on_timeout(now)[0]], lambda *_: True, live, now)
+
+    assert all(hash_block(block) == b for block in finals.values())  # agreement
+    # The stall: every live engine is in round 13, still split between A and B, and none finalized.
+    assert [engines[i].round for i in live] == [13, 13, 13]
+    assert [hash_block(engines[i].state.locked_block) for i in live] == [a, b, b]
+    assert sorted(finals) == [3] and not any(engines[i].state.finalized for i in live)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -481,6 +482,22 @@ class TestMonitoring:
         assert alert.detail == ",".join(v.value for v in violations)
         assert [(s.dst, s.kind, s.body) for s in out.sends] == [(PEERS, ALERT, alert)]
         assert node.chain.height == 0 and node.engine.round == 0
+
+    def test_a_zeroed_header_signature_accuses_no_authority(self, keys):
+        node = make_node(keys[:3], {}, peer_ids=["n0", "n1", "n2"])
+        block = build_block([], node.chain.tip, keys[2], 999_999)
+        header = replace(block.header, proposer_signature=bytes(len(block.header.proposer_signature)))
+        out = node.on_consensus(proposal(kp("imposter"), replace(block, header=header)), T0)
+        assert node.alerts == [] and out.sends == []
+
+    def test_an_authority_block_in_a_message_that_fails_its_check_accuses_no_authority(self, keys):
+        node = make_node(keys[:3], {}, peer_ids=["n0", "n1", "n2"])
+        first = build_block([], node.chain.tip, keys[1], 999_999)
+        second = build_block([], first, keys[2], 1_000_000)
+        assert validate_block(second, first, node.genesis_config.authorities) == []
+        message = proposal(keys[2], second)
+        out = node.on_consensus(replace(message, signature=bytes(len(message.signature))), T0)  # at height 0
+        assert node.alerts == [] and out.sends == []
 
     def test_valid_block_raises_nothing(self, single):
         node, authority, _ = single

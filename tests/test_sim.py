@@ -15,11 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-try:
-    import fcntl
-except ImportError:  # no pipe sizes to read or refuse
-    fcntl = None
-
 import edgelinker
 from edgelinker import chain, channel, consensus, contracts
 from edgelinker import sim as sim_module
@@ -420,8 +415,9 @@ def assert_reaped(worker):
     assert channel.helper is None and not worker.handed
     with pytest.raises(ChildProcessError):
         os.waitpid(worker.pid, os.WNOHANG)
-    with pytest.raises(OSError):
-        os.fstat(worker.fd)
+    for fd in (worker.fd, worker._requests, worker._verdicts):  # no pipe is left open
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def assert_same_results(a, b):
@@ -630,47 +626,6 @@ class TestRunAhead:
         assert len(os.listdir("/proc/self/fd")) == before
         assert sum(e.info["measured"] for e in trace.of_kind("task_sent")) == 20
         assert channel.helper is None  # no helper was left behind
-
-    @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="reads the pipe size with F_GETPIPE_SZ")
-    def test_the_record_pipe_holds_a_mebibyte(self, monkeypatch):
-        probe = os.pipe()
-        try:
-            fcntl.fcntl(probe[1], fcntl.F_SETPIPE_SZ, sim_module.RECORD_PIPE_BYTES)
-        except OSError:
-            pytest.skip("this kernel refuses this user a pipe of RECORD_PIPE_BYTES")
-        finally:
-            for fd in probe:
-                os.close(fd)
-        ahead = self.worker_writing(monkeypatch, b"")
-        try:
-            assert fcntl.fcntl(ahead.fd, fcntl.F_GETPIPE_SZ) >= 1 << 20
-        finally:
-            ahead.close()
-
-    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="refuses F_SETPIPE_SZ, which this platform lacks")
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the descriptors in /proc/self/fd")
-    def test_a_refused_pipe_size_changes_nothing(self, forced_worker, monkeypatch):
-        call, fork, refused, forks = fcntl.fcntl, os.fork, [], []
-
-        def refusing(fd, cmd, arg=0):
-            if cmd == fcntl.F_SETPIPE_SZ:
-                refused.append(fd)
-                raise PermissionError(errno.EPERM, "past this user's pipe limit")
-            return call(fd, cmd, arg)
-
-        def counting_fork():
-            forks.append(os.getpid())
-            return fork()
-
-        before = len(os.listdir("/proc/self/fd"))
-        monkeypatch.setattr(fcntl, "fcntl", refusing)
-        monkeypatch.setattr(os, "fork", counting_fork)
-        trace = run_scenario(WRITES, 38)
-        assert len(refused) == len(forks) == 1  # the child ran with the default pipe
-        assert len(os.listdir("/proc/self/fd")) == before
-        monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: False)
-        assert_same_results(run_scenario(WRITES, 38), trace)
-        assert trace.of_kind("task_sent")
 
     def test_no_process_without_a_second_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
