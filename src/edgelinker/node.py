@@ -4,20 +4,19 @@ Each node is an event-driven state machine fed by one ordered input stream:
 `initial_output`, `on_timer` and the four message handlers (`handle_envelope`,
 `on_gossip`, `on_consensus`, `on_alert`). Each returns a NodeOutput of messages
 to send and timers to arm, or None for nothing: `on_gossip` and `on_alert`
-always, `on_consensus` for a verified message its engine answers with no
-message, block, incident or timer while it does not want this node to
-propose, and `on_timer` for a wake of a height or round the engine has left or
-a propose wake the node does not act on. Its alerts on consensus come from
-the engine's incidents, which name their kind and offender. The timers are
-those the consensus engine asked for: each round's deadline, and a propose
-wake at each height the node is the round-0 proposer of. The surrounding
-simulation (or any other transport) arms every timer it is handed and owns
-delivery, including the fan-out of a send to PEERS, the node's peers. World
-state is only ever advanced by applying finalized blocks, so replaying the
-chain from genesis always reproduces it byte for byte. Nodes handed one
-genesis state share every state they reach from it: each finalized block is
-applied once, while each node admits, serves reads and confirms against the
-state at its own height.
+always, `on_consensus` for a verified message its engine answers with an empty
+`EngineStep` while it does not want this node to propose, and `on_timer` for a
+wake of a height or round the engine has left or a propose wake the node does
+not act on. `_post_engine` turns each engine step into output: it sends the
+step's messages, raises its alerts, arms its timers (each round's deadline, and
+a propose wake at each height the node is the round-0 proposer of), applies its
+finalized block and starts the next height. The surrounding simulation (or any
+other transport) arms every timer it is handed and owns delivery, including the
+fan-out of a send to PEERS, the node's peers. World state is only ever advanced
+by applying finalized blocks, so replaying the chain from genesis always
+reproduces it byte for byte. Nodes handed one genesis state share every state
+they reach from it: each finalized block is applied once, while each node
+admits, serves reads and confirms against the state at its own height.
 """
 
 from __future__ import annotations
@@ -40,23 +39,11 @@ from .chain import (
     verify_transaction,
 )
 from .codec import BYTES, READINGS, STR, U64, DecodeError, Record, items, untagged
-from .consensus import AlertKind, ConsensusEngine, ConsensusMessage, Phase, verify_message
+from .consensus import Alert, AlertKind, ConsensusEngine, ConsensusMessage, EngineStep, Phase, verify_message
 from .contracts import PermissionDenied, UnknownContract, WorldState, genesis_world, next_state, read_history
 
 MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
 QUERY_SERVICE_US = 1000  # time one read occupies the node's query server
-
-
-@dataclass(frozen=True)
-class Alert:
-    kind: str
-    height: int
-    offender: bytes
-    detail: str
-    sim_time_us: int
-
-    def key(self):
-        return (self.kind, self.offender, self.height, self.detail)
 
 
 # --- message kinds routed by the transport --------------------------------
@@ -165,7 +152,7 @@ class FogNode:
         self.chain = Chain([make_genesis(genesis_config)])
         self.world = genesis_world(genesis_config) if world is None else world
         self.endpoint = ch.Endpoint(keypair, channel_mode, rng)
-        self.engine = ConsensusEngine(genesis_config, keypair, height=1, now_us=0)
+        self.engine = ConsensusEngine(genesis_config, keypair)
         self.peer_ids = [p for p in peer_ids if p != node_id]
         self.directory = directory  # public key -> transport id
         self.rec = _no_record if recorder is None else recorder
@@ -179,8 +166,9 @@ class FogNode:
     # -- lifecycle -----------------------------------------------------------
 
     def initial_output(self) -> NodeOutput:
+        """Begins height 1: the output arms its round deadline and propose wake."""
         out = NodeOutput()
-        self._drain_timers(out)
+        self._post_engine(out, 0, self.engine.start_height(1, self.chain, 0))
         return out
 
     # -- channel ingress -------------------------------------------------------
@@ -193,7 +181,7 @@ class FogNode:
             sender = exc.message.identification
             if isinstance(exc, ch.NonceReplayed):
                 detail = f"nonce={exc.message.nonce}"
-                self._raise_alert(AlertKind.REPLAY_DETECTED, sender, self.chain.height, detail, now_us, out)
+                self._raise_alert(Alert(AlertKind.REPLAY_DETECTED, self.chain.height, sender, detail, now_us), out)
             return self._reject(out, exc.reason, sender=sender.hex()[:16])
         except ch.ChannelError as exc:
             return self._reject(out, exc.reason, detail=str(exc))
@@ -223,9 +211,8 @@ class FogNode:
             # A fresh channel message carrying an already-final transaction is
             # a cross-node replay; late gossip duplicates are a benign race.
             if client_pk is not None:
-                self._raise_alert(
-                    AlertKind.REPLAY_DETECTED, tx.sender, self.chain.height, f"tx={txh.hex()[:16]}", now_us, out
-                )
+                detail = f"tx={txh.hex()[:16]}"
+                self._raise_alert(Alert(AlertKind.REPLAY_DETECTED, self.chain.height, tx.sender, detail, now_us), out)
             return self._reject(out, "tx_already_final")
         if tx.nonce < self.world.next_nonce(tx.sender):
             return self._reject(out, "stale_tx_nonce")
@@ -283,14 +270,13 @@ class FogNode:
             if header is not None and header.proposer not in authorities and header.verified():
                 violations = validate_block(msg.block, self.chain.tip, authorities, self.genesis_config.max_txs)
                 detail = ",".join(v.value for v in violations)
-                self._raise_alert(AlertKind.INVALID_BLOCK, header.proposer, header.height, detail, now_us, out)
+                self._raise_alert(Alert(AlertKind.INVALID_BLOCK, header.height, header.proposer, detail, now_us), out)
             return out
-        engine = self.engine
-        msgs, fin = engine.on_message(msg, self.chain, now_us)
-        if not msgs and fin is None and not engine.incidents and not engine.timers and not engine.wants_proposal():
+        step = self.engine.on_message(msg, self.chain, now_us)
+        if not step and not self.engine.wants_proposal():
             return None
         out = NodeOutput()
-        self._post_engine(out, now_us, msgs, fin)
+        self._post_engine(out, now_us, step)
         return out
 
     def on_timer(self, key: tuple, now_us: int) -> Optional[NodeOutput]:
@@ -307,9 +293,9 @@ class FogNode:
         if engine.height != height or engine.round != round_:
             return None
         out = NodeOutput()
-        msgs, fin = engine.on_timeout(now_us)
+        step = engine.on_timeout(now_us)
         self.rec("round_timeout", height=height, round=round_)
-        self._post_engine(out, now_us, msgs, fin)
+        self._post_engine(out, now_us, step)
         return out
 
     def _propose(self, out: NodeOutput, now_us: int) -> None:
@@ -322,28 +308,23 @@ class FogNode:
             authorities=self.genesis_config.authorities,
         )
         self.rec("proposed", height=block.header.height, round=self.engine.round, txs=len(block.transactions))
-        msgs, fin = self.engine.propose(block, now_us)
-        self._post_engine(out, now_us, msgs, fin)
+        self._post_engine(out, now_us, self.engine.propose(block, now_us))
 
-    def _post_engine(self, out: NodeOutput, now_us: int, msgs: list, fin) -> None:
+    def _post_engine(self, out: NodeOutput, now_us: int, step: EngineStep) -> None:
         engine = self.engine
         while True:
-            out.sends.extend(Send(PEERS, CONSENSUS, msg) for msg in msgs)
-            incidents, engine.incidents = engine.incidents, []
-            for inc in incidents:
-                self._raise_alert(inc.kind, inc.offender, inc.height, inc.detail, now_us, out)
+            out.sends.extend(Send(PEERS, CONSENSUS, msg) for msg in step.messages)
+            for alert in step.alerts:
+                self._raise_alert(alert, out)
+            out.timers.extend(step.timers)
+            fin = step.finalized
             if fin is None:
                 break
             self._apply_finalized(fin, now_us, out)
-            msgs, fin = engine.start_height(fin.header.height + 1, self.chain, now_us)
+            step = engine.start_height(fin.header.height + 1, self.chain, now_us)
         # Round-change quorum can make this node the proposer mid-stream.
         if engine.round > 0 and engine.wants_proposal():
             self._propose(out, now_us)
-        self._drain_timers(out)
-
-    def _drain_timers(self, out: NodeOutput) -> None:
-        out.timers.extend(self.engine.timers)
-        self.engine.timers.clear()
 
     def _apply_finalized(self, block: Block, now_us: int, out: NodeOutput) -> None:
         self.chain.blocks.append(block)
@@ -386,13 +367,14 @@ class FogNode:
 
     # -- monitoring -----------------------------------------------------------
 
-    def _raise_alert(self, kind: str, offender: bytes, height: int, detail: str, now_us: int, out: NodeOutput) -> None:
-        alert = Alert(kind=kind, height=height, offender=offender, detail=detail, sim_time_us=now_us)
+    def _raise_alert(self, alert: Alert, out: NodeOutput) -> None:
         if alert.key() in self._alert_keys:
             return
         self._alert_keys.add(alert.key())
         self.alerts.append(alert)
-        self.rec("alert", alert_kind=kind, offender=offender.hex()[:16], height=height, detail=detail)
+        self.rec(
+            "alert", alert_kind=alert.kind, offender=alert.offender.hex()[:16], height=alert.height, detail=alert.detail
+        )
         out.sends.append(Send(PEERS, ALERT, alert))
 
     def on_alert(self, alert: Alert, now_us: int) -> None:

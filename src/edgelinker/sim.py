@@ -23,7 +23,7 @@ import select
 import signal
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, get_args, get_type_hints
 
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -615,10 +615,10 @@ class EquivocatingNode(FogNode):
         block_a = build_block([], tip, self.keypair, now_ms, authorities=self.genesis_config.authorities)
         block_b = build_block([], tip, self.keypair, now_ms + 7, authorities=self.genesis_config.authorities)
         height, round_ = self.engine.height, self.engine.round
-        msgs, fin = self.engine.propose(block_a, now_us)
+        step = self.engine.propose(block_a, now_us)
         half = (len(self.peer_ids) + 1) // 2
         group_a, group_b = self.peer_ids[:half], self.peer_ids[half:]
-        for msg in msgs:
+        for msg in step.messages:
             for peer in group_a:
                 out.sends.append(Send(peer, CONSENSUS, msg))
         bh_b = hash_block(block_b)
@@ -631,7 +631,8 @@ class EquivocatingNode(FogNode):
             for peer in group_b:
                 out.sends.append(Send(peer, CONSENSUS, msg))
         self.rec("equivocating_proposal", height=height, round=round_)
-        self._post_engine(out, now_us, [], fin)
+        # Its messages went to group A alone; the rest of the step is handled as usual.
+        self._post_engine(out, now_us, replace(step, messages=()))
 
 
 # --- devices run ahead of the loop ---------------------------------------------------

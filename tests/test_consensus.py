@@ -17,9 +17,11 @@ from edgelinker.chain import (
     make_transaction,
 )
 from edgelinker.consensus import (
+    NOTHING,
     AlertKind,
     ConsensusEngine,
     ConsensusMessage,
+    EngineStep,
     Phase,
     make_message,
     quorum,
@@ -38,7 +40,9 @@ def make_cluster(n, now_us=0, engine_class=ConsensusEngine):
     cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)  # 2 s round 0
     genesis = make_genesis(cfg)
     chains = [Chain([genesis]) for _ in range(n)]
-    engines = [engine_class(cfg, keys[i], height=1, now_us=now_us) for i in range(n)]
+    engines = [engine_class(cfg, keys[i]) for i in range(n)]
+    for engine, chain in zip(engines, chains):
+        engine.start_height(1, chain, now_us)
     return keys, cfg, chains, engines
 
 
@@ -66,7 +70,7 @@ class TestQuorumArithmetic:
     def test_quorum_from_f(self, f):
         n = 3 * f + 1
         keys = [kp(f"q{i}") for i in range(n)]
-        engine = ConsensusEngine(GenesisConfig(authorities=[k.public_key for k in keys]), keys[0], height=1, now_us=0)
+        engine = ConsensusEngine(GenesisConfig(authorities=[k.public_key for k in keys]), keys[0])
         assert engine.f == f
         assert engine.quorum == quorum(n) == 2 * f + 1
         assert quorum(n) <= n
@@ -79,31 +83,72 @@ def test_engine_takes_proposer_order_round_timeout_and_quorum_from_the_genesis()
     cfg = GenesisConfig(authorities=[k.public_key for k in reversed(keys)], block_interval_ms=200)
     key_of = {k.public_key: k for k in keys}
     chain = Chain([make_genesis(cfg)])
-    engines = {pk: ConsensusEngine(cfg, key_of[pk], height=1, now_us=0) for pk in cfg.authorities}
+    engines = {pk: ConsensusEngine(cfg, key_of[pk]) for pk in cfg.authorities}
+    starts = {pk: engine.start_height(1, chain, 0) for pk, engine in engines.items()}
     # Height 1, round 0 falls to authorities[1] in the genesis order, not in key order.
     assert [pk for pk, e in engines.items() if e.is_proposer()] == [cfg.authorities[1]] == [keys[2].public_key]
 
     node = engines[cfg.authorities[0]]
-    assert node.timers == [(400_000, ("round", 1, 0))]  # twice the 200 ms block interval
+    assert starts[cfg.authorities[0]].timers == [(400_000, ("round", 1, 0))]  # twice the 200 ms block interval
     assert node.quorum == quorum(4) == 3
 
     proposer = key_of[cfg.authorities[1]]
     block = build_block([], chain.tip, proposer, NOW_MS)
-    pre, _ = engines[proposer.public_key].propose(block, 0)
-    out, _ = node.on_message(pre[0], chain, 0)
+    pre = engines[proposer.public_key].propose(block, 0).messages
+    out = node.on_message(pre[0], chain, 0).messages
     assert [m.phase for m in out] == [Phase.PREPARE]  # two prepares: the proposer's and its own
     bh = hash_block(block)
-    out, _ = node.on_message(make_message(key_of[cfg.authorities[2]], Phase.PREPARE, 1, 0, bh), chain, 0)
+    out = node.on_message(make_message(key_of[cfg.authorities[2]], Phase.PREPARE, 1, 0, bh), chain, 0).messages
     assert [m.phase for m in out] == [Phase.COMMIT]  # the third prepare locks and commits
-    _, fin = node.on_message(make_message(proposer, Phase.COMMIT, 1, 0, bh), chain, 0)
+    fin = node.on_message(make_message(proposer, Phase.COMMIT, 1, 0, bh), chain, 0).finalized
     assert fin is None  # two commits fall one short of the quorum
-    _, fin = node.on_message(make_message(key_of[cfg.authorities[2]], Phase.COMMIT, 1, 0, bh), chain, 0)
+    fin = node.on_message(make_message(key_of[cfg.authorities[2]], Phase.COMMIT, 1, 0, bh), chain, 0).finalized
     assert hash_block(fin) == bh
 
     late = engines[cfg.authorities[3]]
-    late.on_timeout(400_000)
-    assert late.round == 1 and late.timers[-1] == (400_000 + 800_000, ("round", 1, 1))
+    step = late.on_timeout(400_000)
+    assert late.round == 1 and step.timers == [(400_000 + 800_000, ("round", 1, 1))]
     assert select_proposer(1, 1, cfg.authorities) == cfg.authorities[2]
+
+
+class TestEngineStep:
+    """Every entry point returns one EngineStep, and the engine keeps none of what it hands out."""
+
+    def test_a_fresh_engine_arms_nothing_until_height_one_starts(self):
+        keys = [kp(f"auth{i}") for i in range(4)]
+        cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)  # 2 s round 0
+        chain = Chain([make_genesis(cfg)])
+        engines = [ConsensusEngine(cfg, k) for k in keys]
+        vote = make_message(keys[2], Phase.PREPARE, 1, 0, b"\x01" * 32)
+        assert not engines[0].on_message(vote, chain, 0)
+        assert not engines[0].on_timeout(2_000_000)
+        assert not engines[1].propose(build_block([], chain.tip, keys[1], NOW_MS), 0)
+        assert not any(engine.wants_proposal() for engine in engines)
+        steps = [engine.start_height(1, chain, 5) for engine in engines]
+        # authorities[1] is height 1's round-0 proposer, so it alone is woken to propose.
+        deadline = (5 + 2_000_000, ("round", 1, 0))
+        assert [step.timers for step in steps] == [
+            [deadline],
+            [(5 + 1_000_000, ("propose", 1)), deadline],
+            [deadline],
+            [deadline],
+        ]
+        # The vote heard before height 1 began was buffered, and counts now.
+        assert engines[0].state.prepare_votes == {(0, b"\x01" * 32): {keys[2].public_key}}
+
+    def test_a_steps_timers_and_alerts_are_handed_out_once(self):
+        keys, cfg, chains, engines = make_cluster(4)
+        engine, chain = engines[0], chains[0]
+        h1, h2 = b"\x01" * 32, b"\x02" * 32
+        timeout = engine.on_timeout(2_000_000)
+        assert timeout.timers == [(2_000_000 + 4_000_000, ("round", 1, 1))]
+        engine.on_message(make_message(keys[2], Phase.PREPARE, 1, 1, h1), chain, 2_000_000)
+        double = engine.on_message(make_message(keys[2], Phase.PREPARE, 1, 1, h2), chain, 2_000_000)
+        assert double.timers == [] and [(a.kind, a.offender, a.sim_time_us) for a in double.alerts] == [
+            (AlertKind.EQUIVOCATION, keys[2].public_key, 2_000_000)
+        ]
+        after = engine.on_message(make_message(keys[3], Phase.PREPARE, 1, 1, h1), chain, 2_000_001)
+        assert not after and not engine.on_timeout(2_000_002).alerts
 
 
 def test_message_signing_and_wire_roundtrip():
@@ -142,10 +187,10 @@ def deliver_all(engines, chains, msgs, now_us, skip=()):
         for i, engine in enumerate(engines):
             if i in skip or engine.keypair.public_key == msg.sender:
                 continue
-            out, fin = engine.on_message(msg, chains[i], now_us)
-            queue.extend(out)
-            if fin is not None and i not in finals:
-                finals[i] = fin
+            step = engine.on_message(msg, chains[i], now_us)
+            queue.extend(step.messages)
+            if step.finalized is not None and i not in finals:
+                finals[i] = step.finalized
     return finals
 
 
@@ -155,8 +200,9 @@ class TestHappyPath:
         proposer_idx = 1  # select_proposer(1, 0) = authorities[1]
         assert select_proposer(1, 0, cfg.authorities) == keys[proposer_idx].public_key
         block = build_block([], chains[proposer_idx].tip, keys[proposer_idx], NOW_MS)
-        out, fin = engines[proposer_idx].propose(block, 0)
-        assert fin is None and len(out) == 1 and out[0].phase == Phase.PRE_PREPARE
+        step = engines[proposer_idx].propose(block, 0)
+        out = step.messages
+        assert step.finalized is None and len(out) == 1 and out[0].phase == Phase.PRE_PREPARE
         finals = deliver_all(engines, chains, out, 0)
         assert set(finals) >= {0, 2, 3}
         assert all(hash_block(b) == hash_block(block) for b in finals.values())
@@ -164,7 +210,7 @@ class TestHappyPath:
     def test_single_node_finalizes_instantly(self):
         keys, cfg, chains, engines = make_cluster(1)
         block = build_block([], chains[0].tip, keys[0], NOW_MS)
-        out, fin = engines[0].propose(block, 0)
+        fin = engines[0].propose(block, 0).finalized
         assert fin is not None and hash_block(fin) == hash_block(block)
 
     def test_invalid_proposal_gets_no_prepare(self):
@@ -176,10 +222,10 @@ class TestHappyPath:
         )
         block = replace(block, header=header)
         msg = make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
-        out, fin = engines[0].on_message(msg, chains[0], 0)
-        assert out == [] and fin is None
-        assert len(engines[0].incidents) == 1
-        assert (engines[0].incidents[0].kind, engines[0].incidents[0].offender) == (
+        step = engines[0].on_message(msg, chains[0], 0)
+        assert step.messages == [] and step.finalized is None
+        assert len(step.alerts) == 1
+        assert (step.alerts[0].kind, step.alerts[0].offender) == (
             AlertKind.INVALID_BLOCK,
             keys[1].public_key,
         )
@@ -190,12 +236,13 @@ class TestHappyPath:
             authorities=[k.public_key for k in keys], initial_balances={client.public_key: 10**12}, max_txs=10
         )
         chain = Chain([make_genesis(cfg)])
-        engine = ConsensusEngine(cfg, keys[0], height=1, now_us=0)
+        engine = ConsensusEngine(cfg, keys[0])
+        engine.start_height(1, chain, 0)
         txs = [make_transaction(client, i, NOW_MS, Transfer(to=keys[0].public_key, amount=1)) for i in range(1, 12)]
         block = build_block(txs, chain.tip, keys[1], NOW_MS, max_txs=11)  # a proposer that ignores the cap
-        out, fin = engine.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block), chain, 0)
-        assert out == [] and fin is None
-        assert [(i.kind, i.offender, i.detail) for i in engine.incidents] == [
+        step = engine.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block), chain, 0)
+        assert step.messages == [] and step.finalized is None
+        assert [(a.kind, a.offender, a.detail) for a in step.alerts] == [
             (AlertKind.INVALID_BLOCK, keys[1].public_key, "too_many_txs")
         ]
 
@@ -203,24 +250,51 @@ class TestHappyPath:
         keys, cfg, chains, engines = make_cluster(4)
         block = build_block([], chains[2].tip, keys[2], NOW_MS)
         msg = make_message(keys[2], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
-        out, _ = engines[0].on_message(msg, chains[0], 0)
-        assert out == []
-        assert (engines[0].incidents[0].kind, engines[0].incidents[0].offender) == (
+        step = engines[0].on_message(msg, chains[0], 0)
+        assert step.messages == []
+        assert (step.alerts[0].kind, step.alerts[0].offender) == (
             AlertKind.INVALID_BLOCK,
             keys[2].public_key,
         )
 
-    def test_an_invalid_proposal_names_the_blocks_proposer(self):
-        # The round-0 proposer relays another authority's block: the block's proposer is named.
+    def test_an_invalid_proposal_names_its_signer(self):
+        # The round-0 proposer relays another authority's block: it signed the
+        # message, so it is named, not the block's proposer.
         keys, cfg, chains, engines = make_cluster(4)
         block = build_block([], chains[2].tip, keys[2], NOW_MS)
-        engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, bytes(32), block), chains[0], 0)
-        assert [(i.kind, i.offender, i.detail) for i in engines[0].incidents] == [
-            (AlertKind.INVALID_BLOCK, keys[2].public_key, "proposal hash mismatch")
+        step = engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, bytes(32), block), chains[0], 0)
+        assert [(a.kind, a.offender, a.detail) for a in step.alerts] == [
+            (AlertKind.INVALID_BLOCK, keys[1].public_key, "proposal hash mismatch")
         ]
         # A proposal with no block names its sender.
-        engines[3].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0), chains[3], 0)
-        assert [(i.kind, i.offender) for i in engines[3].incidents] == [(AlertKind.INVALID_BLOCK, keys[1].public_key)]
+        step = engines[3].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0), chains[3], 0)
+        assert [(a.kind, a.offender) for a in step.alerts] == [(AlertKind.INVALID_BLOCK, keys[1].public_key)]
+
+    def test_a_wrapped_block_names_the_wrapper_not_its_proposer(self):
+        # a3 wraps a1's real height-1 block in a round-0 pre-prepare it signs itself.
+        keys, cfg, chains, engines = make_cluster(4)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS)  # a1 is height 1's round-0 proposer
+        wrapped = make_message(keys[3], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
+        step = engines[0].on_message(wrapped, chains[0], 0)
+        assert step.messages == [] and step.finalized is None
+        assert [(a.kind, a.offender, a.detail) for a in step.alerts] == [
+            (AlertKind.INVALID_BLOCK, keys[3].public_key, "not the proposer for this round")
+        ]
+
+    def test_a_lone_pre_prepare_from_a_non_proposer_is_no_equivocation(self):
+        # After a1's valid proposal, non-proposer a3 sends one conflicting pre-prepare:
+        # a3 signed a single message, so it is an invalid block, not an equivocation.
+        keys, cfg, chains, engines = make_cluster(4)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block), chains[0], 0)
+        other = build_block([], chains[3].tip, keys[3], NOW_MS + 1)
+        step = engines[0].on_message(make_message(keys[3], Phase.PRE_PREPARE, 1, 0, hash_block(other), other), chains[0], 0)
+        assert [(a.kind, a.offender) for a in step.alerts] == [(AlertKind.INVALID_BLOCK, keys[3].public_key)]
+        assert engines[0].state.proposals == {0: block}
+        # The round's proposer sending a second block is still an equivocation.
+        twin = build_block([], chains[1].tip, keys[1], NOW_MS + 2)
+        step = engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(twin), twin), chains[0], 0)
+        assert [(a.kind, a.offender) for a in step.alerts] == [(AlertKind.EQUIVOCATION, keys[1].public_key)]
 
 
 class TestEquivocation:
@@ -228,10 +302,10 @@ class TestEquivocation:
         keys, cfg, chains, engines = make_cluster(4)
         h1, h2 = b"\x01" * 32, b"\x02" * 32
         engines[0].on_message(make_message(keys[2], Phase.PREPARE, 1, 0, h1), chains[0], 0)
-        engines[0].on_message(make_message(keys[2], Phase.PREPARE, 1, 0, h2), chains[0], 0)
+        step = engines[0].on_message(make_message(keys[2], Phase.PREPARE, 1, 0, h2), chains[0], 0)
         assert engines[0].state.prepare_votes[(0, h1)] == {keys[2].public_key}
         assert (0, h2) not in engines[0].state.prepare_votes
-        assert (engines[0].incidents[0].kind, engines[0].incidents[0].offender) == (
+        assert (step.alerts[0].kind, step.alerts[0].offender) == (
             AlertKind.EQUIVOCATION,
             keys[2].public_key,
         )
@@ -239,18 +313,18 @@ class TestEquivocation:
     def test_duplicate_identical_vote_is_noop(self):
         keys, cfg, chains, engines = make_cluster(4)
         h1 = b"\x01" * 32
-        for _ in range(3):
-            engines[0].on_message(make_message(keys[2], Phase.PREPARE, 1, 0, h1), chains[0], 0)
+        steps = [engines[0].on_message(make_message(keys[2], Phase.PREPARE, 1, 0, h1), chains[0], 0) for _ in range(3)]
         assert engines[0].state.prepare_votes[(0, h1)] == {keys[2].public_key}
-        assert engines[0].incidents == []
+        assert [a for step in steps for a in step.alerts] == []
 
 
 class TestRoundChange:
     def test_timeout_advances_round_and_broadcasts(self):
         keys, cfg, chains, engines = make_cluster(4)
         engine = engines[0]
-        out, fin = engine.on_timeout(2_000_000)
-        assert fin is None
+        step = engine.on_timeout(2_000_000)
+        out = step.messages
+        assert step.finalized is None
         assert engine.round == 1
         assert [m.phase for m in out] == [Phase.ROUND_CHANGE]
         assert out[0].round == 1 and out[0].block_hash == bytes(32)
@@ -258,10 +332,10 @@ class TestRoundChange:
     def test_deadlines_double_each_round(self):
         keys, cfg, chains, engines = make_cluster(4)
         engine = engines[0]
-        engine.on_timeout(2_000_000)
-        first = engine.timers[-1][0] - 2_000_000
-        engine.on_timeout(engine.timers[-1][0])
-        second = engine.timers[-1][0] - (2_000_000 + first)
+        [(deadline, _)] = engine.on_timeout(2_000_000).timers
+        first = deadline - 2_000_000
+        [(later, _)] = engine.on_timeout(deadline).timers
+        second = later - (2_000_000 + first)
         assert second == 2 * first == 2 * (2 * engine.round_timeout_us)
 
     def test_round_change_quorum_gates_new_proposal(self):
@@ -280,7 +354,7 @@ class TestRoundChange:
         keys, cfg, chains, engines = make_cluster(4)
         proposer = engines[1]
         block = build_block([], chains[1].tip, keys[1], NOW_MS)
-        out, _ = proposer.propose(block, 0)
+        out = proposer.propose(block, 0).messages
         locked_target = engines[0]
         locked_target.on_message(out[0], chains[0], 0)
         for voter in (2, 3):
@@ -295,7 +369,7 @@ class TestRoundChange:
         assert locked_target.round == 3
         assert select_proposer(1, 3, cfg.authorities) == keys[0].public_key
         fresh = build_block([], chains[0].tip, keys[0], NOW_MS + 9999)
-        out, _ = locked_target.propose(fresh, 9_000_000)
+        out = locked_target.propose(fresh, 9_000_000).messages
         pre = [m for m in out if m.phase == Phase.PRE_PREPARE][0]
         assert pre.block_hash == hash_block(block)
 
@@ -303,12 +377,12 @@ class TestRoundChange:
         keys, cfg, chains, engines = make_cluster(4)
         proposer = engines[1]
         block = build_block([], chains[1].tip, keys[1], NOW_MS)
-        out, _ = proposer.propose(block, 0)
+        out = proposer.propose(block, 0).messages
         node = engines[0]
         node.on_message(out[0], chains[0], 0)
         for voter in (2, 3):
             node.on_message(make_message(keys[voter], Phase.PREPARE, 1, 0, hash_block(block)), chains[0], 0)
-        out, _ = node.on_timeout(2_000_000)
+        out = node.on_timeout(2_000_000).messages
         rc = [m for m in out if m.phase == Phase.ROUND_CHANGE][0]
         assert rc.block_hash == hash_block(block)
 
@@ -322,15 +396,14 @@ class TestCrashRecovery:
         t = 2_000_000
         msgs = []
         for i in live:
-            out, _ = engines[i].on_timeout(t)
-            msgs.extend(out)
+            msgs.extend(engines[i].on_timeout(t).messages)
         finals = deliver_all(engines, chains, msgs, t, skip=(crashed,))
         # Round-change quorum reached; round-1 leader is authorities[2].
         leader = 2
         assert select_proposer(1, 1, cfg.authorities) == keys[leader].public_key
         assert engines[leader].wants_proposal()
         block = build_block([], chains[leader].tip, keys[leader], NOW_MS)
-        out, fin = engines[leader].propose(block, t + 1000)
+        out = engines[leader].propose(block, t + 1000).messages
         finals = deliver_all(engines, chains, out, t + 1000, skip=(crashed,))
         assert {0, 3} <= set(finals)
         from edgelinker.chain import hash_block
@@ -344,9 +417,9 @@ def test_future_height_messages_buffer_and_replay():
     node = engines[0]
     # Height-2 prepare arrives while the node is still at height 1.
     early = make_message(keys[2], Phase.PREPARE, 2, 0, b"\x09" * 32)
-    out, fin = node.on_message(early, chains[0], 0)
-    assert out == [] and fin is None
-    assert node.start_height(2, chains[0], 10) == ([], None)
+    assert node.on_message(early, chains[0], 0) is NOTHING
+    step = node.start_height(2, chains[0], 10)
+    assert step.messages == step.alerts == [] and step.finalized is None
     assert node.state.prepare_votes == {(0, b"\x09" * 32): {keys[2].public_key}}
 
 
@@ -362,16 +435,16 @@ def test_start_height_returns_the_block_its_buffered_messages_finalize():
         make_message(keys[2], Phase.COMMIT, 2, 0, b),
         make_message(keys[3], Phase.COMMIT, 2, 0, b),
     ):
-        assert node.on_message(msg, chain, 0) == ([], None)  # buffered while at height 1
+        assert node.on_message(msg, chain, 0) is NOTHING  # buffered while at height 1
     node.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, a, first), chain, 0)
     node.on_message(make_message(keys[2], Phase.PREPARE, 1, 0, a), chain, 0)
     node.on_message(make_message(keys[2], Phase.COMMIT, 1, 0, a), chain, 0)
-    _, fin = node.on_message(make_message(keys[3], Phase.COMMIT, 1, 0, a), chain, 0)
+    fin = node.on_message(make_message(keys[3], Phase.COMMIT, 1, 0, a), chain, 0).finalized
     assert fin == first
     chain.blocks.append(fin)
-    out, fin = node.start_height(2, chain, 10)
-    assert [(m.phase, m.height, m.block_hash) for m in out] == [(Phase.PREPARE, 2, b), (Phase.COMMIT, 2, b)]
-    assert fin == second and node.state.finalized
+    step = node.start_height(2, chain, 10)
+    assert [(m.phase, m.height, m.block_hash) for m in step.messages] == [(Phase.PREPARE, 2, b), (Phase.COMMIT, 2, b)]
+    assert step.finalized == second and node.state.finalized
 
 
 class WatchedEngine(ConsensusEngine):
@@ -382,20 +455,20 @@ class WatchedEngine(ConsensusEngine):
     checked = False
     skipped = 0
 
-    def _check_progress(self, out, now_us):
+    def _check_progress(self, step):
         self.checked = True
-        return super()._check_progress(out, now_us)
+        super()._check_progress(step)
 
     def on_message(self, msg, chain, now_us):
         self.checked, height = False, self.height
-        out, fin = super().on_message(msg, chain, now_us)
+        step = super().on_message(msg, chain, now_us)
         if not self.checked and msg.height == height:
             self.skipped += 1
-            assert out == [] and fin is None
-            twin, more = copy.deepcopy(self), []
-            assert twin._check_progress(more, now_us) is None and more == []
-            assert (twin.state, twin.incidents, twin.timers) == (self.state, self.incidents, self.timers)
-        return out, fin
+            assert not step.messages and step.finalized is None and not step.timers
+            twin, more = copy.deepcopy(self), EngineStep()
+            twin._check_progress(more)
+            assert not more and twin.state == self.state
+        return step
 
 
 VOTES = (Phase.PREPARE, Phase.COMMIT)
@@ -418,35 +491,35 @@ def drive_lossy(n, choose):
     def deliver(i, msg, now):
         return engines[i].on_message(msg, chains[i], now)
 
-    def settle(i, out, fin, now):
-        """What a node does with the engine's output: send it, finalize, start the next height, propose when due."""
+    def settle(i, step, now):
+        """What a node does with the engine's step: send it, finalize, start the next height, propose when due."""
         engine = engines[i]
-        broadcast(i, out)
-        while fin is not None:
-            chains[i].blocks.append(fin)
-            out, fin = engine.start_height(fin.header.height + 1, chains[i], now)
-            broadcast(i, out)
+        broadcast(i, step.messages)
+        while step.finalized is not None:
+            chains[i].blocks.append(step.finalized)
+            step = engine.start_height(step.finalized.header.height + 1, chains[i], now)
+            broadcast(i, step.messages)
         if engine.wants_proposal():
             block = build_block([], chains[i].tip, keys[i], NOW_MS + now // 1000)
-            settle(i, *engine.propose(block, now), now)
+            settle(i, engine.propose(block, now), now)
 
     now = 0
     for i in range(n):
-        settle(i, [], None, now)
+        settle(i, NOTHING, now)
     for _step in range(choose("steps", 30, 150)):
         now += 1000
         action = choose("action", 0, 15)
         if action == 0 or not pending:  # a round deadline passes at one engine
             i = choose("timeout at", 0, n - 1)
-            settle(i, *engines[i].on_timeout(now), now)
+            settle(i, engines[i].on_timeout(now), now)
             continue
         dst, msg = pending.pop(choose("delivered", 0, len(pending) - 1))
         if action == 1:  # lost
             continue
         if action == 2 and msg.phase in VOTES:  # its sender votes both ways
             forged = make_message(by_key[msg.sender], msg.phase, msg.height, msg.round, bytes(32))
-            settle(dst, *deliver(dst, forged, now), now)
-        settle(dst, *deliver(dst, msg, now), now)
+            settle(dst, deliver(dst, forged, now), now)
+        settle(dst, deliver(dst, msg, now), now)
     # No two engines finalized different blocks at one height.
     finalized = min(chain.height for chain in chains)
     for height in range(1, finalized + 1):
@@ -477,22 +550,21 @@ class TestEarlyExit:
         block_a = build_block([], chain.tip, keys[1], NOW_MS)  # the round-0 proposer is authorities[1]
         a = hash_block(block_a)
         engine.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, a, block_a), chain, 0)
-        out, _ = engine.on_message(make_message(keys[2], Phase.PREPARE, 1, 0, a), chain, 0)
+        out = engine.on_message(make_message(keys[2], Phase.PREPARE, 1, 0, a), chain, 0).messages
         assert [m.phase for m in out] == [Phase.COMMIT] and engine.state.locked_block == block_a
         engine.on_timeout(2_000_000)
         block_b = build_block([], chain.tip, keys[2], NOW_MS + 1)  # the round-1 proposer is authorities[2]
         b = hash_block(block_b)
-        out, _ = engine.on_message(make_message(keys[2], Phase.PRE_PREPARE, 1, 1, b, block_b), chain, 2_000_000)
+        out = engine.on_message(make_message(keys[2], Phase.PRE_PREPARE, 1, 1, b, block_b), chain, 2_000_000).messages
         assert out == []  # locked on A, so no prepare of B
-        out, _ = engine.on_message(make_message(keys[1], Phase.PREPARE, 1, 1, b), chain, 2_000_000)
-        assert out == []
+        assert not engine.on_message(make_message(keys[1], Phase.PREPARE, 1, 1, b), chain, 2_000_000).messages
         # With the proposer's, this completes a quorum of prepares for B: the node
         # commits B, which moves its lock to B, and so prepares B as well.
-        out, fin = engine.on_message(make_message(keys[3], Phase.PREPARE, 1, 1, b), chain, 2_000_000)
-        assert [(m.phase, m.round, m.block_hash) for m in out] == [(Phase.COMMIT, 1, b), (Phase.PREPARE, 1, b)]
-        assert engine.state.locked_block == block_b and fin is None
-        out, fin = engine.on_message(make_message(keys[1], Phase.COMMIT, 1, 1, b), chain, 2_000_000)
-        assert out == [] and fin is None
+        step = engine.on_message(make_message(keys[3], Phase.PREPARE, 1, 1, b), chain, 2_000_000)
+        assert [(m.phase, m.round, m.block_hash) for m in step.messages] == [(Phase.COMMIT, 1, b), (Phase.PREPARE, 1, b)]
+        assert engine.state.locked_block == block_b and step.finalized is None
+        step = engine.on_message(make_message(keys[1], Phase.COMMIT, 1, 1, b), chain, 2_000_000)
+        assert not step.messages and step.finalized is None
 
 
 class TestNodeEarlyExit:
@@ -580,18 +652,18 @@ def test_split_locks_after_a_crash_stall_height_one():
                 if dst == src or not delivered(src, dst, msg):
                     continue
                 engine = engines[dst]
-                results = [engine.on_message(msg, chains[dst], now)]
+                steps = [engine.on_message(msg, chains[dst], now)]
                 if engine.wants_proposal():
                     block = build_block([], chains[dst].tip, keys[dst], NOW_MS + now // 1000)
-                    results.append(engine.propose(block, now))
-                for out, fin in results:
-                    queue.extend((dst, m) for m in out)
-                    if fin is not None:
-                        finals.setdefault(dst, fin)
+                    steps.append(engine.propose(block, now))
+                for step in steps:
+                    queue.extend((dst, m) for m in step.messages)
+                    if step.finalized is not None:
+                        finals.setdefault(dst, step.finalized)
 
     # Round 0: a1 proposes A to a0 and a2, who prepare it; only a2's prepare reaches a0.
     block_a = build_block([], chains[1].tip, keys[1], NOW_MS)
-    pre_a, _ = engines[1].propose(block_a, 0)
+    pre_a = engines[1].propose(block_a, 0).messages
     run(
         [(1, m) for m in pre_a],
         lambda src, dst, msg: (src, msg.phase) == (1, Phase.PRE_PREPARE) and dst in (0, 2)
@@ -604,7 +676,7 @@ def test_split_locks_after_a_crash_stall_height_one():
 
     # Round 1: a2 proposes B. a0 hears only round changes, and a3's commits are lost.
     now = 2_000_000
-    changes = [(i, m) for i in range(4) for m in engines[i].on_timeout(now)[0]]
+    changes = [(i, m) for i in range(4) for m in engines[i].on_timeout(now).messages]
     run(
         changes,
         lambda src, dst, msg: msg.phase == Phase.ROUND_CHANGE or dst != 0 and (src, msg.phase) != (3, Phase.COMMIT),
@@ -619,7 +691,7 @@ def test_split_locks_after_a_crash_stall_height_one():
     live = (0, 1, 2)
     for _round in range(12):
         now *= 2
-        run([(i, m) for i in live for m in engines[i].on_timeout(now)[0]], lambda *_: True, live, now)
+        run([(i, m) for i in live for m in engines[i].on_timeout(now).messages], lambda *_: True, live, now)
 
     assert all(hash_block(block) == b for block in finals.values())  # agreement
     # The stall: every live engine is in round 13, still split between A and B, and none finalized.

@@ -69,14 +69,18 @@ def admitted(node):
     return [info["tx"] for kind, info in node.rec.records if kind == "tx_admitted"]
 
 
-def make_node(authority, balances, node_id="n0", peer_ids=(), directory=None):
+def make_node(authority, balances, node_id="n0", peer_ids=(), directory=None, start=True):
+    """A node that has begun height 1 and dropped that output, unless `start` is false."""
     cfg = GenesisConfig(
         authorities=[authority.public_key] if not isinstance(authority, list) else [a.public_key for a in authority],
         initial_balances=balances,
         block_interval_ms=1000,
     )
     first = authority if not isinstance(authority, list) else authority[0]
-    return FogNode(node_id, first, cfg, list(peer_ids), dict(directory or {}), recorder=Log())
+    node = FogNode(node_id, first, cfg, list(peer_ids), dict(directory or {}), recorder=Log())
+    if start:
+        node.initial_output()
+    return node
 
 
 def envelope(client, node, nonce, tx, now_us):
@@ -235,6 +239,7 @@ class TestProposalLifecycle:
             block_interval_ms=200,
         )
         node = FogNode("n0", authority, genesis, [], {})
+        node.initial_output()
         assert node.engine.round_timeout_us == 400_000
         tx = make_transaction(client, 1, 100, Deploy("health_record", b""))
         node.handle_envelope(envelope(client, node, 1, tx, 100_000), 100_000)
@@ -316,7 +321,7 @@ class TestTickProposerDuty:
 
     def test_round_timer_at_deadline_sends_round_change(self, keys):
         authorities = [keys[i] for i in range(4)]
-        node0 = make_node(authorities, {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)])
+        node0 = make_node(authorities, {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)], start=False)
         [(deadline, _key)] = round_timers(node0.initial_output())
         out = node0.on_timer(("round", 1, 0), deadline)
         assert node0.engine.round == 1
@@ -332,6 +337,7 @@ class TestTickProposerDuty:
             block_interval_ms=1000,
         )
         node1 = FogNode("n1", a1, cfg, ["n0", "n1"], {})
+        node1.initial_output()
         for i in range(1, 4):
             tx = make_transaction(client, i, T0 // 1000, Deploy("health_record", b""))
             node1.on_gossip(tx, T0)
@@ -350,19 +356,20 @@ class TestRoundTimer:
     """A node arms a round's timeout once, when it enters the round: a round's deadline never moves."""
 
     def test_messages_in_one_round_arm_it_once_and_a_round_change_again(self, keys):
-        node0 = make_node(keys[:4], {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)])
+        node0 = make_node(keys[:4], {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)], start=False)
+        first = node0.initial_output()
         votes = [make_message(keys[i], Phase.PREPARE, 1, 0, bytes(32)) for i in (2, 3)]
         outs = [node0.on_consensus(vote, T0) for vote in votes]
         deadline = ROUND_0_US  # from the node's start at 0
-        assert round_timers(*outs) == [(deadline, ("round", 1, 0))]
+        assert round_timers(first, *outs) == [(deadline, ("round", 1, 0))]
 
         changed = node0.on_timer(("round", 1, 0), deadline)
         assert node0.engine.round == 1
         vote = node0.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 1, bytes(32)), deadline + 1)
         assert round_timers(changed, vote) == [(deadline + 2 * ROUND_0_US, ("round", 1, 1))]
 
-    def test_a_new_height_arms_it_again(self, single):
-        node, _, _ = single
+    def test_a_new_height_arms_it_again(self, keys):
+        node = make_node(keys[0], {}, start=False)
         first = node.initial_output()
         out = node.on_timer(("propose", 1), INTERVAL)  # a lone authority finalizes its own proposal
         assert node.chain.height == 1
@@ -545,6 +552,8 @@ class TestLaggingNodeOnSharedState:
         nodes = {
             i: FogNode(i, a, cfg, ids, dict(directory), recorder=Log(), world=world) for i, a in zip(ids, authorities)
         }
+        for node in nodes.values():
+            node.initial_output()
         contract = contract_address(client.public_key, 1)
         payloads = [
             Deploy("health_record", b""),
