@@ -18,10 +18,10 @@ run of adjacent fixed-width fields are packed and unpacked by one
 read inline, bounds checks included, and a variant's class is chosen inline
 when it is read. These are the kinds the records on every message carry. A
 field of any other kind (a nested record, an optional value, a list of
-items, an untagged group, an enum), and a variant when it is written, is
-written and read by its `Codec`'s own `write` and `read`, which reach a
-nested record through its class's methods as they are at call time, so a
-method replaced on the class is the one used. The tests keep a
+items, an enum), and a variant when it is written, is written and read by
+its `Codec`'s own `write` and `read`, which reach a nested record through
+its class's methods as they are at call time, so a method replaced on the
+class is the one used. The tests keep a
 field-by-field interpreter of the same layouts (`pack` and `unpack`) as the
 reference the compiled codecs are checked against.
 
@@ -274,15 +274,6 @@ def optional(codec: Codec) -> Codec:
         return codec.read(r) if flag else None
 
     return Codec(lambda value: b"\x00" if value is None else b"\x01" + codec.write(value), read, ("optional", codec))
-
-
-def untagged(make, *codecs: Codec) -> Codec:
-    """Values written one after another with no tag, read back as `make(*values)`."""
-    return Codec(
-        lambda values: b"".join([write(value) for (write, _, _), value in zip(codecs, values)]),
-        lambda r: make(*[codec.read(r) for codec in codecs]),
-        ("untagged", make, codecs),
-    )
 
 
 def items(codec: Codec, min_size: int) -> Codec:

@@ -8,15 +8,17 @@ round-0 deadline is twice the genesis block interval and doubles each round.
 A new round's proposer waits for a round-change quorum before proposing.
 
 The engine is a deterministic state machine: one ordered input stream per
-node, no internal concurrency. Message signatures and authority membership
-are verified by the caller before on_message. Every entry point returns one
-`EngineStep` at the fixpoint of `_check_progress`, and the engine keeps none of
-it. A step's timers are each round's `("round", height, round)` deadline as the
-round begins, after a `("propose", height)` wake one block interval on when the
-engine begins a height it is the round-0 proposer of. A fresh engine arms
-nothing until `start_height(1, ...)`; each `start_height` feeds the messages
-buffered for its height through `on_message`. Each `Alert` names the signer of
-the message that shows the fault.
+node, no internal concurrency. `on_message` verifies each message; one that
+fails counts nowhere. Every entry point returns one `EngineStep` at the
+fixpoint of `_check_progress`, and the engine keeps none of it. A step's timers
+are each round's `("round", height, round)` deadline as the round begins, after
+a `("propose", height)` wake one block interval on at a height the engine is
+the round-0 proposer of; `on_timer` answers both. A step's `propose_round`
+asks the caller for a block: round 0's at the propose wake, round r's when a
+round-change quorum makes this engine its proposer. A fresh engine arms nothing
+until `start_height(1, ...)`; each `start_height` feeds the messages buffered
+for its height back in. Each `Alert` names the signer of the message that
+shows the fault.
 """
 
 from __future__ import annotations
@@ -112,15 +114,18 @@ class Alert:
 @dataclass
 class EngineStep:
     """What one engine call hands its caller: messages to broadcast, the block
-    it finalized, alerts to raise and (fire_at_us, key) timers to arm."""
+    it finalized, alerts to raise, (fire_at_us, key) timers to arm and the
+    round it must now build a block for, if any."""
 
     messages: list = field(default_factory=list)
     finalized: Optional[Block] = None
     alerts: list = field(default_factory=list)
     timers: list = field(default_factory=list)
+    propose_round: Optional[int] = None
 
     def __bool__(self) -> bool:
-        return bool(self.messages or self.finalized is not None or self.alerts or self.timers)
+        handed = self.finalized is not None or self.propose_round is not None
+        return handed or bool(self.messages or self.alerts or self.timers)
 
 
 # The step of a call that changes nothing the caller sees; shared, so read-only.
@@ -161,14 +166,6 @@ class ConsensusEngine:
 
     # -- public surface ----------------------------------------------------
 
-    @property
-    def height(self) -> int:
-        return self.state.height
-
-    @property
-    def round(self) -> int:
-        return self.state.round
-
     def is_proposer(self) -> bool:
         return select_proposer(self.state.height, self.state.round, self.authorities) == self.keypair.public_key
 
@@ -183,7 +180,26 @@ class ConsensusEngine:
         return len(votes) >= self.quorum
 
     def on_message(self, msg: ConsensusMessage, chain: Chain, now_us: int) -> EngineStep:
-        """Feed one verified message."""
+        """Feed one message as it arrived."""
+        if verify_message(msg, self.authorities):
+            return self._on_verified(msg, chain, now_us)
+        # An authority's header inside a message that fails its check proves
+        # nothing about that authority; an outsider's own signed header does.
+        header = msg.block.header if msg.phase == Phase.PRE_PREPARE and msg.block is not None else None
+        if header is None or header.proposer in self.authorities or not header.verified():
+            return NOTHING
+        detail = ",".join(v.value for v in validate_block(msg.block, chain.tip, self.authorities, self.max_txs))
+        return EngineStep(alerts=[Alert(AlertKind.INVALID_BLOCK, header.height, header.proposer, detail, now_us)])
+
+    def on_timer(self, key: tuple, now_us: int) -> EngineStep:
+        """Answer a wake this engine handed out; NOTHING for one of a height or round it has left."""
+        st = self.state
+        if key[0] == "propose":
+            fresh = key[1] == st.height and st.round == 0 and self.wants_proposal()
+            return EngineStep(propose_round=0) if fresh else NOTHING
+        return self.on_timeout(now_us) if key[1:] == (st.height, st.round) else NOTHING
+
+    def _on_verified(self, msg: ConsensusMessage, chain: Chain, now_us: int) -> EngineStep:
         st = self.state
         if msg.height != st.height:
             if msg.height > st.height and len(self._future) < self.BUFFER_CAP:
@@ -215,7 +231,7 @@ class ConsensusEngine:
         elif msg.phase == Phase.PRE_PREPARE:
             self._handle_pre_prepare(msg, chain, step, now_us)
         self._check_progress(step)
-        return step
+        return self._ask_for_block(step)
 
     def on_timeout(self, now_us: int) -> EngineStep:
         """Advance one round and broadcast the round change."""
@@ -226,7 +242,7 @@ class ConsensusEngine:
         self._enter_round(st.round + 1, step, now_us)
         self._send_round_change(st.round, step)
         self._check_progress(step)
-        return step
+        return self._ask_for_block(step)
 
     def propose(self, block: Block, now_us: int) -> EngineStep:
         """Issue the pre-prepare for the current round.
@@ -259,15 +275,21 @@ class ConsensusEngine:
         self._future = [m for m in pending if m.height > height]
         for msg in pending:
             if msg.height == height:
-                more = self.on_message(msg, chain, now_us)
+                more = self._on_verified(msg, chain, now_us)
                 step.messages += more.messages
                 step.alerts += more.alerts
                 step.timers += more.timers
                 if step.finalized is None:
                     step.finalized = more.finalized
-        return step
+        return self._ask_for_block(step)
 
     # -- internals -----------------------------------------------------------
+
+    def _ask_for_block(self, step: EngineStep) -> EngineStep:
+        """Asks for round r > 0's block once a round-change quorum makes this engine its proposer."""
+        if self.state.round > 0 and self.wants_proposal():
+            step.propose_round = self.state.round
+        return step
 
     def _timeout_for(self, round_: int) -> int:
         return self.round_timeout_us << min(round_, 20)
@@ -311,6 +333,9 @@ class ConsensusEngine:
             return
         elif msg.block is None or hash_block(msg.block) != msg.block_hash:
             detail = "proposal hash mismatch"
+        elif msg.round == 0 and msg.block.header.proposer != msg.sender:
+            # Only a later round may re-propose a block another authority built: the one it is locked on.
+            detail = "block built by another authority"
         else:
             violations = validate_block(msg.block, chain.tip, self.authorities, self.max_txs)
             if not violations:

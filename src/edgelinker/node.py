@@ -4,25 +4,25 @@ Each node is an event-driven state machine fed by one ordered input stream:
 `initial_output`, `on_timer` and the four message handlers (`handle_envelope`,
 `on_gossip`, `on_consensus`, `on_alert`). Each returns a NodeOutput of messages
 to send and timers to arm, or None for nothing: `on_gossip` and `on_alert`
-always, `on_consensus` for a verified message its engine answers with an empty
-`EngineStep` while it does not want this node to propose, and `on_timer` for a
-wake of a height or round the engine has left or a propose wake the node does
-not act on. `_post_engine` turns each engine step into output: it sends the
-step's messages, raises its alerts, arms its timers (each round's deadline, and
-a propose wake at each height the node is the round-0 proposer of), applies its
-finalized block and starts the next height. The surrounding simulation (or any
-other transport) arms every timer it is handed and owns delivery, including the
-fan-out of a send to PEERS, the node's peers. World state is only ever advanced
-by applying finalized blocks, so replaying the chain from genesis always
-reproduces it byte for byte. Nodes handed one genesis state share every state
-they reach from it: each finalized block is applied once, while each node
-admits, serves reads and confirms against the state at its own height.
+always, `on_consensus` and `on_timer` when the engine, handed the message or
+wake untouched, answers with an empty `EngineStep`. `_post_engine` turns each
+engine step into output: it sends the step's messages, raises its alerts, arms
+its timers (each round's deadline, and a propose wake at each height the node
+is the round-0 proposer of), applies its finalized block and starts the next
+height, then builds the block the last step asks for. The surrounding
+simulation (or any other transport) arms every timer it is handed and owns
+delivery, including the fan-out of a send to PEERS, the node's peers. World
+state is only ever advanced by applying finalized blocks, so replaying the
+chain from genesis always reproduces it byte for byte. Nodes handed one
+genesis state share every state they reach from it: each finalized block is
+applied once, while each node admits, serves reads and confirms against the
+state at its own height.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from . import channel as ch
 from .chain import (
@@ -35,11 +35,10 @@ from .chain import (
     hash_block,
     hash_tx,
     make_genesis,
-    validate_block,
     verify_transaction,
 )
-from .codec import BYTES, READINGS, STR, U64, DecodeError, Record, items, untagged
-from .consensus import Alert, AlertKind, ConsensusEngine, ConsensusMessage, EngineStep, Phase, verify_message
+from .codec import BYTES, READINGS, STR, U64, DecodeError, Record, items, record
+from .consensus import Alert, AlertKind, ConsensusEngine, ConsensusMessage, EngineStep
 from .contracts import PermissionDenied, UnknownContract, WorldState, genesis_world, next_state, read_history
 
 MEMPOOL_CAP = 10_000  # admitted transactions a node holds before it rejects more
@@ -84,13 +83,17 @@ class QueryReplyBody(Record):
         compiler.reader(fill, read=None, decode="status_and_count")
 
 
-class ConfirmEntry(NamedTuple):
+@dataclass(frozen=True)
+class ConfirmEntry(Record):
     """One transaction's ledger receipt, as its submitting device hears it."""
 
     tx_hash: bytes
     result: str  # the receipt's result: ok, denied, failed or skipped
     reason: str
     delay_us: int  # node-side receipt-to-finalization time
+
+    WIRE_TAG = None  # written only inside a ConfirmBody
+    LAYOUT = (("tx_hash", BYTES), ("result", STR), ("reason", STR), ("delay_us", U64))
 
 
 @dataclass
@@ -102,7 +105,7 @@ class ConfirmBody(Record):
 
     WIRE_TAG = 0x07
     MIN_ENTRY_LEN = 4 + 4 + 4 + 8  # empty hash, result and reason, then the delay
-    LAYOUT = (("height", U64), ("entries", items(untagged(ConfirmEntry, BYTES, STR, STR, U64), MIN_ENTRY_LEN)))
+    LAYOUT = (("height", U64), ("entries", items(record(ConfirmEntry), MIN_ENTRY_LEN)))
 
 
 @dataclass
@@ -167,9 +170,7 @@ class FogNode:
 
     def initial_output(self) -> NodeOutput:
         """Begins height 1: the output arms its round deadline and propose wake."""
-        out = NodeOutput()
-        self._post_engine(out, 0, self.engine.start_height(1, self.chain, 0))
-        return out
+        return self._post_engine(NodeOutput(), 0, self.engine.start_height(1, self.chain, 0))
 
     # -- channel ingress -------------------------------------------------------
 
@@ -260,45 +261,16 @@ class FogNode:
     # -- consensus ---------------------------------------------------------------
 
     def on_consensus(self, msg: ConsensusMessage, now_us: int) -> Optional[NodeOutput]:
-        authorities = self.genesis_config.authorities
-        if not verify_message(msg, authorities):
-            out = NodeOutput()
-            # A proposal an outsider signed as its proposer is still inspected so
-            # the monitoring layer can name it. An authority's header inside a
-            # message that fails its check proves nothing about that authority.
-            header = msg.block.header if msg.phase == Phase.PRE_PREPARE and msg.block is not None else None
-            if header is not None and header.proposer not in authorities and header.verified():
-                violations = validate_block(msg.block, self.chain.tip, authorities, self.genesis_config.max_txs)
-                detail = ",".join(v.value for v in violations)
-                self._raise_alert(Alert(AlertKind.INVALID_BLOCK, header.height, header.proposer, detail, now_us), out)
-            return out
         step = self.engine.on_message(msg, self.chain, now_us)
-        if not step and not self.engine.wants_proposal():
-            return None
-        out = NodeOutput()
-        self._post_engine(out, now_us, step)
-        return out
+        return self._post_engine(NodeOutput(), now_us, step) if step else None
 
     def on_timer(self, key: tuple, now_us: int) -> Optional[NodeOutput]:
-        """None for a wake of a height or round the engine has left, and for a
-        propose wake the node does not act on."""
-        engine = self.engine
-        if key[0] == "propose":
-            if engine.height != key[1] or engine.round != 0 or not engine.wants_proposal():
-                return None
-            out = NodeOutput()
-            self._propose(out, now_us)
-            return out
-        _, height, round_ = key
-        if engine.height != height or engine.round != round_:
-            return None
-        out = NodeOutput()
-        step = engine.on_timeout(now_us)
-        self.rec("round_timeout", height=height, round=round_)
-        self._post_engine(out, now_us, step)
-        return out
+        step = self.engine.on_timer(key, now_us)
+        if step and key[0] == "round":
+            self.rec("round_timeout", height=key[1], round=key[2])
+        return self._post_engine(NodeOutput(), now_us, step) if step else None
 
-    def _propose(self, out: NodeOutput, now_us: int) -> None:
+    def _propose(self, out: NodeOutput, now_us: int, round_: int) -> None:
         block = build_block(
             list(self.mempool.values()),
             self.chain.tip,
@@ -307,11 +279,10 @@ class FogNode:
             max_txs=self.genesis_config.max_txs,
             authorities=self.genesis_config.authorities,
         )
-        self.rec("proposed", height=block.header.height, round=self.engine.round, txs=len(block.transactions))
+        self.rec("proposed", height=block.header.height, round=round_, txs=len(block.transactions))
         self._post_engine(out, now_us, self.engine.propose(block, now_us))
 
-    def _post_engine(self, out: NodeOutput, now_us: int, step: EngineStep) -> None:
-        engine = self.engine
+    def _post_engine(self, out: NodeOutput, now_us: int, step: EngineStep) -> NodeOutput:
         while True:
             out.sends.extend(Send(PEERS, CONSENSUS, msg) for msg in step.messages)
             for alert in step.alerts:
@@ -321,10 +292,10 @@ class FogNode:
             if fin is None:
                 break
             self._apply_finalized(fin, now_us, out)
-            step = engine.start_height(fin.header.height + 1, self.chain, now_us)
-        # Round-change quorum can make this node the proposer mid-stream.
-        if engine.round > 0 and engine.wants_proposal():
-            self._propose(out, now_us)
+            step = self.engine.start_height(fin.header.height + 1, self.chain, now_us)
+        if step.propose_round is not None:
+            self._propose(out, now_us, step.propose_round)
+        return out
 
     def _apply_finalized(self, block: Block, now_us: int, out: NodeOutput) -> None:
         self.chain.blocks.append(block)

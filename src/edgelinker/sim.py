@@ -443,9 +443,6 @@ class AttackerBase:
     def on_tap(self, src: str, dst: str, raw: bytes, now_us: int) -> None:
         pass
 
-    def wake(self, tag, now_us: int) -> list:
-        return []
-
     def on_receive(self, raw: bytes, src: str, now_us: int) -> None:
         pass
 
@@ -609,12 +606,12 @@ ATTACK_KINDS = tuple(ATTACKER_CLASSES)
 class EquivocatingNode(FogNode):
     """Byzantine authority: proposes two blocks and votes both ways."""
 
-    def _propose(self, out: NodeOutput, now_us: int) -> None:
+    def _propose(self, out: NodeOutput, now_us: int, round_: int) -> None:
         tip = self.chain.tip
         now_ms = now_us // 1000
         block_a = build_block([], tip, self.keypair, now_ms, authorities=self.genesis_config.authorities)
         block_b = build_block([], tip, self.keypair, now_ms + 7, authorities=self.genesis_config.authorities)
-        height, round_ = self.engine.height, self.engine.round
+        height = block_a.header.height
         step = self.engine.propose(block_a, now_us)
         half = (len(self.peer_ids) + 1) // 2
         group_a, group_b = self.peer_ids[:half], self.peer_ids[half:]
@@ -893,7 +890,6 @@ class Simulation:
         authorities = [self.node_keys[i_].public_key for i_ in self.node_ids]
         self.crashed = set(self.node_ids[n - config.crashed :]) if config.crashed else set()
         byz_ids = set(self.node_ids[n - config.byzantine :]) if config.byzantine else set()
-        self.byzantine_ids = byz_ids
         self.honest_ids = [i_ for i_ in self.node_ids if i_ not in byz_ids and i_ not in self.crashed]
 
         plans, balances, attacker_needs = _build_plans(self, config)

@@ -153,6 +153,45 @@ class TestSealOpen:
         assert e1 == e2
 
 
+def sealed_plaintext(sender, receiver, plaintext):
+    """An envelope from `sender` whose AEAD holds `plaintext` as it is: it decrypts, whatever it carries."""
+    nonce = bytes(ch.AEAD_NONCE_LEN)
+    ciphertext = ch._cipher(derive_shared_key(sender.private_key, receiver.public_key)).encrypt(nonce, plaintext, None)
+    return SecureEnvelope(sender.public_key, nonce + ciphertext)
+
+
+class TestOpenRejects:
+    """Each reject of `open_message` past the sender hint, in the order it checks."""
+
+    def test_a_ciphertext_shorter_than_a_nonce_and_tag(self):
+        a, b = kp("a"), kp("b")
+        short = SecureEnvelope(a.public_key, bytes(ch.AEAD_NONCE_LEN + ch.AEAD_TAG_LEN - 1))
+        with pytest.raises(ch.DecryptFailed, match="ciphertext too short"):
+            open_message(short, b.private_key, a.public_key)
+
+    def test_a_plaintext_shorter_than_a_signature(self):
+        a, b = kp("a"), kp("b")
+        with pytest.raises(ch.DecryptFailed, match="shorter than a signature"):
+            open_message(sealed_plaintext(a, b, bytes(ch.SIG_LEN - 1)), b.private_key, a.public_key)
+
+    def test_a_malformed_inner_message(self):
+        a, b = kp("a"), kp("b")
+        encoded = msg_for(a).encode()[:-1]  # cut inside the body
+        signature = ch.sign_digest(a.private_key, hashlib.sha256(encoded).digest())
+        with pytest.raises(ch.DecryptFailed, match="malformed inner message"):
+            open_message(sealed_plaintext(a, b, encoded + signature), b.private_key, a.public_key)
+
+    def test_an_inner_signature_that_does_not_verify(self):
+        a, b = kp("a"), kp("b")
+        encoded = msg_for(a).encode()
+        signature = ch.sign_digest(a.private_key, hashlib.sha256(encoded + b"other").digest())
+        with pytest.raises(ch.SignatureInvalid, match="digest signature"):
+            open_message(sealed_plaintext(a, b, encoded + signature), b.private_key, a.public_key)
+        # The same bytes under the right signature open.
+        signature = ch.sign_digest(a.private_key, hashlib.sha256(encoded).digest())
+        assert open_message(sealed_plaintext(a, b, encoded + signature), b.private_key, a.public_key) == msg_for(a)
+
+
 class TestWireModes:
     def test_secure_wire_round_trip(self):
         a, b = kp("a"), kp("b")

@@ -15,6 +15,7 @@ from edgelinker.chain import (
     hash_block,
     make_genesis,
     make_transaction,
+    validate_block,
 )
 from edgelinker.consensus import (
     NOTHING,
@@ -107,7 +108,7 @@ def test_engine_takes_proposer_order_round_timeout_and_quorum_from_the_genesis()
 
     late = engines[cfg.authorities[3]]
     step = late.on_timeout(400_000)
-    assert late.round == 1 and step.timers == [(400_000 + 800_000, ("round", 1, 1))]
+    assert late.state.round == 1 and step.timers == [(400_000 + 800_000, ("round", 1, 1))]
     assert select_proposer(1, 1, cfg.authorities) == cfg.authorities[2]
 
 
@@ -149,6 +150,71 @@ class TestEngineStep:
         ]
         after = engine.on_message(make_message(keys[3], Phase.PREPARE, 1, 1, h1), chain, 2_000_001)
         assert not after and not engine.on_timeout(2_000_002).alerts
+
+    def test_on_timer_answers_nothing_for_a_wake_the_engine_has_left(self):
+        keys, cfg, chains, engines = make_cluster(4)
+        proposer = engines[1]  # height 1's round-0 proposer
+        assert proposer.on_timer(("round", 1, 0), 2_000_000).messages  # round 0's deadline: a round change
+        assert proposer.state.round == 1
+        assert proposer.on_timer(("round", 1, 0), 2_000_001) is NOTHING
+        assert proposer.on_timer(("propose", 1), 2_000_001) is NOTHING  # round 0 is over
+        assert proposer.on_timer(("round", 0, 0), 2_000_001) is NOTHING  # an earlier height
+        assert proposer.state.round == 1
+
+    def test_the_propose_wake_asks_the_round_zero_proposer_for_a_block(self):
+        keys, cfg, chains, engines = make_cluster(4)
+        step = engines[1].on_timer(("propose", 1), 1_000_000)
+        assert step.propose_round == 0 and not step.messages and not step.timers
+        assert engines[0].on_timer(("propose", 1), 1_000_000) is NOTHING  # not the proposer
+
+    def test_a_round_change_quorum_asks_round_r_proposer_for_a_block(self):
+        keys, cfg, chains, engines = make_cluster(4)
+        engine, chain = engines[2], chains[2]  # round 1's proposer at height 1
+        assert engine.on_timer(("round", 1, 0), 2_000_000).propose_round is None  # its own round change only
+        step = engine.on_message(make_message(keys[0], Phase.ROUND_CHANGE, 1, 1), chain, 2_100_000)
+        assert step.propose_round is None
+        step = engine.on_message(make_message(keys[1], Phase.ROUND_CHANGE, 1, 1), chain, 2_200_000)
+        assert step.propose_round == 1
+        # Round 1's non-proposers are asked for nothing by the same quorum.
+        other = engines[3]
+        other.on_timeout(2_000_000)
+        for sender in (0, 1):
+            step = other.on_message(make_message(keys[sender], Phase.ROUND_CHANGE, 1, 1), chains[3], 2_200_000)
+            assert step.propose_round is None
+
+    def test_no_step_asks_again_after_propose(self):
+        keys, cfg, chains, engines = make_cluster(4)
+        proposer, chain = engines[1], chains[1]
+        assert proposer.on_timer(("propose", 1), 1_000_000).propose_round == 0
+        step = proposer.propose(build_block([], chain.tip, keys[1], NOW_MS), 1_000_000)
+        assert step.propose_round is None
+        assert proposer.on_timer(("propose", 1), 1_000_001) is NOTHING
+        # Round 1, after its round-change quorum and its proposal.
+        leader, chain = engines[2], chains[2]
+        leader.on_timeout(2_000_000)
+        leader.on_message(make_message(keys[0], Phase.ROUND_CHANGE, 1, 1), chain, 2_000_000)
+        assert leader.on_message(make_message(keys[1], Phase.ROUND_CHANGE, 1, 1), chain, 2_000_000).propose_round == 1
+        assert leader.propose(build_block([], chain.tip, keys[2], NOW_MS), 2_000_000).propose_round is None
+        late_vote = make_message(keys[3], Phase.ROUND_CHANGE, 1, 1)
+        assert leader.on_message(late_vote, chain, 2_000_001).propose_round is None
+
+    def test_the_engine_alerts_on_an_outsider_signed_proposal_and_ignores_a_zeroed_signature_one(self):
+        keys, cfg, chains, engines = make_cluster(4)
+        engine, chain = engines[0], chains[0]
+        outsider = kp("imposter")
+        block = build_block([], chain.tip, outsider, NOW_MS)
+        violations = validate_block(block, chain.tip, cfg.authorities)
+        assert violations
+        step = engine.on_message(make_message(outsider, Phase.PRE_PREPARE, 1, 0, hash_block(block), block), chain, 7)
+        assert not step.messages and not step.timers and step.finalized is None
+        assert [(a.kind, a.offender, a.height, a.detail, a.sim_time_us) for a in step.alerts] == [
+            (AlertKind.INVALID_BLOCK, outsider.public_key, 1, ",".join(v.value for v in violations), 7)
+        ]
+        header = replace(block.header, proposer_signature=bytes(len(block.header.proposer_signature)))
+        zeroed = replace(block, header=header)
+        unsigned = make_message(outsider, Phase.PRE_PREPARE, 1, 0, hash_block(zeroed), zeroed)
+        assert engine.on_message(unsigned, chain, 7) is NOTHING
+        assert engine.state.proposals == {} and engine.state.prepare_votes == {}
 
 
 def test_message_signing_and_wire_roundtrip():
@@ -281,6 +347,30 @@ class TestHappyPath:
             (AlertKind.INVALID_BLOCK, keys[3].public_key, "not the proposer for this round")
         ]
 
+    def test_a_round_zero_proposer_proposing_another_authoritys_block_is_named(self):
+        # a1, height 1's round-0 proposer, sends a2's real, validly signed height-1
+        # block in its own pre-prepare: a1 signed the message, so a1 is named.
+        keys, cfg, chains, engines = make_cluster(4)
+        block = build_block([], chains[2].tip, keys[2], NOW_MS)
+        borrowed = make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
+        step = engines[0].on_message(borrowed, chains[0], 0)
+        assert step.messages == [] and step.finalized is None
+        assert [(a.kind, a.offender, a.height, a.detail) for a in step.alerts] == [
+            (AlertKind.INVALID_BLOCK, keys[1].public_key, 1, "block built by another authority")
+        ]
+        assert engines[0].state.proposals == {}
+
+    def test_a_later_round_may_re_propose_a_block_an_earlier_proposer_built(self):
+        # Round 1's proposer a2 re-proposes a1's round-0 block, as a node locked on it must.
+        keys, cfg, chains, engines = make_cluster(4)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        engine = engines[0]
+        engine.on_timeout(2_000_000)
+        msg = make_message(keys[2], Phase.PRE_PREPARE, 1, 1, hash_block(block), block)
+        step = engine.on_message(msg, chains[0], 2_000_000)
+        assert [(m.phase, m.round, m.block_hash) for m in step.messages] == [(Phase.PREPARE, 1, hash_block(block))]
+        assert step.alerts == []
+
     def test_a_lone_pre_prepare_from_a_non_proposer_is_no_equivocation(self):
         # After a1's valid proposal, non-proposer a3 sends one conflicting pre-prepare:
         # a3 signed a single message, so it is an invalid block, not an equivocation.
@@ -325,7 +415,7 @@ class TestRoundChange:
         step = engine.on_timeout(2_000_000)
         out = step.messages
         assert step.finalized is None
-        assert engine.round == 1
+        assert engine.state.round == 1
         assert [m.phase for m in out] == [Phase.ROUND_CHANGE]
         assert out[0].round == 1 and out[0].block_hash == bytes(32)
 
@@ -343,7 +433,7 @@ class TestRoundChange:
         # After round 0 times out, authorities[(1+1) % 4] = keys[2] leads round 1.
         engine = engines[2]
         engine.on_timeout(2_000_000)
-        assert engine.round == 1
+        assert engine.state.round == 1
         assert not engine.wants_proposal()  # own vote only
         engine.on_message(make_message(keys[0], Phase.ROUND_CHANGE, 1, 1, bytes(32)), chains[2], 2_100_000)
         assert not engine.wants_proposal()
@@ -366,7 +456,7 @@ class TestRoundChange:
         locked_target.on_timeout(2_000_000)
         locked_target.on_timeout(4_000_000)
         locked_target.on_timeout(8_000_000)
-        assert locked_target.round == 3
+        assert locked_target.state.round == 3
         assert select_proposer(1, 3, cfg.authorities) == keys[0].public_key
         fresh = build_block([], chains[0].tip, keys[0], NOW_MS + 9999)
         out = locked_target.propose(fresh, 9_000_000).messages
@@ -459,9 +549,9 @@ class WatchedEngine(ConsensusEngine):
         self.checked = True
         super()._check_progress(step)
 
-    def on_message(self, msg, chain, now_us):
-        self.checked, height = False, self.height
-        step = super().on_message(msg, chain, now_us)
+    def _on_verified(self, msg, chain, now_us):
+        self.checked, height = False, self.state.height
+        step = super()._on_verified(msg, chain, now_us)
         if not self.checked and msg.height == height:
             self.skipped += 1
             assert not step.messages and step.finalized is None and not step.timers
@@ -600,15 +690,15 @@ class TestNodeEarlyExit:
         out = node.on_consensus(make_message(keys[3], Phase.COMMIT, 1, 0, bh), 0)
         assert out is not None
         assert node.chain.height == 1 and hash_block(node.chain.tip) == bh
-        assert node.engine.height == 2
+        assert node.engine.state.height == 2
         # A vote for the finalized height changes nothing.
         assert node.on_consensus(make_message(keys[1], Phase.COMMIT, 1, 0, bh), 0) is None
-        assert node.chain.height == 1 and node.engine.height == 2
+        assert node.chain.height == 1 and node.engine.state.height == 2
 
     def test_a_round_change_below_f_plus_one_returns_none(self, cluster):
         node, keys, _ = cluster
         assert node.on_consensus(make_message(keys[2], Phase.ROUND_CHANGE, 1, 1), 0) is None
-        assert node.engine.state.round_change_votes == {1: {keys[2].public_key}} and node.engine.round == 0
+        assert node.engine.state.round_change_votes == {1: {keys[2].public_key}} and node.engine.state.round == 0
         # The second one is f+1: n0 joins round 1's change.
         out = node.on_consensus(make_message(keys[3], Phase.ROUND_CHANGE, 1, 1), 0)
         assert [(s.body.phase, s.body.round) for s in out.sends] == [(Phase.ROUND_CHANGE, 1)]
@@ -618,6 +708,15 @@ class TestNodeEarlyExit:
         pre = make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
         assert [s.body.phase for s in node.on_consensus(pre, 0).sends] == [Phase.PREPARE]
         assert node.on_consensus(pre, 0) is None  # a duplicate delivery
+
+    def test_the_round_zero_proposer_returns_none_before_its_propose_wake(self, cluster):
+        _, keys, block = cluster
+        cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)
+        proposer = FogNode("n1", keys[1], cfg, [f"n{i}" for i in range(4)], {})
+        proposer.initial_output()
+        assert proposer.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 0, hash_block(block)), 0) is None
+        out = proposer.on_timer(("propose", 1), 1_000_000)
+        assert [s.body.phase for s in out.sends] == [Phase.PRE_PREPARE]
 
     def test_a_double_vote_raises_one_equivocation_alert(self, cluster):
         node, keys, block = cluster
@@ -695,6 +794,6 @@ def test_split_locks_after_a_crash_stall_height_one():
 
     assert all(hash_block(block) == b for block in finals.values())  # agreement
     # The stall: every live engine is in round 13, still split between A and B, and none finalized.
-    assert [engines[i].round for i in live] == [13, 13, 13]
+    assert [engines[i].state.round for i in live] == [13, 13, 13]
     assert [hash_block(engines[i].state.locked_block) for i in live] == [a, b, b]
     assert sorted(finals) == [3] and not any(engines[i].state.finalized for i in live)

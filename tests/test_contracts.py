@@ -23,6 +23,7 @@ from edgelinker.chain import (
 from edgelinker.codec import READING, DecodeError, enc_readings
 from edgelinker.contracts import (
     FEE_SINK,
+    MAX_HEART_RATE,
     PERMITTER_PERMISSION,
     READ_PERMISSION,
     RESULT_DENIED,
@@ -206,6 +207,33 @@ class TestExecution:
         receipt = execute_transaction(world, make_transaction(patient, 3, NOW_MS, Call(contract, "add_reading", args)), SCHEDULE, 1)
         assert (receipt.result, receipt.reason, receipt.gas_used) == (RESULT_FAILED, "bad_args", 48_182)
         assert world.contracts[contract].readings == []
+
+    def test_a_heart_rate_above_the_maximum_fails_but_pays(self, world):
+        contract, _ = deploy_contract(world)
+        patient = kp("patient")
+        grant = Call(contract, "grant", encode_permission_args(WRITE_PERMISSION, patient.public_key))
+        execute_transaction(world, make_transaction(patient, 2, NOW_MS, grant), SCHEDULE, 1)
+        for nonce, rate in ((3, MAX_HEART_RATE + 1), (4, MAX_HEART_RATE)):
+            call = Call(contract, "add_reading", encode_reading_args(NOW_MS, rate))
+            receipt = execute_transaction(world, make_transaction(patient, nonce, NOW_MS, call), SCHEDULE, 1)
+            expected = (RESULT_FAILED, "bad_args") if rate > MAX_HEART_RATE else (RESULT_OK, "")
+            assert (receipt.result, receipt.reason, receipt.gas_used) == (*expected, 48_182)
+        assert world.contracts[contract].readings == [(NOW_MS, MAX_HEART_RATE)]
+
+    @pytest.mark.parametrize("method", ["grant", "revoke"])
+    @pytest.mark.parametrize(
+        "args",
+        [b"", b"\x00\x00", encode_permission_args(READ_PERMISSION, b"d" * 32) + b"\x00"],
+        ids=["empty", "cut_length", "trailing_byte"],
+    )
+    def test_malformed_permission_args_fail_and_change_no_permission(self, world, method, args):
+        contract, _ = deploy_contract(world)
+        patient = kp("patient")
+        table = copy.deepcopy(world.contracts[contract].permission_table)
+        tx = make_transaction(patient, 2, NOW_MS, Call(contract, method, args))
+        receipt = execute_transaction(world, tx, SCHEDULE, 1)
+        assert (receipt.result, receipt.reason) == (RESULT_FAILED, "bad_args")
+        assert world.contracts[contract].permission_table == table
 
     @settings(max_examples=50, deadline=None)
     @given(ts=st.integers(0, 2**64 - 1), hr=st.integers(0, 2**64 - 1))

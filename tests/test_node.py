@@ -147,6 +147,31 @@ class TestEnvelopeIngress:
         node.handle_envelope(envelope(client, node, 7, tx, T0), T0)
         assert rejections(node) == ["nonce_gap"] and node.mempool == {}
 
+    def test_a_transaction_with_a_bad_signature_is_rejected(self, single):
+        node, _, client = single
+        tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
+        forged = replace(tx, signature=bytes(len(tx.signature)))
+        out = node.handle_envelope(envelope(client, node, 1, forged, T0), T0)
+        node.on_gossip(forged, T0)
+        assert rejections(node) == ["bad_tx_signature"] * 2
+        assert out.sends == [] and node.mempool == {} and node.pending_conf == {}
+
+    def test_a_transaction_heard_twice_is_a_duplicate(self, single):
+        node, _, client = single
+        tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
+        node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
+        out = node.handle_envelope(envelope(client, node, 2, tx, T0), T0)  # a fresh envelope
+        node.on_gossip(tx, T0)
+        assert rejections(node) == ["duplicate"] * 2
+        assert out.sends == [] and list(node.mempool) == [hash_tx(tx)]
+
+    def test_bytes_that_fail_to_decode_are_rejected_as_bad_wire(self, single):
+        node, _, _ = single
+        out = node.handle_envelope(b"x" * 10, T0)  # shorter than any envelope
+        assert out.sends == [] and out.timers == []
+        assert rejections(node) == ["bad_wire"]
+        assert node.mempool == {} and node.alerts == []
+
     def test_mempool_cap(self, single, monkeypatch):
         node, _, client = single
         monkeypatch.setattr(node_module, "MEMPOOL_CAP", 2)
@@ -226,7 +251,7 @@ class TestProposalLifecycle:
             tx = make_transaction(client, i, now // 1000, payload)
             node.handle_envelope(envelope(client, node, i, tx, now), now)
             now += INTERVAL
-            node.on_timer(("propose", node.engine.height), now)
+            node.on_timer(("propose", node.engine.state.height), now)
         rebuilt = replay_chain(node.chain, node.genesis_config)
         assert rebuilt.encode() == node.world.encode()
 
@@ -324,7 +349,7 @@ class TestTickProposerDuty:
         node0 = make_node(authorities, {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)], start=False)
         [(deadline, _key)] = round_timers(node0.initial_output())
         out = node0.on_timer(("round", 1, 0), deadline)
-        assert node0.engine.round == 1
+        assert node0.engine.state.round == 1
         changes = [s.body for s in out.sends if s.kind == CONSENSUS]
         assert {s.dst for s in out.sends} == {PEERS}  # the loop fans each out to n1, n2 and n3
         assert changes and all(m.phase == Phase.ROUND_CHANGE and m.round == 1 for m in changes)
@@ -364,7 +389,7 @@ class TestRoundTimer:
         assert round_timers(first, *outs) == [(deadline, ("round", 1, 0))]
 
         changed = node0.on_timer(("round", 1, 0), deadline)
-        assert node0.engine.round == 1
+        assert node0.engine.state.round == 1
         vote = node0.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 1, bytes(32)), deadline + 1)
         assert round_timers(changed, vote) == [(deadline + 2 * ROUND_0_US, ("round", 1, 1))]
 
@@ -488,14 +513,14 @@ class TestMonitoring:
         assert (alert.offender, alert.height) == (outsider.public_key, 1)
         assert alert.detail == ",".join(v.value for v in violations)
         assert [(s.dst, s.kind, s.body) for s in out.sends] == [(PEERS, ALERT, alert)]
-        assert node.chain.height == 0 and node.engine.round == 0
+        assert node.chain.height == 0 and node.engine.state.round == 0
 
     def test_a_zeroed_header_signature_accuses_no_authority(self, keys):
         node = make_node(keys[:3], {}, peer_ids=["n0", "n1", "n2"])
         block = build_block([], node.chain.tip, keys[2], 999_999)
         header = replace(block.header, proposer_signature=bytes(len(block.header.proposer_signature)))
-        out = node.on_consensus(proposal(kp("imposter"), replace(block, header=header)), T0)
-        assert node.alerts == [] and out.sends == []
+        assert node.on_consensus(proposal(kp("imposter"), replace(block, header=header)), T0) is None
+        assert node.alerts == []
 
     def test_an_authority_block_in_a_message_that_fails_its_check_accuses_no_authority(self, keys):
         node = make_node(keys[:3], {}, peer_ids=["n0", "n1", "n2"])
@@ -503,16 +528,16 @@ class TestMonitoring:
         second = build_block([], first, keys[2], 1_000_000)
         assert validate_block(second, first, node.genesis_config.authorities) == []
         message = proposal(keys[2], second)
-        out = node.on_consensus(replace(message, signature=bytes(len(message.signature))), T0)  # at height 0
-        assert node.alerts == [] and out.sends == []
+        assert node.on_consensus(replace(message, signature=bytes(len(message.signature))), T0) is None  # at height 0
+        assert node.alerts == []
 
     def test_valid_block_raises_nothing(self, single):
         node, authority, _ = single
         good = build_block([], node.chain.tip, authority, 999_999)
         assert validate_block(good, node.chain.tip, node.genesis_config.authorities) == []
         # Relayed under an outsider's signature: the message is refused, the block inspected.
-        out = node.on_consensus(proposal(kp("imposter"), good), T0)
-        assert node.alerts == [] and out.sends == []
+        assert node.on_consensus(proposal(kp("imposter"), good), T0) is None
+        assert node.alerts == []
         assert node.chain.height == 0
 
 

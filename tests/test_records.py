@@ -288,14 +288,10 @@ MESSAGES = st.builds(
 )
 READINGS = st.lists(st.tuples(U64, U64), max_size=40)
 QUERIES = st.builds(Query, contract_address=st.binary(max_size=40), from_ts=U64, to_ts=U64)
-CONFIRMS = st.builds(
-    ConfirmBody,
-    height=U64,
-    entries=st.lists(
-        st.builds(ConfirmEntry, tx_hash=st.binary(max_size=32), result=st.text(max_size=8), reason=st.text(max_size=12), delay_us=U64),
-        max_size=5,
-    ).map(tuple),
+CONFIRM_ENTRIES = st.builds(
+    ConfirmEntry, tx_hash=st.binary(max_size=32), result=st.text(max_size=8), reason=st.text(max_size=12), delay_us=U64
 )
+CONFIRMS = st.builds(ConfirmBody, height=U64, entries=st.lists(CONFIRM_ENTRIES, max_size=5).map(tuple))
 CHANNEL_MESSAGES = st.builds(ChannelMessage, timestamp=U64, nonce=U64, identification=KEYS, body=st.binary(max_size=80))
 HOW = st.sampled_from(["built", "decoded", "replaced"])
 
@@ -653,6 +649,7 @@ RECORD_VALUES = {
     ChannelMessage: CHANNEL_MESSAGES,
     QueryReplyBody: st.builds(QueryReplyBody, status=U64, reason=st.text(max_size=12), readings=READINGS),
     ConfirmBody: CONFIRMS,
+    ConfirmEntry: CONFIRM_ENTRIES,
     PreparedWake: st.builds(
         PreparedWake,
         device=st.text(max_size=8),

@@ -474,7 +474,7 @@ class TestBackgroundVerifier:
         node = sim.nodes[send.dst]
         node.handle_envelope(send.body, actor.steps[0].at_us)
         assert len(node.mempool) == 1
-        node.on_timer(("propose", node.engine.height), sim.config.block_interval_ms * 1000)
+        node.on_timer(("propose", node.engine.state.height), sim.config.block_interval_ms * 1000)
         assert node.chain.height == 1
         assert sim._ahead is None
 
@@ -728,6 +728,37 @@ class TestFaults:
         assert len(trace.of_kind("equivocating_proposal")) >= 1
 
 
+class EngineEntryPoints:
+    """A node's engine seen through its four entry points alone: reading any of its state fails."""
+
+    __slots__ = ("on_message", "on_timer", "propose", "start_height")
+
+    def __init__(self, engine):
+        for name in self.__slots__:
+            setattr(self, name, getattr(engine, name))
+
+
+@pytest.mark.parametrize(
+    "faults, proposals",
+    [
+        ({"crashed": 1}, lambda trace: [e for e in trace.of_kind("proposed") if e.info["round"] > 0]),
+        ({"byzantine": 1}, lambda trace: trace.of_kind("equivocating_proposal")),
+    ],
+    ids=["crash", "byzantine"],
+)
+def test_nodes_drive_their_engines_through_its_entry_points_alone(faults, proposals):
+    cfg = ScenarioConfig(nodes=4, workload="write", tasks=30, block_interval_ms=200, **faults)
+    plain = Simulation(cfg, 47).run()
+    simulation = Simulation(cfg, 47)
+    for node in simulation.nodes.values():
+        node.engine = EngineEntryPoints(node.engine)
+    trace = simulation.run()
+    assert hashlib.sha256(trace.jsonl().encode()).digest() == hashlib.sha256(plain.jsonl().encode()).digest()
+    # A round-1 proposal after a round-change quorum; the equivocator's pairs of blocks.
+    assert proposals(trace) and trace.of_kind("round_timeout")
+    assert max(trace.final[n].height for n in trace.meta["honest"]) >= 5
+
+
 class TestTimers:
     def test_only_wakes_that_can_act_reach_a_node(self, monkeypatch):
         """Each propose wake goes to its height's round-0 proposer, and each round deadline is armed once."""
@@ -819,11 +850,12 @@ class TestConfig:
             {"byzantine": -1},
             {"duration_s": -0.5},
             {"stop_at_height": -3},
+            {"channel_mode": "tls"},
         ],
         ids=["negative_latency", "negative_jitter", "drop_probability_above_one", "zero_interval",
              "negative_interval", "negative_write_period", "negative_tasks", "negative_writes",
              "negative_task_period", "negative_service", "negative_crashed", "negative_byzantine",
-             "negative_duration", "negative_stop_height"],
+             "negative_duration", "negative_stop_height", "unknown_channel_mode"],
     )
     def test_bad_scenario_json_rejected(self, bad):
         cfg = ScenarioConfig.from_json(json.dumps(bad))
