@@ -9,16 +9,22 @@ A new round's proposer waits for a round-change quorum before proposing.
 
 The engine is a deterministic state machine: one ordered input stream per
 node, no internal concurrency. `on_message` verifies each message; one that
-fails counts nowhere. Every entry point returns one `EngineStep` at the
-fixpoint of `_check_progress`, and the engine keeps none of it. A step's timers
-are each round's `("round", height, round)` deadline as the round begins, after
-a `("propose", height)` wake one block interval on at a height the engine is
-the round-0 proposer of; `on_timer` answers both. A step's `propose_round`
-asks the caller for a block: round 0's at the propose wake, round r's when a
-round-change quorum makes this engine its proposer. A fresh engine arms nothing
-until `start_height(1, ...)`; each `start_height` feeds the messages buffered
-for its height back in. Each `Alert` names the signer of the message that
-shows the fault.
+fails counts nowhere. `_count` counts every vote into one table, the engine's
+own as it sends them: a sender's second vote in one (phase, round) counts
+nowhere, and is an equivocation if it names another hash. Every entry point
+returns one `EngineStep` at the fixpoint of `_check_progress`, and the engine
+keeps none of it. Each `Alert` names the signer of the message that shows it.
+
+A step's timers are each round's `("round", height, round)` deadline as the
+round begins, after a `("propose", height)` wake one block interval on at a
+height the engine is the round-0 proposer of. `on_timer` answers both, and a
+wake for a round or height it has left with NOTHING. Such wakes stay armed: the
+event loop has no cancel, they are under 1% of its events (418 of 62005 on the
+`write_n20_crash` benchmark at seed 241), and ROADMAP item 22 reworks rounds.
+A step's `propose_round` asks for a block: round 0's at the propose wake, round
+r's when a round-change quorum makes this engine its proposer. A fresh engine
+arms nothing until `start_height(1, ...)`; each `start_height` feeds in the
+messages it buffered.
 """
 
 from __future__ import annotations
@@ -134,17 +140,15 @@ NOTHING = EngineStep((), None, (), ())
 
 @dataclass
 class ConsensusState:
+    """One height's state. Every vote counted, this engine's own included, is in
+    `votes` and `cast`; a pre-prepare counts as its proposer's PREPARE."""
+
     height: int
     round: int = 0
     locked_block: Optional[Block] = None
     proposals: dict = field(default_factory=dict)  # round -> validated Block
-    prepare_votes: dict = field(default_factory=dict)  # (round, hash) -> set of senders
-    commit_votes: dict = field(default_factory=dict)
-    round_change_votes: dict = field(default_factory=dict)  # round -> set of senders
-    voted_hash: dict = field(default_factory=dict)  # (round, phase, sender) -> hash
-    sent_prepare: set = field(default_factory=set)  # rounds
-    sent_commit: set = field(default_factory=set)
-    sent_round_change: set = field(default_factory=set)
+    votes: dict = field(default_factory=dict)  # (phase, round, hash) -> senders; a round change's hash is ZERO_HASH
+    cast: dict = field(default_factory=dict)  # (phase, round, sender) -> the first message counted
     finalized: bool = False
 
 
@@ -174,10 +178,7 @@ class ConsensusEngine:
         st = self.state
         if st.finalized or not self.is_proposer() or st.round in st.proposals:
             return False
-        if st.round == 0:
-            return True
-        votes = st.round_change_votes.get(st.round, set())
-        return len(votes) >= self.quorum
+        return st.round == 0 or len(st.votes.get((Phase.ROUND_CHANGE, st.round, ZERO_HASH), ())) >= self.quorum
 
     def on_message(self, msg: ConsensusMessage, chain: Chain, now_us: int) -> EngineStep:
         """Feed one message as it arrived."""
@@ -209,25 +210,18 @@ class ConsensusEngine:
             return NOTHING
 
         if msg.phase in (Phase.PREPARE, Phase.COMMIT):
-            key = (msg.round, int(msg.phase), msg.sender)
-            previous = st.voted_hash.get(key)
-            if previous is not None:
+            first = self._count(msg.phase, msg)
+            if first is not msg:
                 # A vote its sender already cast in this round and phase counts nowhere.
-                if previous == msg.block_hash:
-                    return NOTHING
-                detail = f"double {msg.phase.name} in round {msg.round}"
-                return self._alert(EngineStep(), AlertKind.EQUIVOCATION, msg.sender, detail, now_us)
-            st.voted_hash[key] = msg.block_hash
-            table = st.prepare_votes if msg.phase == Phase.PREPARE else st.commit_votes
-            votes = table.setdefault((msg.round, msg.block_hash), set())
-            votes.add(msg.sender)
+                same = first.block_hash == msg.block_hash
+                return NOTHING if same else self._double_vote(EngineStep(), msg.phase, msg, now_us)
             # A vote that leaves its entry below quorum changes no input of
             # _check_progress, whose last run reached its fixpoint.
-            if len(votes) < self.quorum:
+            if len(st.votes[(msg.phase, msg.round, msg.block_hash)]) < self.quorum:
                 return NOTHING
         step = EngineStep()
         if msg.phase == Phase.ROUND_CHANGE:
-            self._record_round_change(msg.sender, msg.round, step, now_us)
+            self._record_round_change(msg, step, now_us)
         elif msg.phase == Phase.PRE_PREPARE:
             self._handle_pre_prepare(msg, chain, step, now_us)
         self._check_progress(step)
@@ -254,12 +248,9 @@ class ConsensusEngine:
             return NOTHING
         if st.locked_block is not None:
             block = st.locked_block
-        bh = hash_block(block)
         st.proposals[st.round] = block
-        step = EngineStep([make_message(self.keypair, Phase.PRE_PREPARE, st.height, st.round, bh, block)])
-        # The pre-prepare doubles as the proposer's prepare vote.
-        self._add_vote(st.prepare_votes, st.round, bh, self.keypair.public_key)
-        st.sent_prepare.add(st.round)
+        step = EngineStep()
+        self._send(step, Phase.PRE_PREPARE, st.round, hash_block(block), block)
         self._check_progress(step)
         return step
 
@@ -299,26 +290,44 @@ class ConsensusEngine:
         st.round = round_
         step.timers.append((now_us + self._timeout_for(round_), ("round", st.height, round_)))
 
-    def _send_round_change(self, round_: int, step: EngineStep) -> None:
+    def _count(self, phase: Phase, msg: ConsensusMessage) -> ConsensusMessage:
+        """Count `msg` as its sender's `phase` vote in its round, unless the
+        sender already cast one there; return the vote that counts."""
         st = self.state
-        if round_ in st.sent_round_change:
-            return
-        st.sent_round_change.add(round_)
-        locked_hash = hash_block(st.locked_block) if st.locked_block else ZERO_HASH
-        step.messages.append(make_message(self.keypair, Phase.ROUND_CHANGE, st.height, round_, locked_hash))
-        st.round_change_votes.setdefault(round_, set()).add(self.keypair.public_key)
+        first = st.cast.setdefault((phase, msg.round, msg.sender), msg)
+        if first is msg:
+            bh = ZERO_HASH if phase == Phase.ROUND_CHANGE else msg.block_hash
+            st.votes.setdefault((phase, msg.round, bh), set()).add(msg.sender)
+        return first
 
-    def _record_round_change(self, sender: bytes, round_: int, step: EngineStep, now_us: int) -> None:
-        st = self.state
-        votes = st.round_change_votes.setdefault(round_, set())
-        votes.add(sender)
-        if round_ <= st.round:
+    def _double_vote(self, step: EngineStep, phase: Phase, msg: ConsensusMessage, now_us: int) -> EngineStep:
+        detail = f"double {phase.name} in round {msg.round}"
+        return self._alert(step, AlertKind.EQUIVOCATION, msg.sender, detail, now_us)
+
+    def _send(self, step: EngineStep, phase: Phase, round_: int, bh: bytes, block: Optional[Block] = None) -> None:
+        """Sign, hand out and count one of this engine's own messages."""
+        msg = make_message(self.keypair, phase, self.state.height, round_, bh, block)
+        step.messages.append(msg)
+        self._count(Phase.PREPARE if phase == Phase.PRE_PREPARE else phase, msg)
+
+    def _sent(self, phase: Phase, round_: int) -> bool:
+        return (phase, round_, self.keypair.public_key) in self.state.cast
+
+    def _send_round_change(self, round_: int, step: EngineStep) -> None:
+        locked = self.state.locked_block
+        if not self._sent(Phase.ROUND_CHANGE, round_):
+            self._send(step, Phase.ROUND_CHANGE, round_, hash_block(locked) if locked else ZERO_HASH)
+
+    def _record_round_change(self, msg: ConsensusMessage, step: EngineStep, now_us: int) -> None:
+        self._count(Phase.ROUND_CHANGE, msg)
+        if msg.round <= self.state.round:
             return
+        votes = self.state.votes[(Phase.ROUND_CHANGE, msg.round, ZERO_HASH)]
         # f+1 peers already gave up on our round: join the change early.
-        if len(votes) > self.f and round_ not in st.sent_round_change:
-            self._send_round_change(round_, step)
+        if len(votes) > self.f:
+            self._send_round_change(msg.round, step)
         if len(votes) >= self.quorum:
-            self._enter_round(round_, step, now_us)
+            self._enter_round(msg.round, step, now_us)
 
     def _handle_pre_prepare(self, msg: ConsensusMessage, chain: Chain, step: EngineStep, now_us: int) -> None:
         st = self.state
@@ -340,16 +349,13 @@ class ConsensusEngine:
             violations = validate_block(msg.block, chain.tip, self.authorities, self.max_txs)
             if not violations:
                 st.proposals[msg.round] = msg.block
-                # The proposer's pre-prepare counts as its prepare vote.
-                self._add_vote(st.prepare_votes, msg.round, msg.block_hash, msg.sender)
+                # The proposer's pre-prepare counts as its prepare vote, unless it sent another one.
+                if self._count(Phase.PREPARE, msg).block_hash != msg.block_hash:
+                    self._double_vote(step, Phase.PREPARE, msg, now_us)
                 return
             detail = ",".join(v.value for v in violations)
         # The signer vouched for whatever block it sent, so it is the party named.
         self._alert(step, AlertKind.INVALID_BLOCK, msg.sender, detail, now_us)
-
-    @staticmethod
-    def _add_vote(table: dict, round_: int, block_hash: bytes, sender: bytes) -> None:
-        table.setdefault((round_, block_hash), set()).add(sender)
 
     def _alert(self, step: EngineStep, kind: str, offender: bytes, detail: str, now_us: int) -> EngineStep:
         step.alerts.append(Alert(kind, self.state.height, offender, detail, now_us))
@@ -369,43 +375,35 @@ class ConsensusEngine:
         or is locked on another block."""
         st = self.state
         proposal = st.proposals.get(st.round)
-        if proposal is None or st.round in st.sent_prepare:
+        if proposal is None or self._sent(Phase.PREPARE, st.round):
             return
         bh = hash_block(proposal)
         if st.locked_block is None or hash_block(st.locked_block) == bh:
-            st.sent_prepare.add(st.round)
-            step.messages.append(make_message(self.keypair, Phase.PREPARE, st.height, st.round, bh))
-            self._add_vote(st.prepare_votes, st.round, bh, self.keypair.public_key)
+            self._send(step, Phase.PREPARE, st.round, bh)
 
     def _check_progress(self, step: EngineStep) -> None:
-        """Drive prepare/commit/finalize off the current vote tables to their
-        fixpoint, setting `step.finalized` on a commit quorum."""
+        """Drive prepare/commit/finalize off the vote table to its fixpoint,
+        setting `step.finalized` on a commit quorum."""
         st = self.state
         quorum = self.quorum
-        me = self.keypair.public_key
         locked = st.locked_block
         self._prepare(step)
 
-        for (round_, bh), votes in list(st.prepare_votes.items()):
-            if round_ != st.round or len(votes) < quorum or round_ in st.sent_commit:
-                continue
-            block = self._block_for(bh)
-            if block is None:
-                continue
-            st.locked_block = block
-            st.sent_commit.add(round_)
-            step.messages.append(make_message(self.keypair, Phase.COMMIT, st.height, round_, bh))
-            self._add_vote(st.commit_votes, round_, bh, me)
+        if not self._sent(Phase.COMMIT, st.round):
+            for (phase, round_, bh), votes in st.votes.items():
+                prepared = phase == Phase.PREPARE and round_ == st.round and len(votes) >= quorum
+                block = self._block_for(bh) if prepared else None
+                if block is not None:
+                    st.locked_block = block
+                    self._send(step, Phase.COMMIT, round_, bh)
+                    break  # the commit just counted changed `votes`
 
-        for (round_, bh), votes in list(st.commit_votes.items()):
-            if len(votes) < quorum:
-                continue
-            block = self._block_for(bh)
-            if block is None:
-                continue
-            st.finalized = True
-            step.finalized = block
-            return
+        for (phase, _round, bh), votes in st.votes.items():
+            block = self._block_for(bh) if phase == Phase.COMMIT and len(votes) >= quorum else None
+            if block is not None:
+                st.finalized = True
+                step.finalized = block
+                return
         # A lock moved to the round's proposal enables its prepare; the round's
         # commit is sent, so that vote completes nothing more.
         if st.locked_block is not locked:

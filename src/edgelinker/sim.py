@@ -891,6 +891,7 @@ class Simulation:
         self.crashed = set(self.node_ids[n - config.crashed :]) if config.crashed else set()
         byz_ids = set(self.node_ids[n - config.byzantine :]) if config.byzantine else set()
         self.honest_ids = [i_ for i_ in self.node_ids if i_ not in byz_ids and i_ not in self.crashed]
+        self.attacker_kp = generate_keypair(key_seed(seed, "attacker")) if config.attack is not None else None
 
         plans, balances, attacker_needs = _build_plans(self, config)
         genesis = GenesisConfig(
@@ -928,11 +929,10 @@ class Simulation:
 
         self.attacker = None
         if config.attack is not None:
-            attacker_kp = generate_keypair(key_seed(seed, "attacker"))
             params = dict(attacker_needs)
             params.update(config.attack_params)
-            self.attacker = ATTACKER_CLASSES[config.attack](self, attacker_kp, params)
-            directory[attacker_kp.public_key] = self.attacker.id
+            self.attacker = ATTACKER_CLASSES[config.attack](self, self.attacker_kp, params)
+            directory[self.attacker_kp.public_key] = self.attacker.id
         self.parties: dict = dict(self.actors)
         if self.attacker is not None:
             self.parties[self.attacker.id] = self.attacker
@@ -1252,11 +1252,11 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
             args = encode_reading_args(at // 1000, 60 + (g % 40))
             step = Step(at, "tx", Call(contract, METHOD_ADD_READING, args), "write", measured=True)
             _append_step(plans, f"writer{j}", writer_kps[j], 0, step)
-        live_nodes = config.nodes - config.crashed  # crashed nodes are the last ids, and never answer
+        live = [i for i, node_id in enumerate(sim.node_ids) if node_id not in sim.crashed]  # no reads to crashed nodes
         for g in range(read_tasks):
             j = g % n_readers
             at = start + g * period
-            step = Step(at, "query", Query(contract, *FULL_RANGE), "read", measured=True, target=g % live_nodes)
+            step = Step(at, "query", Query(contract, *FULL_RANGE), "read", measured=True, target=live[g % len(live)])
             _append_step(plans, f"reader{j}", reader_kps[j], 0, step)
         quiesce_at = start + max(write_tasks + read_tasks, 1) * period + 20 * interval_us
         attacker_needs = {
@@ -1267,9 +1267,8 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
         }
 
     if config.attack == "dos":
-        attacker_kp = generate_keypair(key_seed(seed, "attacker"))
         balance = config.attack_params.get("balance", 100_000)
-        balances[attacker_kp.public_key] = balance
+        balances[sim.attacker_kp.public_key] = balance
         attacker_needs["balance"] = balance
 
     return plans, balances, attacker_needs

@@ -19,6 +19,7 @@ from edgelinker.chain import (
 )
 from edgelinker.consensus import (
     NOTHING,
+    ZERO_HASH,
     AlertKind,
     ConsensusEngine,
     ConsensusMessage,
@@ -135,7 +136,7 @@ class TestEngineStep:
             [deadline],
         ]
         # The vote heard before height 1 began was buffered, and counts now.
-        assert engines[0].state.prepare_votes == {(0, b"\x01" * 32): {keys[2].public_key}}
+        assert engines[0].state.votes == {(Phase.PREPARE, 0, b"\x01" * 32): {keys[2].public_key}}
 
     def test_a_steps_timers_and_alerts_are_handed_out_once(self):
         keys, cfg, chains, engines = make_cluster(4)
@@ -214,7 +215,7 @@ class TestEngineStep:
         zeroed = replace(block, header=header)
         unsigned = make_message(outsider, Phase.PRE_PREPARE, 1, 0, hash_block(zeroed), zeroed)
         assert engine.on_message(unsigned, chain, 7) is NOTHING
-        assert engine.state.proposals == {} and engine.state.prepare_votes == {}
+        assert engine.state.proposals == {} and engine.state.votes == {} and engine.state.cast == {}
 
 
 def test_message_signing_and_wire_roundtrip():
@@ -393,18 +394,45 @@ class TestEquivocation:
         h1, h2 = b"\x01" * 32, b"\x02" * 32
         engines[0].on_message(make_message(keys[2], Phase.PREPARE, 1, 0, h1), chains[0], 0)
         step = engines[0].on_message(make_message(keys[2], Phase.PREPARE, 1, 0, h2), chains[0], 0)
-        assert engines[0].state.prepare_votes[(0, h1)] == {keys[2].public_key}
-        assert (0, h2) not in engines[0].state.prepare_votes
+        assert engines[0].state.votes[(Phase.PREPARE, 0, h1)] == {keys[2].public_key}
+        assert (Phase.PREPARE, 0, h2) not in engines[0].state.votes
+        assert engines[0].state.cast[(Phase.PREPARE, 0, keys[2].public_key)].block_hash == h1
         assert (step.alerts[0].kind, step.alerts[0].offender) == (
             AlertKind.EQUIVOCATION,
             keys[2].public_key,
         )
 
+    def test_a_proposers_prepare_against_its_own_pre_prepare_is_a_double_prepare(self):
+        # a1 proposes A, then signs a prepare for another hash; its pre-prepare was its prepare.
+        keys, cfg, chains, engines = make_cluster(4)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        a, other = hash_block(block), b"\x02" * 32
+        engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, a, block), chains[0], 0)
+        step = engines[0].on_message(make_message(keys[1], Phase.PREPARE, 1, 0, other), chains[0], 0)
+        assert [(al.kind, al.offender, al.detail) for al in step.alerts] == [
+            (AlertKind.EQUIVOCATION, keys[1].public_key, "double PREPARE in round 0")
+        ]
+        assert (Phase.PREPARE, 0, other) not in engines[0].state.votes
+        assert engines[0].state.votes[(Phase.PREPARE, 0, a)] == {keys[1].public_key, keys[0].public_key}
+
+    def test_a_pre_prepare_after_its_proposers_other_prepare_is_a_double_prepare(self):
+        keys, cfg, chains, engines = make_cluster(4)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        a, other = hash_block(block), b"\x02" * 32
+        engines[0].on_message(make_message(keys[1], Phase.PREPARE, 1, 0, other), chains[0], 0)
+        step = engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, a, block), chains[0], 0)
+        assert [(al.kind, al.offender, al.detail) for al in step.alerts] == [
+            (AlertKind.EQUIVOCATION, keys[1].public_key, "double PREPARE in round 0")
+        ]
+        # The proposal still stands, and a0 prepares it; a1's vote stays with its first hash.
+        assert [(m.phase, m.block_hash) for m in step.messages] == [(Phase.PREPARE, a)]
+        assert engines[0].state.votes[(Phase.PREPARE, 0, a)] == {keys[0].public_key}
+
     def test_duplicate_identical_vote_is_noop(self):
         keys, cfg, chains, engines = make_cluster(4)
         h1 = b"\x01" * 32
         steps = [engines[0].on_message(make_message(keys[2], Phase.PREPARE, 1, 0, h1), chains[0], 0) for _ in range(3)]
-        assert engines[0].state.prepare_votes[(0, h1)] == {keys[2].public_key}
+        assert engines[0].state.votes[(Phase.PREPARE, 0, h1)] == {keys[2].public_key}
         assert [a for step in steps for a in step.alerts] == []
 
 
@@ -510,7 +538,7 @@ def test_future_height_messages_buffer_and_replay():
     assert node.on_message(early, chains[0], 0) is NOTHING
     step = node.start_height(2, chains[0], 10)
     assert step.messages == step.alerts == [] and step.finalized is None
-    assert node.state.prepare_votes == {(0, b"\x09" * 32): {keys[2].public_key}}
+    assert node.state.votes == {(Phase.PREPARE, 0, b"\x09" * 32): {keys[2].public_key}}
 
 
 def test_start_height_returns_the_block_its_buffered_messages_finalize():
@@ -698,7 +726,8 @@ class TestNodeEarlyExit:
     def test_a_round_change_below_f_plus_one_returns_none(self, cluster):
         node, keys, _ = cluster
         assert node.on_consensus(make_message(keys[2], Phase.ROUND_CHANGE, 1, 1), 0) is None
-        assert node.engine.state.round_change_votes == {1: {keys[2].public_key}} and node.engine.state.round == 0
+        assert node.engine.state.votes == {(Phase.ROUND_CHANGE, 1, ZERO_HASH): {keys[2].public_key}}
+        assert node.engine.state.round == 0
         # The second one is f+1: n0 joins round 1's change.
         out = node.on_consensus(make_message(keys[3], Phase.ROUND_CHANGE, 1, 1), 0)
         assert [(s.body.phase, s.body.round) for s in out.sends] == [(Phase.ROUND_CHANGE, 1)]

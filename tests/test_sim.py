@@ -727,6 +727,20 @@ class TestFaults:
             assert prev == e.info["hash"], f"conflicting finalization at {e.info['height']}"
         assert len(trace.of_kind("equivocating_proposal")) >= 1
 
+    def test_one_equivocation_strands_the_honest_node_it_split_off(self):
+        """A known defect, left for item 2's block sync to mend. At height 3 the
+        equivocator n3 sends block A's proposal to n0 and n1 and block B's, with
+        a forged prepare and commit for B, to n2. n0, n1 and n3 finalize A. n2
+        holds B as round 0's proposal and never receives A, and its n3 commit
+        is the one for B, so it stays a commit short of A's quorum for good."""
+        simulation = Simulation(ScenarioConfig(nodes=4, workload="write", tasks=30, block_interval_ms=200, byzantine=1), 47)
+        final = simulation.run().final
+        for height in (1, 2):
+            assert len({final[n].chain.blocks[height].header for n in final}) == 1
+        assert {n: final[n].height for n in ("n0", "n1", "n2")} == {"n0": 8, "n1": 8, "n2": 2}
+        n3 = simulation.node_keys["n3"].public_key
+        assert [(a.kind, a.offender, a.height) for a in final["n2"].alerts] == [(consensus.AlertKind.EQUIVOCATION, n3, 3)]
+
 
 class EngineEntryPoints:
     """A node's engine seen through its four entry points alone: reading any of its state fails."""
