@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import edgelinker
 from edgelinker import chain, channel, consensus, contracts
 from edgelinker import sim as sim_module
+from edgelinker.bench import default_attack_config
 from edgelinker.chain import Query
 from edgelinker.contracts import apply_block, genesis_world, replay_chain
 from edgelinker.codec import DecodeError, enc_bytes, enc_str, enc_u64, enc_u8
@@ -220,6 +221,106 @@ class TestWorkloads:
         assert len(replies) == reads and all(r.info["status"] == 0 for r in replies)
         # Ends once every reply is in, well before the cap a missing reply would run it to.
         assert trace.counters["pending_responses"] == 0 and trace.counters["end_us"] < 5_000_000
+
+
+def plan_fingerprint(sim):
+    """(each plan's id and step count, a digest of everything `_build_plans`
+    returns for `sim`): every plan's id, primary and public key, each step's
+    time, kind, label, measured flag, target and payload bytes, the balances
+    and the attacker needs, all in the order they come."""
+    plans, balances, needs = sim_module._build_plans(sim, sim.config)
+    digest = hashlib.sha256()
+    for actor_id, keypair, primary, steps in plans:
+        digest.update(repr((actor_id, primary, keypair.public_key.hex())).encode())
+        for s in steps:
+            digest.update(repr((s.at_us, s.kind, s.label, s.measured, s.target, s.payload.encode().hex())).encode())
+    digest.update(repr([(pk.hex(), amount) for pk, amount in balances.items()]).encode())
+    digest.update(repr([(k, v.hex() if isinstance(v, bytes) else v) for k, v in needs.items()]).encode())
+    return [(actor_id, len(steps)) for actor_id, _kp, _primary, steps in plans], digest.hexdigest()[:32]
+
+
+TASKS = dict(nodes=4, tasks=40, block_interval_ms=200)
+
+
+class TestPlans:
+    """The devices, steps, balances and attacker needs every workload plans,
+    pinned so that a rewrite of `_build_plans` must keep them exactly."""
+
+    CASES = {
+        "lifecycle": (ScenarioConfig(), 42),
+        "attack_default": (default_attack_config(), 7),
+        "write_n4": (ScenarioConfig(workload="write", **TASKS), 3),
+        "read_n4": (ScenarioConfig(workload="read", **TASKS), 3),
+        "mixed_n4": (ScenarioConfig(workload="mixed", **TASKS), 3),
+        "mixed_n4_t7": (ScenarioConfig(workload="mixed", nodes=4, tasks=7), 3),
+        "read_n7_crashed2": (ScenarioConfig(workload="read", nodes=7, crashed=2, tasks=40), 9),
+        "mixed_n4_jitter2000": (ScenarioConfig(workload="mixed", link=LinkModel(jitter_us=2000), **TASKS), 5),
+        "dos_lifecycle": (replace(default_attack_config(), attack="dos"), 7),
+        "dos_write": (ScenarioConfig(workload="write", attack="dos", **TASKS), 11),
+        "none": (ScenarioConfig(workload="none"), 1),
+    }
+
+    # name: ([(device, step count)], digest), pinned before `_build_plans` was rewritten around one device table
+    EXPECTED = {
+        "attack_default": (
+            [("patient0", 10), ("doctor0", 2)],
+            "be9815a1805fbf085751cbfdf9fffae0",
+        ),
+        "dos_lifecycle": (
+            [("patient0", 10), ("doctor0", 2)],
+            "01863673a7d36cb45f25db3777452913",
+        ),
+        "dos_write": (
+            [("patient0", 6), ("writer0", 10), ("writer1", 10), ("writer2", 10), ("writer3", 10)],
+            "ca78c30f736c671d4cc4ed1d96efadd3",
+        ),
+        "lifecycle": (
+            [("patient0", 14), ("doctor0", 2)],
+            "9d51684eaf7fbeb31ff0c0b484817c96",
+        ),
+        "mixed_n4": (
+            [
+                ("patient0", 15), ("writer0", 5), ("writer1", 5), ("writer2", 5), ("writer3", 5),
+                ("reader0", 5), ("reader1", 5), ("reader2", 5), ("reader3", 5),
+            ],
+            "110293114d148a3571db9352c63f3ad4",
+        ),
+        "mixed_n4_jitter2000": (
+            [
+                ("patient0", 15), ("writer0", 5), ("writer1", 5), ("writer2", 5), ("writer3", 5),
+                ("reader0", 5), ("reader1", 5), ("reader2", 5), ("reader3", 5),
+            ],
+            "5c5eb51dab2a9e778f329558b8d756e3",
+        ),
+        "mixed_n4_t7": (
+            [
+                ("patient0", 14), ("writer0", 1), ("writer1", 1), ("writer2", 1),
+                ("reader0", 1), ("reader1", 1), ("reader2", 1), ("reader3", 1),
+            ],
+            "1bd808ddcdba92e25d44448e5dcf96c1",
+        ),
+        "none": (
+            [],
+            "821bf06b4dcb406ea508a4a992eadc22",
+        ),
+        "read_n4": (
+            [("patient0", 11), ("reader0", 10), ("reader1", 10), ("reader2", 10), ("reader3", 10)],
+            "05e562ec51c07c217f13ec4487c9a334",
+        ),
+        "read_n7_crashed2": (
+            [("patient0", 11), ("reader0", 10), ("reader1", 10), ("reader2", 10), ("reader3", 10)],
+            "4d82c44e3c0b30ef6db6f1330aa13079",
+        ),
+        "write_n4": (
+            [("patient0", 6), ("writer0", 10), ("writer1", 10), ("writer2", 10), ("writer3", 10)],
+            "80a958197f978b5519d19d1e108a7585",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_plans_match_the_pinned_ones(self, name):
+        config, seed = self.CASES[name]
+        assert plan_fingerprint(Simulation(config, seed)) == self.EXPECTED[name]
 
 
 class TestConfirmations:
