@@ -1156,130 +1156,90 @@ class Simulation:
 # --- plan builders ------------------------------------------------------------------
 
 def _build_plans(sim: Simulation, config: ScenarioConfig):
-    """Returns (plans, genesis balances, attacker default params)."""
-    seed = sim.seed
+    """Returns (plans, genesis balances, attacker default params): one
+    (actor id, keypair, primary node index, steps) plan per device, the owner
+    `patient0` first, then `doctor0` or the writers, then the readers."""
     interval_us = config.block_interval_ms * 1000
     balances: dict = {}
     plans: list = []
-    attacker_needs: dict = {}
-
     if config.workload == "none":
-        return plans, balances, attacker_needs
+        return plans, balances, {}
 
-    admin_kp = generate_keypair(key_seed(seed, "actor", "patient0"))
-    contract = contract_address(admin_kp.public_key, 1)
-    balances[admin_kp.public_key] = ACTOR_BALANCE
+    def device(actor_id: str) -> KeyPair:
+        keypair = generate_keypair(key_seed(sim.seed, "actor", actor_id))
+        balances[keypair.public_key] = ACTOR_BALANCE
+        return keypair
 
-    admin_steps = [
+    def permission(at_us: int, method: str, right: bytes, holder: KeyPair, label: str) -> Step:
+        return Step(at_us, "tx", Call(contract, method, encode_permission_args(right, holder.public_key)), label)
+
+    def reading(at_us: int, value: int, label: str, measured: bool = False) -> Step:
+        args = encode_reading_args(at_us // 1000, value)
+        return Step(at_us, "tx", Call(contract, METHOD_ADD_READING, args), label, measured=measured)
+
+    owner = device("patient0")
+    contract = contract_address(owner.public_key, 1)
+    query = Query(contract, *FULL_RANGE)
+    owner_steps = [
         Step(200_000, "tx", Deploy(HEALTH_RECORD_KIND, b""), "deploy"),
-        Step(260_000, "tx", Call(contract, METHOD_GRANT, encode_permission_args(WRITE_PERMISSION, admin_kp.public_key)), "grant_write_self"),
+        permission(260_000, METHOD_GRANT, WRITE_PERMISSION, owner, "grant_write_self"),
     ]
-    next_admin_at = 320_000
+    plans.append(("patient0", owner, 0, owner_steps))
 
     if config.workload == "scenario":
-        doctor_kp = generate_keypair(key_seed(seed, "actor", "doctor0"))
-        balances[doctor_kp.public_key] = ACTOR_BALANCE
+        doctor = device("doctor0")
         period = config.write_period_ms * 1000
         first_write = max(4 * interval_us, 1_000_000)
         for i in range(config.writes):
-            at = first_write + i * period
-            args = encode_reading_args(at // 1000, 60 + (i % 40))
-            admin_steps.append(Step(at, "tx", Call(contract, METHOD_ADD_READING, args), "write", measured=True))
-        writes_end = first_write + max(config.writes - 1, 0) * period
+            owner_steps.append(reading(first_write + i * period, 60 + i % 40, "write", measured=True))
         pause = max(8 * interval_us, 2_000_000)
-        grant_at = writes_end + pause
-        read1_at = grant_at + pause
-        revoke_at = read1_at + pause
-        read2_at = revoke_at + pause
-        admin_steps.append(
-            Step(grant_at, "tx", Call(contract, METHOD_GRANT, encode_permission_args(READ_PERMISSION, doctor_kp.public_key)), "grant_read")
-        )
-        admin_steps.append(
-            Step(revoke_at, "tx", Call(contract, METHOD_REVOKE, encode_permission_args(READ_PERMISSION, doctor_kp.public_key)), "revoke_read")
-        )
+        grant_at = first_write + max(config.writes - 1, 0) * period + pause
+        owner_steps.append(permission(grant_at, METHOD_GRANT, READ_PERMISSION, doctor, "grant_read"))
+        owner_steps.append(permission(grant_at + 2 * pause, METHOD_REVOKE, READ_PERMISSION, doctor, "revoke_read"))
         doctor_steps = [
-            Step(read1_at, "query", Query(contract, *FULL_RANGE), "read_granted", measured=True),
-            Step(read2_at, "query", Query(contract, *FULL_RANGE), "read_revoked", measured=True),
+            Step(grant_at + pause, "query", query, "read_granted", measured=True),
+            Step(grant_at + 3 * pause, "query", query, "read_revoked", measured=True),
         ]
-        plans.append(("patient0", admin_kp, 0, admin_steps))
-        plans.append(("doctor0", doctor_kp, 0, doctor_steps))
-        attacker_needs = {
-            "replay_at_us": read2_at + pause,
-            "attempt_at_us": read2_at + pause,
-            "contract": contract,
-            "victim": admin_kp.public_key,
-        }
-
-    elif config.workload in ("write", "read", "mixed"):
-        tasks = config.tasks
-        start = 6 * interval_us
-        writer_kps, reader_kps = [], []
-        write_tasks = tasks if config.workload == "write" else (tasks // 2 if config.workload == "mixed" else 0)
-        read_tasks = tasks if config.workload == "read" else (tasks - tasks // 2 if config.workload == "mixed" else 0)
-        n_writers = min(ACTORS_PER_KIND, write_tasks)
-        n_readers = min(ACTORS_PER_KIND, read_tasks)
-        # Per (sender, node) spacing must stay above the jitter bound, or
-        # reordered arrivals would trip the channel's nonce-gap guard.
-        fan_out = min(n for n in (n_writers, n_readers) if n) if (n_writers or n_readers) else 1
-        period = max(config.task_period_us, config.link.jitter_us // fan_out + 1)
-
-        for j in range(n_writers):
-            kp = generate_keypair(key_seed(seed, "actor", f"writer{j}"))
-            writer_kps.append(kp)
-            balances[kp.public_key] = ACTOR_BALANCE
-            admin_steps.append(
-                Step(next_admin_at, "tx", Call(contract, METHOD_GRANT, encode_permission_args(WRITE_PERMISSION, kp.public_key)), "grant_write")
-            )
-            next_admin_at += 50_000
-        for j in range(n_readers):
-            kp = generate_keypair(key_seed(seed, "actor", f"reader{j}"))
-            reader_kps.append(kp)
-            balances[kp.public_key] = ACTOR_BALANCE
-            admin_steps.append(
-                Step(next_admin_at, "tx", Call(contract, METHOD_GRANT, encode_permission_args(READ_PERMISSION, kp.public_key)), "grant_read")
-            )
-            next_admin_at += 50_000
-        if read_tasks:
-            for i in range(5):  # a few readings so queries return data
-                args = encode_reading_args((next_admin_at + i) // 1000, 70 + i)
-                admin_steps.append(Step(next_admin_at, "tx", Call(contract, METHOD_ADD_READING, args), "seed_write"))
-                next_admin_at += 50_000
-        plans.append(("patient0", admin_kp, 0, admin_steps))
-
-        for g in range(write_tasks):
-            j = g % n_writers
-            at = start + g * period
-            args = encode_reading_args(at // 1000, 60 + (g % 40))
-            step = Step(at, "tx", Call(contract, METHOD_ADD_READING, args), "write", measured=True)
-            _append_step(plans, f"writer{j}", writer_kps[j], 0, step)
+        plans.append(("doctor0", doctor, 0, doctor_steps))
+        quiet_at = grant_at + 4 * pause
+    else:
+        writes = {"write": config.tasks, "read": 0, "mixed": config.tasks // 2}[config.workload]
+        reads = config.tasks - writes
         live = [i for i, node_id in enumerate(sim.node_ids) if node_id not in sim.crashed]  # no reads to crashed nodes
-        for g in range(read_tasks):
-            j = g % n_readers
-            at = start + g * period
-            step = Step(at, "query", Query(contract, *FULL_RANGE), "read", measured=True, target=live[g % len(live)])
-            _append_step(plans, f"reader{j}", reader_kps[j], 0, step)
-        quiesce_at = start + max(write_tasks + read_tasks, 1) * period + 20 * interval_us
-        attacker_needs = {
-            "replay_at_us": quiesce_at,
-            "attempt_at_us": quiesce_at,
-            "contract": contract,
-            "victim": admin_kp.public_key,
-        }
+        # ROADMAP item 1's workaround: per (device, node) spacing must stay above
+        # the jitter bound, or reordered arrivals would trip the channel's nonce-gap guard.
+        fan_out = min(min(ACTORS_PER_KIND, tasks) for tasks in (writes, reads) if tasks)
+        period = max(config.task_period_us, config.link.jitter_us // fan_out + 1)
+        start, owner_at = 6 * interval_us, 320_000
 
+        def write(g: int, at_us: int) -> Step:
+            return reading(at_us, 60 + g % 40, "write", measured=True)
+
+        def read(g: int, at_us: int) -> Step:
+            return Step(at_us, "query", query, "read", measured=True, target=live[g % len(live)])
+
+        for kind, tasks, right, label, task in (
+            ("writer", writes, WRITE_PERMISSION, "grant_write", write),
+            ("reader", reads, READ_PERMISSION, "grant_read", read),
+        ):
+            steps = [[] for _ in range(min(ACTORS_PER_KIND, tasks))]  # device j's steps
+            for j, device_steps in enumerate(steps):
+                keypair = device(f"{kind}{j}")
+                owner_steps.append(permission(owner_at, METHOD_GRANT, right, keypair, label))
+                owner_at += 50_000
+                plans.append((f"{kind}{j}", keypair, 0, device_steps))
+            for g in range(tasks):
+                steps[g % len(steps)].append(task(g, start + g * period))
+        if reads:  # a few readings so queries return data
+            owner_steps += [reading(owner_at + i * 50_000, 70 + i, "seed_write") for i in range(5)]
+        quiet_at = start + config.tasks * period + 20 * interval_us
+
+    attacker_needs = dict(replay_at_us=quiet_at, attempt_at_us=quiet_at, contract=contract, victim=owner.public_key)
     if config.attack == "dos":
         balance = config.attack_params.get("balance", 100_000)
         balances[sim.attacker_kp.public_key] = balance
         attacker_needs["balance"] = balance
-
     return plans, balances, attacker_needs
-
-
-def _append_step(plans: list, actor_id: str, keypair: KeyPair, primary: int, step: Step) -> None:
-    for existing_id, _kp, _primary, steps in plans:
-        if existing_id == actor_id:
-            steps.append(step)
-            return
-    plans.append((actor_id, keypair, primary, [step]))
 
 
 # --- public entry points ---------------------------------------------------------------

@@ -3,6 +3,7 @@ import copy
 import errno
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -322,6 +323,24 @@ class TestPlans:
         config, seed = self.CASES[name]
         assert plan_fingerprint(Simulation(config, seed)) == self.EXPECTED[name]
 
+    @pytest.mark.parametrize("workload", ["write", "read", "mixed"])
+    def test_each_device_spaces_its_sends_to_one_node_beyond_the_jitter(self, workload):
+        """Pins ROADMAP item 1's workaround. A node accepts each device's
+        channel counters only in order, so two sends from one device to one
+        node that the link jitter could swap would trip its nonce-gap guard;
+        `_build_plans` widens the task period until no two come that close."""
+        for tasks, jitter_us, crashed in itertools.product((1, 2, 7, 40), (0, 200, 5000), (0, 1)):
+            config = ScenarioConfig(
+                nodes=4, crashed=crashed, workload=workload, tasks=tasks, link=LinkModel(jitter_us=jitter_us)
+            )
+            sends = collections.defaultdict(list)  # (device, node index) -> send times
+            for actor in Simulation(config, 1).actors.values():
+                for step in actor.steps:
+                    sends[actor.id, actor.primary if step.target is None else step.target].append(step.at_us)
+            for pair, times in sends.items():
+                gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+                assert all(gap > jitter_us for gap in gaps), (tasks, jitter_us, crashed, pair, min(gaps))
+
 
 class TestConfirmations:
     def test_every_confirmation_reports_the_ledger_receipt_under_loss(self):
@@ -611,6 +630,31 @@ class TestRunAhead:
             assert len(forks) == int(ahead)
         assert_same_results(results[False], results[True])
         assert results[True].of_kind("task_sent")
+
+    def test_prepared_sends_read_nothing_the_device_receives(self, monkeypatch):
+        """`DeviceActor.prepare` may run ahead of the loop only because nothing
+        a device receives changes what it sends: with every message to a
+        device ignored, each prepared send stays byte for byte the same."""
+        monkeypatch.setattr(sim_module, "_can_run_ahead", lambda: False)
+        prepare = DeviceActor.prepare
+        config = ScenarioConfig(nodes=4, workload="mixed", tasks=40, block_interval_ms=200)
+
+        def prepared_sends():
+            sends = []
+
+            def recording(actor, idx):
+                out = prepare(actor, idx)
+                sends.append((actor.id, idx, out))
+                return out
+
+            monkeypatch.setattr(DeviceActor, "prepare", recording)
+            run_scenario(config, 36)
+            return sends
+
+        heard = prepared_sends()
+        monkeypatch.setattr(DeviceActor, "on_receive", lambda actor, raw, src, now_us: None)
+        deaf = prepared_sends()
+        assert len(heard) == 40 + 15 and deaf == heard
 
     def test_a_record_for_another_wake_stops_the_run(self, forced_worker, monkeypatch):
         queued = Simulation._queued_device_wakes
