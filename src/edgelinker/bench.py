@@ -255,7 +255,8 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
         duration_s = 45.0 if config.duration_s is None else config.duration_s
         config = replace(config, duration_s=duration_s)
     attacked_sim = Simulation(replace(config, attack=kind), seed)  # before the baseline, so a bad config costs no run
-    baseline = run_scenario(replace(config, attack=None), seed)
+    # The dos checks read the attacked run alone; every other drill compares it with an attack-free run.
+    baseline = None if kind == "dos" else run_scenario(replace(config, attack=None), seed)
     attacked = attacked_sim.run()
     honest = attacked.meta["honest"]
     stats = dict(attacked.attack_stats)

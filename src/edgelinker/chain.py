@@ -326,23 +326,15 @@ def build_block(
     max_txs: int = DEFAULT_MAX_TXS,
     authorities=None,
 ) -> Block:
-    """Collate pending transactions under the proposer's signature.
+    """Collate pending transactions, each given once as a mempool holds them,
+    under the proposer's signature.
 
     Ordering is (sender, nonce) with arrival order as the stable tiebreak,
     capped at max_txs.
     """
     if authorities is not None and proposer.public_key not in authorities:
         raise NotAuthority("proposer is not in the authority set")
-    seen = set()
-    eligible = []
-    for tx in pending:
-        h = hash_tx(tx)
-        if h in seen:
-            continue
-        seen.add(h)
-        eligible.append(tx)
-    eligible.sort(key=lambda tx: (tx.sender, tx.nonce))
-    chosen = tuple(eligible[:max_txs])
+    chosen = tuple(sorted(pending, key=lambda tx: (tx.sender, tx.nonce))[:max_txs])
     header = make_header(
         proposer,
         height=parent.header.height + 1,

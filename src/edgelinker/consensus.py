@@ -33,11 +33,9 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-from .chain import Block, Chain, GenesisConfig, Signed, hash_block, validate_block
+from .chain import ZERO_HASH, Block, Chain, GenesisConfig, Signed, hash_block, validate_block
 from .channel import KeyPair
 from .codec import BYTES, U64, enum_u8, optional, record
-
-ZERO_HASH = bytes(32)
 
 
 class Phase(IntEnum):

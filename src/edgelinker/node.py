@@ -11,7 +11,7 @@ its timers (each round's deadline, and a propose wake at each height the node
 is the round-0 proposer of), applies its finalized block and starts the next
 height, then builds the block the last step asks for. The surrounding
 simulation (or any other transport) arms every timer it is handed and owns
-delivery, including the fan-out of a send to PEERS, the node's peers. World
+delivery, including the fan-out of a send to PEERS, every other authority. World
 state is only ever advanced by applying finalized blocks, so replaying the
 chain from genesis always reproduces it byte for byte. Nodes handed one
 genesis state share every state they reach from it: each finalized block is
@@ -140,7 +140,6 @@ class FogNode:
         node_id: str,
         keypair: ch.KeyPair,
         genesis_config: GenesisConfig,
-        peer_ids: list,
         directory: dict,
         channel_mode: str = "secure",
         query_service_us: int = QUERY_SERVICE_US,
@@ -156,7 +155,6 @@ class FogNode:
         self.world = genesis_world(genesis_config) if world is None else world
         self.endpoint = ch.Endpoint(keypair, channel_mode, rng)
         self.engine = ConsensusEngine(genesis_config, keypair)
-        self.peer_ids = [p for p in peer_ids if p != node_id]
         self.directory = directory  # public key -> transport id
         self.rec = _no_record if recorder is None else recorder
 
@@ -165,6 +163,14 @@ class FogNode:
         self.alerts: list = []
         self._alert_keys: set = set()
         self.busy_until_us = 0
+
+    @property
+    def height(self) -> int:
+        return self.chain.height
+
+    @property
+    def tip_hash(self) -> bytes:
+        return self.chain.tip_hash()
 
     # -- lifecycle -----------------------------------------------------------
 

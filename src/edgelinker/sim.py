@@ -144,17 +144,8 @@ class TraceEvent:
     info: dict
 
 
-@dataclass
-class NodeFinal:
-    chain: object
-    world: object
-    alerts: list
-    tip_hash: bytes
-    height: int
-
-
 class SimTrace:
-    """Ordered event log plus end-of-run summaries."""
+    """Ordered event log plus end-of-run summaries; `final` maps each node id to its `FogNode`."""
 
     def __init__(self):
         self.events: list = []
@@ -322,9 +313,14 @@ class DeviceActor:
         self.steps = sorted(steps, key=lambda s: s.at_us)
         self.sim = sim
         self.endpoint = ch.Endpoint(keypair, sim.config.channel_mode, child_rng(sim.seed, "actor", actor_id))
+        self.rec = sim._recorder(actor_id)
         self.account_nonce = 1
-        self.sent_tx: dict = {}  # tx hash -> (t_send, label, measured)
-        self.pending_queries: dict = {}  # node id -> deque of (t_send, label, measured)
+        self.sent_tx: dict = {}  # tx hash -> index of the step that sent it
+        self.pending_queries: dict = {}  # node id -> deque of the indices of the reads sent to it
+
+    def pending(self) -> int:
+        """Tasks sent and not yet answered."""
+        return len(self.sent_tx) + sum(map(len, self.pending_queries.values()))
 
     def schedule(self) -> list:
         return [(step.at_us, idx) for idx, step in enumerate(self.steps)]
@@ -350,14 +346,14 @@ class DeviceActor:
         return node_id, self.endpoint.seal(self.sim.node_keys[node_id].public_key, body, now_ms), tx_hash
 
     def wake(self, idx: int, now_us: int) -> list:
+        """Sends step `idx`; the loop wakes it at the step's `at_us`, its send time."""
         step = self.steps[idx]
         node_id, raw, tx_hash = self.sim.prepared(self, idx)
         if tx_hash is None:
-            self.pending_queries.setdefault(node_id, deque()).append((now_us, step.label, step.measured))
+            self.pending_queries.setdefault(node_id, deque()).append(idx)
         else:
-            self.sent_tx[tx_hash] = (now_us, step.label, step.measured)
-        self.sim.trace.add(now_us, self.id, "task_sent", {"label": step.label, "measured": step.measured})
-        self.sim.pending_responses += 1
+            self.sent_tx[tx_hash] = idx
+        self.rec("task_sent", label=step.label, measured=step.measured)
         return [Send(node_id, CLIENT, raw)]
 
     def on_receive(self, raw: bytes, src: str, now_us: int) -> None:
@@ -368,51 +364,41 @@ class DeviceActor:
             is_confirm = body[:1] == bytes((ConfirmBody.WIRE_TAG,))
             record = ConfirmBody.decode(body) if is_confirm else QueryReplyBody.status_and_count(body)
         except (ch.ChannelError, DecodeError):
-            self.sim.trace.add(now_us, self.id, "client_reject", {"from": src})
+            self.rec("client_reject", **{"from": src})
             return
         if is_confirm:
             for entry in record.entries:
-                sent = self.sent_tx.pop(entry.tx_hash, None)
-                if sent is None:
+                idx = self.sent_tx.pop(entry.tx_hash, None)
+                if idx is None:
                     continue
-                t_send, label, measured = sent
-                self.sim.trace.add(
-                    now_us,
-                    self.id,
+                step = self.steps[idx]
+                self.rec(
                     "task_confirmed",
-                    {
-                        "label": label,
-                        "measured": measured,
-                        "t_send_us": t_send,
-                        "rtt_us": now_us - t_send,
-                        "delay_node_us": entry.delay_us,
-                        "height": record.height,
-                        "tx": entry.tx_hash.hex()[:16],
-                        "result": entry.result,
-                        "reason": entry.reason,
-                    },
+                    label=step.label,
+                    measured=step.measured,
+                    t_send_us=step.at_us,
+                    rtt_us=now_us - step.at_us,
+                    delay_node_us=entry.delay_us,
+                    height=record.height,
+                    tx=entry.tx_hash.hex()[:16],
+                    result=entry.result,
+                    reason=entry.reason,
                 )
-                self.sim.pending_responses -= 1
         else:
             queue = self.pending_queries.get(src)
             if not queue:
                 return
-            t_send, label, measured = queue.popleft()
+            step = self.steps[queue.popleft()]
             status, count = record
-            self.sim.trace.add(
-                now_us,
-                self.id,
+            self.rec(
                 "task_reply",
-                {
-                    "label": label,
-                    "measured": measured,
-                    "t_send_us": t_send,
-                    "rtt_us": now_us - t_send,
-                    "status": status,
-                    "count": count,
-                },
+                label=step.label,
+                measured=step.measured,
+                t_send_us=step.at_us,
+                rtt_us=now_us - step.at_us,
+                status=status,
+                count=count,
             )
-            self.sim.pending_responses -= 1
 
 
 # --- attackers -------------------------------------------------------------------
@@ -431,6 +417,7 @@ class AttackerBase:
         self.id = ATTACKER_ID
         self.keypair = keypair
         self.params = params
+        self.rec = sim._recorder(self.id)
         self.rng = child_rng(sim.seed, "actor", "attacker")
         self.stats: dict = {}
 
@@ -473,7 +460,7 @@ class ReplayAttacker(AttackerBase):
         for i, (dst, raw) in enumerate(self.captured[:limit]):
             sends.append(Send(dst, CLIENT, raw, at_us=now_us + i * gap))
         self.stats["replayed"] = len(sends)
-        self.sim.trace.add(now_us, self.id, "attack_replay", {"count": len(sends)})
+        self.rec("attack_replay", count=len(sends))
         return sends
 
 
@@ -502,7 +489,7 @@ class EavesdropAttacker(AttackerBase):
                 open_message(env, self.keypair.private_key, env.sender_hint)
             except (ch.ChannelError, DecodeError):
                 self.stats["failures"] += 1
-        self.sim.trace.add(now_us, self.id, "attack_eavesdrop", dict(self.stats))
+        self.rec("attack_eavesdrop", **self.stats)
         return []
 
 
@@ -532,7 +519,7 @@ class InsertionAttacker(AttackerBase):
         block = Block(header=header, transactions=(forged_tx,))
         msg = make_message(self.keypair, Phase.PRE_PREPARE, height, 0, hash_block(block), block)
         self.stats["forged"] += 1
-        self.sim.trace.add(now_us, self.id, "attack_insertion", {"height": height})
+        self.rec("attack_insertion", height=height)
         return [Send(f"n{i}", CONSENSUS, msg) for i in range(self.sim.config.nodes)]
 
 
@@ -558,7 +545,7 @@ class DoSAttacker(AttackerBase):
         self.nonce += 1
         raw = self.endpoint.seal(self.sim.node_keys["n0"].public_key, tx.encode(), now_us // 1000)
         self.stats["flood_sent"] += 1
-        self.sim.trace.add(now_us, self.id, "attack_dos_call", {"nonce": tx.nonce})
+        self.rec("attack_dos_call", nonce=tx.nonce)
         return [Send("n0", CLIENT, raw)]
 
 
@@ -589,7 +576,7 @@ class SpoofAttacker(AttackerBase):
         hint = victim_pk if int(tag) % 2 == 0 else self.keypair.public_key
         env = SecureEnvelope(sender_hint=hint, ciphertext=ciphertext)
         self.stats["spoof_sent"] += 1
-        self.sim.trace.add(now_us, self.id, "attack_spoof", {"variant": int(tag) % 2})
+        self.rec("attack_spoof", variant=int(tag) % 2)
         return [Send(node_id, CLIENT, env.to_bytes())]
 
 
@@ -613,8 +600,9 @@ class EquivocatingNode(FogNode):
         block_b = build_block([], tip, self.keypair, now_ms + 7, authorities=self.genesis_config.authorities)
         height = block_a.header.height
         step = self.engine.propose(block_a, now_us)
-        half = (len(self.peer_ids) + 1) // 2
-        group_a, group_b = self.peer_ids[:half], self.peer_ids[half:]
+        peers = [self.directory[pk] for pk in self.genesis_config.authorities if pk != self.keypair.public_key]
+        half = (len(peers) + 1) // 2
+        group_a, group_b = peers[:half], peers[half:]
         for msg in step.messages:
             for peer in group_a:
                 out.sends.append(Send(peer, CONSENSUS, msg))
@@ -879,7 +867,6 @@ class Simulation:
         self.heap: list = []
         self.trace = SimTrace()
         self.inflight = 0  # messages on the heap; the others sent were delivered or dropped
-        self.pending_responses = 0
         self.sent_count = 0
         self.dropped_count = 0
         self.stop = False
@@ -918,7 +905,6 @@ class Simulation:
                 node_id=node_id,
                 keypair=self.node_keys[node_id],
                 genesis_config=genesis,
-                peer_ids=self.node_ids,
                 directory=directory,
                 channel_mode=config.channel_mode,
                 query_service_us=config.query_service_us,
@@ -943,8 +929,8 @@ class Simulation:
                 raise ConfigInvalid(f"link partition {sorted(pair)} must join two of the endpoints {sorted(endpoints)}")
 
         self._link_rngs: dict = {}  # (src, dst, kind) -> that link's delay stream
-        # Each node's broadcast recipients: its peers in id order, without the crashed ones.
-        self._live_peers = {i_: [p for p in node.peer_ids if p not in self.crashed] for i_, node in self.nodes.items()}
+        # Each node's broadcast recipients: the other nodes in id order, without the crashed ones.
+        self._live_peers = {i_: [p for p in self.node_ids if p != i_ and p not in self.crashed] for i_ in self.nodes}
         self._handlers: dict = {}  # (node id, message or TIMER kind) -> handler, bound by run()
         self._ahead: Optional[RunAhead] = None  # the run-ahead process, only inside run()
 
@@ -961,11 +947,12 @@ class Simulation:
             self._push(at_us, (None, party.id, WAKE, tag))
         self.total_wakes = self.remaining_wakes = len(wakes)
 
-    def _recorder(self, node_id: str):
-        """A node's trace sink: each event is stamped with the loop's clock and the node's id."""
+    def _recorder(self, src: str):
+        """The trace sink of the node, device or attacker `src`: each event is
+        stamped with the loop's clock and `src`. The trace's one writer."""
 
         def record(kind: str, **info) -> None:
-            self.trace.add(self.now_us, node_id, kind, info)
+            self.trace.add(self.now_us, src, kind, info)
 
         return record
 
@@ -1117,27 +1104,19 @@ class Simulation:
             cfg.duration_s is None
             and self.total_wakes > 0
             and self.remaining_wakes == 0
-            and self.pending_responses <= 0
             and self.inflight == 0
+            and not any(actor.pending() for actor in self.actors.values())
         ):
             self.stop = True
 
     def _finish(self) -> None:
-        for node_id in self.node_ids:
-            node = self.nodes[node_id]
-            self.trace.final[node_id] = NodeFinal(
-                chain=node.chain,
-                world=node.world,
-                alerts=list(node.alerts),
-                tip_hash=node.chain.tip_hash(),
-                height=node.chain.height,
-            )
+        self.trace.final = self.nodes
         self.trace.counters = {
             "sent": self.sent_count,
             "delivered": self.sent_count - self.dropped_count - self.inflight,
             "dropped": self.dropped_count,
             "in_flight_at_stop": self.inflight,
-            "pending_responses": self.pending_responses,
+            "pending_responses": sum(actor.pending() for actor in self.actors.values()),
             "end_us": self.now_us,
         }
         self.trace.genesis = self.genesis

@@ -97,10 +97,45 @@ class TestChannelOverhead:
 
 
 class TestAttackDrills:
+    # Each drill's lines and stats at its default config and seed 7.
+    DRILLS = {
+        "replay": (
+            ["captured envelopes re-sent", "state identical to attack-free run", "replay alerts raised",
+             "one alert per replayed envelope"],
+            {"captured": 12, "replayed": 12, "alerts": 12},
+        ),
+        "eavesdrop": (
+            ["ciphertexts captured", "every offline open failed", "state identical to attack-free run"],
+            {"captured": 12, "attempts": 12, "failures": 12},
+        ),
+        "insertion": (
+            ["forged blocks sent", "honest chains byte-identical to baseline", "invalid-block alerts raised"],
+            {"forged": 5, "alerts": 20},
+        ),
+        "dos": (
+            ["flood calls sent", "denied calls charged until exhaustion", "further calls skipped for lack of funds"],
+            {"flood_sent": 5, "balance": 100_000, "denied": 2, "skipped": 3, "expected": 2},
+        ),
+        "spoof": (
+            ["spoofed envelopes sent", "every spoofed envelope rejected", "state identical to attack-free run"],
+            {"spoof_sent": 10, "rejected": 10},
+        ),
+    }
+
     @pytest.mark.parametrize("kind", ["replay", "eavesdrop", "insertion", "dos", "spoof"])
-    def test_every_drill_passes(self, kind):
+    def test_every_drill_passes(self, kind, monkeypatch):
+        from edgelinker.sim import Simulation
+
+        runs = []  # the attack of each run, None for an attack-free baseline
+        run = Simulation.run
+        monkeypatch.setattr(Simulation, "run", lambda sim: runs.append(sim.config.attack) or run(sim))
         report = cmd_attack(kind)
         assert report.passed, report.lines
+        checks, stats = self.DRILLS[kind]
+        assert report.lines == [f"{kind}: PASS - {check}" for check in checks]
+        assert report.stats == stats
+        # Only the drills whose checks compare the attacked run with an attack-free one run both.
+        assert runs == ([kind] if kind == "dos" else [None, kind])
 
     def test_dos_drain_count_matches_arithmetic(self):
         report = cmd_attack("dos")

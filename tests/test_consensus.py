@@ -692,7 +692,7 @@ class TestNodeEarlyExit:
     def cluster(self):
         keys = [kp(f"auth{i}") for i in range(4)]
         cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)
-        node = FogNode("n0", keys[0], cfg, [f"n{i}" for i in range(4)], {})
+        node = FogNode("n0", keys[0], cfg, {})
         node.initial_output()
         block = build_block([], node.chain.tip, keys[1], NOW_MS)  # height-1 proposer is authorities[1]
         return node, keys, block
@@ -741,7 +741,7 @@ class TestNodeEarlyExit:
     def test_the_round_zero_proposer_returns_none_before_its_propose_wake(self, cluster):
         _, keys, block = cluster
         cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)
-        proposer = FogNode("n1", keys[1], cfg, [f"n{i}" for i in range(4)], {})
+        proposer = FogNode("n1", keys[1], cfg, {})
         proposer.initial_output()
         assert proposer.on_consensus(make_message(keys[2], Phase.PREPARE, 1, 0, hash_block(block)), 0) is None
         out = proposer.on_timer(("propose", 1), 1_000_000)

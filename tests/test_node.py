@@ -69,7 +69,7 @@ def admitted(node):
     return [info["tx"] for kind, info in node.rec.records if kind == "tx_admitted"]
 
 
-def make_node(authority, balances, node_id="n0", peer_ids=(), directory=None, start=True):
+def make_node(authority, balances, node_id="n0", directory=None, start=True):
     """A node that has begun height 1 and dropped that output, unless `start` is false."""
     cfg = GenesisConfig(
         authorities=[authority.public_key] if not isinstance(authority, list) else [a.public_key for a in authority],
@@ -77,7 +77,7 @@ def make_node(authority, balances, node_id="n0", peer_ids=(), directory=None, st
         block_interval_ms=1000,
     )
     first = authority if not isinstance(authority, list) else authority[0]
-    node = FogNode(node_id, first, cfg, list(peer_ids), dict(directory or {}), recorder=Log())
+    node = FogNode(node_id, first, cfg, dict(directory or {}), recorder=Log())
     if start:
         node.initial_output()
     return node
@@ -115,7 +115,7 @@ class TestEnvelopeIngress:
             block_interval_ms=1000,
         )
         sink = ListSink()
-        node = FogNode("n0", authority, cfg, [], {}, recorder=sink)
+        node = FogNode("n0", authority, cfg, {}, recorder=sink)
         tx = make_transaction(client, 1, T0 // 1000, Deploy("health_record", b""))
         node.handle_envelope(envelope(client, node, 1, tx, T0), T0)
         assert sink == [("tx_admitted", {"tx": hash_tx(tx).hex()[:16], "sender": client.public_key.hex()[:16]})]
@@ -263,7 +263,7 @@ class TestProposalLifecycle:
             gas=GasSchedule(deploy=5),
             block_interval_ms=200,
         )
-        node = FogNode("n0", authority, genesis, [], {})
+        node = FogNode("n0", authority, genesis, {})
         node.initial_output()
         assert node.engine.round_timeout_us == 400_000
         tx = make_transaction(client, 1, 100, Deploy("health_record", b""))
@@ -322,7 +322,7 @@ def round_timers(*outs):
 class TestTickProposerDuty:
     def test_non_proposer_does_not_propose(self, keys):
         a0, a1 = keys[0], keys[1]
-        node0 = make_node([a0, a1], {}, node_id="n0", peer_ids=["n0", "n1"])
+        node0 = make_node([a0, a1], {}, node_id="n0")
         out = node0.on_timer(("propose", 1), INTERVAL)
         # height-1 proposer is authorities[1]; n0 stays silent
         assert sent(out) == []
@@ -330,7 +330,7 @@ class TestTickProposerDuty:
 
     def test_only_the_proposer_is_handed_a_propose_wake(self, keys):
         genesis = make_node(keys[:2], {}).genesis_config
-        nodes = [FogNode(f"n{i}", keys[i], genesis, ["n0", "n1"], {}) for i in range(2)]
+        nodes = [FogNode(f"n{i}", keys[i], genesis, {}) for i in range(2)]
         wakes = [[t for t in node.initial_output().timers if t[1][0] == "propose"] for node in nodes]
         # height-1 proposer is authorities[1]
         assert wakes == [[], [(INTERVAL, ("propose", 1))]]
@@ -346,7 +346,7 @@ class TestTickProposerDuty:
 
     def test_round_timer_at_deadline_sends_round_change(self, keys):
         authorities = [keys[i] for i in range(4)]
-        node0 = make_node(authorities, {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)], start=False)
+        node0 = make_node(authorities, {}, node_id="n0", start=False)
         [(deadline, _key)] = round_timers(node0.initial_output())
         out = node0.on_timer(("round", 1, 0), deadline)
         assert node0.engine.state.round == 1
@@ -361,7 +361,7 @@ class TestTickProposerDuty:
             initial_balances={client.public_key: 10**12},
             block_interval_ms=1000,
         )
-        node1 = FogNode("n1", a1, cfg, ["n0", "n1"], {})
+        node1 = FogNode("n1", a1, cfg, {})
         node1.initial_output()
         for i in range(1, 4):
             tx = make_transaction(client, i, T0 // 1000, Deploy("health_record", b""))
@@ -381,7 +381,7 @@ class TestRoundTimer:
     """A node arms a round's timeout once, when it enters the round: a round's deadline never moves."""
 
     def test_messages_in_one_round_arm_it_once_and_a_round_change_again(self, keys):
-        node0 = make_node(keys[:4], {}, node_id="n0", peer_ids=[f"n{i}" for i in range(4)], start=False)
+        node0 = make_node(keys[:4], {}, node_id="n0", start=False)
         first = node0.initial_output()
         votes = [make_message(keys[i], Phase.PREPARE, 1, 0, bytes(32)) for i in (2, 3)]
         outs = [node0.on_consensus(vote, T0) for vote in votes]
@@ -501,7 +501,7 @@ def proposal(signer, block):
 class TestMonitoring:
     def test_invalid_block_raises_single_alert(self, keys):
         authority = keys[0]
-        node = make_node([authority, keys[1]], {}, peer_ids=["n0", "n1"])
+        node = make_node([authority, keys[1]], {})
         outsider = kp("imposter")
         bad = build_block([], node.chain.tip, outsider, 999_999)
         violations = validate_block(bad, node.chain.tip, node.genesis_config.authorities)
@@ -516,14 +516,14 @@ class TestMonitoring:
         assert node.chain.height == 0 and node.engine.state.round == 0
 
     def test_a_zeroed_header_signature_accuses_no_authority(self, keys):
-        node = make_node(keys[:3], {}, peer_ids=["n0", "n1", "n2"])
+        node = make_node(keys[:3], {})
         block = build_block([], node.chain.tip, keys[2], 999_999)
         header = replace(block.header, proposer_signature=bytes(len(block.header.proposer_signature)))
         assert node.on_consensus(proposal(kp("imposter"), replace(block, header=header)), T0) is None
         assert node.alerts == []
 
     def test_an_authority_block_in_a_message_that_fails_its_check_accuses_no_authority(self, keys):
-        node = make_node(keys[:3], {}, peer_ids=["n0", "n1", "n2"])
+        node = make_node(keys[:3], {})
         first = build_block([], node.chain.tip, keys[1], 999_999)
         second = build_block([], first, keys[2], 1_000_000)
         assert validate_block(second, first, node.genesis_config.authorities) == []
@@ -575,7 +575,7 @@ class TestLaggingNodeOnSharedState:
         ids = [f"n{i}" for i in range(4)]
         directory = {client.public_key: "c1"}
         nodes = {
-            i: FogNode(i, a, cfg, ids, dict(directory), recorder=Log(), world=world) for i, a in zip(ids, authorities)
+            i: FogNode(i, a, cfg, dict(directory), recorder=Log(), world=world) for i, a in zip(ids, authorities)
         }
         for node in nodes.values():
             node.initial_output()

@@ -224,6 +224,49 @@ class TestWorkloads:
         assert trace.counters["pending_responses"] == 0 and trace.counters["end_us"] < 5_000_000
 
 
+class TestRunResult:
+    """Each fact of a finished run has one owner: the trace reads it from there."""
+
+    def test_the_final_state_is_the_nodes(self):
+        sim = Simulation(fast_config(nodes=4, crashed=1), 42)
+        trace = sim.run()
+        assert list(trace.final) == sim.node_ids
+        for node_id, node in sim.nodes.items():
+            assert trace.final[node_id] is node
+            assert node.height == node.chain.height and node.tip_hash == chain.hash_block(node.chain.tip)
+        assert trace.final["n3"].height == 0 and trace.final["n0"].height > 0  # n3 crashed
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_every_event_is_written_through_the_recorder(self, kind, monkeypatch):
+        written = collections.Counter()  # src -> events written through its recorder
+        recorder = Simulation._recorder
+
+        def counting(sim, src):
+            record = recorder(sim, src)
+
+            def counted(event_kind, **info):
+                written[src] += 1
+                record(event_kind, **info)
+
+            return counted
+
+        monkeypatch.setattr(Simulation, "_recorder", counting)
+        trace = run_scenario(replace(default_attack_config(), attack=kind), 7)
+        assert sum(written.values()) == len(trace.events)
+        assert written == collections.Counter(e.src for e in trace.events)
+        assert {"patient0", "doctor0", "attacker"} <= set(written)
+
+    @pytest.mark.parametrize("workload", ["write", "mixed"])
+    def test_a_run_cut_short_reports_the_tasks_left_unanswered(self, workload):
+        link = LinkModel(drop_probability=0.05)
+        cfg = ScenarioConfig(nodes=4, workload=workload, tasks=60, block_interval_ms=200, link=link, duration_s=3.0)
+        trace = run_scenario(cfg, 5)
+        sent = len(trace.of_kind("task_sent"))
+        answered = len(trace.of_kind("task_confirmed")) + len(trace.of_kind("task_reply"))
+        assert trace.counters["end_us"] <= 3_000_000
+        assert trace.counters["pending_responses"] == sent - answered > 0
+
+
 def plan_fingerprint(sim):
     """(each plan's id and step count, a digest of everything `_build_plans`
     returns for `sim`): every plan's id, primary and public key, each step's
