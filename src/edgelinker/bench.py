@@ -274,9 +274,11 @@ def cmd_attack(kind: str, config: ScenarioConfig | None = None, seed: int = 7) -
         ]
         stats["alerts"] = alerts
     elif kind == "eavesdrop":
+        attempts = stats.get("attempts", 0)
         checks = [
             ("ciphertexts captured", stats.get("captured", 0) >= 1),
-            ("every offline open failed", stats.get("failures", 0) == stats.get("attempts", -1)),
+            # An attacker that never woke to open anything proves nothing.
+            ("every offline open failed", attempts >= 1 and stats.get("failures", 0) == attempts),
             ("state identical to attack-free run", _worlds_equal(attacked, baseline, honest)),
         ]
     elif kind == "insertion":

@@ -170,10 +170,6 @@ class WorldState:
     def digest(self) -> bytes:
         return hashlib.sha256(self.encode()).digest()
 
-    def balance(self, address: bytes) -> int:
-        acct = self.accounts.get(address)
-        return acct.balance if acct else 0
-
     def next_nonce(self, address: bytes) -> int:
         acct = self.accounts.get(address)
         return acct.next_nonce if acct else 1

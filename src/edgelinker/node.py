@@ -187,7 +187,7 @@ class FogNode:
         except ch.CounterRejected as exc:
             sender = exc.message.identification
             if isinstance(exc, ch.NonceReplayed):
-                detail = f"nonce={exc.message.nonce}"
+                detail = f"nonce={exc.message.nonce} at {self.node_id}"
                 self._raise_alert(Alert(AlertKind.REPLAY_DETECTED, self.chain.height, sender, detail, now_us), out)
             return self._reject(out, exc.reason, sender=sender.hex()[:16])
         except ch.ChannelError as exc:
@@ -218,7 +218,7 @@ class FogNode:
             # A fresh channel message carrying an already-final transaction is
             # a cross-node replay; late gossip duplicates are a benign race.
             if client_pk is not None:
-                detail = f"tx={txh.hex()[:16]}"
+                detail = f"tx={txh.hex()[:16]} at {self.node_id}"
                 self._raise_alert(Alert(AlertKind.REPLAY_DETECTED, self.chain.height, tx.sender, detail, now_us), out)
             return self._reject(out, "tx_already_final")
         if tx.nonce < self.world.next_nonce(tx.sender):

@@ -23,7 +23,7 @@ import select
 import signal
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_args, get_type_hints
 
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -115,14 +115,6 @@ class LinkModel:
     drop_probability: float = 0.0
     partitions: set = field(default_factory=set)  # frozenset pairs of endpoint ids
 
-    def to_dict(self) -> dict:
-        return {
-            "base_latency_us": self.base_latency_us,
-            "jitter_us": self.jitter_us,
-            "drop_probability": self.drop_probability,
-            "partitions": sorted(sorted(p) for p in self.partitions),
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "LinkModel":
         _require_object("link", raw)
@@ -201,11 +193,6 @@ class ScenarioConfig:
     crashed: int = 0
     stop_at_height: Optional[int] = None
     seed: Optional[int] = None  # default seed when the caller supplies none
-
-    def to_json(self) -> str:
-        raw = asdict(self)
-        raw["link"] = self.link.to_dict()
-        return json.dumps(raw, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -1120,14 +1107,7 @@ class Simulation:
             "end_us": self.now_us,
         }
         self.trace.genesis = self.genesis
-        self.trace.meta = {
-            "seed": self.seed,
-            "nodes": self.config.nodes,
-            "workload": self.config.workload,
-            "channel_mode": self.config.channel_mode,
-            "attack": self.config.attack or "",
-            "honest": list(self.honest_ids),
-        }
+        self.trace.meta = {"honest": list(self.honest_ids)}
         if self.attacker is not None:
             self.trace.attack_stats = dict(self.attacker.stats)
 

@@ -1,7 +1,6 @@
 import copy
 import csv
 import json
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -156,6 +155,16 @@ class TestAttackDrills:
             cmd_attack("dos", ScenarioConfig(workload="none", duration_s=300))
         assert runs == []
 
+    def test_an_eavesdrop_drill_whose_attacker_never_woke_fails(self):
+        from edgelinker.sim import ScenarioConfig
+
+        # The reads reach height 6, which stops the run, before the attacker's wake.
+        cfg = ScenarioConfig(nodes=7, crashed=2, workload="read", tasks=40, stop_at_height=6)
+        report = cmd_attack("eavesdrop", cfg)
+        assert report.stats == {"captured": 51, "attempts": 0, "failures": 0}
+        assert not report.passed
+        assert "eavesdrop: FAIL - every offline open failed" in report.lines
+
     def test_insertion_drill_leaves_caller_config_unchanged(self):
         cfg = default_attack_config()
         before = copy.deepcopy(cfg)
@@ -200,7 +209,6 @@ class TestCli:
         assert manifest["plan"]["seed"] == 3
 
         from edgelinker import cli
-        from edgelinker.sim import ScenarioConfig
 
         used = []
         monkeypatch.setattr(
@@ -208,7 +216,7 @@ class TestCli:
             lambda kind, config, seed: used.append(seed) or SimpleNamespace(lines=[], passed=True, stats={}),
         )
         path = tmp_path / "scenario.json"
-        path.write_text(replace(ScenarioConfig(), seed=11).to_json())
+        path.write_text(json.dumps({"seed": 11}))
         main(["attack", "--kind", "replay", "--config", str(path), "--seed", "3"])
         main(["attack", "--kind", "replay", "--config", str(path)])
         main(["attack", "--kind", "replay"])
@@ -278,11 +286,8 @@ class TestCli:
         assert all(len(r) == 4 for r in rows)
 
     def test_attack_with_config_file(self, tmp_path):
-        from edgelinker.sim import ScenarioConfig
-
-        cfg = ScenarioConfig(nodes=3, block_interval_ms=200, writes=4, write_period_ms=400)
         path = tmp_path / "scenario.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps({"nodes": 3, "block_interval_ms": 200, "writes": 4, "write_period_ms": 400}))
         assert main(["attack", "--kind", "replay", "--config", str(path)]) == 0
 
     @pytest.mark.parametrize(

@@ -1,10 +1,24 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgelinker
 from edgelinker.chain import Call, Deploy, Transaction, Transfer, make_transaction
 from edgelinker.codec import DecodeError, Reader, enc_bytes, enc_list, enc_u64
 from tests.conftest import kp
+
+
+def test_importing_the_codec_loads_no_other_module_of_the_package():
+    # The package's `__init__` imports nothing, so a codec user does not pay for the simulator.
+    script = "import sys, edgelinker.codec; print(sorted(m for m in sys.modules if m.startswith('edgelinker')))"
+    src_dir = os.path.dirname(os.path.dirname(edgelinker.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "['edgelinker', 'edgelinker.codec']"
 
 
 def test_u64_one_is_eight_big_endian_bytes():

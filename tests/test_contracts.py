@@ -61,6 +61,11 @@ def total_supply(world: WorldState) -> int:
     return sum(acct.balance for acct in world.accounts.values())
 
 
+def balance_of(world: WorldState, address: bytes) -> int:
+    acct = world.accounts.get(address)
+    return acct.balance if acct else 0
+
+
 def addr(label):
     return kp(label).public_key
 
@@ -178,10 +183,10 @@ class TestExecution:
         assert receipt.result == RESULT_OK
 
     def test_fee_flows_to_sink_before_sweep(self, world):
-        before = world.balance(addr("patient"))
+        before = balance_of(world, addr("patient"))
         deploy_contract(world)
-        assert world.balance(addr("patient")) == before - 701_382
-        assert world.balance(FEE_SINK) == 701_382
+        assert balance_of(world, addr("patient")) == before - 701_382
+        assert balance_of(world, FEE_SINK) == 701_382
 
     def test_add_reading_requires_write_permission(self, world):
         contract, _ = deploy_contract(world)
@@ -266,12 +271,12 @@ class TestExecution:
     def test_denied_call_still_pays(self, world):
         contract, _ = deploy_contract(world)
         doctor = kp("doctor")
-        before = world.balance(doctor.public_key)
+        before = balance_of(world, doctor.public_key)
         reading = make_transaction(doctor, 1, NOW_MS, Call(contract, "add_reading", encode_reading_args(NOW_MS, 80)))
         receipt = execute_transaction(world, reading, SCHEDULE, 1)
         assert receipt.result == RESULT_DENIED
         assert receipt.gas_used == 48_182
-        assert world.balance(doctor.public_key) == before - 48_182
+        assert balance_of(world, doctor.public_key) == before - 48_182
         assert world.contracts[contract].readings == []
 
     def test_flooding_attacker_drains_in_floor_balance_over_gas_calls(self, world):
@@ -293,7 +298,7 @@ class TestExecution:
                 with pytest.raises(InsufficientBalance):
                     execute_transaction(world, tx, SCHEDULE, 1)
         assert processed == expected
-        assert world.balance(attacker.public_key) == balance - expected * SCHEDULE.add_data
+        assert balance_of(world, attacker.public_key) == balance - expected * SCHEDULE.add_data
 
     def test_bad_nonce_rejected_without_state_change(self, world):
         patient = kp("patient")
@@ -313,20 +318,20 @@ class TestExecution:
 
     def test_transfer_moves_coins_after_fee(self, world):
         patient, doctor = kp("patient"), kp("doctor")
-        before_p, before_d = world.balance(patient.public_key), world.balance(doctor.public_key)
+        before_p, before_d = balance_of(world, patient.public_key), balance_of(world, doctor.public_key)
         tx = make_transaction(patient, 1, NOW_MS, Transfer(doctor.public_key, 1000))
         receipt = execute_transaction(world, tx, SCHEDULE, 1)
         assert receipt.result == RESULT_OK and receipt.gas_used == 21_000
-        assert world.balance(patient.public_key) == before_p - 21_000 - 1000
-        assert world.balance(doctor.public_key) == before_d + 1000
+        assert balance_of(world, patient.public_key) == before_p - 21_000 - 1000
+        assert balance_of(world, doctor.public_key) == before_d + 1000
 
     def test_transfer_beyond_balance_fails_but_pays_fee(self, world):
         patient = kp("patient")
-        before = world.balance(patient.public_key)
+        before = balance_of(world, patient.public_key)
         tx = make_transaction(patient, 1, NOW_MS, Transfer(addr("doctor"), 10**12))
         receipt = execute_transaction(world, tx, SCHEDULE, 1)
         assert receipt.result == RESULT_FAILED and receipt.reason == "insufficient_funds"
-        assert world.balance(patient.public_key) == before - 21_000
+        assert balance_of(world, patient.public_key) == before - 21_000
 
     def test_unknown_contract_and_method(self, world):
         patient = kp("patient")
@@ -340,12 +345,12 @@ class TestExecution:
 
     def test_deploy_of_unknown_kind_fails_and_pays(self, world):
         patient = kp("patient")
-        before = world.balance(patient.public_key)
+        before = balance_of(world, patient.public_key)
         tx = make_transaction(patient, 1, NOW_MS, Deploy("no_such_contract_kind", b"init"))
         receipt = execute_transaction(world, tx, SCHEDULE, 1)
         assert (receipt.result, receipt.reason) == (RESULT_FAILED, "unknown_contract_kind")
         assert receipt.gas_used == SCHEDULE.deploy
-        assert world.balance(patient.public_key) == before - SCHEDULE.deploy
+        assert balance_of(world, patient.public_key) == before - SCHEDULE.deploy
         assert world.next_nonce(patient.public_key) == 2
         assert world.contracts == {}
 
@@ -368,8 +373,8 @@ class TestFeesAndSupply:
         block = build_block(txs, genesis, authority, NOW_MS)
         receipts = apply_block(world, block, SCHEDULE)
         assert [r.result for r in receipts] == [RESULT_OK]
-        assert world.balance(authority.public_key) == 701_382
-        assert world.balance(FEE_SINK) == 0
+        assert balance_of(world, authority.public_key) == 701_382
+        assert balance_of(world, FEE_SINK) == 0
 
     def test_total_supply_constant_under_random_blocks(self, world):
         # Coins move, never mint or burn, over a random finalized history.

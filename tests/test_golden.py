@@ -32,6 +32,12 @@ nodes. No check read the replicas' copies, and `replay_chain` rebuilds any
 node's receipts from its chain. Every other event, and its order, stayed
 identical, and the entry node's events are the ones kept; `receipt` now sits
 directly before that node's `tx_finalized_delay` for the same transaction.
+
+The replay drill's trace digest was re-pinned on its own, from
+`13f8edddb39b1f169ffedec65676c36bfc9eb1dec15603b6af5d15cb892cfc8f`, when a
+replay alert's detail began to name the node that refused the replay. Only
+the `detail` of its `alert` events changed; its tips, world digest, 48
+alerts and counters stayed the same.
 """
 
 import hashlib
@@ -87,7 +93,7 @@ GOLDEN = {
         _drill("replay"),
         "21bea2c38e120ac404dfe7474341d37e3701b8e059c24e319444a213ed513ac9",
         "424e71cea27259ee2bb9d9cbb0677ac43eb6e59c8d7714636c35a17394593f8e",
-        "13f8edddb39b1f169ffedec65676c36bfc9eb1dec15603b6af5d15cb892cfc8f",
+        "a7afe5e3da7e59f35df7d7322e43fd8f675013aac69c4210b942e161539dac42",
         48,
     ),
     "eavesdrop_drill_seed7": (
