@@ -269,13 +269,12 @@ class GenesisConfig:
     gas: GasSchedule = field(default_factory=GasSchedule)
     block_interval_ms: int = DEFAULT_BLOCK_INTERVAL_MS
     max_txs: int = DEFAULT_MAX_TXS
-    genesis_timestamp_ms: int = 0
 
 
 def make_genesis(config: GenesisConfig) -> Block:
     header = BlockHeader(
         height=0,
-        timestamp=config.genesis_timestamp_ms,
+        timestamp=0,
         prev_hash=ZERO_HASH,
         tx_root=compute_tx_root([]),
         proposer=ZERO_HASH,
@@ -318,23 +317,16 @@ class Violation(str, Enum):
     TOO_MANY_TXS = "too_many_txs"
 
 
-def build_block(
-    pending,
-    parent: Block,
-    proposer: KeyPair,
-    now_ms: int,
-    max_txs: int = DEFAULT_MAX_TXS,
-    authorities=None,
-) -> Block:
+def build_block(pending, parent: Block, proposer: KeyPair, now_ms: int, genesis: GenesisConfig) -> Block:
     """Collate pending transactions, each given once as a mempool holds them,
-    under the proposer's signature.
+    under the signature of a genesis authority.
 
     Ordering is (sender, nonce) with arrival order as the stable tiebreak,
-    capped at max_txs.
+    capped at the genesis `max_txs`.
     """
-    if authorities is not None and proposer.public_key not in authorities:
+    if proposer.public_key not in genesis.authorities:
         raise NotAuthority("proposer is not in the authority set")
-    chosen = tuple(sorted(pending, key=lambda tx: (tx.sender, tx.nonce))[:max_txs])
+    chosen = tuple(sorted(pending, key=lambda tx: (tx.sender, tx.nonce))[: genesis.max_txs])
     header = make_header(
         proposer,
         height=parent.header.height + 1,
@@ -345,8 +337,8 @@ def build_block(
     return Block(header=header, transactions=chosen)
 
 
-def validate_block(block: Block, parent: Block, authorities, max_txs: int = DEFAULT_MAX_TXS) -> list:
-    """Stateless checks against the parent; returns every Violation found, none for a valid block."""
+def validate_block(block: Block, parent: Block, genesis: GenesisConfig) -> list:
+    """Stateless checks against the parent and the genesis; returns every Violation found, none for a valid block."""
     violations = []
     if block.header.prev_hash != hash_block(parent):
         violations.append(Violation.BAD_PARENT_LINK)
@@ -354,7 +346,7 @@ def validate_block(block: Block, parent: Block, authorities, max_txs: int = DEFA
         violations.append(Violation.BAD_HEIGHT)
     if block.header.timestamp <= parent.header.timestamp:
         violations.append(Violation.BAD_TIMESTAMP)
-    if block.header.proposer not in authorities:
+    if block.header.proposer not in genesis.authorities:
         violations.append(Violation.NOT_AUTHORITY)
     if not block.header.verified():
         violations.append(Violation.BAD_PROPOSER_SIGNATURE)
@@ -362,6 +354,6 @@ def validate_block(block: Block, parent: Block, authorities, max_txs: int = DEFA
         violations.append(Violation.BAD_TX_ROOT)
     if any(not verify_transaction(tx) for tx in block.transactions):
         violations.append(Violation.BAD_TX_SIGNATURE)
-    if len(block.transactions) > max_txs:
+    if len(block.transactions) > genesis.max_txs:
         violations.append(Violation.TOO_MANY_TXS)
     return violations

@@ -6,11 +6,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import RunPlan, cmd_attack, cmd_channel_overhead, cmd_run
+from .bench import ATTACK_SEED, RunPlan, cmd_attack, cmd_channel_overhead, cmd_run
 from .channel import MODES
 from .sim import ATTACK_KINDS, ScenarioConfig
-
-ATTACK_SEED = 7
 
 
 def _int_list(text: str) -> list:
@@ -30,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--channel", choices=list(MODES), default=plan.channel_mode)
     run_p.add_argument("--seed", type=int, default=plan.seed)
     run_p.add_argument("--interval-ms", type=int, default=plan.block_interval_ms)
-    run_p.add_argument("--task-period-us", type=int, default=plan.task_period_us)
     run_p.add_argument("--out", default="results")
 
     co_p = sub.add_parser("channel-overhead", help="measure secure vs plain channel cost")
@@ -64,7 +61,6 @@ def _run(args) -> int:
         channel_mode=args.channel,
         seed=args.seed,
         block_interval_ms=args.interval_ms,
-        task_period_us=args.task_period_us,
     )
     print(f"wrote {cmd_run(plan, args.out)}")
     return 0

@@ -156,8 +156,8 @@ class ConsensusEngine:
     BUFFER_CAP = 4096
 
     def __init__(self, genesis: GenesisConfig, keypair: KeyPair):
+        self.genesis = genesis
         self.authorities = genesis.authorities
-        self.max_txs = genesis.max_txs
         self.f = (len(self.authorities) - 1) // 3
         self.quorum = quorum(len(self.authorities))
         self.block_interval_us = genesis.block_interval_ms * 1000
@@ -187,7 +187,7 @@ class ConsensusEngine:
         header = msg.block.header if msg.phase == Phase.PRE_PREPARE and msg.block is not None else None
         if header is None or header.proposer in self.authorities or not header.verified():
             return NOTHING
-        detail = ",".join(v.value for v in validate_block(msg.block, chain.tip, self.authorities, self.max_txs))
+        detail = ",".join(v.value for v in validate_block(msg.block, chain.tip, self.genesis))
         return EngineStep(alerts=[Alert(AlertKind.INVALID_BLOCK, header.height, header.proposer, detail, now_us)])
 
     def on_timer(self, key: tuple, now_us: int) -> EngineStep:
@@ -344,7 +344,7 @@ class ConsensusEngine:
             # Only a later round may re-propose a block another authority built: the one it is locked on.
             detail = "block built by another authority"
         else:
-            violations = validate_block(msg.block, chain.tip, self.authorities, self.max_txs)
+            violations = validate_block(msg.block, chain.tip, self.genesis)
             if not violations:
                 st.proposals[msg.round] = msg.block
                 # The proposer's pre-prepare counts as its prepare vote, unless it sent another one.

@@ -130,9 +130,10 @@ class FogNode:
     """One authority node: miner, channel endpoint, and read server.
 
     Chain parameters (block interval, gas table, block size) come only from
-    the GenesisConfig every authority shares; the channel mode and the query
-    service time are the scenario's. `world` is the genesis state, built from
-    the config when not given; nodes handed one object share its successors.
+    the GenesisConfig every authority shares; the channel mode is the
+    scenario's; every read occupies the query server for QUERY_SERVICE_US.
+    `world` is the genesis state, built from the config when not given; nodes
+    handed one object share its successors.
     """
 
     def __init__(
@@ -142,14 +143,12 @@ class FogNode:
         genesis_config: GenesisConfig,
         directory: dict,
         channel_mode: str = "secure",
-        query_service_us: int = QUERY_SERVICE_US,
         recorder: Optional[Callable] = None,
         rng=None,
         world: Optional[WorldState] = None,
     ):
         self.node_id = node_id
         self.keypair = keypair
-        self.query_service_us = query_service_us
         self.genesis_config = genesis_config
         self.chain = Chain([make_genesis(genesis_config)])
         self.world = genesis_world(genesis_config) if world is None else world
@@ -242,7 +241,7 @@ class FogNode:
     # -- read serving ----------------------------------------------------------
 
     def _serve_query_wire(self, query: Query, caller: bytes, now_us: int, out: NodeOutput) -> NodeOutput:
-        completion = max(now_us, self.busy_until_us) + self.query_service_us
+        completion = max(now_us, self.busy_until_us) + QUERY_SERVICE_US
         self.busy_until_us = completion
         try:
             readings = read_history(self.world, query.contract_address, caller, query.from_ts, query.to_ts)
@@ -277,14 +276,8 @@ class FogNode:
         return self._post_engine(NodeOutput(), now_us, step) if step else None
 
     def _propose(self, out: NodeOutput, now_us: int, round_: int) -> None:
-        block = build_block(
-            list(self.mempool.values()),
-            self.chain.tip,
-            self.keypair,
-            now_us // 1000,
-            max_txs=self.genesis_config.max_txs,
-            authorities=self.genesis_config.authorities,
-        )
+        pending = list(self.mempool.values())
+        block = build_block(pending, self.chain.tip, self.keypair, now_us // 1000, self.genesis_config)
         self.rec("proposed", height=block.header.height, round=round_, txs=len(block.transactions))
         self._post_engine(out, now_us, self.engine.propose(block, now_us))
 

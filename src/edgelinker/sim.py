@@ -30,6 +30,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import channel as ch
 from .chain import (
+    DEFAULT_BLOCK_INTERVAL_MS,
     DEFAULT_GAS_LIMIT,
     Block,
     Call,
@@ -76,6 +77,7 @@ from .node import (
 FULL_RANGE = (0, 2**63)
 ACTORS_PER_KIND = 4  # writer and reader devices in a benchmark workload
 ACTOR_BALANCE = 10**12  # genesis balance of every workload device
+TASK_PERIOD_US = 50  # global spacing between a benchmark workload's tasks
 
 TIMER, WAKE = "Timer", "Wake"  # the loop's events other than a message
 NODE_HANDLERS = {  # the FogNode method the loop calls for each kind of a node's event
@@ -177,22 +179,22 @@ class SimTrace:
 @dataclass
 class ScenarioConfig:
     nodes: int = 4
-    block_interval_ms: int = 1000
+    block_interval_ms: int = DEFAULT_BLOCK_INTERVAL_MS
     link: LinkModel = field(default_factory=LinkModel)
-    duration_s: Optional[float] = None  # simulated span; None: until every wake fired and every response is in
+    duration_s: Optional[float] = None  # simulated span; None: until the work of the last wake is done (_check_stop)
     channel_mode: str = "secure"
     workload: str = "scenario"  # scenario | write | read | mixed | none
     tasks: int = 100
-    task_period_us: int = 50  # global spacing between injected tasks
     writes: int = 10
     write_period_ms: int = 60_000
-    query_service_us: int = QUERY_SERVICE_US
     attack: Optional[str] = None
     attack_params: dict = field(default_factory=dict)
     byzantine: int = 0
     crashed: int = 0
     stop_at_height: Optional[int] = None
     seed: Optional[int] = None  # default seed when the caller supplies none
+
+    query_service_us = QUERY_SERVICE_US  # not a field: perfbench reads it from a run's config
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -290,8 +292,6 @@ class Step:
 
 class DeviceActor:
     """Schedule-driven device: signs, seals, sends, and matches responses."""
-
-    WAKE_TAIL_US = 0  # an automatic run lasts this long past the last wake
 
     def __init__(self, actor_id: str, keypair: KeyPair, primary: int, steps: list, sim: "Simulation"):
         self.id = actor_id
@@ -395,7 +395,6 @@ class AttackerBase:
     `start_us`, `period_us` and `count` override the class values."""
 
     START_US = PERIOD_US = COUNT = 0
-    WAKE_TAIL_US = 10_000_000  # room after each wake for the defences to act
     PARAMS: tuple = ("start_us", "period_us", "count")  # the params a scenario config may set
     PLAN_PARAMS: tuple = ()  # params only a workload's plan supplies (see _build_plans)
 
@@ -583,8 +582,8 @@ class EquivocatingNode(FogNode):
     def _propose(self, out: NodeOutput, now_us: int, round_: int) -> None:
         tip = self.chain.tip
         now_ms = now_us // 1000
-        block_a = build_block([], tip, self.keypair, now_ms, authorities=self.genesis_config.authorities)
-        block_b = build_block([], tip, self.keypair, now_ms + 7, authorities=self.genesis_config.authorities)
+        block_a = build_block([], tip, self.keypair, now_ms, self.genesis_config)
+        block_b = build_block([], tip, self.keypair, now_ms + 7, self.genesis_config)
         height = block_a.header.height
         step = self.engine.propose(block_a, now_us)
         peers = [self.directory[pk] for pk in self.genesis_config.authorities if pk != self.keypair.public_key]
@@ -894,7 +893,6 @@ class Simulation:
                 genesis_config=genesis,
                 directory=directory,
                 channel_mode=config.channel_mode,
-                query_service_us=config.query_service_us,
                 recorder=self._recorder(node_id),
                 rng=child_rng(seed, "nodecrypto", node_id),
                 world=world,
@@ -944,7 +942,7 @@ class Simulation:
         return record
 
     def _auto_duration(self, wakes: list) -> float:
-        last = max((at_us + party.WAKE_TAIL_US for at_us, party, _tag in wakes), default=0)
+        last = max((at_us for at_us, _party, _tag in wakes), default=0)
         margin = 60 * self.config.block_interval_ms * 1000 + 30_000_000
         return (last + margin) / 1_000_000
 
@@ -1093,6 +1091,8 @@ class Simulation:
             and self.remaining_wakes == 0
             and self.inflight == 0
             and not any(actor.pending() for actor in self.actors.values())
+            # A transaction no device waits for, such as an attacker's, holds the run until it is final too.
+            and not any(node.pending_conf for node in self.nodes.values())
         ):
             self.stop = True
 
@@ -1168,7 +1168,7 @@ def _build_plans(sim: Simulation, config: ScenarioConfig):
         # ROADMAP item 1's workaround: per (device, node) spacing must stay above
         # the jitter bound, or reordered arrivals would trip the channel's nonce-gap guard.
         fan_out = min(min(ACTORS_PER_KIND, tasks) for tasks in (writes, reads) if tasks)
-        period = max(config.task_period_us, config.link.jitter_us // fan_out + 1)
+        period = max(TASK_PERIOD_US, config.link.jitter_us // fan_out + 1)
         start, owner_at = 6 * interval_us, 320_000
 
         def write(g: int, at_us: int) -> Step:

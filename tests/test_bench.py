@@ -165,6 +165,17 @@ class TestAttackDrills:
         assert not report.passed
         assert "eavesdrop: FAIL - every offline open failed" in report.lines
 
+    @pytest.mark.parametrize("stop_at_height", [None, 6], ids=["until_done", "stop_height"])
+    def test_a_dos_drill_waits_for_flood_calls_the_reads_never_wait_for(self, stop_at_height):
+        from edgelinker.sim import ScenarioConfig
+
+        # The reads need no block and end before any block holds a flood call;
+        # the run goes on until each call the entry node admitted is final.
+        cfg = ScenarioConfig(nodes=7, crashed=2, workload="read", tasks=40, stop_at_height=stop_at_height)
+        report = cmd_attack("dos", cfg)
+        assert report.passed, report.lines
+        assert report.stats == {"flood_sent": 5, "balance": 100_000, "denied": 2, "skipped": 3, "expected": 2}
+
     def test_insertion_drill_leaves_caller_config_unchanged(self):
         cfg = default_attack_config()
         before = copy.deepcopy(cfg)
@@ -208,7 +219,7 @@ class TestCli:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["plan"]["seed"] == 3
 
-        from edgelinker import cli
+        from edgelinker import bench, cli
 
         used = []
         monkeypatch.setattr(
@@ -220,7 +231,7 @@ class TestCli:
         main(["attack", "--kind", "replay", "--config", str(path), "--seed", "3"])
         main(["attack", "--kind", "replay", "--config", str(path)])
         main(["attack", "--kind", "replay"])
-        assert used == [3, 11, cli.ATTACK_SEED]
+        assert used == [3, 11, bench.ATTACK_SEED]
 
     def test_run_with_zero_tasks_exits_2(self, tmp_path, capsys):
         code = main(["run", "--nodes", "2", "--tasks", "0", "--reps", "1", "--out", str(tmp_path)])
@@ -234,6 +245,15 @@ class TestCli:
             main(["run", "--nodes", "2", "--tasks", "10", "--reps", "1", "--workload", "mixed",
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_run_with_a_task_period_exits_2(self, tmp_path, capsys):
+        # The task period is fixed; the flag is gone, so the parser refuses it.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--nodes", "2", "--tasks", "10", "--reps", "1", "--task-period-us", "50",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--task-period-us" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize(

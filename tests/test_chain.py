@@ -30,9 +30,9 @@ def transfer_tx(sender, nonce, amount=10):
     return make_transaction(sender, nonce, NOW_MS + nonce, Transfer(to=kp("sink").public_key, amount=amount))
 
 
-def append(chain, block, authorities):
-    """Validate `block` against the chain's tip, then append it."""
-    assert validate_block(block, chain.tip, authorities) == []
+def append(chain, block, genesis):
+    """Validate `block` against the chain's tip under the genesis rules, then append it."""
+    assert validate_block(block, chain.tip, genesis) == []
     chain.blocks.append(block)
 
 
@@ -58,9 +58,15 @@ def test_genesis_hash_constant_for_fixed_config(setup):
 
 
 def test_genesis_differs_across_configs(setup):
-    _, cfg, genesis = setup
-    other = GenesisConfig(authorities=cfg.authorities, genesis_timestamp_ms=1)
-    assert hash_block(make_genesis(other)) != hash_block(genesis)
+    # Every config stamps the same genesis block; its authority set decides which chains extend it.
+    authority, cfg, genesis = setup
+    other = GenesisConfig(authorities=[kp("other authority").public_key])
+    assert hash_block(make_genesis(other)) == hash_block(genesis)
+    block = build_block([], genesis, authority, NOW_MS, cfg)
+    assert validate_block(block, genesis, cfg) == []
+    assert validate_block(block, genesis, other) == [Violation.NOT_AUTHORITY]
+    with pytest.raises(NotAuthority):
+        build_block([], genesis, authority, NOW_MS, other)
 
 
 def test_hash_tx_changes_with_every_field():
@@ -79,56 +85,57 @@ def test_hash_tx_changes_with_every_field():
 
 
 def test_tx_order_changes_root_and_block_hash(setup):
-    authority, _, genesis = setup
+    authority, cfg, genesis = setup
     sender = kp("order")
     t1, t2 = transfer_tx(sender, 1), transfer_tx(sender, 2)
-    b1 = build_block([t1, t2], genesis, authority, NOW_MS)
+    b1 = build_block([t1, t2], genesis, authority, NOW_MS, cfg)
     b2 = Block(header=b1.header, transactions=[t2, t1])
     assert compute_tx_root(b1.transactions) != compute_tx_root(b2.transactions)
 
 
 class TestBuildBlock:
     def test_empty_heartbeat_block_is_valid(self, setup):
-        authority, _, genesis = setup
-        block = build_block([], genesis, authority, NOW_MS)
+        authority, cfg, genesis = setup
+        block = build_block([], genesis, authority, NOW_MS, cfg)
         assert block.transactions == ()
-        assert validate_block(block, genesis, [authority.public_key]) == []
+        assert validate_block(block, genesis, cfg) == []
 
     def test_cap_holds_back_overflow(self, setup):
-        authority, _, genesis = setup
+        authority, cfg, genesis = setup
         sender = kp("bulk")
         pending = [transfer_tx(sender, n) for n in range(1, 601)]
-        block = build_block(pending, genesis, authority, NOW_MS, max_txs=500)
+        assert cfg.max_txs == 500
+        block = build_block(pending, genesis, authority, NOW_MS, cfg)
         assert len(block.transactions) == 500
         included = {hash_tx(t) for t in block.transactions}
         remaining = [t for t in pending if hash_tx(t) not in included]
         assert len(remaining) == 100
 
     def test_orders_by_sender_then_nonce(self, setup):
-        authority, _, genesis = setup
+        authority, cfg, genesis = setup
         s1, s2 = sorted((kp("s1"), kp("s2")), key=lambda p: p.public_key)
         pending = [transfer_tx(s2, 2), transfer_tx(s1, 2), transfer_tx(s2, 1), transfer_tx(s1, 1)]
-        block = build_block(pending, genesis, authority, NOW_MS)
+        block = build_block(pending, genesis, authority, NOW_MS, cfg)
         order = [(t.sender, t.nonce) for t in block.transactions]
         assert order == [(s1.public_key, 1), (s1.public_key, 2), (s2.public_key, 1), (s2.public_key, 2)]
 
     def test_non_authority_rejected(self, setup):
-        _, _, genesis = setup
+        _, cfg, genesis = setup
         outsider = kp("outsider")
         with pytest.raises(NotAuthority):
-            build_block([], genesis, outsider, NOW_MS, authorities=[kp("real").public_key])
+            build_block([], genesis, outsider, NOW_MS, cfg)
 
 
 class TestValidateBlock:
     def _good(self, setup, txs=None):
-        authority, _, genesis = setup
+        authority, cfg, genesis = setup
         sender = kp("v")
         txs = txs if txs is not None else [transfer_tx(sender, 1)]
-        return authority, genesis, build_block(txs, genesis, authority, NOW_MS)
+        return authority, cfg, genesis, build_block(txs, genesis, authority, NOW_MS, cfg)
 
     def test_honest_block_valid(self, setup):
-        authority, genesis, block = self._good(setup)
-        assert validate_block(block, genesis, [authority.public_key]) == []
+        _, cfg, genesis, block = self._good(setup)
+        assert validate_block(block, genesis, cfg) == []
 
     @pytest.mark.parametrize(
         "corrupt,violation",
@@ -144,7 +151,7 @@ class TestValidateBlock:
         ],
     )
     def test_each_targeted_corruption_yields_exactly_that_violation(self, setup, corrupt, violation):
-        authority, genesis, block = self._good(setup)
+        authority, cfg, genesis, block = self._good(setup)
         header, txs = block.header, block.transactions
         max_txs = len(txs)
 
@@ -167,13 +174,13 @@ class TestValidateBlock:
         elif corrupt == "max_txs":
             max_txs -= 1  # a block one over the genesis cap
 
-        violations = validate_block(Block(header=header, transactions=txs), genesis, [authority.public_key], max_txs)
+        violations = validate_block(Block(header=header, transactions=txs), genesis, replace(cfg, max_txs=max_txs))
         assert violations == [violation]
 
     def test_multiple_violations_all_reported(self, setup):
-        authority, genesis, block = self._good(setup)
+        _, cfg, genesis, block = self._good(setup)
         block = replace(block, header=replace(block.header, prev_hash=bytes(32), timestamp=0))
-        violations = validate_block(block, genesis, [authority.public_key])
+        violations = validate_block(block, genesis, cfg)
         assert Violation.BAD_PARENT_LINK in violations
         assert Violation.BAD_TIMESTAMP in violations
         assert Violation.BAD_PROPOSER_SIGNATURE in violations  # header was re-keyed by the edits
@@ -181,15 +188,15 @@ class TestValidateBlock:
 
 class TestAppend:
     def test_append_grows_chain(self, setup):
-        authority, _, genesis = setup
+        authority, cfg, genesis = setup
         chain = Chain([genesis])
-        block = build_block([], genesis, authority, NOW_MS)
-        append(chain, block, [authority.public_key])
+        block = build_block([], genesis, authority, NOW_MS, cfg)
+        append(chain, block, cfg)
         assert chain.height == 1 and chain.tip is block
 
     def test_replaying_recorded_blocks_reproduces_tip_hash(self, setup):
         # Oracle: independently rebuild the chain from the recorded blocks.
-        authority, _, genesis = setup
+        authority, cfg, genesis = setup
         rng = random.Random(3)
         sender = kp("replay")
         chain = Chain([genesis])
@@ -199,28 +206,26 @@ class TestAppend:
             for _ in range(rng.randrange(0, 4)):
                 txs.append(transfer_tx(sender, nonce))
                 nonce += 1
-            block = build_block(txs, chain.tip, authority, NOW_MS + (i + 1) * 1000)
-            append(chain, block, [authority.public_key])
+            block = build_block(txs, chain.tip, authority, NOW_MS + (i + 1) * 1000, cfg)
+            append(chain, block, cfg)
         fresh = Chain([make_genesis(GenesisConfig(authorities=[authority.public_key]))])
         for block in chain.blocks[1:]:
-            append(fresh, block, [authority.public_key])
+            append(fresh, block, cfg)
         assert fresh.tip_hash() == chain.tip_hash()
         assert fresh.height == 100
 
 
 def test_any_single_field_mutation_in_history_detected(setup):
     # Data-integrity sweep: corrupt one field anywhere, revalidate the chain.
-    authority, _, genesis = setup
+    authority, cfg, genesis = setup
     chain = Chain([genesis])
     sender = kp("hist")
     for i in range(5):
-        block = build_block([transfer_tx(sender, i + 1)], chain.tip, authority, NOW_MS + i * 1000)
-        append(chain, block, [authority.public_key])
+        block = build_block([transfer_tx(sender, i + 1)], chain.tip, authority, NOW_MS + i * 1000, cfg)
+        append(chain, block, cfg)
 
     def chain_valid(blocks):
-        return all(
-            validate_block(blocks[i], blocks[i - 1], [authority.public_key]) == [] for i in range(1, len(blocks))
-        )
+        return all(validate_block(blocks[i], blocks[i - 1], cfg) == [] for i in range(1, len(blocks)))
 
     assert chain_valid(chain.blocks)
 

@@ -95,7 +95,7 @@ def test_engine_takes_proposer_order_round_timeout_and_quorum_from_the_genesis()
     assert node.quorum == quorum(4) == 3
 
     proposer = key_of[cfg.authorities[1]]
-    block = build_block([], chain.tip, proposer, NOW_MS)
+    block = build_block([], chain.tip, proposer, NOW_MS, cfg)
     pre = engines[proposer.public_key].propose(block, 0).messages
     out = node.on_message(pre[0], chain, 0).messages
     assert [m.phase for m in out] == [Phase.PREPARE]  # two prepares: the proposer's and its own
@@ -124,7 +124,7 @@ class TestEngineStep:
         vote = make_message(keys[2], Phase.PREPARE, 1, 0, b"\x01" * 32)
         assert not engines[0].on_message(vote, chain, 0)
         assert not engines[0].on_timeout(2_000_000)
-        assert not engines[1].propose(build_block([], chain.tip, keys[1], NOW_MS), 0)
+        assert not engines[1].propose(build_block([], chain.tip, keys[1], NOW_MS, cfg), 0)
         assert not any(engine.wants_proposal() for engine in engines)
         steps = [engine.start_height(1, chain, 5) for engine in engines]
         # authorities[1] is height 1's round-0 proposer, so it alone is woken to propose.
@@ -187,7 +187,7 @@ class TestEngineStep:
         keys, cfg, chains, engines = make_cluster(4)
         proposer, chain = engines[1], chains[1]
         assert proposer.on_timer(("propose", 1), 1_000_000).propose_round == 0
-        step = proposer.propose(build_block([], chain.tip, keys[1], NOW_MS), 1_000_000)
+        step = proposer.propose(build_block([], chain.tip, keys[1], NOW_MS, cfg), 1_000_000)
         assert step.propose_round is None
         assert proposer.on_timer(("propose", 1), 1_000_001) is NOTHING
         # Round 1, after its round-change quorum and its proposal.
@@ -195,7 +195,7 @@ class TestEngineStep:
         leader.on_timeout(2_000_000)
         leader.on_message(make_message(keys[0], Phase.ROUND_CHANGE, 1, 1), chain, 2_000_000)
         assert leader.on_message(make_message(keys[1], Phase.ROUND_CHANGE, 1, 1), chain, 2_000_000).propose_round == 1
-        assert leader.propose(build_block([], chain.tip, keys[2], NOW_MS), 2_000_000).propose_round is None
+        assert leader.propose(build_block([], chain.tip, keys[2], NOW_MS, cfg), 2_000_000).propose_round is None
         late_vote = make_message(keys[3], Phase.ROUND_CHANGE, 1, 1)
         assert leader.on_message(late_vote, chain, 2_000_001).propose_round is None
 
@@ -203,8 +203,8 @@ class TestEngineStep:
         keys, cfg, chains, engines = make_cluster(4)
         engine, chain = engines[0], chains[0]
         outsider = kp("imposter")
-        block = build_block([], chain.tip, outsider, NOW_MS)
-        violations = validate_block(block, chain.tip, cfg.authorities)
+        block = build_block([], chain.tip, outsider, NOW_MS, replace(cfg, authorities=[outsider.public_key]))
+        violations = validate_block(block, chain.tip, cfg)
         assert violations
         step = engine.on_message(make_message(outsider, Phase.PRE_PREPARE, 1, 0, hash_block(block), block), chain, 7)
         assert not step.messages and not step.timers and step.finalized is None
@@ -220,7 +220,7 @@ class TestEngineStep:
 
 def test_message_signing_and_wire_roundtrip():
     keys, cfg, chains, _ = make_cluster(4)
-    block = build_block([], chains[0].tip, keys[1], NOW_MS)
+    block = build_block([], chains[0].tip, keys[1], NOW_MS, cfg)
     msg = make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
     assert verify_message(msg, cfg.authorities)
     assert ConsensusMessage.decode(msg.encode()) == msg
@@ -233,7 +233,7 @@ def test_pre_prepare_with_transactions_roundtrips():
     keys, cfg, chains, _ = make_cluster(4)
     sender = kp("client")
     txs = [make_transaction(sender, n, NOW_MS + n, Transfer(to=bytes(32), amount=n)) for n in (1, 2, 3)]
-    block = build_block(txs, chains[0].tip, keys[1], NOW_MS)
+    block = build_block(txs, chains[0].tip, keys[1], NOW_MS, cfg)
     assert len(block.transactions) == 3
     msg = make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
     again = ConsensusMessage.decode(msg.encode())
@@ -266,7 +266,7 @@ class TestHappyPath:
         keys, cfg, chains, engines = make_cluster(4)
         proposer_idx = 1  # select_proposer(1, 0) = authorities[1]
         assert select_proposer(1, 0, cfg.authorities) == keys[proposer_idx].public_key
-        block = build_block([], chains[proposer_idx].tip, keys[proposer_idx], NOW_MS)
+        block = build_block([], chains[proposer_idx].tip, keys[proposer_idx], NOW_MS, cfg)
         step = engines[proposer_idx].propose(block, 0)
         out = step.messages
         assert step.finalized is None and len(out) == 1 and out[0].phase == Phase.PRE_PREPARE
@@ -276,13 +276,13 @@ class TestHappyPath:
 
     def test_single_node_finalizes_instantly(self):
         keys, cfg, chains, engines = make_cluster(1)
-        block = build_block([], chains[0].tip, keys[0], NOW_MS)
+        block = build_block([], chains[0].tip, keys[0], NOW_MS, cfg)
         fin = engines[0].propose(block, 0).finalized
         assert fin is not None and hash_block(fin) == hash_block(block)
 
     def test_invalid_proposal_gets_no_prepare(self):
         keys, cfg, chains, engines = make_cluster(4)
-        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS, cfg)
         header = replace(block.header, tx_root=bytes(32))  # corrupt, then sign again
         header = replace(
             header, proposer_signature=sign_digest(keys[1].private_key, hashlib.sha256(header.signing_bytes()).digest())
@@ -306,7 +306,8 @@ class TestHappyPath:
         engine = ConsensusEngine(cfg, keys[0])
         engine.start_height(1, chain, 0)
         txs = [make_transaction(client, i, NOW_MS, Transfer(to=keys[0].public_key, amount=1)) for i in range(1, 12)]
-        block = build_block(txs, chain.tip, keys[1], NOW_MS, max_txs=11)  # a proposer that ignores the cap
+        # A proposer that ignores the cap builds under a genesis that allows one more.
+        block = build_block(txs, chain.tip, keys[1], NOW_MS, replace(cfg, max_txs=11))
         step = engine.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block), chain, 0)
         assert step.messages == [] and step.finalized is None
         assert [(a.kind, a.offender, a.detail) for a in step.alerts] == [
@@ -315,7 +316,7 @@ class TestHappyPath:
 
     def test_wrong_proposer_rejected(self):
         keys, cfg, chains, engines = make_cluster(4)
-        block = build_block([], chains[2].tip, keys[2], NOW_MS)
+        block = build_block([], chains[2].tip, keys[2], NOW_MS, cfg)
         msg = make_message(keys[2], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
         step = engines[0].on_message(msg, chains[0], 0)
         assert step.messages == []
@@ -328,7 +329,7 @@ class TestHappyPath:
         # The round-0 proposer relays another authority's block: it signed the
         # message, so it is named, not the block's proposer.
         keys, cfg, chains, engines = make_cluster(4)
-        block = build_block([], chains[2].tip, keys[2], NOW_MS)
+        block = build_block([], chains[2].tip, keys[2], NOW_MS, cfg)
         step = engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, bytes(32), block), chains[0], 0)
         assert [(a.kind, a.offender, a.detail) for a in step.alerts] == [
             (AlertKind.INVALID_BLOCK, keys[1].public_key, "proposal hash mismatch")
@@ -340,7 +341,7 @@ class TestHappyPath:
     def test_a_wrapped_block_names_the_wrapper_not_its_proposer(self):
         # a3 wraps a1's real height-1 block in a round-0 pre-prepare it signs itself.
         keys, cfg, chains, engines = make_cluster(4)
-        block = build_block([], chains[1].tip, keys[1], NOW_MS)  # a1 is height 1's round-0 proposer
+        block = build_block([], chains[1].tip, keys[1], NOW_MS, cfg)  # a1 is height 1's round-0 proposer
         wrapped = make_message(keys[3], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
         step = engines[0].on_message(wrapped, chains[0], 0)
         assert step.messages == [] and step.finalized is None
@@ -352,7 +353,7 @@ class TestHappyPath:
         # a1, height 1's round-0 proposer, sends a2's real, validly signed height-1
         # block in its own pre-prepare: a1 signed the message, so a1 is named.
         keys, cfg, chains, engines = make_cluster(4)
-        block = build_block([], chains[2].tip, keys[2], NOW_MS)
+        block = build_block([], chains[2].tip, keys[2], NOW_MS, cfg)
         borrowed = make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
         step = engines[0].on_message(borrowed, chains[0], 0)
         assert step.messages == [] and step.finalized is None
@@ -364,7 +365,7 @@ class TestHappyPath:
     def test_a_later_round_may_re_propose_a_block_an_earlier_proposer_built(self):
         # Round 1's proposer a2 re-proposes a1's round-0 block, as a node locked on it must.
         keys, cfg, chains, engines = make_cluster(4)
-        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS, cfg)
         engine = engines[0]
         engine.on_timeout(2_000_000)
         msg = make_message(keys[2], Phase.PRE_PREPARE, 1, 1, hash_block(block), block)
@@ -376,14 +377,14 @@ class TestHappyPath:
         # After a1's valid proposal, non-proposer a3 sends one conflicting pre-prepare:
         # a3 signed a single message, so it is an invalid block, not an equivocation.
         keys, cfg, chains, engines = make_cluster(4)
-        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS, cfg)
         engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(block), block), chains[0], 0)
-        other = build_block([], chains[3].tip, keys[3], NOW_MS + 1)
+        other = build_block([], chains[3].tip, keys[3], NOW_MS + 1, cfg)
         step = engines[0].on_message(make_message(keys[3], Phase.PRE_PREPARE, 1, 0, hash_block(other), other), chains[0], 0)
         assert [(a.kind, a.offender) for a in step.alerts] == [(AlertKind.INVALID_BLOCK, keys[3].public_key)]
         assert engines[0].state.proposals == {0: block}
         # The round's proposer sending a second block is still an equivocation.
-        twin = build_block([], chains[1].tip, keys[1], NOW_MS + 2)
+        twin = build_block([], chains[1].tip, keys[1], NOW_MS + 2, cfg)
         step = engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, hash_block(twin), twin), chains[0], 0)
         assert [(a.kind, a.offender) for a in step.alerts] == [(AlertKind.EQUIVOCATION, keys[1].public_key)]
 
@@ -405,7 +406,7 @@ class TestEquivocation:
     def test_a_proposers_prepare_against_its_own_pre_prepare_is_a_double_prepare(self):
         # a1 proposes A, then signs a prepare for another hash; its pre-prepare was its prepare.
         keys, cfg, chains, engines = make_cluster(4)
-        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS, cfg)
         a, other = hash_block(block), b"\x02" * 32
         engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, a, block), chains[0], 0)
         step = engines[0].on_message(make_message(keys[1], Phase.PREPARE, 1, 0, other), chains[0], 0)
@@ -417,7 +418,7 @@ class TestEquivocation:
 
     def test_a_pre_prepare_after_its_proposers_other_prepare_is_a_double_prepare(self):
         keys, cfg, chains, engines = make_cluster(4)
-        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS, cfg)
         a, other = hash_block(block), b"\x02" * 32
         engines[0].on_message(make_message(keys[1], Phase.PREPARE, 1, 0, other), chains[0], 0)
         step = engines[0].on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, a, block), chains[0], 0)
@@ -471,7 +472,7 @@ class TestRoundChange:
     def test_reproposal_carries_locked_block(self):
         keys, cfg, chains, engines = make_cluster(4)
         proposer = engines[1]
-        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS, cfg)
         out = proposer.propose(block, 0).messages
         locked_target = engines[0]
         locked_target.on_message(out[0], chains[0], 0)
@@ -486,7 +487,7 @@ class TestRoundChange:
         locked_target.on_timeout(8_000_000)
         assert locked_target.state.round == 3
         assert select_proposer(1, 3, cfg.authorities) == keys[0].public_key
-        fresh = build_block([], chains[0].tip, keys[0], NOW_MS + 9999)
+        fresh = build_block([], chains[0].tip, keys[0], NOW_MS + 9999, cfg)
         out = locked_target.propose(fresh, 9_000_000).messages
         pre = [m for m in out if m.phase == Phase.PRE_PREPARE][0]
         assert pre.block_hash == hash_block(block)
@@ -494,7 +495,7 @@ class TestRoundChange:
     def test_round_change_carries_locked_hash(self):
         keys, cfg, chains, engines = make_cluster(4)
         proposer = engines[1]
-        block = build_block([], chains[1].tip, keys[1], NOW_MS)
+        block = build_block([], chains[1].tip, keys[1], NOW_MS, cfg)
         out = proposer.propose(block, 0).messages
         node = engines[0]
         node.on_message(out[0], chains[0], 0)
@@ -520,7 +521,7 @@ class TestCrashRecovery:
         leader = 2
         assert select_proposer(1, 1, cfg.authorities) == keys[leader].public_key
         assert engines[leader].wants_proposal()
-        block = build_block([], chains[leader].tip, keys[leader], NOW_MS)
+        block = build_block([], chains[leader].tip, keys[leader], NOW_MS, cfg)
         out = engines[leader].propose(block, t + 1000).messages
         finals = deliver_all(engines, chains, out, t + 1000, skip=(crashed,))
         assert {0, 3} <= set(finals)
@@ -544,8 +545,8 @@ def test_future_height_messages_buffer_and_replay():
 def test_start_height_returns_the_block_its_buffered_messages_finalize():
     keys, cfg, chains, engines = make_cluster(4)
     node, chain = engines[0], chains[0]
-    first = build_block([], chain.tip, keys[1], NOW_MS)  # height 1's proposer is authorities[1]
-    second = build_block([], first, keys[2], NOW_MS + 1)  # and height 2's is authorities[2]
+    first = build_block([], chain.tip, keys[1], NOW_MS, cfg)  # height 1's proposer is authorities[1]
+    second = build_block([], first, keys[2], NOW_MS + 1, cfg)  # and height 2's is authorities[2]
     a, b = hash_block(first), hash_block(second)
     for msg in (
         make_message(keys[2], Phase.PRE_PREPARE, 2, 0, b, second),
@@ -618,7 +619,7 @@ def drive_lossy(n, choose):
             step = engine.start_height(step.finalized.header.height + 1, chains[i], now)
             broadcast(i, step.messages)
         if engine.wants_proposal():
-            block = build_block([], chains[i].tip, keys[i], NOW_MS + now // 1000)
+            block = build_block([], chains[i].tip, keys[i], NOW_MS + now // 1000, cfg)
             settle(i, engine.propose(block, now), now)
 
     now = 0
@@ -665,13 +666,13 @@ class TestEarlyExit:
     def test_the_input_that_moves_the_lock_sends_the_prepare_it_enables(self):
         keys, cfg, chains, engines = make_cluster(4)
         engine, chain = engines[0], chains[0]
-        block_a = build_block([], chain.tip, keys[1], NOW_MS)  # the round-0 proposer is authorities[1]
+        block_a = build_block([], chain.tip, keys[1], NOW_MS, cfg)  # the round-0 proposer is authorities[1]
         a = hash_block(block_a)
         engine.on_message(make_message(keys[1], Phase.PRE_PREPARE, 1, 0, a, block_a), chain, 0)
         out = engine.on_message(make_message(keys[2], Phase.PREPARE, 1, 0, a), chain, 0).messages
         assert [m.phase for m in out] == [Phase.COMMIT] and engine.state.locked_block == block_a
         engine.on_timeout(2_000_000)
-        block_b = build_block([], chain.tip, keys[2], NOW_MS + 1)  # the round-1 proposer is authorities[2]
+        block_b = build_block([], chain.tip, keys[2], NOW_MS + 1, cfg)  # the round-1 proposer is authorities[2]
         b = hash_block(block_b)
         out = engine.on_message(make_message(keys[2], Phase.PRE_PREPARE, 1, 1, b, block_b), chain, 2_000_000).messages
         assert out == []  # locked on A, so no prepare of B
@@ -694,7 +695,7 @@ class TestNodeEarlyExit:
         cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)
         node = FogNode("n0", keys[0], cfg, {})
         node.initial_output()
-        block = build_block([], node.chain.tip, keys[1], NOW_MS)  # height-1 proposer is authorities[1]
+        block = build_block([], node.chain.tip, keys[1], NOW_MS, cfg)  # height-1 proposer is authorities[1]
         return node, keys, block
 
     def test_a_vote_below_quorum_returns_none(self, cluster):
@@ -782,7 +783,7 @@ def test_split_locks_after_a_crash_stall_height_one():
                 engine = engines[dst]
                 steps = [engine.on_message(msg, chains[dst], now)]
                 if engine.wants_proposal():
-                    block = build_block([], chains[dst].tip, keys[dst], NOW_MS + now // 1000)
+                    block = build_block([], chains[dst].tip, keys[dst], NOW_MS + now // 1000, cfg)
                     steps.append(engine.propose(block, now))
                 for step in steps:
                     queue.extend((dst, m) for m in step.messages)
@@ -790,7 +791,7 @@ def test_split_locks_after_a_crash_stall_height_one():
                         finals.setdefault(dst, step.finalized)
 
     # Round 0: a1 proposes A to a0 and a2, who prepare it; only a2's prepare reaches a0.
-    block_a = build_block([], chains[1].tip, keys[1], NOW_MS)
+    block_a = build_block([], chains[1].tip, keys[1], NOW_MS, cfg)
     pre_a = engines[1].propose(block_a, 0).messages
     run(
         [(1, m) for m in pre_a],

@@ -370,7 +370,7 @@ class TestFeesAndSupply:
         cfg = GenesisConfig(authorities=[authority.public_key])
         genesis = make_genesis(cfg)
         txs = [make_transaction(patient, 1, NOW_MS, Deploy("health_record", b""))]
-        block = build_block(txs, genesis, authority, NOW_MS)
+        block = build_block(txs, genesis, authority, NOW_MS, cfg)
         receipts = apply_block(world, block, SCHEDULE)
         assert [r.result for r in receipts] == [RESULT_OK]
         assert balance_of(world, authority.public_key) == 701_382
@@ -398,7 +398,7 @@ class TestFeesAndSupply:
                     payload = Call(bytes(32), "add_reading", encode_reading_args(1, 1))
                 txs.append(make_transaction(patient, nonce, NOW_MS + height, payload))
                 nonce += 1
-            block = build_block(txs, parent, authority, NOW_MS + height * 1000)
+            block = build_block(txs, parent, authority, NOW_MS + height * 1000, cfg)
             apply_block(world, block, SCHEDULE)
             parent = block
             assert total_supply(world) == supply
@@ -410,7 +410,7 @@ class TestFeesAndSupply:
         genesis = make_genesis(cfg)
         good = make_transaction(patient, 1, NOW_MS, Transfer(addr("doctor"), 5))
         wrong_nonce = make_transaction(patient, 9, NOW_MS, Transfer(addr("doctor"), 5))
-        block = build_block([good, wrong_nonce], genesis, authority, NOW_MS)
+        block = build_block([good, wrong_nonce], genesis, authority, NOW_MS, cfg)
         receipts = apply_block(world, block, SCHEDULE)
         assert [r.result for r in receipts] == [RESULT_OK, "skipped"]
         assert receipts[1].gas_used == 0
@@ -520,8 +520,8 @@ def test_replay_chain_rebuilds_world(world):
     for height in range(1, 4):
         txs = [make_transaction(patient, nonce, NOW_MS + height, Transfer(addr("doctor"), height))]
         nonce += 1
-        block = build_block(txs, chain.tip, authority, NOW_MS + height * 1000)
-        assert validate_block(block, chain.tip, cfg.authorities) == []
+        block = build_block(txs, chain.tip, authority, NOW_MS + height * 1000, cfg)
+        assert validate_block(block, chain.tip, cfg) == []
         chain.blocks.append(block)
         apply_block(live, block, SCHEDULE)
     assert replay_chain(chain, cfg).encode() == live.encode()
@@ -597,7 +597,8 @@ class TestNextState:
         for height, specs in enumerate(blocks, start=1):
             before, before_bytes = shared, shared.encode()
             fork_nonces = dict(nonces)
-            block = build_block(self.transactions(first + specs, nonces, NOW_MS + height), chain.tip, self.AUTHORITY, NOW_MS + height)
+            txs = self.transactions(first + specs, nonces, NOW_MS + height)
+            block = build_block(txs, chain.tip, self.AUTHORITY, NOW_MS + height, cfg)
             first = []
             after = next_state(shared, block, SCHEDULE)
             receipts = apply_block(oracle, block, SCHEDULE)
@@ -610,7 +611,7 @@ class TestNextState:
             if fork[0] == height - 1:
                 # Another block on the same state: its own successor, and neither state moves.
                 other_txs = self.transactions(fork[1], fork_nonces, NOW_MS + height + 7)
-                other = build_block(other_txs, chain.tip, self.AUTHORITY, NOW_MS + height + 7)
+                other = build_block(other_txs, chain.tip, self.AUTHORITY, NOW_MS + height + 7, cfg)
                 after_bytes = after.encode()
                 alt = next_state(before, other, SCHEDULE)
                 alt_oracle = replay_chain(chain, cfg)
@@ -629,14 +630,15 @@ class TestNextState:
         cfg = self.config()
         specs = [(kind, "patient", 0) for kind in TX_KINDS] + [("add_reading", "doctor", 1), ("transfer", "patient", 3)]
         txs = self.transactions([("deploy", "patient", 0)] + specs, {}, NOW_MS)
-        world = next_state(genesis_world(cfg), build_block(txs, make_genesis(cfg), self.AUTHORITY, NOW_MS), SCHEDULE)
+        world = next_state(genesis_world(cfg), build_block(txs, make_genesis(cfg), self.AUTHORITY, NOW_MS, cfg), SCHEDULE)
         assert {r.result for r in world.receipts} == {RESULT_OK, RESULT_DENIED, RESULT_FAILED, "skipped"}
         assert {r.reason for r in world.receipts if r.result == "skipped"} == {"BadNonce", "InsufficientBalance"}
 
     def test_the_state_before_keeps_no_successor_alive(self):
         cfg = self.config()
         world = genesis_world(cfg)
-        block = build_block(self.transactions([("transfer", "patient", 0)], {}, NOW_MS), make_genesis(cfg), self.AUTHORITY, NOW_MS)
+        txs = self.transactions([("transfer", "patient", 0)], {}, NOW_MS)
+        block = build_block(txs, make_genesis(cfg), self.AUTHORITY, NOW_MS, cfg)
         after = next_state(world, block, SCHEDULE)
         expected, link = after.encode(), weakref.ref(after)
         del after
@@ -647,7 +649,8 @@ class TestNextState:
     def test_a_block_under_another_schedule_is_applied_again(self):
         cfg = self.config()
         world = genesis_world(cfg)
-        block = build_block(self.transactions([("deploy", "patient", 0)], {}, NOW_MS), make_genesis(cfg), self.AUTHORITY, NOW_MS)
+        txs = self.transactions([("deploy", "patient", 0)], {}, NOW_MS)
+        block = build_block(txs, make_genesis(cfg), self.AUTHORITY, NOW_MS, cfg)
         cheap = GasSchedule(deploy=5)
         after, after_cheap = next_state(world, block, SCHEDULE), next_state(world, block, cheap)
         oracle = genesis_world(cfg)

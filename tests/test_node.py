@@ -491,7 +491,7 @@ class TestQueries:
             raw = seal_message(m, client.private_key, node.keypair.public_key).to_bytes()
             outs.append(node.handle_envelope(raw, now))
         first, second = (o.sends[0].at_us for o in outs)
-        assert second == first + node.query_service_us
+        assert second == first + node_module.QUERY_SERVICE_US
 
 
 def proposal(signer, block):
@@ -503,8 +503,9 @@ class TestMonitoring:
         authority = keys[0]
         node = make_node([authority, keys[1]], {})
         outsider = kp("imposter")
-        bad = build_block([], node.chain.tip, outsider, 999_999)
-        violations = validate_block(bad, node.chain.tip, node.genesis_config.authorities)
+        outsider_rules = replace(node.genesis_config, authorities=[outsider.public_key])  # lets it build
+        bad = build_block([], node.chain.tip, outsider, 999_999, outsider_rules)
+        violations = validate_block(bad, node.chain.tip, node.genesis_config)
         assert violations
         out = node.on_consensus(proposal(outsider, bad), T0)
         node.on_consensus(proposal(outsider, bad), T0 + 50)  # duplicate delivery
@@ -517,24 +518,24 @@ class TestMonitoring:
 
     def test_a_zeroed_header_signature_accuses_no_authority(self, keys):
         node = make_node(keys[:3], {})
-        block = build_block([], node.chain.tip, keys[2], 999_999)
+        block = build_block([], node.chain.tip, keys[2], 999_999, node.genesis_config)
         header = replace(block.header, proposer_signature=bytes(len(block.header.proposer_signature)))
         assert node.on_consensus(proposal(kp("imposter"), replace(block, header=header)), T0) is None
         assert node.alerts == []
 
     def test_an_authority_block_in_a_message_that_fails_its_check_accuses_no_authority(self, keys):
         node = make_node(keys[:3], {})
-        first = build_block([], node.chain.tip, keys[1], 999_999)
-        second = build_block([], first, keys[2], 1_000_000)
-        assert validate_block(second, first, node.genesis_config.authorities) == []
+        first = build_block([], node.chain.tip, keys[1], 999_999, node.genesis_config)
+        second = build_block([], first, keys[2], 1_000_000, node.genesis_config)
+        assert validate_block(second, first, node.genesis_config) == []
         message = proposal(keys[2], second)
         assert node.on_consensus(replace(message, signature=bytes(len(message.signature))), T0) is None  # at height 0
         assert node.alerts == []
 
     def test_valid_block_raises_nothing(self, single):
         node, authority, _ = single
-        good = build_block([], node.chain.tip, authority, 999_999)
-        assert validate_block(good, node.chain.tip, node.genesis_config.authorities) == []
+        good = build_block([], node.chain.tip, authority, 999_999, node.genesis_config)
+        assert validate_block(good, node.chain.tip, node.genesis_config) == []
         # Relayed under an outsider's signature: the message is refused, the block inspected.
         assert node.on_consensus(proposal(kp("imposter"), good), T0) is None
         assert node.alerts == []

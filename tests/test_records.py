@@ -35,6 +35,7 @@ from edgelinker.chain import (
     BlockHeader,
     Call,
     Deploy,
+    GenesisConfig,
     Query,
     Signed,
     Transaction,
@@ -56,6 +57,11 @@ from tests.conftest import kp
 from tests.test_codec import PAYLOADS
 
 U64 = st.integers(0, 2**64 - 1)
+
+
+def sole_authority(proposer) -> GenesisConfig:
+    """A genesis whose one authority is `proposer`, so it may build blocks."""
+    return GenesisConfig(authorities=[proposer.public_key])
 
 
 # --- reference layout --------------------------------------------------------
@@ -404,7 +410,7 @@ def test_signed_records_match_reference(payload, nonce, ts):
     assert tx.signing_bytes() == ref_tx_signing(tx)
     assert hash_tx(tx) == hashlib.sha256(ref_tx(tx)).digest()
     parent = Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ())
-    block = build_block([tx], parent, proposer, ts + 1)
+    block = build_block([tx], parent, proposer, ts + 1, sole_authority(proposer))
     assert block.header.signing_bytes() == ref_header_signing(block.header)
     assert block.header.prev_hash == hashlib.sha256(ref_block(parent)).digest()
     assert hash_block(block) == hashlib.sha256(ref_block(block)).digest()
@@ -520,7 +526,8 @@ def test_nested_records_use_their_class_methods_as_they_are_at_call_time(monkeyp
     use of the record must reach the replacement."""
     sender, proposer = kp("nested-sender"), kp("nested-proposer")
     txs = [make_transaction(sender, n, n, Transfer(to=bytes(32), amount=n)) for n in (1, 2, 3)]
-    block = build_block(txs, Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ()), proposer, 10)
+    parent = Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ())
+    block = build_block(txs, parent, proposer, 10, sole_authority(proposer))
     seen = collections.Counter()
 
     def count(cls, name, wrap=lambda f: f):
@@ -609,7 +616,8 @@ def test_forged_confirmation_count_rejected_without_allocating(count):
 def test_forged_transaction_count_rejected_without_allocating(count):
     sender = kp("count")
     txs = [make_transaction(sender, n, 5, Transfer(to=bytes(32), amount=n)) for n in (1, 2)]
-    block = build_block(txs, Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ()), kp("count-proposer"), 10)
+    parent, proposer = Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ()), kp("count-proposer")
+    block = build_block(txs, parent, proposer, 10, sole_authority(proposer))
     raw = block.encode()
     at = 1 + len(block.header.encode())  # tag, header
     assert raw[at : at + 8] == ref_u64(2)
@@ -849,7 +857,7 @@ def sample_records():
     sender, proposer = kp("frozen-sender"), kp("frozen-proposer")
     tx = make_transaction(sender, 1, 5, Transfer(to=bytes(32), amount=3))
     parent = Block(BlockHeader(0, 0, bytes(32), bytes(32), bytes(32), bytes(64)), ())
-    block = build_block([tx], parent, proposer, 10)
+    block = build_block([tx], parent, proposer, 10, sole_authority(proposer))
     msg = make_message(proposer, Phase.PRE_PREPARE, 1, 0, hash_block(block), block)
     return {
         "transaction": warm(tx),

@@ -1020,6 +1020,13 @@ class TestAttacks:
         for n in trace.meta["honest"]:
             assert sum(1 for a in trace.final[n].alerts if a.kind == "replay_detected") == 51
 
+    def test_an_attacked_run_lasts_the_margin_past_its_last_wake(self):
+        # 60 block intervals plus 30 s is a run's only tail, whether an attacker or a device woke last.
+        for kind in ATTACK_KINDS:
+            simulation = Simulation(fast_config(attack=kind), 41)
+            last = max(at_us for party in simulation.parties.values() for at_us, _tag in party.schedule())
+            assert simulation.duration_us == last + 60 * 200_000 + 30_000_000, kind
+
     def test_unknown_attack_kind(self):
         with pytest.raises(ConfigInvalid):
             run_scenario(fast_config(attack="quantum"), 1)
@@ -1047,8 +1054,6 @@ class TestConfig:
             {"write_period_ms": -1000},
             {"tasks": -1},
             {"writes": -1},
-            {"task_period_us": -50},
-            {"query_service_us": -1},
             {"crashed": -1},
             {"byzantine": -1},
             {"duration_s": -0.5},
@@ -1057,8 +1062,8 @@ class TestConfig:
         ],
         ids=["negative_latency", "negative_jitter", "drop_probability_above_one", "zero_interval",
              "negative_interval", "negative_write_period", "negative_tasks", "negative_writes",
-             "negative_task_period", "negative_service", "negative_crashed", "negative_byzantine",
-             "negative_duration", "negative_stop_height", "unknown_channel_mode"],
+             "negative_crashed", "negative_byzantine", "negative_duration", "negative_stop_height",
+             "unknown_channel_mode"],
     )
     def test_bad_scenario_json_rejected(self, bad):
         cfg = ScenarioConfig.from_json(json.dumps(bad))
@@ -1079,9 +1084,11 @@ class TestConfig:
             {"mempool_cap": 10},
             {"max_txs": 10},
             {"stop_on_done": False},
+            {"task_period_us": -50},
+            {"query_service_us": -1},
         ],
         ids=["typo", "link_typo", "unknown_gas_key", "writers", "readers", "actor_balance", "mempool_cap", "max_txs",
-             "stop_on_done"],
+             "stop_on_done", "negative_task_period", "negative_service"],
     )
     def test_unknown_scenario_keys_rejected(self, bad):
         # A removed knob or a typo would otherwise run the default silently.
