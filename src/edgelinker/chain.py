@@ -271,7 +271,10 @@ class GenesisConfig:
     max_txs: int = DEFAULT_MAX_TXS
 
 
-def make_genesis(config: GenesisConfig) -> Block:
+def make_genesis() -> Block:
+    """The block every chain starts from: every field a constant, so every
+    config shares it, and the config's authority set decides which chains
+    extend it."""
     header = BlockHeader(
         height=0,
         timestamp=0,

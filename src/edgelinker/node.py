@@ -46,8 +46,8 @@ QUERY_SERVICE_US = 1000  # time one read occupies the node's query server
 
 
 # --- message kinds routed by the transport --------------------------------
-# Simulation.send seeds each link's jitter stream from the kind's value,
-# so changing a value changes every seeded timeline: keep them as they are.
+# Simulation.send keys each message's link draw by the kind's value, so
+# changing a value changes every seeded timeline: keep them as they are.
 
 CLIENT = "ClientWire"  # device-to-node channel bytes carrying a Transaction or a Query
 REPLY = "ReplyWire"  # node-to-device channel bytes carrying a QueryReplyBody
@@ -150,7 +150,7 @@ class FogNode:
         self.node_id = node_id
         self.keypair = keypair
         self.genesis_config = genesis_config
-        self.chain = Chain([make_genesis(genesis_config)])
+        self.chain = Chain([make_genesis()])
         self.world = genesis_world(genesis_config) if world is None else world
         self.endpoint = ch.Endpoint(keypair, channel_mode, rng)
         self.engine = ConsensusEngine(genesis_config, keypair)

@@ -1,9 +1,13 @@
 """Deterministic discrete-event simulation of the device / fog topology.
 
 Virtual time runs in microseconds over a single event heap with stable FIFO
-tie-breaking. Every random draw comes from a stream derived from (seed,
-label), so link jitter, cipher nonces and actor behavior are reproducible
-bit for bit, and adding an attacker never perturbs honest streams.
+tie-breaking. Every random draw is reproducible bit for bit from the run's
+seed. Cipher nonces and attacker behavior come from a stream per party,
+derived from (seed, label). Each message's link fate, its arrival time or a
+drop, is a pure function of the seed, its source, destination and kind, and
+the message itself (`link_digest`): a counter-based generator, so one more
+message, an attacker's included, moves no other message's fate. Only a
+channel frame is named by its place on its link, as the channel numbers it.
 
 Scenarios wire devices (patients, doctors) and fog nodes
 through a configurable link model, then run either the canonical access
@@ -21,6 +25,7 @@ import os
 import random
 import select
 import signal
+import struct
 import threading
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
@@ -47,7 +52,7 @@ from .chain import (
 )
 from .channel import ChannelMessage, KeyPair, SecureEnvelope, generate_keypair, open_message
 from .codec import BYTES, STR, U64, DecodeError, Reader, Record, enc_bytes, enc_u64
-from .consensus import Phase, make_message, quorum
+from .consensus import Alert, Phase, make_message, quorum
 from .contracts import (
     HEALTH_RECORD_KIND,
     METHOD_ADD_READING,
@@ -104,6 +109,17 @@ def child_rng(master: int, *labels) -> random.Random:
 def key_seed(master: int, *labels) -> bytes:
     material = "edgelinker-key:" + str(master) + ":" + ":".join(str(x) for x in labels)
     return hashlib.sha256(material.encode()).digest()
+
+
+def link_digest(seed: int, src: str, kind: str, identity: bytes, count: int) -> bytes:
+    """`count` little-endian 64-bit words, SHAKE-128 over (seed, src, kind,
+    identity), that decide the fate of the message `identity` names: word i on
+    its way to node `n{i}`, word 0 on its way to a party. A counter-based
+    generator (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+    SC 2011): a fate depends on the message, not on what its link carried
+    before, and one hash serves every destination of a broadcast."""
+    material = f"edgelinker-link:{seed}:{src}:{kind}:".encode() + identity
+    return hashlib.shake_128(material).digest(8 * count)
 
 
 # --- link model ---------------------------------------------------------------
@@ -913,7 +929,9 @@ class Simulation:
             if len(pair) != 2 or not pair <= endpoints:
                 raise ConfigInvalid(f"link partition {sorted(pair)} must join two of the endpoints {sorted(endpoints)}")
 
-        self._link_rngs: dict = {}  # (src, dst, kind) -> that link's delay stream
+        self._slots = {i_: 2 * i for i, i_ in enumerate(self.node_ids)}  # node id -> its word's low half
+        self._halves = struct.Struct(f"<{2 * n}I").unpack  # a link digest's words, each as (low, high)
+        self._frames: dict = {}  # (src, dst) -> channel frames sent on that link
         # Each node's broadcast recipients: the other nodes in id order, without the crashed ones.
         self._live_peers = {i_: [p for p in self.node_ids if p != i_ and p not in self.crashed] for i_ in self.nodes}
         self._handlers: dict = {}  # (node id, message or TIMER kind) -> handler, bound by run()
@@ -958,18 +976,33 @@ class Simulation:
     def send(self, src: str, dsts, kind: str, body, depart_us: int) -> None:
         """Puts one message from `src` on the link to each of `dsts`, in order;
         sends to a crashed node are not counted, and a crashed node never
-        sends. Each (src, dst, kind) link draws from a stream of its own, so
-        extra alert or attack traffic never perturbs honest flows: nothing on
-        a partitioned pair, else `random()` for the drop if its probability is
-        above 0, then `randrange(jitter_us + 1)` if there is jitter. The
-        attacker sees each device message a link accepts as it departs."""
+        sends. A channel frame (`bytes`) goes to one destination.
+
+        Nothing crosses a partitioned pair. Otherwise the message's word for
+        the destination (`link_digest`, one hash per call) decides its fate:
+        its low 32 bits drop it when below drop_probability * 2**32, and its
+        high 32 bits h add (h * (jitter_us + 1)) >> 32 to the base latency.
+        Messages from `src` are told apart by their signature or alert key;
+        frames by their number on the (src, dst) link, which for an honest
+        sender is the frame's channel counter, so secure and plain runs draw
+        alike. The attacker sees each device message a link accepts as it
+        departs."""
         crashed = self.crashed
         link = self.config.link
-        cuts, drop_p, span = link.partitions, link.drop_probability, link.jitter_us + 1
-        bits = span.bit_length()
+        cuts, span = link.partitions, link.jitter_us + 1
+        drop_below = link.drop_probability * 2**32
         base_us = depart_us + link.base_latency_us
-        rngs, heap, seq = self._link_rngs, self.heap, self._seq
+        heap, seq, slots = self.heap, self._seq, self._slots
         tap = self.attacker if kind == CLIENT and src in self.actors else None
+        if isinstance(body, bytes):
+            (dst,) = dsts
+            number = self._frames[src, dst] = self._frames.get((src, dst), 0) + 1
+            identity = f"{dst}:{number}".encode()
+        elif isinstance(body, Alert):
+            identity = repr(body.key()).encode()
+        else:
+            identity = body.signature
+        halves = self._halves(link_digest(self.seed, src, kind, identity, len(slots)))
         sent = dropped = 0
         for dst in dsts:
             if dst in crashed:
@@ -978,21 +1011,12 @@ class Simulation:
             if cuts and frozenset((src, dst)) in cuts:
                 dropped += 1
                 continue
-            rng = rngs.get((src, dst, kind))
-            if rng is None:
-                rng = rngs[src, dst, kind] = child_rng(self.seed, "link", src, dst, kind)
-            if drop_p > 0 and rng.random() < drop_p:
+            low = slots.get(dst, 0)
+            if halves[low] < drop_below:
                 dropped += 1
                 continue
-            arrival = base_us
-            if span > 1:
-                # rng.randrange(span), drawn the way CPython's Random draws it, without its two calls
-                jitter = rng.getrandbits(bits)
-                while jitter >= span:
-                    jitter = rng.getrandbits(bits)
-                arrival += jitter
             seq += 1
-            heapq.heappush(heap, (arrival, seq, (src, dst, kind, body)))
+            heapq.heappush(heap, (base_us + ((halves[low + 1] * span) >> 32), seq, (src, dst, kind, body)))
             if tap is not None:
                 tap.on_tap(src, dst, body, depart_us)
         self._seq = seq

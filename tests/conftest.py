@@ -49,4 +49,4 @@ def genesis_one(keys):
         initial_balances={keys[1].public_key: 10**12, keys[2].public_key: 10**12},
         block_interval_ms=1000,
     )
-    return cfg, make_genesis(cfg)
+    return cfg, make_genesis()

@@ -46,22 +46,21 @@ def resign(header, keypair):
 def setup(keys):
     authority = keys[0]
     cfg = GenesisConfig(authorities=[authority.public_key])
-    genesis = make_genesis(cfg)
+    genesis = make_genesis()
     return authority, cfg, genesis
 
 
 def test_genesis_hash_constant_for_fixed_config(setup):
-    _, cfg, genesis = setup
-    assert hash_block(genesis) == hash_block(make_genesis(cfg))
+    _, _, genesis = setup
+    assert hash_block(genesis) == hash_block(make_genesis())
     assert genesis.header.height == 0
     assert genesis.header.prev_hash == bytes(32)
 
 
-def test_genesis_differs_across_configs(setup):
-    # Every config stamps the same genesis block; its authority set decides which chains extend it.
+def test_every_config_shares_one_genesis_block(setup):
+    # The genesis block is the same under every config; a config's authority set decides which chains extend it.
     authority, cfg, genesis = setup
     other = GenesisConfig(authorities=[kp("other authority").public_key])
-    assert hash_block(make_genesis(other)) == hash_block(genesis)
     block = build_block([], genesis, authority, NOW_MS, cfg)
     assert validate_block(block, genesis, cfg) == []
     assert validate_block(block, genesis, other) == [Violation.NOT_AUTHORITY]
@@ -208,7 +207,7 @@ class TestAppend:
                 nonce += 1
             block = build_block(txs, chain.tip, authority, NOW_MS + (i + 1) * 1000, cfg)
             append(chain, block, cfg)
-        fresh = Chain([make_genesis(GenesisConfig(authorities=[authority.public_key]))])
+        fresh = Chain([make_genesis()])
         for block in chain.blocks[1:]:
             append(fresh, block, cfg)
         assert fresh.tip_hash() == chain.tip_hash()

@@ -40,7 +40,7 @@ NOW_MS = 1_700_000_000_000
 def make_cluster(n, now_us=0, engine_class=ConsensusEngine):
     keys = [kp(f"auth{i}") for i in range(n)]
     cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)  # 2 s round 0
-    genesis = make_genesis(cfg)
+    genesis = make_genesis()
     chains = [Chain([genesis]) for _ in range(n)]
     engines = [engine_class(cfg, keys[i]) for i in range(n)]
     for engine, chain in zip(engines, chains):
@@ -84,7 +84,7 @@ def test_engine_takes_proposer_order_round_timeout_and_quorum_from_the_genesis()
     keys = [kp(f"auth{i}") for i in range(4)]
     cfg = GenesisConfig(authorities=[k.public_key for k in reversed(keys)], block_interval_ms=200)
     key_of = {k.public_key: k for k in keys}
-    chain = Chain([make_genesis(cfg)])
+    chain = Chain([make_genesis()])
     engines = {pk: ConsensusEngine(cfg, key_of[pk]) for pk in cfg.authorities}
     starts = {pk: engine.start_height(1, chain, 0) for pk, engine in engines.items()}
     # Height 1, round 0 falls to authorities[1] in the genesis order, not in key order.
@@ -119,7 +119,7 @@ class TestEngineStep:
     def test_a_fresh_engine_arms_nothing_until_height_one_starts(self):
         keys = [kp(f"auth{i}") for i in range(4)]
         cfg = GenesisConfig(authorities=[k.public_key for k in keys], block_interval_ms=1000)  # 2 s round 0
-        chain = Chain([make_genesis(cfg)])
+        chain = Chain([make_genesis()])
         engines = [ConsensusEngine(cfg, k) for k in keys]
         vote = make_message(keys[2], Phase.PREPARE, 1, 0, b"\x01" * 32)
         assert not engines[0].on_message(vote, chain, 0)
@@ -302,7 +302,7 @@ class TestHappyPath:
         cfg = GenesisConfig(
             authorities=[k.public_key for k in keys], initial_balances={client.public_key: 10**12}, max_txs=10
         )
-        chain = Chain([make_genesis(cfg)])
+        chain = Chain([make_genesis()])
         engine = ConsensusEngine(cfg, keys[0])
         engine.start_height(1, chain, 0)
         txs = [make_transaction(client, i, NOW_MS, Transfer(to=keys[0].public_key, amount=1)) for i in range(1, 12)]

@@ -368,7 +368,7 @@ class TestFeesAndSupply:
         authority = kp("authority")
         patient = kp("patient")
         cfg = GenesisConfig(authorities=[authority.public_key])
-        genesis = make_genesis(cfg)
+        genesis = make_genesis()
         txs = [make_transaction(patient, 1, NOW_MS, Deploy("health_record", b""))]
         block = build_block(txs, genesis, authority, NOW_MS, cfg)
         receipts = apply_block(world, block, SCHEDULE)
@@ -380,7 +380,7 @@ class TestFeesAndSupply:
         # Coins move, never mint or burn, over a random finalized history.
         authority = kp("authority")
         cfg = GenesisConfig(authorities=[authority.public_key])
-        genesis = make_genesis(cfg)
+        genesis = make_genesis()
         rng = random.Random(12)
         supply = total_supply(world)
         patient = kp("patient")
@@ -407,7 +407,7 @@ class TestFeesAndSupply:
         authority = kp("authority")
         patient = kp("patient")
         cfg = GenesisConfig(authorities=[authority.public_key])
-        genesis = make_genesis(cfg)
+        genesis = make_genesis()
         good = make_transaction(patient, 1, NOW_MS, Transfer(addr("doctor"), 5))
         wrong_nonce = make_transaction(patient, 9, NOW_MS, Transfer(addr("doctor"), 5))
         block = build_block([good, wrong_nonce], genesis, authority, NOW_MS, cfg)
@@ -514,7 +514,7 @@ def test_replay_chain_rebuilds_world(world):
     )
     from edgelinker.chain import validate_block
 
-    chain = Chain([make_genesis(cfg)])
+    chain = Chain([make_genesis()])
     live = genesis_world(cfg)
     nonce = 1
     for height in range(1, 4):
@@ -590,7 +590,7 @@ class TestNextState:
     )
     def test_matches_apply_block_and_leaves_the_state_before_unchanged(self, blocks, fork):
         cfg = self.config()
-        chain = Chain([make_genesis(cfg)])
+        chain = Chain([make_genesis()])
         shared, oracle = genesis_world(cfg), genesis_world(cfg)
         nonces: dict = {}
         first = [("deploy", "patient", 0)]  # the contract every call names
@@ -630,7 +630,7 @@ class TestNextState:
         cfg = self.config()
         specs = [(kind, "patient", 0) for kind in TX_KINDS] + [("add_reading", "doctor", 1), ("transfer", "patient", 3)]
         txs = self.transactions([("deploy", "patient", 0)] + specs, {}, NOW_MS)
-        world = next_state(genesis_world(cfg), build_block(txs, make_genesis(cfg), self.AUTHORITY, NOW_MS, cfg), SCHEDULE)
+        world = next_state(genesis_world(cfg), build_block(txs, make_genesis(), self.AUTHORITY, NOW_MS, cfg), SCHEDULE)
         assert {r.result for r in world.receipts} == {RESULT_OK, RESULT_DENIED, RESULT_FAILED, "skipped"}
         assert {r.reason for r in world.receipts if r.result == "skipped"} == {"BadNonce", "InsufficientBalance"}
 
@@ -638,7 +638,7 @@ class TestNextState:
         cfg = self.config()
         world = genesis_world(cfg)
         txs = self.transactions([("transfer", "patient", 0)], {}, NOW_MS)
-        block = build_block(txs, make_genesis(cfg), self.AUTHORITY, NOW_MS, cfg)
+        block = build_block(txs, make_genesis(), self.AUTHORITY, NOW_MS, cfg)
         after = next_state(world, block, SCHEDULE)
         expected, link = after.encode(), weakref.ref(after)
         del after
@@ -650,7 +650,7 @@ class TestNextState:
         cfg = self.config()
         world = genesis_world(cfg)
         txs = self.transactions([("deploy", "patient", 0)], {}, NOW_MS)
-        block = build_block(txs, make_genesis(cfg), self.AUTHORITY, NOW_MS, cfg)
+        block = build_block(txs, make_genesis(), self.AUTHORITY, NOW_MS, cfg)
         cheap = GasSchedule(deploy=5)
         after, after_cheap = next_state(world, block, SCHEDULE), next_state(world, block, cheap)
         oracle = genesis_world(cfg)

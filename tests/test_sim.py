@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import json
 import os
-import random
 import signal
 import sys
 from dataclasses import replace
@@ -21,7 +20,7 @@ from edgelinker.bench import default_attack_config
 from edgelinker.chain import Query
 from edgelinker.contracts import apply_block, genesis_world, replay_chain
 from edgelinker.codec import DecodeError, enc_bytes, enc_str, enc_u64, enc_u8
-from edgelinker.node import CLIENT, CONSENSUS, GOSSIP, ConfirmBody, FogNode, QueryReplyBody
+from edgelinker.node import ALERT, CLIENT, CONFIRM, CONSENSUS, GOSSIP, PEERS, REPLY, ConfirmBody, FogNode, QueryReplyBody
 from edgelinker.sim import (
     ATTACK_KINDS,
     ATTACKER_CLASSES,
@@ -30,7 +29,6 @@ from edgelinker.sim import (
     LinkModel,
     ScenarioConfig,
     Simulation,
-    child_seed,
     run_scenario,
 )
 from tests.conftest import kp
@@ -44,17 +42,63 @@ def fast_config(**overrides):
     return ScenarioConfig(**params)
 
 
+SIGNER = kp("link test signer")
+
+
+def tx(i: int) -> chain.Transaction:
+    """The i-th of a run of distinct transactions. The link tells records
+    apart by their signature, which it never checks, so none is signed."""
+    payload = chain.Deploy(contracts.HEALTH_RECORD_KIND, b"")
+    return chain.Transaction(SIGNER.public_key, i, 0, payload, chain.DEFAULT_GAS_LIMIT, hashlib.sha512(enc_u64(i)).digest())
+
+
+def vote(i: int) -> consensus.ConsensusMessage:
+    return consensus.make_message(SIGNER, consensus.Phase.PREPARE, i, 0, hashlib.sha256(enc_u64(i)).digest())
+
+
+def alert(i: int) -> consensus.Alert:
+    return consensus.Alert(consensus.AlertKind.INVALID_BLOCK, i, SIGNER.public_key, f"alert {i}", 0)
+
+
 def link_sends(link, count, depart_us=0, kind=GOSSIP, seed=1):
-    """Arrival time, or None when dropped, of each of `count` messages sent
-    one after another on the link n0 -> n1 of a three-node simulation."""
+    """Arrival time, or None when dropped, of each of `count` distinct messages
+    sent one after another on the link n0 -> n1 of a three-node simulation:
+    channel frames for CLIENT, else transactions."""
     sim = Simulation(ScenarioConfig(nodes=3, workload="none", link=link), seed)
     outcomes = []
-    for _ in range(count):
+    for i in range(count):
         sim.heap.clear()
-        sim.send("n0", ("n1",), kind, b"", depart_us)
+        sim.send("n0", ("n1",), kind, b"frame" if kind == CLIENT else tx(i), depart_us)
         outcomes.append(sim.heap[0][0] if sim.heap else None)
     assert sim.sent_count == count and sim.dropped_count == outcomes.count(None)
     return outcomes
+
+
+def reference_fate(seed, link, src, dst, kind, identity, depart_us, nodes):
+    """The link model's draw, written out from its spec: nothing crosses a
+    partition; else the little-endian 64-bit word of node n{i}'s slot i (0
+    for a party) in SHAKE-128 over (seed, src, kind, identity) drops the
+    message when its low half is below drop_probability * 2**32, and its high
+    half h delays it by h * (jitter_us + 1) // 2**32 past the base latency."""
+    if frozenset((src, dst)) in link.partitions:
+        return None
+    material = f"edgelinker-link:{seed}:{src}:{kind}:".encode() + identity
+    slot = int(dst[1:]) if dst in [f"n{i}" for i in range(nodes)] else 0
+    word = int.from_bytes(hashlib.shake_128(material).digest(8 * nodes)[8 * slot : 8 * slot + 8], "little")
+    if word % 2**32 < link.drop_probability * 2**32:
+        return None
+    return depart_us + link.base_latency_us + (word // 2**32) * (link.jitter_us + 1) // 2**32
+
+
+def fates(sim, sends, depart_us=0) -> list:
+    """Each send's {destination: arrival time, or None when dropped}."""
+    out = []
+    for src, dsts, kind, body in sends:
+        sim.heap.clear()
+        sim.send(src, dsts, kind, body, depart_us)
+        arrivals = {entry[2][1]: entry[0] for entry in sim.heap}
+        out.append({dst: arrivals.get(dst) for dst in dsts})
+    return out
 
 
 class TestDeliver:
@@ -64,7 +108,9 @@ class TestDeliver:
 
     def test_jitter_bounded(self):
         link = LinkModel(base_latency_us=1000, jitter_us=300)
-        assert all(1000 <= arrival <= 1300 for arrival in link_sends(link, 500, seed=2))
+        arrivals = link_sends(link, 500, seed=2)
+        assert all(1000 <= arrival <= 1300 for arrival in arrivals)
+        assert len(set(arrivals)) > 200  # distinct messages draw apart
 
     def test_partitioned_pair_always_dropped(self):
         link = LinkModel(partitions={frozenset(("n0", "n1"))})
@@ -76,41 +122,97 @@ class TestDeliver:
         assert (sim.sent_count, sim.dropped_count) == (3, 2)
 
     def test_drop_frequency_matches_probability(self):
-        # Seeded frequency check: 10^4 sends at p=0.3 must land in 0.3 +/- 0.02.
-        drops = link_sends(LinkModel(drop_probability=0.3), 10_000, seed=4).count(None)
-        assert abs(drops / 10_000 - 0.3) <= 0.02
+        # Seeded frequency check: 10^4 distinct sends at p=0.3 must land in 0.3 +/- 0.02, records and frames alike.
+        for kind in (GOSSIP, CLIENT):
+            drops = link_sends(LinkModel(drop_probability=0.3), 10_000, kind=kind, seed=4).count(None)
+            assert abs(drops / 10_000 - 0.3) <= 0.02, kind
 
     def test_every_send_delivered_or_dropped(self):
         sim = Simulation(ScenarioConfig(nodes=3, workload="none", link=LinkModel(drop_probability=0.5)), 5)
         sim.heap.clear()
-        for _ in range(1000):
-            sim.send("n0", ("n1", "n2"), GOSSIP, b"", 0)
+        for i in range(1000):
+            sim.send("n0", ("n1", "n2"), GOSSIP, tx(i), 0)
         assert sim.sent_count == 2000 == len(sim.heap) + sim.dropped_count == sim.inflight + sim.dropped_count
+
+    def test_a_message_sent_again_meets_the_same_fate(self):
+        link = LinkModel(jitter_us=10_000, drop_probability=0.5)
+        sim = Simulation(ScenarioConfig(nodes=4, workload="none", link=link), 6)
+        sends = [("n0", ("n1", "n2", "n3"), kind, body) for kind, body in ((GOSSIP, tx(1)), (CONSENSUS, vote(1)), (ALERT, alert(1)))]
+        assert fates(sim, sends) == fates(sim, sends)
 
     @settings(max_examples=80, deadline=None)
     @given(
         base=st.integers(0, 10**6),
         jitter=st.integers(0, 3000) | st.sampled_from([1, 2**20, 2**31 - 1]),
         drop=st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.01, 1.0]),
-        cut=st.sampled_from([None, ("n0", "n1"), ("n1", "n2")]),
-        kind=st.sampled_from([GOSSIP, CONSENSUS, CLIENT]),
+        cut=st.sampled_from([None, ("n0", "n1"), ("n1", "n2"), ("n0", "attacker")]),
         depart_us=st.integers(0, 2**40),
         seed=st.integers(0, 2**64 - 1),
+        order=st.permutations(range(6)),
     )
-    def test_link_draws_match_a_reference_random(self, base, jitter, drop, cut, kind, depart_us, seed):
-        """Each link draws from random.Random(child_seed(seed, "link", src, dst, kind)):
-        random() for the drop when the drop probability is above 0, then
-        randrange(jitter + 1) when there is jitter, and nothing on a partitioned pair."""
+    def test_link_draws_match_a_reference(self, base, jitter, drop, cut, depart_us, seed, order):
+        """Broadcasts of records, and frames to a node and to a party, each
+        meet the fate `reference_fate` gives them, in any order of sending."""
         partitions = set() if cut is None else {frozenset(cut)}
         link = LinkModel(base_latency_us=base, jitter_us=jitter, drop_probability=drop, partitions=partitions)
-        rng = random.Random(child_seed(seed, "link", "n0", "n1", kind))
-        expected = []
-        for _ in range(40):
-            if cut == ("n0", "n1") or (drop > 0 and rng.random() < drop):
-                expected.append(None)
-            else:
-                expected.append(depart_us + base + (rng.randrange(jitter + 1) if jitter > 0 else 0))
-        assert link_sends(link, 40, depart_us, kind, seed) == expected
+        sim = Simulation(ScenarioConfig(nodes=3, workload="none", link=link), seed)
+        peers = ("n1", "n2")
+        sends = [
+            ("n0", peers, GOSSIP, tx(7)),
+            ("n0", peers, CONSENSUS, vote(7)),
+            ("n0", peers, ALERT, alert(7)),
+            ("n1", ("n0",), CONSENSUS, vote(8)),
+            ("n0", ("n1",), CLIENT, b"frame"),
+            ("n0", ("attacker",), CLIENT, b"frame"),
+        ]
+        identities = [tx(7).signature, vote(7).signature, repr(alert(7).key()).encode(), vote(8).signature]
+        identities += [b"n1:1", b"attacker:1"]  # each frame is the first on its link
+        sent = [sends[i] for i in order]
+        expected = [
+            {dst: reference_fate(seed, link, src, dst, kind, identities[i], depart_us, 3) for dst in dsts}
+            for i, (src, dsts, kind, _body) in zip(order, sent)
+        ]
+        assert fates(sim, sent, depart_us) == expected
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("n0", PEERS, GOSSIP, tx(99)),
+            ("n2", PEERS, CONSENSUS, vote(99)),
+            ("n1", PEERS, ALERT, alert(99)),
+            ("n3", ("writer0",), CONFIRM, b"frame"),
+        ],
+        ids=["gossip", "consensus", "alert", "frame"],
+    )
+    def test_one_extra_message_leaves_every_other_arrival_unchanged(self, extra, position):
+        """A message's fate depends on the message, not on what its link
+        carried before: one more record moves no other message, on its own
+        link or any other, and one more frame moves no frame on another link."""
+        link = LinkModel(jitter_us=20_000, drop_probability=0.2)
+        sim = Simulation(ScenarioConfig(nodes=4, workload="none", link=link), 8)
+        peers = {src: tuple(sim._live_peers[src]) for src in sim.node_ids}
+
+        def route(send):
+            src, dst, kind, body = send
+            return (src, peers[src] if dst == PEERS else dst, kind, body)
+
+        traffic = [
+            ("n0", PEERS, GOSSIP, tx(1)),
+            ("n1", PEERS, CONSENSUS, vote(1)),
+            ("n3", ("writer1",), CONFIRM, b"frame"),
+            ("n0", PEERS, GOSSIP, tx(2)),
+            ("n2", ("writer0",), REPLY, b"frame"),
+            ("n1", PEERS, ALERT, alert(1)),
+            ("n2", PEERS, CONSENSUS, vote(2)),
+            ("writer0", ("n3",), CLIENT, b"frame"),
+        ]
+        plain = fates(sim, [route(send) for send in traffic])
+        sim = Simulation(ScenarioConfig(nodes=4, workload="none", link=link), 8)
+        with_extra = fates(sim, [route(send) for send in traffic[:position] + [extra] + traffic[position:]])
+        del with_extra[position]
+        assert with_extra == plain
+        assert any(arrival is None for fate in plain for arrival in fate.values())  # the drops are covered too
 
 
 class TestPerLayerCounts:
@@ -386,11 +488,17 @@ class TestPlans:
 class TestConfirmations:
     def test_every_confirmation_reports_the_ledger_receipt_under_loss(self):
         # At 1% loss a proposer can hold a device's nonce k+1 without k, so
-        # the ledger skips some writes; their devices must hear that.
+        # the ledger skips some writes; their devices must hear that. Item 1's
+        # nonce-gap defect strikes too: the link drops writer2's 12th envelope,
+        # n0 rejects the 38 after it, and those 39 writes are never confirmed.
         cfg = ScenarioConfig(
             nodes=4, workload="write", tasks=200, block_interval_ms=500, link=LinkModel(drop_probability=0.01)
         )
         trace = run_scenario(cfg, 3)
+        writer2 = next(pk for pk, party in trace.final["n0"].directory.items() if party == "writer2")
+        rejects = collections.Counter((e.src, e.info["reason"], e.info["sender"]) for e in trace.of_kind("rejected"))
+        assert rejects == {("n0", "nonce_gap", writer2.hex()[:16]): 38}
+        assert trace.counters["pending_responses"] == 39
         n0 = trace.final["n0"]  # every device's primary, so the node that confirms
         world, schedule = genesis_world(trace.genesis), trace.genesis.gas
         ledger = {}
@@ -398,7 +506,7 @@ class TestConfirmations:
             for receipt in apply_block(world, block, schedule):
                 ledger[receipt.tx_hash.hex()[:16]] = (receipt.result, receipt.reason)
         confirms = trace.of_kind("task_confirmed")
-        assert len([e for e in confirms if e.info["measured"]]) == 200
+        assert len([e for e in confirms if e.info["measured"]]) == 161
         assert all((e.info["result"], e.info["reason"]) == ledger[e.info["tx"]] for e in confirms)
         assert any((e.info["result"], e.info["reason"]) == ("skipped", "BadNonce") for e in confirms)
 
